@@ -9,8 +9,12 @@ u (weights exp(u - 1)), the beamformer step is a convex QCQP
 subject to per-RRH and MBS sum-power constraints. RRH constraints couple the
 RUE beams through shared blocks and are handled by dual decomposition (exact
 coordinate ascent on the multipliers plus a damped Newton polish); the MBS
-constraint couples the BUE beams through a single scalar multiplier found by
-bisection. The f and u updates are closed-form.
+constraint couples the BUE beams through a single scalar multiplier. With the
+other multipliers fixed, the power under one constraint is a secular function
+sum |coef|^2 / (lam + x)^2 of its multiplier x, built from one
+eigendecomposition per beam (of the Schur complement on the RRH's block for a
+RUE, of the whole matrix for a BUE), and both sides find its root with the
+same safeguarded Newton iteration. The f and u updates are closed-form.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ import numpy as np
 from .channel import TrainingConfig, prelog_factor
 from .rate_bounds import AggregatedLinks, interference_plus_noise
 from .scenario import Topology
+
+
+# Multiplier updates allowed per RRH-side dual solve, in both RTD modes.
+MAX_DUAL_ITERS = 5000
 
 
 class ConvergenceError(RuntimeError):
@@ -221,6 +229,125 @@ def _solve_reg(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(mat, rhs, rcond=None)[0]
 
 
+def _solve_stacked(mats: dict, rhs: dict) -> dict:
+    """Solve mats[m] x = rhs[m] for every key, one stacked solve per shape.
+
+    A stack with a singular member falls back to per-key solves, which use
+    least squares where the matrix is singular.
+    """
+    groups: dict[tuple, list] = {}
+    for m, b in rhs.items():
+        groups.setdefault(b.shape, []).append(m)
+    out = {}
+    for shape, keys in groups.items():
+        a = np.stack([mats[m] for m in keys])
+        b = np.stack([rhs[m] for m in keys])
+        try:
+            if len(shape) == 1:
+                sols = np.linalg.solve(a, b[..., None])[..., 0]
+            else:
+                sols = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            sols = [_solve_reg(mats[m], rhs[m]) for m in keys]
+        out.update(zip(keys, sols))
+    return out
+
+
+@dataclass
+class _Secular:
+    """One block of (A + x E E^H)^{-1} b as an eigen-expansion in x.
+
+    A is Hermitian positive semidefinite and E selects the n entries from
+    ``off``. With S = A_kk - A_kr A_rr^{-1} A_rk the block's Schur complement
+    (eigenpairs lam, vecs) and c = b_k - A_kr A_rr^{-1} b_r, the block equals
+    vecs (coef / (lam + x)) with coef = vecs^H c, so its power is the secular
+    function sum |coef|^2 / (lam + x)^2. ``rest`` is A_rr^{-1} [A_rk, b_r],
+    from which the other entries follow.
+    """
+
+    lam: np.ndarray
+    vecs: np.ndarray
+    coef: np.ndarray
+    off: int
+    rest: np.ndarray
+
+    @classmethod
+    def of(cls, mat: np.ndarray, rhs: np.ndarray, off: int, n: int) -> "_Secular":
+        others = np.r_[0:off, off + n:rhs.shape[0]]
+        schur, c = mat[off:off + n, off:off + n], rhs[off:off + n]
+        rest = np.zeros((0, n + 1), dtype=complex)
+        if others.size:
+            cross = mat[off:off + n, others]
+            rows = mat[others]
+            rest = _solve_reg(
+                rows[:, others], np.column_stack([rows[:, off:off + n], rhs[others]])
+            )
+            schur = schur - cross @ rest[:, :n]
+            c = c - cross @ rest[:, n]
+        lam, vecs = np.linalg.eigh(0.5 * (schur + schur.conj().T))
+        return cls(lam, vecs, vecs.conj().T @ c, off, rest)
+
+    def solution(self, x: float) -> np.ndarray:
+        """The whole vector (A + x E E^H)^{-1} b."""
+        block = self.vecs @ np.divide(
+            self.coef, self.lam + x, out=np.zeros_like(self.coef), where=self.coef != 0
+        )
+        if not self.rest.shape[0]:
+            return block
+        n = block.shape[0]
+        others = self.rest[:, n] - self.rest[:, :n] @ block
+        return np.concatenate([others[:self.off], block, others[self.off:]])
+
+
+def _secular_root(
+    parts: list, cap: float, cs_budget: float, feas_tol: float, x0: float
+) -> float:
+    """Smallest x >= 0 at which the summed block power of ``parts`` meets cap.
+
+    The power p(x) = sum |coef|^2 / (lam + x)^2 decreases strictly on
+    x > -min(lam), and 1/sqrt(p) is concave and nearly linear there (exactly
+    linear for one term), so Newton's method on it approaches the root
+    monotonically from below; a bisection step replaces any Newton step that
+    leaves the bracket [lo, hi]. The bracket's upper end holds because
+    lam + hi >= sqrt(sum |coef|^2 / cap) for every term. Stops when
+    |p - cap| <= min(feas_tol * cap / 2, cs_budget / x), the complementary-
+    slackness share of this multiplier; otherwise returns the feasible end of
+    the final bracket. x0 is a warm start.
+    """
+    if not parts:
+        return 0.0
+    lam = np.concatenate([s.lam for s in parts])
+    weight = np.concatenate([np.abs(s.coef) ** 2 for s in parts])
+    lam, weight = lam[weight > 0.0], weight[weight > 0.0]
+    if not lam.size:
+        return 0.0
+    lo = max(0.0, -float(lam.min()))
+    hi = lo + math.sqrt(float(weight.sum()) / cap)
+    x, first = lo, True
+    # Bisection alone reaches the 1e-15 relative floor in about 50 steps.
+    for _ in range(200):
+        shifted = lam + x
+        p = float(np.sum(weight / shifted**2)) if shifted.min() > 0.0 else math.inf
+        if p > cap:
+            lo = x
+        else:
+            hi = x
+        if abs(p - cap) <= min(0.5 * feas_tol * cap, cs_budget / max(x, 1e-300)):
+            return x
+        if hi - lo <= 1e-15 * hi:
+            return hi
+        nxt = 0.5 * (lo + hi)
+        if first and lo < x0 < hi:
+            nxt = x0
+        elif math.isfinite(p):
+            slope = float(np.sum(weight / shifted**3)) * p**-1.5
+            newton = x + (cap**-0.5 - p**-0.5) / slope
+            if lo < newton < hi:
+                nxt = newton
+        x, first = nxt, False
+    return hi
+
+
 def _solve_rrh_side(
     quad: dict,
     lin: dict,
@@ -238,11 +365,13 @@ def _solve_rrh_side(
     (F_i + diag(mu over blocks))^{-1} b_i. The concave dual is maximized in
     two interleaved phases:
 
-    * cyclic exact coordinate ascent — RRH k's transmitted power is strictly
-      decreasing in mu_k, so each coordinate update is a safeguarded bisection
-      for the complementary-slackness root (mu_k = 0 when the cap already
-      holds), with ||(F + D)^{-1} b|| <= ||b|| / mu_k as a closed-form upper
-      bracket. Scale-free per constraint, globally convergent.
+    * cyclic exact coordinate ascent — with the other multipliers fixed, RRH
+      k's block of each user it serves is (S_ik + mu_k I)^{-1} c_ik, S_ik the
+      Schur complement of the user's matrix on block k (see ``_Secular``).
+      One eigendecomposition per user turns RRH k's power into a secular
+      function of mu_k, whose complementary-slackness root (mu_k = 0 when the
+      cap already holds) ``_secular_root`` finds with no further linear
+      solves. Scale-free per constraint, globally convergent.
     * damped Newton polish on the active set — overlapping serving clusters
       couple the multipliers strongly enough that coordinate ascent's linear
       tail can crawl; the power-balance Jacobian is closed-form, so a few
@@ -258,14 +387,15 @@ def _solve_rrh_side(
     n = block_size
     info = {"dual_iterations": 0}
 
-    keep, red_quad, red_lin, red_blocks, nonzero = {}, {}, {}, {}, {}
+    keep, red_quad, red_lin, red_blocks = {}, {}, {}, {}
     for i in rue_ids:
         mask = np.repeat([budget[k] > 0 for k in block_rrhs[i]], n)
         keep[i] = mask
         red_quad[i] = quad[i][np.ix_(mask, mask)]
         red_lin[i] = lin[i][mask]
         red_blocks[i] = [k for k in block_rrhs[i] if budget[k] > 0]
-        nonzero[i] = bool(np.any(red_lin[i]))
+    # Users with a zero linear term keep zero beams whatever the multipliers.
+    solved = [i for i in rue_ids if np.any(red_lin[i])]
     active = sorted({k for i in rue_ids for k in red_blocks[i]})
     kpos = {k: idx for idx, k in enumerate(active)}
     cap = budget[active] if active else np.zeros(0)
@@ -275,37 +405,33 @@ def _solve_rrh_side(
     }
     diag_idx = {i: np.arange(red_quad[i].shape[0]) for i in rue_ids}
     users_of = {k: [] for k in active}
-    for i in rue_ids:
+    for i in solved:
         for pos, k in enumerate(red_blocks[i]):
             users_of[k].append((i, pos * n))
-    norms_at = {
-        k: sum(float(np.sum(np.abs(red_lin[i]) ** 2)) for i, _ in users_of[k])
-        for k in active
-    }
 
     def expand(i: int, reduced: np.ndarray) -> np.ndarray:
         full = np.zeros(quad[i].shape[0], dtype=complex)
         full[keep[i]] = reduced
         return full
 
-    def solve_ue(i: int, mu: np.ndarray) -> np.ndarray:
-        if not nonzero[i]:
-            return np.zeros(red_lin[i].shape[0], dtype=complex)
+    def shifted(i: int, mu: np.ndarray) -> np.ndarray:
         mat = red_quad[i].copy()
         mat[diag_idx[i], diag_idx[i]] += mu[shift_idx[i]]
-        return _solve_reg(mat, red_lin[i])
+        return mat
+
+    def solve_all(mu: np.ndarray) -> dict:
+        out = {i: np.zeros(red_lin[i].shape[0], dtype=complex) for i in rue_ids}
+        out.update(
+            _solve_stacked({i: shifted(i, mu) for i in solved}, {i: red_lin[i] for i in solved})
+        )
+        return out
 
     mu = np.zeros(len(active))
     if mu0:
         for k, val in mu0.items():
             if k in kpos and val > 0.0:
                 mu[kpos[k]] = float(val)
-    w_cache = {i: solve_ue(i, mu) for i in rue_ids}
-
-    def power_at(k: int) -> float:
-        return sum(
-            float(np.sum(np.abs(w_cache[i][off:off + n]) ** 2)) for i, off in users_of[k]
-        )
+    w_cache = solve_all(mu)
 
     def dual_value() -> float:
         val = -float(mu @ cap)
@@ -321,23 +447,25 @@ def _solve_rrh_side(
     if not active:
         return finish()
 
+    owner = np.concatenate([shift_idx[i] for i in rue_ids])
+
+    def powers_of(beams: dict) -> np.ndarray:
+        entries = np.abs(np.concatenate([beams[i] for i in rue_ids])) ** 2
+        return np.bincount(owner, weights=entries, minlength=len(active))
+
+    def power_at(k: int) -> float:
+        return sum(
+            float(np.sum(np.abs(w_cache[i][off:off + n]) ** 2)) for i, off in users_of[k]
+        )
+
     def residuals():
-        powers = np.array([power_at(k) for k in active])
+        powers = powers_of(w_cache)
         viol = float(np.max((powers - cap) / np.maximum(cap, 1e-300)))
         gap = float(np.sum(mu * np.abs(cap - powers)))
         return powers, viol, gap
 
     def is_converged(viol: float, gap: float) -> bool:
         return viol <= feas_tol and gap <= gap_tol * max(1.0, abs(dual_value()))
-
-    def k_power(k: int, idx: int, x: float) -> float:
-        trial = mu.copy()
-        trial[idx] = x
-        total = 0.0
-        for i, off in users_of[k]:
-            w = solve_ue(i, trial)
-            total += float(np.sum(np.abs(w[off:off + n]) ** 2))
-        return total
 
     def coordinate_sweep(cs_budget: float) -> int:
         count = 0
@@ -346,41 +474,14 @@ def _solve_rrh_side(
             if power_at(k) <= cap[idx] and mu[idx] == 0.0:
                 continue
             count += 1
-            if k_power(k, idx, 0.0) <= cap[idx]:
-                mu[idx] = 0.0
-            else:
-                hi_max = math.sqrt(norms_at[k] / cap[idx])
-                lo, hi = 0.0, hi_max
-                if mu[idx] > 0.0:
-                    # Local bracket around the warm value, widened as needed.
-                    left = 0.5 * mu[idx]
-                    if k_power(k, idx, left) <= cap[idx]:
-                        hi = left
-                    else:
-                        lo = left
-                        right = min(2.0 * mu[idx], hi_max)
-                        while right < hi_max and k_power(k, idx, right) > cap[idx]:
-                            lo = right
-                            right = min(2.0 * right, hi_max)
-                        hi = right
-                root = hi
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    p_mid = k_power(k, idx, mid)
-                    if p_mid > cap[idx]:
-                        lo = mid
-                    else:
-                        hi = mid
-                    slack = min(0.5 * feas_tol * cap[idx], cs_budget / max(mid, 1e-300))
-                    if abs(p_mid - cap[idx]) <= slack:
-                        root = mid
-                        break
-                    root = hi
-                    if hi - lo <= 1e-15 * hi:
-                        break
-                mu[idx] = root
-            for i, _ in users_of[k]:
-                w_cache[i] = solve_ue(i, mu)
+            others = mu.copy()
+            others[idx] = 0.0
+            parts = {
+                i: _Secular.of(shifted(i, others), red_lin[i], off, n) for i, off in users_of[k]
+            }
+            mu[idx] = _secular_root(list(parts.values()), cap[idx], cs_budget, feas_tol, mu[idx])
+            for i, part in parts.items():
+                w_cache[i] = part.solution(mu[idx])
         return max(count, 1)
 
     def newton_rounds(max_rounds: int) -> int:
@@ -395,51 +496,42 @@ def _solve_rrh_side(
                 break
             apos = {k: x for x, k in enumerate(act)}
             resid = np.array([powers[kpos[k]] - cap[kpos[k]] for k in act])
+            # d(w_i)/d(mu_k) = -M_i^{-1} E_k E_k^H w_i: one column per block of user i.
+            coupled = [i for i in solved if any(k in apos for k in red_blocks[i])]
+            rhs = {}
+            for i in coupled:
+                nb = len(red_blocks[i])
+                cols = np.zeros((nb, n, nb), dtype=complex)
+                cols[np.arange(nb), :, np.arange(nb)] = w_cache[i].reshape(nb, n)
+                rhs[i] = cols.reshape(nb * n, nb)
+            sens = _solve_stacked({i: shifted(i, mu) for i in coupled}, rhs)
             jac = np.zeros((len(act), len(act)))
-            for i in rue_ids:
-                if not nonzero[i]:
-                    continue
-                cols = [(pos * n, k) for pos, k in enumerate(red_blocks[i]) if k in apos]
-                if not cols:
-                    continue
-                mat = red_quad[i].copy()
-                mat[diag_idx[i], diag_idx[i]] += mu[shift_idx[i]]
-                rhs = np.zeros((red_lin[i].shape[0], len(cols)), dtype=complex)
-                for c, (off, _) in enumerate(cols):
-                    rhs[off:off + n, c] = w_cache[i][off:off + n]
-                try:
-                    sens = np.linalg.solve(mat, rhs)
-                except np.linalg.LinAlgError:
-                    return count
-                for c_l, (off_l, k_l) in enumerate(cols):
-                    for c_k, (off_k, k_k) in enumerate(cols):
-                        block = w_cache[i][off_k:off_k + n].conj() @ sens[off_k:off_k + n, c_l]
-                        jac[apos[k_k], apos[k_l]] -= 2.0 * float(np.real(block))
+            for i in coupled:
+                nb = len(red_blocks[i])
+                cross = np.einsum(
+                    "kn,knl->kl", w_cache[i].reshape(nb, n).conj(), sens[i].reshape(nb, n, nb)
+                )
+                sel = [pos for pos, k in enumerate(red_blocks[i]) if k in apos]
+                rows = [apos[red_blocks[i][pos]] for pos in sel]
+                jac[np.ix_(rows, rows)] -= 2.0 * np.real(cross[np.ix_(sel, sel)])
             try:
                 step = np.linalg.solve(jac, -resid)
             except np.linalg.LinAlgError:
                 break
-            worst = float(np.max(np.abs(resid) / np.maximum(cap[[kpos[k] for k in act]], 1e-300)))
+            act_idx = [kpos[k] for k in act]
+            worst = float(np.max(np.abs(resid) / np.maximum(cap[act_idx], 1e-300)))
             accepted = False
             alpha = 1.0
             for _ in range(6):
                 trial = mu.copy()
                 for k in act:
                     trial[kpos[k]] = max(0.0, mu[kpos[k]] + alpha * step[apos[k]])
-                trial_w = {i: solve_ue(i, trial) for i in rue_ids}
-                t_powers = np.array(
-                    [
-                        sum(
-                            float(np.sum(np.abs(trial_w[i][off:off + n]) ** 2))
-                            for i, off in users_of[k]
-                        )
-                        for k in active
-                    ]
-                )
+                trial_w = solve_all(trial)
+                t_powers = powers_of(trial_w)
                 t_worst = float(
                     np.max(
-                        np.abs(t_powers[[kpos[k] for k in act]] - cap[[kpos[k] for k in act]])
-                        / np.maximum(cap[[kpos[k] for k in act]], 1e-300)
+                        np.abs(t_powers[act_idx] - cap[act_idx])
+                        / np.maximum(cap[act_idx], 1e-300)
                     )
                 )
                 t_over = float(np.max((t_powers - cap) / np.maximum(cap, 1e-300)))
@@ -479,71 +571,28 @@ def _solve_mbs_side(
     gap_tol: float = 1e-8,
     nu0: float | None = None,
 ):
-    """Single-constraint subproblem solved by bisection on the MBS multiplier."""
+    """Single-constraint subproblem on the MBS multiplier nu.
+
+    Each BUE's quadratic term is diagonalised once, so the MBS power is a
+    secular function of nu and ``_secular_root`` finds the multiplier.
+    """
     bue_ids = list(quad.keys())
     b_ant = lin[bue_ids[0]].shape[0] if bue_ids else 0
-
-    def beams_at(nu: float):
-        out = {}
-        for j in bue_ids:
-            if not np.any(lin[j]) or budget == 0.0:
-                out[j] = np.zeros(b_ant, dtype=complex)
-                continue
-            mat = quad[j].copy()
-            mat[np.diag_indices_from(mat)] += nu
-            out[j] = _solve_reg(mat, lin[j])
-        return out
-
-    def power_of(beams: dict) -> float:
-        return sum(float(np.sum(np.abs(w) ** 2)) for w in beams.values())
-
-    def dual_value(nu: float, beams: dict) -> float:
-        return -sum(float(np.real(np.vdot(lin[j], beams[j]))) for j in bue_ids) - nu * budget
-
-    beams = beams_at(0.0)
-    if not bue_ids or budget == 0.0:
-        return beams, 0.0, dual_value(0.0, beams)
-    if power_of(beams) <= budget * (1.0 + feas_tol):
-        return beams, 0.0, dual_value(0.0, beams)
-
-    # ||(F + nu I)^{-1} b|| <= ||b|| / nu, so this multiplier is feasible.
-    hi_max = math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for v in lin.values()) / budget)
-    lo, hi = 0.0, hi_max
-    if nu0 and nu0 > 0.0:
-        left = 0.5 * nu0
-        if power_of(beams_at(left)) <= budget:
-            hi = left
-        else:
-            lo = left
-            right = min(2.0 * nu0, hi_max)
-            while right < hi_max and power_of(beams_at(right)) > budget:
-                lo = right
-                right = min(2.0 * right, hi_max)
-            hi = right
-    root = hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        total = power_of(beams_at(mid))
-        if total > budget:
-            lo = mid
-        else:
-            hi = mid
-        slack = min(0.5 * feas_tol * budget, 0.5 * gap_tol / max(mid, 1e-300))
-        if abs(total - budget) <= slack:
-            root = mid
-            break
-        root = hi
-        if hi - lo <= 1e-15 * hi:
-            break
-    beams = beams_at(root)
-    return beams, root, dual_value(root, beams)
+    parts = {}
+    if budget > 0.0:
+        parts = {j: _Secular.of(quad[j], lin[j], 0, b_ant) for j in bue_ids if np.any(lin[j])}
+    nu = _secular_root(list(parts.values()), budget, 0.5 * gap_tol, feas_tol, nu0 or 0.0)
+    beams = {j: np.zeros(b_ant, dtype=complex) for j in bue_ids}
+    beams.update({j: part.solution(nu) for j, part in parts.items()})
+    value = -sum(float(np.real(np.vdot(lin[j], beams[j]))) for j in bue_ids) - nu * budget
+    return beams, nu, value
 
 
 def solve_qcqp(
     problem: QcqpProblem,
     feas_tol: float = 1e-6,
     gap_tol: float = 1e-8,
-    max_dual_iters: int = 5000,
+    max_dual_iters: int = MAX_DUAL_ITERS,
     return_info: bool = False,
     mu0: dict | None = None,
     nu0: float | None = None,
@@ -762,7 +811,7 @@ class _RrhSideWorker:
             self.rrh_budget,
             self.feas_tol,
             self.gap_tol,
-            5000,
+            MAX_DUAL_ITERS,
             mu0=self.mu0,
         )
         accepted = _accept_side(quad, lin, self.links.rue_ids, candidate, self.beams)

@@ -22,6 +22,7 @@ from hcransim import (
     update_u,
     zero_beams,
 )
+from hcransim.beamforming import _Secular
 from hcransim.util import child_rng, crandn, dbm_to_watt
 
 from helpers import make_synthetic_qcqp, pipeline_instance
@@ -218,6 +219,129 @@ def test_solve_qcqp_exhausted_iterations_raises():
     problem, *_ = make_synthetic_qcqp(rng)
     with pytest.raises(ConvergenceError):
         solve_qcqp(problem, max_dual_iters=0)
+
+
+def _block_power(mat, rhs, off, n, x):
+    shifted = mat.copy()
+    shifted[off:off + n, off:off + n] += x * np.eye(n)
+    w = np.linalg.solve(shifted, rhs)
+    return w, float(np.sum(np.abs(w[off:off + n]) ** 2))
+
+
+def _secular_power(parts, x):
+    return sum(float(np.sum(np.abs(s.coef) ** 2 / (s.lam + x) ** 2)) for s in parts)
+
+
+def _rrh_block_system(quad, cluster, budget, mu, k, n):
+    """A user's matrix as the RRH-side solver sees it when it updates RRH k:
+    zero-budget blocks dropped, every other live block shifted by its
+    multiplier. Returns (matrix, kept-entry mask, offset of k's block)."""
+    live = [r for r in cluster if budget[r] > 0]
+    mask = np.repeat([budget[r] > 0 for r in cluster], n)
+    mat = quad[np.ix_(mask, mask)].astype(complex)
+    for pos, r in enumerate(live):
+        if r != k:
+            mat[pos * n:(pos + 1) * n, pos * n:(pos + 1) * n] += mu[r] * np.eye(n)
+    return mat, mask, n * live.index(k)
+
+
+def test_secular_power_matches_direct_solve():
+    """The Schur-complement secular function of RRH k's multiplier equals the
+    block power of a direct solve at every x, on a field where one RRH is
+    shared by three users, users hold one to three blocks, one user has a
+    zero linear term, one a rank-one matrix, and one RRH has a zero budget."""
+    rng = child_rng(31, 7)
+    n = 2
+    clusters = {0: [1], 1: [0, 1], 2: [1, 2, 3], 3: [1, 3], 4: [0, 3]}
+    budget = np.array([1.0, 1.0, 0.0, 1.0])
+    quads, lins = {}, {}
+    for i, cluster in clusters.items():
+        dim = n * len(cluster)
+        a = crandn(rng, 1 if i == 4 else dim + 1, dim)
+        quads[i] = a.conj().T @ a
+        lins[i] = np.zeros(dim, dtype=complex) if i == 3 else crandn(rng, dim)
+    mu = {k: float(rng.uniform(0.1, 2.0)) for k in range(4)}
+    for k in (0, 1, 3):
+        for x in (0.05, 0.3, 1.0, 7.0):
+            parts, direct = [], 0.0
+            for i, cluster in clusters.items():
+                if k not in cluster:
+                    continue
+                mat, mask, off = _rrh_block_system(quads[i], cluster, budget, mu, k, n)
+                part = _Secular.of(mat, lins[i][mask], off, n)
+                w, power = _block_power(mat, lins[i][mask], off, n, x)
+                assert np.allclose(part.solution(x), w, rtol=1e-9, atol=1e-12)
+                parts.append(part)
+                direct += power
+            assert _secular_power(parts, x) == pytest.approx(direct, rel=1e-9)
+    # MBS side: the whole beam is the block, nothing is eliminated.
+    b_ant = 3
+    parts, vecs = [], []
+    for j in range(3):
+        a = crandn(rng, b_ant + 1, b_ant)
+        quad = a.conj().T @ a
+        lin = np.zeros(b_ant, dtype=complex) if j == 2 else crandn(rng, b_ant)
+        parts.append(_Secular.of(quad, lin, 0, b_ant))
+        vecs.append((quad, lin))
+    for nu in (0.0, 0.2, 3.0):
+        direct = 0.0
+        for part, (quad, lin) in zip(parts, vecs):
+            w, power = _block_power(quad, lin, 0, b_ant, nu)
+            assert np.allclose(part.solution(nu), w, rtol=1e-9, atol=1e-12)
+            direct += power
+        assert _secular_power(parts, nu) == pytest.approx(direct, rel=1e-9)
+
+
+def test_solver_multipliers_reproduce_its_beams():
+    """At the returned multipliers, every live RRH's secular power equals its
+    power in the returned beams, active caps are met, zero-budget RRHs carry
+    nothing, and each BUE beam is (Q + nu I)^{-1} b."""
+    rng = child_rng(31, 9)
+    for _ in range(8):
+        problem, *_ = make_synthetic_qcqp(rng, zero_cap_chance=0.25)
+        beams, info = solve_qcqp(problem, return_info=True)
+        mu, n = info["rrh_dual"], problem.block_size
+        for k, cap in enumerate(problem.rrh_budget):
+            users = [i for i, c in problem.block_rrhs.items() if k in c]
+            if not users:
+                continue
+            if cap == 0.0:
+                assert k not in mu and beams.rrh_power(k) == 0.0
+                continue
+            parts = []
+            for i in users:
+                mat, mask, off = _rrh_block_system(
+                    problem.quad_rue[i], problem.block_rrhs[i], problem.rrh_budget, mu, k, n
+                )
+                parts.append(_Secular.of(mat, problem.lin_rue[i][mask], off, n))
+            assert _secular_power(parts, mu[k]) == pytest.approx(beams.rrh_power(k), rel=1e-7)
+            if mu[k] > 0.0:
+                assert beams.rrh_power(k) == pytest.approx(cap, rel=1e-6)
+        nu = info["mbs_dual"]
+        for j, quad in problem.quad_bue.items():
+            want = np.linalg.solve(quad + nu * np.eye(quad.shape[0]), problem.lin_bue[j])
+            assert np.allclose(beams.bue[j], want, rtol=1e-9, atol=1e-12)
+
+
+def test_single_coordinate_update_lands_on_the_cap():
+    """RRH 0 serves one user whose other block is nearly singular, so the
+    eliminated target c = b_0 - F_01 b_1 / F_11 is 99 times longer than the
+    whole linear term. The exact multiplier (about 99) lies far above
+    ||b|| / sqrt(cap) = 1, a bound that assumes F + D >= mu_0 I; the secular
+    bracket holds it, and one coordinate update puts RRH 0 on its cap."""
+    f01, f11 = 0.0099, 1e-4
+    problem = QcqpProblem(
+        quad_rue={0: np.array([[1.0, f01], [f01, f11]], dtype=complex)},
+        lin_rue={0: np.array([0.0, 1.0], dtype=complex)},
+        quad_bue={}, lin_bue={}, block_rrhs={0: [0, 1]}, block_size=1,
+        rrh_budget=np.array([1.0, 1e9]), mbs_budget=1.0,
+    )
+    beams, info = solve_qcqp(problem, max_dual_iters=1, return_info=True)
+    assert info["dual_iterations"] == 1
+    assert info["rrh_dual"][0] > 90.0 * np.linalg.norm(problem.lin_rue[0])
+    assert info["rrh_dual"][1] == 0.0
+    assert beams.rrh_power(0) == pytest.approx(1.0, rel=1e-6)
+    assert beams.rrh_power(1) < 1e9
 
 
 def test_rtd_monotone_and_stationary():
