@@ -33,6 +33,7 @@ from .experiments import (
     run_mse_sweep,
     run_se_sweep,
     run_tightness,
+    schedule_one,
     solve_one,
 )
 from .pilot_scheduler import (

@@ -19,6 +19,7 @@ same safeguarded Newton iteration. The f and u updates are closed-form.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +30,7 @@ from .rate_bounds import AggregatedLinks, interference_plus_noise
 from .scenario import Topology
 
 
-# Multiplier updates allowed per RRH-side dual solve, in both RTD modes.
+# Multiplier updates allowed per RRH-side dual solve.
 MAX_DUAL_ITERS = 5000
 
 
@@ -141,43 +142,42 @@ def update_u(mse: float) -> float:
     return 1.0 - math.log(mse)
 
 
-def _weights(f: dict, u: dict) -> dict:
-    return {m: math.exp(u[m] - 1.0) * abs(f[m]) ** 2 for m in u}
+def _weights(links: AggregatedLinks, f: dict, u: dict) -> np.ndarray:
+    """Per-UE MSE weights exp(u - 1) * |f|^2, indexed by UE id."""
+    out = np.zeros(links.var_mbs.shape[0])
+    for m in u:
+        out[m] = math.exp(u[m] - 1.0) * abs(f[m]) ** 2
+    return out
 
 
-def _assemble_rue_side(links: AggregatedLinks, f: dict, u: dict):
-    """Quadratic/linear terms for every RUE beam (needs all UEs' f and u)."""
-    w8 = _weights(f, u)
+def _assemble_rue_side(links: AggregatedLinks, w8: np.ndarray, f: dict, u: dict):
+    """Quadratic/linear terms for every RUE beam (needs all UEs' f and u).
+
+    A beam block at RRH k costs G_k = sum_m w8_m (est est^H + var I) over the
+    links k -> m, so a RUE's matrix is blockdiag(G_k) over its cluster; only
+    its own term w8_i g g^H also couples the blocks.
+    """
+    n = links.block_size
+    scaled = links.est_rrh * w8[None, :, None]
+    per_rrh = np.sum(scaled[..., :, None] * links.est_rrh.conj()[..., None, :], axis=1)
+    per_rrh[:, np.arange(n), np.arange(n)] += (links.var_rrh @ w8)[:, None]
     quad, lin = {}, {}
     for i in links.rue_ids:
-        g = links.g_hat[i]
-        mat = w8[i] * (np.outer(g, g.conj()) + np.diag(links.own_err_diag[i]).astype(complex))
-        for dst in links.rue_ids:
-            if dst != i:
-                mat = mat + w8[dst] * links.cross_rue_cov[(i, dst)]
-        for j in links.bue_ids:
-            mat = mat + w8[j] * links.cross_bue_cov[(i, j)]
+        g = links.estimate(i)
+        mat = w8[i] * np.outer(g, g.conj())
+        for pos, k in enumerate(links.block_rrhs[i]):
+            mat[pos * n:(pos + 1) * n, pos * n:(pos + 1) * n] = per_rrh[k]
         quad[i] = mat
         lin[i] = math.exp(u[i] - 1.0) * f[i] * g
     return quad, lin
 
 
-def _assemble_bue_side(links: AggregatedLinks, f: dict, u: dict):
-    """Quadratic/linear terms for every BUE beam."""
-    w8 = _weights(f, u)
-    quad, lin = {}, {}
-    for j in links.bue_ids:
-        h = links.bue_est[j]
-        mat = w8[j] * (
-            np.outer(h, h.conj()) + links.bue_err[j] * np.eye(links.mbs_antennas)
-        )
-        for i in links.rue_ids:
-            mat = mat + w8[i] * links.mbs_to_rue_cov[i]
-        for other in links.bue_ids:
-            if other != j:
-                mat = mat + w8[other] * links.bue_cov[other]
-        quad[j] = mat
-        lin[j] = math.exp(u[j] - 1.0) * f[j] * h
+def _assemble_bue_side(links: AggregatedLinks, w8: np.ndarray, f: dict, u: dict):
+    """Quadratic/linear terms for every BUE beam; all BUEs share one matrix."""
+    shared = (links.est_mbs * w8[:, None]).T @ links.est_mbs.conj()
+    shared += (links.var_mbs @ w8) * np.eye(links.mbs_antennas)
+    quad = {j: shared for j in links.bue_ids}
+    lin = {j: math.exp(u[j] - 1.0) * f[j] * links.est_mbs[j] for j in links.bue_ids}
     return quad, lin
 
 
@@ -193,8 +193,9 @@ def assemble_qcqp(
     The dropped additive constant is sum_m exp(u_m - 1) * (1 + |f_m|^2 * N0);
     adding it back to the optimum recovers the weighted-MSE objective.
     """
-    quad_rue, lin_rue = _assemble_rue_side(links, f, u)
-    quad_bue, lin_bue = _assemble_bue_side(links, f, u)
+    w8 = _weights(links, f, u)
+    quad_rue, lin_rue = _assemble_rue_side(links, w8, f, u)
+    quad_bue, lin_bue = _assemble_bue_side(links, w8, f, u)
     return QcqpProblem(
         quad_rue=quad_rue,
         lin_rue=lin_rue,
@@ -676,21 +677,15 @@ def _merge_beams(links: AggregatedLinks, rue_beams: dict, bue_beams: dict) -> Be
     )
 
 
-def _rue_stats(links: AggregatedLinks, full: BeamformerSet, noise_power: float):
-    j_rue, _ = interference_plus_noise(links, full, noise_power)
+def _refresh_stats(links: AggregatedLinks, beams: BeamformerSet, noise_power: float):
+    """Equalizers, auxiliaries and MSEs of every UE at the given beams."""
+    j_rue, j_bue = interference_plus_noise(links, beams, noise_power)
+    j_power = {**j_rue, **j_bue}
+    w = {**beams.rue, **beams.bue}
     f, u, mse = {}, {}, {}
-    for i in links.rue_ids:
-        mse[i], f[i] = mse_and_equalizer(links.g_hat[i], full.rue[i], j_rue[i])
-        u[i] = update_u(mse[i])
-    return f, u, mse
-
-
-def _bue_stats(links: AggregatedLinks, full: BeamformerSet, noise_power: float):
-    _, j_bue = interference_plus_noise(links, full, noise_power)
-    f, u, mse = {}, {}, {}
-    for j in links.bue_ids:
-        mse[j], f[j] = mse_and_equalizer(links.bue_est[j], full.bue[j], j_bue[j])
-        u[j] = update_u(mse[j])
+    for m in links.rue_ids + links.bue_ids:
+        mse[m], f[m] = mse_and_equalizer(links.estimate(m), w[m], j_power[m])
+        u[m] = update_u(mse[m])
     return f, u, mse
 
 
@@ -716,27 +711,15 @@ def rtd_solve(
     of per-UE rate lower bounds. keep_beam_history additionally stores a copy
     of the beams after every cycle.
 
-    mode "centralized" runs one loop; "distributed" splits the work between an
-    RRH-side and an MBS-side worker that exchange (f, u, beams) value-copy
-    messages. Both orderings perform the same arithmetic, so the iterates
-    coincide. Returns (BeamformerSet, RtdState).
+    Both modes run the same loop. "distributed" hands the equalizers,
+    auxiliaries and beams exchanged between the beamformer step and the stats
+    refresh over as value copies, the messages an RRH-side and an MBS-side
+    processor would exchange; the arithmetic is the same, so the iterates
+    coincide with "centralized". Returns (BeamformerSet, RtdState).
     """
-    if mode == "centralized":
-        return _rtd_centralized(
-            topology, links, training, budgets, rho, max_iters, feas_tol, gap_tol,
-            keep_beam_history,
-        )
-    if mode == "distributed":
-        return _rtd_distributed(
-            topology, links, training, budgets, rho, max_iters, feas_tol, gap_tol,
-            keep_beam_history,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _rtd_centralized(
-    topology, links, training, budgets, rho, max_iters, feas_tol, gap_tol, keep_beam_history
-):
+    if mode not in ("centralized", "distributed"):
+        raise ValueError(f"unknown mode {mode!r}")
+    send = copy.deepcopy if mode == "distributed" else (lambda message: message)
     prelog = prelog_factor(training.tau, training.coherence)
     all_ids = links.rue_ids + links.bue_ids
     beams = zero_beams(links)
@@ -745,7 +728,7 @@ def _rtd_centralized(
     state = RtdState(f=f, u=u, mse={})
     mu0, nu0 = None, None
     for it in range(1, max_iters + 1):
-        problem = assemble_qcqp(links, f, u, budgets, topology)
+        problem = assemble_qcqp(links, send(f), send(u), budgets, topology)
         candidate, qinfo = solve_qcqp(
             problem, feas_tol, gap_tol, return_info=True, mu0=mu0, nu0=nu0
         )
@@ -760,11 +743,7 @@ def _rtd_centralized(
             bue_new, beams.bue, links.bue_ids
         )
         beams = _merge_beams(links, rue_new, bue_new)
-        f_r, u_r, mse_r = _rue_stats(links, beams, training.noise_power)
-        f_b, u_b, mse_b = _bue_stats(links, beams, training.noise_power)
-        f = {**f_r, **f_b}
-        u = {**u_r, **u_b}
-        mse = {**mse_r, **mse_b}
+        f, u, mse = _refresh_stats(links, send(beams), training.noise_power)
         obj, sum_se = _trace_point(u, mse, prelog, all_ids)
         state.f, state.u, state.mse = f, u, mse
         state.objective_trace.append(obj)
@@ -775,130 +754,4 @@ def _rtd_centralized(
         if delta <= rho:
             state.converged = True
             break
-    return beams, state
-
-
-class _RrhSideWorker:
-    """Baseband-pool side: owns the RUE beams and stats, sees only messages."""
-
-    def __init__(self, topology, links, budgets, noise_power, feas_tol, gap_tol):
-        self.links = links
-        self.noise_power = noise_power
-        self.feas_tol = feas_tol
-        self.gap_tol = gap_tol
-        self.rrh_budget = budgets.rrh_array(topology.num_rrh)
-        self.beams = {i: np.zeros(links.dim(i), dtype=complex) for i in links.rue_ids}
-        self.f = {i: 1.0 + 0.0j for i in links.rue_ids}
-        self.u = {i: 1.0 for i in links.rue_ids}
-        self.mu0 = None
-
-    def stats_message(self):
-        return dict(self.f), dict(self.u)
-
-    def beam_message(self):
-        return {i: w.copy() for i, w in self.beams.items()}
-
-    def beam_update(self, peer_f: dict, peer_u: dict) -> float:
-        """Solve this side's QCQP; returns the squared beam change."""
-        f = {**self.f, **peer_f}
-        u = {**self.u, **peer_u}
-        quad, lin = _assemble_rue_side(self.links, f, u)
-        candidate, self.mu0, _, _ = _solve_rrh_side(
-            quad,
-            lin,
-            {i: list(self.links.block_rrhs[i]) for i in self.links.rue_ids},
-            self.links.block_size,
-            self.rrh_budget,
-            self.feas_tol,
-            self.gap_tol,
-            MAX_DUAL_ITERS,
-            mu0=self.mu0,
-        )
-        accepted = _accept_side(quad, lin, self.links.rue_ids, candidate, self.beams)
-        delta = _diff_norm(accepted, self.beams, self.links.rue_ids)
-        self.beams = accepted
-        return delta
-
-    def stats_refresh(self, peer_beams: dict):
-        full = _merge_beams(self.links, self.beams, peer_beams)
-        self.f, self.u, mse = _rue_stats(self.links, full, self.noise_power)
-        return mse
-
-
-class _MbsSideWorker:
-    """Macro side: owns the BUE beams and stats."""
-
-    def __init__(self, links, budgets, noise_power, feas_tol, gap_tol):
-        self.links = links
-        self.noise_power = noise_power
-        self.feas_tol = feas_tol
-        self.gap_tol = gap_tol
-        self.mbs_budget = float(budgets.mbs)
-        self.beams = {
-            j: np.zeros(links.mbs_antennas, dtype=complex) for j in links.bue_ids
-        }
-        self.f = {j: 1.0 + 0.0j for j in links.bue_ids}
-        self.u = {j: 1.0 for j in links.bue_ids}
-        self.nu0 = None
-
-    def stats_message(self):
-        return dict(self.f), dict(self.u)
-
-    def beam_message(self):
-        return {j: w.copy() for j, w in self.beams.items()}
-
-    def beam_update(self, peer_f: dict, peer_u: dict) -> float:
-        f = {**self.f, **peer_f}
-        u = {**self.u, **peer_u}
-        quad, lin = _assemble_bue_side(self.links, f, u)
-        candidate, self.nu0, _ = _solve_mbs_side(
-            quad, lin, self.mbs_budget, self.feas_tol, self.gap_tol, nu0=self.nu0
-        )
-        accepted = _accept_side(quad, lin, self.links.bue_ids, candidate, self.beams)
-        delta = _diff_norm(accepted, self.beams, self.links.bue_ids)
-        self.beams = accepted
-        return delta
-
-    def stats_refresh(self, peer_beams: dict):
-        full = _merge_beams(self.links, peer_beams, self.beams)
-        self.f, self.u, mse = _bue_stats(self.links, full, self.noise_power)
-        return mse
-
-
-def _rtd_distributed(
-    topology, links, training, budgets, rho, max_iters, feas_tol, gap_tol, keep_beam_history
-):
-    prelog = prelog_factor(training.tau, training.coherence)
-    all_ids = links.rue_ids + links.bue_ids
-    rrh = _RrhSideWorker(topology, links, budgets, training.noise_power, feas_tol, gap_tol)
-    mbs = _MbsSideWorker(links, budgets, training.noise_power, feas_tol, gap_tol)
-    state = RtdState(
-        f={m: 1.0 + 0.0j for m in all_ids}, u={m: 1.0 for m in all_ids}, mse={}
-    )
-    for it in range(1, max_iters + 1):
-        # Exchange last cycle's stats, then update both sides' beams.
-        mbs_f, mbs_u = mbs.stats_message()
-        rrh_f, rrh_u = rrh.stats_message()
-        delta = rrh.beam_update(mbs_f, mbs_u) + mbs.beam_update(rrh_f, rrh_u)
-        # Exchange the fresh beams, then refresh local equalizers/auxiliaries.
-        mse = rrh.stats_refresh(mbs.beam_message())
-        mse.update(mbs.stats_refresh(rrh.beam_message()))
-        rrh_f, rrh_u = rrh.stats_message()
-        mbs_f, mbs_u = mbs.stats_message()
-        u = {**rrh_u, **mbs_u}
-        obj, sum_se = _trace_point(u, mse, prelog, all_ids)
-        state.f = {**rrh_f, **mbs_f}
-        state.u = u
-        state.mse = mse
-        state.objective_trace.append(obj)
-        state.sum_se_trace.append(sum_se)
-        if keep_beam_history:
-            state.beam_history.append(
-                _merge_beams(links, rrh.beam_message(), mbs.beam_message())
-            )
-        state.iterations = it
-        if delta <= rho:
-            state.converged = True
-            break
-    beams = _merge_beams(links, rrh.beam_message(), mbs.beam_message())
     return beams, state

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 
@@ -14,10 +13,9 @@ from .experiments import (
     run_mse_sweep,
     run_se_sweep,
     run_tightness,
+    schedule_one,
     solve_one,
 )
-from .pilot_scheduler import build_conflict_graph, compute_beta, sum_mse
-from .experiments import _schedule, _topology_for  # single-instance plumbing
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,30 +60,6 @@ def _configure(args) -> ExperimentConfig:
     return cfg
 
 
-def _run_schedule(cfg: ExperimentConfig, out_path) -> None:
-    scenario, training = cfg.scenario, cfg.training
-    topology = _topology_for(cfg, scenario, 0)
-    graph = build_conflict_graph(topology)
-    metrics = compute_beta(topology, graph)
-    first = None
-    for scheduler in cfg.schedulers:
-        assignment = _schedule(topology, metrics, graph, scheduler, training, cfg, 0)
-        mse = sum_mse(
-            topology, assignment, training.p_rue, training.p_bue, training.noise_power
-        )
-        print(f"{scheduler}: tau={assignment.tau} sum_mse={mse:.6e}")
-        if first is None:
-            first = assignment
-    if out_path and first is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ue_id", "type", "pilot"])
-            for m in range(topology.num_ue):
-                kind = "rue" if m in topology.rue_set else "bue"
-                writer.writerow([m, kind, first.pilots[m]])
-        print(f"assignment written to {out_path}")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -100,7 +74,11 @@ def main(argv=None) -> int:
             result = run_tightness(cfg)
             print(f"{len(result.rows)} rows written to {result.path}")
         elif args.command == "schedule":
-            _run_schedule(cfg, args.out)
+            results = schedule_one(cfg, args.out)
+            for scheduler, assignment, mse in results:
+                print(f"{scheduler}: tau={assignment.tau} sum_mse={mse:.6e}")
+            if args.out and results:
+                print(f"assignment written to {args.out}")
         elif args.command == "solve-one":
             out_dir = args.out or "solve-one-out"
             res = solve_one(cfg, out_dir)

@@ -374,7 +374,37 @@ def run_tightness(cfg: ExperimentConfig) -> SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# Single-instance artifact dump.
+# Single-instance runs and artifact dumps.
+
+
+def _write_assignment(path, topology, assignment) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ue_id", "type", "pilot"])
+        for m in range(topology.num_ue):
+            kind = "rue" if m in topology.rue_set else "bue"
+            writer.writerow([m, kind, assignment.pilots[m]])
+
+
+def schedule_one(cfg: ExperimentConfig, out_path=None) -> list:
+    """Pilot-schedule realization 0 of the configured scenario with every
+    configured scheduler.
+
+    Returns one (scheduler, assignment, sum MSE) triple per scheduler and,
+    if out_path is given, writes the first scheduler's pilot table there.
+    """
+    training = cfg.training
+    topology = _topology_for(cfg, cfg.scenario, 0)
+    graph = build_conflict_graph(topology)
+    metrics = compute_beta(topology, graph)
+    results = []
+    for scheduler in cfg.schedulers:
+        assignment = _schedule(topology, metrics, graph, scheduler, training, cfg, 0)
+        mse = sum_mse(topology, assignment, training.p_rue, training.p_bue, training.noise_power)
+        results.append((scheduler, assignment, mse))
+    if out_path and results:
+        _write_assignment(out_path, topology, results[0][1])
+    return results
 
 
 def solve_one(cfg: ExperimentConfig, out_dir) -> dict:
@@ -391,13 +421,7 @@ def solve_one(cfg: ExperimentConfig, out_dir) -> dict:
 
     save_topology(res["topology"], out / "topology.csv")
 
-    with open(out / "assignment.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ue_id", "type", "pilot"])
-        topology = res["topology"]
-        for m in range(topology.num_ue):
-            kind = "rue" if m in topology.rue_set else "bue"
-            writer.writerow([m, kind, res["assignment"].pilots[m]])
+    _write_assignment(out / "assignment.csv", res["topology"], res["assignment"])
 
     with open(out / "rates.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,12 +1,18 @@
-"""Aggregated link statistics, spectral-efficiency lower bounds, and
-Monte-Carlo achievable rates.
+"""Per-link statistics, spectral-efficiency lower bounds, and Monte-Carlo
+achievable rates.
+
+Conditioned on the training output, every RRH->UE and MBS->UE link has a
+conditional mean and a per-antenna variance: a *known* link is its MMSE
+estimate plus a zero-mean error of variance errvar, an *unknown* link is
+zero-mean with variance alpha. ``AggregatedLinks`` keeps exactly these numbers
+as arrays. The lower bound replaces each interference term by its second
+moment under that model, taken per RRH (block-diagonally across the RRHs of
+a serving cluster): the moment of cluster(src)->dst is
+
+    sum_{k in C(src)}  |est[k, dst]^H w_k|^2 + var[k, dst] * ||w_k||^2.
 
 Each RRH-served user i sees an aggregated channel from its serving cluster
-(the per-RRH vectors stacked in sorted RRH order). Conditioned on the training
-output, every link is either *known* (estimate + zero-mean error of per-antenna
-variance errvar) or *unknown* (zero-mean with per-antenna variance alpha). The
-lower bound replaces each interference term by its expectation under that
-model, with cross-link expectations taken block-diagonally.
+(the per-RRH vectors stacked in sorted RRH order).
 """
 
 from __future__ import annotations
@@ -22,117 +28,102 @@ from .scenario import Topology
 
 @dataclass
 class AggregatedLinks:
-    """Per-UE aggregated estimates and second-order interference statistics."""
+    """Conditional mean and per-antenna variance of every link.
+
+    ``est_rrh[k, m]`` is the estimate of the RRH k -> UE m link (zero where
+    the link was not estimated) and ``var_rrh[k, m]`` its error variance
+    (alpha where it was not); ``est_mbs``/``var_mbs`` hold the same for the
+    MBS -> UE links.
+    """
 
     rue_ids: list[int]
     bue_ids: list[int]
-    block_rrhs: dict[int, list[int]]                    # RUE -> sorted serving RRHs
-    block_size: int                                     # antennas per RRH block
-    mbs_antennas: int
-    g_hat: dict[int, np.ndarray]                        # RUE -> stacked estimate
-    own_err_diag: dict[int, np.ndarray]                 # RUE -> per-coordinate error variance
-    cross_rue_cov: dict[tuple[int, int], np.ndarray]    # (src RUE, dst RUE) -> cov of cluster(src)->dst
-    mbs_to_rue_cov: dict[int, np.ndarray]               # RUE -> cov of the MBS->RUE link (B, B)
-    bue_est: dict[int, np.ndarray]                      # BUE -> MBS-link estimate (B,)
-    bue_err: dict[int, float]                           # BUE -> error variance
-    cross_bue_cov: dict[tuple[int, int], np.ndarray]    # (RUE, BUE) -> cov of cluster(RUE)->BUE
-    bue_cov: dict[int, np.ndarray]                      # BUE -> full second moment of its MBS link
+    block_rrhs: dict[int, list[int]]    # RUE -> sorted serving RRHs
+    est_rrh: np.ndarray                 # (K, M, N) complex
+    var_rrh: np.ndarray                 # (K, M)
+    est_mbs: np.ndarray                 # (M, B) complex
+    var_mbs: np.ndarray                 # (M,)
+
+    @property
+    def block_size(self) -> int:
+        """Antennas per RRH block."""
+        return self.est_rrh.shape[2]
+
+    @property
+    def mbs_antennas(self) -> int:
+        return self.est_mbs.shape[1]
 
     def dim(self, rue_id: int) -> int:
         return self.block_size * len(self.block_rrhs[rue_id])
+
+    def estimate(self, ue_id: int) -> np.ndarray:
+        """The usable channel of a UE: the stacked cluster estimate of a RUE,
+        the MBS-link estimate of a BUE."""
+        if ue_id in self.block_rrhs:
+            return self.est_rrh[self.block_rrhs[ue_id], ue_id].reshape(-1)
+        return self.est_mbs[ue_id]
 
 
 def build_covariances(topology: Topology, state: ChannelState) -> AggregatedLinks:
     n_ant = topology.config.rrh_antennas
     b_ant = topology.config.mbs_antennas
+    est_rrh = np.zeros((topology.num_rrh, topology.num_ue, n_ant), dtype=complex)
+    var_rrh = np.array(topology.alpha_rrh, dtype=float)
+    for (k, m), est in state.est_rrh.items():
+        est_rrh[k, m] = est
+        var_rrh[k, m] = state.errvar_rrh[(k, m)]
+    est_mbs = np.zeros((topology.num_ue, b_ant), dtype=complex)
+    var_mbs = np.array(topology.alpha_mbs, dtype=float)
+    for m, est in state.est_mbs.items():
+        est_mbs[m] = est
+        var_mbs[m] = state.errvar_mbs[m]
     rue_ids = list(topology.rue_set)
-    bue_ids = list(topology.bue_set)
-    block_rrhs = {i: list(topology.serving_rrhs[i]) for i in rue_ids}
-    alpha_r, alpha_b = topology.alpha_rrh, topology.alpha_mbs
-
-    def rrh_block_cov(k: int, m: int) -> np.ndarray:
-        if (k, m) in state.est_rrh:
-            est = state.est_rrh[(k, m)]
-            return np.outer(est, est.conj()) + state.errvar_rrh[(k, m)] * np.eye(n_ant)
-        return alpha_r[k, m] * np.eye(n_ant, dtype=complex)
-
-    def stacked_cov(src: int, dst: int) -> np.ndarray:
-        blocks = [rrh_block_cov(k, dst) for k in block_rrhs[src]]
-        out = np.zeros((n_ant * len(blocks),) * 2, dtype=complex)
-        for b, blk in enumerate(blocks):
-            out[b * n_ant:(b + 1) * n_ant, b * n_ant:(b + 1) * n_ant] = blk
-        return out
-
-    g_hat = {
-        i: np.concatenate([state.est_rrh[(k, i)] for k in block_rrhs[i]]) for i in rue_ids
-    }
-    own_err_diag = {
-        i: np.repeat([state.errvar_rrh[(k, i)] for k in block_rrhs[i]], n_ant) for i in rue_ids
-    }
-    cross_rue_cov = {
-        (src, dst): stacked_cov(src, dst) for src in rue_ids for dst in rue_ids if src != dst
-    }
-    cross_bue_cov = {(i, j): stacked_cov(i, j) for i in rue_ids for j in bue_ids}
-
-    mbs_to_rue_cov = {}
-    for i in rue_ids:
-        if i in state.est_mbs:
-            est = state.est_mbs[i]
-            mbs_to_rue_cov[i] = np.outer(est, est.conj()) + state.errvar_mbs[i] * np.eye(b_ant)
-        else:
-            mbs_to_rue_cov[i] = alpha_b[i] * np.eye(b_ant, dtype=complex)
-
-    bue_est = {j: state.est_mbs[j] for j in bue_ids}
-    bue_err = {j: state.errvar_mbs[j] for j in bue_ids}
-    bue_cov = {
-        j: np.outer(bue_est[j], bue_est[j].conj()) + bue_err[j] * np.eye(b_ant) for j in bue_ids
-    }
-
     return AggregatedLinks(
         rue_ids=rue_ids,
-        bue_ids=bue_ids,
-        block_rrhs=block_rrhs,
-        block_size=n_ant,
-        mbs_antennas=b_ant,
-        g_hat=g_hat,
-        own_err_diag=own_err_diag,
-        cross_rue_cov=cross_rue_cov,
-        mbs_to_rue_cov=mbs_to_rue_cov,
-        bue_est=bue_est,
-        bue_err=bue_err,
-        cross_bue_cov=cross_bue_cov,
-        bue_cov=bue_cov,
+        bue_ids=list(topology.bue_set),
+        block_rrhs={i: list(topology.serving_rrhs[i]) for i in rue_ids},
+        est_rrh=est_rrh,
+        var_rrh=var_rrh,
+        est_mbs=est_mbs,
+        var_mbs=var_mbs,
     )
 
 
-def _quad(matrix: np.ndarray, vec: np.ndarray) -> float:
-    return float(np.real(np.vdot(vec, matrix @ vec)))
+def _beam_arrays(links: AggregatedLinks, beams):
+    """Every UE's beams as arrays: per-RRH blocks (M, K, N), zero off the
+    UE's cluster and for BUEs, and MBS beams (M, B), zero for RUEs."""
+    num_rrh, num_ue, n_ant = links.est_rrh.shape
+    rrh = np.zeros((num_ue, num_rrh, n_ant), dtype=complex)
+    for i in links.rue_ids:
+        rrh[i, links.block_rrhs[i]] = beams.rue[i].reshape(-1, n_ant)
+    mbs = np.zeros((num_ue, links.mbs_antennas), dtype=complex)
+    for j in links.bue_ids:
+        mbs[j] = beams.bue[j]
+    return rrh, mbs
 
 
 def interference_plus_noise(links: AggregatedLinks, beams, noise_power: float):
     """Expected interference-plus-noise power per UE under the link model.
 
+    Entry [src, dst] of the moment matrix is the second moment of what src's
+    beams deliver to dst; on the diagonal only the error (variance) part
+    counts, since the estimate part is the UE's own signal.
+
     Returns (per-RUE dict, per-BUE dict). Shared by the lower bound, the
     equalizer update, and the QCQP assembly identity.
     """
-    j_rue: dict[int, float] = {}
-    for i in links.rue_ids:
-        total = float(np.sum(links.own_err_diag[i] * np.abs(beams.rue[i]) ** 2))
-        for src in links.rue_ids:
-            if src != i:
-                total += _quad(links.cross_rue_cov[(src, i)], beams.rue[src])
-        for j in links.bue_ids:
-            total += _quad(links.mbs_to_rue_cov[i], beams.bue[j])
-        j_rue[i] = total + noise_power
-    j_bue: dict[int, float] = {}
-    for j in links.bue_ids:
-        total = links.bue_err[j] * float(np.sum(np.abs(beams.bue[j]) ** 2))
-        for i in links.rue_ids:
-            total += _quad(links.cross_bue_cov[(i, j)], beams.rue[i])
-        for other in links.bue_ids:
-            if other != j:
-                total += _quad(links.bue_cov[j], beams.bue[other])
-        j_bue[j] = total + noise_power
+    w_rrh, w_mbs = _beam_arrays(links, beams)
+    # amplitude[k, src, dst] = est[k, dst]^H w_src,k, one matrix product per RRH
+    amplitude = w_rrh.transpose(1, 0, 2) @ links.est_rrh.conj().transpose(0, 2, 1)
+    coherent = np.sum(np.abs(amplitude) ** 2, axis=0)
+    coherent += np.abs(w_mbs @ links.est_mbs.conj().T) ** 2
+    incoherent = np.sum(np.abs(w_rrh) ** 2, axis=2) @ links.var_rrh
+    incoherent += np.outer(np.sum(np.abs(w_mbs) ** 2, axis=1), links.var_mbs)
+    moments = coherent + incoherent
+    np.fill_diagonal(moments, np.diagonal(incoherent))
+    total = moments.sum(axis=0) + noise_power
+    j_rue = {i: float(total[i]) for i in links.rue_ids}
+    j_bue = {j: float(total[j]) for j in links.bue_ids}
     return j_rue, j_bue
 
 
@@ -141,10 +132,10 @@ def lower_bound_rates(links: AggregatedLinks, beams, noise_power: float, prelog:
     j_rue, j_bue = interference_plus_noise(links, beams, noise_power)
     rates: dict[int, float] = {}
     for i in links.rue_ids:
-        signal = abs(np.vdot(links.g_hat[i], beams.rue[i])) ** 2
+        signal = abs(np.vdot(links.estimate(i), beams.rue[i])) ** 2
         rates[i] = prelog * math.log2(1.0 + signal / j_rue[i])
     for j in links.bue_ids:
-        signal = abs(np.vdot(links.bue_est[j], beams.bue[j])) ** 2
+        signal = abs(np.vdot(links.estimate(j), beams.bue[j])) ** 2
         rates[j] = prelog * math.log2(1.0 + signal / j_bue[j])
     return rates
 

@@ -153,6 +153,83 @@ def full_stacked_cov_oracle(topology, state, src, dst):
     return out
 
 
+def block_diagonal_cov_oracle(topology, state, src, dst):
+    """The link model's second moment of cluster(src) -> dst: the exact one
+    above with the cross-RRH blocks dropped, i.e. the per-RRH moments of the
+    stacked channel placed on a block diagonal."""
+    n = topology.config.rrh_antennas
+    out = full_stacked_cov_oracle(topology, state, src, dst)
+    for o in range(len(topology.serving_rrhs[src])):
+        for z in range(len(topology.serving_rrhs[src])):
+            if o != z:
+                out[o * n:(o + 1) * n, z * n:(z + 1) * n] = 0.0
+    return out
+
+
+def mbs_cov_oracle(topology, state, dst):
+    """Second moment of the MBS -> dst link given the training output."""
+    b_ant = topology.config.mbs_antennas
+    if dst in state.est_mbs:
+        est = state.est_mbs[dst]
+        return np.outer(est, est.conj()) + state.errvar_mbs[dst] * np.eye(b_ant)
+    return topology.alpha_mbs[dst] * np.eye(b_ant, dtype=complex)
+
+
+def own_error_oracle(topology, state, ue):
+    """Per-coordinate error variance of a UE's own (stacked or MBS) channel."""
+    if topology.serving_rrhs[ue]:
+        n = topology.config.rrh_antennas
+        return np.repeat([state.errvar_rrh[(k, ue)] for k in topology.serving_rrhs[ue]], n)
+    return np.full(topology.config.mbs_antennas, state.errvar_mbs[ue])
+
+
+def own_estimate_oracle(topology, state, ue):
+    if topology.serving_rrhs[ue]:
+        return np.concatenate([state.est_rrh[(k, ue)] for k in topology.serving_rrhs[ue]])
+    return state.est_mbs[ue]
+
+
+def interference_oracle(topology, state, beams, noise):
+    """Expected interference-plus-noise power per UE, one dense quadratic
+    form per (transmitter, receiver) pair under the block-diagonal moments."""
+    rues, bues = topology.rue_set, topology.bue_set
+    out = {}
+    for dst in list(rues) + list(bues):
+        own = beams.rue[dst] if dst in rues else beams.bue[dst]
+        total = noise + float(np.sum(own_error_oracle(topology, state, dst) * np.abs(own) ** 2))
+        for src in rues:
+            if src != dst:
+                cov = block_diagonal_cov_oracle(topology, state, src, dst)
+                total += float(np.real(np.vdot(beams.rue[src], cov @ beams.rue[src])))
+        for src in bues:
+            if src != dst:
+                cov = mbs_cov_oracle(topology, state, dst)
+                total += float(np.real(np.vdot(beams.bue[src], cov @ beams.bue[src])))
+        out[dst] = total
+    return out
+
+
+def qcqp_terms_oracle(topology, state, f, u):
+    """(quad, lin) of the beamformer-step QCQP per UE, summed receiver by
+    receiver from the block-diagonal moments."""
+    rues, bues = topology.rue_set, topology.bue_set
+    weight = {m: math.exp(u[m] - 1.0) * abs(f[m]) ** 2 for m in u}
+    quad, lin = {}, {}
+    for src in list(rues) + list(bues):
+        g = own_estimate_oracle(topology, state, src)
+        mat = weight[src] * (np.outer(g, g.conj()) + np.diag(own_error_oracle(topology, state, src)))
+        for dst in list(rues) + list(bues):
+            if dst == src:
+                continue
+            if src in rues:
+                mat = mat + weight[dst] * block_diagonal_cov_oracle(topology, state, src, dst)
+            else:
+                mat = mat + weight[dst] * mbs_cov_oracle(topology, state, dst)
+        quad[src] = mat
+        lin[src] = math.exp(u[src] - 1.0) * f[src] * g
+    return quad, lin
+
+
 def has_shared_rrh_pair(topology):
     """True if some pair of UEs is jointly served by two or more RRHs."""
     clusters = [set(c) for c in topology.serving_rrhs]

@@ -168,11 +168,11 @@ def test_assembled_qcqp_equals_weighted_mse_up_to_constant():
     j_rue, j_bue = interference_plus_noise(links, beams, training.noise_power)
     weighted = 0.0
     for i in links.rue_ids:
-        a = complex(np.vdot(links.g_hat[i], beams.rue[i]))
+        a = complex(np.vdot(links.estimate(i), beams.rue[i]))
         weighted += math.exp(u[i] - 1.0) * (
             abs(np.conj(f[i]) * a - 1.0) ** 2 + abs(f[i]) ** 2 * j_rue[i])
     for j in links.bue_ids:
-        a = complex(np.vdot(links.bue_est[j], beams.bue[j]))
+        a = complex(np.vdot(links.estimate(j), beams.bue[j]))
         weighted += math.exp(u[j] - 1.0) * (
             abs(np.conj(f[j]) * a - 1.0) ** 2 + abs(f[j]) ** 2 * j_bue[j])
     constant = sum(

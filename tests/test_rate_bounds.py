@@ -5,7 +5,9 @@ import pytest
 
 from hcransim import (
     PowerBudget,
+    ScenarioConfig,
     TrainingConfig,
+    assemble_qcqp,
     build_covariances,
     draw_small_scale,
     estimate_channels,
@@ -22,7 +24,12 @@ from hcransim import (
 from hcransim.util import child_seed, crandn, dbm_to_watt
 
 from helpers import hand_topology, pipeline_instance
-from oracles import full_stacked_cov_oracle, has_shared_rrh_pair
+from oracles import (
+    full_stacked_cov_oracle,
+    has_shared_rrh_pair,
+    interference_oracle,
+    qcqp_terms_oracle,
+)
 
 
 def random_beams(links, seed):
@@ -42,38 +49,66 @@ def no_overlap_instance(r=0, **kw):
     return topology, assignment, state, links, training
 
 
+def modelled_moments(links, topology, dst):
+    """The beamformer-step QCQP with every UE's MSE weight zero but dst's,
+    which is one: quad_rue[src] is then the modelled second moment of
+    cluster(src) -> dst for src != dst, and every quad_bue entry that of
+    the MBS -> dst link."""
+    ids = links.rue_ids + links.bue_ids
+    f = {m: complex(m == dst) for m in ids}
+    u = {m: 1.0 for m in ids}
+    return assemble_qcqp(links, f, u, PowerBudget(rrh=1.0, mbs=1.0), topology)
+
+
 def test_aggregated_links_structure():
     topology, _, state, links, _ = pipeline_instance(r=0)
     n = topology.config.rrh_antennas
+    num_rrh, num_ue = topology.num_rrh, topology.num_ue
     assert links.rue_ids == sorted(topology.rue_set)
     assert links.bue_ids == sorted(topology.bue_set)
+    assert links.est_rrh.shape == (num_rrh, num_ue, n)
+    assert links.var_rrh.shape == (num_rrh, num_ue)
+    assert links.est_mbs.shape == (num_ue, 10)
+    assert links.var_mbs.shape == (num_ue,)
+    for k in range(num_rrh):
+        for m in range(num_ue):
+            if (k, m) in state.est_rrh:
+                assert np.array_equal(links.est_rrh[k, m], state.est_rrh[(k, m)])
+                assert links.var_rrh[k, m] == state.errvar_rrh[(k, m)]
+            else:
+                assert not np.any(links.est_rrh[k, m])
+                assert links.var_rrh[k, m] == topology.alpha_rrh[k, m]
+    for m in range(num_ue):
+        want = state.errvar_mbs.get(m, topology.alpha_mbs[m])
+        assert links.var_mbs[m] == want
+        assert np.array_equal(links.est_mbs[m], state.est_mbs.get(m, np.zeros(10)))
     for i in links.rue_ids:
         d = n * len(topology.serving_rrhs[i])
         assert links.dim(i) == d
-        assert links.g_hat[i].shape == (d,)
-        assert links.own_err_diag[i].shape == (d,)
-        assert np.all(links.own_err_diag[i] > 0)
-        assert links.mbs_to_rue_cov[i].shape == (10, 10)
-    for src in links.rue_ids:
-        for dst in links.rue_ids:
-            if src != dst:
-                d = links.dim(src)
-                assert links.cross_rue_cov[(src, dst)].shape == (d, d)
+        assert links.estimate(i).shape == (d,)
+        assert np.all(links.var_rrh[topology.serving_rrhs[i], i] > 0)
     for j in links.bue_ids:
-        assert links.bue_est[j].shape == (10,)
-        assert links.bue_err[j] > 0
-        assert links.bue_cov[j].shape == (10, 10)
-        for i in links.rue_ids:
-            d = links.dim(i)
-            assert links.cross_bue_cov[(i, j)].shape == (d, d)
+        assert links.estimate(j).shape == (10,)
+        assert links.var_mbs[j] > 0
+    for dst in links.rue_ids + links.bue_ids:
+        problem = modelled_moments(links, topology, dst)
+        for src in links.rue_ids:
+            d = links.dim(src)
+            assert problem.quad_rue[src].shape == (d, d)
+        for j in links.bue_ids:
+            assert problem.quad_bue[j].shape == (10, 10)
 
 
 def test_all_covariances_hermitian_and_psd():
-    _, _, _, links, _ = pipeline_instance(r=1)
-    mats = list(links.cross_rue_cov.values())
-    mats += list(links.mbs_to_rue_cov.values())
-    mats += list(links.cross_bue_cov.values())
-    mats += list(links.bue_cov.values())
+    topology, _, _, links, _ = pipeline_instance(r=1)
+    assert links.bue_ids  # so the MBS -> UE moments are checked too
+    assert np.all(links.var_rrh >= 0.0) and np.all(links.var_mbs >= 0.0)
+    mats = []
+    for dst in links.rue_ids + links.bue_ids:
+        problem = modelled_moments(links, topology, dst)
+        mats += [q for src, q in problem.quad_rue.items() if src != dst]
+        mats += list(problem.quad_bue.values())
+    assert len(mats) > 40
     for mat in mats:
         # diagonals may carry one-ulp imaginary residue from z*conj(z)
         assert np.allclose(mat, mat.conj().T, rtol=1e-12, atol=0)
@@ -87,18 +122,14 @@ def test_cross_covariances_exact_on_disjointly_served_instances():
     checked = 0
     for r in (2, 3, 4, 5):
         topology, _, state, links, _ = no_overlap_instance(r=r)
-        for src in links.rue_ids:
-            for dst in links.rue_ids:
+        for dst in links.rue_ids + links.bue_ids:
+            problem = modelled_moments(links, topology, dst)
+            for src in links.rue_ids:
                 if src != dst:
                     exact = full_stacked_cov_oracle(topology, state, src, dst)
-                    got = links.cross_rue_cov[(src, dst)]
+                    got = problem.quad_rue[src]
                     assert np.allclose(got, exact, rtol=1e-12, atol=0)
                     checked += 1
-            for dst in links.bue_ids:
-                exact = full_stacked_cov_oracle(topology, state, src, dst)
-                got = links.cross_bue_cov[(src, dst)]
-                assert np.allclose(got, exact, rtol=1e-12, atol=0)
-                checked += 1
     assert checked > 40
 
 
@@ -123,7 +154,7 @@ def test_shared_rrh_pairs_drop_exactly_the_cross_estimate_blocks():
     links = build_covariances(topology, state)
 
     exact = full_stacked_cov_oracle(topology, state, 0, 1)
-    got = links.cross_rue_cov[(0, 1)]
+    got = modelled_moments(links, topology, 1).quad_rue[0]
     diff = exact - got
     n = links.block_size
     # diagonal blocks agree; off-diagonal blocks are the estimate outer products
@@ -142,6 +173,34 @@ def test_shared_rrh_pairs_drop_exactly_the_cross_estimate_blocks():
     cross = 2.0 * np.real(np.vdot(w[:n], e0) * np.vdot(e1, w[n:]))
     assert exact_from_0 - modeled_from_0 == pytest.approx(cross, rel=1e-10)
     assert j_rue[1] > 0  # and the model value is what the bound consumes
+
+
+def test_link_model_matches_dense_block_diagonal_oracle_on_shared_rrh_drops():
+    """At (16 users, 50 RRHs, 130 m) users share RRHs on every drop; the
+    per-link arrays reproduce the dense block-diagonal moments there, both
+    in the interference power and in the assembled QCQP."""
+    for r in (0, 1, 2):
+        scenario = ScenarioConfig(num_rrh=50, num_ue=16, coverage_radius=130.0)
+        topology, _, state, links, training = pipeline_instance(r=r, scenario=scenario)
+        assert has_shared_rrh_pair(topology)
+        beams = random_beams(links, seed=r)
+        j_rue, j_bue = interference_plus_noise(links, beams, training.noise_power)
+        want = interference_oracle(topology, state, beams, training.noise_power)
+        for m, got in {**j_rue, **j_bue}.items():
+            assert got == pytest.approx(want[m], rel=1e-12, abs=0)
+
+        rng = np.random.default_rng(r)
+        ids = links.rue_ids + links.bue_ids
+        f = {m: complex(*rng.normal(scale=2.0, size=2)) for m in ids}
+        u = {m: float(rng.uniform(0.2, 3.0)) for m in ids}
+        problem = assemble_qcqp(links, f, u, PowerBudget(rrh=1.0, mbs=1.0), topology)
+        quad, lin = qcqp_terms_oracle(topology, state, f, u)
+        got_quad = {**problem.quad_rue, **problem.quad_bue}
+        got_lin = {**problem.lin_rue, **problem.lin_bue}
+        assert set(got_quad) == set(quad) == set(got_lin) == set(lin)
+        for m in quad:
+            assert np.linalg.norm(got_quad[m] - quad[m]) <= 1e-12 * np.linalg.norm(quad[m])
+            assert np.linalg.norm(got_lin[m] - lin[m]) <= 1e-12 * np.linalg.norm(lin[m])
 
 
 def test_interference_terms_match_sampled_expectation():
@@ -210,11 +269,11 @@ def test_lower_bound_formula_and_positivity():
     j_rue, j_bue = interference_plus_noise(links, beams, training.noise_power)
     assert set(rates) == set(links.rue_ids) | set(links.bue_ids)
     for i in links.rue_ids:
-        signal = abs(np.vdot(links.g_hat[i], beams.rue[i])) ** 2
+        signal = abs(np.vdot(links.estimate(i), beams.rue[i])) ** 2
         assert rates[i] == pytest.approx(prelog * np.log2(1 + signal / j_rue[i]), rel=1e-12)
         assert rates[i] >= 0.0
     for j in links.bue_ids:
-        signal = abs(np.vdot(links.bue_est[j], beams.bue[j])) ** 2
+        signal = abs(np.vdot(links.estimate(j), beams.bue[j])) ** 2
         assert rates[j] == pytest.approx(prelog * np.log2(1 + signal / j_bue[j]), rel=1e-12)
         assert rates[j] >= 0.0
     zero = zero_beams(links)
@@ -272,16 +331,23 @@ def test_perfect_channel_state_links():
     channels = state.true
     perfect = perfect_channel_state(topology, channels)
     plinks = build_covariances(topology, perfect)
+    assert np.array_equal(plinks.est_rrh, channels.rrh)
+    assert np.array_equal(plinks.est_mbs, channels.mbs)
     for i in plinks.rue_ids:
         stacked = np.concatenate([channels.rrh[k, i] for k in topology.serving_rrhs[i]])
-        assert np.array_equal(plinks.g_hat[i], stacked)
-        assert np.all(plinks.own_err_diag[i] == 0.0)
-    for (src, dst), cov in plinks.cross_rue_cov.items():
-        n = plinks.block_size
-        for pos, k in enumerate(topology.serving_rrhs[src]):
-            h = channels.rrh[k, dst]
-            blk = cov[pos * n:(pos + 1) * n, pos * n:(pos + 1) * n]
-            assert np.allclose(blk, np.outer(h, h.conj()), rtol=0, atol=0)
+        assert np.array_equal(plinks.estimate(i), stacked)
+    assert np.all(plinks.var_rrh == 0.0) and np.all(plinks.var_mbs == 0.0)
+    n = plinks.block_size
+    for dst in plinks.rue_ids:
+        problem = modelled_moments(plinks, topology, dst)
+        for src in plinks.rue_ids:
+            if src == dst:
+                continue
+            cov = problem.quad_rue[src]
+            for pos, k in enumerate(topology.serving_rrhs[src]):
+                h = channels.rrh[k, dst]
+                blk = cov[pos * n:(pos + 1) * n, pos * n:(pos + 1) * n]
+                assert np.allclose(blk, np.outer(h, h.conj()), rtol=0, atol=0)
     # interference keeps the per-RRH block structure: each serving block of an
     # interferer contributes |h^H w_block|^2 at the true channels
     beams = random_beams(plinks, seed=1)
