@@ -52,11 +52,9 @@ from .pilot_scheduler import (
 )
 from .rate_bounds import (
     AggregatedLinks,
-    RateReport,
     build_covariances,
     interference_plus_noise,
     lower_bound_rates,
-    make_rate_report,
     monte_carlo_rates,
 )
 from .scenario import (

@@ -601,10 +601,11 @@ def solve_qcqp(
     """Global minimizer of the beamformer-step QCQP.
 
     Strong duality holds (convex problem, Slater point w = 0), so the RRH-side
-    multipliers from dual ascent and the MBS-side multiplier from bisection
-    certify the solution. feas_tol bounds the relative constraint violation;
-    gap_tol bounds the complementary-slackness residual relative to the
-    objective scale. mu0/nu0 warm-start the multipliers.
+    multipliers from dual ascent and the MBS-side multiplier, the root of its
+    secular equation (``_secular_root``), certify the solution. feas_tol
+    bounds the relative constraint violation; gap_tol bounds the
+    complementary-slackness residual relative to the objective scale. mu0/nu0
+    warm-start the multipliers.
     """
     rue_beams, mu, rrh_value, info = _solve_rrh_side(
         problem.quad_rue,

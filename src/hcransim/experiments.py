@@ -176,8 +176,7 @@ def _solve_realization(cfg, value, r, scheduler, beamformer):
     prelog = prelog_factor(training_eff.tau, training_eff.coherence)
     lb = lower_bound_rates(links, beams, training.noise_power, prelog)
     mc, mc_stderr = monte_carlo_rates(
-        topology,
-        state,
+        links,
         beams,
         training.noise_power,
         prelog,

@@ -12,7 +12,8 @@ a serving cluster): the moment of cluster(src)->dst is
     sum_{k in C(src)}  |est[k, dst]^H w_k|^2 + var[k, dst] * ||w_k||^2.
 
 Each RRH-served user i sees an aggregated channel from its serving cluster
-(the per-RRH vectors stacked in sorted RRH order).
+(the per-RRH vectors stacked in sorted RRH order). Monte Carlo redraws every
+link from the same model to measure the exact rate the bound stands in for.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import numpy as np
 
 from .channel import ChannelState
 from .scenario import Topology
+
+MC_RRH_GROUP = 16  # RRHs drawn per block in monte_carlo_rates; bounds its buffers
 
 
 @dataclass
@@ -130,149 +133,66 @@ def interference_plus_noise(links: AggregatedLinks, beams, noise_power: float):
 def lower_bound_rates(links: AggregatedLinks, beams, noise_power: float, prelog: float):
     """Per-UE spectral-efficiency lower bounds (bits/s/Hz)."""
     j_rue, j_bue = interference_plus_noise(links, beams, noise_power)
-    rates: dict[int, float] = {}
-    for i in links.rue_ids:
-        signal = abs(np.vdot(links.estimate(i), beams.rue[i])) ** 2
-        rates[i] = prelog * math.log2(1.0 + signal / j_rue[i])
-    for j in links.bue_ids:
-        signal = abs(np.vdot(links.estimate(j), beams.bue[j])) ** 2
-        rates[j] = prelog * math.log2(1.0 + signal / j_bue[j])
-    return rates
+    own = {**beams.rue, **beams.bue}
+    return {
+        m: prelog * math.log2(1.0 + abs(np.vdot(links.estimate(m), own[m])) ** 2 / j)
+        for m, j in {**j_rue, **j_bue}.items()
+    }
 
 
 def monte_carlo_rates(
-    topology: Topology,
-    state: ChannelState,
-    beams,
-    noise_power: float,
-    prelog: float,
-    trials: int = 2000,
-    seed=0,
+    links: AggregatedLinks, beams, noise_power: float, prelog: float, trials: int = 2000, seed=0
 ):
-    """Achievable-rate estimates by redrawing the unknowns.
+    """Achievable rates by redrawing every link from the link model.
 
-    Per trial, every known link is estimate + CN(0, errvar*I) and every unknown
-    link is CN(0, alpha*I); estimates stay fixed. Each UE's effective SINR uses
-    a consistent draw of its own channels across all interference terms.
-    Returns (rates, stderr) keyed by UE id, both scaled by the prelog.
+    Per trial the RRH k -> UE m link is est_rrh[k, m] + sqrt(var_rrh[k, m]) z,
+    z ~ CN(0, I), and the MBS link likewise: a known link is its estimate plus
+    CN(0, errvar I), an unknown one CN(0, alpha I). Each source delivers the
+    exact amplitude summed over its cluster; a UE's own beam counts only
+    through its error part, the estimate part being the signal.
+
+    Seed contract (a realization's slot-4 stream): for each UE in the order
+    rue_ids + bue_ids, one (trials, N) real block and then one imaginary block
+    for each active RRH (serving some RUE) in ascending order, then the MBS
+    (trials, B) real and imaginary blocks. Returns (rates, stderr) keyed by UE
+    id, both scaled by the prelog.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    n_ant = topology.config.rrh_antennas
-    b_ant = topology.config.mbs_antennas
-    alpha_r, alpha_b = topology.alpha_rrh, topology.alpha_mbs
-    rue_ids = list(topology.rue_set)
-    bue_ids = list(topology.bue_set)
-    active_rrhs = sorted({k for i in rue_ids for k in topology.serving_rrhs[i]})
-
-    def ue_links(m: int):
-        """Per-trial channels of UE m from every active RRH and the MBS.
-
-        Returns (rrh_links: dict k -> (trials, N), rrh_errors: dict k -> error
-        part for known links, mbs_link (trials, B), mbs_error).
-        """
-        rrh_links, rrh_errors = {}, {}
-        for k in active_rrhs:
-            draw = rng.standard_normal((trials, n_ant)) + 1j * rng.standard_normal((trials, n_ant))
-            draw /= np.sqrt(2.0)
-            if (k, m) in state.est_rrh:
-                err = np.sqrt(state.errvar_rrh[(k, m)]) * draw
-                rrh_errors[k] = err
-                rrh_links[k] = state.est_rrh[(k, m)][None, :] + err
-            else:
-                rrh_links[k] = np.sqrt(alpha_r[k, m]) * draw
-        draw_b = rng.standard_normal((trials, b_ant)) + 1j * rng.standard_normal((trials, b_ant))
-        draw_b /= np.sqrt(2.0)
-        if m in state.est_mbs:
-            mbs_error = np.sqrt(state.errvar_mbs[m]) * draw_b
-            mbs_link = state.est_mbs[m][None, :] + mbs_error
-        else:
-            mbs_error = None
-            mbs_link = np.sqrt(alpha_b[m]) * draw_b
-        return rrh_links, rrh_errors, mbs_link, mbs_error
-
-    def stack(parts: dict, cluster) -> np.ndarray:
-        return np.concatenate([parts[k] for k in cluster], axis=1)
-
-    rates: dict[int, float] = {}
-    stderr: dict[int, float] = {}
-
-    for i in rue_ids:
-        rrh_links, rrh_errors, mbs_link, _ = ue_links(i)
-        cluster = topology.serving_rrhs[i]
-        signal = abs(np.vdot(_stacked_estimate(state, cluster, i), beams.rue[i])) ** 2
-        denom = np.full(trials, noise_power)
-        own_err = stack({k: rrh_errors.get(k, rrh_links[k]) for k in cluster}, cluster)
-        denom += np.abs(own_err.conj() @ beams.rue[i]) ** 2
-        for src in rue_ids:
-            if src == i:
-                continue
-            g = stack(rrh_links, topology.serving_rrhs[src])
-            denom += np.abs(g.conj() @ beams.rue[src]) ** 2
-        for j in bue_ids:
-            denom += np.abs(mbs_link.conj() @ beams.bue[j]) ** 2
-        per_trial = np.log2(1.0 + signal / denom)
-        rates[i] = prelog * float(per_trial.mean())
-        stderr[i] = prelog * _stderr(per_trial)
-
-    for j in bue_ids:
-        rrh_links, _, mbs_link, mbs_error = ue_links(j)
-        signal = abs(np.vdot(state.est_mbs[j], beams.bue[j])) ** 2
-        denom = np.full(trials, noise_power)
-        denom += np.abs(mbs_error.conj() @ beams.bue[j]) ** 2
-        for i in rue_ids:
-            g = stack(rrh_links, topology.serving_rrhs[i])
-            denom += np.abs(g.conj() @ beams.rue[i]) ** 2
-        for other in bue_ids:
-            if other != j:
-                denom += np.abs(mbs_link.conj() @ beams.bue[other]) ** 2
-        per_trial = np.log2(1.0 + signal / denom)
-        rates[j] = prelog * float(per_trial.mean())
-        stderr[j] = prelog * _stderr(per_trial)
-
+    w_rrh, w_mbs = _beam_arrays(links, beams)
+    # mean[dst, src]: the estimate part of the links, summed over src's cluster
+    mean = np.einsum("skn,kdn->ds", w_rrh, links.est_rrh.conj()) + links.est_mbs.conj() @ w_mbs.T
+    mean_parts = np.concatenate([mean.real, mean.imag], axis=1)
+    num_ue = len(mean)
+    active = sorted({k for i in links.rue_ids for k in links.block_rrhs[i]})
+    coef_rrh = _draw_coefficients(w_rrh[:, active].transpose(1, 2, 0))
+    coef_mbs = _draw_coefficients(w_mbs.T)
+    scale_rrh = np.sqrt(links.var_rrh[active] / 2.0)
+    rates, stderr = {}, {}
+    for m in links.rue_ids + links.bue_ids:
+        # real and imaginary parts of every source's amplitude at m, per trial
+        parts = np.tile(mean_parts[m], (trials, 1))
+        parts[:, [m, num_ue + m]] = 0.0  # the own estimate part is the signal
+        for start in range(0, len(active), MC_RRH_GROUP):
+            group = slice(start, start + MC_RRH_GROUP)
+            draw = rng.standard_normal((len(active[group]), 2, trials, links.block_size))
+            coef = coef_rrh[group] * scale_rrh[group, m, None, None, None]
+            parts += np.tensordot(draw, coef, axes=([0, 1, 3], [0, 1, 2]))
+        draw = rng.standard_normal((2, trials, links.mbs_antennas))
+        coef = np.sqrt(links.var_mbs[m] / 2.0) * coef_mbs
+        parts += np.tensordot(draw, coef, axes=([0, 2], [0, 1]))
+        denom = noise_power + np.sum(parts**2, axis=1)
+        per_trial = np.log2(1.0 + abs(mean[m, m]) ** 2 / denom)
+        rates[m] = prelog * float(per_trial.mean())
+        spread = per_trial.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
+        stderr[m] = prelog * float(spread)
     return rates, stderr
 
 
-def _stacked_estimate(state: ChannelState, cluster, i: int) -> np.ndarray:
-    return np.concatenate([state.est_rrh[(k, i)] for k in cluster])
-
-
-def _stderr(samples: np.ndarray) -> float:
-    if samples.size < 2:
-        return 0.0
-    return float(samples.std(ddof=1) / np.sqrt(samples.size))
-
-
-@dataclass
-class RateReport:
-    lb_rue: dict[int, float]
-    lb_bue: dict[int, float]
-    mc_rue: dict[int, float]
-    mc_bue: dict[int, float]
-    mc_stderr_rue: dict[int, float]
-    mc_stderr_bue: dict[int, float]
-    prelog: float
-
-    def rows(self):
-        """CSV rows (ue_id, type, lower_bound, mc_rate, mc_stderr)."""
-        out = []
-        for i in sorted(self.lb_rue):
-            out.append((i, "rue", self.lb_rue[i], self.mc_rue[i], self.mc_stderr_rue[i]))
-        for j in sorted(self.lb_bue):
-            out.append((j, "bue", self.lb_bue[j], self.mc_bue[j], self.mc_stderr_bue[j]))
-        return out
-
-
-def make_rate_report(topology, links, beams, noise_power, prelog, state, trials, seed) -> RateReport:
-    lb = lower_bound_rates(links, beams, noise_power, prelog)
-    mc, se = monte_carlo_rates(topology, state, beams, noise_power, prelog, trials, seed)
-    return RateReport(
-        lb_rue={i: lb[i] for i in topology.rue_set},
-        lb_bue={j: lb[j] for j in topology.bue_set},
-        mc_rue={i: mc[i] for i in topology.rue_set},
-        mc_bue={j: mc[j] for j in topology.bue_set},
-        mc_stderr_rue={i: se[i] for i in topology.rue_set},
-        mc_stderr_bue={j: se[j] for j in topology.bue_set},
-        prelog=prelog,
-    )
+def _draw_coefficients(w: np.ndarray) -> np.ndarray:
+    """Real coefficients (..., 2, ant, 2M) taking the parts (a, b) of a unit
+    draw to the real and imaginary parts of conj(a + ib) w = a w + b (-i w),
+    for beams w (..., ant, M)."""
+    both = np.stack([w, -1j * w], axis=-3)
+    return np.concatenate([both.real, both.imag], axis=-1)

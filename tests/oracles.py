@@ -230,6 +230,112 @@ def qcqp_terms_oracle(topology, state, f, u):
     return quad, lin
 
 
+def monte_carlo_oracle(
+    topology,
+    state,
+    beams,
+    noise_power: float,
+    prelog: float,
+    trials: int = 2000,
+    seed=0,
+):
+    """Achievable-rate estimates by redrawing the unknowns, rebuilt link by
+    link from the ChannelState dicts (a known link is estimate + error, an
+    unknown one is redrawn whole), with the same draw order as the library.
+
+    Per trial, every known link is estimate + CN(0, errvar*I) and every unknown
+    link is CN(0, alpha*I); estimates stay fixed. Each UE's effective SINR uses
+    a consistent draw of its own channels across all interference terms.
+    Returns (rates, stderr) keyed by UE id, both scaled by the prelog.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    n_ant = topology.config.rrh_antennas
+    b_ant = topology.config.mbs_antennas
+    alpha_r, alpha_b = topology.alpha_rrh, topology.alpha_mbs
+    rue_ids = list(topology.rue_set)
+    bue_ids = list(topology.bue_set)
+    active_rrhs = sorted({k for i in rue_ids for k in topology.serving_rrhs[i]})
+
+    def ue_links(m: int):
+        """Per-trial channels of UE m from every active RRH and the MBS.
+
+        Returns (rrh_links: dict k -> (trials, N), rrh_errors: dict k -> error
+        part for known links, mbs_link (trials, B), mbs_error).
+        """
+        rrh_links, rrh_errors = {}, {}
+        for k in active_rrhs:
+            draw = rng.standard_normal((trials, n_ant)) + 1j * rng.standard_normal((trials, n_ant))
+            draw /= np.sqrt(2.0)
+            if (k, m) in state.est_rrh:
+                err = np.sqrt(state.errvar_rrh[(k, m)]) * draw
+                rrh_errors[k] = err
+                rrh_links[k] = state.est_rrh[(k, m)][None, :] + err
+            else:
+                rrh_links[k] = np.sqrt(alpha_r[k, m]) * draw
+        draw_b = rng.standard_normal((trials, b_ant)) + 1j * rng.standard_normal((trials, b_ant))
+        draw_b /= np.sqrt(2.0)
+        if m in state.est_mbs:
+            mbs_error = np.sqrt(state.errvar_mbs[m]) * draw_b
+            mbs_link = state.est_mbs[m][None, :] + mbs_error
+        else:
+            mbs_error = None
+            mbs_link = np.sqrt(alpha_b[m]) * draw_b
+        return rrh_links, rrh_errors, mbs_link, mbs_error
+
+    def stack(parts: dict, cluster) -> np.ndarray:
+        return np.concatenate([parts[k] for k in cluster], axis=1)
+
+    rates: dict[int, float] = {}
+    stderr: dict[int, float] = {}
+
+    for i in rue_ids:
+        rrh_links, rrh_errors, mbs_link, _ = ue_links(i)
+        cluster = topology.serving_rrhs[i]
+        signal = abs(np.vdot(_stacked_estimate(state, cluster, i), beams.rue[i])) ** 2
+        denom = np.full(trials, noise_power)
+        own_err = stack({k: rrh_errors.get(k, rrh_links[k]) for k in cluster}, cluster)
+        denom += np.abs(own_err.conj() @ beams.rue[i]) ** 2
+        for src in rue_ids:
+            if src == i:
+                continue
+            g = stack(rrh_links, topology.serving_rrhs[src])
+            denom += np.abs(g.conj() @ beams.rue[src]) ** 2
+        for j in bue_ids:
+            denom += np.abs(mbs_link.conj() @ beams.bue[j]) ** 2
+        per_trial = np.log2(1.0 + signal / denom)
+        rates[i] = prelog * float(per_trial.mean())
+        stderr[i] = prelog * _stderr(per_trial)
+
+    for j in bue_ids:
+        rrh_links, _, mbs_link, mbs_error = ue_links(j)
+        signal = abs(np.vdot(state.est_mbs[j], beams.bue[j])) ** 2
+        denom = np.full(trials, noise_power)
+        denom += np.abs(mbs_error.conj() @ beams.bue[j]) ** 2
+        for i in rue_ids:
+            g = stack(rrh_links, topology.serving_rrhs[i])
+            denom += np.abs(g.conj() @ beams.rue[i]) ** 2
+        for other in bue_ids:
+            if other != j:
+                denom += np.abs(mbs_link.conj() @ beams.bue[other]) ** 2
+        per_trial = np.log2(1.0 + signal / denom)
+        rates[j] = prelog * float(per_trial.mean())
+        stderr[j] = prelog * _stderr(per_trial)
+
+    return rates, stderr
+
+
+def _stacked_estimate(state, cluster, i: int) -> np.ndarray:
+    return np.concatenate([state.est_rrh[(k, i)] for k in cluster])
+
+
+def _stderr(samples: np.ndarray) -> float:
+    if samples.size < 2:
+        return 0.0
+    return float(samples.std(ddof=1) / np.sqrt(samples.size))
+
+
 def has_shared_rrh_pair(topology):
     """True if some pair of UEs is jointly served by two or more RRHs."""
     clusters = [set(c) for c in topology.serving_rrhs]

@@ -126,7 +126,7 @@ def test_c3_rate_lower_bound_holds_on_monte_carlo():
     while kept < 50:
         r = scanned
         scanned += 1
-        topology, _, state, links, training = pipeline_instance(
+        topology, _, _, links, training = pipeline_instance(
             r=r, master_seed=7, tau=5,
             scenario=ScenarioConfig(), training=TrainingConfig(tau=5),
         )
@@ -137,7 +137,7 @@ def test_c3_rate_lower_bound_holds_on_monte_carlo():
         prelog = prelog_factor(training.tau, training.coherence)
         lb = lower_bound_rates(links, beams, training.noise_power, prelog)
         mc, se = monte_carlo_rates(
-            topology, state, beams, training.noise_power, prelog,
+            links, beams, training.noise_power, prelog,
             trials=2000, seed=seed_to_int(child_seed(7, r, 4)),
         )
         for m in range(topology.num_ue):

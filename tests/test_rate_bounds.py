@@ -14,7 +14,6 @@ from hcransim import (
     interference_plus_noise,
     lower_bound_rates,
     make_assignment,
-    make_rate_report,
     monte_carlo_rates,
     perfect_channel_state,
     prelog_factor,
@@ -28,6 +27,7 @@ from oracles import (
     full_stacked_cov_oracle,
     has_shared_rrh_pair,
     interference_oracle,
+    monte_carlo_oracle,
     qcqp_terms_oracle,
 )
 
@@ -294,36 +294,62 @@ def test_lower_bound_below_monte_carlo_with_optimized_beams():
     the covariance model is exact, even for beams optimized against it."""
     budgets = PowerBudget(rrh=dbm_to_watt(27.0), mbs=dbm_to_watt(30.0))
     for r in (11, 12, 13, 14):
-        topology, _, state, links, training = no_overlap_instance(r=r)
+        topology, _, _, links, training = no_overlap_instance(r=r)
         beams, _ = rtd_solve(topology, links, training, budgets)
         prelog = prelog_factor(training.tau, training.coherence)
         lb = lower_bound_rates(links, beams, training.noise_power, prelog)
         mc, se = monte_carlo_rates(
-            topology, state, beams, training.noise_power, prelog,
-            trials=2000, seed=child_seed(99, r),
+            links, beams, training.noise_power, prelog, trials=2000, seed=child_seed(99, r)
         )
         for m in lb:
             assert lb[m] <= mc[m] + 3.0 * se[m]
 
 
 def test_monte_carlo_seed_and_stderr_behaviour():
-    topology, _, state, links, training = pipeline_instance(r=4)
+    _, _, _, links, training = pipeline_instance(r=4)
     beams = random_beams(links, seed=5)
     prelog = prelog_factor(training.tau, training.coherence)
-    a, sa = monte_carlo_rates(topology, state, beams, training.noise_power, prelog,
+    a, sa = monte_carlo_rates(links, beams, training.noise_power, prelog,
                               trials=400, seed=child_seed(7, 0))
-    b, sb = monte_carlo_rates(topology, state, beams, training.noise_power, prelog,
+    b, sb = monte_carlo_rates(links, beams, training.noise_power, prelog,
                               trials=400, seed=child_seed(7, 0))
-    c, _ = monte_carlo_rates(topology, state, beams, training.noise_power, prelog,
+    c, _ = monte_carlo_rates(links, beams, training.noise_power, prelog,
                              trials=400, seed=child_seed(7, 1))
     assert a == b and sa == sb
     assert any(a[m] != c[m] for m in a)
-    big, sbig = monte_carlo_rates(topology, state, beams, training.noise_power, prelog,
+    big, sbig = monte_carlo_rates(links, beams, training.noise_power, prelog,
                                   trials=6400, seed=child_seed(7, 2))
     for m in a:
         assert sbig[m] < sa[m]  # 16x the trials shrinks the error bar
     with pytest.raises(ValueError):
-        monte_carlo_rates(topology, state, beams, training.noise_power, prelog, trials=0)
+        monte_carlo_rates(links, beams, training.noise_power, prelog, trials=0)
+
+
+def test_monte_carlo_matches_per_link_oracle():
+    """Monte Carlo on the link arrays reproduces, draw for draw, the rebuild
+    of every link from the ChannelState dicts: on drops with shared RRH pairs
+    and BUEs, on a perfect-CSI drop and with a single trial."""
+    cases = []
+    for r in (3, 4, 6):  # drops 0-2 of this family have no BUE
+        scenario = ScenarioConfig(num_rrh=50, num_ue=16, coverage_radius=130.0)
+        topology, _, state, links, training = pipeline_instance(r=r, scenario=scenario)
+        assert has_shared_rrh_pair(topology) and links.bue_ids
+        cases.append((topology, state, links, training, 2000))
+    topology, _, state, _, training = pipeline_instance(r=5)
+    perfect = perfect_channel_state(topology, state.true)
+    cases.append((topology, perfect, build_covariances(topology, perfect), training, 2000))
+    cases.append(cases[0][:4] + (1,))
+    for n, (topology, state, links, training, trials) in enumerate(cases):
+        beams = random_beams(links, seed=n)
+        args = (beams, training.noise_power, prelog_factor(training.tau, training.coherence))
+        seed = child_seed(11, n)
+        want, want_se = monte_carlo_oracle(topology, state, *args, trials=trials, seed=seed)
+        got, got_se = monte_carlo_rates(links, *args, trials=trials, seed=seed)
+        assert list(got) == list(want)
+        for m in want:
+            assert got[m] == pytest.approx(want[m], rel=1e-12, abs=0)
+            # under perfect CSI every trial is the same and stderr is rounding noise
+            assert abs(got_se[m] - want_se[m]) <= max(1e-12 * want_se[m], 1e-15 * want[m])
 
 
 def test_perfect_channel_state_links():
@@ -364,18 +390,3 @@ def test_perfect_channel_state_links():
             manual += abs(np.vdot(channels.mbs[i], beams.bue[j])) ** 2
         assert j_rue[i] == pytest.approx(manual, rel=1e-12)
 
-
-def test_rate_report_rows():
-    topology, _, state, links, training = pipeline_instance(r=6)
-    beams = random_beams(links, seed=9)
-    prelog = prelog_factor(training.tau, training.coherence)
-    report = make_rate_report(
-        topology, links, beams, training.noise_power, prelog, state,
-        trials=64, seed=child_seed(1, 1),
-    )
-    rows = report.rows()
-    assert [row[0] for row in rows] == sorted(topology.rue_set) + sorted(topology.bue_set)
-    for ue_id, kind, lb, mc, se in rows:
-        assert kind == ("rue" if ue_id in topology.rue_set else "bue")
-        assert lb >= 0.0 and mc >= 0.0 and se >= 0.0
-        assert isinstance(lb, float) and isinstance(mc, float) and isinstance(se, float)
