@@ -45,6 +45,7 @@ from .pilot_scheduler import (
     dsatur_color,
     dsatur_random_schedule,
     es_schedule,
+    group_by_pilot,
     make_assignment,
     psa_schedule,
     sum_mse,

@@ -3,9 +3,12 @@
 Training is simulated through the pilot-projected sufficient statistic: with
 orthonormal pilots, projecting the received block onto pilot p leaves the
 superposition of the co-pilot users' channels plus one CN(0, noise*I) vector,
-so the full training matrix is never materialized. Estimates carry a
-per-antenna error variance; the true channel equals estimate + error with the
-error independent of the estimate.
+so the full training matrix is never materialized. Training writes, for every
+RRH->UE and MBS->UE link, the conditional mean and per-antenna variance that
+the rate and beamforming code read: an estimated link has its MMSE estimate
+and error variance, the true channel being estimate + error with the error
+independent of the estimate; a link no receiver estimated has mean zero and
+variance alpha.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pilot_scheduler import PilotAssignment, validate_assignment
+from .pilot_scheduler import PilotAssignment, group_by_pilot, validate_assignment
 from .scenario import Topology
 from .util import crandn, dbm_to_watt
 
@@ -49,18 +52,20 @@ class TrueChannels:
 
 @dataclass
 class ChannelState:
-    """True channels plus whatever estimates the training produced.
+    """True channels plus every link's conditional mean and per-antenna
+    variance given the training output.
 
-    A link is *known* iff it has an entry in est_rrh/est_mbs; downstream code
-    treats known links as estimate + CN(0, errvar*I) error and unknown links
-    as CN(0, alpha*I).
+    ``est_rrh[k, m]`` is the MMSE estimate of the RRH k -> UE m link and
+    ``var_rrh[k, m]`` its error variance; a link that was not estimated has
+    estimate zero and variance alpha. ``est_mbs``/``var_mbs`` hold the same
+    for the MBS -> UE links.
     """
 
     true: TrueChannels
-    est_rrh: dict[tuple[int, int], np.ndarray]  # (rrh k, ue m) -> (N,)
-    est_mbs: dict[int, np.ndarray]              # ue m -> (B,)
-    errvar_rrh: dict[tuple[int, int], float]
-    errvar_mbs: dict[int, float]
+    est_rrh: np.ndarray  # (K, M, N) complex
+    var_rrh: np.ndarray  # (K, M)
+    est_mbs: np.ndarray  # (M, B) complex
+    var_mbs: np.ndarray  # (M,)
 
 
 def draw_small_scale(topology: Topology, seed) -> TrueChannels:
@@ -99,16 +104,12 @@ def estimate_channels(
     noise_rrh = np.sqrt(n0) * crandn(rng, topology.num_rrh, tau, n_ant)
     noise_mbs = np.sqrt(n0) * crandn(rng, tau, b_ant)
 
-    est_rrh: dict[tuple[int, int], np.ndarray] = {}
-    est_mbs: dict[int, np.ndarray] = {}
-    errvar_rrh: dict[tuple[int, int], float] = {}
-    errvar_mbs: dict[int, float] = {}
+    est_rrh = np.zeros((topology.num_rrh, topology.num_ue, n_ant), dtype=complex)
+    var_rrh = np.array(alpha_r, dtype=float)
+    est_mbs = np.zeros((topology.num_ue, b_ant), dtype=complex)
+    var_mbs = np.array(alpha_b, dtype=float)
 
-    for p in range(1, tau + 1):
-        rues = assignment.rues_on_pilot.get(p, [])
-        bues = assignment.bues_on_pilot.get(p, [])
-        if not rues and not bues:
-            continue
+    for p, (rues, bues) in group_by_pilot(topology, assignment.pilots).items():
         for i in rues:
             for k in topology.serving_rrhs[i]:
                 observed = (
@@ -117,8 +118,8 @@ def estimate_channels(
                     + noise_rrh[k, p - 1]
                 )
                 denom = p_r * alpha_r[k, rues].sum() + p_b * alpha_r[k, bues].sum() + n0
-                est_rrh[(k, i)] = np.sqrt(p_r) * alpha_r[k, i] / denom * observed
-                errvar_rrh[(k, i)] = alpha_r[k, i] * (denom - p_r * alpha_r[k, i]) / denom
+                est_rrh[k, i] = np.sqrt(p_r) * alpha_r[k, i] / denom * observed
+                var_rrh[k, i] = alpha_r[k, i] * (denom - p_r * alpha_r[k, i]) / denom
         if bues:
             observed_b = (
                 (np.sqrt(p_r) * channels.mbs[rues].sum(axis=0) if rues else 0.0)
@@ -128,14 +129,10 @@ def estimate_channels(
             denom_b = p_r * alpha_b[rues].sum() + p_b * alpha_b[bues].sum() + n0
             for j in bues:
                 est_mbs[j] = np.sqrt(p_b) * alpha_b[j] / denom_b * observed_b
-                errvar_mbs[j] = alpha_b[j] * (denom_b - p_b * alpha_b[j]) / denom_b
+                var_mbs[j] = alpha_b[j] * (denom_b - p_b * alpha_b[j]) / denom_b
 
     return ChannelState(
-        true=channels,
-        est_rrh=est_rrh,
-        est_mbs=est_mbs,
-        errvar_rrh=errvar_rrh,
-        errvar_mbs=errvar_mbs,
+        true=channels, est_rrh=est_rrh, var_rrh=var_rrh, est_mbs=est_mbs, var_mbs=var_mbs
     )
 
 
@@ -145,16 +142,10 @@ def perfect_channel_state(topology: Topology, channels: TrueChannels) -> Channel
     Feeding this into the rate/beamforming pipeline yields the perfect-CSI
     upper-reference curves.
     """
-    est_rrh = {
-        (k, m): channels.rrh[k, m].copy()
-        for k in range(topology.num_rrh)
-        for m in range(topology.num_ue)
-    }
-    est_mbs = {m: channels.mbs[m].copy() for m in range(topology.num_ue)}
     return ChannelState(
         true=channels,
-        est_rrh=est_rrh,
-        est_mbs=est_mbs,
-        errvar_rrh={key: 0.0 for key in est_rrh},
-        errvar_mbs={m: 0.0 for m in est_mbs},
+        est_rrh=channels.rrh.copy(),
+        var_rrh=np.zeros((topology.num_rrh, topology.num_ue)),
+        est_mbs=channels.mbs.copy(),
+        var_mbs=np.zeros(topology.num_ue),
     )

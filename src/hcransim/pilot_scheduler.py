@@ -49,20 +49,22 @@ class ContaminationMetrics:
 @dataclass
 class PilotAssignment:
     tau: int
-    pilots: np.ndarray                     # (M,) pilot index per UE, 1..tau
-    rues_on_pilot: dict[int, list[int]]    # pilot -> RUE ids (sorted)
-    bues_on_pilot: dict[int, list[int]]    # pilot -> BUE ids (at most one)
+    pilots: np.ndarray  # (M,) pilot index per UE, 1..tau
 
 
 def make_assignment(topology: Topology, tau: int, pilots) -> PilotAssignment:
-    pilots = np.asarray(pilots, dtype=int)
-    rue_ids = set(topology.rue_set)
-    rues: dict[int, list[int]] = {}
-    bues: dict[int, list[int]] = {}
-    for m in range(topology.num_ue):
-        bucket = rues if m in rue_ids else bues
-        bucket.setdefault(int(pilots[m]), []).append(m)
-    return PilotAssignment(tau=int(tau), pilots=pilots, rues_on_pilot=rues, bues_on_pilot=bues)
+    return PilotAssignment(tau=int(tau), pilots=np.asarray(pilots, dtype=int))
+
+
+def _shared_pilot(users, pilots: np.ndarray):
+    """The first two of ``users`` that hold the same pilot, or None."""
+    holder: dict[int, int] = {}
+    for m in users:
+        p = int(pilots[m])
+        if p in holder:
+            return holder[p], m
+        holder[p] = m
+    return None
 
 
 def validate_assignment(topology: Topology, assignment: PilotAssignment) -> None:
@@ -73,21 +75,14 @@ def validate_assignment(topology: Topology, assignment: PilotAssignment) -> None
         raise ValueError("pilot indices must lie in 1..tau")
     if assignment.tau > topology.num_ue:
         raise ValueError("tau cannot exceed the UE count")
-    for p, bues in assignment.bues_on_pilot.items():
-        if len(bues) > 1:
-            raise ValueError(f"pilot {p} is shared by several MBS-served users")
-    graph = build_conflict_graph(topology)
-    for r, i in enumerate(graph.rue_ids):
-        for r2 in graph.neighbors(r):
-            i2 = graph.rue_ids[r2]
-            if pilots[i] == pilots[i2]:
-                raise ValueError(f"users {i} and {i2} share an RRH but also pilot {pilots[i]}")
-    # reuse sets must be exactly the preimages of the pilot vector
-    rebuilt = make_assignment(topology, assignment.tau, pilots)
-    if rebuilt.rues_on_pilot != {p: sorted(v) for p, v in assignment.rues_on_pilot.items()}:
-        raise ValueError("rues_on_pilot is not the preimage of the pilot vector")
-    if rebuilt.bues_on_pilot != {p: sorted(v) for p, v in assignment.bues_on_pilot.items()}:
-        raise ValueError("bues_on_pilot is not the preimage of the pilot vector")
+    pair = _shared_pilot(topology.bue_set, pilots)
+    if pair is not None:
+        raise ValueError(f"pilot {pilots[pair[1]]} is shared by several MBS-served users")
+    for k, rues in enumerate(topology.served_rues):
+        pair = _shared_pilot(rues, pilots)
+        if pair is not None:
+            i, i2 = pair
+            raise ValueError(f"users {i} and {i2} share RRH {k} but also pilot {pilots[i2]}")
 
 
 def build_conflict_graph(topology: Topology) -> ConflictGraph:
@@ -162,7 +157,8 @@ def compute_beta(topology: Topology, graph: ConflictGraph | None = None) -> Cont
     return ContaminationMetrics(rue_ids=rue_ids, beta=beta)
 
 
-def _group_by_pilot(topology: Topology, pilots: np.ndarray):
+def group_by_pilot(topology: Topology, pilots: np.ndarray):
+    """Pilot -> (RUE ids, BUE ids) holding it, each ascending; pilots in use only."""
     groups: dict[int, tuple[list[int], list[int]]] = {}
     rue_ids = set(topology.rue_set)
     for m in range(topology.num_ue):
@@ -171,10 +167,12 @@ def _group_by_pilot(topology: Topology, pilots: np.ndarray):
     return groups
 
 
-def _sum_mse_value(topology, pilots, p_rue, p_bue, noise_power, n_ant, b_ant) -> float:
+def _sum_mse_value(topology, pilots, p_rue, p_bue, noise_power) -> float:
+    n_ant = topology.config.rrh_antennas
+    b_ant = topology.config.mbs_antennas
     alpha_r, alpha_b = topology.alpha_rrh, topology.alpha_mbs
     total = 0.0
-    for _, (rues, bues) in _group_by_pilot(topology, pilots).items():
+    for rues, bues in group_by_pilot(topology, pilots).values():
         rue_load = p_rue * alpha_r[:, rues].sum(axis=1) if rues else np.zeros(topology.num_rrh)
         bue_load = p_bue * alpha_r[:, bues].sum(axis=1) if bues else np.zeros(topology.num_rrh)
         for i in rues:
@@ -194,16 +192,12 @@ def sum_mse(
     p_rue: float,
     p_bue: float,
     noise_power: float,
-    rrh_antennas: int | None = None,
-    mbs_antennas: int | None = None,
 ) -> float:
     """Sum over all estimated links of the per-antenna error variance times
     the antenna count. Raises on an assignment violating the reuse constraints.
     """
     validate_assignment(topology, assignment)
-    n_ant = topology.config.rrh_antennas if rrh_antennas is None else rrh_antennas
-    b_ant = topology.config.mbs_antennas if mbs_antennas is None else mbs_antennas
-    return _sum_mse_value(topology, assignment.pilots, p_rue, p_bue, noise_power, n_ant, b_ant)
+    return _sum_mse_value(topology, assignment.pilots, p_rue, p_bue, noise_power)
 
 
 def _clamped_tau(topology: Topology, tau: int, t: int) -> int:
@@ -319,9 +313,6 @@ def es_schedule(
         raise ValueError(
             f"search space {tau_eff}^{topology.num_ue} exceeds the enumeration guard {limit}"
         )
-    n_ant = topology.config.rrh_antennas
-    b_ant = topology.config.mbs_antennas
-
     rue_ids = graph.rue_ids
     pilots = np.zeros(topology.num_ue, dtype=int)
     for idx, j in enumerate(topology.bue_set):
@@ -330,7 +321,7 @@ def es_schedule(
 
     def dfs(pos: int) -> None:
         if pos == len(rue_ids):
-            value = _sum_mse_value(topology, pilots, p_rue, p_bue, noise_power, n_ant, b_ant)
+            value = _sum_mse_value(topology, pilots, p_rue, p_bue, noise_power)
             if value < best["value"]:
                 best["value"] = value
                 best["pilots"] = pilots.copy()

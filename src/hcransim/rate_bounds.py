@@ -2,10 +2,11 @@
 achievable rates.
 
 Conditioned on the training output, every RRH->UE and MBS->UE link has a
-conditional mean and a per-antenna variance: a *known* link is its MMSE
-estimate plus a zero-mean error of variance errvar, an *unknown* link is
-zero-mean with variance alpha. ``AggregatedLinks`` keeps exactly these numbers
-as arrays. The lower bound replaces each interference term by its second
+conditional mean and a per-antenna variance: an estimated link is its MMSE
+estimate plus a zero-mean error with the estimation error variance, a link
+not estimated is zero-mean with variance alpha. ``estimate_channels`` writes these
+numbers as arrays and ``AggregatedLinks`` attaches the serving clusters to
+the same arrays. The lower bound replaces each interference term by its second
 moment under that model, taken per RRH (block-diagonally across the RRHs of
 a serving cluster): the moment of cluster(src)->dst is
 
@@ -68,27 +69,17 @@ class AggregatedLinks:
 
 
 def build_covariances(topology: Topology, state: ChannelState) -> AggregatedLinks:
-    n_ant = topology.config.rrh_antennas
-    b_ant = topology.config.mbs_antennas
-    est_rrh = np.zeros((topology.num_rrh, topology.num_ue, n_ant), dtype=complex)
-    var_rrh = np.array(topology.alpha_rrh, dtype=float)
-    for (k, m), est in state.est_rrh.items():
-        est_rrh[k, m] = est
-        var_rrh[k, m] = state.errvar_rrh[(k, m)]
-    est_mbs = np.zeros((topology.num_ue, b_ant), dtype=complex)
-    var_mbs = np.array(topology.alpha_mbs, dtype=float)
-    for m, est in state.est_mbs.items():
-        est_mbs[m] = est
-        var_mbs[m] = state.errvar_mbs[m]
+    """The training output's link arrays (shared, not copied) with the
+    serving cluster of every RRH-served user attached."""
     rue_ids = list(topology.rue_set)
     return AggregatedLinks(
         rue_ids=rue_ids,
         bue_ids=list(topology.bue_set),
         block_rrhs={i: list(topology.serving_rrhs[i]) for i in rue_ids},
-        est_rrh=est_rrh,
-        var_rrh=var_rrh,
-        est_mbs=est_mbs,
-        var_mbs=var_mbs,
+        est_rrh=state.est_rrh,
+        var_rrh=state.var_rrh,
+        est_mbs=state.est_mbs,
+        var_mbs=state.var_mbs,
     )
 
 
@@ -146,10 +137,10 @@ def monte_carlo_rates(
     """Achievable rates by redrawing every link from the link model.
 
     Per trial the RRH k -> UE m link is est_rrh[k, m] + sqrt(var_rrh[k, m]) z,
-    z ~ CN(0, I), and the MBS link likewise: a known link is its estimate plus
-    CN(0, errvar I), an unknown one CN(0, alpha I). Each source delivers the
-    exact amplitude summed over its cluster; a UE's own beam counts only
-    through its error part, the estimate part being the signal.
+    z ~ CN(0, I), and the MBS link likewise: an estimated link is its estimate
+    plus CN(0, var I) error, one not estimated is CN(0, alpha I). Each source
+    delivers the exact amplitude summed over its cluster; a UE's own beam
+    counts only through its error part, the estimate part being the signal.
 
     Seed contract (a realization's slot-4 stream): for each UE in the order
     rue_ids + bue_ids, one (trials, N) real block and then one imaginary block

@@ -21,6 +21,8 @@ from hcransim import (
 )
 from hcransim.util import child_rng, child_seed, crandn, seed_to_int
 
+from oracles import estimate_channels_oracle
+
 
 def hand_topology(serving_rrhs, num_rrh, alpha_rrh, alpha_mbs, n_ant=2, b_ant=3):
     """A topology with hand-picked cluster maps and gains.
@@ -101,6 +103,14 @@ def pipeline_instance(r=0, master_seed=0, tau=4, scenario=None, training=None):
     links = build_covariances(topology, state)
     training_eff = dataclasses.replace(training, tau=assignment.tau)
     return topology, assignment, state, links, training_eff
+
+
+def oracle_state(topology, assignment, state, training, r=0, master_seed=0):
+    """The training phase of ``pipeline_instance(r, master_seed)`` rerun by
+    the dict-based reference estimator on the same channels and seed."""
+    return estimate_channels_oracle(
+        topology, assignment, training, state.true, child_seed(master_seed, r, 3)
+    )
 
 
 def make_synthetic_qcqp(rng, conditioning=60.0, zero_cap_chance=0.0):

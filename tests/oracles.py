@@ -9,6 +9,7 @@ against them at runtime.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -116,6 +117,100 @@ def best_schedules_oracle(topology, tau, p_rue, p_bue, noise):
     best_value = min(value for value, _ in scored)
     argmins = [pilots for value, pilots in scored if value <= best_value * (1 + 1e-12)]
     return best_value, argmins
+
+
+# ---------------------------------------------------------------------------
+# MMSE channel estimation with per-link dicts.
+
+
+@dataclasses.dataclass
+class DictChannelState:
+    """Training output keyed per link: a link is known iff it has an entry
+    in est_rrh/est_mbs; known links are estimate + CN(0, errvar*I) error,
+    unknown links CN(0, alpha*I)."""
+
+    true: object
+    est_rrh: dict  # (rrh k, ue m) -> (N,)
+    est_mbs: dict  # ue m -> (B,)
+    errvar_rrh: dict
+    errvar_mbs: dict
+
+
+def _crandn(rng, *shape):
+    out = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return out / np.sqrt(2.0)
+
+
+def estimate_channels_oracle(topology, assignment, training, channels, seed):
+    """MMSE estimation from one simulated training phase, link by link into
+    dicts, with the library's draw order: RRH projected noise (K, tau, N),
+    then MBS projected noise (tau, B). The input assignment must be valid.
+    """
+    rng = np.random.default_rng(seed)
+    p_r, p_b, n0 = training.p_rue, training.p_bue, training.noise_power
+    tau = assignment.tau
+    alpha_r, alpha_b = topology.alpha_rrh, topology.alpha_mbs
+    n_ant = topology.config.rrh_antennas
+    b_ant = topology.config.mbs_antennas
+
+    noise_rrh = np.sqrt(n0) * _crandn(rng, topology.num_rrh, tau, n_ant)
+    noise_mbs = np.sqrt(n0) * _crandn(rng, tau, b_ant)
+
+    est_rrh: dict[tuple[int, int], np.ndarray] = {}
+    est_mbs: dict[int, np.ndarray] = {}
+    errvar_rrh: dict[tuple[int, int], float] = {}
+    errvar_mbs: dict[int, float] = {}
+
+    for p in range(1, tau + 1):
+        rues = [i for i in topology.rue_set if assignment.pilots[i] == p]
+        bues = [j for j in topology.bue_set if assignment.pilots[j] == p]
+        if not rues and not bues:
+            continue
+        for i in rues:
+            for k in topology.serving_rrhs[i]:
+                observed = (
+                    np.sqrt(p_r) * channels.rrh[k, rues].sum(axis=0)
+                    + (np.sqrt(p_b) * channels.rrh[k, bues].sum(axis=0) if bues else 0.0)
+                    + noise_rrh[k, p - 1]
+                )
+                denom = p_r * alpha_r[k, rues].sum() + p_b * alpha_r[k, bues].sum() + n0
+                est_rrh[(k, i)] = np.sqrt(p_r) * alpha_r[k, i] / denom * observed
+                errvar_rrh[(k, i)] = alpha_r[k, i] * (denom - p_r * alpha_r[k, i]) / denom
+        if bues:
+            observed_b = (
+                (np.sqrt(p_r) * channels.mbs[rues].sum(axis=0) if rues else 0.0)
+                + np.sqrt(p_b) * channels.mbs[bues].sum(axis=0)
+                + noise_mbs[p - 1]
+            )
+            denom_b = p_r * alpha_b[rues].sum() + p_b * alpha_b[bues].sum() + n0
+            for j in bues:
+                est_mbs[j] = np.sqrt(p_b) * alpha_b[j] / denom_b * observed_b
+                errvar_mbs[j] = alpha_b[j] * (denom_b - p_b * alpha_b[j]) / denom_b
+
+    return DictChannelState(
+        true=channels,
+        est_rrh=est_rrh,
+        est_mbs=est_mbs,
+        errvar_rrh=errvar_rrh,
+        errvar_mbs=errvar_mbs,
+    )
+
+
+def perfect_channel_state_oracle(topology, channels):
+    """Every link 'estimated' exactly (zero error variance), as dicts."""
+    est_rrh = {
+        (k, m): channels.rrh[k, m].copy()
+        for k in range(topology.num_rrh)
+        for m in range(topology.num_ue)
+    }
+    est_mbs = {m: channels.mbs[m].copy() for m in range(topology.num_ue)}
+    return DictChannelState(
+        true=channels,
+        est_rrh=est_rrh,
+        est_mbs=est_mbs,
+        errvar_rrh={key: 0.0 for key in est_rrh},
+        errvar_mbs={m: 0.0 for m in est_mbs},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +335,7 @@ def monte_carlo_oracle(
     seed=0,
 ):
     """Achievable-rate estimates by redrawing the unknowns, rebuilt link by
-    link from the ChannelState dicts (a known link is estimate + error, an
+    link from the DictChannelState dicts (a known link is estimate + error, an
     unknown one is redrawn whole), with the same draw order as the library.
 
     Per trial, every known link is estimate + CN(0, errvar*I) and every unknown

@@ -18,7 +18,8 @@ from hcransim import (
 )
 from hcransim.util import child_seed
 
-from oracles import delta_oracle
+from helpers import oracle_state, pipeline_instance
+from oracles import delta_oracle, has_shared_rrh_pair, perfect_channel_state_oracle
 
 
 def make_instance(seed=0, tau=3, num_ue=6, num_rrh=15):
@@ -73,18 +74,31 @@ def test_draw_small_scale_deterministic():
     assert np.array_equal(a.mbs, b.mbs)
 
 
+def trained_links(topo):
+    return [(k, i) for i in topo.rue_set for k in topo.serving_rrhs[i]]
+
+
 def test_estimates_cover_exactly_the_trained_links():
     topo, training, assignment = make_instance()
     channels = draw_small_scale(topo, child_seed(0, 0, 2))
     state = estimate_channels(topo, assignment, training, channels, child_seed(0, 0, 3))
-    expected_rrh = {(k, i) for i in topo.rue_set for k in topo.serving_rrhs[i]}
-    assert set(state.est_rrh) == expected_rrh
-    assert set(state.errvar_rrh) == expected_rrh
-    assert set(state.est_mbs) == set(topo.bue_set)
-    for (k, i), est in state.est_rrh.items():
-        assert est.shape == (topo.config.rrh_antennas,)
-    for j, est in state.est_mbs.items():
-        assert est.shape == (topo.config.mbs_antennas,)
+    num_rrh, num_ue = topo.num_rrh, topo.num_ue
+    assert state.est_rrh.shape == (num_rrh, num_ue, topo.config.rrh_antennas)
+    assert state.var_rrh.shape == (num_rrh, num_ue)
+    assert state.est_mbs.shape == (num_ue, topo.config.mbs_antennas)
+    assert state.var_mbs.shape == (num_ue,)
+    trained = np.zeros((num_rrh, num_ue), dtype=bool)
+    for k, i in trained_links(topo):
+        trained[k, i] = True
+    # a trained link has a nonzero estimate and less than its prior variance;
+    # every other link keeps estimate zero and variance alpha
+    assert np.all(np.any(state.est_rrh, axis=2) == trained)
+    assert np.all((state.var_rrh < topo.alpha_rrh) == trained)
+    assert np.all(state.var_rrh[~trained] == topo.alpha_rrh[~trained])
+    on_mbs = np.isin(np.arange(num_ue), topo.bue_set)
+    assert np.all(np.any(state.est_mbs, axis=1) == on_mbs)
+    assert np.all((state.var_mbs < topo.alpha_mbs) == on_mbs)
+    assert np.all(state.var_mbs[~on_mbs] == topo.alpha_mbs[~on_mbs])
 
 
 def test_error_variances_match_per_link_formula():
@@ -92,7 +106,8 @@ def test_error_variances_match_per_link_formula():
     channels = draw_small_scale(topo, child_seed(0, 0, 2))
     state = estimate_channels(topo, assignment, training, channels, child_seed(0, 0, 3))
     pilots = assignment.pilots
-    for (k, i), errvar in state.errvar_rrh.items():
+    for k, i in trained_links(topo):
+        errvar = state.var_rrh[k, i]
         co_r = [x for x in topo.rue_set if pilots[x] == pilots[i]]
         co_b = [x for x in topo.bue_set if pilots[x] == pilots[i]]
         expected = delta_oracle(
@@ -106,7 +121,8 @@ def test_error_variances_match_per_link_formula():
         )
         assert errvar == pytest.approx(expected, rel=1e-12)
         assert 0.0 < errvar < topo.alpha_rrh[k, i]
-    for j, errvar in state.errvar_mbs.items():
+    for j in topo.bue_set:
+        errvar = state.var_mbs[j]
         co_r = [x for x in topo.rue_set if pilots[x] == pilots[j]]
         expected = delta_oracle(
             topo.alpha_mbs[j],
@@ -127,8 +143,8 @@ def test_error_variances_sum_to_the_schedulers_objective():
         topo, training, assignment = make_instance(seed=seed)
         channels = draw_small_scale(topo, child_seed(0, 0, 2))
         state = estimate_channels(topo, assignment, training, channels, child_seed(0, 0, 3))
-        total = topo.config.rrh_antennas * sum(state.errvar_rrh.values())
-        total += topo.config.mbs_antennas * sum(state.errvar_mbs.values())
+        total = topo.config.rrh_antennas * sum(state.var_rrh[k, i] for k, i in trained_links(topo))
+        total += topo.config.mbs_antennas * sum(state.var_mbs[j] for j in topo.bue_set)
         expected = sum_mse(topo, assignment, training.p_rue, training.p_bue, training.noise_power)
         assert total == pytest.approx(expected, rel=1e-12)
 
@@ -140,21 +156,19 @@ def test_estimation_is_statistically_consistent():
     = errvar, and the error is uncorrelated with the estimate.
     """
     topo, training, assignment = make_instance(seed=4, num_ue=4, num_rrh=8)
-    (k, i) = next(iter(
-        (k, i) for i in topo.rue_set for k in topo.serving_rrhs[i]
-    ))
+    (k, i) = trained_links(topo)[0]
     reps = 4000
     est_sq, err_sq, cross = 0.0, 0.0, 0.0 + 0.0j
     for s in range(reps):
         channels = draw_small_scale(topo, child_seed(1, s, 0))
         state = estimate_channels(topo, assignment, training, channels, child_seed(1, s, 1))
-        est = state.est_rrh[(k, i)]
+        est = state.est_rrh[k, i]
         err = channels.rrh[k, i] - est
         est_sq += float(np.mean(np.abs(est) ** 2))
         err_sq += float(np.mean(np.abs(err) ** 2))
         cross += complex(np.mean(est.conj() * err))
     alpha = topo.alpha_rrh[k, i]
-    errvar = state.errvar_rrh[(k, i)]
+    errvar = state.var_rrh[k, i]
     n_eff = reps * topo.config.rrh_antennas
     tol = 6.0 / np.sqrt(n_eff)
     assert est_sq / reps == pytest.approx(alpha - errvar, rel=tol)
@@ -173,7 +187,7 @@ def test_estimator_is_linear_in_every_copilot_channel():
     # an estimated link whose pilot is actually reused
     (k, i) = next(
         (k, i)
-        for (k, i) in sorted(state0.est_rrh)
+        for (k, i) in sorted(trained_links(topo))
         if sum(1 for x in range(topo.num_ue) if pilots[x] == pilots[i]) >= 2
     )
     co_r = [x for x in topo.rue_set if pilots[x] == pilots[i]]
@@ -190,7 +204,7 @@ def test_estimator_is_linear_in_every_copilot_channel():
         bumped.rrh[k, x] += shift
         state1 = estimate_channels(topo, assignment, training, bumped, child_seed(0, 0, 3))
         amp = np.sqrt(training.p_rue if x in topo.rue_set else training.p_bue)
-        got = state1.est_rrh[(k, i)] - state0.est_rrh[(k, i)]
+        got = state1.est_rrh[k, i] - state0.est_rrh[k, i]
         assert np.allclose(got, coeff * amp * shift, rtol=1e-11, atol=1e-15)
 
 
@@ -200,21 +214,70 @@ def test_estimation_seed_contract():
     a = estimate_channels(topo, assignment, training, channels, child_seed(0, 0, 3))
     b = estimate_channels(topo, assignment, training, channels, child_seed(0, 0, 3))
     c = estimate_channels(topo, assignment, training, channels, child_seed(0, 0, 4))
-    for key in a.est_rrh:
-        assert np.array_equal(a.est_rrh[key], b.est_rrh[key])
-    some_key = next(iter(a.est_rrh))
-    assert not np.array_equal(a.est_rrh[some_key], c.est_rrh[some_key])
+    for k, i in trained_links(topo):
+        assert np.array_equal(a.est_rrh[k, i], b.est_rrh[k, i])
+    k, i = trained_links(topo)[0]
+    assert not np.array_equal(a.est_rrh[k, i], c.est_rrh[k, i])
 
 
 def test_perfect_channel_state():
     topo = generate_topology(ScenarioConfig(num_rrh=6, num_ue=4, rng_seed=3))
     channels = draw_small_scale(topo, child_seed(0, 0, 2))
     state = perfect_channel_state(topo, channels)
-    assert set(state.est_mbs) == set(range(topo.num_ue))
-    assert len(state.est_rrh) == topo.num_rrh * topo.num_ue
-    for (k, m), est in state.est_rrh.items():
-        assert np.array_equal(est, channels.rrh[k, m])
-        assert state.errvar_rrh[(k, m)] == 0.0
-    for m, est in state.est_mbs.items():
-        assert np.array_equal(est, channels.mbs[m])
-        assert state.errvar_mbs[m] == 0.0
+    assert state.est_mbs.shape == (topo.num_ue, topo.config.mbs_antennas)
+    assert state.est_rrh.shape[:2] == (topo.num_rrh, topo.num_ue)
+    for k in range(topo.num_rrh):
+        for m in range(topo.num_ue):
+            assert np.array_equal(state.est_rrh[k, m], channels.rrh[k, m])
+            assert state.var_rrh[k, m] == 0.0
+    for m in range(topo.num_ue):
+        assert np.array_equal(state.est_mbs[m], channels.mbs[m])
+        assert state.var_mbs[m] == 0.0
+
+
+def assert_arrays_equal_dicts(topo, state, want):
+    """Every link of the array state against the dict-based estimator, exact:
+    keyed links carry their estimate and error variance, the rest zero and
+    alpha."""
+    for k in range(topo.num_rrh):
+        for m in range(topo.num_ue):
+            if (k, m) in want.est_rrh:
+                np.testing.assert_array_equal(state.est_rrh[k, m], want.est_rrh[(k, m)])
+                assert state.var_rrh[k, m] == want.errvar_rrh[(k, m)]
+            else:
+                assert not np.any(state.est_rrh[k, m])
+                assert state.var_rrh[k, m] == topo.alpha_rrh[k, m]
+    for m in range(topo.num_ue):
+        if m in want.est_mbs:
+            np.testing.assert_array_equal(state.est_mbs[m], want.est_mbs[m])
+            assert state.var_mbs[m] == want.errvar_mbs[m]
+        else:
+            assert not np.any(state.est_mbs[m])
+            assert state.var_mbs[m] == topo.alpha_mbs[m]
+
+
+def test_link_arrays_equal_the_dict_estimator():
+    """The arrays estimate_channels writes, and the arrays build_covariances
+    hands on, equal the per-link dict estimator bit for bit: at (8, 25), at
+    (16, 50, 130 m) with shared RRH pairs and RUEs on a BUE's pilot, at
+    (32, 100) and under perfect CSI."""
+    wide = ScenarioConfig(num_rrh=50, num_ue=16, coverage_radius=130.0)
+    cases = [
+        (r, scenario)
+        for r in (0, 1)
+        for scenario in (ScenarioConfig(), wide, ScenarioConfig(num_rrh=100, num_ue=32))
+    ] + [(r, wide) for r in (3, 4, 6)]
+    bue_pilot_shared = 0
+    for r, scenario in cases:
+        topo, assignment, state, links, training = pipeline_instance(r=r, scenario=scenario)
+        want = oracle_state(topo, assignment, state, training, r=r)
+        assert_arrays_equal_dicts(topo, state, want)
+        for name in ("est_rrh", "var_rrh", "est_mbs", "var_mbs"):
+            np.testing.assert_array_equal(getattr(links, name), getattr(state, name))
+        if scenario is wide:
+            assert has_shared_rrh_pair(topo)
+            bue_pilots = set(assignment.pilots[topo.bue_set].tolist())
+            bue_pilot_shared += any(assignment.pilots[i] in bue_pilots for i in topo.rue_set)
+    assert bue_pilot_shared == 3  # drops 3, 4 and 6 of the wide family
+    perfect = perfect_channel_state(topo, state.true)
+    assert_arrays_equal_dicts(topo, perfect, perfect_channel_state_oracle(topo, state.true))

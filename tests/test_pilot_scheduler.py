@@ -198,6 +198,17 @@ def test_validate_assignment_errors():
         validate_assignment(topo, make_assignment(topo, tau=2, pilots=[3, 1, 2]))
     with pytest.raises(ValueError):  # tau beyond the UE count
         validate_assignment(topo, make_assignment(topo, tau=4, pilots=[3, 1, 2]))
+    # users 0 and 1 share only RRH 2, the second RRH of each cluster
+    overlap = hand_topology(
+        serving_rrhs=[[0, 2], [1, 2], [3], []],
+        num_rrh=4,
+        alpha_rrh=np.ones((4, 4)),
+        alpha_mbs=np.ones(4),
+    )
+    with pytest.raises(ValueError, match="share RRH 2"):
+        validate_assignment(overlap, make_assignment(overlap, tau=2, pilots=[1, 1, 2, 2]))
+    # users on disjoint RRHs may reuse a pilot, a BUE's included
+    validate_assignment(overlap, make_assignment(overlap, tau=2, pilots=[1, 2, 1, 2]))
 
 
 # ---------------------------------------------------------------------------

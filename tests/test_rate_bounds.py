@@ -22,12 +22,14 @@ from hcransim import (
 )
 from hcransim.util import child_seed, crandn, dbm_to_watt
 
-from helpers import hand_topology, pipeline_instance
+from helpers import hand_topology, oracle_state, pipeline_instance
 from oracles import (
+    estimate_channels_oracle,
     full_stacked_cov_oracle,
     has_shared_rrh_pair,
     interference_oracle,
     monte_carlo_oracle,
+    perfect_channel_state_oracle,
     qcqp_terms_oracle,
 )
 
@@ -72,16 +74,19 @@ def test_aggregated_links_structure():
     assert links.var_mbs.shape == (num_ue,)
     for k in range(num_rrh):
         for m in range(num_ue):
-            if (k, m) in state.est_rrh:
-                assert np.array_equal(links.est_rrh[k, m], state.est_rrh[(k, m)])
-                assert links.var_rrh[k, m] == state.errvar_rrh[(k, m)]
+            if m in topology.served_rues[k]:
+                assert np.array_equal(links.est_rrh[k, m], state.est_rrh[k, m])
+                assert links.var_rrh[k, m] == state.var_rrh[k, m]
             else:
                 assert not np.any(links.est_rrh[k, m])
                 assert links.var_rrh[k, m] == topology.alpha_rrh[k, m]
     for m in range(num_ue):
-        want = state.errvar_mbs.get(m, topology.alpha_mbs[m])
-        assert links.var_mbs[m] == want
-        assert np.array_equal(links.est_mbs[m], state.est_mbs.get(m, np.zeros(10)))
+        if m in topology.bue_set:
+            assert links.var_mbs[m] == state.var_mbs[m]
+            assert np.array_equal(links.est_mbs[m], state.est_mbs[m])
+        else:
+            assert links.var_mbs[m] == topology.alpha_mbs[m]
+            assert np.array_equal(links.est_mbs[m], np.zeros(10))
     for i in links.rue_ids:
         d = n * len(topology.serving_rrhs[i])
         assert links.dim(i) == d
@@ -121,12 +126,13 @@ def test_cross_covariances_exact_on_disjointly_served_instances():
     cross covariances equal the exact conditional second moments."""
     checked = 0
     for r in (2, 3, 4, 5):
-        topology, _, state, links, _ = no_overlap_instance(r=r)
+        topology, assignment, state, links, training = no_overlap_instance(r=r)
+        reference = oracle_state(topology, assignment, state, training, r=r)
         for dst in links.rue_ids + links.bue_ids:
             problem = modelled_moments(links, topology, dst)
             for src in links.rue_ids:
                 if src != dst:
-                    exact = full_stacked_cov_oracle(topology, state, src, dst)
+                    exact = full_stacked_cov_oracle(topology, reference, src, dst)
                     got = problem.quad_rue[src]
                     assert np.allclose(got, exact, rtol=1e-12, atol=0)
                     checked += 1
@@ -152,16 +158,19 @@ def test_shared_rrh_pairs_drop_exactly_the_cross_estimate_blocks():
     channels = draw_small_scale(topology, child_seed(5, 0))
     state = estimate_channels(topology, assignment, training, channels, child_seed(5, 1))
     links = build_covariances(topology, state)
+    reference = estimate_channels_oracle(
+        topology, assignment, training, channels, child_seed(5, 1)
+    )
 
-    exact = full_stacked_cov_oracle(topology, state, 0, 1)
+    exact = full_stacked_cov_oracle(topology, reference, 0, 1)
     got = modelled_moments(links, topology, 1).quad_rue[0]
     diff = exact - got
     n = links.block_size
     # diagonal blocks agree; off-diagonal blocks are the estimate outer products
     assert np.allclose(diff[:n, :n], 0.0, atol=0)
     assert np.allclose(diff[n:, n:], 0.0, atol=0)
-    e0 = state.est_rrh[(0, 1)]
-    e1 = state.est_rrh[(1, 1)]
+    e0 = links.est_rrh[0, 1]
+    e1 = links.est_rrh[1, 1]
     assert np.allclose(diff[:n, n:], np.outer(e0, e1.conj()), rtol=0, atol=0)
 
     # the modeled interference misses exactly the cross term 2*Re(w0^H e0 e1^H w1)
@@ -181,11 +190,12 @@ def test_link_model_matches_dense_block_diagonal_oracle_on_shared_rrh_drops():
     in the interference power and in the assembled QCQP."""
     for r in (0, 1, 2):
         scenario = ScenarioConfig(num_rrh=50, num_ue=16, coverage_radius=130.0)
-        topology, _, state, links, training = pipeline_instance(r=r, scenario=scenario)
+        topology, assignment, state, links, training = pipeline_instance(r=r, scenario=scenario)
         assert has_shared_rrh_pair(topology)
+        reference = oracle_state(topology, assignment, state, training, r=r)
         beams = random_beams(links, seed=r)
         j_rue, j_bue = interference_plus_noise(links, beams, training.noise_power)
-        want = interference_oracle(topology, state, beams, training.noise_power)
+        want = interference_oracle(topology, reference, beams, training.noise_power)
         for m, got in {**j_rue, **j_bue}.items():
             assert got == pytest.approx(want[m], rel=1e-12, abs=0)
 
@@ -194,7 +204,7 @@ def test_link_model_matches_dense_block_diagonal_oracle_on_shared_rrh_drops():
         f = {m: complex(*rng.normal(scale=2.0, size=2)) for m in ids}
         u = {m: float(rng.uniform(0.2, 3.0)) for m in ids}
         problem = assemble_qcqp(links, f, u, PowerBudget(rrh=1.0, mbs=1.0), topology)
-        quad, lin = qcqp_terms_oracle(topology, state, f, u)
+        quad, lin = qcqp_terms_oracle(topology, reference, f, u)
         got_quad = {**problem.quad_rue, **problem.quad_bue}
         got_lin = {**problem.lin_rue, **problem.lin_bue}
         assert set(got_quad) == set(quad) == set(got_lin) == set(lin)
@@ -206,7 +216,8 @@ def test_link_model_matches_dense_block_diagonal_oracle_on_shared_rrh_drops():
 def test_interference_terms_match_sampled_expectation():
     """E over channel redraws of each UE's interference-plus-noise power
     matches interference_plus_noise, sampling with an independent scheme."""
-    topology, _, state, links, training = no_overlap_instance(r=2)
+    topology, assignment, state, links, training = no_overlap_instance(r=2)
+    state = oracle_state(topology, assignment, state, training, r=2)
     beams = random_beams(links, seed=3)
     j_rue, j_bue = interference_plus_noise(links, beams, training.noise_power)
     rng = np.random.default_rng(12345)
@@ -327,17 +338,19 @@ def test_monte_carlo_seed_and_stderr_behaviour():
 
 def test_monte_carlo_matches_per_link_oracle():
     """Monte Carlo on the link arrays reproduces, draw for draw, the rebuild
-    of every link from the ChannelState dicts: on drops with shared RRH pairs
+    of every link from the reference estimator's dicts: on drops with shared RRH pairs
     and BUEs, on a perfect-CSI drop and with a single trial."""
     cases = []
     for r in (3, 4, 6):  # drops 0-2 of this family have no BUE
         scenario = ScenarioConfig(num_rrh=50, num_ue=16, coverage_radius=130.0)
-        topology, _, state, links, training = pipeline_instance(r=r, scenario=scenario)
+        topology, assignment, state, links, training = pipeline_instance(r=r, scenario=scenario)
         assert has_shared_rrh_pair(topology) and links.bue_ids
-        cases.append((topology, state, links, training, 2000))
+        reference = oracle_state(topology, assignment, state, training, r=r)
+        cases.append((topology, reference, links, training, 2000))
     topology, _, state, _, training = pipeline_instance(r=5)
-    perfect = perfect_channel_state(topology, state.true)
-    cases.append((topology, perfect, build_covariances(topology, perfect), training, 2000))
+    perfect = build_covariances(topology, perfect_channel_state(topology, state.true))
+    reference = perfect_channel_state_oracle(topology, state.true)
+    cases.append((topology, reference, perfect, training, 2000))
     cases.append(cases[0][:4] + (1,))
     for n, (topology, state, links, training, trials) in enumerate(cases):
         beams = random_beams(links, seed=n)
