@@ -8,7 +8,8 @@ u (weights exp(u - 1)), the beamformer step is a convex QCQP
 
 subject to per-RRH and MBS sum-power constraints. RRH constraints couple the
 RUE beams through shared blocks and are handled by dual decomposition (exact
-coordinate ascent on the multipliers plus a damped Newton polish); the MBS
+coordinate ascent on the multipliers plus a projected Newton polish whose
+steps are accepted by Armijo's rule on the concave dual); the MBS
 constraint couples the BUE beams through a single scalar multiplier. With the
 other multipliers fixed, the power under one constraint is a secular function
 sum |coef|^2 / (lam + x)^2 of its multiplier x, built from one
@@ -32,6 +33,10 @@ from .scenario import Topology
 
 # Multiplier updates allowed per RRH-side dual solve.
 MAX_DUAL_ITERS = 5000
+# Projected Newton on the RRH-side dual: Armijo's sufficient-rise fraction
+# and the step halvings tried along the projection arc.
+ARMIJO_SIGMA = 1e-4
+NEWTON_BACKTRACKS = 6
 
 
 class ConvergenceError(RuntimeError):
@@ -373,20 +378,27 @@ def _solve_rrh_side(
       function of mu_k, whose complementary-slackness root (mu_k = 0 when the
       cap already holds) ``_secular_root`` finds with no further linear
       solves. Scale-free per constraint, globally convergent.
-    * damped Newton polish on the active set — overlapping serving clusters
-      couple the multipliers strongly enough that coordinate ascent's linear
-      tail can crawl; the power-balance Jacobian is closed-form, so a few
-      projected Newton steps finish the job quadratically. Steps are accepted
-      only if they shrink the worst violation, otherwise sweeping resumes.
+    * projected Newton polish — overlapping serving clusters couple the
+      multipliers strongly enough that coordinate ascent's linear tail can
+      crawl. The dual's gradient is powers - cap and its Hessian, the
+      power-balance Jacobian, is closed-form, so up to eight projected Newton
+      steps (Bertsekas 1982) follow each sweep: coordinates in the eps-active
+      set at mu = 0 take a scaled gradient step, the rest a Newton step. A
+      step is backtracked along the projection arc and accepted when the dual
+      value rises by Armijo's rule (ARMIJO_SIGMA) and no cap is exceeded by
+      more than before; when no trial passes, sweeping resumes.
 
     mu0 warm-starts the multipliers (dict keyed by RRH id). Coordinates owned
     by zero-budget RRHs are pinned to zero up front. max_iters caps the total
     number of multiplier updates. Returns (beams dict, mu dict, dual value,
-    info dict).
+    info dict). info counts the multiplier updates (``dual_iterations``) and
+    the Newton steps accepted and rejected, and gives the final worst relative
+    cap excess (``violation``) and complementary-slackness residual relative
+    to the dual value's scale (``gap``), which feas_tol and gap_tol bound.
     """
     rue_ids = list(quad.keys())
     n = block_size
-    info = {"dual_iterations": 0}
+    info = {"dual_iterations": 0, "newton_accepted": 0, "newton_rejected": 0}
 
     keep, red_quad, red_lin, red_blocks = {}, {}, {}, {}
     for i in rue_ids:
@@ -440,13 +452,15 @@ def _solve_rrh_side(
             val -= float(np.real(np.vdot(red_lin[i], w_cache[i])))
         return val
 
-    def finish():
+    def finish(viol: float, gap: float):
+        value = dual_value()
+        info.update(violation=viol, gap=gap / max(1.0, abs(value)))
         beams = {i: expand(i, w_cache[i]) for i in rue_ids}
         mu_out = {k: float(mu[kpos[k]]) for k in active}
-        return beams, mu_out, dual_value(), info
+        return beams, mu_out, value, info
 
     if not active:
-        return finish()
+        return finish(0.0, 0.0)
 
     owner = np.concatenate([shift_idx[i] for i in rue_ids])
 
@@ -459,11 +473,13 @@ def _solve_rrh_side(
             float(np.sum(np.abs(w_cache[i][off:off + n]) ** 2)) for i, off in users_of[k]
         )
 
+    def worst_excess(powers: np.ndarray) -> float:
+        return float(np.max((powers - cap) / np.maximum(cap, 1e-300)))
+
     def residuals():
         powers = powers_of(w_cache)
-        viol = float(np.max((powers - cap) / np.maximum(cap, 1e-300)))
         gap = float(np.sum(mu * np.abs(cap - powers)))
-        return powers, viol, gap
+        return powers, worst_excess(powers), gap
 
     def is_converged(viol: float, gap: float) -> bool:
         return viol <= feas_tol and gap <= gap_tol * max(1.0, abs(dual_value()))
@@ -485,80 +501,107 @@ def _solve_rrh_side(
                 w_cache[i] = part.solution(mu[idx])
         return max(count, 1)
 
+    def dual_hessian(act: list) -> np.ndarray:
+        """d(powers)/d(mu) on ``act``: the dual's Hessian, negative semidefinite."""
+        apos = {k: x for x, k in enumerate(act)}
+        # d(w_i)/d(mu_k) = -M_i^{-1} E_k E_k^H w_i: one column per block of user i.
+        coupled = [i for i in solved if any(k in apos for k in red_blocks[i])]
+        rhs = {}
+        for i in coupled:
+            nb = len(red_blocks[i])
+            cols = np.zeros((nb, n, nb), dtype=complex)
+            cols[np.arange(nb), :, np.arange(nb)] = w_cache[i].reshape(nb, n)
+            rhs[i] = cols.reshape(nb * n, nb)
+        sens = _solve_stacked({i: shifted(i, mu) for i in coupled}, rhs)
+        hess = np.zeros((len(act), len(act)))
+        for i in coupled:
+            nb = len(red_blocks[i])
+            cross = np.einsum(
+                "kn,knl->kl", w_cache[i].reshape(nb, n).conj(), sens[i].reshape(nb, n, nb)
+            )
+            sel = [pos for pos, k in enumerate(red_blocks[i]) if k in apos]
+            rows = [apos[red_blocks[i][pos]] for pos in sel]
+            hess[np.ix_(rows, rows)] -= 2.0 * np.real(cross[np.ix_(sel, sel)])
+        return hess
+
+    def newton_step(powers: np.ndarray, viol: float) -> int:
+        """One projected Newton step on the dual; the number of multipliers moved.
+
+        Coordinates at mu = 0 whose cap holds stay put. Of the rest, those in
+        Bertsekas' eps-active set (mu within eps of zero and the gradient
+        pushing it there; eps is the length of the diagonally scaled
+        projected-gradient step) take a diagonally scaled gradient step, and
+        the others a Newton step on their block of the Hessian. The step is
+        backtracked along the projection arc max(0, mu + alpha d) until the
+        dual value rises by Armijo's rule and no cap is exceeded by more than
+        before; 0 means no trial passed or the Newton block is not an ascent
+        direction (a singular or, by rounding, indefinite Hessian block).
+        """
+        grad = powers - cap
+        idx = np.flatnonzero((mu > 0.0) | (grad > 0.0))
+        hess = dual_hessian([active[x] for x in idx])
+        g, m = grad[idx], mu[idx]
+        scale = np.maximum(-np.diag(hess), 1e-300)
+        eps = float(np.linalg.norm(m - np.maximum(0.0, m + g / scale)))
+        at_bound = (m <= eps) & (g < 0.0)
+        free = ~at_bound
+        step = g / scale
+        try:
+            step[free] = np.linalg.solve(hess[np.ix_(free, free)], -g[free])
+        except np.linalg.LinAlgError:
+            return 0
+        slope = float(g[free] @ step[free])
+        if slope < 0.0:
+            return 0
+        current = np.concatenate([w_cache[i] for i in rue_ids])
+        alpha = 1.0
+        for _ in range(NEWTON_BACKTRACKS):
+            trial = mu.copy()
+            trial[idx] = np.maximum(0.0, m + alpha * step)
+            trial_w = solve_all(trial)
+            rise = alpha * slope + float(g[at_bound] @ (trial[idx][at_bound] - m[at_bound]))
+            # The dual's change, g(trial) - g(mu) = sum_k dmu_k (Re<w'_k, w_k> - cap_k)
+            # for beams w = M(mu)^-1 b, w' = M(trial)^-1 b: exact, and free of the
+            # cancellation that differencing two dual values suffers near the optimum.
+            overlap = np.real(np.concatenate([trial_w[i] for i in rue_ids]).conj() * current)
+            change = float(
+                (trial - mu) @ (np.bincount(owner, weights=overlap, minlength=len(active)) - cap)
+            )
+            if (
+                change >= ARMIJO_SIGMA * rise
+                and worst_excess(powers_of(trial_w)) <= max(viol, feas_tol)
+            ):
+                mu[:] = trial
+                w_cache.update(trial_w)
+                return idx.size
+            alpha *= 0.5
+        return 0
+
     def newton_rounds(max_rounds: int) -> int:
-        """Projected damped Newton on the power-balance equations."""
         count = 0
         for _ in range(max_rounds):
             powers, viol, gap = residuals()
             if is_converged(viol, gap):
                 break
-            act = [k for k in active if mu[kpos[k]] > 0.0 or powers[kpos[k]] > cap[kpos[k]]]
-            if not act:
+            moved = newton_step(powers, viol)
+            info["newton_accepted" if moved else "newton_rejected"] += 1
+            if not moved:
                 break
-            apos = {k: x for x, k in enumerate(act)}
-            resid = np.array([powers[kpos[k]] - cap[kpos[k]] for k in act])
-            # d(w_i)/d(mu_k) = -M_i^{-1} E_k E_k^H w_i: one column per block of user i.
-            coupled = [i for i in solved if any(k in apos for k in red_blocks[i])]
-            rhs = {}
-            for i in coupled:
-                nb = len(red_blocks[i])
-                cols = np.zeros((nb, n, nb), dtype=complex)
-                cols[np.arange(nb), :, np.arange(nb)] = w_cache[i].reshape(nb, n)
-                rhs[i] = cols.reshape(nb * n, nb)
-            sens = _solve_stacked({i: shifted(i, mu) for i in coupled}, rhs)
-            jac = np.zeros((len(act), len(act)))
-            for i in coupled:
-                nb = len(red_blocks[i])
-                cross = np.einsum(
-                    "kn,knl->kl", w_cache[i].reshape(nb, n).conj(), sens[i].reshape(nb, n, nb)
-                )
-                sel = [pos for pos, k in enumerate(red_blocks[i]) if k in apos]
-                rows = [apos[red_blocks[i][pos]] for pos in sel]
-                jac[np.ix_(rows, rows)] -= 2.0 * np.real(cross[np.ix_(sel, sel)])
-            try:
-                step = np.linalg.solve(jac, -resid)
-            except np.linalg.LinAlgError:
-                break
-            act_idx = [kpos[k] for k in act]
-            worst = float(np.max(np.abs(resid) / np.maximum(cap[act_idx], 1e-300)))
-            accepted = False
-            alpha = 1.0
-            for _ in range(6):
-                trial = mu.copy()
-                for k in act:
-                    trial[kpos[k]] = max(0.0, mu[kpos[k]] + alpha * step[apos[k]])
-                trial_w = solve_all(trial)
-                t_powers = powers_of(trial_w)
-                t_worst = float(
-                    np.max(
-                        np.abs(t_powers[act_idx] - cap[act_idx])
-                        / np.maximum(cap[act_idx], 1e-300)
-                    )
-                )
-                t_over = float(np.max((t_powers - cap) / np.maximum(cap, 1e-300)))
-                if t_worst < 0.5 * worst and t_over <= max(viol, feas_tol):
-                    mu[:] = trial
-                    w_cache.update(trial_w)
-                    count += len(act)
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                break
+            count += moved
         return count
 
     updates = 0
     while updates < max_iters:
         powers, viol, gap = residuals()
         if is_converged(viol, gap):
-            return finish()
+            return finish(viol, gap)
         cs_budget = gap_tol * max(1.0, abs(dual_value())) / (2 * len(active))
         updates += coordinate_sweep(cs_budget)
         updates += newton_rounds(8)
         info["dual_iterations"] = updates
     powers, viol, gap = residuals()
     if viol <= feas_tol:
-        return finish()
+        return finish(viol, gap)
     raise ConvergenceError(
         f"RRH dual ascent stalled: violation {viol:.3e} after {updates} multiplier updates"
     )
@@ -651,7 +694,13 @@ def _accept_side(quad: dict, lin: dict, ids, candidate: dict, old: dict) -> dict
 
 @dataclass
 class RtdState:
-    """Trajectory of one alternating design run."""
+    """Trajectory of one alternating design run.
+
+    ``counters`` holds the RRH-side dual solver's work summed over the
+    iterations (``dual_updates``, ``newton_accepted``, ``newton_rejected``)
+    and the last solve's final relative cap ``violation`` and
+    complementary-slackness ``gap``.
+    """
 
     f: dict[int, complex]
     u: dict[int, float]
@@ -661,6 +710,7 @@ class RtdState:
     beam_history: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
+    counters: dict[str, float] = field(default_factory=dict)
 
 
 def _trace_point(u: dict, mse: dict, prelog: float, ids):
@@ -727,6 +777,8 @@ def rtd_solve(
     f = {m: 1.0 + 0.0j for m in all_ids}
     u = {m: 1.0 for m in all_ids}
     state = RtdState(f=f, u=u, mse={})
+    counters = dict.fromkeys(("dual_updates", "newton_accepted", "newton_rejected"), 0)
+    state.counters = counters
     mu0, nu0 = None, None
     for it in range(1, max_iters + 1):
         problem = assemble_qcqp(links, send(f), send(u), budgets, topology)
@@ -734,6 +786,10 @@ def rtd_solve(
             problem, feas_tol, gap_tol, return_info=True, mu0=mu0, nu0=nu0
         )
         mu0, nu0 = qinfo["rrh_dual"], qinfo["mbs_dual"]
+        counters["dual_updates"] += qinfo["dual_iterations"]
+        counters["newton_accepted"] += qinfo["newton_accepted"]
+        counters["newton_rejected"] += qinfo["newton_rejected"]
+        counters.update(violation=qinfo["violation"], gap=qinfo["gap"])
         rue_new = _accept_side(
             problem.quad_rue, problem.lin_rue, links.rue_ids, candidate.rue, beams.rue
         )

@@ -499,6 +499,53 @@ def pgd_qcqp_oracle(quads, lins, groups, caps, iters=4000, step=None):
     return w
 
 
+def pgd_qcqp_oracle_batched(problems, iters=4000):
+    """``pgd_qcqp_oracle`` run on many problems at once, default steps only.
+
+    ``problems`` lists (quads, lins, groups, caps) tuples. Each problem's
+    beams are concatenated into one vector with a block-diagonal quadratic
+    term, zero-padded to a common length, so one batched product makes every
+    problem's gradient step (each with its own 1/(2L) step) and one bincount
+    over a global group index gives every group's power for the rescale.
+    Coordinates outside every group, padding included, are never rescaled;
+    padding stays zero. Returns one beam dict per problem.
+    """
+    size = max(sum(lins[m].shape[0] for m in lins) for _, lins, _, _ in problems)
+    quad = np.zeros((len(problems), size, size), dtype=complex)
+    lin = np.zeros((len(problems), size), dtype=complex)
+    step = np.zeros(len(problems))
+    group = np.zeros((len(problems), size), dtype=int)
+    caps = [math.inf]  # group 0: coordinates no constraint covers
+    offsets = []
+    for p, (quads, lins, groups, group_caps) in enumerate(problems):
+        offset, pos = {}, 0
+        for m in quads:
+            d = lins[m].shape[0]
+            quad[p, pos:pos + d, pos:pos + d] = quads[m]
+            lin[p, pos:pos + d] = lins[m]
+            offset[m], pos = pos, pos + d
+        lips = max(float(np.linalg.eigvalsh(quads[m])[-1]) for m in quads)
+        step[p] = 1.0 / (2.0 * lips)
+        for g, members in groups.items():
+            caps.append(float(group_caps[g]))
+            for m, idx in members:
+                group[p, offset[m] + idx] = len(caps) - 1
+        offsets.append(offset)
+    caps = np.asarray(caps)
+    w = np.zeros_like(lin)
+    for _ in range(iters):
+        w = w - step[:, None] * 2.0 * ((quad @ w[..., None])[..., 0] - lin)
+        power = np.bincount(group.ravel(), weights=(np.abs(w) ** 2).ravel(), minlength=caps.size)
+        scale = np.ones_like(caps)
+        over = power > caps
+        scale[over] = np.sqrt(caps[over] / power[over])
+        w = w * scale[group]
+    return [
+        {m: w[p, pos:pos + lins[m].shape[0]].copy() for m, pos in offset.items()}
+        for p, (offset, (_, lins, _, _)) in enumerate(zip(offsets, problems))
+    ]
+
+
 def qcqp_value(quads, lins, w):
     total = 0.0
     for m in quads:

@@ -37,7 +37,7 @@ from hcransim.channel import prelog_factor
 from hcransim.util import child_rng, child_seed, crandn, seed_to_int
 
 from helpers import make_synthetic_qcqp, pipeline_instance
-from oracles import has_shared_rrh_pair, pgd_qcqp_oracle, qcqp_value
+from oracles import has_shared_rrh_pair, pgd_qcqp_oracle_batched, qcqp_value
 
 BUDGETS = PowerBudget(rrh=dbm_to_watt(27.0), mbs=dbm_to_watt(30.0))
 
@@ -210,11 +210,11 @@ def test_c6_qcqp_solver_matches_first_order_oracle():
     power cap is violated by more than 1e-6 relative."""
     start = time.time()
     rng = np.random.default_rng(2024)
+    instances = [make_synthetic_qcqp(rng, zero_cap_chance=0.03) for _ in range(200)]
+    references = pgd_qcqp_oracle_batched([inst[1:] for inst in instances], iters=6000)
     worst_obj = worst_con = 0.0
-    for _ in range(200):
-        problem, quads, lins, groups, caps = make_synthetic_qcqp(rng, zero_cap_chance=0.03)
+    for (problem, quads, lins, groups, caps), w_ref in zip(instances, references):
         beams, info = solve_qcqp(problem, return_info=True)
-        w_ref = pgd_qcqp_oracle(quads, lins, groups, caps, iters=6000)
         reference = qcqp_value(quads, lins, w_ref)
         worst_obj = max(
             worst_obj, abs(info["primal_value"] - reference) / max(1.0, abs(reference))

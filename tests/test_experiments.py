@@ -160,6 +160,27 @@ def test_se_sweep_failure_accounting(monkeypatch):
     assert rows["sum_se_lb_psa_rtd"][4] == 2  # failed realization excluded
 
 
+def test_rtd_counters_leave_the_se_sweep_csv_unchanged(tmp_path, monkeypatch):
+    plain, observed = tmp_path / "plain.csv", tmp_path / "observed.csv"
+    run_se_sweep(tiny_config(output_path=str(plain)))
+    counters = []
+    real = experiments.rtd_solve
+
+    def recorded(*args, **kwargs):
+        beams, state = real(*args, **kwargs)
+        counters.append(state.counters)
+        return beams, state
+
+    monkeypatch.setattr(experiments, "rtd_solve", recorded)
+    run_se_sweep(tiny_config(output_path=str(observed)))
+    assert plain.read_bytes() == observed.read_bytes()
+    assert len(counters) == 6  # 2 sweep values x 3 realizations
+    for c in counters:
+        assert set(c) == {"dual_updates", "newton_accepted", "newton_rejected", "violation", "gap"}
+        assert c["violation"] <= 1e-6 and 0.0 <= c["gap"] <= 1e-8
+    assert sum(c["dual_updates"] for c in counters) > 0
+
+
 def test_tightness_rows_and_restrictions():
     cfg = tiny_config(sweep_name="rrh_antennas", sweep_values=(2, 4), num_realizations=2)
     result = run_tightness(cfg)
