@@ -235,28 +235,16 @@ def _solve_reg(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(mat, rhs, rcond=None)[0]
 
 
-def _solve_stacked(mats: dict, rhs: dict) -> dict:
-    """Solve mats[m] x = rhs[m] for every key, one stacked solve per shape.
+def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve mats[u] x = rhs[u] for every member of a stack in one call.
 
-    A stack with a singular member falls back to per-key solves, which use
+    A stack with a singular member falls back to per-member solves, which use
     least squares where the matrix is singular.
     """
-    groups: dict[tuple, list] = {}
-    for m, b in rhs.items():
-        groups.setdefault(b.shape, []).append(m)
-    out = {}
-    for shape, keys in groups.items():
-        a = np.stack([mats[m] for m in keys])
-        b = np.stack([rhs[m] for m in keys])
-        try:
-            if len(shape) == 1:
-                sols = np.linalg.solve(a, b[..., None])[..., 0]
-            else:
-                sols = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            sols = [_solve_reg(mats[m], rhs[m]) for m in keys]
-        out.update(zip(keys, sols))
-    return out
+    try:
+        return np.linalg.solve(mats, rhs)
+    except np.linalg.LinAlgError:
+        return np.stack([_solve_reg(a, b) for a, b in zip(mats, rhs)])
 
 
 @dataclass
@@ -388,6 +376,16 @@ def _solve_rrh_side(
       value rises by Armijo's rule (ARMIJO_SIGMA) and no cap is exceeded by
       more than before; when no trial passes, sweeping resumes.
 
+    The U users' reduced systems (zero-budget blocks dropped, d entries each)
+    form one padded stack: ``base`` (U, W, W) and ``rhs`` (U, W), every user
+    padded to the widest user's W entries with identity rows and zero
+    right-hand sides, and ``blk`` (U, W), each entry's position in
+    ``active``. Padding entries point to an extra slot len(active) whose
+    multiplier is always 0, so padded beam entries stay 0. The shifted
+    matrices, the beam and Hessian solves (one batched solve each), the
+    per-RRH powers (one bincount over ``blk``) and the dual value all read
+    the stack; a coordinate update works on each user's own [:d, :d] slice.
+
     mu0 warm-starts the multipliers (dict keyed by RRH id). Coordinates owned
     by zero-budget RRHs are pinned to zero up front. max_iters caps the total
     number of multiplier updates. Returns (beams dict, mu dict, dual value,
@@ -400,84 +398,66 @@ def _solve_rrh_side(
     n = block_size
     info = {"dual_iterations": 0, "newton_accepted": 0, "newton_rejected": 0}
 
-    keep, red_quad, red_lin, red_blocks = {}, {}, {}, {}
-    for i in rue_ids:
-        mask = np.repeat([budget[k] > 0 for k in block_rrhs[i]], n)
-        keep[i] = mask
-        red_quad[i] = quad[i][np.ix_(mask, mask)]
-        red_lin[i] = lin[i][mask]
-        red_blocks[i] = [k for k in block_rrhs[i] if budget[k] > 0]
-    # Users with a zero linear term keep zero beams whatever the multipliers.
-    solved = [i for i in rue_ids if np.any(red_lin[i])]
-    active = sorted({k for i in rue_ids for k in red_blocks[i]})
-    kpos = {k: idx for idx, k in enumerate(active)}
-    cap = budget[active] if active else np.zeros(0)
-    shift_idx = {
-        i: np.repeat(np.asarray([kpos[k] for k in red_blocks[i]], dtype=int), n)
-        for i in rue_ids
-    }
-    diag_idx = {i: np.arange(red_quad[i].shape[0]) for i in rue_ids}
-    users_of = {k: [] for k in active}
-    for i in solved:
-        for pos, k in enumerate(red_blocks[i]):
-            users_of[k].append((i, pos * n))
+    live = [np.repeat(budget[block_rrhs[i]] > 0, n) for i in rue_ids]
+    dims = np.array([int(mask.sum()) for mask in live], dtype=int)
+    active = sorted({k for i in rue_ids for k in block_rrhs[i] if budget[k] > 0})
+    num = len(active)
+    slot = {k: a for a, k in enumerate(active)}
+    cap = budget[active]
+    width = int(dims.max(initial=0))
+    base = np.tile(np.eye(width, dtype=complex), (len(rue_ids), 1, 1))
+    rhs = np.zeros((len(rue_ids), width), dtype=complex)
+    blk = np.full((len(rue_ids), width), num)
+    for u, i in enumerate(rue_ids):
+        d = dims[u]
+        base[u, :d, :d] = quad[i][np.ix_(live[u], live[u])]
+        rhs[u, :d] = lin[i][live[u]]
+        blk[u, :d] = np.repeat([slot[k] for k in block_rrhs[i] if k in slot], n)
+    # Slot of each block position, and per active RRH the (users, positions)
+    # of its blocks.
+    starts = blk[:, ::n]
+    users_of = [np.nonzero(starts == a) for a in range(num)]
+    diag = np.arange(width)
 
-    def expand(i: int, reduced: np.ndarray) -> np.ndarray:
-        full = np.zeros(quad[i].shape[0], dtype=complex)
-        full[keep[i]] = reduced
-        return full
+    def shifted(mu: np.ndarray, users: np.ndarray = np.arange(len(rue_ids))) -> np.ndarray:
+        mats = base[users]
+        mats[:, diag, diag] += np.append(mu, 0.0)[blk[users]]
+        return mats
 
-    def shifted(i: int, mu: np.ndarray) -> np.ndarray:
-        mat = red_quad[i].copy()
-        mat[diag_idx[i], diag_idx[i]] += mu[shift_idx[i]]
-        return mat
+    def solve(mu: np.ndarray) -> np.ndarray:
+        return _solve_batch(shifted(mu), rhs[..., None])[..., 0]
 
-    def solve_all(mu: np.ndarray) -> dict:
-        out = {i: np.zeros(red_lin[i].shape[0], dtype=complex) for i in rue_ids}
-        out.update(
-            _solve_stacked({i: shifted(i, mu) for i in solved}, {i: red_lin[i] for i in solved})
-        )
-        return out
+    def per_rrh(values: np.ndarray) -> np.ndarray:
+        """Sum of the (U, W) ``values`` over each active RRH's entries."""
+        return np.bincount(blk.ravel(), weights=values.ravel(), minlength=num + 1)[:num]
 
-    mu = np.zeros(len(active))
-    if mu0:
-        for k, val in mu0.items():
-            if k in kpos and val > 0.0:
-                mu[kpos[k]] = float(val)
-    w_cache = solve_all(mu)
+    mu = np.zeros(num)
+    for k, val in (mu0 or {}).items():
+        if k in slot and val > 0.0:
+            mu[slot[k]] = float(val)
+    w = solve(mu) if active else np.zeros_like(rhs)
 
     def dual_value() -> float:
-        val = -float(mu @ cap)
-        for i in rue_ids:
-            val -= float(np.real(np.vdot(red_lin[i], w_cache[i])))
-        return val
+        return -float(mu @ cap) - float(np.real(np.vdot(rhs, w)))
 
     def finish(viol: float, gap: float):
         value = dual_value()
         info.update(violation=viol, gap=gap / max(1.0, abs(value)))
-        beams = {i: expand(i, w_cache[i]) for i in rue_ids}
-        mu_out = {k: float(mu[kpos[k]]) for k in active}
+        beams = {}
+        for u, i in enumerate(rue_ids):
+            beams[i] = np.zeros(quad[i].shape[0], dtype=complex)
+            beams[i][live[u]] = w[u, :dims[u]]
+        mu_out = {k: float(mu[a]) for a, k in enumerate(active)}
         return beams, mu_out, value, info
 
     if not active:
         return finish(0.0, 0.0)
 
-    owner = np.concatenate([shift_idx[i] for i in rue_ids])
-
-    def powers_of(beams: dict) -> np.ndarray:
-        entries = np.abs(np.concatenate([beams[i] for i in rue_ids])) ** 2
-        return np.bincount(owner, weights=entries, minlength=len(active))
-
-    def power_at(k: int) -> float:
-        return sum(
-            float(np.sum(np.abs(w_cache[i][off:off + n]) ** 2)) for i, off in users_of[k]
-        )
-
     def worst_excess(powers: np.ndarray) -> float:
         return float(np.max((powers - cap) / np.maximum(cap, 1e-300)))
 
     def residuals():
-        powers = powers_of(w_cache)
+        powers = per_rrh(np.abs(w) ** 2)
         gap = float(np.sum(mu * np.abs(cap - powers)))
         return powers, worst_excess(powers), gap
 
@@ -486,43 +466,33 @@ def _solve_rrh_side(
 
     def coordinate_sweep(cs_budget: float) -> int:
         count = 0
-        for k in active:
-            idx = kpos[k]
-            if power_at(k) <= cap[idx] and mu[idx] == 0.0:
+        for a in range(num):
+            if mu[a] == 0.0 and per_rrh(np.abs(w) ** 2)[a] <= cap[a]:
                 continue
             count += 1
             others = mu.copy()
-            others[idx] = 0.0
-            parts = {
-                i: _Secular.of(shifted(i, others), red_lin[i], off, n) for i, off in users_of[k]
-            }
-            mu[idx] = _secular_root(list(parts.values()), cap[idx], cs_budget, feas_tol, mu[idx])
-            for i, part in parts.items():
-                w_cache[i] = part.solution(mu[idx])
+            others[a] = 0.0
+            users, pos = users_of[a]
+            parts = [
+                _Secular.of(mat[:d, :d], rhs[u, :d], p * n, n)
+                for u, p, d, mat in zip(users, pos, dims[users], shifted(others, users))
+            ]
+            mu[a] = _secular_root(parts, cap[a], cs_budget, feas_tol, mu[a])
+            for u, d, part in zip(users, dims[users], parts):
+                w[u, :d] = part.solution(mu[a])
         return max(count, 1)
 
-    def dual_hessian(act: list) -> np.ndarray:
-        """d(powers)/d(mu) on ``act``: the dual's Hessian, negative semidefinite."""
-        apos = {k: x for x, k in enumerate(act)}
-        # d(w_i)/d(mu_k) = -M_i^{-1} E_k E_k^H w_i: one column per block of user i.
-        coupled = [i for i in solved if any(k in apos for k in red_blocks[i])]
-        rhs = {}
-        for i in coupled:
-            nb = len(red_blocks[i])
-            cols = np.zeros((nb, n, nb), dtype=complex)
-            cols[np.arange(nb), :, np.arange(nb)] = w_cache[i].reshape(nb, n)
-            rhs[i] = cols.reshape(nb * n, nb)
-        sens = _solve_stacked({i: shifted(i, mu) for i in coupled}, rhs)
-        hess = np.zeros((len(act), len(act)))
-        for i in coupled:
-            nb = len(red_blocks[i])
-            cross = np.einsum(
-                "kn,knl->kl", w_cache[i].reshape(nb, n).conj(), sens[i].reshape(nb, n, nb)
-            )
-            sel = [pos for pos, k in enumerate(red_blocks[i]) if k in apos]
-            rows = [apos[red_blocks[i][pos]] for pos in sel]
-            hess[np.ix_(rows, rows)] -= 2.0 * np.real(cross[np.ix_(sel, sel)])
-        return hess
+    def dual_hessian(idx: np.ndarray) -> np.ndarray:
+        """d(powers)/d(mu) on active[idx]: the dual's Hessian, negative semidefinite."""
+        # d(w_u)/d(mu_k) = -M_u^{-1} E_k E_k^H w_u: one column per block position of user u.
+        nb = width // n
+        blocks = w.reshape(-1, nb, n)
+        cols = (blocks[..., None] * np.eye(nb)[:, None, :]).reshape(-1, width, nb)
+        sens = _solve_batch(shifted(mu), cols).reshape(-1, nb, n, nb)
+        cross = np.einsum("upj,upjq->upq", blocks.conj(), sens)
+        hess = np.zeros((num + 1, num + 1))
+        np.add.at(hess, (starts[:, :, None], starts[:, None, :]), -2.0 * np.real(cross))
+        return hess[np.ix_(idx, idx)]
 
     def newton_step(powers: np.ndarray, viol: float) -> int:
         """One projected Newton step on the dual; the number of multipliers moved.
@@ -539,7 +509,7 @@ def _solve_rrh_side(
         """
         grad = powers - cap
         idx = np.flatnonzero((mu > 0.0) | (grad > 0.0))
-        hess = dual_hessian([active[x] for x in idx])
+        hess = dual_hessian(idx)
         g, m = grad[idx], mu[idx]
         scale = np.maximum(-np.diag(hess), 1e-300)
         eps = float(np.linalg.norm(m - np.maximum(0.0, m + g / scale)))
@@ -553,26 +523,22 @@ def _solve_rrh_side(
         slope = float(g[free] @ step[free])
         if slope < 0.0:
             return 0
-        current = np.concatenate([w_cache[i] for i in rue_ids])
         alpha = 1.0
         for _ in range(NEWTON_BACKTRACKS):
             trial = mu.copy()
             trial[idx] = np.maximum(0.0, m + alpha * step)
-            trial_w = solve_all(trial)
+            trial_w = solve(trial)
             rise = alpha * slope + float(g[at_bound] @ (trial[idx][at_bound] - m[at_bound]))
             # The dual's change, g(trial) - g(mu) = sum_k dmu_k (Re<w'_k, w_k> - cap_k)
             # for beams w = M(mu)^-1 b, w' = M(trial)^-1 b: exact, and free of the
             # cancellation that differencing two dual values suffers near the optimum.
-            overlap = np.real(np.concatenate([trial_w[i] for i in rue_ids]).conj() * current)
-            change = float(
-                (trial - mu) @ (np.bincount(owner, weights=overlap, minlength=len(active)) - cap)
-            )
+            change = float((trial - mu) @ (per_rrh(np.real(trial_w.conj() * w)) - cap))
             if (
                 change >= ARMIJO_SIGMA * rise
-                and worst_excess(powers_of(trial_w)) <= max(viol, feas_tol)
+                and worst_excess(per_rrh(np.abs(trial_w) ** 2)) <= max(viol, feas_tol)
             ):
                 mu[:] = trial
-                w_cache.update(trial_w)
+                w[:] = trial_w
                 return idx.size
             alpha *= 0.5
         return 0
@@ -637,7 +603,6 @@ def solve_qcqp(
     feas_tol: float = 1e-6,
     gap_tol: float = 1e-8,
     max_dual_iters: int = MAX_DUAL_ITERS,
-    return_info: bool = False,
     mu0: dict | None = None,
     nu0: float | None = None,
 ):
@@ -649,6 +614,10 @@ def solve_qcqp(
     bounds the relative constraint violation; gap_tol bounds the
     complementary-slackness residual relative to the objective scale. mu0/nu0
     warm-start the multipliers.
+
+    Returns (beams, info): info holds the RRH-side solver's counters and final
+    violation and gap, the multipliers (``rrh_dual`` keyed by RRH id,
+    ``mbs_dual``), and the dual and primal values.
     """
     rue_beams, mu, rrh_value, info = _solve_rrh_side(
         problem.quad_rue,
@@ -670,13 +639,12 @@ def solve_qcqp(
         block_rrhs={i: list(c) for i, c in problem.block_rrhs.items()},
         block_size=problem.block_size,
     )
-    if not return_info:
-        return beams
-    info = dict(info)
-    info["rrh_dual"] = mu
-    info["mbs_dual"] = nu
-    info["dual_value"] = rrh_value + mbs_value
-    info["primal_value"] = qcqp_objective(problem, beams)
+    info.update(
+        rrh_dual=mu,
+        mbs_dual=nu,
+        dual_value=rrh_value + mbs_value,
+        primal_value=qcqp_objective(problem, beams),
+    )
     return beams, info
 
 
@@ -782,9 +750,7 @@ def rtd_solve(
     mu0, nu0 = None, None
     for it in range(1, max_iters + 1):
         problem = assemble_qcqp(links, send(f), send(u), budgets, topology)
-        candidate, qinfo = solve_qcqp(
-            problem, feas_tol, gap_tol, return_info=True, mu0=mu0, nu0=nu0
-        )
+        candidate, qinfo = solve_qcqp(problem, feas_tol, gap_tol, mu0=mu0, nu0=nu0)
         mu0, nu0 = qinfo["rrh_dual"], qinfo["mbs_dual"]
         counters["dual_updates"] += qinfo["dual_iterations"]
         counters["newton_accepted"] += qinfo["newton_accepted"]

@@ -52,7 +52,7 @@ class PilotAssignment:
     pilots: np.ndarray  # (M,) pilot index per UE, 1..tau
 
 
-def make_assignment(topology: Topology, tau: int, pilots) -> PilotAssignment:
+def make_assignment(tau: int, pilots) -> PilotAssignment:
     return PilotAssignment(tau=int(tau), pilots=np.asarray(pilots, dtype=int))
 
 
@@ -232,7 +232,7 @@ def dsatur_random_schedule(
     tau_eff = _clamped_tau(topology, tau, t)
     perm = rng.permutation(t) if t else np.zeros(0, dtype=int)
     pilots = _base_pilots(topology, colors, perm, graph.rue_ids)
-    return make_assignment(topology, tau_eff, pilots)
+    return make_assignment(tau_eff, pilots)
 
 
 def psa_schedule(
@@ -289,7 +289,7 @@ def psa_schedule(
         pilots[i] = best_p
         pending.remove(worst_r)
 
-    return make_assignment(topology, tau_eff, pilots)
+    return make_assignment(tau_eff, pilots)
 
 
 def es_schedule(
@@ -338,4 +338,4 @@ def es_schedule(
         pilots[i] = 0
 
     dfs(0)
-    return make_assignment(topology, tau_eff, best["pilots"] if best["pilots"] is not None else pilots)
+    return make_assignment(tau_eff, best["pilots"] if best["pilots"] is not None else pilots)

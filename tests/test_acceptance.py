@@ -214,7 +214,7 @@ def test_c6_qcqp_solver_matches_first_order_oracle():
     references = pgd_qcqp_oracle_batched([inst[1:] for inst in instances], iters=6000)
     worst_obj = worst_con = 0.0
     for (problem, quads, lins, groups, caps), w_ref in zip(instances, references):
-        beams, info = solve_qcqp(problem, return_info=True)
+        beams, info = solve_qcqp(problem)
         reference = qcqp_value(quads, lins, w_ref)
         worst_obj = max(
             worst_obj, abs(info["primal_value"] - reference) / max(1.0, abs(reference))

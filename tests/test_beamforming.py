@@ -120,13 +120,13 @@ def test_qcqp_single_beam_closed_forms():
         quad_rue={0: np.eye(2, dtype=complex)}, lin_rue={0: lin},
         rrh_budget=np.array([36.0]), **base,
     )
-    beams = solve_qcqp(loose)
+    beams, _ = solve_qcqp(loose)
     assert np.allclose(beams.rue[0], lin, rtol=1e-8)
     tight = QcqpProblem(
         quad_rue={0: np.eye(2, dtype=complex)}, lin_rue={0: lin},
         rrh_budget=np.array([16.0]), **base,
     )
-    beams = solve_qcqp(tight)
+    beams, _ = solve_qcqp(tight)
     assert np.allclose(beams.rue[0], [2.4, 3.2], rtol=1e-6)
     # the active constraint is met to the solver's feasibility tolerance
     assert beams.rrh_power(0) == pytest.approx(16.0, rel=2e-6)
@@ -136,19 +136,19 @@ def test_qcqp_single_beam_closed_forms():
         lin_bue={5: lin}, block_rrhs={}, block_size=2,
         rrh_budget=np.zeros(0), mbs_budget=16.0,
     )
-    beams = solve_qcqp(mbs)
+    beams, _ = solve_qcqp(mbs)
     assert np.allclose(beams.bue[5], [2.4, 3.2], rtol=1e-6)
     zero_lin = QcqpProblem(
         quad_rue={0: np.eye(2, dtype=complex)}, lin_rue={0: np.zeros(2, dtype=complex)},
         rrh_budget=np.array([4.0]), **base,
     )
-    assert np.all(solve_qcqp(zero_lin).rue[0] == 0.0)
+    assert np.all(solve_qcqp(zero_lin)[0].rue[0] == 0.0)
 
 
 def test_qcqp_zero_budget_pins_beams():
     rng = child_rng(31, 2)
     problem, *_ = make_synthetic_qcqp(rng, zero_cap_chance=1.0)
-    beams = solve_qcqp(problem)
+    beams, _ = solve_qcqp(problem)
     for i in problem.quad_rue:
         assert np.all(beams.rue[i] == 0.0)
 
@@ -189,7 +189,7 @@ def test_solve_qcqp_respects_constraints_and_weak_duality():
     rng = child_rng(31, 4)
     for trial in range(6):
         problem, quads, lins, groups, caps = make_synthetic_qcqp(rng)
-        beams, info = solve_qcqp(problem, return_info=True)
+        beams, info = solve_qcqp(problem)
         for name, members in groups.items():
             power = sum(
                 float(np.sum(np.abs((beams.rue | beams.bue)[m][idx]) ** 2))
@@ -213,7 +213,7 @@ def test_solve_qcqp_matches_projected_gradient_oracle():
     instances = [make_synthetic_qcqp(rng) for _ in range(4)]
     references = pgd_qcqp_oracle_batched([inst[1:] for inst in instances], iters=6000)
     for (problem, quads, lins, *_), w in zip(instances, references):
-        _, info = solve_qcqp(problem, return_info=True)
+        _, info = solve_qcqp(problem)
         reference = qcqp_value(quads, lins, w)
         assert info["primal_value"] == pytest.approx(reference, rel=1e-6)
 
@@ -313,14 +313,31 @@ def test_secular_power_matches_direct_solve():
         assert _secular_power(parts, nu) == pytest.approx(direct, rel=1e-9)
 
 
+def _zero_budget_drop_qcqp():
+    """The first beamformer QCQP (unit equalizers and auxiliaries) of the
+    (32 users, 100 RRHs) drop at master seed 0, with a zero budget at the
+    busiest RRH of the widest cluster. Clusters hold 1 to 6 RRHs of 4
+    antennas, so the solver's stack pads users from 4 to 24 entries."""
+    topology, _, _, links, _ = pipeline_instance(scenario=ScenarioConfig(num_ue=32, num_rrh=100))
+    ids = links.rue_ids + links.bue_ids
+    problem = assemble_qcqp(
+        links, dict.fromkeys(ids, 1.0 + 0j), dict.fromkeys(ids, 1.0), BUDGETS, topology
+    )
+    load = np.bincount(np.concatenate(list(problem.block_rrhs.values())))
+    widest = max(problem.block_rrhs.values(), key=len)
+    problem.rrh_budget[max(widest, key=lambda k: load[k])] = 0.0
+    return problem
+
+
 def test_solver_multipliers_reproduce_its_beams():
     """At the returned multipliers, every live RRH's secular power equals its
     power in the returned beams, active caps are met, zero-budget RRHs carry
-    nothing, and each BUE beam is (Q + nu I)^{-1} b."""
+    nothing, and each BUE beam is (Q + nu I)^{-1} b; on synthetic problems
+    and on an assembled drop whose users span very different widths."""
     rng = child_rng(31, 9)
-    for _ in range(8):
-        problem, *_ = make_synthetic_qcqp(rng, zero_cap_chance=0.25)
-        beams, info = solve_qcqp(problem, return_info=True)
+    problems = [make_synthetic_qcqp(rng, zero_cap_chance=0.25)[0] for _ in range(8)]
+    for problem in problems + [_zero_budget_drop_qcqp()]:
+        beams, info = solve_qcqp(problem)
         mu, n = info["rrh_dual"], problem.block_size
         for k, cap in enumerate(problem.rrh_budget):
             users = [i for i, c in problem.block_rrhs.items() if k in c]
@@ -357,12 +374,32 @@ def test_single_coordinate_update_lands_on_the_cap():
         quad_bue={}, lin_bue={}, block_rrhs={0: [0, 1]}, block_size=1,
         rrh_budget=np.array([1.0, 1e9]), mbs_budget=1.0,
     )
-    beams, info = solve_qcqp(problem, max_dual_iters=1, return_info=True)
+    beams, info = solve_qcqp(problem, max_dual_iters=1)
     assert info["dual_iterations"] == 1
     assert info["rrh_dual"][0] > 90.0 * np.linalg.norm(problem.lin_rue[0])
     assert info["rrh_dual"][1] == 0.0
     assert beams.rrh_power(0) == pytest.approx(1.0, rel=1e-6)
     assert beams.rrh_power(1) < 1e9
+
+
+def test_singular_user_matrix_falls_back_to_least_squares():
+    """User 0's matrix diag(1, 0) stays singular at every multiplier the
+    solver tries (its RRH-1 entry carries no cost and no gain), so each
+    stacked solve falls back to per-member solves, least squares for user 0.
+    RRH 0's cap then sets mu_0 = 1 and halves user 0's beam."""
+    problem = QcqpProblem(
+        quad_rue={
+            0: np.diag([1.0, 0.0]).astype(complex),
+            1: np.array([[2.0, 0.5], [0.5, 1.0]], dtype=complex),
+        },
+        lin_rue={0: np.array([1.0, 0.0], dtype=complex), 1: np.array([1.0, 1.0], dtype=complex)},
+        quad_bue={}, lin_bue={}, block_rrhs={0: [0, 1], 1: [1, 2]}, block_size=1,
+        rrh_budget=np.array([0.25, 1.0, 1.0]), mbs_budget=1.0,
+    )
+    beams, info = solve_qcqp(problem)
+    assert info["rrh_dual"][0] == pytest.approx(1.0, rel=1e-9)
+    assert np.allclose(beams.rue[0], [0.5, 0.0], rtol=1e-9, atol=1e-12)
+    assert beams.rrh_power(0) == pytest.approx(0.25, rel=1e-9)
 
 
 def test_rtd_monotone_and_stationary():

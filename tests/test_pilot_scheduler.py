@@ -153,7 +153,7 @@ def test_sum_mse_hand_case_frozen():
         n_ant=2,
         b_ant=3,
     )
-    assignment = make_assignment(topo, tau=2, pilots=[1, 1])
+    assignment = make_assignment(tau=2, pilots=[1, 1])
     value = sum_mse(topo, assignment, p_rue=2.0, p_bue=3.0, noise_power=1.0)
     # RRH link: denom = 2*1 + 3*0.5 + 1 = 4.5, delta = (4.5-2)/4.5 -> 2 * 5/9
     # MBS link: denom = 2*0.25 + 3*2 + 1 = 7.5, delta = 2*1.5/7.5 -> 3 * 2/5
@@ -180,7 +180,7 @@ def test_sum_mse_rejects_conflicting_assignment():
         alpha_rrh=np.array([[1.0, 1.0]]),
         alpha_mbs=np.array([1.0, 1.0]),
     )
-    bad = make_assignment(topo, tau=2, pilots=[1, 1])  # both on RRH 0
+    bad = make_assignment(tau=2, pilots=[1, 1])  # both on RRH 0
     with pytest.raises(ValueError):
         sum_mse(topo, bad, 1.0, 1.0, 1.0)
 
@@ -193,11 +193,11 @@ def test_validate_assignment_errors():
         alpha_mbs=np.ones(3),
     )
     with pytest.raises(ValueError):  # two MBS users on one pilot
-        validate_assignment(topo, make_assignment(topo, tau=2, pilots=[2, 1, 1]))
+        validate_assignment(topo, make_assignment(tau=2, pilots=[2, 1, 1]))
     with pytest.raises(ValueError):  # pilot outside 1..tau
-        validate_assignment(topo, make_assignment(topo, tau=2, pilots=[3, 1, 2]))
+        validate_assignment(topo, make_assignment(tau=2, pilots=[3, 1, 2]))
     with pytest.raises(ValueError):  # tau beyond the UE count
-        validate_assignment(topo, make_assignment(topo, tau=4, pilots=[3, 1, 2]))
+        validate_assignment(topo, make_assignment(tau=4, pilots=[3, 1, 2]))
     # users 0 and 1 share only RRH 2, the second RRH of each cluster
     overlap = hand_topology(
         serving_rrhs=[[0, 2], [1, 2], [3], []],
@@ -206,9 +206,9 @@ def test_validate_assignment_errors():
         alpha_mbs=np.ones(4),
     )
     with pytest.raises(ValueError, match="share RRH 2"):
-        validate_assignment(overlap, make_assignment(overlap, tau=2, pilots=[1, 1, 2, 2]))
+        validate_assignment(overlap, make_assignment(tau=2, pilots=[1, 1, 2, 2]))
     # users on disjoint RRHs may reuse a pilot, a BUE's included
-    validate_assignment(overlap, make_assignment(overlap, tau=2, pilots=[1, 2, 1, 2]))
+    validate_assignment(overlap, make_assignment(tau=2, pilots=[1, 2, 1, 2]))
 
 
 # ---------------------------------------------------------------------------

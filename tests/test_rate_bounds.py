@@ -153,7 +153,7 @@ def test_shared_rrh_pairs_drop_exactly_the_cross_estimate_blocks():
         n_ant=2,
         b_ant=3,
     )
-    assignment = make_assignment(topology, 3, [2, 3, 1])
+    assignment = make_assignment(3, [2, 3, 1])
     training = TrainingConfig(tau=3, coherence=50)
     channels = draw_small_scale(topology, child_seed(5, 0))
     state = estimate_channels(topology, assignment, training, channels, child_seed(5, 1))
