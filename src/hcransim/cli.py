@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, text in [
         ("mse-sweep", "sum channel-estimation MSE vs a swept parameter"),
         ("se-sweep", "sum spectral efficiency vs a swept parameter"),
-        ("tightness", "rate lower bound vs Monte-Carlo achievable rate"),
+        ("tightness", "rate lower bound vs exact ergodic rate"),
         ("schedule", "pilot-schedule one instance and report its sum MSE"),
         ("solve-one", "full single-instance pipeline with artifact dump"),
     ]:

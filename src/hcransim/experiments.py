@@ -3,9 +3,12 @@
 Every sweep runs `num_realizations` independent topology/channel draws per
 sweep value. Realization r derives all of its randomness from
 (master_seed, r, slot) with fixed slots — 0: topology, 1: scheduler,
-2: channel draw, 3: training noise, 4: Monte-Carlo — so the same realization
-index reuses the same randomness at every sweep value (paired comparisons)
-and results do not depend on execution order or worker count.
+2: channel draw, 3: training noise — so the same realization index reuses
+the same randomness at every sweep value (paired comparisons) and results do
+not depend on execution order or worker count. This is seed contract
+version 2: in version 1 slot 4 fed the Monte-Carlo rate sampler. Since the
+rates became exact quadratures, which draw nothing, slot 4 is retired, not
+reused; slots 0-3 and their streams are as in version 1.
 
 CSV schema: one row per (sweep_value, metric, mean, stderr, n).
 """
@@ -176,12 +179,7 @@ def _solve_realization(cfg, value, r, scheduler, beamformer):
     prelog = prelog_factor(training_eff.tau, training_eff.coherence)
     lb = lower_bound_rates(links, beams, training.noise_power, prelog)
     mc, mc_stderr = monte_carlo_rates(
-        links,
-        beams,
-        training.noise_power,
-        prelog,
-        trials=cfg.mc_trials,
-        seed=child_seed(cfg.master_seed, r, 4),
+        links, beams, training.noise_power, prelog, trials=cfg.mc_trials
     )
     result = {
         "topology": topology,
@@ -361,7 +359,7 @@ def run_mse_sweep(cfg: ExperimentConfig) -> SweepResult:
 
 
 def run_se_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Ensemble sum spectral efficiency (bound and Monte-Carlo) per sweep value."""
+    """Ensemble sum spectral efficiency (bound and exact rate) per sweep value."""
     return _run_sweep(cfg, _se_realization)
 
 
@@ -410,7 +408,9 @@ def solve_one(cfg: ExperimentConfig, out_dir) -> dict:
     """Run one full realization (r = 0, first sweep value) and dump artifacts.
 
     Writes topology.csv, assignment.csv, rates.csv, and trace.csv into
-    out_dir. Returns the in-memory results dict.
+    out_dir. In rates.csv, mc_rate is the exact ergodic rate and mc_stderr
+    the quadrature's error estimate (see ``monte_carlo_rates``). Returns the
+    in-memory results dict.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

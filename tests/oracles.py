@@ -336,7 +336,8 @@ def monte_carlo_oracle(
 ):
     """Achievable-rate estimates by redrawing the unknowns, rebuilt link by
     link from the DictChannelState dicts (a known link is estimate + error, an
-    unknown one is redrawn whole), with the same draw order as the library.
+    unknown one is redrawn whole): the sampling reference for the library's
+    exact rate.
 
     Per trial, every known link is estimate + CN(0, errvar*I) and every unknown
     link is CN(0, alpha*I); estimates stay fixed. Each UE's effective SINR uses

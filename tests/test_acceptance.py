@@ -108,8 +108,8 @@ def test_c2_orthogonal_pilot_limit_matches_closed_form():
 
 
 def test_c3_rate_lower_bound_holds_on_monte_carlo():
-    """The per-user rate bound sits below the Monte Carlo mean rate plus three
-    standard errors on 50 drops.
+    """The per-user rate bound sits at or below the exact ergodic rate (to
+    1e-9 relative) for every user on 50 drops.
 
     Drops are taken from the default scenario family in deterministic seed
     order, keeping only topologies where no two users share more than one
@@ -117,12 +117,12 @@ def test_c3_rate_lower_bound_holds_on_monte_carlo():
     independent across transmitters matches the exact conditional second
     moment of the channels, so the averaging argument behind the bound is
     airtight; when clusters overlap in two or more RRHs the neglected
-    cross-correlation can push the bound above the mean rate, which is a
+    cross-correlation can push the bound above the rate, which is a
     documented model limit rather than a solver defect.
     """
     start = time.time()
     kept = scanned = violations = 0
-    worst_z = -math.inf
+    worst_ratio = -math.inf
     while kept < 50:
         r = scanned
         scanned += 1
@@ -136,18 +136,15 @@ def test_c3_rate_lower_bound_holds_on_monte_carlo():
         beams, _ = rtd_solve(topology, links, training, BUDGETS)
         prelog = prelog_factor(training.tau, training.coherence)
         lb = lower_bound_rates(links, beams, training.noise_power, prelog)
-        mc, se = monte_carlo_rates(
-            links, beams, training.noise_power, prelog,
-            trials=2000, seed=seed_to_int(child_seed(7, r, 4)),
-        )
+        rate, _ = monte_carlo_rates(links, beams, training.noise_power, prelog, trials=2000)
         for m in range(topology.num_ue):
-            if se[m] > 0:
-                worst_z = max(worst_z, (lb[m] - mc[m]) / se[m])
-            violations += lb[m] > mc[m] + 3.0 * se[m]
+            if rate[m] > 0:
+                worst_ratio = max(worst_ratio, lb[m] / rate[m])
+            violations += lb[m] > rate[m] * (1.0 + 1e-9)
     elapsed = time.time() - start
     print(
         f"\nC3 bound validity: {violations} violations over 50 kept drops "
-        f"({scanned} scanned), worst z {worst_z:+.2f}, {elapsed:.1f}s"
+        f"({scanned} scanned), worst bound/rate {worst_ratio:.6f}, {elapsed:.1f}s"
     )
     assert violations == 0
 
