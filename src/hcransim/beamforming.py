@@ -12,10 +12,11 @@ coordinate ascent on the multipliers plus a projected Newton polish whose
 steps are accepted by Armijo's rule on the concave dual); the MBS
 constraint couples the BUE beams through a single scalar multiplier. With the
 other multipliers fixed, the power under one constraint is a secular function
-sum |coef|^2 / (lam + x)^2 of its multiplier x, built from one
-eigendecomposition per beam (of the Schur complement on the RRH's block for a
-RUE, of the whole matrix for a BUE), and both sides find its root with the
-same safeguarded Newton iteration. The f and u updates are closed-form.
+sum |coef|^2 / (lam + x)^2 of its multiplier x. Both sides build it the same
+way, from one batched eigendecomposition over the padded stack of the beams
+the constraint covers (of each RUE's Schur complement on the RRH's block, of
+each BUE's whole matrix), and find its root with the same safeguarded Newton
+iteration. The f and u updates are closed-form.
 """
 
 from __future__ import annotations
@@ -228,13 +229,6 @@ def qcqp_objective(problem: QcqpProblem, beams: BeamformerSet) -> float:
     return rue + bue
 
 
-def _solve_reg(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(mat, rhs, rcond=None)[0]
-
-
 def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve mats[u] x = rhs[u] for every member of a stack in one call.
 
@@ -244,75 +238,71 @@ def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(mats, rhs)
     except np.linalg.LinAlgError:
-        return np.stack([_solve_reg(a, b) for a, b in zip(mats, rhs)])
+        if len(mats) == 1:
+            return np.linalg.lstsq(mats[0], rhs[0], rcond=None)[0][None]
+        return np.concatenate([_solve_batch(a[None], b[None]) for a, b in zip(mats, rhs)])
 
 
-@dataclass
-class _Secular:
-    """One block of (A + x E E^H)^{-1} b as an eigen-expansion in x.
+def _block_secular(mats: np.ndarray, rhs: np.ndarray, pos: np.ndarray, n: int):
+    """One block of (A_u + x E_u E_u^H)^{-1} b_u as an eigen-expansion in x.
 
-    A is Hermitian positive semidefinite and E selects the n entries from
-    ``off``. With S = A_kk - A_kr A_rr^{-1} A_rk the block's Schur complement
-    (eigenpairs lam, vecs) and c = b_k - A_kr A_rr^{-1} b_r, the block equals
+    For a stack of Hermitian positive semidefinite A (U, W, W) and b (U, W),
+    E_u selects member u's n entries from pos[u] * n. Each member's entries
+    are reordered so that the block comes last; with
+    S = A_kk - A_kr A_rr^{-1} A_rk the block's Schur complement (eigenpairs
+    lam, vecs) and c = b_k - A_kr A_rr^{-1} b_r, the block equals
     vecs (coef / (lam + x)) with coef = vecs^H c, so its power is the secular
-    function sum |coef|^2 / (lam + x)^2. ``rest`` is A_rr^{-1} [A_rk, b_r],
-    from which the other entries follow.
+    function sum |coef|^2 / (lam + x)^2. Identity rows with a zero right-hand
+    side (the solver's padding) drop out of the elimination exactly.
+
+    Returns (lam, coef), both (U, n), and solution(x), the (U, W) stack of
+    whole vectors (A_u + x E_u E_u^H)^{-1} b_u.
     """
+    size, width = rhs.shape
+    in_block = np.arange(width) // n == pos[:, None]
+    order = np.argsort(in_block, axis=1, kind="stable")
+    members = np.arange(size)[:, None]
+    mat = mats[members[..., None], order[:, :, None], order[:, None, :]]
+    b = rhs[members, order]
+    r = width - n
+    cross = mat[:, r:, :r]
+    # A_rr^{-1} [A_rk, b_r], from which the eliminated entries follow.
+    rest = _solve_batch(mat[:, :r, :r], np.concatenate([mat[:, :r, r:], b[:, :r, None]], axis=2))
+    schur = mat[:, r:, r:] - cross @ rest[..., :n]
+    c = b[:, r:] - (cross @ rest[..., n:])[..., 0]
+    lam, vecs = np.linalg.eigh(0.5 * (schur + schur.conj().swapaxes(1, 2)))
+    coef = (vecs.conj().swapaxes(1, 2) @ c[..., None])[..., 0]
 
-    lam: np.ndarray
-    vecs: np.ndarray
-    coef: np.ndarray
-    off: int
-    rest: np.ndarray
+    def solution(x: float) -> np.ndarray:
+        scaled = np.divide(coef, lam + x, out=np.zeros_like(coef), where=coef != 0)
+        block = (vecs @ scaled[..., None])[..., 0]
+        eliminated = rest[..., n] - (rest[..., :n] @ block[..., None])[..., 0]
+        out = np.empty_like(b)
+        np.put_along_axis(out, order, np.concatenate([eliminated, block], axis=1), axis=1)
+        return out
 
-    @classmethod
-    def of(cls, mat: np.ndarray, rhs: np.ndarray, off: int, n: int) -> "_Secular":
-        others = np.r_[0:off, off + n:rhs.shape[0]]
-        schur, c = mat[off:off + n, off:off + n], rhs[off:off + n]
-        rest = np.zeros((0, n + 1), dtype=complex)
-        if others.size:
-            cross = mat[off:off + n, others]
-            rows = mat[others]
-            rest = _solve_reg(
-                rows[:, others], np.column_stack([rows[:, off:off + n], rhs[others]])
-            )
-            schur = schur - cross @ rest[:, :n]
-            c = c - cross @ rest[:, n]
-        lam, vecs = np.linalg.eigh(0.5 * (schur + schur.conj().T))
-        return cls(lam, vecs, vecs.conj().T @ c, off, rest)
-
-    def solution(self, x: float) -> np.ndarray:
-        """The whole vector (A + x E E^H)^{-1} b."""
-        block = self.vecs @ np.divide(
-            self.coef, self.lam + x, out=np.zeros_like(self.coef), where=self.coef != 0
-        )
-        if not self.rest.shape[0]:
-            return block
-        n = block.shape[0]
-        others = self.rest[:, n] - self.rest[:, :n] @ block
-        return np.concatenate([others[:self.off], block, others[self.off:]])
+    return lam, coef, solution
 
 
 def _secular_root(
-    parts: list, cap: float, cs_budget: float, feas_tol: float, x0: float
+    lam: np.ndarray, coef: np.ndarray, cap: float, cs_budget: float, feas_tol: float, x0: float
 ) -> float:
-    """Smallest x >= 0 at which the summed block power of ``parts`` meets cap.
+    """Smallest x >= 0 at which the block power sum |coef|^2 / (lam + x)^2 meets cap.
 
-    The power p(x) = sum |coef|^2 / (lam + x)^2 decreases strictly on
-    x > -min(lam), and 1/sqrt(p) is concave and nearly linear there (exactly
-    linear for one term), so Newton's method on it approaches the root
-    monotonically from below; a bisection step replaces any Newton step that
-    leaves the bracket [lo, hi]. The bracket's upper end holds because
-    lam + hi >= sqrt(sum |coef|^2 / cap) for every term. Stops when
-    |p - cap| <= min(feas_tol * cap / 2, cs_budget / x), the complementary-
-    slackness share of this multiplier; otherwise returns the feasible end of
-    the final bracket. x0 is a warm start.
+    lam and coef are matching arrays of eigenvalues and coefficients, one term
+    per entry (``_block_secular`` gives them per member of a stack). The power
+    p(x) decreases strictly on x > -min(lam), and 1/sqrt(p) is concave and
+    nearly linear there (exactly linear for one term), so Newton's method on
+    it approaches the root monotonically from below; a bisection step
+    replaces any Newton step that leaves the bracket [lo, hi]. The bracket's
+    upper end holds because lam + hi >= sqrt(sum |coef|^2 / cap) for every
+    term. Stops when |p - cap| <= min(feas_tol * cap / 2, cs_budget / x), the
+    complementary-slackness share of this multiplier; otherwise returns the
+    feasible end of the final bracket. x0 is a warm start.
     """
-    if not parts:
-        return 0.0
-    lam = np.concatenate([s.lam for s in parts])
-    weight = np.concatenate([np.abs(s.coef) ** 2 for s in parts])
-    lam, weight = lam[weight > 0.0], weight[weight > 0.0]
+    weight = np.abs(coef).ravel() ** 2
+    lam = lam.ravel()[weight > 0.0]
+    weight = weight[weight > 0.0]
     if not lam.size:
         return 0.0
     lo = max(0.0, -float(lam.min()))
@@ -361,11 +351,12 @@ def _solve_rrh_side(
 
     * cyclic exact coordinate ascent — with the other multipliers fixed, RRH
       k's block of each user it serves is (S_ik + mu_k I)^{-1} c_ik, S_ik the
-      Schur complement of the user's matrix on block k (see ``_Secular``).
-      One eigendecomposition per user turns RRH k's power into a secular
-      function of mu_k, whose complementary-slackness root (mu_k = 0 when the
-      cap already holds) ``_secular_root`` finds with no further linear
-      solves. Scale-free per constraint, globally convergent.
+      Schur complement of the user's matrix on block k (see
+      ``_block_secular``). One batched elimination and eigendecomposition
+      over the stack rows of the users RRH k serves turn its power into a
+      secular function of mu_k, whose complementary-slackness root (mu_k = 0
+      when the cap already holds) ``_secular_root`` finds with no further
+      linear solves. Scale-free per constraint, globally convergent.
     * projected Newton polish — overlapping serving clusters couple the
       multipliers strongly enough that coordinate ascent's linear tail can
       crawl. The dual's gradient is powers - cap and its Hessian, the
@@ -383,8 +374,9 @@ def _solve_rrh_side(
     ``active``. Padding entries point to an extra slot len(active) whose
     multiplier is always 0, so padded beam entries stay 0. The shifted
     matrices, the beam and Hessian solves (one batched solve each), the
-    per-RRH powers (one bincount over ``blk``) and the dual value all read
-    the stack; a coordinate update works on each user's own [:d, :d] slice.
+    coordinate updates (one batched pass over the rows of an RRH's users),
+    the per-RRH powers (one bincount over ``blk``) and the dual value all
+    read the stack.
 
     mu0 warm-starts the multipliers (dict keyed by RRH id). Coordinates owned
     by zero-budget RRHs are pinned to zero up front. max_iters caps the total
@@ -473,13 +465,9 @@ def _solve_rrh_side(
             others = mu.copy()
             others[a] = 0.0
             users, pos = users_of[a]
-            parts = [
-                _Secular.of(mat[:d, :d], rhs[u, :d], p * n, n)
-                for u, p, d, mat in zip(users, pos, dims[users], shifted(others, users))
-            ]
-            mu[a] = _secular_root(parts, cap[a], cs_budget, feas_tol, mu[a])
-            for u, d, part in zip(users, dims[users], parts):
-                w[u, :d] = part.solution(mu[a])
+            lam, coef, solution = _block_secular(shifted(others, users), rhs[users], pos, n)
+            mu[a] = _secular_root(lam, coef, cap[a], cs_budget, feas_tol, mu[a])
+            w[users] = solution(mu[a])
         return max(count, 1)
 
     def dual_hessian(idx: np.ndarray) -> np.ndarray:
@@ -578,22 +566,24 @@ def _solve_mbs_side(
     lin: dict,
     budget: float,
     feas_tol: float,
-    gap_tol: float = 1e-8,
+    gap_tol: float,
     nu0: float | None = None,
 ):
     """Single-constraint subproblem on the MBS multiplier nu.
 
-    Each BUE's quadratic term is diagonalised once, so the MBS power is a
-    secular function of nu and ``_secular_root`` finds the multiplier.
+    The BUE systems form one stack whose block is the whole beam, so
+    ``_block_secular`` diagonalises each quadratic term once, the MBS power
+    is a secular function of nu, and ``_secular_root`` finds the multiplier.
     """
     bue_ids = list(quad.keys())
     b_ant = lin[bue_ids[0]].shape[0] if bue_ids else 0
-    parts = {}
-    if budget > 0.0:
-        parts = {j: _Secular.of(quad[j], lin[j], 0, b_ant) for j in bue_ids if np.any(lin[j])}
-    nu = _secular_root(list(parts.values()), budget, 0.5 * gap_tol, feas_tol, nu0 or 0.0)
     beams = {j: np.zeros(b_ant, dtype=complex) for j in bue_ids}
-    beams.update({j: part.solution(nu) for j, part in parts.items()})
+    nu = 0.0
+    if budget > 0.0 and bue_ids:
+        stack = np.stack([quad[j] for j in bue_ids]), np.stack([lin[j] for j in bue_ids])
+        lam, coef, solution = _block_secular(*stack, np.zeros(len(bue_ids), dtype=int), b_ant)
+        nu = _secular_root(lam, coef, budget, 0.5 * gap_tol, feas_tol, nu0 or 0.0)
+        beams = dict(zip(bue_ids, solution(nu)))
     value = -sum(float(np.real(np.vdot(lin[j], beams[j]))) for j in bue_ids) - nu * budget
     return beams, nu, value
 

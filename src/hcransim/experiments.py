@@ -448,19 +448,29 @@ def solve_one(cfg: ExperimentConfig, out_dir) -> dict:
 # Config file loading.
 
 
-def _power(entry: dict, key: str, default_w: float) -> float:
-    if f"{key}_dbm" in entry:
-        return dbm_to_watt(float(entry[f"{key}_dbm"]))
-    if key in entry:
-        return float(entry[key])
-    return default_w
+def _section(raw: dict, name: str, known: set, label: str) -> dict:
+    entry = dict(raw.get(name, {}))
+    if set(entry) - known:
+        raise ValueError(f"unknown {label} keys: {sorted(set(entry) - known)}")
+    return entry
+
+
+def _powers(entry: dict, **names: str) -> dict:
+    """Watts of each power present in entry as `key` or `key_dbm`, by field name."""
+    out = {}
+    for key, name in names.items():
+        if f"{key}_dbm" in entry:
+            out[name] = dbm_to_watt(float(entry[f"{key}_dbm"]))
+        elif key in entry:
+            out[name] = float(entry[key])
+    return out
 
 
 def load_config(path) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file.
 
-    Power entries accept either watts (`p_rue`) or dBm (`p_rue_dbm`).
-    Unknown keys raise.
+    Power entries accept either watts (`p_rue`) or dBm (`p_rue_dbm`). A
+    missing section or field takes the dataclass default. Unknown keys raise.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -480,37 +490,16 @@ def load_config(path) -> ExperimentConfig:
     extra = set(raw) - known
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
-
-    s = dict(raw.get("scenario", {}))
-    s_known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    if set(s) - s_known:
-        raise ValueError(f"unknown scenario keys: {sorted(set(s) - s_known)}")
-    scenario = ScenarioConfig(**s)
-
-    t = dict(raw.get("training", {}))
-    t_known = {"p_rue", "p_rue_dbm", "p_bue", "p_bue_dbm", "noise", "noise_dbm", "tau", "coherence"}
-    if set(t) - t_known:
-        raise ValueError(f"unknown training keys: {sorted(set(t) - t_known)}")
-    training = TrainingConfig(
-        p_rue=_power(t, "p_rue", dbm_to_watt(17.0)),
-        p_bue=_power(t, "p_bue", dbm_to_watt(20.0)),
-        noise_power=_power(t, "noise", dbm_to_watt(-100.0)),
-        tau=int(t.get("tau", 5)),
-        coherence=int(t.get("coherence", 50)),
+    s = _section(raw, "scenario", {f.name for f in dataclasses.fields(ScenarioConfig)}, "scenario")
+    t = _section(
+        raw,
+        "training",
+        {"p_rue", "p_rue_dbm", "p_bue", "p_bue_dbm", "noise", "noise_dbm", "tau", "coherence"},
+        "training",
     )
+    b = _section(raw, "budgets", {"rrh", "rrh_dbm", "mbs", "mbs_dbm"}, "budget")
+    sweep = _section(raw, "sweep", {"name", "values"}, "sweep")
 
-    b = dict(raw.get("budgets", {}))
-    b_known = {"rrh", "rrh_dbm", "mbs", "mbs_dbm"}
-    if set(b) - b_known:
-        raise ValueError(f"unknown budget keys: {sorted(set(b) - b_known)}")
-    budgets = PowerBudget(
-        rrh=_power(b, "rrh", dbm_to_watt(27.0)),
-        mbs=_power(b, "mbs", dbm_to_watt(30.0)),
-    )
-
-    sweep = dict(raw.get("sweep", {"name": "tau", "values": [3, 4, 5, 6]}))
-    if set(sweep) - {"name", "values"}:
-        raise ValueError(f"unknown sweep keys: {sorted(set(sweep) - {'name', 'values'})}")
     kwargs = {}
     for key in ("num_realizations", "mc_trials", "master_seed", "jobs"):
         if key in raw:
@@ -521,11 +510,17 @@ def load_config(path) -> ExperimentConfig:
         kwargs["beamformers"] = tuple(raw["beamformers"])
     if "output_path" in raw:
         kwargs["output_path"] = raw["output_path"]
+    if "name" in sweep:
+        kwargs["sweep_name"] = sweep["name"]
+    if "values" in sweep:
+        kwargs["sweep_values"] = tuple(sweep["values"])
+    training = TrainingConfig(
+        **_powers(t, p_rue="p_rue", p_bue="p_bue", noise="noise_power"),
+        **{key: int(t[key]) for key in ("tau", "coherence") if key in t},
+    )
     return ExperimentConfig(
-        scenario=scenario,
+        scenario=ScenarioConfig(**s),
         training=training,
-        budgets=budgets,
-        sweep_name=sweep["name"],
-        sweep_values=tuple(sweep["values"]),
+        budgets=dataclasses.replace(ExperimentConfig().budgets, **_powers(b, rrh="rrh", mbs="mbs")),
         **kwargs,
     )

@@ -26,7 +26,7 @@ from hcransim import (
     zero_beams,
 )
 from hcransim import beamforming
-from hcransim.beamforming import _Secular
+from hcransim.beamforming import _block_secular
 from hcransim.util import child_rng, crandn, dbm_to_watt
 
 from helpers import make_synthetic_qcqp, pipeline_instance
@@ -249,28 +249,62 @@ def _block_power(mat, rhs, off, n, x):
     return w, float(np.sum(np.abs(w[off:off + n]) ** 2))
 
 
-def _secular_power(parts, x):
-    return sum(float(np.sum(np.abs(s.coef) ** 2 / (s.lam + x) ** 2)) for s in parts)
+def _secular_power(lam, coef, x):
+    return float(np.sum(np.abs(coef) ** 2 / (lam + x) ** 2))
 
 
-def _rrh_block_system(quad, cluster, budget, mu, k, n):
-    """A user's matrix as the RRH-side solver sees it when it updates RRH k:
-    zero-budget blocks dropped, every other live block shifted by its
-    multiplier. Returns (matrix, kept-entry mask, offset of k's block)."""
-    live = [r for r in cluster if budget[r] > 0]
-    mask = np.repeat([budget[r] > 0 for r in cluster], n)
-    mat = quad[np.ix_(mask, mask)].astype(complex)
-    for pos, r in enumerate(live):
-        if r != k:
-            mat[pos * n:(pos + 1) * n, pos * n:(pos + 1) * n] += mu[r] * np.eye(n)
-    return mat, mask, n * live.index(k)
+def _padded(systems, width):
+    """Stack (matrix, rhs) pairs padded to ``width`` entries with identity rows
+    and zero right-hand sides, as the RRH-side solver pads its users."""
+    mats = np.tile(np.eye(width, dtype=complex), (len(systems), 1, 1))
+    rhs = np.zeros((len(systems), width), dtype=complex)
+    for u, (mat, b) in enumerate(systems):
+        mats[u, :b.shape[0], :b.shape[0]] = mat
+        rhs[u, :b.shape[0]] = b
+    return mats, rhs
+
+
+def _rrh_block_stack(quads, lins, clusters, budget, mu, k, n, width):
+    """RRH k's coordinate-update stack as the RRH-side solver sees it: each
+    user RRH k serves, zero-budget blocks dropped, every other live block
+    shifted by its multiplier, padded to ``width`` entries. Returns (matrices,
+    right-hand sides, block positions of k, unpadded widths)."""
+    systems, pos = [], []
+    for i, cluster in clusters.items():
+        if k not in cluster:
+            continue
+        live = [r for r in cluster if budget[r] > 0]
+        mask = np.repeat([budget[r] > 0 for r in cluster], n)
+        mat = quads[i][np.ix_(mask, mask)].astype(complex)
+        for p, r in enumerate(live):
+            if r != k:
+                mat[p * n:(p + 1) * n, p * n:(p + 1) * n] += mu[r] * np.eye(n)
+        systems.append((mat, lins[i][mask]))
+        pos.append(live.index(k))
+    mats, rhs = _padded(systems, width)
+    return mats, rhs, np.array(pos), [b.shape[0] for _, b in systems]
+
+
+def _assert_stack_matches_direct(mats, rhs, pos, dims, n, xs):
+    """``_block_secular`` of the stack gives each member's unpadded direct
+    solve, exact zeros on its padding, and the summed block power."""
+    lam, coef, solution = _block_secular(mats, rhs, pos, n)
+    for x in xs:
+        w, direct = solution(x), 0.0
+        for u, d in enumerate(dims):
+            want, power = _block_power(mats[u, :d, :d], rhs[u, :d], pos[u] * n, n, x)
+            assert np.allclose(w[u, :d], want, rtol=1e-9, atol=1e-12)
+            assert not np.any(w[u, d:])
+            direct += power
+        assert _secular_power(lam, coef, x) == pytest.approx(direct, rel=1e-9)
 
 
 def test_secular_power_matches_direct_solve():
     """The Schur-complement secular function of RRH k's multiplier equals the
     block power of a direct solve at every x, on a field where one RRH is
     shared by three users, users hold one to three blocks, one user has a
-    zero linear term, one a rank-one matrix, and one RRH has a zero budget."""
+    zero linear term, one a rank-one matrix, and one RRH has a zero budget;
+    each RRH's users form one stack padded to the widest user's entries."""
     rng = child_rng(31, 7)
     n = 2
     clusters = {0: [1], 1: [0, 1], 2: [1, 2, 3], 3: [1, 3], 4: [0, 3]}
@@ -283,34 +317,45 @@ def test_secular_power_matches_direct_solve():
         lins[i] = np.zeros(dim, dtype=complex) if i == 3 else crandn(rng, dim)
     mu = {k: float(rng.uniform(0.1, 2.0)) for k in range(4)}
     for k in (0, 1, 3):
-        for x in (0.05, 0.3, 1.0, 7.0):
-            parts, direct = [], 0.0
-            for i, cluster in clusters.items():
-                if k not in cluster:
-                    continue
-                mat, mask, off = _rrh_block_system(quads[i], cluster, budget, mu, k, n)
-                part = _Secular.of(mat, lins[i][mask], off, n)
-                w, power = _block_power(mat, lins[i][mask], off, n, x)
-                assert np.allclose(part.solution(x), w, rtol=1e-9, atol=1e-12)
-                parts.append(part)
-                direct += power
-            assert _secular_power(parts, x) == pytest.approx(direct, rel=1e-9)
+        stack = _rrh_block_stack(quads, lins, clusters, budget, mu, k, n, width=2 * n)
+        _assert_stack_matches_direct(*stack, n, xs=(0.05, 0.3, 1.0, 7.0))
     # MBS side: the whole beam is the block, nothing is eliminated.
     b_ant = 3
-    parts, vecs = [], []
+    systems = []
     for j in range(3):
         a = crandn(rng, b_ant + 1, b_ant)
-        quad = a.conj().T @ a
         lin = np.zeros(b_ant, dtype=complex) if j == 2 else crandn(rng, b_ant)
-        parts.append(_Secular.of(quad, lin, 0, b_ant))
-        vecs.append((quad, lin))
-    for nu in (0.0, 0.2, 3.0):
-        direct = 0.0
-        for part, (quad, lin) in zip(parts, vecs):
-            w, power = _block_power(quad, lin, 0, b_ant, nu)
-            assert np.allclose(part.solution(nu), w, rtol=1e-9, atol=1e-12)
-            direct += power
-        assert _secular_power(parts, nu) == pytest.approx(direct, rel=1e-9)
+        systems.append((a.conj().T @ a, lin))
+    mats, rhs = _padded(systems, b_ant)
+    _assert_stack_matches_direct(mats, rhs, np.zeros(3, dtype=int), [b_ant] * 3, b_ant,
+                                 xs=(0.0, 0.2, 3.0))
+
+
+@pytest.mark.parametrize(
+    "clusters",
+    [
+        # one to three blocks, RRH 4's first, in the middle and last; the
+        # padding after it is eliminated with the other entries
+        {0: [4], 1: [1, 4], 2: [4, 2], 3: [0, 4, 3], 4: [4, 3]},
+        # every member a single block, so the stack is n wide and the
+        # elimination solve is (U, 0, 0)
+        {0: [4], 1: [4], 2: [4]},
+    ],
+    ids=["mixed_widths", "single_blocks"],
+)
+def test_block_secular_on_padded_stacks(clusters):
+    rng = child_rng(31, 8)
+    n = 3
+    budget = np.ones(5)
+    quads = {}
+    for i, cluster in clusters.items():
+        a = crandn(rng, n * len(cluster) + 1, n * len(cluster))
+        quads[i] = a.conj().T @ a
+    lins = {i: crandn(rng, q.shape[0]) for i, q in quads.items()}
+    mu = {k: float(rng.uniform(0.1, 2.0)) for k in range(5)}
+    width = n * max(map(len, clusters.values()))
+    stack = _rrh_block_stack(quads, lins, clusters, budget, mu, 4, n, width)
+    _assert_stack_matches_direct(*stack, n, xs=(0.0, 0.4, 5.0))
 
 
 def _zero_budget_drop_qcqp():
@@ -346,13 +391,13 @@ def test_solver_multipliers_reproduce_its_beams():
             if cap == 0.0:
                 assert k not in mu and beams.rrh_power(k) == 0.0
                 continue
-            parts = []
-            for i in users:
-                mat, mask, off = _rrh_block_system(
-                    problem.quad_rue[i], problem.block_rrhs[i], problem.rrh_budget, mu, k, n
-                )
-                parts.append(_Secular.of(mat, problem.lin_rue[i][mask], off, n))
-            assert _secular_power(parts, mu[k]) == pytest.approx(beams.rrh_power(k), rel=1e-7)
+            width = n * max(map(len, problem.block_rrhs.values()))
+            mats, rhs, pos, _ = _rrh_block_stack(
+                problem.quad_rue, problem.lin_rue, problem.block_rrhs, problem.rrh_budget,
+                mu, k, n, width,
+            )
+            lam, coef, _ = _block_secular(mats, rhs, pos, n)
+            assert _secular_power(lam, coef, mu[k]) == pytest.approx(beams.rrh_power(k), rel=1e-7)
             if mu[k] > 0.0:
                 assert beams.rrh_power(k) == pytest.approx(cap, rel=1e-6)
         nu = info["mbs_dual"]

@@ -1,25 +1,38 @@
 """The library names the benchmark's tracer and checks look up.
 
-``bench/tracing.py`` patches functions by module and name, and the traced
-run reads two signatures; a rename in the package would otherwise surface
-only when the benchmark runs with tracing on.
+``bench/tracing.py`` patches functions by module and name, the traced run
+reads two signatures, and ``bench/workloads.py::check_traced`` reads the
+beams, budgets and state an RTD run returns; a rename in the package would
+otherwise surface only when the benchmark runs with tracing on.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+import pytest
+
+from hcransim import PowerBudget, rtd_solve
+from hcransim.util import dbm_to_watt
+
+from helpers import pipeline_instance
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_bench("tracing")
 
 
 def test_every_patch_point_resolves():
@@ -40,3 +53,14 @@ def test_signatures_the_traced_run_reads():
     feas_tol = inspect.signature(rtd_solve).parameters["feas_tol"]
     assert feas_tol.default is not inspect.Parameter.empty
     assert "trials" in inspect.signature(monte_carlo_rates).parameters
+
+
+def test_traced_checks_run_on_an_rtd_result():
+    workloads = load_bench("workloads")
+    topology, _, _, links, training = pipeline_instance(r=3)
+    budgets = PowerBudget(rrh=dbm_to_watt(27.0), mbs=dbm_to_watt(30.0))
+    beams, state = rtd_solve(topology, links, training, budgets)
+    workloads.check_traced({"rtd": [(topology, budgets, beams, state)]})
+    halved = dataclasses.replace(budgets, rrh=0.5 * budgets.rrh)
+    with pytest.raises(workloads.CheckError, match="exceeds budget"):
+        workloads.check_traced({"rtd": [(topology, halved, beams, state)]})

@@ -1,5 +1,6 @@
 """Sweep drivers: seeding, reduction, CSV output, config files."""
 
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from hcransim import (
     ConvergenceError,
     ExperimentConfig,
+    PowerBudget,
     ScenarioConfig,
     SweepResult,
     TrainingConfig,
@@ -277,8 +279,26 @@ def test_load_config_full_and_dbm(tmp_path):
     assert cfg.output_path == "result.csv"
     # defaults apply when sections are omitted
     (tmp_path / "min.json").write_text("{}")
-    cfg = load_config(tmp_path / "min.json")
-    assert cfg.sweep_name == "tau" and cfg.num_realizations == 100
+    assert load_config(tmp_path / "min.json") == ExperimentConfig()
+
+
+def test_load_config_takes_missing_fields_from_the_dataclass_defaults(tmp_path):
+    payload = {
+        "training": {"tau": 4, "p_bue_dbm": 23.0},
+        "budgets": {"rrh_dbm": 20.0},
+        "sweep": {"name": "num_ue"},
+    }
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(payload))
+    default = ExperimentConfig()
+    assert load_config(path) == dataclasses.replace(
+        default,
+        training=TrainingConfig(tau=4, p_bue=dbm_to_watt(23.0)),
+        budgets=PowerBudget(rrh=dbm_to_watt(20.0), mbs=default.budgets.mbs),
+        sweep_name="num_ue",
+    )
+    path.write_text(json.dumps({"sweep": {"values": [2, 3]}}))
+    assert load_config(path) == dataclasses.replace(default, sweep_values=(2, 3))
 
 
 @pytest.mark.parametrize(
