@@ -16,7 +16,9 @@ sum |coef|^2 / (lam + x)^2 of its multiplier x. Both sides build it the same
 way, from one batched eigendecomposition over the padded stack of the beams
 the constraint covers (of each RUE's Schur complement on the RRH's block, of
 each BUE's whole matrix), and find its root with the same safeguarded Newton
-iteration. The f and u updates are closed-form.
+iteration. With the other multipliers fixed, RRHs that serve no common RUE
+are decoupled, so the RRH-side sweep updates each run of consecutive such
+RRHs in one batched pass. The f and u updates are closed-form.
 """
 
 from __future__ import annotations
@@ -332,6 +334,23 @@ def _secular_root(
     return hi
 
 
+def _disjoint_runs(users_of: list) -> list[list[int]]:
+    """Split the RRH-side sweep order 0..len(users_of)-1 into runs.
+
+    users_of[a] is active RRH a's (users, block positions). A run is a
+    maximal block of consecutive RRHs of which no two serve a common user.
+    """
+    runs, seen = [], set()
+    for a, (users, _) in enumerate(users_of):
+        mine = set(users.tolist())
+        if not runs or seen & mine:
+            runs.append([])
+            seen = set()
+        runs[-1].append(a)
+        seen |= mine
+    return runs
+
+
 def _solve_rrh_side(
     quad: dict,
     lin: dict,
@@ -356,7 +375,13 @@ def _solve_rrh_side(
       over the stack rows of the users RRH k serves turn its power into a
       secular function of mu_k, whose complementary-slackness root (mu_k = 0
       when the cap already holds) ``_secular_root`` finds with no further
-      linear solves. Scale-free per constraint, globally convergent.
+      linear solves. Scale-free per constraint, globally convergent. A sweep
+      visits the active RRHs in order, a run at a time (``_disjoint_runs``:
+      maximal blocks of consecutive RRHs of which no two share a user). The
+      members of a run read and write disjoint stack rows and none sees
+      another's multiplier, so one ``_block_secular`` call over the run's
+      rows and one root per member give exactly the iterates of updating
+      them one after another.
     * projected Newton polish — overlapping serving clusters couple the
       multipliers strongly enough that coordinate ascent's linear tail can
       crawl. The dual's gradient is powers - cap and its Hessian, the
@@ -374,21 +399,25 @@ def _solve_rrh_side(
     ``active``. Padding entries point to an extra slot len(active) whose
     multiplier is always 0, so padded beam entries stay 0. The shifted
     matrices, the beam and Hessian solves (one batched solve each), the
-    coordinate updates (one batched pass over the rows of an RRH's users),
+    coordinate updates (one batched pass over the rows of a run's users),
     the per-RRH powers (one bincount over ``blk``) and the dual value all
     read the stack.
 
     mu0 warm-starts the multipliers (dict keyed by RRH id). Coordinates owned
     by zero-budget RRHs are pinned to zero up front. max_iters caps the total
     number of multiplier updates. Returns (beams dict, mu dict, dual value,
-    info dict). info counts the multiplier updates (``dual_iterations``) and
-    the Newton steps accepted and rejected, and gives the final worst relative
-    cap excess (``violation``) and complementary-slackness residual relative
-    to the dual value's scale (``gap``), which feas_tol and gap_tol bound.
+    info dict). info counts the multiplier updates (``dual_iterations``), the
+    batched coordinate passes (``coordinate_passes``, one per run with an
+    update) and the Newton steps accepted and rejected, and gives the final
+    worst relative cap excess (``violation``) and complementary-slackness
+    residual relative to the dual value's scale (``gap``), which feas_tol and
+    gap_tol bound.
     """
     rue_ids = list(quad.keys())
     n = block_size
-    info = {"dual_iterations": 0, "newton_accepted": 0, "newton_rejected": 0}
+    info = dict.fromkeys(
+        ("dual_iterations", "coordinate_passes", "newton_accepted", "newton_rejected"), 0
+    )
 
     live = [np.repeat(budget[block_rrhs[i]] > 0, n) for i in rue_ids]
     dims = np.array([int(mask.sum()) for mask in live], dtype=int)
@@ -409,6 +438,7 @@ def _solve_rrh_side(
     # of its blocks.
     starts = blk[:, ::n]
     users_of = [np.nonzero(starts == a) for a in range(num)]
+    runs = _disjoint_runs(users_of)
     diag = np.arange(width)
 
     def shifted(mu: np.ndarray, users: np.ndarray = np.arange(len(rue_ids))) -> np.ndarray:
@@ -458,16 +488,27 @@ def _solve_rrh_side(
 
     def coordinate_sweep(cs_budget: float) -> int:
         count = 0
-        for a in range(num):
-            if mu[a] == 0.0 and per_rrh(np.abs(w) ** 2)[a] <= cap[a]:
+        for run in runs:
+            powers = per_rrh(np.abs(w) ** 2)
+            todo = [a for a in run if not (mu[a] == 0.0 and powers[a] <= cap[a])]
+            if not todo:
                 continue
-            count += 1
+            count += len(todo)
+            info["coordinate_passes"] += 1
             others = mu.copy()
-            others[a] = 0.0
-            users, pos = users_of[a]
+            others[todo] = 0.0
+            users = np.concatenate([users_of[a][0] for a in todo])
+            pos = np.concatenate([users_of[a][1] for a in todo])
             lam, coef, solution = _block_secular(shifted(others, users), rhs[users], pos, n)
-            mu[a] = _secular_root(lam, coef, cap[a], cs_budget, feas_tol, mu[a])
-            w[users] = solution(mu[a])
+            x = np.empty((len(users), 1))
+            end = 0
+            for a in todo:
+                start, end = end, end + len(users_of[a][0])
+                mu[a] = _secular_root(
+                    lam[start:end], coef[start:end], cap[a], cs_budget, feas_tol, mu[a]
+                )
+                x[start:end] = mu[a]
+            w[users] = solution(x)
         return max(count, 1)
 
     def dual_hessian(idx: np.ndarray) -> np.ndarray:
@@ -606,7 +647,8 @@ def solve_qcqp(
     warm-start the multipliers.
 
     Returns (beams, info): info holds the RRH-side solver's counters and final
-    violation and gap, the multipliers (``rrh_dual`` keyed by RRH id,
+    violation and gap, the MBS side's final relative cap excess
+    (``mbs_violation``), the multipliers (``rrh_dual`` keyed by RRH id,
     ``mbs_dual``), and the dual and primal values.
     """
     rue_beams, mu, rrh_value, info = _solve_rrh_side(
@@ -632,6 +674,7 @@ def solve_qcqp(
     info.update(
         rrh_dual=mu,
         mbs_dual=nu,
+        mbs_violation=(beams.mbs_power() - problem.mbs_budget) / max(problem.mbs_budget, 1e-300),
         dual_value=rrh_value + mbs_value,
         primal_value=qcqp_objective(problem, beams),
     )
@@ -655,9 +698,10 @@ class RtdState:
     """Trajectory of one alternating design run.
 
     ``counters`` holds the RRH-side dual solver's work summed over the
-    iterations (``dual_updates``, ``newton_accepted``, ``newton_rejected``)
-    and the last solve's final relative cap ``violation`` and
-    complementary-slackness ``gap``.
+    iterations (``dual_updates``, ``coordinate_passes``, ``newton_accepted``,
+    ``newton_rejected``), the last solve's final relative cap ``violation``
+    and complementary-slackness ``gap``, and its MBS side's final relative
+    cap excess (``mbs_violation``).
     """
 
     f: dict[int, complex]
@@ -735,7 +779,8 @@ def rtd_solve(
     f = {m: 1.0 + 0.0j for m in all_ids}
     u = {m: 1.0 for m in all_ids}
     state = RtdState(f=f, u=u, mse={})
-    counters = dict.fromkeys(("dual_updates", "newton_accepted", "newton_rejected"), 0)
+    summed = ("coordinate_passes", "newton_accepted", "newton_rejected")
+    counters = dict.fromkeys(("dual_updates",) + summed, 0)
     state.counters = counters
     mu0, nu0 = None, None
     for it in range(1, max_iters + 1):
@@ -743,9 +788,11 @@ def rtd_solve(
         candidate, qinfo = solve_qcqp(problem, feas_tol, gap_tol, mu0=mu0, nu0=nu0)
         mu0, nu0 = qinfo["rrh_dual"], qinfo["mbs_dual"]
         counters["dual_updates"] += qinfo["dual_iterations"]
-        counters["newton_accepted"] += qinfo["newton_accepted"]
-        counters["newton_rejected"] += qinfo["newton_rejected"]
-        counters.update(violation=qinfo["violation"], gap=qinfo["gap"])
+        for key in summed:
+            counters[key] += qinfo[key]
+        counters.update(
+            violation=qinfo["violation"], gap=qinfo["gap"], mbs_violation=qinfo["mbs_violation"]
+        )
         rue_new = _accept_side(
             problem.quad_rue, problem.lin_rue, links.rue_ids, candidate.rue, beams.rue
         )

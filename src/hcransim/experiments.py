@@ -91,6 +91,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown beamformer {b!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.mc_trials < 2:
+            raise ValueError("mc_trials must be >= 2")
 
 
 def _apply_sweep(cfg: ExperimentConfig, value):

@@ -30,7 +30,13 @@ from hcransim.beamforming import _block_secular
 from hcransim.util import child_rng, crandn, dbm_to_watt
 
 from helpers import make_synthetic_qcqp, pipeline_instance
-from oracles import golden_min, pgd_qcqp_oracle, pgd_qcqp_oracle_batched, qcqp_value
+from oracles import (
+    golden_min,
+    has_shared_rrh_pair,
+    pgd_qcqp_oracle,
+    pgd_qcqp_oracle_batched,
+    qcqp_value,
+)
 
 BUDGETS = PowerBudget(rrh=dbm_to_watt(27.0), mbs=dbm_to_watt(30.0))
 
@@ -358,16 +364,24 @@ def test_block_secular_on_padded_stacks(clusters):
     _assert_stack_matches_direct(*stack, n, xs=(0.0, 0.4, 5.0))
 
 
-def _zero_budget_drop_qcqp():
+def _first_qcqp(num_ue, num_rrh, **scenario):
     """The first beamformer QCQP (unit equalizers and auxiliaries) of the
-    (32 users, 100 RRHs) drop at master seed 0, with a zero budget at the
-    busiest RRH of the widest cluster. Clusters hold 1 to 6 RRHs of 4
-    antennas, so the solver's stack pads users from 4 to 24 entries."""
-    topology, _, _, links, _ = pipeline_instance(scenario=ScenarioConfig(num_ue=32, num_rrh=100))
+    drop at master seed 0, and its topology."""
+    topology, _, _, links, _ = pipeline_instance(
+        scenario=ScenarioConfig(num_ue=num_ue, num_rrh=num_rrh, **scenario)
+    )
     ids = links.rue_ids + links.bue_ids
     problem = assemble_qcqp(
         links, dict.fromkeys(ids, 1.0 + 0j), dict.fromkeys(ids, 1.0), BUDGETS, topology
     )
+    return topology, problem
+
+
+def _zero_budget_drop_qcqp():
+    """The first QCQP of the (32 users, 100 RRHs) drop, with a zero budget at
+    the busiest RRH of the widest cluster. Clusters hold 1 to 6 RRHs of 4
+    antennas, so the solver's stack pads users from 4 to 24 entries."""
+    _, problem = _first_qcqp(32, 100)
     load = np.bincount(np.concatenate(list(problem.block_rrhs.values())))
     widest = max(problem.block_rrhs.values(), key=len)
     problem.rrh_budget[max(widest, key=lambda k: load[k])] = 0.0
@@ -404,6 +418,97 @@ def test_solver_multipliers_reproduce_its_beams():
         for j, quad in problem.quad_bue.items():
             want = np.linalg.solve(quad + nu * np.eye(quad.shape[0]), problem.lin_bue[j])
             assert np.allclose(beams.bue[j], want, rtol=1e-9, atol=1e-12)
+
+
+def _rrh_side(problem):
+    return beamforming._solve_rrh_side(
+        problem.quad_rue, problem.lin_rue, problem.block_rrhs, problem.block_size,
+        problem.rrh_budget, 1e-6, 1e-8, beamforming.MAX_DUAL_ITERS,
+    )
+
+
+def _one_rrh_at_a_time(monkeypatch):
+    """Make every run a single RRH: the sweep before runs were batched."""
+    monkeypatch.setattr(
+        beamforming, "_disjoint_runs", lambda users_of: [[a] for a in range(len(users_of))]
+    )
+
+
+def test_batched_sweep_repeats_the_one_rrh_at_a_time_sweep_exactly(monkeypatch):
+    """Updating each run of RRHs that share no user in one batched pass gives
+    bit for bit the beams, multipliers, dual value and counters of updating
+    the RRHs one at a time, in fewer passes: on the (32, 100) drop with a
+    zero-budget RRH, on a (16, 50, 130 m) drop where two users share two
+    RRHs, and through a whole alternating design at (8, 25)."""
+    topology, overlap = _first_qcqp(16, 50, coverage_radius=130.0)
+    assert has_shared_rrh_pair(topology)
+    problems = [_zero_budget_drop_qcqp(), overlap]
+    design = pipeline_instance(scenario=ScenarioConfig(num_ue=8, num_rrh=25))
+    topology, _, _, links, training = design
+
+    batched = [_rrh_side(p) for p in problems]
+    beams, state = rtd_solve(topology, links, training, BUDGETS)
+    _one_rrh_at_a_time(monkeypatch)
+    single = [_rrh_side(p) for p in problems]
+    beams_1, state_1 = rtd_solve(topology, links, training, BUDGETS)
+
+    for (w, mu, value, info), (w_1, mu_1, value_1, info_1) in zip(batched, single):
+        assert w.keys() == w_1.keys()
+        assert all(np.array_equal(w[i], w_1[i]) for i in w)
+        assert mu == mu_1 and value == value_1
+        assert info.pop("coordinate_passes") < info_1.pop("coordinate_passes")
+        assert info == info_1
+    assert total_beam_diff(beams, beams_1) == 0.0
+    assert state.objective_trace == state_1.objective_trace
+    assert state.counters.pop("coordinate_passes") < state_1.counters.pop("coordinate_passes")
+    assert state.counters == state_1.counters
+
+
+def _recorded_runs(monkeypatch, problem):
+    """(users_of, runs) of the RRH side's one partition while solving problem."""
+    calls = []
+    real = beamforming._disjoint_runs
+
+    def recorded(users_of):
+        calls.append((users_of, real(users_of)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(beamforming, "_disjoint_runs", recorded)
+    solve_qcqp(problem)
+    assert len(calls) == 1
+    return calls[0]
+
+
+def test_disjoint_runs_partition_the_sweep_order(monkeypatch):
+    """On the (32, 100) drop every active RRH lies in exactly one run, the
+    runs keep the sweep order, no two RRHs of a run share a user, and each run
+    ends where the next RRH shares a user with it."""
+    users_of, runs = _recorded_runs(monkeypatch, _zero_budget_drop_qcqp())
+    assert [a for run in runs for a in run] == list(range(len(users_of)))
+    assert 1 < len(runs) < len(users_of)
+    served = [set(users.tolist()) for users, _ in users_of]
+    for run, after in zip(runs, runs[1:] + [None]):
+        members = [served[a] for a in run]
+        assert sum(map(len, members)) == len(set().union(*members))
+        if after is not None:
+            assert set().union(*members) & served[after[0]]
+
+
+def test_disjoint_runs_on_a_hand_built_field(monkeypatch):
+    """RRHs 0 and 1 share user 0 and RRH 2 serves user 1 alone, so the runs
+    are [[0], [1, 2]]; RRH 3, which shares user 1 with RRH 2, has a zero
+    budget and appears in no run (with a budget it would form a third)."""
+    problem = QcqpProblem(
+        quad_rue={i: np.array([[2.0, 0.5], [0.5, 1.0]], dtype=complex) for i in (0, 1)},
+        lin_rue={i: np.ones(2, dtype=complex) for i in (0, 1)},
+        quad_bue={}, lin_bue={}, block_rrhs={0: [0, 1], 1: [2, 3]}, block_size=1,
+        rrh_budget=np.array([0.1, 0.1, 0.1, 0.0]), mbs_budget=1.0,
+    )
+    users_of, runs = _recorded_runs(monkeypatch, problem)
+    assert runs == [[0], [1, 2]]
+    assert [users.tolist() for users, _ in users_of] == [[0], [0], [1]]
+    problem.rrh_budget[3] = 0.1
+    assert _recorded_runs(monkeypatch, problem)[1] == [[0], [1, 2], [3]]
 
 
 def test_single_coordinate_update_lands_on_the_cap():
@@ -497,11 +602,12 @@ def test_rtd_mode_validation():
 
 
 def test_rtd_counters_sum_the_dual_solver_info(monkeypatch):
-    infos = []
+    solved, infos = [], []
     real = beamforming.solve_qcqp
 
     def recorded(*args, **kwargs):
         beams, info = real(*args, **kwargs)
+        solved.append(beams)
         infos.append(info)
         return beams, info
 
@@ -511,11 +617,15 @@ def test_rtd_counters_sum_the_dual_solver_info(monkeypatch):
     assert len(infos) == st.iterations
     counters = st.counters
     assert counters["dual_updates"] == sum(info["dual_iterations"] for info in infos) > 0
-    for key in ("newton_accepted", "newton_rejected"):
+    for key in ("coordinate_passes", "newton_accepted", "newton_rejected"):
         assert counters[key] == sum(info[key] for info in infos)
+    assert 0 < counters["coordinate_passes"] < counters["dual_updates"]
     assert counters["newton_accepted"] > 0
     assert counters["violation"] == infos[-1]["violation"] <= 1e-6
     assert 0.0 <= counters["gap"] == infos[-1]["gap"] <= 1e-8
+    assert counters["mbs_violation"] == infos[-1]["mbs_violation"] <= 1e-6
+    excess = (solved[-1].mbs_power() - BUDGETS.mbs) / BUDGETS.mbs
+    assert counters["mbs_violation"] == pytest.approx(excess, rel=1e-12, abs=1e-15)
 
 
 def _drop_config(num_ue, num_rrh, beamformer, master_seed, realizations, mc_trials=2000):

@@ -101,6 +101,17 @@ def test_bad_config_reports_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_se_sweep_rejects_mc_trials_below_two(tiny_cfg, tmp_path, capsys):
+    cfg = json.loads(tiny_cfg.read_text())
+    cfg["mc_trials"] = 1
+    tiny_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "se.csv"
+    assert main(["se-sweep", "--config", str(tiny_cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mc_trials" in err
+    assert not out.exists()
+
+
 def test_console_script_entry_point(tiny_cfg):
     proc = subprocess.run(
         [sys.executable, "-m", "hcransim.cli", "schedule", "--config", str(tiny_cfg)],

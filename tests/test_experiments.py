@@ -53,6 +53,19 @@ def test_config_validation():
         tiny_config(jobs=0)
 
 
+def test_mc_trials_below_two_fails_at_construction(tmp_path):
+    """The rate quadrature needs two intervals; a config asking for fewer is
+    rejected before any realization runs, from Python and from a file."""
+    for trials in (1, 0):
+        with pytest.raises(ValueError, match="mc_trials must be >= 2"):
+            tiny_config(mc_trials=trials)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mc_trials": 1}))
+    with pytest.raises(ValueError, match="mc_trials must be >= 2"):
+        load_config(path)
+    assert tiny_config(mc_trials=2).mc_trials == 2
+
+
 def test_mse_sweep_rows_and_scheduler_ordering():
     cfg = tiny_config(schedulers=("psa", "dsatur_random", "es"), num_realizations=4)
     result = run_mse_sweep(cfg)
@@ -178,8 +191,12 @@ def test_rtd_counters_leave_the_se_sweep_csv_unchanged(tmp_path, monkeypatch):
     assert plain.read_bytes() == observed.read_bytes()
     assert len(counters) == 6  # 2 sweep values x 3 realizations
     for c in counters:
-        assert set(c) == {"dual_updates", "newton_accepted", "newton_rejected", "violation", "gap"}
+        assert set(c) == {
+            "dual_updates", "coordinate_passes", "newton_accepted", "newton_rejected",
+            "violation", "gap", "mbs_violation",
+        }
         assert c["violation"] <= 1e-6 and 0.0 <= c["gap"] <= 1e-8
+        assert c["mbs_violation"] <= 1e-6
     assert sum(c["dual_updates"] for c in counters) > 0
 
 
