@@ -8,11 +8,13 @@ from .beamforming import (
     PowerBudget,
     QcqpProblem,
     RtdState,
+    StackLayout,
     assemble_qcqp,
     mse_and_equalizer,
     qcqp_objective,
     rtd_solve,
     solve_qcqp,
+    stack_layout,
     total_beam_diff,
     update_u,
     zero_beams,

@@ -12,13 +12,17 @@ coordinate ascent on the multipliers plus a projected Newton polish whose
 steps are accepted by Armijo's rule on the concave dual); the MBS
 constraint couples the BUE beams through a single scalar multiplier. With the
 other multipliers fixed, the power under one constraint is a secular function
-sum |coef|^2 / (lam + x)^2 of its multiplier x. Both sides build it the same
-way, from one batched eigendecomposition over the padded stack of the beams
-the constraint covers (of each RUE's Schur complement on the RRH's block, of
-each BUE's whole matrix), and find its root with the same safeguarded Newton
-iteration. With the other multipliers fixed, RRHs that serve no common RUE
-are decoupled, so the RRH-side sweep updates each run of consecutive such
-RRHs in one batched pass. The f and u updates are closed-form.
+sum |coef|^2 / (lam + x)^2 of its multiplier x, built from eigendecompositions
+(of each RUE's Schur complement on the RRH's block, batched over the padded
+stack of the RUEs the RRH serves; of the one matrix all BUEs share) and
+solved by the same safeguarded Newton iteration on both sides. With the
+other multipliers fixed, RRHs that serve no common RUE are decoupled, so the
+RRH-side sweep updates each run of consecutive such RRHs in one batched
+pass. The f and u updates are closed-form.
+
+The alternation runs on arrays: one ``StackLayout`` per design, each QCQP
+written straight into its stack, and (M,) arrays of equalizers, auxiliaries
+and MSEs; ``BeamformerSet`` is built only for callers.
 """
 
 from __future__ import annotations
@@ -53,14 +57,17 @@ class PowerBudget:
     rrh: float | np.ndarray
     mbs: float
 
+    def __post_init__(self):
+        caps = np.append(np.asarray(self.rrh, dtype=float).ravel(), float(self.mbs))
+        if not np.all(np.isfinite(caps) & (caps >= 0)):
+            raise ValueError(f"power budgets must be finite and nonnegative, got {self}")
+
     def rrh_array(self, num_rrh: int) -> np.ndarray:
         arr = np.asarray(self.rrh, dtype=float)
         if arr.ndim == 0:
             arr = np.full(num_rrh, float(arr))
         if arr.shape != (num_rrh,):
             raise ValueError(f"need {num_rrh} RRH budgets, got shape {arr.shape}")
-        if np.any(arr < 0) or self.mbs < 0:
-            raise ValueError("power budgets must be nonnegative")
         return arr
 
 
@@ -106,146 +113,213 @@ def zero_beams(links: AggregatedLinks) -> BeamformerSet:
     )
 
 
-def _diff_norm(new: dict, old: dict, ids) -> float:
-    return sum(float(np.sum(np.abs(new[m] - old[m]) ** 2)) for m in ids)
-
-
 def total_beam_diff(new: BeamformerSet, old: BeamformerSet) -> float:
     """Sum of squared beam changes over all UEs."""
-    return _diff_norm(new.rue, old.rue, list(new.rue)) + _diff_norm(
-        new.bue, old.bue, list(new.bue)
+    pairs = [(new.rue, old.rue), (new.bue, old.bue)]
+    return sum(float(np.sum(np.abs(a[m] - b[m]) ** 2)) for a, b in pairs for m in a)
+
+
+@dataclass
+class StackLayout:
+    """Where every RUE's reduced system sits in the RRH-side stack.
+
+    Row u is RUE ``rue[u]``: its cluster's positive-budget blocks in order,
+    padded with identity blocks to P blocks (W = P * block_size entries).
+    ``starts[u, p]`` is block p's active slot (RRH ``active[slot]``), or
+    len(active) at padding; ``blk`` repeats it per entry. ``users_of[a]``
+    holds slot a's (rows, block positions), ``runs`` the sweep's runs. The
+    ``live`` (U, P) blocks are, in row-major order, the links ``link_rrh`` ->
+    ``link_ue``, with estimates ``est`` (U, W). ``est_rows`` holds every UE's
+    estimates in the row format of ``rows``.
+    """
+
+    block_rrhs: dict[int, list[int]]
+    block_size: int
+    rue: np.ndarray
+    bue: np.ndarray
+    rrh_budget: np.ndarray
+    mbs_budget: float
+    active: np.ndarray
+    starts: np.ndarray
+    blk: np.ndarray
+    users_of: list
+    runs: list[list[int]]
+    live: np.ndarray
+    link_rrh: np.ndarray
+    link_ue: np.ndarray
+    est: np.ndarray
+    est_rows: np.ndarray
+
+    def rows(self, w_rue: np.ndarray, w_bue: np.ndarray) -> np.ndarray:
+        """Every UE's beams on every link: row m holds UE m's K per-RRH
+        blocks (zero off its live blocks), then its MBS beam."""
+        out = np.zeros(self.est_rows.shape, dtype=complex)
+        w_rrh, w_mbs = self.split(out)
+        w_rrh[self.link_ue, self.link_rrh] = w_rue.reshape(-1, self.block_size)[self.live.ravel()]
+        w_mbs[self.bue] = w_bue
+        return out
+
+    def split(self, rows: np.ndarray):
+        """Views (w_rrh (M, K, N), w_mbs (M, B)) of per-UE rows."""
+        cut = self.rrh_budget.size * self.block_size
+        return rows[:, :cut].reshape(len(rows), -1, self.block_size), rows[:, cut:]
+
+    def beam_set(self, w_rue: np.ndarray, w_bue: np.ndarray) -> BeamformerSet:
+        """The stack beams as a BeamformerSet (zero on zero-budget blocks)."""
+        w_rrh, w_mbs = self.split(self.rows(w_rue, w_bue))
+        return BeamformerSet(
+            rue={i: w_rrh[i, c].reshape(-1) for i, c in self.block_rrhs.items()},
+            bue={int(j): w_mbs[j].copy() for j in self.bue},
+            block_rrhs={i: list(c) for i, c in self.block_rrhs.items()},
+            block_size=self.block_size,
+        )
+
+
+def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
+    """The stack layout of every beamformer QCQP on these links and budgets."""
+    num_rrh, num_ue, n = links.est_rrh.shape
+    budget = budgets.rrh_array(num_rrh)
+    clusters = [[k for k in links.block_rrhs[i] if budget[k] > 0] for i in links.rue_ids]
+    active = np.array(sorted({k for c in clusters for k in c}), dtype=int)
+    slot = np.zeros(num_rrh, dtype=int)
+    slot[active] = np.arange(active.size)
+    starts = np.full((len(clusters), max(map(len, clusters), default=0)), active.size)
+    for u, c in enumerate(clusters):
+        starts[u, :len(c)] = slot[c]
+    live = starts < active.size
+    rue = np.array(links.rue_ids, dtype=int)
+    link_rrh = active[starts[live]]
+    link_ue = np.broadcast_to(rue[:, None], starts.shape)[live]
+    est = np.zeros(starts.shape + (n,), dtype=complex)
+    est[live] = links.est_rrh[link_rrh, link_ue]
+    users_of = [np.nonzero(starts == a) for a in range(active.size)]
+    return StackLayout(
+        block_rrhs={i: list(links.block_rrhs[i]) for i in links.rue_ids},
+        block_size=n,
+        rue=rue,
+        bue=np.array(links.bue_ids, dtype=int),
+        rrh_budget=budget,
+        mbs_budget=float(budgets.mbs),
+        active=active,
+        starts=starts,
+        blk=np.repeat(starts, n, axis=1),
+        users_of=users_of,
+        runs=_disjoint_runs(users_of),
+        live=live,
+        link_rrh=link_rrh,
+        link_ue=link_ue,
+        est=est.reshape(len(rue), starts.shape[1] * n),
+        est_rows=np.concatenate(
+            [links.est_rrh.transpose(1, 0, 2).reshape(num_ue, num_rrh * n), links.est_mbs], axis=1
+        ),
     )
 
 
 @dataclass
 class QcqpProblem:
-    quad_rue: dict[int, np.ndarray]
-    lin_rue: dict[int, np.ndarray]
-    quad_bue: dict[int, np.ndarray]
-    lin_bue: dict[int, np.ndarray]
-    block_rrhs: dict[int, list[int]]
-    block_size: int
-    rrh_budget: np.ndarray
-    mbs_budget: float
+    """The beamformer-step QCQP on a stack layout: RUE ``layout.rue[u]``
+    minimizes w^H base[u] w - 2 Re(rhs[u]^H w) over its stack row, BUE
+    ``layout.bue[j]`` the same with ``mbs_quad`` (the (B, B) matrix all BUEs
+    share, or a (J, B, B) stack) and ``mbs_lin[j]``."""
+
+    layout: StackLayout
+    base: np.ndarray
+    rhs: np.ndarray
+    mbs_quad: np.ndarray
+    mbs_lin: np.ndarray
 
 
-def mse_and_equalizer(g_eff: np.ndarray, w: np.ndarray, j_power: float):
-    """Optimal scalar equalizer and the resulting MSE for one UE.
+def mse_and_equalizer(g_eff: np.ndarray, w: np.ndarray, j_power):
+    """Optimal scalar equalizers and the resulting MSEs (mse, f).
 
-    g_eff is the usable (estimated) channel, w its beam, j_power the expected
-    interference-plus-noise power. Returns (mse, f).
+    g_eff (..., D) is the usable (estimated) channel, w its beam and j_power
+    (...) the expected interference-plus-noise power, one UE per entry.
     """
-    if j_power <= 0:
+    if np.any(np.asarray(j_power) <= 0):
         raise ValueError("interference-plus-noise power must be positive")
-    a = complex(np.vdot(g_eff, w))
-    f = a / (abs(a) ** 2 + j_power)
-    mse = abs(np.conj(f) * a - 1.0) ** 2 + abs(f) ** 2 * j_power
-    return float(mse), f
+    a = (g_eff.conj()[..., None, :] @ w[..., :, None])[..., 0, 0]
+    f = a / (np.abs(a) ** 2 + j_power)
+    mse = np.abs(np.conj(f) * a - 1.0) ** 2 + np.abs(f) ** 2 * j_power
+    return mse, f
 
 
-def update_u(mse: float) -> float:
-    """Closed-form auxiliary-variable update; the weight is exp(u - 1)."""
-    if mse <= 0:
+def update_u(mse):
+    """Closed-form auxiliary-variable update, elementwise; the weight is exp(u - 1)."""
+    if np.any(np.asarray(mse) <= 0):
         raise ValueError("mse must be positive")
-    return 1.0 - math.log(mse)
-
-
-def _weights(links: AggregatedLinks, f: dict, u: dict) -> np.ndarray:
-    """Per-UE MSE weights exp(u - 1) * |f|^2, indexed by UE id."""
-    out = np.zeros(links.var_mbs.shape[0])
-    for m in u:
-        out[m] = math.exp(u[m] - 1.0) * abs(f[m]) ** 2
-    return out
-
-
-def _assemble_rue_side(links: AggregatedLinks, w8: np.ndarray, f: dict, u: dict):
-    """Quadratic/linear terms for every RUE beam (needs all UEs' f and u).
-
-    A beam block at RRH k costs G_k = sum_m w8_m (est est^H + var I) over the
-    links k -> m, so a RUE's matrix is blockdiag(G_k) over its cluster; only
-    its own term w8_i g g^H also couples the blocks.
-    """
-    n = links.block_size
-    scaled = links.est_rrh * w8[None, :, None]
-    per_rrh = np.sum(scaled[..., :, None] * links.est_rrh.conj()[..., None, :], axis=1)
-    per_rrh[:, np.arange(n), np.arange(n)] += (links.var_rrh @ w8)[:, None]
-    quad, lin = {}, {}
-    for i in links.rue_ids:
-        g = links.estimate(i)
-        mat = w8[i] * np.outer(g, g.conj())
-        for pos, k in enumerate(links.block_rrhs[i]):
-            mat[pos * n:(pos + 1) * n, pos * n:(pos + 1) * n] = per_rrh[k]
-        quad[i] = mat
-        lin[i] = math.exp(u[i] - 1.0) * f[i] * g
-    return quad, lin
-
-
-def _assemble_bue_side(links: AggregatedLinks, w8: np.ndarray, f: dict, u: dict):
-    """Quadratic/linear terms for every BUE beam; all BUEs share one matrix."""
-    shared = (links.est_mbs * w8[:, None]).T @ links.est_mbs.conj()
-    shared += (links.var_mbs @ w8) * np.eye(links.mbs_antennas)
-    quad = {j: shared for j in links.bue_ids}
-    lin = {j: math.exp(u[j] - 1.0) * f[j] * links.est_mbs[j] for j in links.bue_ids}
-    return quad, lin
+    return 1.0 - np.log(mse)
 
 
 def assemble_qcqp(
-    links: AggregatedLinks,
-    f: dict,
-    u: dict,
-    budgets: PowerBudget,
-    topology: Topology,
+    links: AggregatedLinks, f: np.ndarray, u: np.ndarray, layout: StackLayout
 ) -> QcqpProblem:
-    """Beamformer-step QCQP at the current equalizers and weights.
+    """Beamformer-step QCQP at the current equalizers and auxiliaries.
+
+    f and u are (M,) arrays by UE id; the MSE weights are w8 = exp(u - 1) |f|^2.
+    A beam block at RRH k costs G_k = sum_m w8_m (est est^H + var I) over the
+    links k -> m, so a RUE's matrix is blockdiag(G_k) over its live blocks
+    plus its own term w8_i g g^H, the only one that couples them; every BUE
+    shares the one matrix of the MBS links.
 
     The dropped additive constant is sum_m exp(u_m - 1) * (1 + |f_m|^2 * N0);
     adding it back to the optimum recovers the weighted-MSE objective.
     """
-    w8 = _weights(links, f, u)
-    quad_rue, lin_rue = _assemble_rue_side(links, w8, f, u)
-    quad_bue, lin_bue = _assemble_bue_side(links, w8, f, u)
+    scale = np.exp(u - 1.0)
+    w8 = scale * np.abs(f) ** 2
+    lin = scale * f
+    n = layout.block_size
+    est = links.est_rrh[layout.active]
+    per_rrh = np.sum((est * w8[None, :, None])[..., :, None] * est.conj()[..., None, :], axis=1)
+    per_rrh[:, np.arange(n), np.arange(n)] += (links.var_rrh @ w8)[layout.active, None]
+    # One block per active slot, then the padding's identity.
+    blocks = np.concatenate([per_rrh, np.eye(n, dtype=complex)[None]])
+    g = layout.est
+    base = w8[layout.rue, None, None] * (g[:, :, None] * g.conj()[:, None, :])
+    for p in range(layout.starts.shape[1]):
+        base[:, p * n:(p + 1) * n, p * n:(p + 1) * n] = blocks[layout.starts[:, p]]
+    shared = (links.est_mbs * w8[:, None]).T @ links.est_mbs.conj()
+    shared += (links.var_mbs @ w8) * np.eye(links.mbs_antennas)
     return QcqpProblem(
-        quad_rue=quad_rue,
-        lin_rue=lin_rue,
-        quad_bue=quad_bue,
-        lin_bue=lin_bue,
-        block_rrhs={i: list(links.block_rrhs[i]) for i in links.rue_ids},
-        block_size=links.block_size,
-        rrh_budget=budgets.rrh_array(topology.num_rrh),
-        mbs_budget=float(budgets.mbs),
+        layout=layout,
+        base=base,
+        rhs=lin[layout.rue, None] * g,
+        mbs_quad=shared,
+        mbs_lin=lin[layout.bue, None] * links.est_mbs[layout.bue],
     )
 
 
-def _side_objective(quad: dict, lin: dict, beams: dict, ids) -> float:
-    total = 0.0
-    for m in ids:
-        w = beams[m]
-        total += float(np.real(np.vdot(w, quad[m] @ w)))
-        total -= 2.0 * float(np.real(np.vdot(lin[m], w)))
-    return total
+def _objective(quad: np.ndarray, lin: np.ndarray, w: np.ndarray) -> float:
+    """sum_u w_u^H quad_u w_u - 2 Re(lin_u^H w_u) over a stack; a 2-D quad is
+    shared by every row."""
+    quadratic = np.vdot(w, (quad @ w[..., None])[..., 0])
+    return float(np.real(quadratic)) - 2.0 * float(np.real(np.vdot(lin, w)))
 
 
-def qcqp_objective(problem: QcqpProblem, beams: BeamformerSet) -> float:
-    rue = _side_objective(problem.quad_rue, problem.lin_rue, beams.rue, problem.quad_rue)
-    bue = _side_objective(problem.quad_bue, problem.lin_bue, beams.bue, problem.quad_bue)
-    return rue + bue
+def qcqp_objective(problem: QcqpProblem, beams) -> float:
+    """Objective at beams = (RUE stack (U, W), BUE beams (J, B)), as
+    ``solve_qcqp`` returns them."""
+    w_rue, w_bue = beams
+    rue = _objective(problem.base, problem.rhs, w_rue)
+    return rue + _objective(problem.mbs_quad, problem.mbs_lin, w_bue)
 
 
-def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_batch(mats: np.ndarray, rhs: np.ndarray, counts: dict) -> np.ndarray:
     """Solve mats[u] x = rhs[u] for every member of a stack in one call.
 
     A stack with a singular member falls back to per-member solves, which use
-    least squares where the matrix is singular.
+    least squares where the matrix is singular. counts["linear_solves"]
+    counts every ``np.linalg.solve`` call.
     """
+    counts["linear_solves"] += 1
     try:
         return np.linalg.solve(mats, rhs)
     except np.linalg.LinAlgError:
         if len(mats) == 1:
             return np.linalg.lstsq(mats[0], rhs[0], rcond=None)[0][None]
-        return np.concatenate([_solve_batch(a[None], b[None]) for a, b in zip(mats, rhs)])
+        return np.concatenate([_solve_batch(a[None], b[None], counts) for a, b in zip(mats, rhs)])
 
 
-def _block_secular(mats: np.ndarray, rhs: np.ndarray, pos: np.ndarray, n: int):
+def _block_secular(mats: np.ndarray, rhs: np.ndarray, pos: np.ndarray, n: int, counts: dict):
     """One block of (A_u + x E_u E_u^H)^{-1} b_u as an eigen-expansion in x.
 
     For a stack of Hermitian positive semidefinite A (U, W, W) and b (U, W),
@@ -255,7 +329,8 @@ def _block_secular(mats: np.ndarray, rhs: np.ndarray, pos: np.ndarray, n: int):
     lam, vecs) and c = b_k - A_kr A_rr^{-1} b_r, the block equals
     vecs (coef / (lam + x)) with coef = vecs^H c, so its power is the secular
     function sum |coef|^2 / (lam + x)^2. Identity rows with a zero right-hand
-    side (the solver's padding) drop out of the elimination exactly.
+    side (the solver's padding) drop out of the elimination exactly. The
+    elimination's solve is counted in counts (see ``_solve_batch``).
 
     Returns (lam, coef), both (U, n), and solution(x), the (U, W) stack of
     whole vectors (A_u + x E_u E_u^H)^{-1} b_u.
@@ -269,7 +344,9 @@ def _block_secular(mats: np.ndarray, rhs: np.ndarray, pos: np.ndarray, n: int):
     r = width - n
     cross = mat[:, r:, :r]
     # A_rr^{-1} [A_rk, b_r], from which the eliminated entries follow.
-    rest = _solve_batch(mat[:, :r, :r], np.concatenate([mat[:, :r, r:], b[:, :r, None]], axis=2))
+    rest = _solve_batch(
+        mat[:, :r, :r], np.concatenate([mat[:, :r, r:], b[:, :r, None]], axis=2), counts
+    )
     schur = mat[:, r:, r:] - cross @ rest[..., :n]
     c = b[:, r:] - (cross @ rest[..., n:])[..., 0]
     lam, vecs = np.linalg.eigh(0.5 * (schur + schur.conj().swapaxes(1, 2)))
@@ -352,15 +429,7 @@ def _disjoint_runs(users_of: list) -> list[list[int]]:
 
 
 def _solve_rrh_side(
-    quad: dict,
-    lin: dict,
-    block_rrhs: dict,
-    block_size: int,
-    budget: np.ndarray,
-    feas_tol: float,
-    gap_tol: float,
-    max_iters: int,
-    mu0: dict | None = None,
+    layout: StackLayout, base, rhs, feas_tol: float, gap_tol: float, max_iters: int, mu0=None
 ):
     """Dual decomposition over the per-RRH power constraints.
 
@@ -392,72 +461,42 @@ def _solve_rrh_side(
       value rises by Armijo's rule (ARMIJO_SIGMA) and no cap is exceeded by
       more than before; when no trial passes, sweeping resumes.
 
-    The U users' reduced systems (zero-budget blocks dropped, d entries each)
-    form one padded stack: ``base`` (U, W, W) and ``rhs`` (U, W), every user
-    padded to the widest user's W entries with identity rows and zero
-    right-hand sides, and ``blk`` (U, W), each entry's position in
-    ``active``. Padding entries point to an extra slot len(active) whose
-    multiplier is always 0, so padded beam entries stay 0. The shifted
-    matrices, the beam and Hessian solves (one batched solve each), the
-    coordinate updates (one batched pass over the rows of a run's users),
-    the per-RRH powers (one bincount over ``blk``) and the dual value all
-    read the stack.
+    ``base`` (U, W, W) and ``rhs`` (U, W) are the users' systems on the stack
+    ``layout``; padding entries point to an extra slot len(active) whose
+    multiplier is always 0, so padded beam entries stay 0.
 
-    mu0 warm-starts the multipliers (dict keyed by RRH id). Coordinates owned
-    by zero-budget RRHs are pinned to zero up front. max_iters caps the total
-    number of multiplier updates. Returns (beams dict, mu dict, dual value,
-    info dict). info counts the multiplier updates (``dual_iterations``), the
-    batched coordinate passes (``coordinate_passes``, one per run with an
-    update) and the Newton steps accepted and rejected, and gives the final
-    worst relative cap excess (``violation``) and complementary-slackness
-    residual relative to the dual value's scale (``gap``), which feas_tol and
-    gap_tol bound.
+    mu0 ((K,) by RRH id) warm-starts the multipliers. max_iters caps the
+    total number of multiplier updates. Returns (beam stack, mu by active
+    slot, dual value, info). info counts the multiplier updates
+    (``dual_iterations``), the batched coordinate passes (one per run with
+    an update), the Newton steps accepted and rejected and the
+    ``np.linalg.solve`` calls (``linear_solves``), and gives the final worst
+    relative cap excess (``violation``) and complementary-slackness residual
+    relative to the dual value's scale (``gap``).
     """
-    rue_ids = list(quad.keys())
-    n = block_size
-    info = dict.fromkeys(
-        ("dual_iterations", "coordinate_passes", "newton_accepted", "newton_rejected"), 0
-    )
-
-    live = [np.repeat(budget[block_rrhs[i]] > 0, n) for i in rue_ids]
-    dims = np.array([int(mask.sum()) for mask in live], dtype=int)
-    active = sorted({k for i in rue_ids for k in block_rrhs[i] if budget[k] > 0})
-    num = len(active)
-    slot = {k: a for a, k in enumerate(active)}
-    cap = budget[active]
-    width = int(dims.max(initial=0))
-    base = np.tile(np.eye(width, dtype=complex), (len(rue_ids), 1, 1))
-    rhs = np.zeros((len(rue_ids), width), dtype=complex)
-    blk = np.full((len(rue_ids), width), num)
-    for u, i in enumerate(rue_ids):
-        d = dims[u]
-        base[u, :d, :d] = quad[i][np.ix_(live[u], live[u])]
-        rhs[u, :d] = lin[i][live[u]]
-        blk[u, :d] = np.repeat([slot[k] for k in block_rrhs[i] if k in slot], n)
-    # Slot of each block position, and per active RRH the (users, positions)
-    # of its blocks.
-    starts = blk[:, ::n]
-    users_of = [np.nonzero(starts == a) for a in range(num)]
-    runs = _disjoint_runs(users_of)
+    n = layout.block_size
+    blk, starts, users_of = layout.blk, layout.starts, layout.users_of
+    cap = layout.rrh_budget[layout.active]
+    num = cap.size
+    width = rhs.shape[1]
+    counted = ("coordinate_passes", "newton_accepted", "newton_rejected", "linear_solves")
+    info = dict.fromkeys(("dual_iterations",) + counted, 0)
     diag = np.arange(width)
 
-    def shifted(mu: np.ndarray, users: np.ndarray = np.arange(len(rue_ids))) -> np.ndarray:
+    def shifted(mu: np.ndarray, users: np.ndarray = np.arange(len(rhs))) -> np.ndarray:
         mats = base[users]
         mats[:, diag, diag] += np.append(mu, 0.0)[blk[users]]
         return mats
 
     def solve(mu: np.ndarray) -> np.ndarray:
-        return _solve_batch(shifted(mu), rhs[..., None])[..., 0]
+        return _solve_batch(shifted(mu), rhs[..., None], info)[..., 0]
 
     def per_rrh(values: np.ndarray) -> np.ndarray:
         """Sum of the (U, W) ``values`` over each active RRH's entries."""
         return np.bincount(blk.ravel(), weights=values.ravel(), minlength=num + 1)[:num]
 
-    mu = np.zeros(num)
-    for k, val in (mu0 or {}).items():
-        if k in slot and val > 0.0:
-            mu[slot[k]] = float(val)
-    w = solve(mu) if active else np.zeros_like(rhs)
+    mu = np.zeros(num) if mu0 is None else mu0[layout.active]
+    w = solve(mu) if num else np.zeros_like(rhs)
 
     def dual_value() -> float:
         return -float(mu @ cap) - float(np.real(np.vdot(rhs, w)))
@@ -465,14 +504,9 @@ def _solve_rrh_side(
     def finish(viol: float, gap: float):
         value = dual_value()
         info.update(violation=viol, gap=gap / max(1.0, abs(value)))
-        beams = {}
-        for u, i in enumerate(rue_ids):
-            beams[i] = np.zeros(quad[i].shape[0], dtype=complex)
-            beams[i][live[u]] = w[u, :dims[u]]
-        mu_out = {k: float(mu[a]) for a, k in enumerate(active)}
-        return beams, mu_out, value, info
+        return w, mu, value, info
 
-    if not active:
+    if not num:
         return finish(0.0, 0.0)
 
     def worst_excess(powers: np.ndarray) -> float:
@@ -488,7 +522,7 @@ def _solve_rrh_side(
 
     def coordinate_sweep(cs_budget: float) -> int:
         count = 0
-        for run in runs:
+        for run in layout.runs:
             powers = per_rrh(np.abs(w) ** 2)
             todo = [a for a in run if not (mu[a] == 0.0 and powers[a] <= cap[a])]
             if not todo:
@@ -499,7 +533,7 @@ def _solve_rrh_side(
             others[todo] = 0.0
             users = np.concatenate([users_of[a][0] for a in todo])
             pos = np.concatenate([users_of[a][1] for a in todo])
-            lam, coef, solution = _block_secular(shifted(others, users), rhs[users], pos, n)
+            lam, coef, solution = _block_secular(shifted(others, users), rhs[users], pos, n, info)
             x = np.empty((len(users), 1))
             end = 0
             for a in todo:
@@ -517,7 +551,7 @@ def _solve_rrh_side(
         nb = width // n
         blocks = w.reshape(-1, nb, n)
         cols = (blocks[..., None] * np.eye(nb)[:, None, :]).reshape(-1, width, nb)
-        sens = _solve_batch(shifted(mu), cols).reshape(-1, nb, n, nb)
+        sens = _solve_batch(shifted(mu), cols, info).reshape(-1, nb, n, nb)
         cross = np.einsum("upj,upjq->upq", blocks.conj(), sens)
         hess = np.zeros((num + 1, num + 1))
         np.add.at(hess, (starts[:, :, None], starts[:, None, :]), -2.0 * np.real(cross))
@@ -545,6 +579,7 @@ def _solve_rrh_side(
         at_bound = (m <= eps) & (g < 0.0)
         free = ~at_bound
         step = g / scale
+        info["linear_solves"] += 1
         try:
             step[free] = np.linalg.solve(hess[np.ix_(free, free)], -g[free])
         except np.linalg.LinAlgError:
@@ -590,7 +625,7 @@ def _solve_rrh_side(
         powers, viol, gap = residuals()
         if is_converged(viol, gap):
             return finish(viol, gap)
-        cs_budget = gap_tol * max(1.0, abs(dual_value())) / (2 * len(active))
+        cs_budget = gap_tol * max(1.0, abs(dual_value())) / (2 * num)
         updates += coordinate_sweep(cs_budget)
         updates += newton_rounds(8)
         info["dual_iterations"] = updates
@@ -602,30 +637,25 @@ def _solve_rrh_side(
     )
 
 
-def _solve_mbs_side(
-    quad: dict,
-    lin: dict,
-    budget: float,
-    feas_tol: float,
-    gap_tol: float,
-    nu0: float | None = None,
-):
+def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, gap_tol: float, nu0=None):
     """Single-constraint subproblem on the MBS multiplier nu.
 
-    The BUE systems form one stack whose block is the whole beam, so
-    ``_block_secular`` diagonalises each quadratic term once, the MBS power
-    is a secular function of nu, and ``_secular_root`` finds the multiplier.
+    quad is the (B, B) matrix all BUEs share or a (J, B, B) stack, lin the
+    (J, B) linear terms; one code path broadcasts over both. With
+    quad = V diag(lam) V^H, BUE j's beam is V (coef_j / (lam + nu)) for
+    coef_j = V^H lin_j, so the MBS power is a secular function of nu and
+    ``_secular_root`` finds the multiplier. Returns (beams (J, B), nu, dual
+    value).
     """
-    bue_ids = list(quad.keys())
-    b_ant = lin[bue_ids[0]].shape[0] if bue_ids else 0
-    beams = {j: np.zeros(b_ant, dtype=complex) for j in bue_ids}
-    nu = 0.0
-    if budget > 0.0 and bue_ids:
-        stack = np.stack([quad[j] for j in bue_ids]), np.stack([lin[j] for j in bue_ids])
-        lam, coef, solution = _block_secular(*stack, np.zeros(len(bue_ids), dtype=int), b_ant)
+    beams, nu = np.zeros_like(lin), 0.0
+    if budget > 0.0 and len(lin):
+        lam, vecs = np.linalg.eigh(0.5 * (quad + quad.conj().swapaxes(-1, -2)))
+        coef = (vecs.conj().swapaxes(-1, -2) @ lin[..., None])[..., 0]
+        lam = np.broadcast_to(lam, coef.shape)
         nu = _secular_root(lam, coef, budget, 0.5 * gap_tol, feas_tol, nu0 or 0.0)
-        beams = dict(zip(bue_ids, solution(nu)))
-    value = -sum(float(np.real(np.vdot(lin[j], beams[j]))) for j in bue_ids) - nu * budget
+        scaled = np.divide(coef, lam + nu, out=np.zeros_like(coef), where=coef != 0)
+        beams = (vecs @ scaled[..., None])[..., 0]
+    value = -float(np.real(np.vdot(lin, beams))) - nu * budget
     return beams, nu, value
 
 
@@ -634,7 +664,7 @@ def solve_qcqp(
     feas_tol: float = 1e-6,
     gap_tol: float = 1e-8,
     max_dual_iters: int = MAX_DUAL_ITERS,
-    mu0: dict | None = None,
+    mu0: np.ndarray | None = None,
     nu0: float | None = None,
 ):
     """Global minimizer of the beamformer-step QCQP.
@@ -643,103 +673,70 @@ def solve_qcqp(
     multipliers from dual ascent and the MBS-side multiplier, the root of its
     secular equation (``_secular_root``), certify the solution. feas_tol
     bounds the relative constraint violation; gap_tol bounds the
-    complementary-slackness residual relative to the objective scale. mu0/nu0
-    warm-start the multipliers.
+    complementary-slackness residual relative to the objective scale. mu0
+    ((K,) by RRH id) and nu0 warm-start the multipliers.
 
-    Returns (beams, info): info holds the RRH-side solver's counters and final
-    violation and gap, the MBS side's final relative cap excess
-    (``mbs_violation``), the multipliers (``rrh_dual`` keyed by RRH id,
-    ``mbs_dual``), and the dual and primal values.
+    Returns (beams, info): beams is (RUE stack, (J, B) BUE beams), which
+    ``problem.layout.beam_set(*beams)`` turns into a BeamformerSet. info
+    holds the RRH-side solver's counters and final violation and gap, the MBS
+    side's final relative cap excess (``mbs_violation``), the multipliers
+    (``rrh_dual`` by RRH id, 0 where no live block is; ``mbs_dual``), and the
+    dual and primal values.
     """
-    rue_beams, mu, rrh_value, info = _solve_rrh_side(
-        problem.quad_rue,
-        problem.lin_rue,
-        problem.block_rrhs,
-        problem.block_size,
-        problem.rrh_budget,
-        feas_tol,
-        gap_tol,
-        max_dual_iters,
-        mu0=mu0,
+    layout = problem.layout
+    w_rue, mu, rrh_value, info = _solve_rrh_side(
+        layout, problem.base, problem.rhs, feas_tol, gap_tol, max_dual_iters, mu0=mu0
     )
-    bue_beams, nu, mbs_value = _solve_mbs_side(
-        problem.quad_bue, problem.lin_bue, problem.mbs_budget, feas_tol, gap_tol, nu0=nu0
+    w_bue, nu, mbs_value = _solve_mbs_side(
+        problem.mbs_quad, problem.mbs_lin, layout.mbs_budget, feas_tol, gap_tol, nu0=nu0
     )
-    beams = BeamformerSet(
-        rue=rue_beams,
-        bue=bue_beams,
-        block_rrhs={i: list(c) for i, c in problem.block_rrhs.items()},
-        block_size=problem.block_size,
-    )
+    rrh_dual = np.zeros(layout.rrh_budget.size)
+    rrh_dual[layout.active] = mu
+    mbs_power = float(np.sum(np.abs(w_bue) ** 2))
+    beams = (w_rue, w_bue)
     info.update(
-        rrh_dual=mu,
+        rrh_dual=rrh_dual,
         mbs_dual=nu,
-        mbs_violation=(beams.mbs_power() - problem.mbs_budget) / max(problem.mbs_budget, 1e-300),
+        mbs_violation=(mbs_power - layout.mbs_budget) / max(layout.mbs_budget, 1e-300),
         dual_value=rrh_value + mbs_value,
         primal_value=qcqp_objective(problem, beams),
     )
     return beams, info
 
 
-def _accept_side(quad: dict, lin: dict, ids, candidate: dict, old: dict) -> dict:
+def _accept_side(quad: np.ndarray, lin: np.ndarray, candidate: np.ndarray, old: np.ndarray):
     """Keep the previous side beams if the solver's answer lost ground.
 
     The solver works to tolerance; this guards the descent property of the
     outer alternation. The comparison is per side, which is valid because the
     QCQP objective and constraints separate across the two transmitter sides.
     """
-    if _side_objective(quad, lin, candidate, ids) > _side_objective(quad, lin, old, ids):
+    if _objective(quad, lin, candidate) > _objective(quad, lin, old):
         return old
     return candidate
 
 
 @dataclass
 class RtdState:
-    """Trajectory of one alternating design run.
+    """Trajectory of one alternating design run; ``f``, ``u`` and ``mse`` are
+    (M,) arrays by UE id.
 
-    ``counters`` holds the RRH-side dual solver's work summed over the
-    iterations (``dual_updates``, ``coordinate_passes``, ``newton_accepted``,
-    ``newton_rejected``), the last solve's final relative cap ``violation``
-    and complementary-slackness ``gap``, and its MBS side's final relative
-    cap excess (``mbs_violation``).
+    ``counters`` sums the RRH-side dual solver's work over the iterations
+    (``dual_updates``, ``coordinate_passes``, ``newton_accepted``,
+    ``newton_rejected``, ``linear_solves``) and keeps the last solve's final
+    relative cap ``violation``, complementary-slackness ``gap`` and MBS-side
+    relative cap excess (``mbs_violation``).
     """
 
-    f: dict[int, complex]
-    u: dict[int, float]
-    mse: dict[int, float]
+    f: np.ndarray
+    u: np.ndarray
+    mse: np.ndarray
     objective_trace: list[float] = field(default_factory=list)
     sum_se_trace: list[float] = field(default_factory=list)
     beam_history: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
     counters: dict[str, float] = field(default_factory=dict)
-
-
-def _trace_point(u: dict, mse: dict, prelog: float, ids):
-    obj = sum(math.exp(u[m] - 1.0) * mse[m] - u[m] for m in ids)
-    sum_se = -prelog * sum(math.log2(mse[m]) for m in ids)
-    return obj, sum_se
-
-
-def _merge_beams(links: AggregatedLinks, rue_beams: dict, bue_beams: dict) -> BeamformerSet:
-    return BeamformerSet(
-        rue=rue_beams,
-        bue=bue_beams,
-        block_rrhs={i: list(links.block_rrhs[i]) for i in links.rue_ids},
-        block_size=links.block_size,
-    )
-
-
-def _refresh_stats(links: AggregatedLinks, beams: BeamformerSet, noise_power: float):
-    """Equalizers, auxiliaries and MSEs of every UE at the given beams."""
-    j_rue, j_bue = interference_plus_noise(links, beams, noise_power)
-    j_power = {**j_rue, **j_bue}
-    w = {**beams.rue, **beams.bue}
-    f, u, mse = {}, {}, {}
-    for m in links.rue_ids + links.bue_ids:
-        mse[m], f[m] = mse_and_equalizer(links.estimate(m), w[m], j_power[m])
-        u[m] = update_u(mse[m])
-    return f, u, mse
 
 
 def rtd_solve(
@@ -761,31 +758,32 @@ def rtd_solve(
     beam change falls to rho. The objective trace records the surrogate
     sum_m (exp(u_m - 1) * mse_m - u_m) after each full cycle, which equals
     sum_m log(mse_m) at the refreshed stats; the SE trace is the matching sum
-    of per-UE rate lower bounds. keep_beam_history additionally stores a copy
-    of the beams after every cycle.
+    of per-UE rate lower bounds. keep_beam_history additionally stores the
+    beams after every cycle.
 
-    Both modes run the same loop. "distributed" hands the equalizers,
-    auxiliaries and beams exchanged between the beamformer step and the stats
-    refresh over as value copies, the messages an RRH-side and an MBS-side
-    processor would exchange; the arithmetic is the same, so the iterates
-    coincide with "centralized". Returns (BeamformerSet, RtdState).
+    Both modes run the same loop, on arrays (one stack layout per run). The
+    "distributed" mode hands the equalizers, auxiliaries and beams exchanged
+    between the beamformer step and the stats refresh over as value copies,
+    the messages an RRH-side and an MBS-side processor would exchange; the
+    arithmetic is the same, so the iterates coincide with "centralized".
+    Returns (BeamformerSet, RtdState).
     """
     if mode not in ("centralized", "distributed"):
         raise ValueError(f"unknown mode {mode!r}")
     send = copy.deepcopy if mode == "distributed" else (lambda message: message)
     prelog = prelog_factor(training.tau, training.coherence)
-    all_ids = links.rue_ids + links.bue_ids
-    beams = zero_beams(links)
-    f = {m: 1.0 + 0.0j for m in all_ids}
-    u = {m: 1.0 for m in all_ids}
-    state = RtdState(f=f, u=u, mse={})
-    summed = ("coordinate_passes", "newton_accepted", "newton_rejected")
+    layout = stack_layout(links, budgets)
+    num_ue = layout.est_rows.shape[0]
+    w_rue = np.zeros_like(layout.est)
+    w_bue = np.zeros((layout.bue.size, links.mbs_antennas), dtype=complex)
+    f, u = np.ones(num_ue, dtype=complex), np.ones(num_ue)
+    summed = ("coordinate_passes", "newton_accepted", "newton_rejected", "linear_solves")
     counters = dict.fromkeys(("dual_updates",) + summed, 0)
-    state.counters = counters
+    state = RtdState(f=f, u=u, mse=np.zeros(0), counters=counters)
     mu0, nu0 = None, None
     for it in range(1, max_iters + 1):
-        problem = assemble_qcqp(links, send(f), send(u), budgets, topology)
-        candidate, qinfo = solve_qcqp(problem, feas_tol, gap_tol, mu0=mu0, nu0=nu0)
+        problem = assemble_qcqp(links, send(f), send(u), layout)
+        (rue_new, bue_new), qinfo = solve_qcqp(problem, feas_tol, gap_tol, mu0=mu0, nu0=nu0)
         mu0, nu0 = qinfo["rrh_dual"], qinfo["mbs_dual"]
         counters["dual_updates"] += qinfo["dual_iterations"]
         for key in summed:
@@ -793,25 +791,22 @@ def rtd_solve(
         counters.update(
             violation=qinfo["violation"], gap=qinfo["gap"], mbs_violation=qinfo["mbs_violation"]
         )
-        rue_new = _accept_side(
-            problem.quad_rue, problem.lin_rue, links.rue_ids, candidate.rue, beams.rue
-        )
-        bue_new = _accept_side(
-            problem.quad_bue, problem.lin_bue, links.bue_ids, candidate.bue, beams.bue
-        )
-        delta = _diff_norm(rue_new, beams.rue, links.rue_ids) + _diff_norm(
-            bue_new, beams.bue, links.bue_ids
-        )
-        beams = _merge_beams(links, rue_new, bue_new)
-        f, u, mse = _refresh_stats(links, send(beams), training.noise_power)
-        obj, sum_se = _trace_point(u, mse, prelog, all_ids)
+        rue_new = _accept_side(problem.base, problem.rhs, rue_new, w_rue)
+        bue_new = _accept_side(problem.mbs_quad, problem.mbs_lin, bue_new, w_bue)
+        delta = float(np.sum(np.abs(rue_new - w_rue) ** 2) + np.sum(np.abs(bue_new - w_bue) ** 2))
+        w_rue, w_bue = rue_new, bue_new
+        # Equalizer and auxiliary steps, for every UE at once.
+        rows = send(layout.rows(w_rue, w_bue))
+        j_power = interference_plus_noise(links, layout.split(rows), training.noise_power)
+        mse, f = mse_and_equalizer(layout.est_rows, rows, j_power)
+        u = update_u(mse)
         state.f, state.u, state.mse = f, u, mse
-        state.objective_trace.append(obj)
-        state.sum_se_trace.append(sum_se)
+        state.objective_trace.append(float(np.sum(np.exp(u - 1.0) * mse - u)))
+        state.sum_se_trace.append(-prelog * float(np.sum(np.log2(mse))))
         if keep_beam_history:
-            state.beam_history.append(beams.copy())
+            state.beam_history.append(layout.beam_set(w_rue, w_bue))
         state.iterations = it
         if delta <= rho:
             state.converged = True
             break
-    return beams, state
+    return layout.beam_set(w_rue, w_bue), state

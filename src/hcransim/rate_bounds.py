@@ -84,7 +84,10 @@ def build_covariances(topology: Topology, state: ChannelState) -> AggregatedLink
 
 def _beam_arrays(links: AggregatedLinks, beams):
     """Every UE's beams as arrays: per-RRH blocks (M, K, N), zero off the
-    UE's cluster and for BUEs, and MBS beams (M, B), zero for RUEs."""
+    UE's cluster and for BUEs, and MBS beams (M, B), zero for RUEs. A tuple
+    is taken to be these arrays already."""
+    if isinstance(beams, tuple):
+        return beams
     num_rrh, num_ue, n_ant = links.est_rrh.shape
     rrh = np.zeros((num_ue, num_rrh, n_ant), dtype=complex)
     for i in links.rue_ids:
@@ -98,11 +101,13 @@ def _beam_arrays(links: AggregatedLinks, beams):
 def interference_plus_noise(links: AggregatedLinks, beams, noise_power: float):
     """Expected interference-plus-noise power per UE under the link model.
 
-    Entry [src, dst] of the moment matrix is the second moment of what src's
-    beams deliver to dst; on the diagonal only the error (variance) part
-    counts, since the estimate part is the UE's own signal.
+    beams is a BeamformerSet or its (w_rrh, w_mbs) arrays (see
+    ``_beam_arrays``). Entry [src, dst] of the moment matrix is the second
+    moment of what src's beams deliver to dst; on the diagonal only the
+    error (variance) part counts, since the estimate part is the UE's own
+    signal.
 
-    Returns (per-RUE dict, per-BUE dict). Shared by the lower bound, the
+    Returns an (M,) array indexed by UE id. Shared by the lower bound, the
     equalizer update, and the QCQP assembly identity.
     """
     w_rrh, w_mbs = _beam_arrays(links, beams)
@@ -114,19 +119,16 @@ def interference_plus_noise(links: AggregatedLinks, beams, noise_power: float):
     incoherent += np.outer(np.sum(np.abs(w_mbs) ** 2, axis=1), links.var_mbs)
     moments = coherent + incoherent
     np.fill_diagonal(moments, np.diagonal(incoherent))
-    total = moments.sum(axis=0) + noise_power
-    j_rue = {i: float(total[i]) for i in links.rue_ids}
-    j_bue = {j: float(total[j]) for j in links.bue_ids}
-    return j_rue, j_bue
+    return moments.sum(axis=0) + noise_power
 
 
 def lower_bound_rates(links: AggregatedLinks, beams, noise_power: float, prelog: float):
     """Per-UE spectral-efficiency lower bounds (bits/s/Hz)."""
-    j_rue, j_bue = interference_plus_noise(links, beams, noise_power)
+    j_power = interference_plus_noise(links, beams, noise_power)
     own = {**beams.rue, **beams.bue}
     return {
-        m: prelog * math.log1p(abs(np.vdot(links.estimate(m), own[m])) ** 2 / j) / math.log(2.0)
-        for m, j in {**j_rue, **j_bue}.items()
+        m: prelog * math.log1p(abs(np.vdot(links.estimate(m), w)) ** 2 / j_power[m]) / math.log(2.0)
+        for m, w in own.items()
     }
 
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 
 from hcransim import (
+    AggregatedLinks,
+    PowerBudget,
     QcqpProblem,
     ScenarioConfig,
     Topology,
@@ -18,6 +21,8 @@ from hcransim import (
     estimate_channels,
     generate_topology,
     psa_schedule,
+    solve_qcqp,
+    stack_layout,
 )
 from hcransim.util import child_rng, child_seed, crandn, seed_to_int
 
@@ -116,11 +121,12 @@ def oracle_state(topology, assignment, state, training, r=0, master_seed=0):
 def make_synthetic_qcqp(rng, conditioning=60.0, zero_cap_chance=0.0):
     """Random coupled QCQP with the beamformer step's block structure.
 
-    Returns (problem, quads, lins, groups, caps): a QcqpProblem plus the same
-    instance in the projected-gradient oracle's vocabulary. Quadratic terms
-    are A^H A + eps*I with eps chosen so the condition number stays near
-    ``conditioning``; budgets are random fractions of the unconstrained
-    solution's power so that some constraints bind and others stay slack.
+    Returns (problem, quads, lins, groups, caps): a QcqpProblem (packed by
+    ``pack_qcqp``) plus the same instance in the projected-gradient oracle's
+    vocabulary. Quadratic terms are A^H A + eps*I with eps chosen so the
+    condition number stays near ``conditioning``; budgets are random
+    fractions of the unconstrained solution's power so that some constraints
+    bind and others stay slack.
     """
     num_rrh = int(rng.integers(2, 5))
     n = int(rng.integers(2, 4))
@@ -177,7 +183,7 @@ def make_synthetic_qcqp(rng, conditioning=60.0, zero_cap_chance=0.0):
     else:
         mbs_budget = 1.0
 
-    problem = QcqpProblem(
+    problem = pack_qcqp(
         quad_rue={i: quads[i] for i in range(num_rue)},
         lin_rue={i: lins[i] for i in range(num_rue)},
         quad_bue={j: quads[j] for j in bue_ids},
@@ -188,3 +194,71 @@ def make_synthetic_qcqp(rng, conditioning=60.0, zero_cap_chance=0.0):
         mbs_budget=float(mbs_budget),
     )
     return problem, quads, lins, groups, caps
+
+
+def pack_qcqp(quad_rue, lin_rue, quad_bue, lin_bue, block_rrhs, block_size, rrh_budget, mbs_budget):
+    """A QcqpProblem posed per UE: full-cluster matrices and linear terms by
+    RUE id and by BUE id. The stack layout comes from links with the given
+    clusters and all-zero estimates; each RUE's live submatrix (zero-budget
+    blocks dropped) fills its stack row, and the BUE matrices form a
+    (J, B, B) stack."""
+    ids = list(block_rrhs) + list(quad_bue)
+    num_ue, num_rrh = max(ids, default=-1) + 1, len(rrh_budget)
+    b_ant = next(iter(lin_bue.values())).shape[0] if lin_bue else 0
+    links = AggregatedLinks(
+        rue_ids=list(block_rrhs),
+        bue_ids=list(quad_bue),
+        block_rrhs=block_rrhs,
+        est_rrh=np.zeros((num_rrh, num_ue, block_size), dtype=complex),
+        var_rrh=np.zeros((num_rrh, num_ue)),
+        est_mbs=np.zeros((num_ue, b_ant), dtype=complex),
+        var_mbs=np.zeros(num_ue),
+    )
+    layout = stack_layout(links, PowerBudget(rrh=np.asarray(rrh_budget), mbs=mbs_budget))
+    base = np.tile(np.eye(layout.est.shape[1], dtype=complex), (len(block_rrhs), 1, 1))
+    rhs = np.zeros_like(layout.est)
+    for u, (i, cluster) in enumerate(block_rrhs.items()):
+        live = np.repeat(layout.rrh_budget[cluster] > 0, block_size)
+        d = int(live.sum())
+        base[u, :d, :d] = quad_rue[i][np.ix_(live, live)]
+        rhs[u, :d] = lin_rue[i][live]
+    return QcqpProblem(
+        layout=layout,
+        base=base,
+        rhs=rhs,
+        mbs_quad=np.array([quad_bue[j] for j in quad_bue] or np.zeros((0, b_ant, b_ant)), complex),
+        mbs_lin=np.array([lin_bue[j] for j in quad_bue] or np.zeros((0, b_ant)), complex),
+    )
+
+
+def unpack_qcqp(problem):
+    """The per-UE view of a QcqpProblem, in ``pack_qcqp``'s argument names:
+    full-cluster RUE matrices and linear terms (zero on zero-budget blocks)
+    and each BUE's matrix and linear term."""
+    layout = problem.layout
+    n = layout.block_size
+    quad_rue, lin_rue = {}, {}
+    for u, (i, cluster) in enumerate(layout.block_rrhs.items()):
+        live = np.repeat(layout.rrh_budget[cluster] > 0, n)
+        d = int(live.sum())
+        quad_rue[i] = np.zeros((live.size, live.size), dtype=complex)
+        quad_rue[i][np.ix_(live, live)] = problem.base[u, :d, :d]
+        lin_rue[i] = np.zeros(live.size, dtype=complex)
+        lin_rue[i][live] = problem.rhs[u, :d]
+    quads = np.broadcast_to(problem.mbs_quad, problem.mbs_lin.shape + problem.mbs_lin.shape[-1:])
+    bue = [int(j) for j in layout.bue]
+    return SimpleNamespace(
+        quad_rue=quad_rue,
+        lin_rue=lin_rue,
+        quad_bue=dict(zip(bue, quads)),
+        lin_bue=dict(zip(bue, problem.mbs_lin)),
+        block_rrhs=layout.block_rrhs,
+        block_size=n,
+        rrh_budget=layout.rrh_budget,
+    )
+
+
+def solved(problem, **kwargs):
+    """``solve_qcqp`` with its beams as a BeamformerSet: (beams, info)."""
+    beams, info = solve_qcqp(problem, **kwargs)
+    return problem.layout.beam_set(*beams), info

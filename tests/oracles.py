@@ -304,6 +304,33 @@ def interference_oracle(topology, state, beams, noise):
     return out
 
 
+def assemble_qcqp_oracle(links, f, u):
+    """(quad, lin) of the beamformer-step QCQP per UE id, assembled UE by UE
+    on full clusters from the per-link arrays: the per-UE loop the
+    library's stack assembly replaced. f and u are indexed by UE id."""
+    w8 = np.zeros(links.var_mbs.shape[0])
+    for m in links.rue_ids + links.bue_ids:
+        w8[m] = math.exp(u[m] - 1.0) * abs(f[m]) ** 2
+    n = links.block_size
+    scaled = links.est_rrh * w8[None, :, None]
+    per_rrh = np.sum(scaled[..., :, None] * links.est_rrh.conj()[..., None, :], axis=1)
+    per_rrh[:, np.arange(n), np.arange(n)] += (links.var_rrh @ w8)[:, None]
+    quad, lin = {}, {}
+    for i in links.rue_ids:
+        g = links.estimate(i)
+        mat = w8[i] * np.outer(g, g.conj())
+        for pos, k in enumerate(links.block_rrhs[i]):
+            mat[pos * n:(pos + 1) * n, pos * n:(pos + 1) * n] = per_rrh[k]
+        quad[i] = mat
+        lin[i] = math.exp(u[i] - 1.0) * f[i] * g
+    shared = (links.est_mbs * w8[:, None]).T @ links.est_mbs.conj()
+    shared += (links.var_mbs @ w8) * np.eye(links.mbs_antennas)
+    for j in links.bue_ids:
+        quad[j] = shared
+        lin[j] = math.exp(u[j] - 1.0) * f[j] * links.est_mbs[j]
+    return quad, lin
+
+
 def qcqp_terms_oracle(topology, state, f, u):
     """(quad, lin) of the beamformer-step QCQP per UE, summed receiver by
     receiver from the block-diagonal moments."""

@@ -29,14 +29,13 @@ from hcransim import (
     rtd_solve,
     run_mse_sweep,
     run_se_sweep,
-    solve_qcqp,
     sum_mse,
     total_beam_diff,
 )
 from hcransim.channel import prelog_factor
 from hcransim.util import child_rng, child_seed, crandn, seed_to_int
 
-from helpers import make_synthetic_qcqp, pipeline_instance
+from helpers import make_synthetic_qcqp, pipeline_instance, solved
 from oracles import has_shared_rrh_pair, pgd_qcqp_oracle_batched, qcqp_value
 
 BUDGETS = PowerBudget(rrh=dbm_to_watt(27.0), mbs=dbm_to_watt(30.0))
@@ -211,7 +210,7 @@ def test_c6_qcqp_solver_matches_first_order_oracle():
     references = pgd_qcqp_oracle_batched([inst[1:] for inst in instances], iters=6000)
     worst_obj = worst_con = 0.0
     for (problem, quads, lins, groups, caps), w_ref in zip(instances, references):
-        beams, info = solve_qcqp(problem)
+        beams, info = solved(problem)
         reference = qcqp_value(quads, lins, w_ref)
         worst_obj = max(
             worst_obj, abs(info["primal_value"] - reference) / max(1.0, abs(reference))

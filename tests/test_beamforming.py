@@ -10,7 +10,6 @@ from hcransim import (
     ConvergenceError,
     ExperimentConfig,
     PowerBudget,
-    QcqpProblem,
     ScenarioConfig,
     assemble_qcqp,
     interference_plus_noise,
@@ -21,16 +20,18 @@ from hcransim import (
     rtd_solve,
     run_se_sweep,
     solve_qcqp,
+    stack_layout,
     total_beam_diff,
     update_u,
     zero_beams,
 )
 from hcransim import beamforming
-from hcransim.beamforming import _block_secular
+from hcransim.beamforming import _block_secular, _solve_mbs_side
 from hcransim.util import child_rng, crandn, dbm_to_watt
 
-from helpers import make_synthetic_qcqp, pipeline_instance
+from helpers import make_synthetic_qcqp, pack_qcqp, pipeline_instance, solved, unpack_qcqp
 from oracles import (
+    assemble_qcqp_oracle,
     golden_min,
     has_shared_rrh_pair,
     pgd_qcqp_oracle,
@@ -48,6 +49,13 @@ def test_power_budget_and_beam_container_mechanics():
         PowerBudget(rrh=-1.0, mbs=1.0).rrh_array(2)
     with pytest.raises(ValueError):
         PowerBudget(rrh=np.array([1.0, 2.0]), mbs=1.0).rrh_array(3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PowerBudget(rrh=bad, mbs=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            PowerBudget(rrh=np.array([1.0, bad]), mbs=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            PowerBudget(rrh=1.0, mbs=bad)
     beams = BeamformerSet(
         rue={0: np.array([1.0 + 0j, 0.0, 0.0, 2.0]), 1: np.array([0.0, 3.0 + 0j])},
         bue={7: np.array([0.0, 1.0 + 1.0j])},
@@ -71,6 +79,24 @@ def test_mse_and_equalizer_frozen_point():
     assert mse == pytest.approx(0.5)
     with pytest.raises(ValueError):
         mse_and_equalizer(np.array([1.0 + 0j]), np.array([1.0 + 0j]), 0.0)
+
+
+def test_mse_and_u_updates_on_arrays_match_the_scalar_results():
+    """One call on a stack of UEs gives each UE's scalar result exactly, and
+    one nonpositive entry still raises."""
+    rng = child_rng(31, 10)
+    g, w = crandn(rng, 6, 4), crandn(rng, 6, 4)
+    j_power = rng.uniform(0.1, 2.0, size=6)
+    mse, f = mse_and_equalizer(g, w, j_power)
+    u = update_u(mse)
+    assert mse.shape == f.shape == u.shape == (6,)
+    for m in range(6):
+        mse_m, f_m = mse_and_equalizer(g[m], w[m], j_power[m])
+        assert (mse[m], f[m], u[m]) == (mse_m, f_m, update_u(mse_m))
+    with pytest.raises(ValueError):
+        mse_and_equalizer(g, w, np.where(np.arange(6) == 3, 0.0, j_power))
+    with pytest.raises(ValueError):
+        update_u(np.where(np.arange(6) == 2, -1e-3, mse))
 
 
 def test_equalizer_minimizes_the_mse():
@@ -122,40 +148,40 @@ def test_qcqp_single_beam_closed_forms():
     base = dict(
         quad_bue={}, lin_bue={}, block_rrhs={0: [0]}, block_size=2, mbs_budget=1.0,
     )
-    loose = QcqpProblem(
+    loose = pack_qcqp(
         quad_rue={0: np.eye(2, dtype=complex)}, lin_rue={0: lin},
         rrh_budget=np.array([36.0]), **base,
     )
-    beams, _ = solve_qcqp(loose)
+    beams, _ = solved(loose)
     assert np.allclose(beams.rue[0], lin, rtol=1e-8)
-    tight = QcqpProblem(
+    tight = pack_qcqp(
         quad_rue={0: np.eye(2, dtype=complex)}, lin_rue={0: lin},
         rrh_budget=np.array([16.0]), **base,
     )
-    beams, _ = solve_qcqp(tight)
+    beams, _ = solved(tight)
     assert np.allclose(beams.rue[0], [2.4, 3.2], rtol=1e-6)
     # the active constraint is met to the solver's feasibility tolerance
     assert beams.rrh_power(0) == pytest.approx(16.0, rel=2e-6)
     # MBS side, one BUE: same projection behaviour
-    mbs = QcqpProblem(
+    mbs = pack_qcqp(
         quad_rue={}, lin_rue={}, quad_bue={5: np.eye(2, dtype=complex)},
         lin_bue={5: lin}, block_rrhs={}, block_size=2,
         rrh_budget=np.zeros(0), mbs_budget=16.0,
     )
-    beams, _ = solve_qcqp(mbs)
+    beams, _ = solved(mbs)
     assert np.allclose(beams.bue[5], [2.4, 3.2], rtol=1e-6)
-    zero_lin = QcqpProblem(
+    zero_lin = pack_qcqp(
         quad_rue={0: np.eye(2, dtype=complex)}, lin_rue={0: np.zeros(2, dtype=complex)},
         rrh_budget=np.array([4.0]), **base,
     )
-    assert np.all(solve_qcqp(zero_lin)[0].rue[0] == 0.0)
+    assert np.all(solved(zero_lin)[0].rue[0] == 0.0)
 
 
 def test_qcqp_zero_budget_pins_beams():
     rng = child_rng(31, 2)
     problem, *_ = make_synthetic_qcqp(rng, zero_cap_chance=1.0)
-    beams, _ = solve_qcqp(problem)
-    for i in problem.quad_rue:
+    beams, _ = solved(problem)
+    for i in problem.layout.block_rrhs:
         assert np.all(beams.rue[i] == 0.0)
 
 
@@ -168,34 +194,90 @@ def test_assembled_qcqp_equals_weighted_mse_up_to_constant():
     ids = links.rue_ids + links.bue_ids
     f = {m: complex(*rng.normal(scale=2.0, size=2)) for m in ids}
     u = {m: float(rng.uniform(0.2, 3.0)) for m in ids}
-    problem = assemble_qcqp(links, f, u, BUDGETS, topology)
+    layout = stack_layout(links, BUDGETS)
+    f_arr, u_arr = (np.array([x[m] for m in range(len(ids))]) for x in (f, u))
+    problem = assemble_qcqp(links, f_arr, u_arr, layout)
     beams = zero_beams(links)
     for i in links.rue_ids:
         beams.rue[i] = 1e-5 * crandn(rng, links.dim(i))
     for j in links.bue_ids:
         beams.bue[j] = 1e-5 * crandn(rng, links.mbs_antennas)
+    # Every budget is positive, so each RUE's whole beam fills its stack row.
+    w_rue = np.zeros_like(layout.est)
+    for row, i in enumerate(links.rue_ids):
+        w_rue[row, :links.dim(i)] = beams.rue[i]
+    w_bue = np.array([beams.bue[j] for j in links.bue_ids]).reshape(-1, links.mbs_antennas)
 
-    j_rue, j_bue = interference_plus_noise(links, beams, training.noise_power)
+    j_power = interference_plus_noise(links, beams, training.noise_power)
     weighted = 0.0
-    for i in links.rue_ids:
-        a = complex(np.vdot(links.estimate(i), beams.rue[i]))
-        weighted += math.exp(u[i] - 1.0) * (
-            abs(np.conj(f[i]) * a - 1.0) ** 2 + abs(f[i]) ** 2 * j_rue[i])
-    for j in links.bue_ids:
-        a = complex(np.vdot(links.estimate(j), beams.bue[j]))
-        weighted += math.exp(u[j] - 1.0) * (
-            abs(np.conj(f[j]) * a - 1.0) ** 2 + abs(f[j]) ** 2 * j_bue[j])
+    for m, w in {**beams.rue, **beams.bue}.items():
+        a = complex(np.vdot(links.estimate(m), w))
+        weighted += math.exp(u[m] - 1.0) * (
+            abs(np.conj(f[m]) * a - 1.0) ** 2 + abs(f[m]) ** 2 * j_power[m])
     constant = sum(
         math.exp(u[m] - 1.0) * (1.0 + abs(f[m]) ** 2 * training.noise_power) for m in ids
     )
-    assert qcqp_objective(problem, beams) + constant == pytest.approx(weighted, rel=1e-9)
+    objective = qcqp_objective(problem, (w_rue, w_bue))
+    assert objective + constant == pytest.approx(weighted, rel=1e-9)
+
+
+def test_stack_assembly_matches_the_per_ue_reference():
+    """On a (16, 50, 130 m) drop where two users share two RRHs and three
+    users are MBS-served, with a zero budget at the first RRH the two share,
+    every stack row is the live submatrix and linear term of the per-UE
+    reference assembly, and the MBS terms are its shared matrix and per-BUE
+    linear terms, to 1e-15 relative."""
+    topology, _, _, links, _ = pipeline_instance(
+        r=4, scenario=ScenarioConfig(num_ue=16, num_rrh=50, coverage_radius=130.0)
+    )
+    clusters = links.block_rrhs
+    shared = next(
+        sorted(set(clusters[a]) & set(clusters[b]))
+        for a in clusters for b in clusters
+        if a < b and len(set(clusters[a]) & set(clusters[b])) >= 2
+    )
+    budget = BUDGETS.rrh_array(topology.num_rrh)
+    budget[shared[0]] = 0.0
+    rng = child_rng(31, 11)
+    f, u = crandn(rng, topology.num_ue), rng.uniform(0.2, 3.0, size=topology.num_ue)
+    layout = stack_layout(links, PowerBudget(rrh=budget, mbs=BUDGETS.mbs))
+    problem = assemble_qcqp(links, f, u, layout)
+    quad, lin = assemble_qcqp_oracle(links, f, u)
+    reference = pack_qcqp(
+        {i: quad[i] for i in clusters}, {i: lin[i] for i in clusters},
+        {j: quad[j] for j in links.bue_ids}, {j: lin[j] for j in links.bue_ids},
+        clusters, links.block_size, budget, BUDGETS.mbs,
+    )
+    assert np.array_equal(layout.starts, reference.layout.starts)
+    assert problem.mbs_quad.shape == (links.mbs_antennas,) * 2 and len(links.bue_ids) == 3
+    pairs = list(zip(problem.base, reference.base)) + list(zip(problem.rhs, reference.rhs))
+    pairs += [(problem.mbs_quad, want) for want in reference.mbs_quad]
+    pairs += list(zip(problem.mbs_lin, reference.mbs_lin))
+    for got, want in pairs:
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def test_mbs_side_takes_the_shared_matrix_or_its_copies():
+    """The MBS solve gives the same beams and multiplier for the one (B, B)
+    matrix all BUEs share as for its explicit (J, B, B) copies, with the
+    budget slack and binding."""
+    _, problem = _first_qcqp(16, 50)
+    quad, lin = problem.mbs_quad, problem.mbs_lin
+    assert quad.ndim == 2 and len(lin) > 1
+    copies = np.repeat(quad[None], len(lin), axis=0)
+    power = float(np.sum(np.abs(np.linalg.solve(quad, lin.T)) ** 2))
+    for budget, binding in ((2.0 * power, False), (0.25 * power, True)):
+        beams, nu, value = _solve_mbs_side(quad, lin, budget, 1e-6, 1e-8)
+        assert (nu > 0.0) == binding
+        beams_1, nu_1, value_1 = _solve_mbs_side(copies, lin, budget, 1e-6, 1e-8)
+        assert np.array_equal(beams, beams_1) and (nu, value) == (nu_1, value_1)
 
 
 def test_solve_qcqp_respects_constraints_and_weak_duality():
     rng = child_rng(31, 4)
     for trial in range(6):
         problem, quads, lins, groups, caps = make_synthetic_qcqp(rng)
-        beams, info = solve_qcqp(problem)
+        beams, info = solved(problem)
         for name, members in groups.items():
             power = sum(
                 float(np.sum(np.abs((beams.rue | beams.bue)[m][idx]) ** 2))
@@ -294,7 +376,9 @@ def _rrh_block_stack(quads, lins, clusters, budget, mu, k, n, width):
 def _assert_stack_matches_direct(mats, rhs, pos, dims, n, xs):
     """``_block_secular`` of the stack gives each member's unpadded direct
     solve, exact zeros on its padding, and the summed block power."""
-    lam, coef, solution = _block_secular(mats, rhs, pos, n)
+    counts = {"linear_solves": 0}
+    lam, coef, solution = _block_secular(mats, rhs, pos, n, counts)
+    assert counts["linear_solves"] == 1
     for x in xs:
         w, direct = solution(x), 0.0
         for u, d in enumerate(dims):
@@ -325,7 +409,7 @@ def test_secular_power_matches_direct_solve():
     for k in (0, 1, 3):
         stack = _rrh_block_stack(quads, lins, clusters, budget, mu, k, n, width=2 * n)
         _assert_stack_matches_direct(*stack, n, xs=(0.05, 0.3, 1.0, 7.0))
-    # MBS side: the whole beam is the block, nothing is eliminated.
+    # A block that is the whole beam: nothing is eliminated.
     b_ant = 3
     systems = []
     for j in range(3):
@@ -364,28 +448,28 @@ def test_block_secular_on_padded_stacks(clusters):
     _assert_stack_matches_direct(*stack, n, xs=(0.0, 0.4, 5.0))
 
 
-def _first_qcqp(num_ue, num_rrh, **scenario):
+def _first_qcqp(num_ue, num_rrh, zero_busiest=False, **scenario):
     """The first beamformer QCQP (unit equalizers and auxiliaries) of the
-    drop at master seed 0, and its topology."""
+    drop at master seed 0, and its topology. zero_busiest sets a zero budget
+    at the busiest RRH of the widest cluster."""
     topology, _, _, links, _ = pipeline_instance(
         scenario=ScenarioConfig(num_ue=num_ue, num_rrh=num_rrh, **scenario)
     )
-    ids = links.rue_ids + links.bue_ids
-    problem = assemble_qcqp(
-        links, dict.fromkeys(ids, 1.0 + 0j), dict.fromkeys(ids, 1.0), BUDGETS, topology
-    )
-    return topology, problem
+    budget = BUDGETS.rrh_array(topology.num_rrh)
+    if zero_busiest:
+        load = np.bincount(np.concatenate(list(links.block_rrhs.values())))
+        widest = max(links.block_rrhs.values(), key=len)
+        budget[max(widest, key=lambda k: load[k])] = 0.0
+    layout = stack_layout(links, PowerBudget(rrh=budget, mbs=BUDGETS.mbs))
+    ones = np.ones(topology.num_ue)
+    return topology, assemble_qcqp(links, ones + 0j, ones, layout)
 
 
 def _zero_budget_drop_qcqp():
     """The first QCQP of the (32 users, 100 RRHs) drop, with a zero budget at
     the busiest RRH of the widest cluster. Clusters hold 1 to 6 RRHs of 4
     antennas, so the solver's stack pads users from 4 to 24 entries."""
-    _, problem = _first_qcqp(32, 100)
-    load = np.bincount(np.concatenate(list(problem.block_rrhs.values())))
-    widest = max(problem.block_rrhs.values(), key=len)
-    problem.rrh_budget[max(widest, key=lambda k: load[k])] = 0.0
-    return problem
+    return _first_qcqp(32, 100, zero_busiest=True)[1]
 
 
 def test_solver_multipliers_reproduce_its_beams():
@@ -396,34 +480,33 @@ def test_solver_multipliers_reproduce_its_beams():
     rng = child_rng(31, 9)
     problems = [make_synthetic_qcqp(rng, zero_cap_chance=0.25)[0] for _ in range(8)]
     for problem in problems + [_zero_budget_drop_qcqp()]:
-        beams, info = solve_qcqp(problem)
-        mu, n = info["rrh_dual"], problem.block_size
-        for k, cap in enumerate(problem.rrh_budget):
-            users = [i for i, c in problem.block_rrhs.items() if k in c]
+        beams, info = solved(problem)
+        spec = unpack_qcqp(problem)
+        mu, n = info["rrh_dual"], spec.block_size
+        for k, cap in enumerate(spec.rrh_budget):
+            users = [i for i, c in spec.block_rrhs.items() if k in c]
             if not users:
                 continue
             if cap == 0.0:
-                assert k not in mu and beams.rrh_power(k) == 0.0
+                assert mu[k] == 0.0 and beams.rrh_power(k) == 0.0
                 continue
-            width = n * max(map(len, problem.block_rrhs.values()))
+            width = n * max(map(len, spec.block_rrhs.values()))
             mats, rhs, pos, _ = _rrh_block_stack(
-                problem.quad_rue, problem.lin_rue, problem.block_rrhs, problem.rrh_budget,
-                mu, k, n, width,
+                spec.quad_rue, spec.lin_rue, spec.block_rrhs, spec.rrh_budget, mu, k, n, width,
             )
-            lam, coef, _ = _block_secular(mats, rhs, pos, n)
+            lam, coef, _ = _block_secular(mats, rhs, pos, n, {"linear_solves": 0})
             assert _secular_power(lam, coef, mu[k]) == pytest.approx(beams.rrh_power(k), rel=1e-7)
             if mu[k] > 0.0:
                 assert beams.rrh_power(k) == pytest.approx(cap, rel=1e-6)
         nu = info["mbs_dual"]
-        for j, quad in problem.quad_bue.items():
-            want = np.linalg.solve(quad + nu * np.eye(quad.shape[0]), problem.lin_bue[j])
+        for j, quad in spec.quad_bue.items():
+            want = np.linalg.solve(quad + nu * np.eye(quad.shape[0]), spec.lin_bue[j])
             assert np.allclose(beams.bue[j], want, rtol=1e-9, atol=1e-12)
 
 
 def _rrh_side(problem):
     return beamforming._solve_rrh_side(
-        problem.quad_rue, problem.lin_rue, problem.block_rrhs, problem.block_size,
-        problem.rrh_budget, 1e-6, 1e-8, beamforming.MAX_DUAL_ITERS,
+        problem.layout, problem.base, problem.rhs, 1e-6, 1e-8, beamforming.MAX_DUAL_ITERS
     )
 
 
@@ -440,32 +523,37 @@ def test_batched_sweep_repeats_the_one_rrh_at_a_time_sweep_exactly(monkeypatch):
     the RRHs one at a time, in fewer passes: on the (32, 100) drop with a
     zero-budget RRH, on a (16, 50, 130 m) drop where two users share two
     RRHs, and through a whole alternating design at (8, 25)."""
-    topology, overlap = _first_qcqp(16, 50, coverage_radius=130.0)
-    assert has_shared_rrh_pair(topology)
-    problems = [_zero_budget_drop_qcqp(), overlap]
+    assert has_shared_rrh_pair(_first_qcqp(16, 50, coverage_radius=130.0)[0])
+
+    def problems():
+        # Posed anew each time: the runs are part of the stack layout.
+        return [_zero_budget_drop_qcqp(), _first_qcqp(16, 50, coverage_radius=130.0)[1]]
+
     design = pipeline_instance(scenario=ScenarioConfig(num_ue=8, num_rrh=25))
     topology, _, _, links, training = design
 
-    batched = [_rrh_side(p) for p in problems]
+    batched = [_rrh_side(p) for p in problems()]
     beams, state = rtd_solve(topology, links, training, BUDGETS)
     _one_rrh_at_a_time(monkeypatch)
-    single = [_rrh_side(p) for p in problems]
+    single = [_rrh_side(p) for p in problems()]
     beams_1, state_1 = rtd_solve(topology, links, training, BUDGETS)
 
     for (w, mu, value, info), (w_1, mu_1, value_1, info_1) in zip(batched, single):
-        assert w.keys() == w_1.keys()
-        assert all(np.array_equal(w[i], w_1[i]) for i in w)
-        assert mu == mu_1 and value == value_1
-        assert info.pop("coordinate_passes") < info_1.pop("coordinate_passes")
+        assert np.array_equal(w, w_1)
+        assert np.array_equal(mu, mu_1) and value == value_1
+        for key in ("coordinate_passes", "linear_solves"):
+            assert info.pop(key) < info_1.pop(key)
         assert info == info_1
     assert total_beam_diff(beams, beams_1) == 0.0
     assert state.objective_trace == state_1.objective_trace
-    assert state.counters.pop("coordinate_passes") < state_1.counters.pop("coordinate_passes")
+    for key in ("coordinate_passes", "linear_solves"):
+        assert state.counters.pop(key) < state_1.counters.pop(key)
     assert state.counters == state_1.counters
 
 
-def _recorded_runs(monkeypatch, problem):
-    """(users_of, runs) of the RRH side's one partition while solving problem."""
+def _recorded_runs(monkeypatch, make_problem):
+    """(users_of, runs) of the one partition made while posing a QCQP with
+    make_problem() and solving it."""
     calls = []
     real = beamforming._disjoint_runs
 
@@ -474,7 +562,7 @@ def _recorded_runs(monkeypatch, problem):
         return calls[-1][1]
 
     monkeypatch.setattr(beamforming, "_disjoint_runs", recorded)
-    solve_qcqp(problem)
+    solve_qcqp(make_problem())
     assert len(calls) == 1
     return calls[0]
 
@@ -483,7 +571,7 @@ def test_disjoint_runs_partition_the_sweep_order(monkeypatch):
     """On the (32, 100) drop every active RRH lies in exactly one run, the
     runs keep the sweep order, no two RRHs of a run share a user, and each run
     ends where the next RRH shares a user with it."""
-    users_of, runs = _recorded_runs(monkeypatch, _zero_budget_drop_qcqp())
+    users_of, runs = _recorded_runs(monkeypatch, _zero_budget_drop_qcqp)
     assert [a for run in runs for a in run] == list(range(len(users_of)))
     assert 1 < len(runs) < len(users_of)
     served = [set(users.tolist()) for users, _ in users_of]
@@ -498,17 +586,31 @@ def test_disjoint_runs_on_a_hand_built_field(monkeypatch):
     """RRHs 0 and 1 share user 0 and RRH 2 serves user 1 alone, so the runs
     are [[0], [1, 2]]; RRH 3, which shares user 1 with RRH 2, has a zero
     budget and appears in no run (with a budget it would form a third)."""
-    problem = QcqpProblem(
-        quad_rue={i: np.array([[2.0, 0.5], [0.5, 1.0]], dtype=complex) for i in (0, 1)},
-        lin_rue={i: np.ones(2, dtype=complex) for i in (0, 1)},
-        quad_bue={}, lin_bue={}, block_rrhs={0: [0, 1], 1: [2, 3]}, block_size=1,
-        rrh_budget=np.array([0.1, 0.1, 0.1, 0.0]), mbs_budget=1.0,
-    )
-    users_of, runs = _recorded_runs(monkeypatch, problem)
+    def field(last_budget):
+        return lambda: pack_qcqp(
+            quad_rue={i: np.array([[2.0, 0.5], [0.5, 1.0]], dtype=complex) for i in (0, 1)},
+            lin_rue={i: np.ones(2, dtype=complex) for i in (0, 1)},
+            quad_bue={}, lin_bue={}, block_rrhs={0: [0, 1], 1: [2, 3]}, block_size=1,
+            rrh_budget=np.array([0.1, 0.1, 0.1, last_budget]), mbs_budget=1.0,
+        )
+
+    users_of, runs = _recorded_runs(monkeypatch, field(0.0))
     assert runs == [[0], [1, 2]]
     assert [users.tolist() for users, _ in users_of] == [[0], [0], [1]]
-    problem.rrh_budget[3] = 0.1
-    assert _recorded_runs(monkeypatch, problem)[1] == [[0], [1, 2], [3]]
+    assert _recorded_runs(monkeypatch, field(0.1))[1] == [[0], [1, 2], [3]]
+
+
+def test_rtd_builds_the_stack_layout_once(monkeypatch):
+    """Clusters and budgets are fixed for a design, so its runs (part of the
+    stack layout) are computed once, not once per QCQP."""
+    calls = []
+    real = beamforming._disjoint_runs
+    monkeypatch.setattr(
+        beamforming, "_disjoint_runs", lambda users_of: calls.append(users_of) or real(users_of)
+    )
+    topology, _, _, links, training = pipeline_instance(r=0)
+    _, st = rtd_solve(topology, links, training, BUDGETS)
+    assert st.iterations > 1 and len(calls) == 1
 
 
 def test_single_coordinate_update_lands_on_the_cap():
@@ -518,15 +620,16 @@ def test_single_coordinate_update_lands_on_the_cap():
     ||b|| / sqrt(cap) = 1, a bound that assumes F + D >= mu_0 I; the secular
     bracket holds it, and one coordinate update puts RRH 0 on its cap."""
     f01, f11 = 0.0099, 1e-4
-    problem = QcqpProblem(
+    lin = np.array([0.0, 1.0], dtype=complex)
+    problem = pack_qcqp(
         quad_rue={0: np.array([[1.0, f01], [f01, f11]], dtype=complex)},
-        lin_rue={0: np.array([0.0, 1.0], dtype=complex)},
+        lin_rue={0: lin},
         quad_bue={}, lin_bue={}, block_rrhs={0: [0, 1]}, block_size=1,
         rrh_budget=np.array([1.0, 1e9]), mbs_budget=1.0,
     )
-    beams, info = solve_qcqp(problem, max_dual_iters=1)
+    beams, info = solved(problem, max_dual_iters=1)
     assert info["dual_iterations"] == 1
-    assert info["rrh_dual"][0] > 90.0 * np.linalg.norm(problem.lin_rue[0])
+    assert info["rrh_dual"][0] > 90.0 * np.linalg.norm(lin)
     assert info["rrh_dual"][1] == 0.0
     assert beams.rrh_power(0) == pytest.approx(1.0, rel=1e-6)
     assert beams.rrh_power(1) < 1e9
@@ -537,7 +640,7 @@ def test_singular_user_matrix_falls_back_to_least_squares():
     solver tries (its RRH-1 entry carries no cost and no gain), so each
     stacked solve falls back to per-member solves, least squares for user 0.
     RRH 0's cap then sets mu_0 = 1 and halves user 0's beam."""
-    problem = QcqpProblem(
+    problem = pack_qcqp(
         quad_rue={
             0: np.diag([1.0, 0.0]).astype(complex),
             1: np.array([[2.0, 0.5], [0.5, 1.0]], dtype=complex),
@@ -546,7 +649,7 @@ def test_singular_user_matrix_falls_back_to_least_squares():
         quad_bue={}, lin_bue={}, block_rrhs={0: [0, 1], 1: [1, 2]}, block_size=1,
         rrh_budget=np.array([0.25, 1.0, 1.0]), mbs_budget=1.0,
     )
-    beams, info = solve_qcqp(problem)
+    beams, info = solved(problem)
     assert info["rrh_dual"][0] == pytest.approx(1.0, rel=1e-9)
     assert np.allclose(beams.rue[0], [0.5, 0.0], rtol=1e-9, atol=1e-12)
     assert beams.rrh_power(0) == pytest.approx(0.25, rel=1e-9)
@@ -576,7 +679,7 @@ def test_rtd_objective_matches_log_mse_sum():
     topology, _, state, links, training = pipeline_instance(r=4)
     _, st = rtd_solve(topology, links, training, BUDGETS)
     assert st.objective_trace[-1] == pytest.approx(
-        sum(math.log(v) for v in st.mse.values()), rel=1e-9
+        sum(math.log(v) for v in st.mse), rel=1e-9
     )
 
 
@@ -602,12 +705,12 @@ def test_rtd_mode_validation():
 
 
 def test_rtd_counters_sum_the_dual_solver_info(monkeypatch):
-    solved, infos = [], []
+    results, infos = [], []
     real = beamforming.solve_qcqp
 
     def recorded(*args, **kwargs):
         beams, info = real(*args, **kwargs)
-        solved.append(beams)
+        results.append(beams)
         infos.append(info)
         return beams, info
 
@@ -617,14 +720,16 @@ def test_rtd_counters_sum_the_dual_solver_info(monkeypatch):
     assert len(infos) == st.iterations
     counters = st.counters
     assert counters["dual_updates"] == sum(info["dual_iterations"] for info in infos) > 0
-    for key in ("coordinate_passes", "newton_accepted", "newton_rejected"):
+    for key in ("coordinate_passes", "newton_accepted", "newton_rejected", "linear_solves"):
         assert counters[key] == sum(info[key] for info in infos)
     assert 0 < counters["coordinate_passes"] < counters["dual_updates"]
+    # at least the first beam solve and one elimination per coordinate pass
+    assert counters["linear_solves"] > counters["coordinate_passes"]
     assert counters["newton_accepted"] > 0
     assert counters["violation"] == infos[-1]["violation"] <= 1e-6
     assert 0.0 <= counters["gap"] == infos[-1]["gap"] <= 1e-8
     assert counters["mbs_violation"] == infos[-1]["mbs_violation"] <= 1e-6
-    excess = (solved[-1].mbs_power() - BUDGETS.mbs) / BUDGETS.mbs
+    excess = (np.sum(np.abs(results[-1][1]) ** 2) - BUDGETS.mbs) / BUDGETS.mbs
     assert counters["mbs_violation"] == pytest.approx(excess, rel=1e-12, abs=1e-15)
 
 

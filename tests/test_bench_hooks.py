@@ -64,3 +64,15 @@ def test_traced_checks_run_on_an_rtd_result():
     halved = dataclasses.replace(budgets, rrh=0.5 * budgets.rrh)
     with pytest.raises(workloads.CheckError, match="exceeds budget"):
         workloads.check_traced({"rtd": [(topology, halved, beams, state)]})
+
+
+def test_linear_solve_counter_matches_the_tracer_count():
+    """The solver's own count of np.linalg.solve calls equals what the
+    tracer counts by wrapping np.linalg.solve, over a whole design."""
+    tracer = load_tracing().Tracer()
+    topology, _, _, links, training = pipeline_instance(r=3)
+    budgets = PowerBudget(rrh=dbm_to_watt(27.0), mbs=dbm_to_watt(30.0))
+    tracer.start_drop(0)
+    with tracer.installed():
+        _, state = rtd_solve(topology, links, training, budgets)
+    assert state.counters["linear_solves"] == tracer.counters["linalg_solve_calls"] > 0

@@ -112,6 +112,18 @@ def test_se_sweep_rejects_mc_trials_below_two(tiny_cfg, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_se_sweep_rejects_non_finite_budgets(tiny_cfg, tmp_path, capsys, value):
+    cfg = json.loads(tiny_cfg.read_text())
+    cfg["budgets"] = {"rrh": value}
+    tiny_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "se.csv"
+    assert main(["se-sweep", "--config", str(tiny_cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert not out.exists()
+
+
 def test_console_script_entry_point(tiny_cfg):
     proc = subprocess.run(
         [sys.executable, "-m", "hcransim.cli", "schedule", "--config", str(tiny_cfg)],

@@ -193,7 +193,7 @@ def test_rtd_counters_leave_the_se_sweep_csv_unchanged(tmp_path, monkeypatch):
     for c in counters:
         assert set(c) == {
             "dual_updates", "coordinate_passes", "newton_accepted", "newton_rejected",
-            "violation", "gap", "mbs_violation",
+            "linear_solves", "violation", "gap", "mbs_violation",
         }
         assert c["violation"] <= 1e-6 and 0.0 <= c["gap"] <= 1e-8
         assert c["mbs_violation"] <= 1e-6
@@ -332,4 +332,17 @@ def test_load_config_rejects_unknown_keys(tmp_path, payload, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=message):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "budgets",
+    [{"rrh": math.nan}, {"rrh": math.inf}, {"mbs": math.nan}, {"rrh_dbm": math.inf}],
+)
+def test_load_config_rejects_non_finite_budgets(tmp_path, budgets):
+    """A NaN budget passed the old `< 0` check and zeroed every RRH; an
+    infinite one made every drop stall. Both now fail at load time."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"budgets": budgets}))
+    with pytest.raises(ValueError, match="finite"):
         load_config(path)

@@ -19,11 +19,12 @@ from hcransim import (
     perfect_channel_state,
     prelog_factor,
     rtd_solve,
+    stack_layout,
     zero_beams,
 )
 from hcransim.util import child_seed, crandn, dbm_to_watt
 
-from helpers import hand_topology, oracle_state, pipeline_instance
+from helpers import hand_topology, oracle_state, pipeline_instance, unpack_qcqp
 from oracles import (
     estimate_channels_oracle,
     full_stacked_cov_oracle,
@@ -52,14 +53,13 @@ def no_overlap_instance(r=0, **kw):
 
 
 def modelled_moments(links, topology, dst):
-    """The beamformer-step QCQP with every UE's MSE weight zero but dst's,
-    which is one: quad_rue[src] is then the modelled second moment of
-    cluster(src) -> dst for src != dst, and every quad_bue entry that of
-    the MBS -> dst link."""
-    ids = links.rue_ids + links.bue_ids
-    f = {m: complex(m == dst) for m in ids}
-    u = {m: 1.0 for m in ids}
-    return assemble_qcqp(links, f, u, PowerBudget(rrh=1.0, mbs=1.0), topology)
+    """The beamformer-step QCQP, per UE (``unpack_qcqp``), with every UE's
+    MSE weight zero but dst's, which is one: quad_rue[src] is then the
+    modelled second moment of cluster(src) -> dst for src != dst, and every
+    quad_bue entry that of the MBS -> dst link."""
+    f = np.arange(topology.num_ue) == dst
+    layout = stack_layout(links, PowerBudget(rrh=1.0, mbs=1.0))
+    return unpack_qcqp(assemble_qcqp(links, f + 0j, np.ones(topology.num_ue), layout))
 
 
 def test_aggregated_links_structure():
@@ -175,13 +175,13 @@ def test_shared_rrh_pairs_drop_exactly_the_cross_estimate_blocks():
 
     # the modeled interference misses exactly the cross term 2*Re(w0^H e0 e1^H w1)
     beams = random_beams(links, seed=7)
-    j_rue, _ = interference_plus_noise(links, beams, training.noise_power)
+    j_power = interference_plus_noise(links, beams, training.noise_power)
     w = beams.rue[0]
     modeled_from_0 = float(np.real(np.vdot(w, got @ w)))
     exact_from_0 = float(np.real(np.vdot(w, exact @ w)))
     cross = 2.0 * np.real(np.vdot(w[:n], e0) * np.vdot(e1, w[n:]))
     assert exact_from_0 - modeled_from_0 == pytest.approx(cross, rel=1e-10)
-    assert j_rue[1] > 0  # and the model value is what the bound consumes
+    assert j_power[1] > 0  # and the model value is what the bound consumes
 
 
 def test_link_model_matches_dense_block_diagonal_oracle_on_shared_rrh_drops():
@@ -194,16 +194,19 @@ def test_link_model_matches_dense_block_diagonal_oracle_on_shared_rrh_drops():
         assert has_shared_rrh_pair(topology)
         reference = oracle_state(topology, assignment, state, training, r=r)
         beams = random_beams(links, seed=r)
-        j_rue, j_bue = interference_plus_noise(links, beams, training.noise_power)
+        got = interference_plus_noise(links, beams, training.noise_power)
         want = interference_oracle(topology, reference, beams, training.noise_power)
-        for m, got in {**j_rue, **j_bue}.items():
-            assert got == pytest.approx(want[m], rel=1e-12, abs=0)
+        assert got.shape == (topology.num_ue,)
+        for m in want:
+            assert got[m] == pytest.approx(want[m], rel=1e-12, abs=0)
 
         rng = np.random.default_rng(r)
         ids = links.rue_ids + links.bue_ids
         f = {m: complex(*rng.normal(scale=2.0, size=2)) for m in ids}
         u = {m: float(rng.uniform(0.2, 3.0)) for m in ids}
-        problem = assemble_qcqp(links, f, u, PowerBudget(rrh=1.0, mbs=1.0), topology)
+        layout = stack_layout(links, PowerBudget(rrh=1.0, mbs=1.0))
+        f_arr, u_arr = (np.array([x[m] for m in range(len(ids))]) for x in (f, u))
+        problem = unpack_qcqp(assemble_qcqp(links, f_arr, u_arr, layout))
         quad, lin = qcqp_terms_oracle(topology, reference, f, u)
         got_quad = {**problem.quad_rue, **problem.quad_bue}
         got_lin = {**problem.lin_rue, **problem.lin_bue}
@@ -219,7 +222,7 @@ def test_interference_terms_match_sampled_expectation():
     topology, assignment, state, links, training = no_overlap_instance(r=2)
     state = oracle_state(topology, assignment, state, training, r=2)
     beams = random_beams(links, seed=3)
-    j_rue, j_bue = interference_plus_noise(links, beams, training.noise_power)
+    j_power = interference_plus_noise(links, beams, training.noise_power)
     rng = np.random.default_rng(12345)
     trials = 20000
     n = links.block_size
@@ -255,7 +258,7 @@ def test_interference_terms_match_sampled_expectation():
             acc += np.abs(mbs.conj() @ beams.bue[j]) ** 2
         acc += training.noise_power
         stderr = acc.std(ddof=1) / np.sqrt(trials)
-        assert abs(acc.mean() - j_rue[dst]) < 5 * stderr
+        assert abs(acc.mean() - j_power[dst]) < 5 * stderr
 
     for dst in links.bue_ids[:2]:
         to_dst, mbs = draw_links_to(dst)
@@ -269,7 +272,7 @@ def test_interference_terms_match_sampled_expectation():
                 acc += np.abs(mbs.conj() @ beams.bue[other]) ** 2
         acc += training.noise_power
         stderr = acc.std(ddof=1) / np.sqrt(trials)
-        assert abs(acc.mean() - j_bue[dst]) < 5 * stderr
+        assert abs(acc.mean() - j_power[dst]) < 5 * stderr
 
 
 def test_lower_bound_formula_and_positivity():
@@ -277,15 +280,15 @@ def test_lower_bound_formula_and_positivity():
     beams = random_beams(links, seed=11)
     prelog = prelog_factor(training.tau, training.coherence)
     rates = lower_bound_rates(links, beams, training.noise_power, prelog)
-    j_rue, j_bue = interference_plus_noise(links, beams, training.noise_power)
+    j_power = interference_plus_noise(links, beams, training.noise_power)
     assert set(rates) == set(links.rue_ids) | set(links.bue_ids)
     for i in links.rue_ids:
         signal = abs(np.vdot(links.estimate(i), beams.rue[i])) ** 2
-        assert rates[i] == pytest.approx(prelog * np.log2(1 + signal / j_rue[i]), rel=1e-12)
+        assert rates[i] == pytest.approx(prelog * np.log2(1 + signal / j_power[i]), rel=1e-12)
         assert rates[i] >= 0.0
     for j in links.bue_ids:
         signal = abs(np.vdot(links.estimate(j), beams.bue[j])) ** 2
-        assert rates[j] == pytest.approx(prelog * np.log2(1 + signal / j_bue[j]), rel=1e-12)
+        assert rates[j] == pytest.approx(prelog * np.log2(1 + signal / j_power[j]), rel=1e-12)
         assert rates[j] >= 0.0
     zero = zero_beams(links)
     assert all(v == 0.0 for v in lower_bound_rates(links, zero, training.noise_power, prelog).values())
@@ -424,7 +427,7 @@ def test_perfect_channel_state_links():
     # interference keeps the per-RRH block structure: each serving block of an
     # interferer contributes |h^H w_block|^2 at the true channels
     beams = random_beams(plinks, seed=1)
-    j_rue, _ = interference_plus_noise(plinks, beams, training.noise_power)
+    j_power = interference_plus_noise(plinks, beams, training.noise_power)
     n = plinks.block_size
     for i in plinks.rue_ids:
         manual = training.noise_power
@@ -435,5 +438,5 @@ def test_perfect_channel_state_links():
                     manual += abs(np.vdot(channels.rrh[k, i], w_blk)) ** 2
         for j in plinks.bue_ids:
             manual += abs(np.vdot(channels.mbs[i], beams.bue[j])) ** 2
-        assert j_rue[i] == pytest.approx(manual, rel=1e-12)
+        assert j_power[i] == pytest.approx(manual, rel=1e-12)
 
