@@ -679,7 +679,8 @@ def solve_qcqp(
     Returns (beams, info): beams is (RUE stack, (J, B) BUE beams), which
     ``problem.layout.beam_set(*beams)`` turns into a BeamformerSet. info
     holds the RRH-side solver's counters and final violation and gap, the MBS
-    side's final relative cap excess (``mbs_violation``), the multipliers
+    side's final relative cap excess (``mbs_violation``; 0.0 when there is no
+    BUE, as the RRH side reports for no live block), the multipliers
     (``rrh_dual`` by RRH id, 0 where no live block is; ``mbs_dual``), and the
     dual and primal values.
     """
@@ -692,12 +693,15 @@ def solve_qcqp(
     )
     rrh_dual = np.zeros(layout.rrh_budget.size)
     rrh_dual[layout.active] = mu
-    mbs_power = float(np.sum(np.abs(w_bue) ** 2))
+    mbs_violation = 0.0
+    if len(w_bue):
+        mbs_power = float(np.sum(np.abs(w_bue) ** 2))
+        mbs_violation = (mbs_power - layout.mbs_budget) / max(layout.mbs_budget, 1e-300)
     beams = (w_rue, w_bue)
     info.update(
         rrh_dual=rrh_dual,
         mbs_dual=nu,
-        mbs_violation=(mbs_power - layout.mbs_budget) / max(layout.mbs_budget, 1e-300),
+        mbs_violation=mbs_violation,
         dual_value=rrh_value + mbs_value,
         primal_value=qcqp_objective(problem, beams),
     )
@@ -725,7 +729,7 @@ class RtdState:
     (``dual_updates``, ``coordinate_passes``, ``newton_accepted``,
     ``newton_rejected``, ``linear_solves``) and keeps the last solve's final
     relative cap ``violation``, complementary-slackness ``gap`` and MBS-side
-    relative cap excess (``mbs_violation``).
+    relative cap excess (``mbs_violation``, 0.0 when there is no BUE).
     """
 
     f: np.ndarray

@@ -9,6 +9,13 @@ are provided:
 * ``dsatur_random_schedule`` — Dsatur color classes mapped randomly onto the
   first t pilots (baseline; never uses more than t pilots);
 * ``es_schedule`` — exhaustive search over feasible assignments (oracle).
+  It enumerates the RUE pilot vectors in lexicographic order, pruning
+  conflicts at each RUE, in blocks of at most ``_BLOCK``, and scores each
+  block with one array evaluation. The first strict minimum wins, so ties
+  go to the lexicographically smallest vector.
+
+``_sum_mse_values`` is the one sum-MSE evaluator (``sum_mse`` scores a block
+of one); a candidate's value is bit for bit the same in any block.
 
 Pilot indices are 1-based. MBS-served users always hold pilots 1..|bue_set|,
 one each; RRH-served users may share any pilot, including a BUE's.
@@ -22,6 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import Topology
+
+_BLOCK = 512  # candidates per exhaustive-search block; bounds every temporary
 
 
 @dataclass
@@ -56,11 +65,11 @@ def make_assignment(tau: int, pilots) -> PilotAssignment:
     return PilotAssignment(tau=int(tau), pilots=np.asarray(pilots, dtype=int))
 
 
-def _shared_pilot(users, pilots: np.ndarray):
+def _shared_pilot(users, pilots: list[int]):
     """The first two of ``users`` that hold the same pilot, or None."""
     holder: dict[int, int] = {}
     for m in users:
-        p = int(pilots[m])
+        p = pilots[m]
         if p in holder:
             return holder[p], m
         holder[p] = m
@@ -71,15 +80,16 @@ def validate_assignment(topology: Topology, assignment: PilotAssignment) -> None
     pilots = assignment.pilots
     if pilots.shape != (topology.num_ue,):
         raise ValueError("pilot vector length must equal the UE count")
-    if np.any(pilots < 1) or np.any(pilots > assignment.tau):
+    values = pilots.tolist()
+    if min(values) < 1 or max(values) > assignment.tau:
         raise ValueError("pilot indices must lie in 1..tau")
     if assignment.tau > topology.num_ue:
         raise ValueError("tau cannot exceed the UE count")
-    pair = _shared_pilot(topology.bue_set, pilots)
+    pair = _shared_pilot(topology.bue_set, values)
     if pair is not None:
         raise ValueError(f"pilot {pilots[pair[1]]} is shared by several MBS-served users")
     for k, rues in enumerate(topology.served_rues):
-        pair = _shared_pilot(rues, pilots)
+        pair = _shared_pilot(rues, values)
         if pair is not None:
             i, i2 = pair
             raise ValueError(f"users {i} and {i2} share RRH {k} but also pilot {pilots[i2]}")
@@ -167,23 +177,55 @@ def group_by_pilot(topology: Topology, pilots: np.ndarray):
     return groups
 
 
-def _sum_mse_value(topology, pilots, p_rue, p_bue, noise_power) -> float:
-    n_ant = topology.config.rrh_antennas
-    b_ant = topology.config.mbs_antennas
-    alpha_r, alpha_b = topology.alpha_rrh, topology.alpha_mbs
-    total = 0.0
-    for rues, bues in group_by_pilot(topology, pilots).values():
-        rue_load = p_rue * alpha_r[:, rues].sum(axis=1) if rues else np.zeros(topology.num_rrh)
-        bue_load = p_bue * alpha_r[:, bues].sum(axis=1) if bues else np.zeros(topology.num_rrh)
-        for i in rues:
-            for k in topology.serving_rrhs[i]:
-                denom = rue_load[k] + bue_load[k] + noise_power
-                total += n_ant * alpha_r[k, i] * (denom - p_rue * alpha_r[k, i]) / denom
-        mbs_rue_load = p_rue * alpha_b[rues].sum() if rues else 0.0
-        for j in bues:
-            denom = mbs_rue_load + p_bue * alpha_b[j] + noise_power
-            total += b_ant * alpha_b[j] * (mbs_rue_load + noise_power) / denom
-    return total
+def _sum_mse_values(topology, rue_pilots, bue_pilots, p_rue, p_bue, noise_power) -> np.ndarray:
+    """Sum MSE (A,) of each row of the int array ``rue_pilots`` (A, R; RUEs in
+    ``rue_set`` order), with the BUEs on the int array ``bue_pilots``.
+
+    Arrays are (link, candidate), and every candidate goes through the same
+    operations in the same order in any block: masked co-pilot loads summed
+    over the RUEs, then the BUEs, and link terms summed in link order by
+    ``np.add.accumulate`` (sequential, unlike axis reductions, whose order
+    depends on the shape). Relabeled pilots therefore tie bit for bit.
+    """
+    rues, bues = topology.rue_set, topology.bue_set
+    num_rue, num_users = len(rues), len(rues) + len(bues)
+    # Users: the RUEs, then the BUEs. Links: the RRH links in RUE order, then
+    # one MBS link per BUE, each with a receiver row (num_rrh is the MBS).
+    link_rrh = [k for i in rues for k in topology.serving_rrhs[i]]
+    link_rue = [r for r, i in enumerate(rues) for _ in topology.serving_rrhs[i]]
+    rrh, mbs = slice(None, len(link_rrh)), slice(len(link_rrh), None)
+    rx = np.array(link_rrh + [topology.num_rrh] * len(bues))
+    owners = np.array(link_rue + list(range(num_rue, num_users)))
+    receivers = np.concatenate((topology.alpha_rrh, topology.alpha_mbs[None]))[:, rues + bues]
+    gains = receivers[rx].T[:, :, None]  # (users, links, 1): user u's gain at link l
+    own_gain = receivers[rx, owners]
+    cfg = topology.config
+    antennas = np.array([cfg.rrh_antennas] * len(link_rrh) + [cfg.mbs_antennas] * len(bues))
+    pilots = np.empty((num_users, len(rue_pilots)), dtype=rue_pilots.dtype)
+    pilots[:num_rue] = rue_pilots.T
+    pilots[num_rue:] = bue_pilots[:, None]
+    own = pilots[owners]  # (links, A): the pilot each link is estimated on
+    hits = np.equal(pilots[:, None], own)  # (users, links, A): co-pilot masks
+    # Masked gains are gain * 1.0 or gain * 0.0, so the loads are exact sums.
+    rue_load, bue_load = np.zeros((2,) + own.shape)
+    part = np.empty(own.shape)
+    for u in range(num_users):
+        load = rue_load if u < num_rue else bue_load
+        load += np.multiply(hits[u], gains[u], out=part)
+    # The scalar formulas, in their operation order, with
+    # denom = p_rue * rue_load + p_bue * bue_load + noise:
+    #   RRH link: n * a * (denom - p_rue * a) / denom
+    #   MBS link: b * a * (p_rue * rue_load + noise) / denom
+    rue_load *= p_rue
+    bue_load *= p_bue
+    np.add(rue_load[mbs], noise_power, out=part[mbs])
+    denom = rue_load
+    denom += bue_load
+    denom += noise_power
+    np.subtract(denom[rrh], p_rue * own_gain[rrh, None], out=part[rrh])
+    part *= (antennas * own_gain)[:, None]
+    part /= denom
+    return np.add.accumulate(part, out=part)[-1]
 
 
 def sum_mse(
@@ -197,7 +239,9 @@ def sum_mse(
     the antenna count. Raises on an assignment violating the reuse constraints.
     """
     validate_assignment(topology, assignment)
-    return _sum_mse_value(topology, assignment.pilots, p_rue, p_bue, noise_power)
+    pilots = assignment.pilots
+    rue_pilots, bue_pilots = pilots[None, topology.rue_set], pilots[topology.bue_set]
+    return float(_sum_mse_values(topology, rue_pilots, bue_pilots, p_rue, p_bue, noise_power)[0])
 
 
 def _clamped_tau(topology: Topology, tau: int, t: int) -> int:
@@ -292,6 +336,42 @@ def psa_schedule(
     return make_assignment(tau_eff, pilots)
 
 
+def _feasible_blocks(graph: ConflictGraph, tau: int):
+    """Every feasible RUE pilot vector (RUEs in ``graph.rue_ids`` order), in
+    lexicographic order, in blocks of at most ``_BLOCK`` rows.
+
+    Prefixes grow one RUE at a time by the pilots its earlier conflict-graph
+    neighbors do not hold; prefixes whose children would pass ``_BLOCK`` rows
+    are split into slices expanded depth first, so the space is never held.
+    """
+    num = len(graph.rue_ids)
+    earlier = [[r2 for r2 in graph.neighbors(pos) if r2 < pos] for pos in range(num)]
+
+    def grow(prefixes: np.ndarray):
+        pos = prefixes.shape[1]
+        if pos == num:
+            if len(prefixes):
+                yield prefixes
+            return
+        allowed = np.ones((len(prefixes), tau), dtype=bool)
+        rows = np.arange(len(prefixes))
+        for r2 in earlier[pos]:
+            allowed[rows, prefixes[:, r2] - 1] = False
+        counts = allowed.sum(axis=1)
+        ends = np.cumsum(counts)
+        start = 0
+        while start < len(prefixes):
+            done = ends[start - 1] if start else 0
+            stop = int(np.searchsorted(ends, done + _BLOCK, side="right"))
+            children = np.empty((ends[stop - 1] - done, pos + 1), dtype=prefixes.dtype)
+            children[:, :pos] = np.repeat(prefixes[start:stop], counts[start:stop], axis=0)
+            children[:, pos] = np.nonzero(allowed[start:stop])[1] + 1
+            yield from grow(children)
+            start = stop
+
+    yield from grow(np.zeros((1, 0), dtype=np.min_scalar_type(tau)))
+
+
 def es_schedule(
     topology: Topology,
     tau: int,
@@ -302,9 +382,12 @@ def es_schedule(
 ) -> PilotAssignment:
     """Exhaustive minimizer of the sum MSE over feasible assignments.
 
-    BUE pilots are fixed to 1..|bue_set|; RUE pilots are enumerated depth-first
-    in UE-id order with conflict pruning, so the first strict minimum found is
-    the lexicographically smallest minimizer. Guarded by tau_eff**M <= limit.
+    BUE pilots are fixed to 1..|bue_set|. The feasible RUE pilot vectors are
+    scored in lexicographic blocks (``_feasible_blocks``), one
+    ``_sum_mse_values`` call each. A block's first minimum replaces the best
+    only if strictly smaller, so the result is the lexicographically smallest
+    minimizer, and ``sum_mse`` of it equals that minimum bit for bit.
+    Guarded by tau_eff**M <= limit.
     """
     graph = build_conflict_graph(topology)
     t, _ = dsatur_color(graph)
@@ -313,29 +396,15 @@ def es_schedule(
         raise ValueError(
             f"search space {tau_eff}^{topology.num_ue} exceeds the enumeration guard {limit}"
         )
-    rue_ids = graph.rue_ids
+    bue_pilots = np.arange(1, len(topology.bue_set) + 1)
+    best_value, best_row = np.inf, None
+    for block in _feasible_blocks(graph, tau_eff):
+        values = _sum_mse_values(topology, block, bue_pilots, p_rue, p_bue, noise_power)
+        a = int(np.argmin(values))
+        if values[a] < best_value:
+            best_value, best_row = values[a], block[a].copy()
     pilots = np.zeros(topology.num_ue, dtype=int)
-    for idx, j in enumerate(topology.bue_set):
-        pilots[j] = idx + 1
-    best = {"value": np.inf, "pilots": None}
-
-    def dfs(pos: int) -> None:
-        if pos == len(rue_ids):
-            value = _sum_mse_value(topology, pilots, p_rue, p_bue, noise_power)
-            if value < best["value"]:
-                best["value"] = value
-                best["pilots"] = pilots.copy()
-            return
-        i = rue_ids[pos]
-        neighbor_pilots = {
-            pilots[rue_ids[r2]] for r2 in graph.neighbors(pos) if r2 < pos
-        }
-        for p in range(1, tau_eff + 1):
-            if p in neighbor_pilots:
-                continue
-            pilots[i] = p
-            dfs(pos + 1)
-        pilots[i] = 0
-
-    dfs(0)
-    return make_assignment(tau_eff, best["pilots"] if best["pilots"] is not None else pilots)
+    pilots[topology.bue_set] = bue_pilots
+    if best_row is not None:
+        pilots[graph.rue_ids] = best_row
+    return make_assignment(tau_eff, pilots)

@@ -275,6 +275,7 @@ def test_mbs_side_takes_the_shared_matrix_or_its_copies():
 
 def test_solve_qcqp_respects_constraints_and_weak_duality():
     rng = child_rng(31, 4)
+    without_bue = 0
     for trial in range(6):
         problem, quads, lins, groups, caps = make_synthetic_qcqp(rng)
         beams, info = solved(problem)
@@ -284,6 +285,13 @@ def test_solve_qcqp_respects_constraints_and_weak_duality():
                 for m, idx in members
             )
             assert power <= caps[name] * (1.0 + 1e-6) + 1e-15
+            if name == "mbs":
+                excess = (power - caps[name]) / caps[name]
+                assert info["mbs_violation"] == pytest.approx(excess, rel=1e-12, abs=1e-15)
+        if "mbs" not in groups:
+            # no MBS constraint is in play, so there is no excess to report
+            assert info["mbs_violation"] == 0.0
+            without_bue += 1
         assert info["dual_value"] <= info["primal_value"] + 1e-7 * abs(info["primal_value"])
         # any strictly feasible point scores no better than the dual value
         w = {m: 0.5 * np.linalg.solve(quads[m], lins[m]) for m in quads}
@@ -294,6 +302,7 @@ def test_solve_qcqp_respects_constraints_and_weak_duality():
                 for m, idx in members:
                     w[m][idx] *= scale
         assert qcqp_value(quads, lins, w) >= info["dual_value"] - 1e-9 * abs(info["dual_value"])
+    assert without_bue  # trials 1 and 3
 
 
 def test_solve_qcqp_matches_projected_gradient_oracle():

@@ -5,6 +5,7 @@ numeric quantities are pinned against the literal per-link oracles.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,16 @@ from hcransim import (
     sum_mse,
     validate_assignment,
 )
+from hcransim import pilot_scheduler
 from hcransim.pilot_scheduler import ContaminationMetrics, dsatur_color
 
 from helpers import hand_topology
-from oracles import best_schedules_oracle, beta_oracle, sum_mse_oracle
+from oracles import (
+    best_schedules_oracle,
+    beta_oracle,
+    enumerate_feasible_pilots,
+    sum_mse_oracle,
+)
 
 TRAIN = TrainingConfig()
 
@@ -318,12 +325,26 @@ def test_dsatur_random_never_uses_more_than_t_pilots():
             assert len(rue_pilots) <= t
 
 
+# (seed, num_rrh, num_ue, coverage_radius, tau): the optima include RUEs on a
+# BUE's pilot and RUE-only pilots whose relabelings tie, at tau 3 to 6 and with
+# up to 8 users; the brute-force oracle takes about 1.5 s over all of them.
+ES_CASES = [(seed, 10, 5, 150.0, 3) for seed in range(5)] + [
+    (0, 15, 6, 120.0, 4),
+    (0, 15, 6, 120.0, 5),
+    (0, 15, 6, 120.0, 6),
+    (4, 15, 6, 120.0, 6),
+    (1, 20, 7, 120.0, 5),
+    (3, 25, 8, 100.0, 4),
+]
+
+
 def test_es_matches_brute_force_and_is_lexicographically_smallest():
-    for seed in range(5):
-        topo = seeded_topology(seed, num_rrh=10, num_ue=5, coverage_radius=150.0)
-        tau = 3
+    shares_bue_pilot = ties = 0
+    for seed, num_rrh, num_ue, radius, tau in ES_CASES:
+        topo = seeded_topology(seed, num_rrh=num_rrh, num_ue=num_ue, coverage_radius=radius)
         a = es_schedule(topo, tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
         validate_assignment(topo, a)
+        assert a.tau == tau
         best_value, argmins = best_schedules_oracle(
             topo, a.tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power
         )
@@ -331,6 +352,59 @@ def test_es_matches_brute_force_and_is_lexicographically_smallest():
         assert value == pytest.approx(best_value, rel=1e-12)
         lexmin = min(tuple(p) for p in argmins)
         assert tuple(a.pilots) == lexmin
+        bue_pilots = set(a.pilots[topo.bue_set].tolist())
+        shares_bue_pilot += bool(bue_pilots & set(a.pilots[topo.rue_set].tolist()))
+        ties += len(argmins) > 1
+    assert shares_bue_pilot and ties
+
+
+def test_es_blocks_enumerate_in_order_and_score_independently_of_blocking():
+    # 5 RUEs and 1 BUE at tau 6: 5,400 candidates, several blocks
+    topo = seeded_topology(4)
+    graph = build_conflict_graph(topo)
+    blocks = list(pilot_scheduler._feasible_blocks(graph, 6))
+    assert len(blocks) > 1
+    assert all(len(b) <= pilot_scheduler._BLOCK for b in blocks)
+    candidates = np.concatenate(blocks)
+    # the oracle's unpruned product, filtered: every feasible vector, lexicographic
+    expected = [p[topo.rue_set] for p in enumerate_feasible_pilots(topo, 6)]
+    assert np.array_equal(candidates, expected)
+
+    bue_pilots = np.arange(1, len(topo.bue_set) + 1)
+    args = (bue_pilots, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+    whole = pilot_scheduler._sum_mse_values(topo, candidates, *args)
+    for size in (1, 7):
+        parts = [
+            pilot_scheduler._sum_mse_values(topo, candidates[s : s + size], *args)
+            for s in range(0, len(candidates), size)
+        ]
+        assert np.array_equal(np.concatenate(parts), whole)  # bit for bit
+
+    es = es_schedule(topo, 6, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+    assert sum_mse(topo, es, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power) == whole.min()
+    assert np.array_equal(es.pilots[topo.rue_set], candidates[np.argmin(whole)])
+    # swapping two RUE-only pilot labels gives the same value, bit for bit
+    rue_pilots = es.pilots[topo.rue_set]
+    used = sorted(set(rue_pilots.tolist()) - set(bue_pilots.tolist()))
+    assert len(used) >= 2
+    swapped = rue_pilots.copy()
+    swapped[rue_pilots == used[0]], swapped[rue_pilots == used[1]] = used[1], used[0]
+    pair = pilot_scheduler._sum_mse_values(topo, np.stack((rue_pilots, swapped)), *args)
+    assert pair[0] == pair[1] == whole.min()
+
+
+def test_es_memory_stays_bounded_beyond_one_block():
+    # 7 RUEs at tau 6: 233,280 feasible vectors, 1.6 MB even as bytes
+    topo = generate_topology(ScenarioConfig(num_ue=8, num_rrh=25, rng_seed=2))
+    graph = build_conflict_graph(topo)
+    assert len(graph.rue_ids) == 7
+    tracemalloc.start()
+    try:
+        es_schedule(topo, 6, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_es_guard_rejects_huge_search_spaces():
