@@ -22,7 +22,7 @@ from .scenario import Topology
 from .util import crandn, dbm_to_watt
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
     p_rue: float = dbm_to_watt(17.0)        # uplink pilot power of RRH-served users, W
     p_bue: float = dbm_to_watt(20.0)        # uplink pilot power of MBS-served users, W

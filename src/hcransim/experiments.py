@@ -1,7 +1,7 @@
 """Seeded experiment sweeps with CSV output.
 
-Every sweep runs `num_realizations` independent topology/channel draws per
-sweep value. Realization r derives all of its randomness from
+Every sweep runs `num_realizations` independent topology/channel draws at
+each sweep value. Realization r derives all of its randomness from
 (master_seed, r, slot) with fixed slots — 0: topology, 1: scheduler,
 2: channel draw, 3: training noise — so the same realization index reuses
 the same randomness at every sweep value (paired comparisons) and results do
@@ -9,6 +9,15 @@ not depend on execution order or worker count. This is seed contract
 version 2: in version 1 slot 4 fed the Monte-Carlo rate sampler. Since the
 rates became exact quadratures, which draw nothing, slot 4 is retired, not
 reused; slots 0-3 and their streams are as in version 1.
+
+Sweeps run realization-major: one worker call takes one realization through
+every sweep value and runs each stage once per distinct input (``_Scene``).
+The topology, conflict graph with its Dsatur coloring, contamination levels,
+sum-MSE link arrays and small-scale channel draw are made once per scenario:
+once per call in a `tau` or `coherence` sweep, once per value in a scenario
+sweep. Each assignment serves every beamformer. Nothing is kept between
+calls. With `jobs > 1` one process pool serves the sweep, split by
+realization.
 
 CSV schema: one row per (sweep_value, metric, mean, stderr, n).
 """
@@ -22,6 +31,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,15 +49,16 @@ from .pilot_scheduler import (
     compute_beta,
     dsatur_random_schedule,
     es_schedule,
+    mse_links,
     psa_schedule,
     sum_mse,
 )
 from .rate_bounds import build_covariances, lower_bound_rates, monte_carlo_rates
 from .scenario import ScenarioConfig, generate_topology, save_topology, with_seed
-from .util import child_rng, child_seed, dbm_to_watt, seed_to_int
+from .util import child_seed, dbm_to_watt, seed_to_int
 
 SCHEDULERS = ("psa", "dsatur_random", "es")
-BEAMFORMERS = ("rtd", "rtd_perfect_csi", "none")
+BEAMFORMERS = ("rtd", "rtd_perfect_csi")
 
 _SCENARIO_SWEEPS = {
     "num_ue",
@@ -83,6 +94,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown sweep parameter {self.sweep_name!r}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be non-empty")
+        if not self.schedulers or not self.beamformers:
+            raise ValueError("schedulers and beamformers must be non-empty")
         for s in self.schedulers:
             if s not in SCHEDULERS:
                 raise ValueError(f"unknown scheduler {s!r}")
@@ -105,109 +118,123 @@ def _apply_sweep(cfg: ExperimentConfig, value):
     return scenario, training
 
 
-def _topology_for(cfg: ExperimentConfig, scenario: ScenarioConfig, r: int):
-    seed = seed_to_int(child_seed(cfg.master_seed, r, 0))
-    return generate_topology(with_seed(scenario, seed))
+class _Scene:
+    """Realization r of one scenario: the stages no sweep value changes.
 
+    The topology, its conflict graph (which holds the Dsatur coloring) and
+    the contamination levels are made on construction; the sum-MSE link
+    arrays and the small-scale channel draw on first use. Everything here is
+    shared by the schedulers and beamformers of one worker call and must not
+    be mutated; the shared arrays are read-only.
+    """
 
-def _schedule(topology, metrics, graph, scheduler: str, training, cfg, r: int):
-    if scheduler == "psa":
-        return psa_schedule(
-            topology, metrics, graph, training.tau, rng=child_rng(cfg.master_seed, r, 1)
+    def __init__(self, cfg: ExperimentConfig, scenario: ScenarioConfig, r: int):
+        self.cfg, self.r = cfg, r
+        seed = seed_to_int(child_seed(cfg.master_seed, r, 0))
+        self.topology = generate_topology(with_seed(scenario, seed))
+        self.graph = build_conflict_graph(self.topology)
+        self.metrics = compute_beta(self.topology, self.graph)
+        self.scheduler_seed = child_seed(cfg.master_seed, r, 1)
+
+    @cached_property
+    def mse_links(self):
+        return mse_links(self.topology)
+
+    @cached_property
+    def channels(self):
+        channels = draw_small_scale(self.topology, child_seed(self.cfg.master_seed, self.r, 2))
+        channels.rrh.flags.writeable = channels.mbs.flags.writeable = False
+        return channels
+
+    def schedule(self, scheduler: str, training: TrainingConfig):
+        topology, tau = self.topology, training.tau
+        powers = (training.p_rue, training.p_bue, training.noise_power)
+        if scheduler == "es":
+            return es_schedule(topology, tau, *powers, graph=self.graph, links=self.mse_links)
+        rng = np.random.default_rng(self.scheduler_seed)  # fresh per call
+        if scheduler == "psa":
+            return psa_schedule(topology, self.metrics, self.graph, tau, rng=rng)
+        if scheduler == "dsatur_random":
+            return dsatur_random_schedule(topology, tau, rng, self.graph)
+        raise ValueError(f"unknown scheduler {scheduler!r}")
+
+    def sum_mse(self, assignment, training: TrainingConfig) -> float:
+        powers = (training.p_rue, training.p_bue, training.noise_power)
+        return sum_mse(self.topology, assignment, *powers, links=self.mse_links)
+
+    def solve(self, assignment, training: TrainingConfig, beamformer: str) -> dict:
+        """Estimate, run one beamformer and rate it; returns a results dict."""
+        topology, cfg = self.topology, self.cfg
+        if beamformer == "rtd_perfect_csi":
+            state = perfect_channel_state(topology, self.channels)
+        else:
+            seed = child_seed(cfg.master_seed, self.r, 3)
+            state = estimate_channels(topology, assignment, training, self.channels, seed)
+        # Rate prelog reflects the pilots actually spent (tau may have been
+        # clamped up to the conflict-coloring count or the BUE count).
+        training_eff = dataclasses.replace(training, tau=assignment.tau)
+        links = build_covariances(topology, state)
+        beams, rtd_state = rtd_solve(topology, links, training_eff, cfg.budgets)
+        prelog = prelog_factor(training_eff.tau, training_eff.coherence)
+        lb = lower_bound_rates(links, beams, training.noise_power, prelog)
+        mc, mc_stderr = monte_carlo_rates(
+            links, beams, training.noise_power, prelog, trials=cfg.mc_trials
         )
-    if scheduler == "dsatur_random":
-        return dsatur_random_schedule(
-            topology, training.tau, child_rng(cfg.master_seed, r, 1), graph
-        )
-    if scheduler == "es":
-        return es_schedule(
-            topology,
-            training.tau,
-            training.p_rue,
-            training.p_bue,
-            training.noise_power,
-        )
-    raise ValueError(f"unknown scheduler {scheduler!r}")
+        return {
+            "topology": topology,
+            "assignment": assignment,
+            "links": links,
+            "state": state,
+            "beams": beams,
+            "rtd_state": rtd_state,
+            "prelog": prelog,
+            "lb": lb,
+            "mc": mc,
+            "mc_stderr": mc_stderr,
+        }
 
 
 # ---------------------------------------------------------------------------
 # Per-realization workers (module level so process pools can pickle them).
 
 
-def _mse_realization(args):
-    cfg, value, r = args
-    scenario, training = _apply_sweep(cfg, value)
-    topology = _topology_for(cfg, scenario, r)
-    graph = build_conflict_graph(topology)
-    metrics = compute_beta(topology, graph)
+def _realization(args) -> list[dict]:
+    """One metrics dict per sweep value for realization r, each scenario's
+    shared stages made once (``_Scene``) and dropped when the call returns."""
+    cfg, metrics_at, r = args
+    scenes = {}
+    out = []
+    for value in cfg.sweep_values:
+        scenario, training = _apply_sweep(cfg, value)
+        if scenario not in scenes:
+            scenes[scenario] = _Scene(cfg, scenario, r)
+        out.append(metrics_at(scenes[scenario], training))
+    return out
+
+
+def _mse_metrics(scene: _Scene, training: TrainingConfig) -> dict:
     out = {}
-    for scheduler in cfg.schedulers:
+    for scheduler in scene.cfg.schedulers:
         try:
-            assignment = _schedule(topology, metrics, graph, scheduler, training, cfg, r)
+            assignment = scene.schedule(scheduler, training)
         except ValueError as exc:
             if scheduler == "es":
                 out[f"skip_{scheduler}"] = str(exc)
                 continue
             raise
-        out[f"sum_mse_{scheduler}"] = sum_mse(
-            topology,
-            assignment,
-            training.p_rue,
-            training.p_bue,
-            training.noise_power,
-        )
+        out[f"sum_mse_{scheduler}"] = scene.sum_mse(assignment, training)
     return out
 
 
-def _solve_realization(cfg, value, r, scheduler, beamformer):
-    """Schedule, estimate, and run one beamformer; returns a metrics dict."""
-    scenario, training = _apply_sweep(cfg, value)
-    topology = _topology_for(cfg, scenario, r)
-    graph = build_conflict_graph(topology)
-    metrics = compute_beta(topology, graph)
-    assignment = _schedule(topology, metrics, graph, scheduler, training, cfg, r)
-    channels = draw_small_scale(topology, child_seed(cfg.master_seed, r, 2))
-    if beamformer == "rtd_perfect_csi":
-        state = perfect_channel_state(topology, channels)
-    else:
-        state = estimate_channels(
-            topology, assignment, training, channels, child_seed(cfg.master_seed, r, 3)
-        )
-    # Rate prelog reflects the pilots actually spent (tau may have been
-    # clamped up to the conflict-coloring count or the BUE count).
-    training_eff = dataclasses.replace(training, tau=assignment.tau)
-    links = build_covariances(topology, state)
-    beams, rtd_state = rtd_solve(topology, links, training_eff, cfg.budgets)
-    prelog = prelog_factor(training_eff.tau, training_eff.coherence)
-    lb = lower_bound_rates(links, beams, training.noise_power, prelog)
-    mc, mc_stderr = monte_carlo_rates(
-        links, beams, training.noise_power, prelog, trials=cfg.mc_trials
-    )
-    result = {
-        "topology": topology,
-        "assignment": assignment,
-        "links": links,
-        "state": state,
-        "beams": beams,
-        "rtd_state": rtd_state,
-        "prelog": prelog,
-        "lb": lb,
-        "mc": mc,
-        "mc_stderr": mc_stderr,
-    }
-    return result
-
-
-def _se_realization(args):
-    cfg, value, r = args
+def _se_metrics(scene: _Scene, training: TrainingConfig) -> dict:
+    cfg = scene.cfg
     out = {}
     for scheduler in cfg.schedulers:
+        assignment = scene.schedule(scheduler, training)
         for beamformer in cfg.beamformers:
-            if beamformer == "none":
-                continue
             tag = f"{scheduler}_{beamformer}"
             try:
-                res = _solve_realization(cfg, value, r, scheduler, beamformer)
+                res = scene.solve(assignment, training, beamformer)
             except ConvergenceError as exc:
                 out[f"failed_{tag}"] = str(exc)
                 continue
@@ -220,23 +247,19 @@ def _se_realization(args):
     return out
 
 
-def _tightness_realization(args):
-    cfg, value, r = args
-    out = {}
-    scheduler = cfg.schedulers[0]
-    beamformer = next((b for b in cfg.beamformers if b != "none"), None)
-    if beamformer is None:
-        raise ValueError("tightness runs need a beamformer other than 'none'")
+def _tightness_metrics(scene: _Scene, training: TrainingConfig) -> dict:
+    cfg = scene.cfg
+    assignment = scene.schedule(cfg.schedulers[0], training)
     try:
-        res = _solve_realization(cfg, value, r, scheduler, beamformer)
+        res = scene.solve(assignment, training, cfg.beamformers[0])
     except ConvergenceError as exc:
-        out["failed"] = str(exc)
-        return out
+        return {"failed": str(exc)}
     topology, lb, mc = res["topology"], res["lb"], res["mc"]
     lb_rue = float(sum(lb[i] for i in topology.rue_set))
     mc_rue = float(sum(mc[i] for i in topology.rue_set))
     lb_bue = float(sum(lb[j] for j in topology.bue_set))
     mc_bue = float(sum(mc[j] for j in topology.bue_set))
+    out = {}
     out["sum_lb_rue"] = lb_rue
     out["sum_mc_rue"] = mc_rue
     out["sum_lb_bue"] = lb_bue
@@ -285,14 +308,6 @@ def _mean_stderr(values: list[float]):
     return mean, stderr
 
 
-def _run_ensemble(cfg: ExperimentConfig, worker, value):
-    tasks = [(cfg, value, r) for r in range(cfg.num_realizations)]
-    if cfg.jobs == 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // cfg.jobs)))
-
-
 def _reduce_metrics(results: list[dict], value) -> list:
     """Ordered reduction of per-realization dicts into CSV rows.
 
@@ -335,10 +350,17 @@ def _reduce_metrics(results: list[dict], value) -> list:
     return rows
 
 
-def _run_sweep(cfg: ExperimentConfig, worker) -> SweepResult:
+def _run_sweep(cfg: ExperimentConfig, metrics_at) -> SweepResult:
+    """Every realization through ``_realization``, then rows value by value."""
+    tasks = [(cfg, metrics_at, r) for r in range(cfg.num_realizations)]
+    if cfg.jobs == 1:
+        per_realization = [_realization(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            chunksize = max(1, len(tasks) // cfg.jobs)
+            per_realization = list(pool.map(_realization, tasks, chunksize=chunksize))
     rows = []
-    for value in cfg.sweep_values:
-        results = _run_ensemble(cfg, worker, value)
+    for value, results in zip(cfg.sweep_values, zip(*per_realization)):
         skip_msgs = {}
         for res in results:
             for key, msg in res.items():
@@ -357,19 +379,19 @@ def run_mse_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Ensemble mean sum channel-estimation MSE per scheduler per sweep value."""
     if cfg.sweep_name not in {"tau", "num_ue"}:
         raise ValueError("MSE sweeps cover tau or num_ue")
-    return _run_sweep(cfg, _mse_realization)
+    return _run_sweep(cfg, _mse_metrics)
 
 
 def run_se_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Ensemble sum spectral efficiency (bound and exact rate) per sweep value."""
-    return _run_sweep(cfg, _se_realization)
+    return _run_sweep(cfg, _se_metrics)
 
 
 def run_tightness(cfg: ExperimentConfig) -> SweepResult:
     """Bound-vs-achievable comparison split by UE class."""
     if cfg.sweep_name not in {"rrh_antennas", "mbs_antennas", "num_rrh"}:
         raise ValueError("tightness sweeps cover rrh_antennas, mbs_antennas, or num_rrh")
-    return _run_sweep(cfg, _tightness_realization)
+    return _run_sweep(cfg, _tightness_metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +414,13 @@ def schedule_one(cfg: ExperimentConfig, out_path=None) -> list:
     Returns one (scheduler, assignment, sum MSE) triple per scheduler and,
     if out_path is given, writes the first scheduler's pilot table there.
     """
-    training = cfg.training
-    topology = _topology_for(cfg, cfg.scenario, 0)
-    graph = build_conflict_graph(topology)
-    metrics = compute_beta(topology, graph)
+    scene = _Scene(cfg, cfg.scenario, 0)
     results = []
     for scheduler in cfg.schedulers:
-        assignment = _schedule(topology, metrics, graph, scheduler, training, cfg, 0)
-        mse = sum_mse(topology, assignment, training.p_rue, training.p_bue, training.noise_power)
-        results.append((scheduler, assignment, mse))
-    if out_path and results:
-        _write_assignment(out_path, topology, results[0][1])
+        assignment = scene.schedule(scheduler, cfg.training)
+        results.append((scheduler, assignment, scene.sum_mse(assignment, cfg.training)))
+    if out_path:
+        _write_assignment(out_path, scene.topology, results[0][1])
     return results
 
 
@@ -416,9 +434,10 @@ def solve_one(cfg: ExperimentConfig, out_dir) -> dict:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scheduler = cfg.schedulers[0]
-    beamformer = next((b for b in cfg.beamformers if b != "none"), "rtd")
-    res = _solve_realization(cfg, cfg.sweep_values[0], 0, scheduler, beamformer)
+    scenario, training = _apply_sweep(cfg, cfg.sweep_values[0])
+    scene = _Scene(cfg, scenario, 0)
+    assignment = scene.schedule(cfg.schedulers[0], training)
+    res = scene.solve(assignment, training, cfg.beamformers[0])
 
     save_topology(res["topology"], out / "topology.csv")
 

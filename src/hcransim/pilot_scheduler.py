@@ -15,7 +15,11 @@ are provided:
   go to the lexicographically smallest vector.
 
 ``_sum_mse_values`` is the one sum-MSE evaluator (``sum_mse`` scores a block
-of one); a candidate's value is bit for bit the same in any block.
+of one); a candidate's value is bit for bit the same in any block. It reads
+the read-only link arrays of ``mse_links``, which a caller scoring several
+assignments of one topology builds once and passes to ``sum_mse`` and
+``es_schedule``. Likewise a ``ConflictGraph`` computes its Dsatur coloring
+once, on first use, for every scheduler it is passed to.
 
 Pilot indices are 1-based. MBS-served users always hold pilots 1..|bue_set|,
 one each; RRH-served users may share any pilot, including a BUE's.
@@ -25,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +48,14 @@ class ConflictGraph:
 
     def neighbors(self, r: int) -> np.ndarray:
         return np.nonzero(self.adjacency[r])[0]
+
+    @cached_property
+    def coloring(self) -> tuple[int, np.ndarray]:
+        """``dsatur_color`` of this graph, computed on first use; the colors
+        array is read-only, since every scheduler given the graph shares it."""
+        t, colors = dsatur_color(self)
+        colors.flags.writeable = False
+        return t, colors
 
 
 @dataclass
@@ -177,7 +191,45 @@ def group_by_pilot(topology: Topology, pilots: np.ndarray):
     return groups
 
 
-def _sum_mse_values(topology, rue_pilots, bue_pilots, p_rue, p_bue, noise_power) -> np.ndarray:
+class MseLinks(NamedTuple):
+    """The estimated links of one topology, as ``_sum_mse_values`` reads them.
+
+    Users are the RUEs in ``rue_set`` order, then the BUEs. Links are the RRH
+    links in RUE order, then one MBS link per BUE. The arrays are read-only.
+    """
+
+    num_rue: int
+    num_rrh_links: int
+    owners: np.ndarray  # (links,) the user each link estimates
+    gains: np.ndarray  # (users, links, 1) user u's gain at link l's receiver
+    own_gain: np.ndarray  # (links,) the owner's gain at its link
+    antennas: np.ndarray  # (links,) receive antennas
+
+
+def mse_links(topology: Topology) -> MseLinks:
+    """The sum-MSE link arrays of a topology; they do not depend on the pilots."""
+    rues, bues = topology.rue_set, topology.bue_set
+    num_rue = len(rues)
+    link_rrh = [k for i in rues for k in topology.serving_rrhs[i]]
+    link_rue = [r for r, i in enumerate(rues) for _ in topology.serving_rrhs[i]]
+    rx = np.array(link_rrh + [topology.num_rrh] * len(bues))  # num_rrh is the MBS
+    owners = np.array(link_rue + list(range(num_rue, num_rue + len(bues))))
+    receivers = np.concatenate((topology.alpha_rrh, topology.alpha_mbs[None]))[:, rues + bues]
+    cfg = topology.config
+    links = MseLinks(
+        num_rue=num_rue,
+        num_rrh_links=len(link_rrh),
+        owners=owners,
+        gains=receivers[rx].T[:, :, None],
+        own_gain=receivers[rx, owners],
+        antennas=np.array([cfg.rrh_antennas] * len(link_rrh) + [cfg.mbs_antennas] * len(bues)),
+    )
+    for array in (links.owners, links.gains, links.own_gain, links.antennas):
+        array.flags.writeable = False
+    return links
+
+
+def _sum_mse_values(links: MseLinks, rue_pilots, bue_pilots, p_rue, p_bue, noise_power):
     """Sum MSE (A,) of each row of the int array ``rue_pilots`` (A, R; RUEs in
     ``rue_set`` order), with the BUEs on the int array ``bue_pilots``.
 
@@ -187,31 +239,20 @@ def _sum_mse_values(topology, rue_pilots, bue_pilots, p_rue, p_bue, noise_power)
     ``np.add.accumulate`` (sequential, unlike axis reductions, whose order
     depends on the shape). Relabeled pilots therefore tie bit for bit.
     """
-    rues, bues = topology.rue_set, topology.bue_set
-    num_rue, num_users = len(rues), len(rues) + len(bues)
-    # Users: the RUEs, then the BUEs. Links: the RRH links in RUE order, then
-    # one MBS link per BUE, each with a receiver row (num_rrh is the MBS).
-    link_rrh = [k for i in rues for k in topology.serving_rrhs[i]]
-    link_rue = [r for r, i in enumerate(rues) for _ in topology.serving_rrhs[i]]
-    rrh, mbs = slice(None, len(link_rrh)), slice(len(link_rrh), None)
-    rx = np.array(link_rrh + [topology.num_rrh] * len(bues))
-    owners = np.array(link_rue + list(range(num_rue, num_users)))
-    receivers = np.concatenate((topology.alpha_rrh, topology.alpha_mbs[None]))[:, rues + bues]
-    gains = receivers[rx].T[:, :, None]  # (users, links, 1): user u's gain at link l
-    own_gain = receivers[rx, owners]
-    cfg = topology.config
-    antennas = np.array([cfg.rrh_antennas] * len(link_rrh) + [cfg.mbs_antennas] * len(bues))
+    num_rue, num_users = links.num_rue, len(links.gains)
+    rrh, mbs = slice(None, links.num_rrh_links), slice(links.num_rrh_links, None)
+    own_gain = links.own_gain
     pilots = np.empty((num_users, len(rue_pilots)), dtype=rue_pilots.dtype)
     pilots[:num_rue] = rue_pilots.T
     pilots[num_rue:] = bue_pilots[:, None]
-    own = pilots[owners]  # (links, A): the pilot each link is estimated on
+    own = pilots[links.owners]  # (links, A): the pilot each link is estimated on
     hits = np.equal(pilots[:, None], own)  # (users, links, A): co-pilot masks
     # Masked gains are gain * 1.0 or gain * 0.0, so the loads are exact sums.
     rue_load, bue_load = np.zeros((2,) + own.shape)
     part = np.empty(own.shape)
     for u in range(num_users):
         load = rue_load if u < num_rue else bue_load
-        load += np.multiply(hits[u], gains[u], out=part)
+        load += np.multiply(hits[u], links.gains[u], out=part)
     # The scalar formulas, in their operation order, with
     # denom = p_rue * rue_load + p_bue * bue_load + noise:
     #   RRH link: n * a * (denom - p_rue * a) / denom
@@ -223,7 +264,7 @@ def _sum_mse_values(topology, rue_pilots, bue_pilots, p_rue, p_bue, noise_power)
     denom += bue_load
     denom += noise_power
     np.subtract(denom[rrh], p_rue * own_gain[rrh, None], out=part[rrh])
-    part *= (antennas * own_gain)[:, None]
+    part *= (links.antennas * own_gain)[:, None]
     part /= denom
     return np.add.accumulate(part, out=part)[-1]
 
@@ -234,14 +275,18 @@ def sum_mse(
     p_rue: float,
     p_bue: float,
     noise_power: float,
+    links: MseLinks | None = None,
 ) -> float:
     """Sum over all estimated links of the per-antenna error variance times
     the antenna count. Raises on an assignment violating the reuse constraints.
+    ``links``, when given, must be ``mse_links(topology)``.
     """
     validate_assignment(topology, assignment)
+    if links is None:
+        links = mse_links(topology)
     pilots = assignment.pilots
     rue_pilots, bue_pilots = pilots[None, topology.rue_set], pilots[topology.bue_set]
-    return float(_sum_mse_values(topology, rue_pilots, bue_pilots, p_rue, p_bue, noise_power)[0])
+    return float(_sum_mse_values(links, rue_pilots, bue_pilots, p_rue, p_bue, noise_power)[0])
 
 
 def _clamped_tau(topology: Topology, tau: int, t: int) -> int:
@@ -272,7 +317,7 @@ def dsatur_random_schedule(
     """
     if graph is None:
         graph = build_conflict_graph(topology)
-    t, colors = dsatur_color(graph)
+    t, colors = graph.coloring
     tau_eff = _clamped_tau(topology, tau, t)
     perm = rng.permutation(t) if t else np.zeros(0, dtype=int)
     pilots = _base_pilots(topology, colors, perm, graph.rue_ids)
@@ -295,7 +340,7 @@ def psa_schedule(
     least contamination. Ties: lowest UE id / lowest pilot index.
     """
     rue_ids = graph.rue_ids
-    t, colors = dsatur_color(graph)
+    t, colors = graph.coloring
     tau_eff = _clamped_tau(topology, tau, t)
     perm = rng.permutation(t) if (rng is not None and t) else np.arange(t)
     pilots = _base_pilots(topology, colors, perm, rue_ids)
@@ -379,6 +424,8 @@ def es_schedule(
     p_bue: float,
     noise_power: float,
     limit: int = 10_000_000,
+    graph: ConflictGraph | None = None,
+    links: MseLinks | None = None,
 ) -> PilotAssignment:
     """Exhaustive minimizer of the sum MSE over feasible assignments.
 
@@ -387,19 +434,23 @@ def es_schedule(
     ``_sum_mse_values`` call each. A block's first minimum replaces the best
     only if strictly smaller, so the result is the lexicographically smallest
     minimizer, and ``sum_mse`` of it equals that minimum bit for bit.
-    Guarded by tau_eff**M <= limit.
+    Guarded by tau_eff**M <= limit. ``graph`` and ``links``, when given, must
+    be the topology's conflict graph and ``mse_links``.
     """
-    graph = build_conflict_graph(topology)
-    t, _ = dsatur_color(graph)
+    if graph is None:
+        graph = build_conflict_graph(topology)
+    t, _ = graph.coloring
     tau_eff = _clamped_tau(topology, tau, t)
     if tau_eff ** topology.num_ue > limit:
         raise ValueError(
             f"search space {tau_eff}^{topology.num_ue} exceeds the enumeration guard {limit}"
         )
+    if links is None:
+        links = mse_links(topology)
     bue_pilots = np.arange(1, len(topology.bue_set) + 1)
     best_value, best_row = np.inf, None
     for block in _feasible_blocks(graph, tau_eff):
-        values = _sum_mse_values(topology, block, bue_pilots, p_rue, p_bue, noise_power)
+        values = _sum_mse_values(links, block, bue_pilots, p_rue, p_bue, noise_power)
         a = int(np.argmin(values))
         if values[a] < best_value:
             best_value, best_row = values[a], block[a].copy()

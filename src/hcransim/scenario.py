@@ -19,7 +19,7 @@ TOPOLOGY_FORMAT = "hcransim-topology"
 TOPOLOGY_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     cell_radius: float = 500.0        # m
     inner_ring_radius: float = 200.0  # m, RRHs live in [inner, cell]

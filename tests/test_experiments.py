@@ -21,7 +21,7 @@ from hcransim import (
     run_tightness,
     solve_one,
 )
-from hcransim import experiments
+from hcransim import experiments, pilot_scheduler
 from hcransim.util import dbm_to_watt
 
 
@@ -50,7 +50,22 @@ def test_config_validation():
     with pytest.raises(ValueError):
         tiny_config(beamformers=("zf",))
     with pytest.raises(ValueError):
+        tiny_config(beamformers=("none",))
+    with pytest.raises(ValueError, match="non-empty"):
+        tiny_config(beamformers=())
+    with pytest.raises(ValueError, match="non-empty"):
+        tiny_config(schedulers=())
+    with pytest.raises(ValueError):
         tiny_config(jobs=0)
+
+
+@pytest.mark.parametrize(
+    "config, name", [(ScenarioConfig(), "num_ue"), (TrainingConfig(), "tau")]
+)
+def test_scenario_and_training_configs_are_frozen(config, name):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, 3)
+    assert hash(config) == hash(dataclasses.replace(config))
 
 
 def test_mc_trials_below_two_fails_at_construction(tmp_path):
@@ -117,10 +132,82 @@ def test_sweep_csv_reproducibility_and_jobs(tmp_path):
     assert out1.read_bytes() != out4.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "sweep, kw",
+    [
+        (run_mse_sweep, dict(schedulers=("psa", "dsatur_random", "es"))),
+        (
+            run_se_sweep,
+            dict(schedulers=("psa", "es"), beamformers=("rtd", "rtd_perfect_csi"), mc_trials=8),
+        ),
+    ],
+    ids=["mse", "se"],
+)
+def test_multi_value_sweep_rows_equal_one_value_sweeps(sweep, kw, jobs):
+    """Every row of a tau sweep equals, bit for bit, the row of the sweep at
+    that tau alone: nothing a realization shares across sweep values is
+    changed by the schedulers or beamformers that read it. Tau 2 is clamped
+    up to the MBS-served user count on two of the three realizations."""
+    taus = (2, 3, 4)
+    multi = sweep(tiny_config(sweep_values=taus, jobs=jobs, **kw)).rows
+    single = [
+        row for tau in taus for row in sweep(tiny_config(sweep_values=(tau,), jobs=jobs, **kw)).rows
+    ]
+    assert multi == single
+    assert {row[0] for row in multi} == set(taus)
+
+
+def _count_calls(monkeypatch, counts, module, names) -> None:
+    """Count the calls of each named function of ``module`` into ``counts``."""
+    counts.update(dict.fromkeys(names, 0))
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_each_realization_runs_its_sweep_invariant_stages_once(monkeypatch):
+    shared = ("generate_topology", "build_conflict_graph", "compute_beta", "mse_links")
+    counts = {}
+    _count_calls(monkeypatch, counts, experiments, shared + ("draw_small_scale", "sum_mse"))
+    _count_calls(monkeypatch, counts, pilot_scheduler, ("dsatur_color",))
+    taus = (2, 3, 4, 5)
+    run_mse_sweep(
+        tiny_config(sweep_values=taus, schedulers=("psa", "dsatur_random", "es"))
+    )
+    assert counts == dict.fromkeys(shared + ("dsatur_color",), 3) | {
+        "draw_small_scale": 0, "sum_mse": 3 * 4 * 3,
+    }
+
+    counts.update(dict.fromkeys(counts, 0))
+    run_se_sweep(
+        tiny_config(
+            sweep_values=taus,
+            num_realizations=2,
+            schedulers=("psa", "dsatur_random"),
+            beamformers=("rtd", "rtd_perfect_csi"),
+        )
+    )
+    assert counts == dict.fromkeys(
+        ("generate_topology", "build_conflict_graph", "compute_beta", "dsatur_color",
+         "draw_small_scale"), 2
+    ) | {"mse_links": 0, "sum_mse": 0}
+
+    # a scenario sweep draws once per distinct scenario
+    counts.update(dict.fromkeys(counts, 0))
+    run_mse_sweep(tiny_config(sweep_name="num_ue", sweep_values=(4, 5, 4)))
+    assert counts["generate_topology"] == counts["compute_beta"] == 2 * 3
+
+
 def test_se_sweep_metric_tags_and_traces():
     cfg = tiny_config(
         schedulers=("psa", "dsatur_random"),
-        beamformers=("rtd", "none"),
+        beamformers=("rtd",),
         num_realizations=2,
         sweep_values=(3,),
     )
@@ -214,9 +301,6 @@ def test_tightness_rows_and_restrictions():
             assert mean >= 0.0
     with pytest.raises(ValueError):
         run_tightness(tiny_config(sweep_name="tau"))
-    with pytest.raises(ValueError):
-        run_tightness(tiny_config(sweep_name="num_rrh", sweep_values=(8,),
-                                  beamformers=("none",)))
 
 
 def test_solve_one_artifacts(tmp_path):

@@ -372,10 +372,11 @@ def test_es_blocks_enumerate_in_order_and_score_independently_of_blocking():
 
     bue_pilots = np.arange(1, len(topo.bue_set) + 1)
     args = (bue_pilots, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
-    whole = pilot_scheduler._sum_mse_values(topo, candidates, *args)
+    links = pilot_scheduler.mse_links(topo)
+    whole = pilot_scheduler._sum_mse_values(links, candidates, *args)
     for size in (1, 7):
         parts = [
-            pilot_scheduler._sum_mse_values(topo, candidates[s : s + size], *args)
+            pilot_scheduler._sum_mse_values(links, candidates[s : s + size], *args)
             for s in range(0, len(candidates), size)
         ]
         assert np.array_equal(np.concatenate(parts), whole)  # bit for bit
@@ -389,8 +390,46 @@ def test_es_blocks_enumerate_in_order_and_score_independently_of_blocking():
     assert len(used) >= 2
     swapped = rue_pilots.copy()
     swapped[rue_pilots == used[0]], swapped[rue_pilots == used[1]] = used[1], used[0]
-    pair = pilot_scheduler._sum_mse_values(topo, np.stack((rue_pilots, swapped)), *args)
+    pair = pilot_scheduler._sum_mse_values(links, np.stack((rue_pilots, swapped)), *args)
     assert pair[0] == pair[1] == whole.min()
+
+
+def test_es_given_the_callers_graph_and_links_returns_the_same_assignment():
+    for seed, num_rrh, num_ue, radius, tau in ES_CASES[4:8]:
+        topo = seeded_topology(seed, num_rrh=num_rrh, num_ue=num_ue, coverage_radius=radius)
+        powers = (TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+        alone = es_schedule(topo, tau, *powers)
+        graph, links = build_conflict_graph(topo), pilot_scheduler.mse_links(topo)
+        for kwargs in ({"graph": graph}, {"links": links}, {"graph": graph, "links": links}):
+            given = es_schedule(topo, tau, *powers, **kwargs)
+            assert given.tau == alone.tau
+            assert np.array_equal(given.pilots, alone.pilots)
+        assert sum_mse(topo, alone, *powers, links=links) == sum_mse(topo, alone, *powers)
+
+
+def test_graph_colors_once_and_shares_a_read_only_coloring(monkeypatch):
+    topo = seeded_topology(3)
+    graph = build_conflict_graph(topo)
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return dsatur_color(g)
+
+    monkeypatch.setattr(pilot_scheduler, "dsatur_color", counted)
+    metrics = compute_beta(topo, graph)
+    psa_schedule(topo, metrics, graph, tau=3)
+    dsatur_random_schedule(topo, 3, np.random.default_rng(0), graph)
+    es_schedule(topo, 3, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power, graph=graph)
+    assert calls == [graph]
+    want_t, want_colors = dsatur_color(graph)
+    t, colors = graph.coloring
+    assert t == want_t and np.array_equal(colors, want_colors)
+    with pytest.raises(ValueError, match="read-only"):
+        colors[0] = 0
+    links = pilot_scheduler.mse_links(topo)
+    for array in (links.owners, links.gains, links.own_gain, links.antennas):
+        assert not array.flags.writeable
 
 
 def test_es_memory_stays_bounded_beyond_one_block():
