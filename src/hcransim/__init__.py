@@ -15,9 +15,7 @@ from .beamforming import (
     rtd_solve,
     solve_qcqp,
     stack_layout,
-    total_beam_diff,
     update_u,
-    zero_beams,
 )
 from .channel import (
     ChannelState,

@@ -22,7 +22,8 @@ pass. The f and u updates are closed-form.
 
 The alternation runs on arrays: one ``StackLayout`` per design, each QCQP
 written straight into its stack, and (M,) arrays of equalizers, auxiliaries
-and MSEs; ``BeamformerSet`` is built only for callers.
+and MSEs. A design's beams are returned as a ``BeamformerSet``, the per-link
+arrays (w_rrh, w_mbs) that the rate code computes on.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,52 +73,20 @@ class PowerBudget:
         return arr
 
 
-@dataclass
-class BeamformerSet:
-    """Transmit beams: stacked cluster beams per RUE, MBS beams per BUE."""
+class BeamformerSet(NamedTuple):
+    """Transmit beams on every link: ``rrh[m, k]`` is UE m's beam block at
+    RRH k and ``mbs[m]`` its MBS beam. Entries are zero off each RUE's
+    serving cluster, on zero-budget blocks, on BUE rows of ``rrh`` and on RUE
+    rows of ``mbs``. Unpacks as the (w_rrh, w_mbs) pair the rate code takes."""
 
-    rue: dict[int, np.ndarray]
-    bue: dict[int, np.ndarray]
-    block_rrhs: dict[int, list[int]]
-    block_size: int
-
-    def block(self, rue_id: int, rrh_id: int) -> np.ndarray:
-        pos = self.block_rrhs[rue_id].index(rrh_id)
-        n = self.block_size
-        return self.rue[rue_id][pos * n:(pos + 1) * n]
+    rrh: np.ndarray    # (M, K, N) complex
+    mbs: np.ndarray    # (M, B) complex
 
     def rrh_power(self, rrh_id: int) -> float:
-        total = 0.0
-        for i, cluster in self.block_rrhs.items():
-            if rrh_id in cluster:
-                total += float(np.sum(np.abs(self.block(i, rrh_id)) ** 2))
-        return total
+        return float(np.sum(np.abs(self.rrh[:, rrh_id]) ** 2))
 
     def mbs_power(self) -> float:
-        return float(sum(np.sum(np.abs(w) ** 2) for w in self.bue.values()))
-
-    def copy(self) -> "BeamformerSet":
-        return BeamformerSet(
-            rue={i: w.copy() for i, w in self.rue.items()},
-            bue={j: w.copy() for j, w in self.bue.items()},
-            block_rrhs={i: list(c) for i, c in self.block_rrhs.items()},
-            block_size=self.block_size,
-        )
-
-
-def zero_beams(links: AggregatedLinks) -> BeamformerSet:
-    return BeamformerSet(
-        rue={i: np.zeros(links.dim(i), dtype=complex) for i in links.rue_ids},
-        bue={j: np.zeros(links.mbs_antennas, dtype=complex) for j in links.bue_ids},
-        block_rrhs={i: list(links.block_rrhs[i]) for i in links.rue_ids},
-        block_size=links.block_size,
-    )
-
-
-def total_beam_diff(new: BeamformerSet, old: BeamformerSet) -> float:
-    """Sum of squared beam changes over all UEs."""
-    pairs = [(new.rue, old.rue), (new.bue, old.bue)]
-    return sum(float(np.sum(np.abs(a[m] - b[m]) ** 2)) for a, b in pairs for m in a)
+        return float(np.sum(np.abs(self.mbs) ** 2))
 
 
 @dataclass
@@ -133,7 +103,6 @@ class StackLayout:
     estimates in the row format of ``rows``.
     """
 
-    block_rrhs: dict[int, list[int]]
     block_size: int
     rue: np.ndarray
     bue: np.ndarray
@@ -159,20 +128,10 @@ class StackLayout:
         w_mbs[self.bue] = w_bue
         return out
 
-    def split(self, rows: np.ndarray):
-        """Views (w_rrh (M, K, N), w_mbs (M, B)) of per-UE rows."""
+    def split(self, rows: np.ndarray) -> BeamformerSet:
+        """Per-UE rows as a BeamformerSet of views into them."""
         cut = self.rrh_budget.size * self.block_size
-        return rows[:, :cut].reshape(len(rows), -1, self.block_size), rows[:, cut:]
-
-    def beam_set(self, w_rue: np.ndarray, w_bue: np.ndarray) -> BeamformerSet:
-        """The stack beams as a BeamformerSet (zero on zero-budget blocks)."""
-        w_rrh, w_mbs = self.split(self.rows(w_rue, w_bue))
-        return BeamformerSet(
-            rue={i: w_rrh[i, c].reshape(-1) for i, c in self.block_rrhs.items()},
-            bue={int(j): w_mbs[j].copy() for j in self.bue},
-            block_rrhs={i: list(c) for i, c in self.block_rrhs.items()},
-            block_size=self.block_size,
-        )
+        return BeamformerSet(rows[:, :cut].reshape(len(rows), -1, self.block_size), rows[:, cut:])
 
 
 def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
@@ -194,7 +153,6 @@ def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
     est[live] = links.est_rrh[link_rrh, link_ue]
     users_of = [np.nonzero(starts == a) for a in range(active.size)]
     return StackLayout(
-        block_rrhs={i: list(links.block_rrhs[i]) for i in links.rue_ids},
         block_size=n,
         rue=rue,
         bue=np.array(links.bue_ids, dtype=int),
@@ -677,7 +635,7 @@ def solve_qcqp(
     ((K,) by RRH id) and nu0 warm-start the multipliers.
 
     Returns (beams, info): beams is (RUE stack, (J, B) BUE beams), which
-    ``problem.layout.beam_set(*beams)`` turns into a BeamformerSet. info
+    ``layout.split(layout.rows(*beams))`` turns into a BeamformerSet. info
     holds the RRH-side solver's counters and final violation and gap, the MBS
     side's final relative cap excess (``mbs_violation``; 0.0 when there is no
     BUE, as the RRH side reports for no live block), the multipliers
@@ -808,9 +766,9 @@ def rtd_solve(
         state.objective_trace.append(float(np.sum(np.exp(u - 1.0) * mse - u)))
         state.sum_se_trace.append(-prelog * float(np.sum(np.log2(mse))))
         if keep_beam_history:
-            state.beam_history.append(layout.beam_set(w_rue, w_bue))
+            state.beam_history.append(layout.split(layout.rows(w_rue, w_bue)))
         state.iterations = it
         if delta <= rho:
             state.converged = True
             break
-    return layout.beam_set(w_rue, w_bue), state
+    return layout.split(layout.rows(w_rue, w_bue)), state

@@ -470,10 +470,20 @@ def solve_one(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def _section(raw: dict, name: str, known: set, label: str) -> dict:
-    entry = dict(raw.get(name, {}))
+    entry = raw.get(name, {})
+    if not isinstance(entry, dict):
+        raise ValueError(f"config section {name!r} must be an object, got {entry!r}")
     if set(entry) - known:
         raise ValueError(f"unknown {label} keys: {sorted(set(entry) - known)}")
-    return entry
+    return dict(entry)
+
+
+def _number(kind, value, key: str):
+    """kind(value), or a ValueError that names the config key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r} must be a number, got {value!r}") from None
 
 
 def _powers(entry: dict, **names: str) -> dict:
@@ -481,9 +491,9 @@ def _powers(entry: dict, **names: str) -> dict:
     out = {}
     for key, name in names.items():
         if f"{key}_dbm" in entry:
-            out[name] = dbm_to_watt(float(entry[f"{key}_dbm"]))
+            out[name] = dbm_to_watt(_number(float, entry[f"{key}_dbm"], f"{key}_dbm"))
         elif key in entry:
-            out[name] = float(entry[key])
+            out[name] = _number(float, entry[key], key)
     return out
 
 
@@ -491,7 +501,9 @@ def load_config(path) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file.
 
     Power entries accept either watts (`p_rue`) or dBm (`p_rue_dbm`). A
-    missing section or field takes the dataclass default. Unknown keys raise.
+    missing section or field takes the dataclass default. Unknown keys, a
+    section that is not an object and a value of the wrong type raise a
+    ValueError that names them.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -520,11 +532,18 @@ def load_config(path) -> ExperimentConfig:
     )
     b = _section(raw, "budgets", {"rrh", "rrh_dbm", "mbs", "mbs_dbm"}, "budget")
     sweep = _section(raw, "sweep", {"name", "values"}, "sweep")
+    for key, value in s.items():
+        want = type(getattr(ScenarioConfig, key))
+        if isinstance(value, bool) or not isinstance(value, (int, want)):
+            raise ValueError(f"scenario key {key!r} must be of type {want.__name__}, got {value!r}")
+    for entry, key in ((raw, "schedulers"), (raw, "beamformers"), (sweep, "values")):
+        if not isinstance(entry.get(key, []), list):
+            raise ValueError(f"config key {key!r} must be a list, got {entry[key]!r}")
 
     kwargs = {}
     for key in ("num_realizations", "mc_trials", "master_seed", "jobs"):
         if key in raw:
-            kwargs[key] = int(raw[key])
+            kwargs[key] = _number(int, raw[key], key)
     if "schedulers" in raw:
         kwargs["schedulers"] = tuple(raw["schedulers"])
     if "beamformers" in raw:
@@ -537,7 +556,7 @@ def load_config(path) -> ExperimentConfig:
         kwargs["sweep_values"] = tuple(sweep["values"])
     training = TrainingConfig(
         **_powers(t, p_rue="p_rue", p_bue="p_bue", noise="noise_power"),
-        **{key: int(t[key]) for key in ("tau", "coherence") if key in t},
+        **{key: _number(int, t[key], key) for key in ("tau", "coherence") if key in t},
     )
     return ExperimentConfig(
         scenario=ScenarioConfig(**s),

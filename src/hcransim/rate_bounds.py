@@ -56,9 +56,6 @@ class AggregatedLinks:
     def mbs_antennas(self) -> int:
         return self.est_mbs.shape[1]
 
-    def dim(self, rue_id: int) -> int:
-        return self.block_size * len(self.block_rrhs[rue_id])
-
     def estimate(self, ue_id: int) -> np.ndarray:
         """The usable channel of a UE: the stacked cluster estimate of a RUE,
         the MBS-link estimate of a BUE."""
@@ -82,35 +79,19 @@ def build_covariances(topology: Topology, state: ChannelState) -> AggregatedLink
     )
 
 
-def _beam_arrays(links: AggregatedLinks, beams):
-    """Every UE's beams as arrays: per-RRH blocks (M, K, N), zero off the
-    UE's cluster and for BUEs, and MBS beams (M, B), zero for RUEs. A tuple
-    is taken to be these arrays already."""
-    if isinstance(beams, tuple):
-        return beams
-    num_rrh, num_ue, n_ant = links.est_rrh.shape
-    rrh = np.zeros((num_ue, num_rrh, n_ant), dtype=complex)
-    for i in links.rue_ids:
-        rrh[i, links.block_rrhs[i]] = beams.rue[i].reshape(-1, n_ant)
-    mbs = np.zeros((num_ue, links.mbs_antennas), dtype=complex)
-    for j in links.bue_ids:
-        mbs[j] = beams.bue[j]
-    return rrh, mbs
-
-
 def interference_plus_noise(links: AggregatedLinks, beams, noise_power: float):
     """Expected interference-plus-noise power per UE under the link model.
 
-    beams is a BeamformerSet or its (w_rrh, w_mbs) arrays (see
-    ``_beam_arrays``). Entry [src, dst] of the moment matrix is the second
-    moment of what src's beams deliver to dst; on the diagonal only the
-    error (variance) part counts, since the estimate part is the UE's own
-    signal.
+    beams is a BeamformerSet or the same (w_rrh (M, K, N), w_mbs (M, B))
+    pair of per-link arrays. Entry [src, dst] of the moment matrix is the
+    second moment of what src's beams deliver to dst; on the diagonal only
+    the error (variance) part counts, since the estimate part is the UE's
+    own signal.
 
     Returns an (M,) array indexed by UE id. Shared by the lower bound, the
     equalizer update, and the QCQP assembly identity.
     """
-    w_rrh, w_mbs = _beam_arrays(links, beams)
+    w_rrh, w_mbs = beams
     # amplitude[k, src, dst] = est[k, dst]^H w_src,k, one matrix product per RRH
     amplitude = w_rrh.transpose(1, 0, 2) @ links.est_rrh.conj().transpose(0, 2, 1)
     coherent = np.sum(np.abs(amplitude) ** 2, axis=0)
@@ -123,9 +104,11 @@ def interference_plus_noise(links: AggregatedLinks, beams, noise_power: float):
 
 
 def lower_bound_rates(links: AggregatedLinks, beams, noise_power: float, prelog: float):
-    """Per-UE spectral-efficiency lower bounds (bits/s/Hz)."""
+    """Per-UE spectral-efficiency lower bounds (bits/s/Hz), RUEs first."""
     j_power = interference_plus_noise(links, beams, noise_power)
-    own = {**beams.rue, **beams.bue}
+    w_rrh, w_mbs = beams
+    own = {i: w_rrh[i, links.block_rrhs[i]].reshape(-1) for i in links.rue_ids}
+    own.update((j, w_mbs[j]) for j in links.bue_ids)
     return {
         m: prelog * math.log1p(abs(np.vdot(links.estimate(m), w)) ** 2 / j_power[m]) / math.log(2.0)
         for m, w in own.items()
@@ -156,7 +139,7 @@ def monte_carlo_rates(
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    w_rrh, w_mbs = _beam_arrays(links, beams)
+    w_rrh, w_mbs = beams
     # mean[dst, src]: the estimate part of the links, summed over src's cluster
     mean = np.einsum("skn,kdn->ds", w_rrh, links.est_rrh.conj()) + links.est_mbs.conj() @ w_mbs.T
     per_rrh = w_rrh.transpose(1, 0, 2)

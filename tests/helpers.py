@@ -9,6 +9,7 @@ import numpy as np
 
 from hcransim import (
     AggregatedLinks,
+    BeamformerSet,
     PowerBudget,
     QcqpProblem,
     ScenarioConfig,
@@ -232,19 +233,18 @@ def pack_qcqp(quad_rue, lin_rue, quad_bue, lin_bue, block_rrhs, block_size, rrh_
 
 
 def unpack_qcqp(problem):
-    """The per-UE view of a QcqpProblem, in ``pack_qcqp``'s argument names:
-    full-cluster RUE matrices and linear terms (zero on zero-budget blocks)
-    and each BUE's matrix and linear term."""
+    """The per-UE view of a QcqpProblem, in ``pack_qcqp``'s argument names,
+    on each RUE's live blocks (its cluster less its zero-budget RRHs, which
+    is the whole cluster when every budget is positive): RUE matrices and
+    linear terms, and each BUE's matrix and linear term."""
     layout = problem.layout
     n = layout.block_size
-    quad_rue, lin_rue = {}, {}
-    for u, (i, cluster) in enumerate(layout.block_rrhs.items()):
-        live = np.repeat(layout.rrh_budget[cluster] > 0, n)
-        d = int(live.sum())
-        quad_rue[i] = np.zeros((live.size, live.size), dtype=complex)
-        quad_rue[i][np.ix_(live, live)] = problem.base[u, :d, :d]
-        lin_rue[i] = np.zeros(live.size, dtype=complex)
-        lin_rue[i][live] = problem.rhs[u, :d]
+    quad_rue, lin_rue, block_rrhs = {}, {}, {}
+    for u, i in enumerate(layout.rue.tolist()):
+        block_rrhs[i] = layout.active[layout.starts[u, layout.live[u]]].tolist()
+        d = n * len(block_rrhs[i])
+        quad_rue[i] = problem.base[u, :d, :d]
+        lin_rue[i] = problem.rhs[u, :d]
     quads = np.broadcast_to(problem.mbs_quad, problem.mbs_lin.shape + problem.mbs_lin.shape[-1:])
     bue = [int(j) for j in layout.bue]
     return SimpleNamespace(
@@ -252,7 +252,7 @@ def unpack_qcqp(problem):
         lin_rue=lin_rue,
         quad_bue=dict(zip(bue, quads)),
         lin_bue=dict(zip(bue, problem.mbs_lin)),
-        block_rrhs=layout.block_rrhs,
+        block_rrhs=block_rrhs,
         block_size=n,
         rrh_budget=layout.rrh_budget,
     )
@@ -261,4 +261,33 @@ def unpack_qcqp(problem):
 def solved(problem, **kwargs):
     """``solve_qcqp`` with its beams as a BeamformerSet: (beams, info)."""
     beams, info = solve_qcqp(problem, **kwargs)
-    return problem.layout.beam_set(*beams), info
+    return problem.layout.split(problem.layout.rows(*beams)), info
+
+
+def group_power(beams, name, members):
+    """Power in the beams of a synthetic QCQP's constraint group: ``name`` is
+    ``rrh<k>`` or ``mbs`` and ``members`` its (UE, entries) pairs, as
+    ``make_synthetic_qcqp`` gives them; each member's beam on that side is
+    read from the per-link arrays."""
+    side = beams.mbs if name == "mbs" else beams.rrh[:, int(name[3:])]
+    return sum(float(np.sum(np.abs(side[m]) ** 2)) for m, _ in members)
+
+
+def random_beams(links, seed, scale=2e-5):
+    """Arbitrary nonzero beams on every UE's own links (no power
+    normalization; tests only): each RUE's stacked cluster beam, then each
+    BUE's MBS beam, drawn in UE order from ``np.random.default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    num_rrh, num_ue, n = links.est_rrh.shape
+    rrh = np.zeros((num_ue, num_rrh, n), dtype=complex)
+    mbs = np.zeros((num_ue, links.mbs_antennas), dtype=complex)
+    for i in links.rue_ids:
+        rrh[i, links.block_rrhs[i]] = scale * crandn(rng, len(links.block_rrhs[i]) * n).reshape(-1, n)
+    for j in links.bue_ids:
+        mbs[j] = scale * crandn(rng, links.mbs_antennas)
+    return BeamformerSet(rrh, mbs)
+
+
+def beams_equal(a, b) -> bool:
+    """Whether two beam sets hold the same per-link arrays."""
+    return all(np.array_equal(x, y) for x, y in zip(a, b))

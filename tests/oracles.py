@@ -284,22 +284,30 @@ def own_estimate_oracle(topology, state, ue):
     return state.est_mbs[ue]
 
 
+def stacked_beam(beams, topology, ue):
+    """A UE's beam as the per-UE oracles read it: its per-RRH blocks stacked
+    over its serving cluster, or its MBS beam if it has no cluster."""
+    cluster = topology.serving_rrhs[ue]
+    return beams.rrh[ue, cluster].reshape(-1) if cluster else beams.mbs[ue]
+
+
 def interference_oracle(topology, state, beams, noise):
     """Expected interference-plus-noise power per UE, one dense quadratic
     form per (transmitter, receiver) pair under the block-diagonal moments."""
     rues, bues = topology.rue_set, topology.bue_set
+    w = {m: stacked_beam(beams, topology, m) for m in range(topology.num_ue)}
     out = {}
     for dst in list(rues) + list(bues):
-        own = beams.rue[dst] if dst in rues else beams.bue[dst]
+        own = w[dst]
         total = noise + float(np.sum(own_error_oracle(topology, state, dst) * np.abs(own) ** 2))
         for src in rues:
             if src != dst:
                 cov = block_diagonal_cov_oracle(topology, state, src, dst)
-                total += float(np.real(np.vdot(beams.rue[src], cov @ beams.rue[src])))
+                total += float(np.real(np.vdot(w[src], cov @ w[src])))
         for src in bues:
             if src != dst:
                 cov = mbs_cov_oracle(topology, state, dst)
-                total += float(np.real(np.vdot(beams.bue[src], cov @ beams.bue[src])))
+                total += float(np.real(np.vdot(w[src], cov @ w[src])))
         out[dst] = total
     return out
 
@@ -379,6 +387,7 @@ def monte_carlo_oracle(
     alpha_r, alpha_b = topology.alpha_rrh, topology.alpha_mbs
     rue_ids = list(topology.rue_set)
     bue_ids = list(topology.bue_set)
+    w = {m: stacked_beam(beams, topology, m) for m in rue_ids + bue_ids}
     active_rrhs = sorted({k for i in rue_ids for k in topology.serving_rrhs[i]})
 
     def ue_links(m: int):
@@ -416,32 +425,32 @@ def monte_carlo_oracle(
     for i in rue_ids:
         rrh_links, rrh_errors, mbs_link, _ = ue_links(i)
         cluster = topology.serving_rrhs[i]
-        signal = abs(np.vdot(_stacked_estimate(state, cluster, i), beams.rue[i])) ** 2
+        signal = abs(np.vdot(_stacked_estimate(state, cluster, i), w[i])) ** 2
         denom = np.full(trials, noise_power)
         own_err = stack({k: rrh_errors.get(k, rrh_links[k]) for k in cluster}, cluster)
-        denom += np.abs(own_err.conj() @ beams.rue[i]) ** 2
+        denom += np.abs(own_err.conj() @ w[i]) ** 2
         for src in rue_ids:
             if src == i:
                 continue
             g = stack(rrh_links, topology.serving_rrhs[src])
-            denom += np.abs(g.conj() @ beams.rue[src]) ** 2
+            denom += np.abs(g.conj() @ w[src]) ** 2
         for j in bue_ids:
-            denom += np.abs(mbs_link.conj() @ beams.bue[j]) ** 2
+            denom += np.abs(mbs_link.conj() @ w[j]) ** 2
         per_trial = np.log2(1.0 + signal / denom)
         rates[i] = prelog * float(per_trial.mean())
         stderr[i] = prelog * _stderr(per_trial)
 
     for j in bue_ids:
         rrh_links, _, mbs_link, mbs_error = ue_links(j)
-        signal = abs(np.vdot(state.est_mbs[j], beams.bue[j])) ** 2
+        signal = abs(np.vdot(state.est_mbs[j], w[j])) ** 2
         denom = np.full(trials, noise_power)
-        denom += np.abs(mbs_error.conj() @ beams.bue[j]) ** 2
+        denom += np.abs(mbs_error.conj() @ w[j]) ** 2
         for i in rue_ids:
             g = stack(rrh_links, topology.serving_rrhs[i])
-            denom += np.abs(g.conj() @ beams.rue[i]) ** 2
+            denom += np.abs(g.conj() @ w[i]) ** 2
         for other in bue_ids:
             if other != j:
-                denom += np.abs(mbs_link.conj() @ beams.bue[other]) ** 2
+                denom += np.abs(mbs_link.conj() @ w[other]) ** 2
         per_trial = np.log2(1.0 + signal / denom)
         rates[j] = prelog * float(per_trial.mean())
         stderr[j] = prelog * _stderr(per_trial)

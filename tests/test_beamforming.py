@@ -21,15 +21,22 @@ from hcransim import (
     run_se_sweep,
     solve_qcqp,
     stack_layout,
-    total_beam_diff,
     update_u,
-    zero_beams,
 )
 from hcransim import beamforming
 from hcransim.beamforming import _block_secular, _solve_mbs_side
 from hcransim.util import child_rng, crandn, dbm_to_watt
 
-from helpers import make_synthetic_qcqp, pack_qcqp, pipeline_instance, solved, unpack_qcqp
+from helpers import (
+    beams_equal,
+    group_power,
+    make_synthetic_qcqp,
+    pack_qcqp,
+    pipeline_instance,
+    random_beams,
+    solved,
+    unpack_qcqp,
+)
 from oracles import (
     assemble_qcqp_oracle,
     golden_min,
@@ -37,6 +44,7 @@ from oracles import (
     pgd_qcqp_oracle,
     pgd_qcqp_oracle_batched,
     qcqp_value,
+    stacked_beam,
 )
 
 BUDGETS = PowerBudget(rrh=dbm_to_watt(27.0), mbs=dbm_to_watt(30.0))
@@ -56,21 +64,18 @@ def test_power_budget_and_beam_container_mechanics():
             PowerBudget(rrh=np.array([1.0, bad]), mbs=1.0)
         with pytest.raises(ValueError, match="finite"):
             PowerBudget(rrh=1.0, mbs=bad)
-    beams = BeamformerSet(
-        rue={0: np.array([1.0 + 0j, 0.0, 0.0, 2.0]), 1: np.array([0.0, 3.0 + 0j])},
-        bue={7: np.array([0.0, 1.0 + 1.0j])},
-        block_rrhs={0: [2, 5], 1: [5]},
-        block_size=2,
-    )
-    assert np.array_equal(beams.block(0, 5), [0.0, 2.0])
+    # UE 0 served by RRHs 2 and 5, UE 1 by RRH 5, UE 7 by the MBS
+    rrh = np.zeros((8, 6, 2), dtype=complex)
+    rrh[0, 2], rrh[0, 5], rrh[1, 5] = [1.0, 0.0], [0.0, 2.0], [0.0, 3.0]
+    mbs = np.zeros((8, 2), dtype=complex)
+    mbs[7] = [0.0, 1.0 + 1.0j]
+    beams = BeamformerSet(rrh, mbs)
+    w_rrh, w_mbs = beams         # unpacks as the per-link pair
+    assert w_rrh is rrh and w_mbs is mbs
     assert beams.rrh_power(2) == 1.0
     assert beams.rrh_power(5) == 4.0 + 9.0    # UE0's second block + UE1's block
     assert beams.rrh_power(3) == 0.0
     assert beams.mbs_power() == pytest.approx(2.0, rel=1e-15)
-    other = beams.copy()
-    other.rue[0][0] += 1.0       # copies are deep
-    assert beams.rue[0][0] == 1.0
-    assert total_beam_diff(other, beams) == 1.0
 
 
 def test_mse_and_equalizer_frozen_point():
@@ -153,13 +158,13 @@ def test_qcqp_single_beam_closed_forms():
         rrh_budget=np.array([36.0]), **base,
     )
     beams, _ = solved(loose)
-    assert np.allclose(beams.rue[0], lin, rtol=1e-8)
+    assert np.allclose(beams.rrh[0, 0], lin, rtol=1e-8)
     tight = pack_qcqp(
         quad_rue={0: np.eye(2, dtype=complex)}, lin_rue={0: lin},
         rrh_budget=np.array([16.0]), **base,
     )
     beams, _ = solved(tight)
-    assert np.allclose(beams.rue[0], [2.4, 3.2], rtol=1e-6)
+    assert np.allclose(beams.rrh[0, 0], [2.4, 3.2], rtol=1e-6)
     # the active constraint is met to the solver's feasibility tolerance
     assert beams.rrh_power(0) == pytest.approx(16.0, rel=2e-6)
     # MBS side, one BUE: same projection behaviour
@@ -169,20 +174,19 @@ def test_qcqp_single_beam_closed_forms():
         rrh_budget=np.zeros(0), mbs_budget=16.0,
     )
     beams, _ = solved(mbs)
-    assert np.allclose(beams.bue[5], [2.4, 3.2], rtol=1e-6)
+    assert np.allclose(beams.mbs[5], [2.4, 3.2], rtol=1e-6)
     zero_lin = pack_qcqp(
         quad_rue={0: np.eye(2, dtype=complex)}, lin_rue={0: np.zeros(2, dtype=complex)},
         rrh_budget=np.array([4.0]), **base,
     )
-    assert np.all(solved(zero_lin)[0].rue[0] == 0.0)
+    assert np.all(solved(zero_lin)[0].rrh[0, 0] == 0.0)
 
 
 def test_qcqp_zero_budget_pins_beams():
     rng = child_rng(31, 2)
     problem, *_ = make_synthetic_qcqp(rng, zero_cap_chance=1.0)
     beams, _ = solved(problem)
-    for i in problem.layout.block_rrhs:
-        assert np.all(beams.rue[i] == 0.0)
+    assert beams.rrh.size and not np.any(beams.rrh)
 
 
 def test_assembled_qcqp_equals_weighted_mse_up_to_constant():
@@ -197,20 +201,17 @@ def test_assembled_qcqp_equals_weighted_mse_up_to_constant():
     layout = stack_layout(links, BUDGETS)
     f_arr, u_arr = (np.array([x[m] for m in range(len(ids))]) for x in (f, u))
     problem = assemble_qcqp(links, f_arr, u_arr, layout)
-    beams = zero_beams(links)
-    for i in links.rue_ids:
-        beams.rue[i] = 1e-5 * crandn(rng, links.dim(i))
-    for j in links.bue_ids:
-        beams.bue[j] = 1e-5 * crandn(rng, links.mbs_antennas)
+    beams = random_beams(links, rng, scale=1e-5)
+    own = {m: stacked_beam(beams, topology, m) for m in ids}
     # Every budget is positive, so each RUE's whole beam fills its stack row.
     w_rue = np.zeros_like(layout.est)
     for row, i in enumerate(links.rue_ids):
-        w_rue[row, :links.dim(i)] = beams.rue[i]
-    w_bue = np.array([beams.bue[j] for j in links.bue_ids]).reshape(-1, links.mbs_antennas)
+        w_rue[row, :own[i].size] = own[i]
+    w_bue = beams.mbs[links.bue_ids]
 
     j_power = interference_plus_noise(links, beams, training.noise_power)
     weighted = 0.0
-    for m, w in {**beams.rue, **beams.bue}.items():
+    for m, w in own.items():
         a = complex(np.vdot(links.estimate(m), w))
         weighted += math.exp(u[m] - 1.0) * (
             abs(np.conj(f[m]) * a - 1.0) ** 2 + abs(f[m]) ** 2 * j_power[m])
@@ -221,13 +222,11 @@ def test_assembled_qcqp_equals_weighted_mse_up_to_constant():
     assert objective + constant == pytest.approx(weighted, rel=1e-9)
 
 
-def test_stack_assembly_matches_the_per_ue_reference():
-    """On a (16, 50, 130 m) drop where two users share two RRHs and three
-    users are MBS-served, with a zero budget at the first RRH the two share,
-    every stack row is the live submatrix and linear term of the per-UE
-    reference assembly, and the MBS terms are its shared matrix and per-BUE
-    linear terms, to 1e-15 relative."""
-    topology, _, _, links, _ = pipeline_instance(
+def _overlap_drop():
+    """The (16, 50, 130 m) drop r = 4, where two users share two RRHs and
+    three users are MBS-served, with a zero budget at the first RRH the two
+    share: (topology, links, training, RRH budgets, that RRH)."""
+    topology, _, _, links, training = pipeline_instance(
         r=4, scenario=ScenarioConfig(num_ue=16, num_rrh=50, coverage_radius=130.0)
     )
     clusters = links.block_rrhs
@@ -238,6 +237,16 @@ def test_stack_assembly_matches_the_per_ue_reference():
     )
     budget = BUDGETS.rrh_array(topology.num_rrh)
     budget[shared[0]] = 0.0
+    return topology, links, training, budget, shared[0]
+
+
+def test_stack_assembly_matches_the_per_ue_reference():
+    """On the overlap drop with its zero-budget RRH, every stack row is the
+    live submatrix and linear term of the per-UE reference assembly, and the
+    MBS terms are its shared matrix and per-BUE linear terms, to 1e-15
+    relative."""
+    topology, links, _, budget, _ = _overlap_drop()
+    clusters = links.block_rrhs
     rng = child_rng(31, 11)
     f, u = crandn(rng, topology.num_ue), rng.uniform(0.2, 3.0, size=topology.num_ue)
     layout = stack_layout(links, PowerBudget(rrh=budget, mbs=BUDGETS.mbs))
@@ -255,6 +264,34 @@ def test_stack_assembly_matches_the_per_ue_reference():
     pairs += list(zip(problem.mbs_lin, reference.mbs_lin))
     for got, want in pairs:
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def test_returned_beams_are_zero_where_no_beam_is_designed():
+    """On the overlap drop with its zero-budget RRH, the beams ``rtd_solve``
+    returns are exactly zero off each RUE's cluster, on the zero-budget
+    block, on the BUE rows of ``rrh`` and on the RUE rows of ``mbs``, and
+    nonzero elsewhere; ``rrh_power`` and ``mbs_power`` are the per-RRH and
+    MBS sums of the users' stacked beams to 1e-12 relative."""
+    topology, links, training, budget, zeroed = _overlap_drop()
+    assert sum(zeroed in c for c in links.block_rrhs.values()) >= 2 and links.bue_ids
+    beams, state = rtd_solve(topology, links, training, PowerBudget(rrh=budget, mbs=BUDGETS.mbs))
+    assert state.converged
+    designed = np.zeros(beams.rrh.shape[:2], dtype=bool)
+    for i, cluster in links.block_rrhs.items():
+        designed[i, cluster] = True
+    designed[:, zeroed] = False
+    assert not np.any(beams.rrh[~designed]) and not np.any(beams.mbs[links.rue_ids])
+    assert np.all(np.any(beams.rrh[designed], axis=1))
+    assert np.all(np.any(beams.mbs[links.bue_ids], axis=1))
+    n = links.block_size
+    per_rrh = np.zeros(topology.num_rrh)
+    for i, cluster in links.block_rrhs.items():
+        for block, k in zip(stacked_beam(beams, topology, i).reshape(-1, n), cluster):
+            per_rrh[k] += float(np.sum(np.abs(block) ** 2))
+    for k in range(topology.num_rrh):
+        assert beams.rrh_power(k) == pytest.approx(per_rrh[k], rel=1e-12, abs=0)
+    mbs = sum(float(np.sum(np.abs(stacked_beam(beams, topology, j)) ** 2)) for j in links.bue_ids)
+    assert beams.mbs_power() == pytest.approx(mbs, rel=1e-12, abs=0)
 
 
 def test_mbs_side_takes_the_shared_matrix_or_its_copies():
@@ -280,10 +317,7 @@ def test_solve_qcqp_respects_constraints_and_weak_duality():
         problem, quads, lins, groups, caps = make_synthetic_qcqp(rng)
         beams, info = solved(problem)
         for name, members in groups.items():
-            power = sum(
-                float(np.sum(np.abs((beams.rue | beams.bue)[m][idx]) ** 2))
-                for m, idx in members
-            )
+            power = group_power(beams, name, members)
             assert power <= caps[name] * (1.0 + 1e-6) + 1e-15
             if name == "mbs":
                 excess = (power - caps[name]) / caps[name]
@@ -493,11 +527,10 @@ def test_solver_multipliers_reproduce_its_beams():
         spec = unpack_qcqp(problem)
         mu, n = info["rrh_dual"], spec.block_size
         for k, cap in enumerate(spec.rrh_budget):
-            users = [i for i, c in spec.block_rrhs.items() if k in c]
-            if not users:
-                continue
             if cap == 0.0:
                 assert mu[k] == 0.0 and beams.rrh_power(k) == 0.0
+                continue
+            if not any(k in c for c in spec.block_rrhs.values()):
                 continue
             width = n * max(map(len, spec.block_rrhs.values()))
             mats, rhs, pos, _ = _rrh_block_stack(
@@ -510,7 +543,7 @@ def test_solver_multipliers_reproduce_its_beams():
         nu = info["mbs_dual"]
         for j, quad in spec.quad_bue.items():
             want = np.linalg.solve(quad + nu * np.eye(quad.shape[0]), spec.lin_bue[j])
-            assert np.allclose(beams.bue[j], want, rtol=1e-9, atol=1e-12)
+            assert np.allclose(beams.mbs[j], want, rtol=1e-9, atol=1e-12)
 
 
 def _rrh_side(problem):
@@ -553,7 +586,7 @@ def test_batched_sweep_repeats_the_one_rrh_at_a_time_sweep_exactly(monkeypatch):
         for key in ("coordinate_passes", "linear_solves"):
             assert info.pop(key) < info_1.pop(key)
         assert info == info_1
-    assert total_beam_diff(beams, beams_1) == 0.0
+    assert beams_equal(beams, beams_1)
     assert state.objective_trace == state_1.objective_trace
     for key in ("coordinate_passes", "linear_solves"):
         assert state.counters.pop(key) < state_1.counters.pop(key)
@@ -660,7 +693,7 @@ def test_singular_user_matrix_falls_back_to_least_squares():
     )
     beams, info = solved(problem)
     assert info["rrh_dual"][0] == pytest.approx(1.0, rel=1e-9)
-    assert np.allclose(beams.rue[0], [0.5, 0.0], rtol=1e-9, atol=1e-12)
+    assert np.allclose(beams.rrh[0, [0, 1], 0], [0.5, 0.0], rtol=1e-9, atol=1e-12)
     assert beams.rrh_power(0) == pytest.approx(0.25, rel=1e-9)
 
 
@@ -702,9 +735,9 @@ def test_rtd_distributed_matches_centralized_exactly():
     assert st_c.objective_trace == st_d.objective_trace
     assert len(st_c.beam_history) == st_c.iterations
     for hc, hd in zip(st_c.beam_history, st_d.beam_history):
-        assert total_beam_diff(hc, hd) == 0.0
-    assert total_beam_diff(beams_c, beams_d) == 0.0
-    assert total_beam_diff(beams_c, st_c.beam_history[-1]) == 0.0
+        assert beams_equal(hc, hd)
+    assert beams_equal(beams_c, beams_d)
+    assert beams_equal(beams_c, st_c.beam_history[-1])
 
 
 def test_rtd_mode_validation():

@@ -1,12 +1,15 @@
 """Command-line interface behaviour."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hcransim
 from hcransim.cli import main
 
 
@@ -101,6 +104,27 @@ def test_bad_config_reports_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({"sweep": {"values": 5}}, "'values'"),
+        ({"schedulers": "psa"}, "'schedulers'"),
+        ({"scenario": {"num_ue": "8"}}, "'num_ue'"),
+        ({"scenario": {"num_rrh": 25.5}}, "'num_rrh'"),
+        ({"scenario": [25]}, "'scenario'"),
+        ({"num_realizations": None}, "'num_realizations'"),
+        ({"training": {"tau": None}}, "'tau'"),
+        ({"budgets": {"rrh_dbm": None}}, "'rrh_dbm'"),
+    ],
+)
+def test_malformed_config_values_report_errors(tmp_path, capsys, payload, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["mse-sweep", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
 def test_se_sweep_rejects_mc_trials_below_two(tiny_cfg, tmp_path, capsys):
     cfg = json.loads(tiny_cfg.read_text())
     cfg["mc_trials"] = 1
@@ -125,10 +149,13 @@ def test_se_sweep_rejects_non_finite_budgets(tiny_cfg, tmp_path, capsys, value):
 
 
 def test_console_script_entry_point(tiny_cfg):
+    # The child imports the package under test, installed or not.
+    path = [str(Path(hcransim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "hcransim.cli", "schedule", "--config", str(tiny_cfg)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("psa: tau=")

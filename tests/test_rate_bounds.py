@@ -5,6 +5,7 @@ import pytest
 
 from hcransim import (
     AggregatedLinks,
+    BeamformerSet,
     PowerBudget,
     ScenarioConfig,
     TrainingConfig,
@@ -20,11 +21,10 @@ from hcransim import (
     prelog_factor,
     rtd_solve,
     stack_layout,
-    zero_beams,
 )
 from hcransim.util import child_seed, crandn, dbm_to_watt
 
-from helpers import hand_topology, oracle_state, pipeline_instance, unpack_qcqp
+from helpers import hand_topology, oracle_state, pipeline_instance, random_beams, unpack_qcqp
 from oracles import (
     estimate_channels_oracle,
     full_stacked_cov_oracle,
@@ -32,18 +32,8 @@ from oracles import (
     interference_oracle,
     monte_carlo_oracle,
     qcqp_terms_oracle,
+    stacked_beam,
 )
-
-
-def random_beams(links, seed):
-    """Arbitrary nonzero beams (no power normalization; tests only)."""
-    rng = np.random.default_rng(seed)
-    beams = zero_beams(links)
-    for i in links.rue_ids:
-        beams.rue[i] = 2e-5 * crandn(rng, links.dim(i))
-    for j in links.bue_ids:
-        beams.bue[j] = 2e-5 * crandn(rng, links.mbs_antennas)
-    return beams
 
 
 def no_overlap_instance(r=0, **kw):
@@ -89,7 +79,7 @@ def test_aggregated_links_structure():
             assert np.array_equal(links.est_mbs[m], np.zeros(10))
     for i in links.rue_ids:
         d = n * len(topology.serving_rrhs[i])
-        assert links.dim(i) == d
+        assert links.block_rrhs[i] == topology.serving_rrhs[i]
         assert links.estimate(i).shape == (d,)
         assert np.all(links.var_rrh[topology.serving_rrhs[i], i] > 0)
     for j in links.bue_ids:
@@ -98,7 +88,7 @@ def test_aggregated_links_structure():
     for dst in links.rue_ids + links.bue_ids:
         problem = modelled_moments(links, topology, dst)
         for src in links.rue_ids:
-            d = links.dim(src)
+            d = n * len(links.block_rrhs[src])
             assert problem.quad_rue[src].shape == (d, d)
         for j in links.bue_ids:
             assert problem.quad_bue[j].shape == (10, 10)
@@ -176,7 +166,7 @@ def test_shared_rrh_pairs_drop_exactly_the_cross_estimate_blocks():
     # the modeled interference misses exactly the cross term 2*Re(w0^H e0 e1^H w1)
     beams = random_beams(links, seed=7)
     j_power = interference_plus_noise(links, beams, training.noise_power)
-    w = beams.rue[0]
+    w = stacked_beam(beams, topology, 0)
     modeled_from_0 = float(np.real(np.vdot(w, got @ w)))
     exact_from_0 = float(np.real(np.vdot(w, exact @ w)))
     cross = 2.0 * np.real(np.vdot(w[:n], e0) * np.vdot(e1, w[n:]))
@@ -249,13 +239,13 @@ def test_interference_terms_match_sampled_expectation():
             [to_dst[k] - state.est_rrh[(k, dst)][None, :] for k in topology.serving_rrhs[dst]],
             axis=1,
         )
-        acc = np.abs(own.conj() @ beams.rue[dst]) ** 2
+        acc = np.abs(own.conj() @ stacked_beam(beams, topology, dst)) ** 2
         for src in links.rue_ids:
             if src != dst:
                 g = np.concatenate([to_dst[k] for k in topology.serving_rrhs[src]], axis=1)
-                acc += np.abs(g.conj() @ beams.rue[src]) ** 2
+                acc += np.abs(g.conj() @ stacked_beam(beams, topology, src)) ** 2
         for j in links.bue_ids:
-            acc += np.abs(mbs.conj() @ beams.bue[j]) ** 2
+            acc += np.abs(mbs.conj() @ beams.mbs[j]) ** 2
         acc += training.noise_power
         stderr = acc.std(ddof=1) / np.sqrt(trials)
         assert abs(acc.mean() - j_power[dst]) < 5 * stderr
@@ -263,34 +253,34 @@ def test_interference_terms_match_sampled_expectation():
     for dst in links.bue_ids[:2]:
         to_dst, mbs = draw_links_to(dst)
         err = mbs - state.est_mbs[dst][None, :]
-        acc = np.abs(err.conj() @ beams.bue[dst]) ** 2
+        acc = np.abs(err.conj() @ beams.mbs[dst]) ** 2
         for src in links.rue_ids:
             g = np.concatenate([to_dst[k] for k in topology.serving_rrhs[src]], axis=1)
-            acc += np.abs(g.conj() @ beams.rue[src]) ** 2
+            acc += np.abs(g.conj() @ stacked_beam(beams, topology, src)) ** 2
         for other in links.bue_ids:
             if other != dst:
-                acc += np.abs(mbs.conj() @ beams.bue[other]) ** 2
+                acc += np.abs(mbs.conj() @ beams.mbs[other]) ** 2
         acc += training.noise_power
         stderr = acc.std(ddof=1) / np.sqrt(trials)
         assert abs(acc.mean() - j_power[dst]) < 5 * stderr
 
 
 def test_lower_bound_formula_and_positivity():
-    _, _, _, links, training = pipeline_instance(r=3)
+    topology, _, _, links, training = pipeline_instance(r=3)
     beams = random_beams(links, seed=11)
     prelog = prelog_factor(training.tau, training.coherence)
     rates = lower_bound_rates(links, beams, training.noise_power, prelog)
     j_power = interference_plus_noise(links, beams, training.noise_power)
     assert set(rates) == set(links.rue_ids) | set(links.bue_ids)
     for i in links.rue_ids:
-        signal = abs(np.vdot(links.estimate(i), beams.rue[i])) ** 2
+        signal = abs(np.vdot(links.estimate(i), stacked_beam(beams, topology, i))) ** 2
         assert rates[i] == pytest.approx(prelog * np.log2(1 + signal / j_power[i]), rel=1e-12)
         assert rates[i] >= 0.0
     for j in links.bue_ids:
-        signal = abs(np.vdot(links.estimate(j), beams.bue[j])) ** 2
+        signal = abs(np.vdot(links.estimate(j), beams.mbs[j])) ** 2
         assert rates[j] == pytest.approx(prelog * np.log2(1 + signal / j_power[j]), rel=1e-12)
         assert rates[j] >= 0.0
-    zero = zero_beams(links)
+    zero = BeamformerSet(np.zeros_like(beams.rrh), np.zeros_like(beams.mbs))
     assert all(v == 0.0 for v in lower_bound_rates(links, zero, training.noise_power, prelog).values())
 
 
@@ -364,11 +354,11 @@ def test_exact_rate_equals_closed_form_under_perfect_csi():
     for d in links.rue_ids + links.bue_ids:
         amplitude = {}
         for s in links.rue_ids:
-            blocks = beams.rue[s].reshape(-1, n)
+            blocks = stacked_beam(beams, topology, s).reshape(-1, n)
             amplitude[s] = sum(np.vdot(channels.rrh[k, d], blocks[pos])
                                for pos, k in enumerate(topology.serving_rrhs[s]))
         for s in links.bue_ids:
-            amplitude[s] = np.vdot(channels.mbs[d], beams.bue[s])
+            amplitude[s] = np.vdot(channels.mbs[d], beams.mbs[s])
         interference = sum(abs(a) ** 2 for s, a in amplitude.items() if s != d)
         sinr = abs(amplitude[d]) ** 2 / (training.noise_power + interference)
         assert got[d] == pytest.approx(prelog * np.log1p(sinr) / np.log(2.0), rel=1e-12, abs=0)
@@ -388,9 +378,9 @@ def test_exact_rate_of_one_uncertain_interferer_matches_gauss_hermite():
         est_rrh=est_rrh, var_rrh=var_rrh,
         est_mbs=np.zeros((2, 1), dtype=complex), var_mbs=np.zeros(2),
     )
-    beams = zero_beams(links)
-    beams.rue[0][:] = 1.0
-    beams.rue[1][:] = 1.0
+    rrh = np.zeros((2, 2, 1), dtype=complex)
+    rrh[0, 0] = rrh[1, 1] = 1.0   # each UE's beam on its one serving RRH
+    beams = BeamformerSet(rrh, np.zeros((2, 1), dtype=complex))
     got, _ = monte_carlo_rates(links, beams, noise_power=1.0, prelog=1.0)
 
     x, weight = np.polynomial.hermite_e.hermegauss(80)
@@ -434,9 +424,9 @@ def test_perfect_channel_state_links():
         for src in plinks.rue_ids:
             if src != i:
                 for pos, k in enumerate(topology.serving_rrhs[src]):
-                    w_blk = beams.rue[src][pos * n:(pos + 1) * n]
+                    w_blk = stacked_beam(beams, topology, src)[pos * n:(pos + 1) * n]
                     manual += abs(np.vdot(channels.rrh[k, i], w_blk)) ** 2
         for j in plinks.bue_ids:
-            manual += abs(np.vdot(channels.mbs[i], beams.bue[j])) ** 2
+            manual += abs(np.vdot(channels.mbs[i], beams.mbs[j])) ** 2
         assert j_power[i] == pytest.approx(manual, rel=1e-12)
 
