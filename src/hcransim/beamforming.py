@@ -28,7 +28,6 @@ arrays (w_rrh, w_mbs) that the rate code computes on.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -42,6 +41,12 @@ from .scenario import Topology
 
 # Multiplier updates allowed per RRH-side dual solve.
 MAX_DUAL_ITERS = 5000
+# Complementary-slackness residual allowed per QCQP, relative to its scale.
+GAP_TOL = 1e-8
+# RTD stops when the summed squared beam change of a cycle falls to RHO, or
+# after MAX_RTD_ITERS cycles.
+RHO = 1e-3
+MAX_RTD_ITERS = 100
 # Projected Newton on the RRH-side dual: Armijo's sufficient-rise fraction
 # and the step halvings tried along the projection arc.
 ARMIJO_SIGMA = 1e-4
@@ -386,9 +391,7 @@ def _disjoint_runs(users_of: list) -> list[list[int]]:
     return runs
 
 
-def _solve_rrh_side(
-    layout: StackLayout, base, rhs, feas_tol: float, gap_tol: float, max_iters: int, mu0=None
-):
+def _solve_rrh_side(layout: StackLayout, base, rhs, feas_tol: float, mu0=None):
     """Dual decomposition over the per-RRH power constraints.
 
     For fixed multipliers mu the Lagrangian separates per RUE with minimizer
@@ -423,8 +426,8 @@ def _solve_rrh_side(
     ``layout``; padding entries point to an extra slot len(active) whose
     multiplier is always 0, so padded beam entries stay 0.
 
-    mu0 ((K,) by RRH id) warm-starts the multipliers. max_iters caps the
-    total number of multiplier updates. Returns (beam stack, mu by active
+    mu0 ((K,) by RRH id) warm-starts the multipliers. MAX_DUAL_ITERS caps
+    the total number of multiplier updates. Returns (beam stack, mu by active
     slot, dual value, info). info counts the multiplier updates
     (``dual_iterations``), the batched coordinate passes (one per run with
     an update), the Newton steps accepted and rejected and the
@@ -476,7 +479,7 @@ def _solve_rrh_side(
         return powers, worst_excess(powers), gap
 
     def is_converged(viol: float, gap: float) -> bool:
-        return viol <= feas_tol and gap <= gap_tol * max(1.0, abs(dual_value()))
+        return viol <= feas_tol and gap <= GAP_TOL * max(1.0, abs(dual_value()))
 
     def coordinate_sweep(cs_budget: float) -> int:
         count = 0
@@ -579,11 +582,11 @@ def _solve_rrh_side(
         return count
 
     updates = 0
-    while updates < max_iters:
+    while updates < MAX_DUAL_ITERS:
         powers, viol, gap = residuals()
         if is_converged(viol, gap):
             return finish(viol, gap)
-        cs_budget = gap_tol * max(1.0, abs(dual_value())) / (2 * num)
+        cs_budget = GAP_TOL * max(1.0, abs(dual_value())) / (2 * num)
         updates += coordinate_sweep(cs_budget)
         updates += newton_rounds(8)
         info["dual_iterations"] = updates
@@ -595,7 +598,7 @@ def _solve_rrh_side(
     )
 
 
-def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, gap_tol: float, nu0=None):
+def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, nu0=None):
     """Single-constraint subproblem on the MBS multiplier nu.
 
     quad is the (B, B) matrix all BUEs share or a (J, B, B) stack, lin the
@@ -610,7 +613,7 @@ def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, gap_tol: float, n
         lam, vecs = np.linalg.eigh(0.5 * (quad + quad.conj().swapaxes(-1, -2)))
         coef = (vecs.conj().swapaxes(-1, -2) @ lin[..., None])[..., 0]
         lam = np.broadcast_to(lam, coef.shape)
-        nu = _secular_root(lam, coef, budget, 0.5 * gap_tol, feas_tol, nu0 or 0.0)
+        nu = _secular_root(lam, coef, budget, 0.5 * GAP_TOL, feas_tol, nu0 or 0.0)
         scaled = np.divide(coef, lam + nu, out=np.zeros_like(coef), where=coef != 0)
         beams = (vecs @ scaled[..., None])[..., 0]
     value = -float(np.real(np.vdot(lin, beams))) - nu * budget
@@ -620,8 +623,6 @@ def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, gap_tol: float, n
 def solve_qcqp(
     problem: QcqpProblem,
     feas_tol: float = 1e-6,
-    gap_tol: float = 1e-8,
-    max_dual_iters: int = MAX_DUAL_ITERS,
     mu0: np.ndarray | None = None,
     nu0: float | None = None,
 ):
@@ -630,7 +631,7 @@ def solve_qcqp(
     Strong duality holds (convex problem, Slater point w = 0), so the RRH-side
     multipliers from dual ascent and the MBS-side multiplier, the root of its
     secular equation (``_secular_root``), certify the solution. feas_tol
-    bounds the relative constraint violation; gap_tol bounds the
+    bounds the relative constraint violation; GAP_TOL bounds the
     complementary-slackness residual relative to the objective scale. mu0
     ((K,) by RRH id) and nu0 warm-start the multipliers.
 
@@ -643,11 +644,9 @@ def solve_qcqp(
     dual and primal values.
     """
     layout = problem.layout
-    w_rue, mu, rrh_value, info = _solve_rrh_side(
-        layout, problem.base, problem.rhs, feas_tol, gap_tol, max_dual_iters, mu0=mu0
-    )
+    w_rue, mu, rrh_value, info = _solve_rrh_side(layout, problem.base, problem.rhs, feas_tol, mu0)
     w_bue, nu, mbs_value = _solve_mbs_side(
-        problem.mbs_quad, problem.mbs_lin, layout.mbs_budget, feas_tol, gap_tol, nu0=nu0
+        problem.mbs_quad, problem.mbs_lin, layout.mbs_budget, feas_tol, nu0=nu0
     )
     rrh_dual = np.zeros(layout.rrh_budget.size)
     rrh_dual[layout.active] = mu
@@ -680,8 +679,8 @@ def _accept_side(quad: np.ndarray, lin: np.ndarray, candidate: np.ndarray, old: 
 
 @dataclass
 class RtdState:
-    """Trajectory of one alternating design run; ``f``, ``u`` and ``mse`` are
-    (M,) arrays by UE id.
+    """Trajectory of one alternating design run; ``mse`` is the final (M,)
+    array of MSEs by UE id.
 
     ``counters`` sums the RRH-side dual solver's work over the iterations
     (``dual_updates``, ``coordinate_passes``, ``newton_accepted``,
@@ -690,12 +689,9 @@ class RtdState:
     relative cap excess (``mbs_violation``, 0.0 when there is no BUE).
     """
 
-    f: np.ndarray
-    u: np.ndarray
     mse: np.ndarray
     objective_trace: list[float] = field(default_factory=list)
     sum_se_trace: list[float] = field(default_factory=list)
-    beam_history: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
     counters: dict[str, float] = field(default_factory=dict)
@@ -706,33 +702,27 @@ def rtd_solve(
     links: AggregatedLinks,
     training: TrainingConfig,
     budgets: PowerBudget,
-    rho: float = 1e-3,
-    max_iters: int = 100,
-    mode: str = "centralized",
     feas_tol: float = 1e-6,
-    gap_tol: float = 1e-8,
-    keep_beam_history: bool = False,
 ):
     """Alternating robust transmit design.
 
     Starts from zero beams with unit equalizers and auxiliaries, then cycles
     beamformer step / equalizer step / auxiliary step until the summed squared
-    beam change falls to rho. The objective trace records the surrogate
-    sum_m (exp(u_m - 1) * mse_m - u_m) after each full cycle, which equals
-    sum_m log(mse_m) at the refreshed stats; the SE trace is the matching sum
-    of per-UE rate lower bounds. keep_beam_history additionally stores the
-    beams after every cycle.
+    beam change falls to RHO, for at most MAX_RTD_ITERS cycles. The objective
+    trace records the surrogate sum_m (exp(u_m - 1) * mse_m - u_m) after each
+    full cycle, which equals sum_m log(mse_m) at the refreshed stats; the SE
+    trace is the matching sum of per-UE rate lower bounds.
 
-    Both modes run the same loop, on arrays (one stack layout per run). The
-    "distributed" mode hands the equalizers, auxiliaries and beams exchanged
-    between the beamformer step and the stats refresh over as value copies,
-    the messages an RRH-side and an MBS-side processor would exchange; the
-    arithmetic is the same, so the iterates coincide with "centralized".
-    Returns (BeamformerSet, RtdState).
+    The loop runs on arrays, one stack layout per run. The paper's
+    distributed realization is the QCQP's split into the RRH-side and
+    MBS-side subproblems, which ``solve_qcqp`` solves separately; they
+    exchange only the equalizers, auxiliaries and beams. Returns
+    (BeamformerSet, RtdState).
+
+    The design does not read topology; it stays the first positional
+    argument because ``bench/tracing.py`` captures arguments 0 and 3, and
+    ``bench/workloads.py`` reads the default of feas_tol.
     """
-    if mode not in ("centralized", "distributed"):
-        raise ValueError(f"unknown mode {mode!r}")
-    send = copy.deepcopy if mode == "distributed" else (lambda message: message)
     prelog = prelog_factor(training.tau, training.coherence)
     layout = stack_layout(links, budgets)
     num_ue = layout.est_rows.shape[0]
@@ -741,11 +731,11 @@ def rtd_solve(
     f, u = np.ones(num_ue, dtype=complex), np.ones(num_ue)
     summed = ("coordinate_passes", "newton_accepted", "newton_rejected", "linear_solves")
     counters = dict.fromkeys(("dual_updates",) + summed, 0)
-    state = RtdState(f=f, u=u, mse=np.zeros(0), counters=counters)
+    state = RtdState(mse=np.zeros(0), counters=counters)
     mu0, nu0 = None, None
-    for it in range(1, max_iters + 1):
-        problem = assemble_qcqp(links, send(f), send(u), layout)
-        (rue_new, bue_new), qinfo = solve_qcqp(problem, feas_tol, gap_tol, mu0=mu0, nu0=nu0)
+    for it in range(1, MAX_RTD_ITERS + 1):
+        problem = assemble_qcqp(links, f, u, layout)
+        (rue_new, bue_new), qinfo = solve_qcqp(problem, feas_tol, mu0=mu0, nu0=nu0)
         mu0, nu0 = qinfo["rrh_dual"], qinfo["mbs_dual"]
         counters["dual_updates"] += qinfo["dual_iterations"]
         for key in summed:
@@ -758,17 +748,15 @@ def rtd_solve(
         delta = float(np.sum(np.abs(rue_new - w_rue) ** 2) + np.sum(np.abs(bue_new - w_bue) ** 2))
         w_rue, w_bue = rue_new, bue_new
         # Equalizer and auxiliary steps, for every UE at once.
-        rows = send(layout.rows(w_rue, w_bue))
+        rows = layout.rows(w_rue, w_bue)
         j_power = interference_plus_noise(links, layout.split(rows), training.noise_power)
         mse, f = mse_and_equalizer(layout.est_rows, rows, j_power)
         u = update_u(mse)
-        state.f, state.u, state.mse = f, u, mse
+        state.mse = mse
         state.objective_trace.append(float(np.sum(np.exp(u - 1.0) * mse - u)))
         state.sum_se_trace.append(-prelog * float(np.sum(np.log2(mse))))
-        if keep_beam_history:
-            state.beam_history.append(layout.split(layout.rows(w_rue, w_bue)))
         state.iterations = it
-        if delta <= rho:
+        if delta <= RHO:
             state.converged = True
             break
     return layout.split(layout.rows(w_rue, w_bue)), state

@@ -478,12 +478,13 @@ def _section(raw: dict, name: str, known: set, label: str) -> dict:
     return dict(entry)
 
 
-def _number(kind, value, key: str):
-    """kind(value), or a ValueError that names the config key."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"config key {key!r} must be a number, got {value!r}") from None
+def _typed(value, want: type, key: str):
+    """value if it may fill a config field of type want, else a ValueError
+    that names the key. Nothing is coerced: an int fills a float field, but a
+    bool is never a number and a float never fills an int field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+        raise ValueError(f"config key {key!r} must be of type {want.__name__}, got {value!r}")
+    return value
 
 
 def _powers(entry: dict, **names: str) -> dict:
@@ -491,9 +492,9 @@ def _powers(entry: dict, **names: str) -> dict:
     out = {}
     for key, name in names.items():
         if f"{key}_dbm" in entry:
-            out[name] = dbm_to_watt(_number(float, entry[f"{key}_dbm"], f"{key}_dbm"))
+            out[name] = dbm_to_watt(float(_typed(entry[f"{key}_dbm"], float, f"{key}_dbm")))
         elif key in entry:
-            out[name] = _number(float, entry[key], key)
+            out[name] = float(_typed(entry[key], float, key))
     return out
 
 
@@ -502,8 +503,9 @@ def load_config(path) -> ExperimentConfig:
 
     Power entries accept either watts (`p_rue`) or dBm (`p_rue_dbm`). A
     missing section or field takes the dataclass default. Unknown keys, a
-    section that is not an object and a value of the wrong type raise a
-    ValueError that names them.
+    section that is not an object and a value of the wrong type (see
+    ``_typed``; output_path and the sweep name are strings, sweep values take the
+    swept field's type) raise a ValueError that names them.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -533,30 +535,31 @@ def load_config(path) -> ExperimentConfig:
     b = _section(raw, "budgets", {"rrh", "rrh_dbm", "mbs", "mbs_dbm"}, "budget")
     sweep = _section(raw, "sweep", {"name", "values"}, "sweep")
     for key, value in s.items():
-        want = type(getattr(ScenarioConfig, key))
-        if isinstance(value, bool) or not isinstance(value, (int, want)):
-            raise ValueError(f"scenario key {key!r} must be of type {want.__name__}, got {value!r}")
+        _typed(value, type(getattr(ScenarioConfig, key)), key)
     for entry, key in ((raw, "schedulers"), (raw, "beamformers"), (sweep, "values")):
-        if not isinstance(entry.get(key, []), list):
-            raise ValueError(f"config key {key!r} must be a list, got {entry[key]!r}")
+        _typed(entry.get(key, []), list, key)
 
     kwargs = {}
     for key in ("num_realizations", "mc_trials", "master_seed", "jobs"):
         if key in raw:
-            kwargs[key] = _number(int, raw[key], key)
+            kwargs[key] = _typed(raw[key], int, key)
     if "schedulers" in raw:
         kwargs["schedulers"] = tuple(raw["schedulers"])
     if "beamformers" in raw:
         kwargs["beamformers"] = tuple(raw["beamformers"])
     if "output_path" in raw:
-        kwargs["output_path"] = raw["output_path"]
-    if "name" in sweep:
-        kwargs["sweep_name"] = sweep["name"]
+        kwargs["output_path"] = _typed(raw["output_path"], str, "output_path")
+    name = _typed(sweep.get("name", ExperimentConfig.sweep_name), str, "name")
+    kwargs["sweep_name"] = name
+    if name in _SCENARIO_SWEEPS | _TRAINING_SWEEPS:
+        owner = TrainingConfig if name in _TRAINING_SWEEPS else ScenarioConfig
+        for value in sweep.get("values", []):
+            _typed(value, type(getattr(owner, name)), "values")
     if "values" in sweep:
         kwargs["sweep_values"] = tuple(sweep["values"])
     training = TrainingConfig(
         **_powers(t, p_rue="p_rue", p_bue="p_bue", noise="noise_power"),
-        **{key: _number(int, t[key], key) for key in ("tau", "coherence") if key in t},
+        **{key: _typed(t[key], int, key) for key in ("tau", "coherence") if key in t},
     )
     return ExperimentConfig(
         scenario=ScenarioConfig(**s),

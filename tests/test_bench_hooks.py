@@ -15,7 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from hcransim import PowerBudget, rtd_solve
+from hcransim import (
+    ExperimentConfig,
+    PowerBudget,
+    ScenarioConfig,
+    Topology,
+    TrainingConfig,
+    rtd_solve,
+    run_se_sweep,
+)
 from hcransim.util import dbm_to_watt
 
 from helpers import pipeline_instance
@@ -64,6 +72,30 @@ def test_traced_checks_run_on_an_rtd_result():
     halved = dataclasses.replace(budgets, rrh=0.5 * budgets.rrh)
     with pytest.raises(workloads.CheckError, match="exceeds budget"):
         workloads.check_traced({"rtd": [(topology, halved, beams, state)]})
+
+
+def test_traced_sweep_captures_what_the_checks_read():
+    """One traced ``run_se_sweep`` drop: the tracer takes the topology and
+    budgets from ``rtd_solve``'s positional arguments, and ``check_traced``
+    accepts what it captured."""
+    tracing, workloads = load_tracing(), load_bench("workloads")
+    cfg = ExperimentConfig(
+        scenario=ScenarioConfig(num_rrh=10, num_ue=5, coverage_radius=130.0),
+        training=TrainingConfig(tau=3, coherence=30),
+        sweep_values=(3,),
+        num_realizations=1,
+        mc_trials=8,
+    )
+    tracer = tracing.Tracer()
+    tracer.start_drop(0)
+    with tracer.installed():
+        run_se_sweep(cfg)
+    captured = tracer.captured[0]
+    [(topology, budgets, beams, state)] = captured["rtd"]
+    assert isinstance(topology, Topology) and budgets == cfg.budgets
+    assert tracer.counters["rtd_iterations"] == state.iterations > 0
+    assert len(captured["lb"]) == len(captured["mc"]) == 1
+    workloads.check_traced(captured)
 
 
 def test_linear_solve_counter_matches_the_tracer_count():

@@ -1,5 +1,6 @@
 """Command-line interface behaviour."""
 
+import contextlib
 import json
 import os
 import re
@@ -115,6 +116,17 @@ def test_bad_config_reports_error(tmp_path, capsys):
         ({"num_realizations": None}, "'num_realizations'"),
         ({"training": {"tau": None}}, "'tau'"),
         ({"budgets": {"rrh_dbm": None}}, "'rrh_dbm'"),
+        # Numbers are never coerced to the field's type.
+        ({"num_realizations": 2.7}, "'num_realizations'"),
+        ({"training": {"tau": 4.5}}, "'tau'"),
+        ({"master_seed": "12"}, "'master_seed'"),
+        ({"jobs": True}, "'jobs'"),
+        ({"training": {"p_rue": "1e-3"}}, "'p_rue'"),
+        ({"budgets": {"mbs": False}}, "'mbs'"),
+        ({"sweep": {"name": ["tau"]}}, "'name'"),
+        ({"sweep": {"name": "tau", "values": [3, 4.5]}}, "'values'"),
+        ({"sweep": {"name": "coverage_radius", "values": ["100"]}}, "'values'"),
+        ({"output_path": ["out.csv"]}, "'output_path'"),
     ],
 )
 def test_malformed_config_values_report_errors(tmp_path, capsys, payload, named):
@@ -123,6 +135,25 @@ def test_malformed_config_values_report_errors(tmp_path, capsys, payload, named)
     assert main(["mse-sweep", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+def test_integer_output_path_is_rejected_not_opened_as_a_descriptor(tmp_path, capsys):
+    """``open(7, "w")`` would write the CSV to file descriptor 7: an integer
+    output path is a config error, and nothing reaches the descriptor."""
+    read_end, write_end = os.pipe()
+    try:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(
+            {"output_path": write_end, "num_realizations": 1, "sweep": {"values": [3]}}
+        ))
+        assert main(["mse-sweep", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'output_path'" in err
+    finally:
+        with contextlib.suppress(OSError):  # already closed if it was opened
+            os.close(write_end)
+    with os.fdopen(read_end, "rb") as fh:
+        assert fh.read() == b""
 
 
 def test_se_sweep_rejects_mc_trials_below_two(tiny_cfg, tmp_path, capsys):

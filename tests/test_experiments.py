@@ -21,7 +21,7 @@ from hcransim import (
     run_tightness,
     solve_one,
 )
-from hcransim import experiments, pilot_scheduler
+from hcransim import beamforming, experiments, pilot_scheduler
 from hcransim.util import dbm_to_watt
 
 
@@ -260,6 +260,17 @@ def test_se_sweep_failure_accounting(monkeypatch):
     rows = {row[1]: row for row in result.rows}
     assert rows["failures_psa_rtd"][2] == 1.0
     assert rows["sum_se_lb_psa_rtd"][4] == 2  # failed realization excluded
+
+
+def test_dual_iteration_cap_reaches_the_solver(monkeypatch):
+    """The solver reads ``MAX_DUAL_ITERS`` when it runs: with no multiplier
+    updates allowed the first QCQP's unconstrained beams break their caps,
+    the design stalls and the sweep counts the realization as failed."""
+    monkeypatch.setattr(beamforming, "MAX_DUAL_ITERS", 0)
+    result = run_se_sweep(tiny_config(sweep_values=(3,), num_realizations=1))
+    rows = {row[1]: row for row in result.rows}
+    assert rows["failures_psa_rtd"][2] == 1.0
+    assert "sum_se_lb_psa_rtd" not in rows
 
 
 def test_rtd_counters_leave_the_se_sweep_csv_unchanged(tmp_path, monkeypatch):
