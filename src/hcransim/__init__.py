@@ -38,7 +38,6 @@ from .experiments import (
 )
 from .pilot_scheduler import (
     ConflictGraph,
-    ContaminationMetrics,
     PilotAssignment,
     build_conflict_graph,
     compute_beta,

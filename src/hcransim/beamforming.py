@@ -143,7 +143,8 @@ def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
     """The stack layout of every beamformer QCQP on these links and budgets."""
     num_rrh, num_ue, n = links.est_rrh.shape
     budget = budgets.rrh_array(num_rrh)
-    clusters = [[k for k in links.block_rrhs[i] if budget[k] > 0] for i in links.rue_ids]
+    topology = links.topology
+    clusters = [[k for k in topology.serving_rrhs[i] if budget[k] > 0] for i in topology.rue_set]
     active = np.array(sorted({k for c in clusters for k in c}), dtype=int)
     slot = np.zeros(num_rrh, dtype=int)
     slot[active] = np.arange(active.size)
@@ -151,7 +152,7 @@ def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
     for u, c in enumerate(clusters):
         starts[u, :len(c)] = slot[c]
     live = starts < active.size
-    rue = np.array(links.rue_ids, dtype=int)
+    rue = np.array(topology.rue_set, dtype=int)
     link_rrh = active[starts[live]]
     link_ue = np.broadcast_to(rue[:, None], starts.shape)[live]
     est = np.zeros(starts.shape + (n,), dtype=complex)
@@ -160,7 +161,7 @@ def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
     return StackLayout(
         block_size=n,
         rue=rue,
-        bue=np.array(links.bue_ids, dtype=int),
+        bue=np.array(topology.bue_set, dtype=int),
         rrh_budget=budget,
         mbs_budget=float(budgets.mbs),
         active=active,
@@ -719,9 +720,11 @@ def rtd_solve(
     exchange only the equalizers, auxiliaries and beams. Returns
     (BeamformerSet, RtdState).
 
-    The design does not read topology; it stays the first positional
-    argument because ``bench/tracing.py`` captures arguments 0 and 3, and
-    ``bench/workloads.py`` reads the default of feas_tol.
+    The design reads the clusters from ``links.topology`` and never reads the
+    ``topology`` argument, which should be that same object. It stays the
+    first positional argument because ``bench/tracing.py`` captures
+    arguments 0 and 3, and ``bench/workloads.py`` reads the default of
+    feas_tol.
     """
     prelog = prelog_factor(training.tau, training.coherence)
     layout = stack_layout(links, budgets)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .pilot_scheduler import PilotAssignment, group_by_pilot, validate_assignment
 from .scenario import Topology
-from .util import crandn, dbm_to_watt
+from .util import crandn, dbm_to_watt, require_finite
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class TrainingConfig:
     coherence: int = 50                      # coherence block length T, symbols
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if min(self.p_rue, self.p_bue, self.noise_power) <= 0:
             raise ValueError("powers must be positive")
         if not 0 < self.tau < self.coherence:
@@ -52,8 +53,8 @@ class TrueChannels:
 
 @dataclass
 class ChannelState:
-    """True channels plus every link's conditional mean and per-antenna
-    variance given the training output.
+    """Every link's conditional mean and per-antenna variance given the
+    training output.
 
     ``est_rrh[k, m]`` is the MMSE estimate of the RRH k -> UE m link and
     ``var_rrh[k, m]`` its error variance; a link that was not estimated has
@@ -61,7 +62,6 @@ class ChannelState:
     for the MBS -> UE links.
     """
 
-    true: TrueChannels
     est_rrh: np.ndarray  # (K, M, N) complex
     var_rrh: np.ndarray  # (K, M)
     est_mbs: np.ndarray  # (M, B) complex
@@ -131,9 +131,7 @@ def estimate_channels(
                 est_mbs[j] = np.sqrt(p_b) * alpha_b[j] / denom_b * observed_b
                 var_mbs[j] = alpha_b[j] * (denom_b - p_b * alpha_b[j]) / denom_b
 
-    return ChannelState(
-        true=channels, est_rrh=est_rrh, var_rrh=var_rrh, est_mbs=est_mbs, var_mbs=var_mbs
-    )
+    return ChannelState(est_rrh=est_rrh, var_rrh=var_rrh, est_mbs=est_mbs, var_mbs=var_mbs)
 
 
 def perfect_channel_state(topology: Topology, channels: TrueChannels) -> ChannelState:
@@ -143,7 +141,6 @@ def perfect_channel_state(topology: Topology, channels: TrueChannels) -> Channel
     upper-reference curves.
     """
     return ChannelState(
-        true=channels,
         est_rrh=channels.rrh.copy(),
         var_rrh=np.zeros((topology.num_rrh, topology.num_ue)),
         est_mbs=channels.mbs.copy(),

@@ -106,6 +106,10 @@ class ExperimentConfig:
             raise ValueError("jobs must be >= 1")
         if self.mc_trials < 2:
             raise ValueError("mc_trials must be >= 2")
+        for value in self.sweep_values:  # a value the configs reject fails here, not mid-sweep
+            scenario, training = _apply_sweep(self, value)
+            if training.tau > scenario.num_ue:
+                raise ValueError(f"tau cannot exceed the UE count at {self.sweep_name}={value!r}")
 
 
 def _apply_sweep(cfg: ExperimentConfig, value):
@@ -133,7 +137,7 @@ class _Scene:
         seed = seed_to_int(child_seed(cfg.master_seed, r, 0))
         self.topology = generate_topology(with_seed(scenario, seed))
         self.graph = build_conflict_graph(self.topology)
-        self.metrics = compute_beta(self.topology, self.graph)
+        self.beta = compute_beta(self.topology, self.graph)
         self.scheduler_seed = child_seed(cfg.master_seed, r, 1)
 
     @cached_property
@@ -153,7 +157,7 @@ class _Scene:
             return es_schedule(topology, tau, *powers, graph=self.graph, links=self.mse_links)
         rng = np.random.default_rng(self.scheduler_seed)  # fresh per call
         if scheduler == "psa":
-            return psa_schedule(topology, self.metrics, self.graph, tau, rng=rng)
+            return psa_schedule(topology, self.beta, self.graph, tau, rng=rng)
         if scheduler == "dsatur_random":
             return dsatur_random_schedule(topology, tau, rng, self.graph)
         raise ValueError(f"unknown scheduler {scheduler!r}")

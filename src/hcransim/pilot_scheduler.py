@@ -41,9 +41,9 @@ _BLOCK = 512  # candidates per exhaustive-search block; bounds every temporary
 
 @dataclass
 class ConflictGraph:
-    """Adjacency over RRH-served users: an edge when two users share an RRH."""
+    """Adjacency over RRH-served users, rows in ``topology.rue_set`` order: an
+    edge when two users share an RRH."""
 
-    rue_ids: list[int]
     adjacency: np.ndarray  # (R, R) 0/1, symmetric, zero diagonal
 
     def neighbors(self, r: int) -> np.ndarray:
@@ -56,17 +56,6 @@ class ConflictGraph:
         t, colors = dsatur_color(self)
         colors.flags.writeable = False
         return t, colors
-
-
-@dataclass
-class ContaminationMetrics:
-    """Pairwise contamination levels beta[r, m] (RUE row r, any-UE column m)."""
-
-    rue_ids: list[int]
-    beta: np.ndarray  # (R, M) nonnegative
-
-    def row(self, ue_id: int) -> int:
-        return self.rue_ids.index(ue_id)
 
 
 @dataclass
@@ -110,15 +99,14 @@ def validate_assignment(topology: Topology, assignment: PilotAssignment) -> None
 
 
 def build_conflict_graph(topology: Topology) -> ConflictGraph:
-    rue_ids = list(topology.rue_set)
-    n = len(rue_ids)
+    serving = [set(topology.serving_rrhs[i]) for i in topology.rue_set]
+    n = len(serving)
     adjacency = np.zeros((n, n), dtype=np.int8)
-    serving = [set(topology.serving_rrhs[i]) for i in rue_ids]
     for r in range(n):
         for r2 in range(r + 1, n):
             if serving[r] & serving[r2]:
                 adjacency[r, r2] = adjacency[r2, r] = 1
-    return ConflictGraph(rue_ids=rue_ids, adjacency=adjacency)
+    return ConflictGraph(adjacency=adjacency)
 
 
 def dsatur_color(graph: ConflictGraph) -> tuple[int, np.ndarray]:
@@ -152,8 +140,9 @@ def dsatur_color(graph: ConflictGraph) -> tuple[int, np.ndarray]:
     return int(colors.max()) + 1, colors
 
 
-def compute_beta(topology: Topology, graph: ConflictGraph | None = None) -> ContaminationMetrics:
-    """Log-domain contamination level between every RUE and every other UE.
+def compute_beta(topology: Topology, graph: ConflictGraph | None = None) -> np.ndarray:
+    """Log-domain contamination level beta[r, m] (R, M) between every RUE
+    (row r, in ``rue_set`` order) and every other UE (column m, by UE id).
 
     For an unconnected RUE pair the two mutual leakage ratios are summed inside
     the log; connected pairs (orthogonal by constraint) and the self entry are
@@ -162,7 +151,7 @@ def compute_beta(topology: Topology, graph: ConflictGraph | None = None) -> Cont
     """
     if graph is None:
         graph = build_conflict_graph(topology)
-    rue_ids = graph.rue_ids
+    rue_ids = topology.rue_set
     alpha_r, alpha_b = topology.alpha_rrh, topology.alpha_mbs
     own = {i: alpha_r[topology.serving_rrhs[i], i].sum() for i in rue_ids}
     beta = np.zeros((len(rue_ids), topology.num_ue))
@@ -178,16 +167,15 @@ def compute_beta(topology: Topology, graph: ConflictGraph | None = None) -> Cont
             leak_to_i = alpha_r[cluster, j].sum() / own[i]
             leak_to_j = alpha_b[i] / alpha_b[j]
             beta[r, j] = math.log(1.0 + leak_to_i + leak_to_j)
-    return ContaminationMetrics(rue_ids=rue_ids, beta=beta)
+    return beta
 
 
 def group_by_pilot(topology: Topology, pilots: np.ndarray):
     """Pilot -> (RUE ids, BUE ids) holding it, each ascending; pilots in use only."""
     groups: dict[int, tuple[list[int], list[int]]] = {}
-    rue_ids = set(topology.rue_set)
     for m in range(topology.num_ue):
         rues, bues = groups.setdefault(int(pilots[m]), ([], []))
-        (rues if m in rue_ids else bues).append(m)
+        (rues if topology.serving_rrhs[m] else bues).append(m)
     return groups
 
 
@@ -297,12 +285,12 @@ def _clamped_tau(topology: Topology, tau: int, t: int) -> int:
     return max(tau, t, len(topology.bue_set))
 
 
-def _base_pilots(topology: Topology, colors: np.ndarray, perm: np.ndarray, rue_ids) -> np.ndarray:
+def _base_pilots(topology: Topology, colors: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """BUEs on pilots 1..|bue_set| in id order; RUE color classes on perm."""
     pilots = np.zeros(topology.num_ue, dtype=int)
     for idx, j in enumerate(topology.bue_set):
         pilots[j] = idx + 1
-    for r, i in enumerate(rue_ids):
+    for r, i in enumerate(topology.rue_set):
         pilots[i] = int(perm[colors[r]]) + 1
     return pilots
 
@@ -320,13 +308,13 @@ def dsatur_random_schedule(
     t, colors = graph.coloring
     tau_eff = _clamped_tau(topology, tau, t)
     perm = rng.permutation(t) if t else np.zeros(0, dtype=int)
-    pilots = _base_pilots(topology, colors, perm, graph.rue_ids)
+    pilots = _base_pilots(topology, colors, perm)
     return make_assignment(tau_eff, pilots)
 
 
 def psa_schedule(
     topology: Topology,
-    metrics: ContaminationMetrics,
+    beta: np.ndarray,
     graph: ConflictGraph,
     tau: int,
     rng: np.random.Generator | None = None,
@@ -337,15 +325,15 @@ def psa_schedule(
     1..t (randomly permuted when ``rng`` is given, identity otherwise). Then
     every RUE is revisited exactly once, worst-contaminated first, and moved to
     the pilot (excluding those held by its conflict-graph neighbors) with the
-    least contamination. Ties: lowest UE id / lowest pilot index.
+    least contamination. Ties: lowest UE id / lowest pilot index. ``beta`` is
+    ``compute_beta(topology, graph)``.
     """
-    rue_ids = graph.rue_ids
+    rue_ids = topology.rue_set
     t, colors = graph.coloring
     tau_eff = _clamped_tau(topology, tau, t)
     perm = rng.permutation(t) if (rng is not None and t) else np.arange(t)
-    pilots = _base_pilots(topology, colors, perm, rue_ids)
+    pilots = _base_pilots(topology, colors, perm)
 
-    beta = metrics.beta
     bue_on_pilot = {idx + 1: j for idx, j in enumerate(topology.bue_set)}
     on_pilot: dict[int, set[int]] = {p: set() for p in range(1, tau_eff + 1)}
     for r, i in enumerate(rue_ids):
@@ -382,14 +370,14 @@ def psa_schedule(
 
 
 def _feasible_blocks(graph: ConflictGraph, tau: int):
-    """Every feasible RUE pilot vector (RUEs in ``graph.rue_ids`` order), in
+    """Every feasible RUE pilot vector (RUEs in ``rue_set`` order), in
     lexicographic order, in blocks of at most ``_BLOCK`` rows.
 
     Prefixes grow one RUE at a time by the pilots its earlier conflict-graph
     neighbors do not hold; prefixes whose children would pass ``_BLOCK`` rows
     are split into slices expanded depth first, so the space is never held.
     """
-    num = len(graph.rue_ids)
+    num = len(graph.adjacency)
     earlier = [[r2 for r2 in graph.neighbors(pos) if r2 < pos] for pos in range(num)]
 
     def grow(prefixes: np.ndarray):
@@ -457,5 +445,5 @@ def es_schedule(
     pilots = np.zeros(topology.num_ue, dtype=int)
     pilots[topology.bue_set] = bue_pilots
     if best_row is not None:
-        pilots[graph.rue_ids] = best_row
+        pilots[topology.rue_set] = best_row
     return make_assignment(tau_eff, pilots)

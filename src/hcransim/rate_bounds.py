@@ -5,10 +5,11 @@ Conditioned on the training output, every RRH->UE and MBS->UE link has a
 conditional mean and a per-antenna variance: an estimated link is its MMSE
 estimate plus a zero-mean error with the estimation error variance, a link
 not estimated is zero-mean with variance alpha. ``estimate_channels`` writes these
-numbers as arrays and ``AggregatedLinks`` attaches the serving clusters to
-the same arrays. The lower bound replaces each interference term by its second
-moment under that model, taken per RRH (block-diagonally across the RRHs of
-a serving cluster): the moment of cluster(src)->dst is
+numbers as arrays and ``AggregatedLinks`` attaches the topology, which holds
+the serving clusters, to the same arrays. The lower bound replaces each
+interference term by its second moment under that model, taken per RRH
+(block-diagonally across the RRHs of a serving cluster): the moment of
+cluster(src)->dst is
 
     sum_{k in C(src)}  |est[k, dst]^H w_k|^2 + var[k, dst] * ||w_k||^2.
 
@@ -36,12 +37,10 @@ class AggregatedLinks:
     ``est_rrh[k, m]`` is the estimate of the RRH k -> UE m link (zero where
     the link was not estimated) and ``var_rrh[k, m]`` its error variance
     (alpha where it was not); ``est_mbs``/``var_mbs`` hold the same for the
-    MBS -> UE links.
+    MBS -> UE links. The serving clusters are ``topology.serving_rrhs``.
     """
 
-    rue_ids: list[int]
-    bue_ids: list[int]
-    block_rrhs: dict[int, list[int]]    # RUE -> sorted serving RRHs
+    topology: Topology
     est_rrh: np.ndarray                 # (K, M, N) complex
     var_rrh: np.ndarray                 # (K, M)
     est_mbs: np.ndarray                 # (M, B) complex
@@ -59,19 +58,17 @@ class AggregatedLinks:
     def estimate(self, ue_id: int) -> np.ndarray:
         """The usable channel of a UE: the stacked cluster estimate of a RUE,
         the MBS-link estimate of a BUE."""
-        if ue_id in self.block_rrhs:
-            return self.est_rrh[self.block_rrhs[ue_id], ue_id].reshape(-1)
+        cluster = self.topology.serving_rrhs[ue_id]
+        if cluster:
+            return self.est_rrh[cluster, ue_id].reshape(-1)
         return self.est_mbs[ue_id]
 
 
 def build_covariances(topology: Topology, state: ChannelState) -> AggregatedLinks:
     """The training output's link arrays (shared, not copied) with the
-    serving cluster of every RRH-served user attached."""
-    rue_ids = list(topology.rue_set)
+    topology, which holds the serving clusters, attached."""
     return AggregatedLinks(
-        rue_ids=rue_ids,
-        bue_ids=list(topology.bue_set),
-        block_rrhs={i: list(topology.serving_rrhs[i]) for i in rue_ids},
+        topology=topology,
         est_rrh=state.est_rrh,
         var_rrh=state.var_rrh,
         est_mbs=state.est_mbs,
@@ -107,8 +104,9 @@ def lower_bound_rates(links: AggregatedLinks, beams, noise_power: float, prelog:
     """Per-UE spectral-efficiency lower bounds (bits/s/Hz), RUEs first."""
     j_power = interference_plus_noise(links, beams, noise_power)
     w_rrh, w_mbs = beams
-    own = {i: w_rrh[i, links.block_rrhs[i]].reshape(-1) for i in links.rue_ids}
-    own.update((j, w_mbs[j]) for j in links.bue_ids)
+    topology = links.topology
+    own = {i: w_rrh[i, topology.serving_rrhs[i]].reshape(-1) for i in topology.rue_set}
+    own.update((j, w_mbs[j]) for j in topology.bue_set)
     return {
         m: prelog * math.log1p(abs(np.vdot(links.estimate(m), w)) ** 2 / j_power[m]) / math.log(2.0)
         for m, w in own.items()
@@ -153,7 +151,7 @@ def monte_carlo_rates(
     nu2 = np.abs(np.einsum("dsi,ds->di", vecs.conj(), mean)) ** 2
     scale = prelog / math.log(2.0)
     rates, stderr = {}, {}
-    for m in links.rue_ids + links.bue_ids:
+    for m in links.topology.rue_set + links.topology.bue_set:
         total = noise_power + signal[m] + lam[m].sum() + nu2[m].sum()
         u = np.linspace(math.log(1e-16 / total), math.log(40.0 / noise_power), trials + 1)
         t = np.exp(u)

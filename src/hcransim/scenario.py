@@ -11,9 +11,12 @@ handled by the MBS directly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
+
+from .util import require_finite
 
 TOPOLOGY_FORMAT = "hcransim-topology"
 TOPOLOGY_VERSION = 1
@@ -37,6 +40,7 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.cell_radius > self.inner_ring_radius > 0:
             raise ValueError("need cell_radius > inner_ring_radius > 0")
         for name in ("num_rrh", "num_ue", "mbs_antennas", "rrh_antennas", "max_ue_per_rrh"):
@@ -50,18 +54,19 @@ class ScenarioConfig:
 
 @dataclass
 class Topology:
-    """A fixed network realization: placements, cluster maps, gains."""
+    """A fixed network realization: placements, cluster map, gains.
+
+    ``serving_rrhs`` is the one stored cluster map; ``rue_set``, ``bue_set``
+    and ``served_rues`` are derived from it on first read and cached, so the
+    map must not change after they are read.
+    """
 
     config: ScenarioConfig
-    mbs_position: np.ndarray          # (2,)
     rrh_positions: np.ndarray         # (K, 2)
     ue_positions: np.ndarray          # (M, 2)
     serving_rrhs: list[list[int]]     # per UE, sorted RRH ids (empty -> MBS user)
-    served_rues: list[list[int]]      # per RRH, sorted UE ids
-    rue_set: list[int] = field(default_factory=list)
-    bue_set: list[int] = field(default_factory=list)
-    alpha_rrh: np.ndarray = None      # (K, M) linear power gains
-    alpha_mbs: np.ndarray = None      # (M,)
+    alpha_rrh: np.ndarray             # (K, M) linear power gains
+    alpha_mbs: np.ndarray             # (M,)
 
     @property
     def num_rrh(self) -> int:
@@ -71,28 +76,38 @@ class Topology:
     def num_ue(self) -> int:
         return self.ue_positions.shape[0]
 
+    @cached_property
+    def rue_set(self) -> list[int]:
+        """RRH-served users (RUEs), ascending."""
+        return [i for i, cluster in enumerate(self.serving_rrhs) if cluster]
+
+    @cached_property
+    def bue_set(self) -> list[int]:
+        """MBS-served users (BUEs), ascending."""
+        return [i for i, cluster in enumerate(self.serving_rrhs) if not cluster]
+
+    @cached_property
+    def served_rues(self) -> list[list[int]]:
+        """Per RRH, the users it serves, ascending."""
+        served: list[list[int]] = [[] for _ in range(self.num_rrh)]
+        for i, cluster in enumerate(self.serving_rrhs):
+            for k in cluster:
+                served[k].append(i)
+        return served
+
     def validate(self) -> None:
         cfg = self.config
         k_count, m_count = self.num_rrh, self.num_ue
-        if sorted(self.rue_set + self.bue_set) != list(range(m_count)):
-            raise ValueError("rue_set and bue_set must partition the UE ids")
-        for i in range(m_count):
-            served = bool(self.serving_rrhs[i])
-            if served != (i in set(self.rue_set)):
-                raise ValueError("rue_set inconsistent with serving_rrhs")
-        for k in range(k_count):
-            if len(self.served_rues[k]) > cfg.max_ue_per_rrh:
-                raise ValueError(f"RRH {k} exceeds max_ue_per_rrh")
-            for i in self.served_rues[k]:
-                if k not in self.serving_rrhs[i]:
-                    raise ValueError("cluster maps are not mutually consistent")
-        for i in range(m_count):
-            for k in self.serving_rrhs[i]:
-                if i not in self.served_rues[k]:
-                    raise ValueError("cluster maps are not mutually consistent")
+        load = np.zeros(k_count, dtype=int)
+        for i, cluster in enumerate(self.serving_rrhs):
+            load[cluster] += 1
+            for k in cluster:
                 d = np.linalg.norm(self.rrh_positions[k] - self.ue_positions[i])
                 if d > cfg.coverage_radius + 1e-9:
                     raise ValueError("serving RRH outside coverage radius")
+        over = np.nonzero(load > cfg.max_ue_per_rrh)[0]
+        if over.size:
+            raise ValueError(f"RRH {over[0]} exceeds max_ue_per_rrh")
         if self.alpha_rrh.shape != (k_count, m_count) or self.alpha_mbs.shape != (m_count,):
             raise ValueError("gain array shapes inconsistent with placements")
         if not (np.all(self.alpha_rrh > 0) and np.all(self.alpha_mbs > 0)):
@@ -118,7 +133,7 @@ def pathloss_gain(distance, cfg: ScenarioConfig, shadowing_db=0.0):
 def cluster_ues(rrh_positions, ue_positions, coverage_radius, max_ue_per_rrh):
     """User-centric clustering: candidates by range, per-RRH cap by distance.
 
-    Returns (serving_rrhs, served_rues, rue_set, bue_set). An RRH over its cap
+    Returns serving_rrhs: per UE, its sorted serving RRHs. An RRH over its cap
     keeps the closest candidates (ties by lower UE id); dropping a UE at one
     RRH does not affect its candidacy elsewhere.
     """
@@ -128,19 +143,13 @@ def cluster_ues(rrh_positions, ue_positions, coverage_radius, max_ue_per_rrh):
     m_count = ue_positions.shape[0]
     dist = np.linalg.norm(rrh_positions[:, None, :] - ue_positions[None, :, :], axis=2)
 
-    served_rues: list[list[int]] = []
+    serving_rrhs: list[list[int]] = [[] for _ in range(m_count)]
     for k in range(k_count):
         candidates = [i for i in range(m_count) if dist[k, i] <= coverage_radius]
         candidates.sort(key=lambda i: (dist[k, i], i))
-        served_rues.append(sorted(candidates[:max_ue_per_rrh]))
-
-    serving_rrhs: list[list[int]] = [[] for _ in range(m_count)]
-    for k in range(k_count):
-        for i in served_rues[k]:
+        for i in candidates[:max_ue_per_rrh]:
             serving_rrhs[i].append(k)
-    rue_set = [i for i in range(m_count) if serving_rrhs[i]]
-    bue_set = [i for i in range(m_count) if not serving_rrhs[i]]
-    return serving_rrhs, served_rues, rue_set, bue_set
+    return serving_rrhs
 
 
 def generate_topology(cfg: ScenarioConfig) -> Topology:
@@ -163,7 +172,7 @@ def generate_topology(cfg: ScenarioConfig) -> Topology:
     shadow_rrh = rng.normal(0.0, cfg.shadowing_std, (cfg.num_rrh, cfg.num_ue))
     shadow_mbs = rng.normal(0.0, cfg.shadowing_std, cfg.num_ue)
 
-    serving_rrhs, served_rues, rue_set, bue_set = cluster_ues(
+    serving_rrhs = cluster_ues(
         rrh_positions, ue_positions, cfg.coverage_radius, cfg.max_ue_per_rrh
     )
 
@@ -174,13 +183,9 @@ def generate_topology(cfg: ScenarioConfig) -> Topology:
 
     topo = Topology(
         config=cfg,
-        mbs_position=np.zeros(2),
         rrh_positions=rrh_positions,
         ue_positions=ue_positions,
         serving_rrhs=serving_rrhs,
-        served_rues=served_rues,
-        rue_set=rue_set,
-        bue_set=bue_set,
         alpha_rrh=pathloss_gain(dist_rrh, cfg, shadow_rrh),
         alpha_mbs=pathloss_gain(dist_mbs, cfg, shadow_mbs),
     )
@@ -249,10 +254,6 @@ def load_topology(path) -> Topology:
     rrh_positions = np.array([rrh_rows[k] for k in range(k_count)])
     ue_positions = np.array([ue_rows[i] for i in range(m_count)])
     serving_rrhs = [sorted(serving.get(i, [])) for i in range(m_count)]
-    served_rues: list[list[int]] = [[] for _ in range(k_count)]
-    for i, rrhs in enumerate(serving_rrhs):
-        for k in rrhs:
-            served_rues[k].append(i)
     alpha_rrh = np.empty((k_count, m_count))
     for (k, i), value in alpha_rrh_rows.items():
         alpha_rrh[k, i] = value
@@ -260,13 +261,9 @@ def load_topology(path) -> Topology:
 
     topo = Topology(
         config=cfg,
-        mbs_position=np.zeros(2),
         rrh_positions=rrh_positions,
         ue_positions=ue_positions,
         serving_rrhs=serving_rrhs,
-        served_rues=[sorted(v) for v in served_rues],
-        rue_set=[i for i in range(m_count) if serving_rrhs[i]],
-        bue_set=[i for i in range(m_count) if not serving_rrhs[i]],
         alpha_rrh=alpha_rrh,
         alpha_mbs=alpha_mbs,
     )

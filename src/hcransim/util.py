@@ -1,6 +1,9 @@
-"""Small shared helpers: unit conversions, seed splitting, complex Gaussians."""
+"""Small shared helpers: unit conversions, seed splitting, complex Gaussians, config checks."""
 
 from __future__ import annotations
+
+import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,10 +29,6 @@ def child_seed(master_seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=tuple(key))
 
 
-def child_rng(master_seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(child_seed(master_seed, *key))
-
-
 def seed_to_int(seq: np.random.SeedSequence) -> int:
     """Collapse a SeedSequence to a plain nonnegative int (for config fields)."""
     return int(seq.generate_state(1, np.uint64)[0] >> 1)
@@ -43,3 +42,12 @@ def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """
     out = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return out / np.sqrt(2.0)
+
+
+def require_finite(config) -> None:
+    """Raise a ValueError naming the first float field of a dataclass that
+    is NaN or infinite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")

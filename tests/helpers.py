@@ -25,9 +25,14 @@ from hcransim import (
     solve_qcqp,
     stack_layout,
 )
-from hcransim.util import child_rng, child_seed, crandn, seed_to_int
+from hcransim.util import child_seed, crandn, seed_to_int
 
 from oracles import estimate_channels_oracle
+
+
+def child_rng(master_seed: int, *key: int) -> np.random.Generator:
+    """A generator on ``child_seed(master_seed, *key)``."""
+    return np.random.default_rng(child_seed(master_seed, *key))
 
 
 def hand_topology(serving_rrhs, num_rrh, alpha_rrh, alpha_mbs, n_ant=2, b_ant=3):
@@ -56,18 +61,11 @@ def hand_topology(serving_rrhs, num_rrh, alpha_rrh, alpha_mbs, n_ant=2, b_ant=3)
         max_ue_per_rrh=num_ue,
         coverage_radius=coverage,
     )
-    served = [
-        sorted(i for i in range(num_ue) if k in serving_rrhs[i]) for k in range(num_rrh)
-    ]
     topo = Topology(
         config=cfg,
-        mbs_position=np.zeros(2),
         rrh_positions=rrh_positions,
         ue_positions=ue_positions,
         serving_rrhs=[sorted(c) for c in serving_rrhs],
-        served_rues=served,
-        rue_set=[i for i in range(num_ue) if serving_rrhs[i]],
-        bue_set=[i for i in range(num_ue) if not serving_rrhs[i]],
         alpha_rrh=np.asarray(alpha_rrh, dtype=float),
         alpha_mbs=np.asarray(alpha_mbs, dtype=float),
     )
@@ -98,11 +96,10 @@ def pipeline_instance(r=0, master_seed=0, tau=4, scenario=None, training=None):
     training = training or TrainingConfig(tau=tau)
     topology = generate_topology(scenario)
     graph = build_conflict_graph(topology)
-    metrics = compute_beta(topology, graph)
     assignment = psa_schedule(
-        topology, metrics, graph, training.tau, rng=child_rng(master_seed, r, 1)
+        topology, compute_beta(topology, graph), graph, training.tau, rng=child_rng(master_seed, r, 1)
     )
-    channels = draw_small_scale(topology, child_seed(master_seed, r, 2))
+    channels = instance_channels(topology, r, master_seed)
     state = estimate_channels(
         topology, assignment, training, channels, child_seed(master_seed, r, 3)
     )
@@ -111,11 +108,17 @@ def pipeline_instance(r=0, master_seed=0, tau=4, scenario=None, training=None):
     return topology, assignment, state, links, training_eff
 
 
-def oracle_state(topology, assignment, state, training, r=0, master_seed=0):
+def instance_channels(topology, r=0, master_seed=0):
+    """The small-scale draw that ``pipeline_instance(r, master_seed)`` trains on."""
+    return draw_small_scale(topology, child_seed(master_seed, r, 2))
+
+
+def oracle_state(topology, assignment, training, r=0, master_seed=0):
     """The training phase of ``pipeline_instance(r, master_seed)`` rerun by
     the dict-based reference estimator on the same channels and seed."""
+    channels = instance_channels(topology, r, master_seed)
     return estimate_channels_oracle(
-        topology, assignment, training, state.true, child_seed(master_seed, r, 3)
+        topology, assignment, training, channels, child_seed(master_seed, r, 3)
     )
 
 
@@ -199,17 +202,19 @@ def make_synthetic_qcqp(rng, conditioning=60.0, zero_cap_chance=0.0):
 
 def pack_qcqp(quad_rue, lin_rue, quad_bue, lin_bue, block_rrhs, block_size, rrh_budget, mbs_budget):
     """A QcqpProblem posed per UE: full-cluster matrices and linear terms by
-    RUE id and by BUE id. The stack layout comes from links with the given
-    clusters and all-zero estimates; each RUE's live submatrix (zero-budget
+    RUE id and by BUE id, which together must be 0..M-1. The stack layout
+    comes from links with all-zero estimates on a ``hand_topology`` with the
+    given clusters and unit gains; each RUE's live submatrix (zero-budget
     blocks dropped) fills its stack row, and the BUE matrices form a
     (J, B, B) stack."""
-    ids = list(block_rrhs) + list(quad_bue)
-    num_ue, num_rrh = max(ids, default=-1) + 1, len(rrh_budget)
+    num_ue, num_rrh = len(block_rrhs) + len(quad_bue), len(rrh_budget)
     b_ant = next(iter(lin_bue.values())).shape[0] if lin_bue else 0
+    assert sorted([*block_rrhs, *quad_bue]) == list(range(num_ue))
+    topology = hand_topology(
+        [block_rrhs.get(m, []) for m in range(num_ue)], num_rrh, np.ones((num_rrh, num_ue)), np.ones(num_ue), block_size, max(b_ant, 1)
+    )
     links = AggregatedLinks(
-        rue_ids=list(block_rrhs),
-        bue_ids=list(quad_bue),
-        block_rrhs=block_rrhs,
+        topology=topology,
         est_rrh=np.zeros((num_rrh, num_ue, block_size), dtype=complex),
         var_rrh=np.zeros((num_rrh, num_ue)),
         est_mbs=np.zeros((num_ue, b_ant), dtype=complex),
@@ -218,17 +223,18 @@ def pack_qcqp(quad_rue, lin_rue, quad_bue, lin_bue, block_rrhs, block_size, rrh_
     layout = stack_layout(links, PowerBudget(rrh=np.asarray(rrh_budget), mbs=mbs_budget))
     base = np.tile(np.eye(layout.est.shape[1], dtype=complex), (len(block_rrhs), 1, 1))
     rhs = np.zeros_like(layout.est)
-    for u, (i, cluster) in enumerate(block_rrhs.items()):
-        live = np.repeat(layout.rrh_budget[cluster] > 0, block_size)
+    for u, i in enumerate(layout.rue.tolist()):
+        live = np.repeat(layout.rrh_budget[block_rrhs[i]] > 0, block_size)
         d = int(live.sum())
         base[u, :d, :d] = quad_rue[i][np.ix_(live, live)]
         rhs[u, :d] = lin_rue[i][live]
+    bue = layout.bue.tolist()
     return QcqpProblem(
         layout=layout,
         base=base,
         rhs=rhs,
-        mbs_quad=np.array([quad_bue[j] for j in quad_bue] or np.zeros((0, b_ant, b_ant)), complex),
-        mbs_lin=np.array([lin_bue[j] for j in quad_bue] or np.zeros((0, b_ant)), complex),
+        mbs_quad=np.array([quad_bue[j] for j in bue] or np.zeros((0, b_ant, b_ant)), complex),
+        mbs_lin=np.array([lin_bue[j] for j in bue] or np.zeros((0, b_ant)), complex),
     )
 
 
@@ -281,9 +287,11 @@ def random_beams(links, seed, scale=2e-5):
     num_rrh, num_ue, n = links.est_rrh.shape
     rrh = np.zeros((num_ue, num_rrh, n), dtype=complex)
     mbs = np.zeros((num_ue, links.mbs_antennas), dtype=complex)
-    for i in links.rue_ids:
-        rrh[i, links.block_rrhs[i]] = scale * crandn(rng, len(links.block_rrhs[i]) * n).reshape(-1, n)
-    for j in links.bue_ids:
+    topology = links.topology
+    for i in topology.rue_set:
+        cluster = topology.serving_rrhs[i]
+        rrh[i, cluster] = scale * crandn(rng, len(cluster) * n).reshape(-1, n)
+    for j in topology.bue_set:
         mbs[j] = scale * crandn(rng, links.mbs_antennas)
     return BeamformerSet(rrh, mbs)
 

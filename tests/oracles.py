@@ -129,7 +129,6 @@ class DictChannelState:
     in est_rrh/est_mbs; known links are estimate + CN(0, errvar*I) error,
     unknown links CN(0, alpha*I)."""
 
-    true: object
     est_rrh: dict  # (rrh k, ue m) -> (N,)
     est_mbs: dict  # ue m -> (B,)
     errvar_rrh: dict
@@ -188,7 +187,6 @@ def estimate_channels_oracle(topology, assignment, training, channels, seed):
                 errvar_mbs[j] = alpha_b[j] * (denom_b - p_b * alpha_b[j]) / denom_b
 
     return DictChannelState(
-        true=channels,
         est_rrh=est_rrh,
         est_mbs=est_mbs,
         errvar_rrh=errvar_rrh,
@@ -205,7 +203,6 @@ def perfect_channel_state_oracle(topology, channels):
     }
     est_mbs = {m: channels.mbs[m].copy() for m in range(topology.num_ue)}
     return DictChannelState(
-        true=channels,
         est_rrh=est_rrh,
         est_mbs=est_mbs,
         errvar_rrh={key: 0.0 for key in est_rrh},
@@ -316,24 +313,25 @@ def assemble_qcqp_oracle(links, f, u):
     """(quad, lin) of the beamformer-step QCQP per UE id, assembled UE by UE
     on full clusters from the per-link arrays: the per-UE loop the
     library's stack assembly replaced. f and u are indexed by UE id."""
+    topology = links.topology
     w8 = np.zeros(links.var_mbs.shape[0])
-    for m in links.rue_ids + links.bue_ids:
+    for m in topology.rue_set + topology.bue_set:
         w8[m] = math.exp(u[m] - 1.0) * abs(f[m]) ** 2
     n = links.block_size
     scaled = links.est_rrh * w8[None, :, None]
     per_rrh = np.sum(scaled[..., :, None] * links.est_rrh.conj()[..., None, :], axis=1)
     per_rrh[:, np.arange(n), np.arange(n)] += (links.var_rrh @ w8)[:, None]
     quad, lin = {}, {}
-    for i in links.rue_ids:
+    for i in topology.rue_set:
         g = links.estimate(i)
         mat = w8[i] * np.outer(g, g.conj())
-        for pos, k in enumerate(links.block_rrhs[i]):
+        for pos, k in enumerate(topology.serving_rrhs[i]):
             mat[pos * n:(pos + 1) * n, pos * n:(pos + 1) * n] = per_rrh[k]
         quad[i] = mat
         lin[i] = math.exp(u[i] - 1.0) * f[i] * g
     shared = (links.est_mbs * w8[:, None]).T @ links.est_mbs.conj()
     shared += (links.var_mbs @ w8) * np.eye(links.mbs_antennas)
-    for j in links.bue_ids:
+    for j in topology.bue_set:
         quad[j] = shared
         lin[j] = math.exp(u[j] - 1.0) * f[j] * links.est_mbs[j]
     return quad, lin

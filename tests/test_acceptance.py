@@ -32,9 +32,9 @@ from hcransim import (
     sum_mse,
 )
 from hcransim.channel import prelog_factor
-from hcransim.util import child_rng, child_seed, crandn, seed_to_int
+from hcransim.util import child_seed, crandn, seed_to_int
 
-from helpers import group_power, make_synthetic_qcqp, pipeline_instance, solved
+from helpers import child_rng, group_power, make_synthetic_qcqp, pipeline_instance, solved
 from oracles import has_shared_rrh_pair, pgd_qcqp_oracle_batched, qcqp_value
 
 BUDGETS = PowerBudget(rrh=dbm_to_watt(27.0), mbs=dbm_to_watt(30.0))
@@ -54,8 +54,8 @@ def test_c1_scheduler_ordering_es_psa_random():
             ScenarioConfig(num_rrh=15, num_ue=6, rng_seed=seed_to_int(child_seed(42, r, 0)))
         )
         graph = build_conflict_graph(topology)
-        metrics = compute_beta(topology, graph)
-        v_psa = sum_mse(topology, psa_schedule(topology, metrics, graph, 3), *args)
+        beta = compute_beta(topology, graph)
+        v_psa = sum_mse(topology, psa_schedule(topology, beta, graph, 3), *args)
         v_ds = sum_mse(
             topology, dsatur_random_schedule(topology, 3, child_rng(42, r, 1), graph), *args
         )

@@ -25,10 +25,11 @@ from hcransim import (
 )
 from hcransim import beamforming
 from hcransim.beamforming import _block_secular, _solve_mbs_side
-from hcransim.util import child_rng, crandn, dbm_to_watt
+from hcransim.util import crandn, dbm_to_watt
 
 from helpers import (
     beams_equal,
+    child_rng,
     group_power,
     make_synthetic_qcqp,
     pack_qcqp,
@@ -169,12 +170,12 @@ def test_qcqp_single_beam_closed_forms():
     assert beams.rrh_power(0) == pytest.approx(16.0, rel=2e-6)
     # MBS side, one BUE: same projection behaviour
     mbs = pack_qcqp(
-        quad_rue={}, lin_rue={}, quad_bue={5: np.eye(2, dtype=complex)},
-        lin_bue={5: lin}, block_rrhs={}, block_size=2,
-        rrh_budget=np.zeros(0), mbs_budget=16.0,
+        quad_rue={}, lin_rue={}, quad_bue={0: np.eye(2, dtype=complex)},
+        lin_bue={0: lin}, block_rrhs={}, block_size=2,
+        rrh_budget=np.zeros(1), mbs_budget=16.0,
     )
     beams, _ = solved(mbs)
-    assert np.allclose(beams.mbs[5], [2.4, 3.2], rtol=1e-6)
+    assert np.allclose(beams.mbs[0], [2.4, 3.2], rtol=1e-6)
     zero_lin = pack_qcqp(
         quad_rue={0: np.eye(2, dtype=complex)}, lin_rue={0: np.zeros(2, dtype=complex)},
         rrh_budget=np.array([4.0]), **base,
@@ -195,7 +196,7 @@ def test_assembled_qcqp_equals_weighted_mse_up_to_constant():
     sum_m exp(u_m - 1) * mse_m."""
     topology, _, state, links, training = pipeline_instance(r=2)
     rng = child_rng(31, 3)
-    ids = links.rue_ids + links.bue_ids
+    ids = topology.rue_set + topology.bue_set
     f = {m: complex(*rng.normal(scale=2.0, size=2)) for m in ids}
     u = {m: float(rng.uniform(0.2, 3.0)) for m in ids}
     layout = stack_layout(links, BUDGETS)
@@ -205,9 +206,9 @@ def test_assembled_qcqp_equals_weighted_mse_up_to_constant():
     own = {m: stacked_beam(beams, topology, m) for m in ids}
     # Every budget is positive, so each RUE's whole beam fills its stack row.
     w_rue = np.zeros_like(layout.est)
-    for row, i in enumerate(links.rue_ids):
+    for row, i in enumerate(topology.rue_set):
         w_rue[row, :own[i].size] = own[i]
-    w_bue = beams.mbs[links.bue_ids]
+    w_bue = beams.mbs[topology.bue_set]
 
     j_power = interference_plus_noise(links, beams, training.noise_power)
     weighted = 0.0
@@ -222,6 +223,11 @@ def test_assembled_qcqp_equals_weighted_mse_up_to_constant():
     assert objective + constant == pytest.approx(weighted, rel=1e-9)
 
 
+def _clusters(topology):
+    """RUE id -> its serving RRHs."""
+    return {i: topology.serving_rrhs[i] for i in topology.rue_set}
+
+
 def _overlap_drop():
     """The (16, 50, 130 m) drop r = 4, where two users share two RRHs and
     three users are MBS-served, with a zero budget at the first RRH the two
@@ -229,7 +235,7 @@ def _overlap_drop():
     topology, _, _, links, training = pipeline_instance(
         r=4, scenario=ScenarioConfig(num_ue=16, num_rrh=50, coverage_radius=130.0)
     )
-    clusters = links.block_rrhs
+    clusters = _clusters(topology)
     shared = next(
         sorted(set(clusters[a]) & set(clusters[b]))
         for a in clusters for b in clusters
@@ -246,7 +252,7 @@ def test_stack_assembly_matches_the_per_ue_reference():
     MBS terms are its shared matrix and per-BUE linear terms, to 1e-15
     relative."""
     topology, links, _, budget, _ = _overlap_drop()
-    clusters = links.block_rrhs
+    clusters, bues = _clusters(topology), topology.bue_set
     rng = child_rng(31, 11)
     f, u = crandn(rng, topology.num_ue), rng.uniform(0.2, 3.0, size=topology.num_ue)
     layout = stack_layout(links, PowerBudget(rrh=budget, mbs=BUDGETS.mbs))
@@ -254,11 +260,11 @@ def test_stack_assembly_matches_the_per_ue_reference():
     quad, lin = assemble_qcqp_oracle(links, f, u)
     reference = pack_qcqp(
         {i: quad[i] for i in clusters}, {i: lin[i] for i in clusters},
-        {j: quad[j] for j in links.bue_ids}, {j: lin[j] for j in links.bue_ids},
+        {j: quad[j] for j in bues}, {j: lin[j] for j in bues},
         clusters, links.block_size, budget, BUDGETS.mbs,
     )
     assert np.array_equal(layout.starts, reference.layout.starts)
-    assert problem.mbs_quad.shape == (links.mbs_antennas,) * 2 and len(links.bue_ids) == 3
+    assert problem.mbs_quad.shape == (links.mbs_antennas,) * 2 and len(bues) == 3
     pairs = list(zip(problem.base, reference.base)) + list(zip(problem.rhs, reference.rhs))
     pairs += [(problem.mbs_quad, want) for want in reference.mbs_quad]
     pairs += list(zip(problem.mbs_lin, reference.mbs_lin))
@@ -273,24 +279,25 @@ def test_returned_beams_are_zero_where_no_beam_is_designed():
     nonzero elsewhere; ``rrh_power`` and ``mbs_power`` are the per-RRH and
     MBS sums of the users' stacked beams to 1e-12 relative."""
     topology, links, training, budget, zeroed = _overlap_drop()
-    assert sum(zeroed in c for c in links.block_rrhs.values()) >= 2 and links.bue_ids
+    clusters, rues, bues = _clusters(topology), topology.rue_set, topology.bue_set
+    assert sum(zeroed in c for c in clusters.values()) >= 2 and bues
     beams, state = rtd_solve(topology, links, training, PowerBudget(rrh=budget, mbs=BUDGETS.mbs))
     assert state.converged
     designed = np.zeros(beams.rrh.shape[:2], dtype=bool)
-    for i, cluster in links.block_rrhs.items():
+    for i, cluster in clusters.items():
         designed[i, cluster] = True
     designed[:, zeroed] = False
-    assert not np.any(beams.rrh[~designed]) and not np.any(beams.mbs[links.rue_ids])
+    assert not np.any(beams.rrh[~designed]) and not np.any(beams.mbs[rues])
     assert np.all(np.any(beams.rrh[designed], axis=1))
-    assert np.all(np.any(beams.mbs[links.bue_ids], axis=1))
+    assert np.all(np.any(beams.mbs[bues], axis=1))
     n = links.block_size
     per_rrh = np.zeros(topology.num_rrh)
-    for i, cluster in links.block_rrhs.items():
+    for i, cluster in clusters.items():
         for block, k in zip(stacked_beam(beams, topology, i).reshape(-1, n), cluster):
             per_rrh[k] += float(np.sum(np.abs(block) ** 2))
     for k in range(topology.num_rrh):
         assert beams.rrh_power(k) == pytest.approx(per_rrh[k], rel=1e-12, abs=0)
-    mbs = sum(float(np.sum(np.abs(stacked_beam(beams, topology, j)) ** 2)) for j in links.bue_ids)
+    mbs = sum(float(np.sum(np.abs(stacked_beam(beams, topology, j)) ** 2)) for j in bues)
     assert beams.mbs_power() == pytest.approx(mbs, rel=1e-12, abs=0)
 
 
@@ -501,8 +508,8 @@ def _first_qcqp(num_ue, num_rrh, zero_busiest=False, **scenario):
     )
     budget = BUDGETS.rrh_array(topology.num_rrh)
     if zero_busiest:
-        load = np.bincount(np.concatenate(list(links.block_rrhs.values())))
-        widest = max(links.block_rrhs.values(), key=len)
+        load = [len(users) for users in topology.served_rues]
+        widest = max(topology.serving_rrhs, key=len)
         budget[max(widest, key=lambda k: load[k])] = 0.0
     layout = stack_layout(links, PowerBudget(rrh=budget, mbs=BUDGETS.mbs))
     ones = np.ones(topology.num_ue)

@@ -18,7 +18,7 @@ from hcransim import (
 )
 from hcransim.util import child_seed
 
-from helpers import oracle_state, pipeline_instance
+from helpers import instance_channels, oracle_state, pipeline_instance
 from oracles import delta_oracle, has_shared_rrh_pair, perfect_channel_state_oracle
 
 
@@ -27,9 +27,8 @@ def make_instance(seed=0, tau=3, num_ue=6, num_rrh=15):
         ScenarioConfig(num_rrh=num_rrh, num_ue=num_ue, coverage_radius=130.0, rng_seed=seed)
     )
     graph = build_conflict_graph(topo)
-    metrics = compute_beta(topo, graph)
     training = TrainingConfig(tau=tau)
-    assignment = psa_schedule(topo, metrics, graph, tau)
+    assignment = psa_schedule(topo, compute_beta(topo, graph), graph, tau)
     return topo, training, assignment
 
 
@@ -40,6 +39,10 @@ def test_training_config_validation():
         TrainingConfig(tau=0)
     with pytest.raises(ValueError):
         TrainingConfig(tau=50, coherence=50)
+    for name in ("p_rue", "p_bue", "noise_power"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                TrainingConfig(**{name: value})
 
 
 def test_prelog_factor():
@@ -270,7 +273,7 @@ def test_link_arrays_equal_the_dict_estimator():
     bue_pilot_shared = 0
     for r, scenario in cases:
         topo, assignment, state, links, training = pipeline_instance(r=r, scenario=scenario)
-        want = oracle_state(topo, assignment, state, training, r=r)
+        want = oracle_state(topo, assignment, training, r=r)
         assert_arrays_equal_dicts(topo, state, want)
         for name in ("est_rrh", "var_rrh", "est_mbs", "var_mbs"):
             np.testing.assert_array_equal(getattr(links, name), getattr(state, name))
@@ -279,5 +282,6 @@ def test_link_arrays_equal_the_dict_estimator():
             bue_pilots = set(assignment.pilots[topo.bue_set].tolist())
             bue_pilot_shared += any(assignment.pilots[i] in bue_pilots for i in topo.rue_set)
     assert bue_pilot_shared == 3  # drops 3, 4 and 6 of the wide family
-    perfect = perfect_channel_state(topo, state.true)
-    assert_arrays_equal_dicts(topo, perfect, perfect_channel_state_oracle(topo, state.true))
+    channels = instance_channels(topo, r)
+    perfect = perfect_channel_state(topo, channels)
+    assert_arrays_equal_dicts(topo, perfect, perfect_channel_state_oracle(topo, channels))

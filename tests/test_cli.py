@@ -127,6 +127,14 @@ def test_bad_config_reports_error(tmp_path, capsys):
         ({"sweep": {"name": "tau", "values": [3, 4.5]}}, "'values'"),
         ({"sweep": {"name": "coverage_radius", "values": ["100"]}}, "'values'"),
         ({"output_path": ["out.csv"]}, "'output_path'"),
+        # json.dumps writes these as JSON NaN
+        ({"training": {"p_rue": float("nan")}}, "p_rue must be finite"),
+        ({"scenario": {"coverage_radius": float("nan")}}, "coverage_radius must be finite"),
+        # Every sweep value's configs are checked before any realization runs
+        # (defaults: 8 users, tau 5, coherence 50).
+        ({"sweep": {"name": "tau", "values": [3, 50]}}, "need 0 < tau < coherence"),
+        ({"sweep": {"name": "tau", "values": [3, 9]}}, "tau cannot exceed the UE count"),
+        ({"sweep": {"name": "num_ue", "values": [8, 4]}}, "tau cannot exceed the UE count"),
     ],
 )
 def test_malformed_config_values_report_errors(tmp_path, capsys, payload, named):

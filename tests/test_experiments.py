@@ -57,6 +57,16 @@ def test_config_validation():
         tiny_config(schedulers=())
     with pytest.raises(ValueError):
         tiny_config(jobs=0)
+    # every sweep value's configs are built at construction (5 users,
+    # coherence 30), so no sweep starts that would fail part way
+    with pytest.raises(ValueError, match="need 0 < tau < coherence"):
+        tiny_config(sweep_values=(3, 30))
+    with pytest.raises(ValueError, match="tau cannot exceed the UE count at tau=6"):
+        tiny_config(sweep_values=(3, 6))
+    with pytest.raises(ValueError, match="tau cannot exceed the UE count at num_ue=2"):
+        tiny_config(sweep_name="num_ue", sweep_values=(5, 2))
+    with pytest.raises(ValueError, match="num_rrh must be >= 1"):
+        tiny_config(sweep_name="num_rrh", sweep_values=(10, 0))
 
 
 @pytest.mark.parametrize(
@@ -395,8 +405,10 @@ def test_load_config_full_and_dbm(tmp_path):
 
 
 def test_load_config_takes_missing_fields_from_the_dataclass_defaults(tmp_path):
+    # tau 3: the default num_ue sweep starts at 3 users, and a tau above
+    # the UE count at any sweep value is rejected
     payload = {
-        "training": {"tau": 4, "p_bue_dbm": 23.0},
+        "training": {"tau": 3, "p_bue_dbm": 23.0},
         "budgets": {"rrh_dbm": 20.0},
         "sweep": {"name": "num_ue"},
     }
@@ -405,7 +417,7 @@ def test_load_config_takes_missing_fields_from_the_dataclass_defaults(tmp_path):
     default = ExperimentConfig()
     assert load_config(path) == dataclasses.replace(
         default,
-        training=TrainingConfig(tau=4, p_bue=dbm_to_watt(23.0)),
+        training=TrainingConfig(tau=3, p_bue=dbm_to_watt(23.0)),
         budgets=PowerBudget(rrh=dbm_to_watt(20.0), mbs=default.budgets.mbs),
         sweep_name="num_ue",
     )

@@ -24,7 +24,7 @@ from hcransim import (
     validate_assignment,
 )
 from hcransim import pilot_scheduler
-from hcransim.pilot_scheduler import ContaminationMetrics, dsatur_color
+from hcransim.pilot_scheduler import ConflictGraph, dsatur_color
 
 from helpers import hand_topology
 from oracles import (
@@ -58,7 +58,7 @@ def test_conflict_graph_edges_are_shared_rrhs():
         alpha_mbs=np.ones(4),
     )
     graph = build_conflict_graph(topo)
-    assert graph.rue_ids == [0, 1, 2]
+    assert topo.rue_set == [0, 1, 2] and graph.adjacency.shape == (3, 3)
     assert graph.adjacency[0, 1] == graph.adjacency[1, 0] == 1
     assert graph.adjacency[0, 2] == graph.adjacency[1, 2] == 0
     assert np.all(np.diag(graph.adjacency) == 0)
@@ -73,9 +73,7 @@ def _graph_from_edges(n, edges):
     adjacency = np.zeros((n, n), dtype=np.int8)
     for a, b in edges:
         adjacency[a, b] = adjacency[b, a] = 1
-    from hcransim.pilot_scheduler import ConflictGraph
-
-    return ConflictGraph(rue_ids=list(range(n)), adjacency=adjacency)
+    return ConflictGraph(adjacency=adjacency)
 
 
 def test_dsatur_five_cycle_frozen():
@@ -122,28 +120,28 @@ def test_beta_toy_values_frozen():
         alpha_rrh=np.array([[1.0, 1.0, 0.5], [3.0, 2.0, 0.1]]),
         alpha_mbs=np.array([1.0, 0.3, 4.0]),
     )
-    metrics = compute_beta(topo)
+    beta = compute_beta(topo)
     # leak of UE1 into cluster{0}: 1/1; leak of UE0 into cluster{1}: 3/2
-    assert metrics.beta[0, 1] == pytest.approx(math.log(3.5), rel=1e-12)
+    assert beta[0, 1] == pytest.approx(math.log(3.5), rel=1e-12)
     # MBS user: leak into cluster{0}: 0.5/1; pilot leak at the MBS: 1/4
-    assert metrics.beta[0, 2] == pytest.approx(math.log(1.75), rel=1e-12)
-    assert metrics.beta[0, 0] == 0.0
-    assert metrics.row(1) == 1
+    assert beta[0, 2] == pytest.approx(math.log(1.75), rel=1e-12)
+    assert beta[0, 0] == 0.0
+    assert beta.shape == (2, 3)  # rows: the RUEs in rue_set order
 
 
 def test_beta_matches_oracle_and_connected_pairs_are_zero():
     for seed in range(6):
         topo = seeded_topology(seed)
         graph = build_conflict_graph(topo)
-        metrics = compute_beta(topo, graph)
-        for r, i in enumerate(graph.rue_ids):
+        beta = compute_beta(topo, graph)
+        for r, i in enumerate(topo.rue_set):
             for m in range(topo.num_ue):
                 # abs term: the library computes log(1 + x), the oracle
                 # log1p(x); they agree to ~1 ulp of log's argument
-                assert metrics.beta[r, m] == pytest.approx(
+                assert beta[r, m] == pytest.approx(
                     beta_oracle(topo, i, m), rel=1e-9, abs=1e-12
                 )
-        assert np.all(metrics.beta >= 0)
+        assert np.all(beta >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +229,8 @@ def test_tau_clamps_to_coloring_and_bue_count():
         alpha_mbs=np.ones(4),
     )
     graph = build_conflict_graph(topo)
-    metrics = compute_beta(topo, graph)
-    a = psa_schedule(topo, metrics, graph, tau=1)
+    beta = compute_beta(topo, graph)
+    a = psa_schedule(topo, beta, graph, tau=1)
     assert a.tau == max(2, len(topo.bue_set))  # chain 0-1-2 colors with 2
     validate_assignment(topo, a)
 
@@ -273,8 +271,7 @@ def test_psa_spreads_isolated_users_frozen_trace():
             [1.0, 2.0, 0.0],
         ]
     )
-    metrics = ContaminationMetrics(rue_ids=graph.rue_ids, beta=beta)
-    a = psa_schedule(topo, metrics, graph, tau=3)
+    a = psa_schedule(topo, beta, graph, tau=3)
     assert list(a.pilots) == [3, 2, 1]
 
 
@@ -294,8 +291,7 @@ def test_psa_respects_conflict_exclusion_frozen_trace():
             [3.0, 1.0, 0.0],
         ]
     )
-    metrics = ContaminationMetrics(rue_ids=graph.rue_ids, beta=beta)
-    a = psa_schedule(topo, metrics, graph, tau=2)
+    a = psa_schedule(topo, beta, graph, tau=2)
     assert list(a.pilots) == [1, 2, 2]
     validate_assignment(topo, a)
 
@@ -303,12 +299,12 @@ def test_psa_respects_conflict_exclusion_frozen_trace():
 def test_psa_deterministic_given_rng_state():
     topo = seeded_topology(3)
     graph = build_conflict_graph(topo)
-    metrics = compute_beta(topo, graph)
-    a = psa_schedule(topo, metrics, graph, tau=3, rng=np.random.default_rng(7))
-    b = psa_schedule(topo, metrics, graph, tau=3, rng=np.random.default_rng(7))
+    beta = compute_beta(topo, graph)
+    a = psa_schedule(topo, beta, graph, tau=3, rng=np.random.default_rng(7))
+    b = psa_schedule(topo, beta, graph, tau=3, rng=np.random.default_rng(7))
     assert np.array_equal(a.pilots, b.pilots)
-    c = psa_schedule(topo, metrics, graph, tau=3)  # rng-free call is canonical
-    d = psa_schedule(topo, metrics, graph, tau=3)
+    c = psa_schedule(topo, beta, graph, tau=3)  # rng-free call is canonical
+    d = psa_schedule(topo, beta, graph, tau=3)
     assert np.array_equal(c.pilots, d.pilots)
 
 
@@ -417,8 +413,8 @@ def test_graph_colors_once_and_shares_a_read_only_coloring(monkeypatch):
         return dsatur_color(g)
 
     monkeypatch.setattr(pilot_scheduler, "dsatur_color", counted)
-    metrics = compute_beta(topo, graph)
-    psa_schedule(topo, metrics, graph, tau=3)
+    beta = compute_beta(topo, graph)
+    psa_schedule(topo, beta, graph, tau=3)
     dsatur_random_schedule(topo, 3, np.random.default_rng(0), graph)
     es_schedule(topo, 3, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power, graph=graph)
     assert calls == [graph]
@@ -436,7 +432,7 @@ def test_es_memory_stays_bounded_beyond_one_block():
     # 7 RUEs at tau 6: 233,280 feasible vectors, 1.6 MB even as bytes
     topo = generate_topology(ScenarioConfig(num_ue=8, num_rrh=25, rng_seed=2))
     graph = build_conflict_graph(topo)
-    assert len(graph.rue_ids) == 7
+    assert len(topo.rue_set) == 7
     tracemalloc.start()
     try:
         es_schedule(topo, 6, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
@@ -466,9 +462,9 @@ def test_es_never_beats_itself_with_fewer_pilots():
 def test_schedulers_coincide_with_orthogonal_optimum_at_full_tau():
     topo = seeded_topology(2)
     graph = build_conflict_graph(topo)
-    metrics = compute_beta(topo, graph)
+    beta = compute_beta(topo, graph)
     tau = topo.num_ue
-    psa = psa_schedule(topo, metrics, graph, tau)
+    psa = psa_schedule(topo, beta, graph, tau)
     es = es_schedule(topo, tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
     v_psa = sum_mse(topo, psa, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
     v_es = sum_mse(topo, es, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)

@@ -24,7 +24,14 @@ from hcransim import (
 )
 from hcransim.util import child_seed, crandn, dbm_to_watt
 
-from helpers import hand_topology, oracle_state, pipeline_instance, random_beams, unpack_qcqp
+from helpers import (
+    hand_topology,
+    instance_channels,
+    oracle_state,
+    pipeline_instance,
+    random_beams,
+    unpack_qcqp,
+)
 from oracles import (
     estimate_channels_oracle,
     full_stacked_cov_oracle,
@@ -56,8 +63,7 @@ def test_aggregated_links_structure():
     topology, _, state, links, _ = pipeline_instance(r=0)
     n = topology.config.rrh_antennas
     num_rrh, num_ue = topology.num_rrh, topology.num_ue
-    assert links.rue_ids == sorted(topology.rue_set)
-    assert links.bue_ids == sorted(topology.bue_set)
+    assert links.topology is topology
     assert links.est_rrh.shape == (num_rrh, num_ue, n)
     assert links.var_rrh.shape == (num_rrh, num_ue)
     assert links.est_mbs.shape == (num_ue, 10)
@@ -77,29 +83,28 @@ def test_aggregated_links_structure():
         else:
             assert links.var_mbs[m] == topology.alpha_mbs[m]
             assert np.array_equal(links.est_mbs[m], np.zeros(10))
-    for i in links.rue_ids:
+    for i in topology.rue_set:
         d = n * len(topology.serving_rrhs[i])
-        assert links.block_rrhs[i] == topology.serving_rrhs[i]
         assert links.estimate(i).shape == (d,)
         assert np.all(links.var_rrh[topology.serving_rrhs[i], i] > 0)
-    for j in links.bue_ids:
+    for j in topology.bue_set:
         assert links.estimate(j).shape == (10,)
         assert links.var_mbs[j] > 0
-    for dst in links.rue_ids + links.bue_ids:
+    for dst in range(num_ue):
         problem = modelled_moments(links, topology, dst)
-        for src in links.rue_ids:
-            d = n * len(links.block_rrhs[src])
+        for src in topology.rue_set:
+            d = n * len(topology.serving_rrhs[src])
             assert problem.quad_rue[src].shape == (d, d)
-        for j in links.bue_ids:
+        for j in topology.bue_set:
             assert problem.quad_bue[j].shape == (10, 10)
 
 
 def test_all_covariances_hermitian_and_psd():
     topology, _, _, links, _ = pipeline_instance(r=1)
-    assert links.bue_ids  # so the MBS -> UE moments are checked too
+    assert topology.bue_set  # so the MBS -> UE moments are checked too
     assert np.all(links.var_rrh >= 0.0) and np.all(links.var_mbs >= 0.0)
     mats = []
-    for dst in links.rue_ids + links.bue_ids:
+    for dst in range(topology.num_ue):
         problem = modelled_moments(links, topology, dst)
         mats += [q for src, q in problem.quad_rue.items() if src != dst]
         mats += list(problem.quad_bue.values())
@@ -116,11 +121,11 @@ def test_cross_covariances_exact_on_disjointly_served_instances():
     cross covariances equal the exact conditional second moments."""
     checked = 0
     for r in (2, 3, 4, 5):
-        topology, assignment, state, links, training = no_overlap_instance(r=r)
-        reference = oracle_state(topology, assignment, state, training, r=r)
-        for dst in links.rue_ids + links.bue_ids:
+        topology, assignment, _, links, training = no_overlap_instance(r=r)
+        reference = oracle_state(topology, assignment, training, r=r)
+        for dst in range(topology.num_ue):
             problem = modelled_moments(links, topology, dst)
-            for src in links.rue_ids:
+            for src in topology.rue_set:
                 if src != dst:
                     exact = full_stacked_cov_oracle(topology, reference, src, dst)
                     got = problem.quad_rue[src]
@@ -180,9 +185,9 @@ def test_link_model_matches_dense_block_diagonal_oracle_on_shared_rrh_drops():
     in the interference power and in the assembled QCQP."""
     for r in (0, 1, 2):
         scenario = ScenarioConfig(num_rrh=50, num_ue=16, coverage_radius=130.0)
-        topology, assignment, state, links, training = pipeline_instance(r=r, scenario=scenario)
+        topology, assignment, _, links, training = pipeline_instance(r=r, scenario=scenario)
         assert has_shared_rrh_pair(topology)
-        reference = oracle_state(topology, assignment, state, training, r=r)
+        reference = oracle_state(topology, assignment, training, r=r)
         beams = random_beams(links, seed=r)
         got = interference_plus_noise(links, beams, training.noise_power)
         want = interference_oracle(topology, reference, beams, training.noise_power)
@@ -191,7 +196,7 @@ def test_link_model_matches_dense_block_diagonal_oracle_on_shared_rrh_drops():
             assert got[m] == pytest.approx(want[m], rel=1e-12, abs=0)
 
         rng = np.random.default_rng(r)
-        ids = links.rue_ids + links.bue_ids
+        ids = topology.rue_set + topology.bue_set
         f = {m: complex(*rng.normal(scale=2.0, size=2)) for m in ids}
         u = {m: float(rng.uniform(0.2, 3.0)) for m in ids}
         layout = stack_layout(links, PowerBudget(rrh=1.0, mbs=1.0))
@@ -209,8 +214,8 @@ def test_link_model_matches_dense_block_diagonal_oracle_on_shared_rrh_drops():
 def test_interference_terms_match_sampled_expectation():
     """E over channel redraws of each UE's interference-plus-noise power
     matches interference_plus_noise, sampling with an independent scheme."""
-    topology, assignment, state, links, training = no_overlap_instance(r=2)
-    state = oracle_state(topology, assignment, state, training, r=2)
+    topology, assignment, _, links, training = no_overlap_instance(r=2)
+    state = oracle_state(topology, assignment, training, r=2)
     beams = random_beams(links, seed=3)
     j_power = interference_plus_noise(links, beams, training.noise_power)
     rng = np.random.default_rng(12345)
@@ -233,31 +238,32 @@ def test_interference_terms_match_sampled_expectation():
             mbs = np.sqrt(topology.alpha_mbs[dst]) * base_b
         return out, mbs
 
-    for dst in links.rue_ids[:3]:
+    rues, bues = topology.rue_set, topology.bue_set
+    for dst in rues[:3]:
         to_dst, mbs = draw_links_to(dst)
         own = np.concatenate(
             [to_dst[k] - state.est_rrh[(k, dst)][None, :] for k in topology.serving_rrhs[dst]],
             axis=1,
         )
         acc = np.abs(own.conj() @ stacked_beam(beams, topology, dst)) ** 2
-        for src in links.rue_ids:
+        for src in rues:
             if src != dst:
                 g = np.concatenate([to_dst[k] for k in topology.serving_rrhs[src]], axis=1)
                 acc += np.abs(g.conj() @ stacked_beam(beams, topology, src)) ** 2
-        for j in links.bue_ids:
+        for j in bues:
             acc += np.abs(mbs.conj() @ beams.mbs[j]) ** 2
         acc += training.noise_power
         stderr = acc.std(ddof=1) / np.sqrt(trials)
         assert abs(acc.mean() - j_power[dst]) < 5 * stderr
 
-    for dst in links.bue_ids[:2]:
+    for dst in bues[:2]:
         to_dst, mbs = draw_links_to(dst)
         err = mbs - state.est_mbs[dst][None, :]
         acc = np.abs(err.conj() @ beams.mbs[dst]) ** 2
-        for src in links.rue_ids:
+        for src in rues:
             g = np.concatenate([to_dst[k] for k in topology.serving_rrhs[src]], axis=1)
             acc += np.abs(g.conj() @ stacked_beam(beams, topology, src)) ** 2
-        for other in links.bue_ids:
+        for other in bues:
             if other != dst:
                 acc += np.abs(mbs.conj() @ beams.mbs[other]) ** 2
         acc += training.noise_power
@@ -271,12 +277,12 @@ def test_lower_bound_formula_and_positivity():
     prelog = prelog_factor(training.tau, training.coherence)
     rates = lower_bound_rates(links, beams, training.noise_power, prelog)
     j_power = interference_plus_noise(links, beams, training.noise_power)
-    assert set(rates) == set(links.rue_ids) | set(links.bue_ids)
-    for i in links.rue_ids:
+    assert list(rates) == topology.rue_set + topology.bue_set
+    for i in topology.rue_set:
         signal = abs(np.vdot(links.estimate(i), stacked_beam(beams, topology, i))) ** 2
         assert rates[i] == pytest.approx(prelog * np.log2(1 + signal / j_power[i]), rel=1e-12)
         assert rates[i] >= 0.0
-    for j in links.bue_ids:
+    for j in topology.bue_set:
         signal = abs(np.vdot(links.estimate(j), beams.mbs[j])) ** 2
         assert rates[j] == pytest.approx(prelog * np.log2(1 + signal / j_power[j]), rel=1e-12)
         assert rates[j] >= 0.0
@@ -328,9 +334,9 @@ def test_exact_rate_agrees_with_monte_carlo_oracle():
     with shared RRH pairs and BUEs."""
     for r in (3, 4, 6):  # drops 0-2 of this family have no BUE
         scenario = ScenarioConfig(num_rrh=50, num_ue=16, coverage_radius=130.0)
-        topology, assignment, state, links, training = pipeline_instance(r=r, scenario=scenario)
-        assert has_shared_rrh_pair(topology) and links.bue_ids
-        reference = oracle_state(topology, assignment, state, training, r=r)
+        topology, assignment, _, links, training = pipeline_instance(r=r, scenario=scenario)
+        assert has_shared_rrh_pair(topology) and topology.bue_set
+        reference = oracle_state(topology, assignment, training, r=r)
         beams = random_beams(links, seed=r)
         args = (beams, training.noise_power, prelog_factor(training.tau, training.coherence))
         want, want_se = monte_carlo_oracle(topology, reference, *args, trials=2000,
@@ -344,20 +350,20 @@ def test_exact_rate_agrees_with_monte_carlo_oracle():
 def test_exact_rate_equals_closed_form_under_perfect_csi():
     """Without estimation error the interference is fixed and the rate is
     log2(1 + S / (noise + sum of the other sources' powers))."""
-    topology, _, state, _, training = pipeline_instance(r=5)
-    channels = state.true
+    topology, _, _, _, training = pipeline_instance(r=5)
+    channels = instance_channels(topology, r=5)
     links = build_covariances(topology, perfect_channel_state(topology, channels))
     beams = random_beams(links, seed=4)
     prelog = prelog_factor(training.tau, training.coherence)
     got, _ = monte_carlo_rates(links, beams, training.noise_power, prelog)
     n = links.block_size
-    for d in links.rue_ids + links.bue_ids:
+    for d in range(topology.num_ue):
         amplitude = {}
-        for s in links.rue_ids:
+        for s in topology.rue_set:
             blocks = stacked_beam(beams, topology, s).reshape(-1, n)
             amplitude[s] = sum(np.vdot(channels.rrh[k, d], blocks[pos])
                                for pos, k in enumerate(topology.serving_rrhs[s]))
-        for s in links.bue_ids:
+        for s in topology.bue_set:
             amplitude[s] = np.vdot(channels.mbs[d], beams.mbs[s])
         interference = sum(abs(a) ** 2 for s, a in amplitude.items() if s != d)
         sinr = abs(amplitude[d]) ** 2 / (training.noise_power + interference)
@@ -373,9 +379,9 @@ def test_exact_rate_of_one_uncertain_interferer_matches_gauss_hermite():
     est_rrh[1, 0] = 0.8 - 0.3j
     est_rrh[:, 1] = 0.5
     var_rrh = np.array([[0.0, 0.2], [0.5, 0.1]])
+    topology = hand_topology([[0], [1]], 2, np.ones((2, 2)), np.ones(2), n_ant=1, b_ant=1)
     links = AggregatedLinks(
-        rue_ids=[0, 1], bue_ids=[], block_rrhs={0: [0], 1: [1]},
-        est_rrh=est_rrh, var_rrh=var_rrh,
+        topology=topology, est_rrh=est_rrh, var_rrh=var_rrh,
         est_mbs=np.zeros((2, 1), dtype=complex), var_mbs=np.zeros(2),
     )
     rrh = np.zeros((2, 2, 1), dtype=complex)
@@ -393,20 +399,21 @@ def test_exact_rate_of_one_uncertain_interferer_matches_gauss_hermite():
 
 
 def test_perfect_channel_state_links():
-    topology, assignment, state, links, training = pipeline_instance(r=5)
-    channels = state.true
+    topology, _, _, _, training = pipeline_instance(r=5)
+    channels = instance_channels(topology, r=5)
     perfect = perfect_channel_state(topology, channels)
     plinks = build_covariances(topology, perfect)
     assert np.array_equal(plinks.est_rrh, channels.rrh)
     assert np.array_equal(plinks.est_mbs, channels.mbs)
-    for i in plinks.rue_ids:
+    rues = topology.rue_set
+    for i in rues:
         stacked = np.concatenate([channels.rrh[k, i] for k in topology.serving_rrhs[i]])
         assert np.array_equal(plinks.estimate(i), stacked)
     assert np.all(plinks.var_rrh == 0.0) and np.all(plinks.var_mbs == 0.0)
     n = plinks.block_size
-    for dst in plinks.rue_ids:
+    for dst in rues:
         problem = modelled_moments(plinks, topology, dst)
-        for src in plinks.rue_ids:
+        for src in rues:
             if src == dst:
                 continue
             cov = problem.quad_rue[src]
@@ -419,14 +426,14 @@ def test_perfect_channel_state_links():
     beams = random_beams(plinks, seed=1)
     j_power = interference_plus_noise(plinks, beams, training.noise_power)
     n = plinks.block_size
-    for i in plinks.rue_ids:
+    for i in rues:
         manual = training.noise_power
-        for src in plinks.rue_ids:
+        for src in rues:
             if src != i:
                 for pos, k in enumerate(topology.serving_rrhs[src]):
                     w_blk = stacked_beam(beams, topology, src)[pos * n:(pos + 1) * n]
                     manual += abs(np.vdot(channels.rrh[k, i], w_blk)) ** 2
-        for j in plinks.bue_ids:
+        for j in topology.bue_set:
             manual += abs(np.vdot(channels.mbs[i], beams.mbs[j])) ** 2
         assert j_power[i] == pytest.approx(manual, rel=1e-12)
 

@@ -1,5 +1,7 @@
 """Geometry, clustering, large-scale gains, and topology persistence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ def test_config_validation():
         ScenarioConfig(num_rrh=0)
     with pytest.raises(ValueError):
         ScenarioConfig(coverage_radius=0.0)
+    for name, value in (("coverage_radius", math.nan), ("cell_radius", math.inf)):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ScenarioConfig(**{name: value})
 
 
 def test_pathloss_gain_reference_point():
@@ -34,21 +39,17 @@ def test_pathloss_gain_reference_point():
 def test_cluster_ues_range_and_cap():
     rrh = np.array([[0.0, 0.0], [6.0, 0.0]])
     ue = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [100.0, 0.0]])
-    serving, served, rues, bues = cluster_ues(rrh, ue, coverage_radius=5.0, max_ue_per_rrh=2)
-    # RRH 0 keeps its two closest candidates; UE 2 is dropped there
-    assert served[0] == [0, 1]
-    # RRH 1 still keeps UE 2 (candidacy is per RRH; UE 0 is out of its range)
-    assert served[1] == [1, 2]
-    assert serving[1] == [0, 1]
-    assert bues == [3]
-    assert rues == [0, 1, 2]
+    serving = cluster_ues(rrh, ue, coverage_radius=5.0, max_ue_per_rrh=2)
+    # RRH 0 keeps its two closest candidates, UEs 0 and 1; UE 2 is dropped
+    # there, but RRH 1 keeps it (candidacy is per RRH), with UE 1 before UE 0
+    # (distance 4 before 5); UE 3 is out of range of both
+    assert serving == [[0], [0, 1], [1], []]
 
 
 def test_cluster_ties_break_by_lower_ue_id():
     rrh = np.array([[0.0, 0.0]])
     ue = np.array([[2.0, 0.0], [0.0, 2.0], [0.0, -2.0]])  # all at distance 2
-    _, served, _, _ = cluster_ues(rrh, ue, coverage_radius=5.0, max_ue_per_rrh=2)
-    assert served[0] == [0, 1]
+    assert cluster_ues(rrh, ue, coverage_radius=5.0, max_ue_per_rrh=2) == [[0], [0], []]
 
 
 def test_generate_topology_geometry_invariants():
@@ -86,18 +87,39 @@ def test_serving_sets_respect_coverage_and_cap():
         assert len(topo.served_rues[k]) <= cfg.max_ue_per_rrh
 
 
+def assert_derived_maps(topo):
+    """rue_set and bue_set partition the UE ids by whether a user has a
+    serving RRH, served_rues is the inverse of serving_rrhs, and all three
+    are cached, not rebuilt on each read."""
+    assert sorted(topo.rue_set + topo.bue_set) == list(range(topo.num_ue))
+    assert topo.rue_set == [i for i in range(topo.num_ue) if topo.serving_rrhs[i]]
+    assert topo.bue_set == [i for i in range(topo.num_ue) if not topo.serving_rrhs[i]]
+    assert len(topo.served_rues) == topo.num_rrh
+    for k, users in enumerate(topo.served_rues):
+        assert users == [i for i in range(topo.num_ue) if k in topo.serving_rrhs[i]]
+    for name in ("rue_set", "bue_set", "served_rues"):
+        assert getattr(topo, name) is getattr(topo, name)
+
+
 def test_save_load_round_trip_is_exact(tmp_path):
-    topo = generate_topology(ScenarioConfig(num_rrh=8, num_ue=6, rng_seed=2))
-    path = tmp_path / "topology.csv"
-    save_topology(topo, path)
-    back = load_topology(path)
-    assert back.config == topo.config
-    assert np.array_equal(back.rrh_positions, topo.rrh_positions)
-    assert np.array_equal(back.ue_positions, topo.ue_positions)
-    assert back.serving_rrhs == topo.serving_rrhs
-    assert back.served_rues == topo.served_rues
-    assert np.array_equal(back.alpha_rrh, topo.alpha_rrh)
-    assert np.array_equal(back.alpha_mbs, topo.alpha_mbs)
+    # the second drop has clusters of up to 4 RRHs and an RRH at its cap of 3
+    for cfg in (ScenarioConfig(num_rrh=8, num_ue=6, rng_seed=2),
+                ScenarioConfig(num_rrh=25, num_ue=10, rng_seed=9)):
+        topo = generate_topology(cfg)
+        path = tmp_path / "topology.csv"
+        save_topology(topo, path)
+        back = load_topology(path)
+        assert back.config == topo.config
+        assert np.array_equal(back.rrh_positions, topo.rrh_positions)
+        assert np.array_equal(back.ue_positions, topo.ue_positions)
+        assert back.serving_rrhs == topo.serving_rrhs
+        assert np.array_equal(back.alpha_rrh, topo.alpha_rrh)
+        assert np.array_equal(back.alpha_mbs, topo.alpha_mbs)
+        for t in (topo, back):
+            assert_derived_maps(t)
+        assert (back.rue_set, back.bue_set, back.served_rues) == (
+            topo.rue_set, topo.bue_set, topo.served_rues)
+        assert topo.rue_set and topo.bue_set
 
 
 def test_load_topology_rejects_foreign_files(tmp_path):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from hcransim.util import child_rng, child_seed, crandn, dbm_to_watt, seed_to_int, watt_to_dbm
+from hcransim.util import child_seed, crandn, dbm_to_watt, seed_to_int, watt_to_dbm
+
+from helpers import child_rng
 
 
 def test_dbm_to_watt_known_points():
