@@ -10,20 +10,25 @@ subject to per-RRH and MBS sum-power constraints. RRH constraints couple the
 RUE beams through shared blocks and are handled by dual decomposition (exact
 coordinate ascent on the multipliers plus a projected Newton polish whose
 steps are accepted by Armijo's rule on the concave dual); the MBS
-constraint couples the BUE beams through a single scalar multiplier. With the
-other multipliers fixed, the power under one constraint is a secular function
-sum |coef|^2 / (lam + x)^2 of its multiplier x, built from eigendecompositions
-(of each RUE's Schur complement on the RRH's block, batched over the padded
-stack of the RUEs the RRH serves; of the one matrix all BUEs share) and
-solved by the same safeguarded Newton iteration on both sides. With the
-other multipliers fixed, RRHs that serve no common RUE are decoupled, so the
-RRH-side sweep updates each run of consecutive such RRHs in one batched
-pass. The f and u updates are closed-form.
+constraint couples the BUE beams through a single scalar multiplier. Every
+block at an RRH costs that RRH's one matrix G, and a RUE's own rank-one term
+is the only coupling between its blocks, so the RRH side works in each RRH's
+eigenbasis and solves every user's system, Schur complement and the dual's
+Hessian in closed form (Sherman-Morrison), with no linear solve but the
+Newton step's. With the other multipliers fixed, the power under one
+constraint is a secular function sum |coef|^2 / (lam + x)^2 of its
+multiplier x, built from eigendecompositions (of each RUE's Schur complement
+on the RRH's block, a rank-one update of the RRH's eigenvalues; of the one
+matrix all BUEs share) and solved by the same safeguarded Newton iteration
+on both sides. With the other multipliers fixed, RRHs that serve no common
+RUE are decoupled, so the RRH-side sweep updates each run of consecutive
+such RRHs in one batched pass. The f and u updates are closed-form.
 
 The alternation runs on arrays: one ``StackLayout`` per design, each QCQP
-written straight into its stack, and (M,) arrays of equalizers, auxiliaries
-and MSEs. A design's beams are returned as a ``BeamformerSet``, the per-link
-arrays (w_rrh, w_mbs) that the rate code computes on.
+kept in factored form on it (per-RRH matrices, per-RUE weights and linear
+scalars, the estimates in the stack), and (M,) arrays of equalizers,
+auxiliaries and MSEs. A design's beams are returned as a ``BeamformerSet``,
+the per-link arrays (w_rrh, w_mbs) that the rate code computes on.
 """
 
 from __future__ import annotations
@@ -101,7 +106,7 @@ class StackLayout:
     Row u is RUE ``rue[u]``: its cluster's positive-budget blocks in order,
     padded with identity blocks to P blocks (W = P * block_size entries).
     ``starts[u, p]`` is block p's active slot (RRH ``active[slot]``), or
-    len(active) at padding; ``blk`` repeats it per entry. ``users_of[a]``
+    len(active) at padding. ``users_of[a]``
     holds slot a's (rows, block positions), ``runs`` the sweep's runs. The
     ``live`` (U, P) blocks are, in row-major order, the links ``link_rrh`` ->
     ``link_ue``, with estimates ``est`` (U, W). ``est_rows`` holds every UE's
@@ -115,7 +120,6 @@ class StackLayout:
     mbs_budget: float
     active: np.ndarray
     starts: np.ndarray
-    blk: np.ndarray
     users_of: list
     runs: list[list[int]]
     live: np.ndarray
@@ -166,7 +170,6 @@ def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
         mbs_budget=float(budgets.mbs),
         active=active,
         starts=starts,
-        blk=np.repeat(starts, n, axis=1),
         users_of=users_of,
         runs=_disjoint_runs(users_of),
         live=live,
@@ -181,14 +184,21 @@ def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
 
 @dataclass
 class QcqpProblem:
-    """The beamformer-step QCQP on a stack layout: RUE ``layout.rue[u]``
-    minimizes w^H base[u] w - 2 Re(rhs[u]^H w) over its stack row, BUE
-    ``layout.bue[j]`` the same with ``mbs_quad`` (the (B, B) matrix all BUEs
-    share, or a (J, B, B) stack) and ``mbs_lin[j]``."""
+    """The beamformer-step QCQP on a stack layout, in factored form.
+
+    A beam block at active slot a costs ``blocks[a]`` (G_a; (A, n, n)). RUE
+    ``layout.rue[u]`` minimizes w^H M_u w - 2 Re(lin[u] g^H w) over its stack
+    row, g = ``layout.est[u]``, where its own rank-one term is the only one
+    that couples its blocks: M_u = blockdiag(G over its live blocks, identity
+    on padding) + w8[u] (g g^H - blockdiag(g_p g_p^H)). BUE ``layout.bue[j]``
+    minimizes w^H mbs_quad w - 2 Re(mbs_lin[j]^H w), with ``mbs_quad`` the
+    (B, B) matrix all BUEs share or a (J, B, B) stack.
+    """
 
     layout: StackLayout
-    base: np.ndarray
-    rhs: np.ndarray
+    blocks: np.ndarray
+    w8: np.ndarray
+    lin: np.ndarray
     mbs_quad: np.ndarray
     mbs_lin: np.ndarray
 
@@ -223,7 +233,8 @@ def assemble_qcqp(
     A beam block at RRH k costs G_k = sum_m w8_m (est est^H + var I) over the
     links k -> m, so a RUE's matrix is blockdiag(G_k) over its live blocks
     plus its own term w8_i g g^H, the only one that couples them; every BUE
-    shares the one matrix of the MBS links.
+    shares the one matrix of the MBS links. The problem keeps these factors
+    (``QcqpProblem``) and never forms a RUE's matrix.
 
     The dropped additive constant is sum_m exp(u_m - 1) * (1 + |f_m|^2 * N0);
     adding it back to the optimum recovers the weighted-MSE objective.
@@ -233,20 +244,15 @@ def assemble_qcqp(
     lin = scale * f
     n = layout.block_size
     est = links.est_rrh[layout.active]
-    per_rrh = np.sum((est * w8[None, :, None])[..., :, None] * est.conj()[..., None, :], axis=1)
-    per_rrh[:, np.arange(n), np.arange(n)] += (links.var_rrh @ w8)[layout.active, None]
-    # One block per active slot, then the padding's identity.
-    blocks = np.concatenate([per_rrh, np.eye(n, dtype=complex)[None]])
-    g = layout.est
-    base = w8[layout.rue, None, None] * (g[:, :, None] * g.conj()[:, None, :])
-    for p in range(layout.starts.shape[1]):
-        base[:, p * n:(p + 1) * n, p * n:(p + 1) * n] = blocks[layout.starts[:, p]]
+    blocks = np.sum((est * w8[None, :, None])[..., :, None] * est.conj()[..., None, :], axis=1)
+    blocks[:, np.arange(n), np.arange(n)] += (links.var_rrh @ w8)[layout.active, None]
     shared = (links.est_mbs * w8[:, None]).T @ links.est_mbs.conj()
     shared += (links.var_mbs @ w8) * np.eye(links.mbs_antennas)
     return QcqpProblem(
         layout=layout,
-        base=base,
-        rhs=lin[layout.rue, None] * g,
+        blocks=blocks,
+        w8=w8[layout.rue],
+        lin=lin[layout.rue],
         mbs_quad=shared,
         mbs_lin=lin[layout.bue, None] * links.est_mbs[layout.bue],
     )
@@ -259,72 +265,25 @@ def _objective(quad: np.ndarray, lin: np.ndarray, w: np.ndarray) -> float:
     return float(np.real(quadratic)) - 2.0 * float(np.real(np.vdot(lin, w)))
 
 
+def _rue_objective(problem: QcqpProblem, w: np.ndarray) -> float:
+    """The RUE side's objective at the (U, W) beam stack w, from the factors."""
+    layout = problem.layout
+    n = layout.block_size
+    z = w.reshape(layout.starts.shape + (n,))
+    g = layout.est.reshape(z.shape)
+    blocks = np.concatenate([problem.blocks, np.eye(n, dtype=complex)[None]])
+    quadratic = np.vdot(z, (blocks[layout.starts] @ z[..., None])[..., 0])
+    y = np.sum(g.conj() * z, axis=-1)
+    own = np.abs(np.sum(y, axis=1)) ** 2 - np.sum(np.abs(y) ** 2, axis=1)
+    signal = np.vdot(problem.lin, np.sum(y, axis=1))
+    return float(np.real(quadratic) + problem.w8 @ own) - 2.0 * float(np.real(signal))
+
+
 def qcqp_objective(problem: QcqpProblem, beams) -> float:
     """Objective at beams = (RUE stack (U, W), BUE beams (J, B)), as
     ``solve_qcqp`` returns them."""
     w_rue, w_bue = beams
-    rue = _objective(problem.base, problem.rhs, w_rue)
-    return rue + _objective(problem.mbs_quad, problem.mbs_lin, w_bue)
-
-
-def _solve_batch(mats: np.ndarray, rhs: np.ndarray, counts: dict) -> np.ndarray:
-    """Solve mats[u] x = rhs[u] for every member of a stack in one call.
-
-    A stack with a singular member falls back to per-member solves, which use
-    least squares where the matrix is singular. counts["linear_solves"]
-    counts every ``np.linalg.solve`` call.
-    """
-    counts["linear_solves"] += 1
-    try:
-        return np.linalg.solve(mats, rhs)
-    except np.linalg.LinAlgError:
-        if len(mats) == 1:
-            return np.linalg.lstsq(mats[0], rhs[0], rcond=None)[0][None]
-        return np.concatenate([_solve_batch(a[None], b[None], counts) for a, b in zip(mats, rhs)])
-
-
-def _block_secular(mats: np.ndarray, rhs: np.ndarray, pos: np.ndarray, n: int, counts: dict):
-    """One block of (A_u + x E_u E_u^H)^{-1} b_u as an eigen-expansion in x.
-
-    For a stack of Hermitian positive semidefinite A (U, W, W) and b (U, W),
-    E_u selects member u's n entries from pos[u] * n. Each member's entries
-    are reordered so that the block comes last; with
-    S = A_kk - A_kr A_rr^{-1} A_rk the block's Schur complement (eigenpairs
-    lam, vecs) and c = b_k - A_kr A_rr^{-1} b_r, the block equals
-    vecs (coef / (lam + x)) with coef = vecs^H c, so its power is the secular
-    function sum |coef|^2 / (lam + x)^2. Identity rows with a zero right-hand
-    side (the solver's padding) drop out of the elimination exactly. The
-    elimination's solve is counted in counts (see ``_solve_batch``).
-
-    Returns (lam, coef), both (U, n), and solution(x), the (U, W) stack of
-    whole vectors (A_u + x E_u E_u^H)^{-1} b_u.
-    """
-    size, width = rhs.shape
-    in_block = np.arange(width) // n == pos[:, None]
-    order = np.argsort(in_block, axis=1, kind="stable")
-    members = np.arange(size)[:, None]
-    mat = mats[members[..., None], order[:, :, None], order[:, None, :]]
-    b = rhs[members, order]
-    r = width - n
-    cross = mat[:, r:, :r]
-    # A_rr^{-1} [A_rk, b_r], from which the eliminated entries follow.
-    rest = _solve_batch(
-        mat[:, :r, :r], np.concatenate([mat[:, :r, r:], b[:, :r, None]], axis=2), counts
-    )
-    schur = mat[:, r:, r:] - cross @ rest[..., :n]
-    c = b[:, r:] - (cross @ rest[..., n:])[..., 0]
-    lam, vecs = np.linalg.eigh(0.5 * (schur + schur.conj().swapaxes(1, 2)))
-    coef = (vecs.conj().swapaxes(1, 2) @ c[..., None])[..., 0]
-
-    def solution(x: float) -> np.ndarray:
-        scaled = np.divide(coef, lam + x, out=np.zeros_like(coef), where=coef != 0)
-        block = (vecs @ scaled[..., None])[..., 0]
-        eliminated = rest[..., n] - (rest[..., :n] @ block[..., None])[..., 0]
-        out = np.empty_like(b)
-        np.put_along_axis(out, order, np.concatenate([eliminated, block], axis=1), axis=1)
-        return out
-
-    return lam, coef, solution
+    return _rue_objective(problem, w_rue) + _objective(problem.mbs_quad, problem.mbs_lin, w_bue)
 
 
 def _secular_root(
@@ -333,7 +292,8 @@ def _secular_root(
     """Smallest x >= 0 at which the block power sum |coef|^2 / (lam + x)^2 meets cap.
 
     lam and coef are matching arrays of eigenvalues and coefficients, one term
-    per entry (``_block_secular`` gives them per member of a stack). The power
+    per entry (the RRH side gives them per user an RRH serves, the MBS side
+    per BUE). It makes no linear solve. The power
     p(x) decreases strictly on x > -min(lam), and 1/sqrt(p) is concave and
     nearly linear there (exactly linear for one term), so Newton's method on
     it approaches the root monotonically from below; a bisection step
@@ -392,81 +352,191 @@ def _disjoint_runs(users_of: list) -> list[list[int]]:
     return runs
 
 
-def _solve_rrh_side(layout: StackLayout, base, rhs, feas_tol: float, mu0=None):
+class _Eigenbasis:
+    """Every RUE's system on the RRH side, in closed form in each active RRH's
+    eigenbasis.
+
+    With G_a = V_a diag(lam_a) V_a^H and gamma_p = V_a^H g_p the rotated
+    estimate of a user's block p at slot a, the user's matrix at multipliers
+    mu is blockdiag(D_p) + w8 (gamma gamma^H - blockdiag(gamma_p gamma_p^H)),
+    D_p = diag(lam_a + mu_a). With q_p = gamma_p / d, s_p = gamma_p^H q_p,
+    delta_p = 1 - w8 s_p (Sherman-Morrison on the block without its own term)
+    and R_p = sum over the user's other blocks of s / delta, the user's
+    rotated beam is z_p = lin kappa_p q_p with kappa_p = 1 / (1 + w8 delta_p
+    R_p). Block powers, the dual value and the dual's Hessian are the same in
+    either basis, so the solver works on z and rotates back once.
+
+    Directions at rounding level (zero variance and fewer users than
+    antennas) carry no user's estimate in exact arithmetic: their estimate
+    components are zeroed and their eigenvalue set to 1, so every beam is the
+    minimum-norm one. The padding slot len(active) has eigenvalues 1 and no
+    estimate. delta is floored at 1e-12: below that 1 - w8 s is rounding,
+    and a user whose P blocks all reach the floor takes kappa of about 1/P on
+    each, one of its many minimizers.
+    """
+
+    def __init__(self, problem: QcqpProblem):
+        layout = problem.layout
+        n = layout.block_size
+        lam, vecs = np.linalg.eigh(problem.blocks)
+        # Slot len(active) is the padding: eigenvalues 1, basis I.
+        null = lam <= 1e-13 * np.maximum(lam[:, -1:], 0.0)
+        null = np.append(null, np.zeros((1, n), dtype=bool), axis=0)
+        lam = np.append(lam, np.ones((1, n)), axis=0)
+        self.vecs = np.append(vecs, np.eye(n, dtype=complex)[None], axis=0)
+        starts = self.starts = layout.starts
+        self.stack_shape = layout.est.shape
+        g = layout.est.reshape(starts.shape + (n,))
+        gamma = (self.vecs[starts].conj().swapaxes(-1, -2) @ g[..., None])[..., 0]
+        gamma[null[starts]] = 0.0
+        # Per user and block: eigenvalues, rotated estimate and its |.|^2.
+        self.lam = np.where(null, 1.0, lam)[starts]
+        self.gamma, self.size2 = gamma, gamma.real**2 + gamma.imag**2
+        self.w8, self.lin = problem.w8[:, None], problem.lin[:, None]
+        # Each user's linear term lin * gamma: the dual value reads it.
+        self.rhs = self.lin[..., None] * gamma
+        self.others = 1.0 - np.eye(starts.shape[1])
+        num = layout.active.size
+        self._mu = np.zeros(num + 1)  # multipliers, and 0 for the padding slot
+        self._pairs = (starts[:, :, None] * (num + 1) + starts[:, None, :]).ravel()
+
+    def coupling(self, mu: np.ndarray):
+        """(d, s, delta, R) of every user at multipliers mu (by active slot).
+
+        R is the one place where a user's blocks meet: R_p sums s / delta over
+        the user's other blocks, the rank-one coupling of its own term."""
+        self._mu[:-1] = mu
+        d = self.lam + self._mu[self.starts][..., None]
+        s = (self.size2 / d).sum(axis=-1)
+        delta = np.maximum(1.0 - self.w8 * s, 1e-12)
+        ratio = (s / delta)[:, None, :]
+        return d, s, delta, (ratio * self.others).sum(axis=-1)
+
+    def solve(self, mu: np.ndarray) -> np.ndarray:
+        """The rotated beams z (U, P, n) at multipliers mu."""
+        d, _, delta, others = self.coupling(mu)
+        kappa = 1.0 / (1.0 + self.w8 * delta * others)
+        return (self.lin * kappa)[..., None] * (self.gamma / d)
+
+    def schur(self, mu: np.ndarray, users, pos):
+        """Block ``pos[i]`` of user ``users[i]`` with the other blocks
+        eliminated, its own multiplier at 0: the block's beam at multiplier x
+        is (S + x I)^{-1} c with S = diag(lam) - rho gamma gamma^H,
+        rho = w8^2 R / (1 + w8 R) and c = lin gamma / (1 + w8 R). Returns
+        the eigenvalues of S and the coefficients of c in its eigenbasis,
+        each (len(users), n)."""
+        others = self.coupling(mu)[3][users, pos][:, None]
+        w8, lin = self.w8[users], self.lin[users]
+        gamma = self.gamma[users, pos]
+        rho = w8 * w8 * others / (1.0 + w8 * others)
+        schur = -rho[..., None] * gamma[:, :, None] * gamma.conj()[:, None, :]
+        diag = np.arange(gamma.shape[1])
+        schur[:, diag, diag] += self.lam[users, pos]
+        lam, vecs = np.linalg.eigh(schur)
+        target = lin / (1.0 + w8 * others) * gamma
+        return lam, (vecs.conj().swapaxes(1, 2) @ target[..., None])[..., 0]
+
+    def power_jacobian(self, mu: np.ndarray) -> np.ndarray:
+        """d(powers)/d(mu) by active slot: the dual's Hessian, negative
+        semidefinite. User u adds -2 Re z_p^H [M_u^{-1}]_pq z_q at its
+        blocks' slots, where M_u^{-1} is blockdiag of the blocks'
+        Sherman-Morrison inverses less one rank-one term, so every entry is
+        a product of per-block scalars: with t = q^H q, v = q^H D^{-1} q and
+        kappa, delta, R as in ``solve``, the diagonal term is
+        -2 |lin|^2 kappa^2 (v + w8^2 kappa R t^2) and the term of blocks
+        p != q is 2 w8 |lin|^2 kappa_p kappa_q t_p t_q phi_pq, with
+        phi_pq = 1 / (delta_p delta_q (1 + w8 sum s / delta))
+        = kappa_p kappa_q (1 + w8 sum s / delta)."""
+        d, s, delta, others = self.coupling(mu)
+        w8, size = self.w8, np.abs(self.lin) ** 2
+        weighted = self.size2 / (d * d)
+        t, v = weighted.sum(axis=-1), (weighted / d).sum(axis=-1)
+        kappa = 1.0 / (1.0 + w8 * delta * others)
+        scaled = kappa * t
+        total = 1.0 + w8 * (s / delta).sum(axis=-1, keepdims=True)
+        phi = kappa[:, :, None] * kappa[:, None, :] * total[..., None]
+        terms = (2.0 * w8 * size)[..., None] * scaled[:, :, None] * scaled[:, None, :] * phi
+        terms *= self.others
+        width = terms.shape[1]
+        own = -2.0 * size * kappa**2 * (v + w8 * w8 * kappa * others * t**2)
+        terms[:, np.arange(width), np.arange(width)] = own
+        num = mu.size
+        jac = np.bincount(self._pairs, weights=terms.ravel(), minlength=(num + 1) ** 2)
+        return jac.reshape(num + 1, num + 1)[:num, :num]
+
+    def rotate_back(self, z: np.ndarray) -> np.ndarray:
+        """The (U, W) beam stack of rotated beams z."""
+        return (self.vecs[self.starts] @ z[..., None])[..., 0].reshape(self.stack_shape)
+
+
+def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
     """Dual decomposition over the per-RRH power constraints.
 
     For fixed multipliers mu the Lagrangian separates per RUE with minimizer
-    (F_i + diag(mu over blocks))^{-1} b_i. The concave dual is maximized in
-    two interleaved phases:
+    (M_u + diag(mu over blocks))^{-1} lin_u g_u, which ``_Eigenbasis`` gives
+    in closed form from one eigendecomposition per active RRH. The concave
+    dual is maximized in two interleaved phases:
 
     * cyclic exact coordinate ascent — with the other multipliers fixed, RRH
       k's block of each user it serves is (S_ik + mu_k I)^{-1} c_ik, S_ik the
-      Schur complement of the user's matrix on block k (see
-      ``_block_secular``). One batched elimination and eigendecomposition
-      over the stack rows of the users RRH k serves turn its power into a
-      secular function of mu_k, whose complementary-slackness root (mu_k = 0
-      when the cap already holds) ``_secular_root`` finds with no further
-      linear solves. Scale-free per constraint, globally convergent. A sweep
-      visits the active RRHs in order, a run at a time (``_disjoint_runs``:
-      maximal blocks of consecutive RRHs of which no two share a user). The
-      members of a run read and write disjoint stack rows and none sees
-      another's multiplier, so one ``_block_secular`` call over the run's
-      rows and one root per member give exactly the iterates of updating
-      them one after another.
+      Schur complement of the user's matrix on block k, a rank-one update of
+      diag(lam_k) (``_Eigenbasis.schur``). One batched n x n eigendecomposition
+      over the users RRH k serves turns its power into a secular function
+      of mu_k, whose complementary-slackness root (mu_k = 0 when the cap
+      already holds) ``_secular_root`` finds. Scale-free per constraint,
+      globally convergent. A sweep visits the active RRHs in order, a run at
+      a time (``_disjoint_runs``: maximal blocks of consecutive RRHs of which
+      no two share a user). The members of a run read and write disjoint
+      users and none sees another's multiplier, so one eigendecomposition
+      over the run's users and one root per member give exactly the
+      iterates of updating them one after another.
     * projected Newton polish — overlapping serving clusters couple the
       multipliers strongly enough that coordinate ascent's linear tail can
       crawl. The dual's gradient is powers - cap and its Hessian, the
-      power-balance Jacobian, is closed-form, so up to eight projected Newton
-      steps (Bertsekas 1982) follow each sweep: coordinates in the eps-active
-      set at mu = 0 take a scaled gradient step, the rest a Newton step. A
-      step is backtracked along the projection arc and accepted when the dual
-      value rises by Armijo's rule (ARMIJO_SIGMA) and no cap is exceeded by
-      more than before; when no trial passes, sweeping resumes.
+      power-balance Jacobian, is closed-form (``_Eigenbasis.power_jacobian``),
+      so up to eight projected Newton steps (Bertsekas 1982) follow each
+      sweep: coordinates in the eps-active set at mu = 0 take a scaled
+      gradient step, the rest a Newton step. A step is backtracked along the
+      projection arc and accepted when the dual value rises by Armijo's rule
+      (ARMIJO_SIGMA) and no cap is exceeded by more than before; when no
+      trial passes, sweeping resumes.
 
-    ``base`` (U, W, W) and ``rhs`` (U, W) are the users' systems on the stack
-    ``layout``; padding entries point to an extra slot len(active) whose
-    multiplier is always 0, so padded beam entries stay 0.
+    Padding entries point to an extra slot len(active) whose multiplier is
+    always 0 and which carries no estimate, so padded beam entries stay 0.
 
     mu0 ((K,) by RRH id) warm-starts the multipliers. MAX_DUAL_ITERS caps
     the total number of multiplier updates. Returns (beam stack, mu by active
     slot, dual value, info). info counts the multiplier updates
     (``dual_iterations``), the batched coordinate passes (one per run with
     an update), the Newton steps accepted and rejected and the
-    ``np.linalg.solve`` calls (``linear_solves``), and gives the final worst
+    ``np.linalg.solve`` calls (``linear_solves``: one per Newton system, the
+    only linear solves the RRH side makes), and gives the final worst
     relative cap excess (``violation``) and complementary-slackness residual
     relative to the dual value's scale (``gap``).
     """
-    n = layout.block_size
-    blk, starts, users_of = layout.blk, layout.starts, layout.users_of
+    layout = problem.layout
+    starts, users_of = layout.starts, layout.users_of
     cap = layout.rrh_budget[layout.active]
     num = cap.size
-    width = rhs.shape[1]
     counted = ("coordinate_passes", "newton_accepted", "newton_rejected", "linear_solves")
     info = dict.fromkeys(("dual_iterations",) + counted, 0)
-    diag = np.arange(width)
-
-    def shifted(mu: np.ndarray, users: np.ndarray = np.arange(len(rhs))) -> np.ndarray:
-        mats = base[users]
-        mats[:, diag, diag] += np.append(mu, 0.0)[blk[users]]
-        return mats
-
-    def solve(mu: np.ndarray) -> np.ndarray:
-        return _solve_batch(shifted(mu), rhs[..., None], info)[..., 0]
-
-    def per_rrh(values: np.ndarray) -> np.ndarray:
-        """Sum of the (U, W) ``values`` over each active RRH's entries."""
-        return np.bincount(blk.ravel(), weights=values.ravel(), minlength=num + 1)[:num]
-
-    mu = np.zeros(num) if mu0 is None else mu0[layout.active]
-    w = solve(mu) if num else np.zeros_like(rhs)
-
-    def dual_value() -> float:
-        return -float(mu @ cap) - float(np.real(np.vdot(rhs, w)))
 
     def finish(viol: float, gap: float):
         value = dual_value()
         info.update(violation=viol, gap=gap / max(1.0, abs(value)))
-        return w, mu, value, info
+        return basis.rotate_back(z), mu, value, info
+
+    basis = _Eigenbasis(problem)
+    mu = np.zeros(num) if mu0 is None else mu0[layout.active]
+    z = basis.solve(mu)
+
+    def per_rrh(values: np.ndarray) -> np.ndarray:
+        """Sum of the (U, P, n) ``values`` over each active RRH's blocks."""
+        per_block = np.sum(values, axis=-1)
+        return np.bincount(starts.ravel(), weights=per_block.ravel(), minlength=num + 1)[:num]
+
+    def dual_value() -> float:
+        return -float(mu @ cap) - float(np.real(np.vdot(basis.rhs, z)))
 
     if not num:
         return finish(0.0, 0.0)
@@ -475,7 +545,7 @@ def _solve_rrh_side(layout: StackLayout, base, rhs, feas_tol: float, mu0=None):
         return float(np.max((powers - cap) / np.maximum(cap, 1e-300)))
 
     def residuals():
-        powers = per_rrh(np.abs(w) ** 2)
+        powers = per_rrh(np.abs(z) ** 2)
         gap = float(np.sum(mu * np.abs(cap - powers)))
         return powers, worst_excess(powers), gap
 
@@ -485,39 +555,23 @@ def _solve_rrh_side(layout: StackLayout, base, rhs, feas_tol: float, mu0=None):
     def coordinate_sweep(cs_budget: float) -> int:
         count = 0
         for run in layout.runs:
-            powers = per_rrh(np.abs(w) ** 2)
+            powers = per_rrh(np.abs(z) ** 2)
             todo = [a for a in run if not (mu[a] == 0.0 and powers[a] <= cap[a])]
             if not todo:
                 continue
             count += len(todo)
             info["coordinate_passes"] += 1
-            others = mu.copy()
-            others[todo] = 0.0
             users = np.concatenate([users_of[a][0] for a in todo])
             pos = np.concatenate([users_of[a][1] for a in todo])
-            lam, coef, solution = _block_secular(shifted(others, users), rhs[users], pos, n, info)
-            x = np.empty((len(users), 1))
+            lam, coef = basis.schur(mu, users, pos)
             end = 0
             for a in todo:
                 start, end = end, end + len(users_of[a][0])
                 mu[a] = _secular_root(
                     lam[start:end], coef[start:end], cap[a], cs_budget, feas_tol, mu[a]
                 )
-                x[start:end] = mu[a]
-            w[users] = solution(x)
+            z[:] = basis.solve(mu)
         return max(count, 1)
-
-    def dual_hessian(idx: np.ndarray) -> np.ndarray:
-        """d(powers)/d(mu) on active[idx]: the dual's Hessian, negative semidefinite."""
-        # d(w_u)/d(mu_k) = -M_u^{-1} E_k E_k^H w_u: one column per block position of user u.
-        nb = width // n
-        blocks = w.reshape(-1, nb, n)
-        cols = (blocks[..., None] * np.eye(nb)[:, None, :]).reshape(-1, width, nb)
-        sens = _solve_batch(shifted(mu), cols, info).reshape(-1, nb, n, nb)
-        cross = np.einsum("upj,upjq->upq", blocks.conj(), sens)
-        hess = np.zeros((num + 1, num + 1))
-        np.add.at(hess, (starts[:, :, None], starts[:, None, :]), -2.0 * np.real(cross))
-        return hess[np.ix_(idx, idx)]
 
     def newton_step(powers: np.ndarray, viol: float) -> int:
         """One projected Newton step on the dual; the number of multipliers moved.
@@ -534,7 +588,7 @@ def _solve_rrh_side(layout: StackLayout, base, rhs, feas_tol: float, mu0=None):
         """
         grad = powers - cap
         idx = np.flatnonzero((mu > 0.0) | (grad > 0.0))
-        hess = dual_hessian(idx)
+        hess = basis.power_jacobian(mu)[np.ix_(idx, idx)]
         g, m = grad[idx], mu[idx]
         scale = np.maximum(-np.diag(hess), 1e-300)
         eps = float(np.linalg.norm(m - np.maximum(0.0, m + g / scale)))
@@ -553,18 +607,18 @@ def _solve_rrh_side(layout: StackLayout, base, rhs, feas_tol: float, mu0=None):
         for _ in range(NEWTON_BACKTRACKS):
             trial = mu.copy()
             trial[idx] = np.maximum(0.0, m + alpha * step)
-            trial_w = solve(trial)
+            trial_z = basis.solve(trial)
             rise = alpha * slope + float(g[at_bound] @ (trial[idx][at_bound] - m[at_bound]))
             # The dual's change, g(trial) - g(mu) = sum_k dmu_k (Re<w'_k, w_k> - cap_k)
             # for beams w = M(mu)^-1 b, w' = M(trial)^-1 b: exact, and free of the
             # cancellation that differencing two dual values suffers near the optimum.
-            change = float((trial - mu) @ (per_rrh(np.real(trial_w.conj() * w)) - cap))
+            change = float((trial - mu) @ (per_rrh(np.real(trial_z.conj() * z)) - cap))
             if (
                 change >= ARMIJO_SIGMA * rise
-                and worst_excess(per_rrh(np.abs(trial_w) ** 2)) <= max(viol, feas_tol)
+                and worst_excess(per_rrh(np.abs(trial_z) ** 2)) <= max(viol, feas_tol)
             ):
                 mu[:] = trial
-                w[:] = trial_w
+                z[:] = trial_z
                 return idx.size
             alpha *= 0.5
         return 0
@@ -645,7 +699,7 @@ def solve_qcqp(
     dual and primal values.
     """
     layout = problem.layout
-    w_rue, mu, rrh_value, info = _solve_rrh_side(layout, problem.base, problem.rhs, feas_tol, mu0)
+    w_rue, mu, rrh_value, info = _solve_rrh_side(problem, feas_tol, mu0)
     w_bue, nu, mbs_value = _solve_mbs_side(
         problem.mbs_quad, problem.mbs_lin, layout.mbs_budget, feas_tol, nu0=nu0
     )
@@ -666,14 +720,15 @@ def solve_qcqp(
     return beams, info
 
 
-def _accept_side(quad: np.ndarray, lin: np.ndarray, candidate: np.ndarray, old: np.ndarray):
+def _accept_side(objective, candidate: np.ndarray, old: np.ndarray):
     """Keep the previous side beams if the solver's answer lost ground.
 
     The solver works to tolerance; this guards the descent property of the
-    outer alternation. The comparison is per side, which is valid because the
-    QCQP objective and constraints separate across the two transmitter sides.
+    outer alternation. The comparison is per side, on that side's
+    ``objective`` of its beams, which is valid because the QCQP objective and
+    constraints separate across the two transmitter sides.
     """
-    if _objective(quad, lin, candidate) > _objective(quad, lin, old):
+    if objective(candidate) > objective(old):
         return old
     return candidate
 
@@ -685,9 +740,11 @@ class RtdState:
 
     ``counters`` sums the RRH-side dual solver's work over the iterations
     (``dual_updates``, ``coordinate_passes``, ``newton_accepted``,
-    ``newton_rejected``, ``linear_solves``) and keeps the last solve's final
-    relative cap ``violation``, complementary-slackness ``gap`` and MBS-side
-    relative cap excess (``mbs_violation``, 0.0 when there is no BUE).
+    ``newton_rejected``, and ``linear_solves``, the Newton systems solved,
+    which are the design's only ``np.linalg.solve`` calls) and keeps the
+    last solve's final relative cap ``violation``, complementary-slackness
+    ``gap`` and MBS-side relative cap excess (``mbs_violation``, 0.0 when
+    there is no BUE).
     """
 
     mse: np.ndarray
@@ -746,8 +803,10 @@ def rtd_solve(
         counters.update(
             violation=qinfo["violation"], gap=qinfo["gap"], mbs_violation=qinfo["mbs_violation"]
         )
-        rue_new = _accept_side(problem.base, problem.rhs, rue_new, w_rue)
-        bue_new = _accept_side(problem.mbs_quad, problem.mbs_lin, bue_new, w_bue)
+        rue_new = _accept_side(lambda w: _rue_objective(problem, w), rue_new, w_rue)
+        bue_new = _accept_side(
+            lambda w: _objective(problem.mbs_quad, problem.mbs_lin, w), bue_new, w_bue
+        )
         delta = float(np.sum(np.abs(rue_new - w_rue) ** 2) + np.sum(np.abs(bue_new - w_bue) ** 2))
         w_rue, w_bue = rue_new, bue_new
         # Equalizer and auxiliary steps, for every UE at once.

@@ -48,6 +48,7 @@ from .pilot_scheduler import (
     build_conflict_graph,
     compute_beta,
     dsatur_random_schedule,
+    effective_tau,
     es_schedule,
     mse_links,
     psa_schedule,
@@ -127,7 +128,8 @@ class _Scene:
 
     The topology, its conflict graph (which holds the Dsatur coloring) and
     the contamination levels are made on construction; the sum-MSE link
-    arrays and the small-scale channel draw on first use. Everything here is
+    arrays, the small-scale channel draw and each schedule (one per
+    scheduler and effective tau) on first use. Everything here is
     shared by the schedulers and beamformers of one worker call and must not
     be mutated; the shared arrays are read-only.
     """
@@ -139,6 +141,7 @@ class _Scene:
         self.graph = build_conflict_graph(self.topology)
         self.beta = compute_beta(self.topology, self.graph)
         self.scheduler_seed = child_seed(cfg.master_seed, r, 1)
+        self._schedules = {}
 
     @cached_property
     def mse_links(self):
@@ -151,20 +154,40 @@ class _Scene:
         return channels
 
     def schedule(self, scheduler: str, training: TrainingConfig):
+        return self._scheduled(scheduler, training)[0]
+
+    def schedule_and_mse(self, scheduler: str, training: TrainingConfig):
+        """(assignment, sum MSE) of one scheduler at these training settings.
+        The exhaustive search hands back the minimum it found, which is its
+        assignment's sum MSE bit for bit; the others' is computed."""
+        assignment, value = self._scheduled(scheduler, training)
+        if value is None:
+            powers = (training.p_rue, training.p_bue, training.noise_power)
+            value = sum_mse(self.topology, assignment, *powers, links=self.mse_links)
+        return assignment, value
+
+    def _scheduled(self, scheduler: str, training: TrainingConfig):
+        """(assignment, the exhaustive search's minimum or None), made once
+        per scheduler and effective tau: a scheduler reads tau only through
+        ``effective_tau``, and PSA and Dsatur-random draw from a fresh
+        generator per call, so equal effective taus give equal schedules."""
         topology, tau = self.topology, training.tau
         powers = (training.p_rue, training.p_bue, training.noise_power)
+        key = (scheduler, effective_tau(topology, tau, self.graph.coloring[0]), *powers)
+        if key in self._schedules:
+            return self._schedules[key]
         if scheduler == "es":
-            return es_schedule(topology, tau, *powers, graph=self.graph, links=self.mse_links)
-        rng = np.random.default_rng(self.scheduler_seed)  # fresh per call
-        if scheduler == "psa":
-            return psa_schedule(topology, self.beta, self.graph, tau, rng=rng)
-        if scheduler == "dsatur_random":
-            return dsatur_random_schedule(topology, tau, rng, self.graph)
-        raise ValueError(f"unknown scheduler {scheduler!r}")
-
-    def sum_mse(self, assignment, training: TrainingConfig) -> float:
-        powers = (training.p_rue, training.p_bue, training.noise_power)
-        return sum_mse(self.topology, assignment, *powers, links=self.mse_links)
+            out = es_schedule(topology, tau, *powers, graph=self.graph, links=self.mse_links)
+        else:
+            rng = np.random.default_rng(self.scheduler_seed)  # fresh per call
+            if scheduler == "psa":
+                out = psa_schedule(topology, self.beta, self.graph, tau, rng=rng), None
+            elif scheduler == "dsatur_random":
+                out = dsatur_random_schedule(topology, tau, rng, self.graph), None
+            else:
+                raise ValueError(f"unknown scheduler {scheduler!r}")
+        self._schedules[key] = out
+        return out
 
     def solve(self, assignment, training: TrainingConfig, beamformer: str) -> dict:
         """Estimate, run one beamformer and rate it; returns a results dict."""
@@ -220,13 +243,13 @@ def _mse_metrics(scene: _Scene, training: TrainingConfig) -> dict:
     out = {}
     for scheduler in scene.cfg.schedulers:
         try:
-            assignment = scene.schedule(scheduler, training)
+            _, value = scene.schedule_and_mse(scheduler, training)
         except ValueError as exc:
             if scheduler == "es":
                 out[f"skip_{scheduler}"] = str(exc)
                 continue
             raise
-        out[f"sum_mse_{scheduler}"] = scene.sum_mse(assignment, training)
+        out[f"sum_mse_{scheduler}"] = value
     return out
 
 
@@ -421,8 +444,7 @@ def schedule_one(cfg: ExperimentConfig, out_path=None) -> list:
     scene = _Scene(cfg, cfg.scenario, 0)
     results = []
     for scheduler in cfg.schedulers:
-        assignment = scene.schedule(scheduler, cfg.training)
-        results.append((scheduler, assignment, scene.sum_mse(assignment, cfg.training)))
+        results.append((scheduler, *scene.schedule_and_mse(scheduler, cfg.training)))
     if out_path:
         _write_assignment(out_path, scene.topology, results[0][1])
     return results

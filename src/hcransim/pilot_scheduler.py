@@ -12,7 +12,8 @@ are provided:
   It enumerates the RUE pilot vectors in lexicographic order, pruning
   conflicts at each RUE, in blocks of at most ``_BLOCK``, and scores each
   block with one array evaluation. The first strict minimum wins, so ties
-  go to the lexicographically smallest vector.
+  go to the lexicographically smallest vector, and the minimum comes back
+  with the assignment.
 
 ``_sum_mse_values`` is the one sum-MSE evaluator (``sum_mse`` scores a block
 of one); a candidate's value is bit for bit the same in any block. It reads
@@ -277,7 +278,9 @@ def sum_mse(
     return float(_sum_mse_values(links, rue_pilots, bue_pilots, p_rue, p_bue, noise_power)[0])
 
 
-def _clamped_tau(topology: Topology, tau: int, t: int) -> int:
+def effective_tau(topology: Topology, tau: int, t: int) -> int:
+    """The pilot count a scheduler spends when asked for tau: tau lifted to
+    the coloring number t and the MBS-served user count."""
     if tau < 1:
         raise ValueError("tau must be a positive integer")
     if tau > topology.num_ue:
@@ -306,7 +309,7 @@ def dsatur_random_schedule(
     if graph is None:
         graph = build_conflict_graph(topology)
     t, colors = graph.coloring
-    tau_eff = _clamped_tau(topology, tau, t)
+    tau_eff = effective_tau(topology, tau, t)
     perm = rng.permutation(t) if t else np.zeros(0, dtype=int)
     pilots = _base_pilots(topology, colors, perm)
     return make_assignment(tau_eff, pilots)
@@ -330,7 +333,7 @@ def psa_schedule(
     """
     rue_ids = topology.rue_set
     t, colors = graph.coloring
-    tau_eff = _clamped_tau(topology, tau, t)
+    tau_eff = effective_tau(topology, tau, t)
     perm = rng.permutation(t) if (rng is not None and t) else np.arange(t)
     pilots = _base_pilots(topology, colors, perm)
 
@@ -415,20 +418,22 @@ def es_schedule(
     graph: ConflictGraph | None = None,
     links: MseLinks | None = None,
 ) -> PilotAssignment:
-    """Exhaustive minimizer of the sum MSE over feasible assignments.
+    """Exhaustive minimizer of the sum MSE over feasible assignments:
+    (assignment, minimum sum MSE).
 
     BUE pilots are fixed to 1..|bue_set|. The feasible RUE pilot vectors are
     scored in lexicographic blocks (``_feasible_blocks``), one
     ``_sum_mse_values`` call each. A block's first minimum replaces the best
-    only if strictly smaller, so the result is the lexicographically smallest
-    minimizer, and ``sum_mse`` of it equals that minimum bit for bit.
+    only if strictly smaller, so the assignment is the lexicographically
+    smallest minimizer, and ``sum_mse`` of it equals the returned minimum bit
+    for bit.
     Guarded by tau_eff**M <= limit. ``graph`` and ``links``, when given, must
     be the topology's conflict graph and ``mse_links``.
     """
     if graph is None:
         graph = build_conflict_graph(topology)
     t, _ = graph.coloring
-    tau_eff = _clamped_tau(topology, tau, t)
+    tau_eff = effective_tau(topology, tau, t)
     if tau_eff ** topology.num_ue > limit:
         raise ValueError(
             f"search space {tau_eff}^{topology.num_ue} exceeds the enumeration guard {limit}"
@@ -446,4 +451,4 @@ def es_schedule(
     pilots[topology.bue_set] = bue_pilots
     if best_row is not None:
         pilots[topology.rue_set] = best_row
-    return make_assignment(tau_eff, pilots)
+    return make_assignment(tau_eff, pilots), float(best_value)

@@ -11,10 +11,10 @@ from hcransim import (
     AggregatedLinks,
     BeamformerSet,
     PowerBudget,
-    QcqpProblem,
     ScenarioConfig,
     Topology,
     TrainingConfig,
+    assemble_qcqp,
     build_conflict_graph,
     build_covariances,
     compute_beta,
@@ -27,7 +27,7 @@ from hcransim import (
 )
 from hcransim.util import child_seed, crandn, seed_to_int
 
-from oracles import estimate_channels_oracle
+from oracles import assemble_qcqp_oracle, dense_rue_matrices, estimate_channels_oracle
 
 
 def child_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -122,42 +122,66 @@ def oracle_state(topology, assignment, training, r=0, master_seed=0):
     )
 
 
-def make_synthetic_qcqp(rng, conditioning=60.0, zero_cap_chance=0.0):
-    """Random coupled QCQP with the beamformer step's block structure.
+def hand_links(serving_rrhs, est_rrh, var_rrh, est_mbs=None, var_mbs=None):
+    """Link statistics on a ``hand_topology`` with the given clusters and unit
+    gains: est_rrh (K, M, N) and var_rrh (K, M), and for the MBS est_mbs
+    (M, B) and var_mbs (M,), zero on one antenna when not given."""
+    num_rrh, num_ue, n = est_rrh.shape
+    if est_mbs is None:
+        est_mbs, var_mbs = np.zeros((num_ue, 1), dtype=complex), np.zeros(num_ue)
+    topology = hand_topology(
+        serving_rrhs, num_rrh, np.ones((num_rrh, num_ue)), np.ones(num_ue), n, est_mbs.shape[1]
+    )
+    return AggregatedLinks(
+        topology=topology,
+        est_rrh=np.asarray(est_rrh, dtype=complex),
+        var_rrh=np.asarray(var_rrh, dtype=float),
+        est_mbs=np.asarray(est_mbs, dtype=complex),
+        var_mbs=np.asarray(var_mbs, dtype=float),
+    )
 
-    Returns (problem, quads, lins, groups, caps): a QcqpProblem (packed by
-    ``pack_qcqp``) plus the same instance in the projected-gradient oracle's
-    vocabulary. Quadratic terms are A^H A + eps*I with eps chosen so the
-    condition number stays near ``conditioning``; budgets are random
-    fractions of the unconstrained solution's power so that some constraints
-    bind and others stay slack.
+
+def hand_qcqp(links, f, u, rrh_budget, mbs_budget=1.0):
+    """The beamformer-step QCQP assembled on ``links`` at equalizers f and
+    auxiliaries u ((M,) by UE id) under the given budgets."""
+    budgets = PowerBudget(rrh=np.asarray(rrh_budget, dtype=float), mbs=mbs_budget)
+    layout = stack_layout(links, budgets)
+    return assemble_qcqp(links, np.asarray(f, dtype=complex), np.asarray(u, dtype=float), layout)
+
+
+def make_synthetic_qcqp(rng, zero_cap_chance=0.0):
+    """Random coupled QCQP: the beamformer step assembled on random
+    hand-built links at random equalizers and auxiliaries.
+
+    Returns (problem, quads, lins, groups, caps): the QcqpProblem plus the
+    same instance in the projected-gradient oracle's vocabulary, each UE's
+    full-cluster matrix and linear term from ``assemble_qcqp_oracle``. Every
+    link has a random estimate and an error variance in [0.5, 1.5], which
+    keeps the matrices' condition numbers moderate; budgets are random
+    fractions of the unconstrained solution's power so that some
+    constraints bind and others stay slack.
     """
     num_rrh = int(rng.integers(2, 5))
     n = int(rng.integers(2, 4))
     num_rue = int(rng.integers(2, 5))
     num_bue = int(rng.integers(0, 3))
     b_ant = int(rng.integers(2, 5))
+    num_ue = num_rue + num_bue
 
     clusters = {}
     for i in range(num_rue):
         size = int(rng.integers(1, min(2, num_rrh) + 1))
         clusters[i] = sorted(rng.choice(num_rrh, size=size, replace=False).tolist())
-
-    def random_quad(dim):
-        a = crandn(rng, dim + 2, dim)
-        q = a.conj().T @ a
-        top = float(np.linalg.eigvalsh(q)[-1])
-        return q + (top / conditioning) * np.eye(dim)
-
-    quads, lins = {}, {}
-    for i in range(num_rue):
-        d = n * len(clusters[i])
-        quads[i] = random_quad(d)
-        lins[i] = crandn(rng, d)
-    bue_ids = list(range(num_rue, num_rue + num_bue))
-    for j in bue_ids:
-        quads[j] = random_quad(b_ant)
-        lins[j] = crandn(rng, b_ant)
+    links = hand_links(
+        [clusters.get(m, []) for m in range(num_ue)],
+        crandn(rng, num_rrh, num_ue, n),
+        rng.uniform(0.5, 1.5, size=(num_rrh, num_ue)),
+        crandn(rng, num_ue, b_ant),
+        rng.uniform(0.5, 1.5, size=num_ue),
+    )
+    f, u = crandn(rng, num_ue), rng.uniform(0.5, 1.5, size=num_ue)
+    quads, lins = assemble_qcqp_oracle(links, f, u)
+    bue_ids = list(range(num_rue, num_ue))
 
     unconstrained = {m: np.linalg.solve(quads[m], lins[m]) for m in quads}
 
@@ -187,70 +211,24 @@ def make_synthetic_qcqp(rng, conditioning=60.0, zero_cap_chance=0.0):
     else:
         mbs_budget = 1.0
 
-    problem = pack_qcqp(
-        quad_rue={i: quads[i] for i in range(num_rue)},
-        lin_rue={i: lins[i] for i in range(num_rue)},
-        quad_bue={j: quads[j] for j in bue_ids},
-        lin_bue={j: lins[j] for j in bue_ids},
-        block_rrhs=clusters,
-        block_size=n,
-        rrh_budget=rrh_caps,
-        mbs_budget=float(mbs_budget),
-    )
+    problem = hand_qcqp(links, f, u, rrh_caps, float(mbs_budget))
     return problem, quads, lins, groups, caps
 
 
-def pack_qcqp(quad_rue, lin_rue, quad_bue, lin_bue, block_rrhs, block_size, rrh_budget, mbs_budget):
-    """A QcqpProblem posed per UE: full-cluster matrices and linear terms by
-    RUE id and by BUE id, which together must be 0..M-1. The stack layout
-    comes from links with all-zero estimates on a ``hand_topology`` with the
-    given clusters and unit gains; each RUE's live submatrix (zero-budget
-    blocks dropped) fills its stack row, and the BUE matrices form a
-    (J, B, B) stack."""
-    num_ue, num_rrh = len(block_rrhs) + len(quad_bue), len(rrh_budget)
-    b_ant = next(iter(lin_bue.values())).shape[0] if lin_bue else 0
-    assert sorted([*block_rrhs, *quad_bue]) == list(range(num_ue))
-    topology = hand_topology(
-        [block_rrhs.get(m, []) for m in range(num_ue)], num_rrh, np.ones((num_rrh, num_ue)), np.ones(num_ue), block_size, max(b_ant, 1)
-    )
-    links = AggregatedLinks(
-        topology=topology,
-        est_rrh=np.zeros((num_rrh, num_ue, block_size), dtype=complex),
-        var_rrh=np.zeros((num_rrh, num_ue)),
-        est_mbs=np.zeros((num_ue, b_ant), dtype=complex),
-        var_mbs=np.zeros(num_ue),
-    )
-    layout = stack_layout(links, PowerBudget(rrh=np.asarray(rrh_budget), mbs=mbs_budget))
-    base = np.tile(np.eye(layout.est.shape[1], dtype=complex), (len(block_rrhs), 1, 1))
-    rhs = np.zeros_like(layout.est)
-    for u, i in enumerate(layout.rue.tolist()):
-        live = np.repeat(layout.rrh_budget[block_rrhs[i]] > 0, block_size)
-        d = int(live.sum())
-        base[u, :d, :d] = quad_rue[i][np.ix_(live, live)]
-        rhs[u, :d] = lin_rue[i][live]
-    bue = layout.bue.tolist()
-    return QcqpProblem(
-        layout=layout,
-        base=base,
-        rhs=rhs,
-        mbs_quad=np.array([quad_bue[j] for j in bue] or np.zeros((0, b_ant, b_ant)), complex),
-        mbs_lin=np.array([lin_bue[j] for j in bue] or np.zeros((0, b_ant)), complex),
-    )
-
-
 def unpack_qcqp(problem):
-    """The per-UE view of a QcqpProblem, in ``pack_qcqp``'s argument names,
-    on each RUE's live blocks (its cluster less its zero-budget RRHs, which
-    is the whole cluster when every budget is positive): RUE matrices and
-    linear terms, and each BUE's matrix and linear term."""
+    """The per-UE view of a QcqpProblem on each RUE's live blocks (its
+    cluster less its zero-budget RRHs, which is the whole cluster when every
+    budget is positive): RUE matrices and linear terms (``dense_rue_matrices``),
+    and each BUE's matrix and linear term."""
     layout = problem.layout
     n = layout.block_size
+    base, rhs = dense_rue_matrices(problem)
     quad_rue, lin_rue, block_rrhs = {}, {}, {}
     for u, i in enumerate(layout.rue.tolist()):
         block_rrhs[i] = layout.active[layout.starts[u, layout.live[u]]].tolist()
         d = n * len(block_rrhs[i])
-        quad_rue[i] = problem.base[u, :d, :d]
-        lin_rue[i] = problem.rhs[u, :d]
+        quad_rue[i] = base[u, :d, :d]
+        lin_rue[i] = rhs[u, :d]
     quads = np.broadcast_to(problem.mbs_quad, problem.mbs_lin.shape + problem.mbs_lin.shape[-1:])
     bue = [int(j) for j in layout.bue]
     return SimpleNamespace(

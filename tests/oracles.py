@@ -477,6 +477,70 @@ def has_shared_rrh_pair(topology):
 
 
 # ---------------------------------------------------------------------------
+# The RRH side of the beamformer QCQP as dense per-user systems.
+
+
+def dense_rue_matrices(problem):
+    """(base, rhs) of an assembled QcqpProblem's RUE side, built densely from
+    its factors: base[u] is the (W, W) matrix of stack row u,
+    blockdiag(G over its live blocks, identity on padding) plus
+    w8_u (g g^H - blockdiag(g_p g_p^H)), and rhs[u] = lin_u g."""
+    layout = problem.layout
+    n = layout.block_size
+    blocks = np.concatenate([problem.blocks, np.eye(n, dtype=complex)[None]])
+    g = layout.est
+    base = problem.w8[:, None, None] * (g[:, :, None] * g.conj()[:, None, :])
+    for p in range(layout.starts.shape[1]):
+        base[:, p * n:(p + 1) * n, p * n:(p + 1) * n] = blocks[layout.starts[:, p]]
+    return base, problem.lin[:, None] * g
+
+
+def _dense_shifted(problem, mu):
+    """Every RUE's matrix plus its blocks' multipliers (mu by active slot)."""
+    base, rhs = dense_rue_matrices(problem)
+    diag = np.arange(base.shape[1])
+    base[:, diag, diag] += np.append(mu, 0.0)[_entry_slots(problem.layout)]
+    return base, rhs
+
+
+def _entry_slots(layout):
+    """The active slot of every stack entry (len(active) on padding)."""
+    return np.repeat(layout.starts, layout.block_size, axis=1)
+
+
+def dense_rrh_beams(problem, mu):
+    """The (U, W) RUE beam stack at multipliers mu: one least-squares solve
+    per user, which is the minimum-norm solution where a matrix is singular."""
+    mats, rhs = _dense_shifted(problem, mu)
+    return np.stack([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(mats, rhs)])
+
+
+def dense_rrh_powers(problem, w):
+    """Power of the (U, W) beam stack w at each active RRH slot."""
+    layout = problem.layout
+    weights = np.abs(w.ravel()) ** 2
+    slots = _entry_slots(layout).ravel()
+    return np.bincount(slots, weights=weights, minlength=layout.active.size + 1)[:-1]
+
+
+def dense_power_jacobian(problem, mu):
+    """d(powers)/d(mu) by active slot at multipliers mu: the sum over users of
+    -2 Re w_a^H [M^{-1}]_ab w_b, from each user's dense inverse."""
+    layout = problem.layout
+    n, num = layout.block_size, layout.active.size
+    mats, rhs = _dense_shifted(problem, mu)
+    jac = np.zeros((num + 1, num + 1))
+    for u, (mat, b) in enumerate(zip(mats, rhs)):
+        inv = np.linalg.inv(mat)
+        w = inv @ b
+        for p, a in enumerate(layout.starts[u]):
+            for q, c in enumerate(layout.starts[u]):
+                rows, cols = slice(p * n, (p + 1) * n), slice(q * n, (q + 1) * n)
+                jac[a, c] -= 2.0 * float(np.real(np.vdot(w[rows], inv[rows, cols] @ w[cols])))
+    return jac[:num, :num]
+
+
+# ---------------------------------------------------------------------------
 # Scalar minimization (for the auxiliary-variable update).
 
 

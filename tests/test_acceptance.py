@@ -59,7 +59,7 @@ def test_c1_scheduler_ordering_es_psa_random():
         v_ds = sum_mse(
             topology, dsatur_random_schedule(topology, 3, child_rng(42, r, 1), graph), *args
         )
-        v_es = sum_mse(topology, es_schedule(topology, 3, *args), *args)
+        v_es = sum_mse(topology, es_schedule(topology, 3, *args)[0], *args)
         es_le_psa += v_es <= v_psa * (1.0 + 1e-12)
         psa_vals.append(v_psa)
         ds_vals.append(v_ds)

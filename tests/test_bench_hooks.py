@@ -100,9 +100,11 @@ def test_traced_sweep_captures_what_the_checks_read():
 
 def test_linear_solve_counter_matches_the_tracer_count():
     """The solver's own count of np.linalg.solve calls equals what the
-    tracer counts by wrapping np.linalg.solve, over a whole design."""
+    tracer counts by wrapping np.linalg.solve, over a whole design. The only
+    solves are the RRH side's Newton systems, so the drop is one whose
+    design takes Newton steps (r = 0; r = 3 takes none)."""
     tracer = load_tracing().Tracer()
-    topology, _, _, links, training = pipeline_instance(r=3)
+    topology, _, _, links, training = pipeline_instance(r=0)
     budgets = PowerBudget(rrh=dbm_to_watt(27.0), mbs=dbm_to_watt(30.0))
     tracer.start_drop(0)
     with tracer.installed():

@@ -190,8 +190,10 @@ def test_each_realization_runs_its_sweep_invariant_stages_once(monkeypatch):
     run_mse_sweep(
         tiny_config(sweep_values=taus, schedulers=("psa", "dsatur_random", "es"))
     )
+    # the exhaustive search hands back its minimum, so only PSA and
+    # Dsatur-random are scored
     assert counts == dict.fromkeys(shared + ("dsatur_color",), 3) | {
-        "draw_small_scale": 0, "sum_mse": 3 * 4 * 3,
+        "draw_small_scale": 0, "sum_mse": 3 * 4 * 2,
     }
 
     counts.update(dict.fromkeys(counts, 0))
@@ -212,6 +214,91 @@ def test_each_realization_runs_its_sweep_invariant_stages_once(monkeypatch):
     counts.update(dict.fromkeys(counts, 0))
     run_mse_sweep(tiny_config(sweep_name="num_ue", sweep_values=(4, 5, 4)))
     assert counts["generate_topology"] == counts["compute_beta"] == 2 * 3
+
+
+def test_equal_effective_tau_shares_one_schedule(monkeypatch):
+    """Each realization runs each scheduler once per effective tau (tau
+    lifted to the coloring number and the MBS-served user count): on a tau
+    sweep where the clamp repeats, the calls are fewer than the sweep's
+    (realization, tau) pairs, and the rows equal those of one-value sweeps."""
+    schedulers = ("psa_schedule", "dsatur_random_schedule", "es_schedule")
+    counts = {}
+    _count_calls(monkeypatch, counts, experiments, schedulers)
+    taus = (1, 2, 3, 4)
+    cfg = tiny_config(
+        training=TrainingConfig(tau=1, coherence=30),
+        sweep_values=taus,
+        schedulers=("psa", "dsatur_random", "es"),
+    )
+    rows = run_mse_sweep(cfg).rows
+    distinct = 0
+    for r in range(cfg.num_realizations):
+        scene = experiments._Scene(cfg, cfg.scenario, r)
+        t = scene.graph.coloring[0]
+        distinct += len({pilot_scheduler.effective_tau(scene.topology, tau, t) for tau in taus})
+    assert distinct < cfg.num_realizations * len(taus)
+    assert counts == dict.fromkeys(schedulers, distinct)
+    single = [
+        row for tau in taus
+        for row in run_mse_sweep(dataclasses.replace(cfg, sweep_values=(tau,))).rows
+    ]
+    assert rows == single
+
+
+# Small generated configs, pinned: (num_ue, num_rrh, rrh_antennas,
+# mbs_antennas, coverage_radius, tau, RRH budget dBm, MBS budget dBm (None is
+# a zero budget), master seed). They span a single user, fewer users than
+# RRH antennas (rank-deficient cost matrices under perfect CSI), one RRH,
+# single antennas, zero budgets on either side or both, and coverage radii
+# from 9 to 397 m.
+GENERATED_CONFIGS = [
+    (11, 6, 1, 2, 190.0, 1, 27.0, 30.0, 0),
+    (7, 14, 2, 1, 94.0, 2, 27.0, 30.0, 3),
+    (4, 20, 4, 1, 182.0, 4, None, 30.0, 4),
+    (5, 10, 2, 2, 88.0, 2, 27.0, 30.0, 5),
+    (7, 1, 1, 2, 129.0, 5, 27.0, 30.0, 7),
+    (6, 7, 2, 2, 234.0, 4, 27.0, 30.0, 8),
+    (2, 11, 1, 1, 293.0, 1, 27.0, 30.0, 12),
+    (8, 13, 1, 6, 384.0, 8, 27.0, None, 13),
+    (11, 4, 4, 1, 123.0, 1, 27.0, 30.0, 14),
+    (1, 15, 1, 1, 10.0, 1, 27.0, 30.0, 15),
+    (2, 5, 4, 2, 245.0, 1, 27.0, 30.0, 19),
+    (9, 11, 1, 2, 224.0, 1, None, 30.0, 21),
+    (3, 29, 4, 6, 277.0, 2, 27.0, 30.0, 25),
+    (4, 8, 4, 6, 55.0, 1, 27.0, None, 28),
+    (1, 11, 1, 1, 229.0, 1, 27.0, 30.0, 31),
+    (1, 7, 4, 6, 310.0, 1, 27.0, None, 37),
+    (8, 24, 1, 6, 397.0, 3, None, None, 44),
+    (1, 5, 1, 1, 367.0, 1, 27.0, 30.0, 46),
+    (1, 11, 1, 6, 391.0, 1, 27.0, 30.0, 47),
+    (2, 28, 4, 2, 9.0, 1, 27.0, None, 55),
+]
+
+
+def test_generated_small_configs_run_without_failure():
+    """Every pinned generated config runs one realization through PSA, the
+    robust design and the perfect-CSI design with no failure row and finite
+    means."""
+    for num_ue, num_rrh, n, b, radius, tau, rrh, mbs, seed in GENERATED_CONFIGS:
+        cfg = ExperimentConfig(
+            scenario=ScenarioConfig(
+                num_ue=num_ue, num_rrh=num_rrh, rrh_antennas=n, mbs_antennas=b,
+                coverage_radius=radius,
+            ),
+            training=TrainingConfig(tau=tau),
+            budgets=PowerBudget(
+                rrh=dbm_to_watt(rrh) if rrh else 0.0, mbs=dbm_to_watt(mbs) if mbs else 0.0
+            ),
+            sweep_values=(tau,),
+            num_realizations=1,
+            beamformers=("rtd", "rtd_perfect_csi"),
+            mc_trials=8,
+            master_seed=seed,
+        )
+        rows = run_se_sweep(cfg).rows
+        assert not [row for row in rows if row[1].startswith("failures_")], cfg
+        assert all(math.isfinite(row[2]) for row in rows), cfg
+        assert {f"sum_se_lb_psa_{b}" for b in cfg.beamformers} <= {row[1] for row in rows}
 
 
 def test_se_sweep_metric_tags_and_traces():

@@ -338,14 +338,14 @@ def test_es_matches_brute_force_and_is_lexicographically_smallest():
     shares_bue_pilot = ties = 0
     for seed, num_rrh, num_ue, radius, tau in ES_CASES:
         topo = seeded_topology(seed, num_rrh=num_rrh, num_ue=num_ue, coverage_radius=radius)
-        a = es_schedule(topo, tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+        a, minimum = es_schedule(topo, tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
         validate_assignment(topo, a)
         assert a.tau == tau
         best_value, argmins = best_schedules_oracle(
             topo, a.tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power
         )
         value = sum_mse(topo, a, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
-        assert value == pytest.approx(best_value, rel=1e-12)
+        assert value == minimum == pytest.approx(best_value, rel=1e-12)
         lexmin = min(tuple(p) for p in argmins)
         assert tuple(a.pilots) == lexmin
         bue_pilots = set(a.pilots[topo.bue_set].tolist())
@@ -377,8 +377,9 @@ def test_es_blocks_enumerate_in_order_and_score_independently_of_blocking():
         ]
         assert np.array_equal(np.concatenate(parts), whole)  # bit for bit
 
-    es = es_schedule(topo, 6, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
-    assert sum_mse(topo, es, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power) == whole.min()
+    es, minimum = es_schedule(topo, 6, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+    # the search hands back the minimum that sum_mse gives its assignment
+    assert sum_mse(topo, es, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power) == whole.min() == minimum
     assert np.array_equal(es.pilots[topo.rue_set], candidates[np.argmin(whole)])
     # swapping two RUE-only pilot labels gives the same value, bit for bit
     rue_pilots = es.pilots[topo.rue_set]
@@ -394,11 +395,11 @@ def test_es_given_the_callers_graph_and_links_returns_the_same_assignment():
     for seed, num_rrh, num_ue, radius, tau in ES_CASES[4:8]:
         topo = seeded_topology(seed, num_rrh=num_rrh, num_ue=num_ue, coverage_radius=radius)
         powers = (TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
-        alone = es_schedule(topo, tau, *powers)
+        alone, minimum = es_schedule(topo, tau, *powers)
         graph, links = build_conflict_graph(topo), pilot_scheduler.mse_links(topo)
         for kwargs in ({"graph": graph}, {"links": links}, {"graph": graph, "links": links}):
-            given = es_schedule(topo, tau, *powers, **kwargs)
-            assert given.tau == alone.tau
+            given, given_minimum = es_schedule(topo, tau, *powers, **kwargs)
+            assert given.tau == alone.tau and given_minimum == minimum
             assert np.array_equal(given.pilots, alone.pilots)
         assert sum_mse(topo, alone, *powers, links=links) == sum_mse(topo, alone, *powers)
 
@@ -453,7 +454,7 @@ def test_es_never_beats_itself_with_fewer_pilots():
     topo = seeded_topology(1, num_rrh=10, num_ue=5, coverage_radius=150.0)
     values = []
     for tau in (2, 3, 4, 5):
-        a = es_schedule(topo, tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+        a, _ = es_schedule(topo, tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
         values.append(sum_mse(topo, a, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power))
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo <= hi + 1e-18
@@ -465,7 +466,7 @@ def test_schedulers_coincide_with_orthogonal_optimum_at_full_tau():
     beta = compute_beta(topo, graph)
     tau = topo.num_ue
     psa = psa_schedule(topo, beta, graph, tau)
-    es = es_schedule(topo, tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+    es, _ = es_schedule(topo, tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
     v_psa = sum_mse(topo, psa, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
     v_es = sum_mse(topo, es, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
     assert v_psa == pytest.approx(v_es, rel=1e-12)
