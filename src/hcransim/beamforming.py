@@ -7,9 +7,10 @@ u (weights exp(u - 1)), the beamformer step is a convex QCQP
     min over w   sum_m  w_m^H F_m w_m - 2 Re(b_m^H w_m)
 
 subject to per-RRH and MBS sum-power constraints. RRH constraints couple the
-RUE beams through shared blocks and are handled by dual decomposition (exact
-coordinate ascent on the multipliers plus a projected Newton polish whose
-steps are accepted by Armijo's rule on the concave dual); the MBS
+RUE beams through shared blocks and are handled by dual decomposition
+(projected Newton steps on the multipliers, accepted by Armijo's rule on the
+concave dual; exact coordinate sweeps open a cold start and take over
+whenever a Newton step is rejected); the MBS
 constraint couples the BUE beams through a single scalar multiplier. Every
 block at an RRH costs that RRH's one matrix G, and a RUE's own rank-one term
 is the only coupling between its blocks, so the RRH side works in each RRH's
@@ -475,7 +476,7 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
     For fixed multipliers mu the Lagrangian separates per RUE with minimizer
     (M_u + diag(mu over blocks))^{-1} lin_u g_u, which ``_Eigenbasis`` gives
     in closed form from one eigendecomposition per active RRH. The concave
-    dual is maximized in two interleaved phases:
+    dual is maximized by two kinds of update:
 
     * cyclic exact coordinate ascent — with the other multipliers fixed, RRH
       k's block of each user it serves is (S_ik + mu_k I)^{-1} c_ik, S_ik the
@@ -490,29 +491,34 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
       users and none sees another's multiplier, so one eigendecomposition
       over the run's users and one root per member give exactly the
       iterates of updating them one after another.
-    * projected Newton polish — overlapping serving clusters couple the
+    * projected Newton steps — overlapping serving clusters couple the
       multipliers strongly enough that coordinate ascent's linear tail can
       crawl. The dual's gradient is powers - cap and its Hessian, the
       power-balance Jacobian, is closed-form (``_Eigenbasis.power_jacobian``),
-      so up to eight projected Newton steps (Bertsekas 1982) follow each
-      sweep: coordinates in the eps-active set at mu = 0 take a scaled
-      gradient step, the rest a Newton step. A step is backtracked along the
-      projection arc and accepted when the dual value rises by Armijo's rule
-      (ARMIJO_SIGMA) and no cap is exceeded by more than before; when no
-      trial passes, sweeping resumes.
+      so projected Newton (Bertsekas 1982) moves them together: coordinates
+      in the eps-active set at mu = 0 take a scaled gradient step, the rest
+      a Newton step. A step is backtracked along the projection arc and
+      accepted when the dual value rises by Armijo's rule (ARMIJO_SIGMA) and
+      no cap is exceeded by more than before.
+
+    A warm start (mu0, (K,) by RRH id: RTD passes the previous QCQP's
+    multipliers) is near the optimum, where Newton converges fast, so it
+    opens with Newton steps; a cold start (mu = 0, where a Newton step cuts
+    the far too high powers only a little) opens with one sweep. Newton
+    steps then run until the solve converges, a sweep only after one is
+    rejected.
 
     Padding entries point to an extra slot len(active) whose multiplier is
     always 0 and which carries no estimate, so padded beam entries stay 0.
-
-    mu0 ((K,) by RRH id) warm-starts the multipliers. MAX_DUAL_ITERS caps
-    the total number of multiplier updates. Returns (beam stack, mu by active
-    slot, dual value, info). info counts the multiplier updates
-    (``dual_iterations``), the batched coordinate passes (one per run with
-    an update), the Newton steps accepted and rejected and the
-    ``np.linalg.solve`` calls (``linear_solves``: one per Newton system, the
-    only linear solves the RRH side makes), and gives the final worst
-    relative cap excess (``violation``) and complementary-slackness residual
-    relative to the dual value's scale (``gap``).
+    MAX_DUAL_ITERS caps the total number of multiplier updates. Returns
+    (beam stack, mu by active slot, dual value, info). info counts the
+    multiplier updates (``dual_iterations``: one per coordinate update, and
+    every multiplier an accepted Newton step moves), the batched coordinate
+    passes (one per run with an update), the Newton steps accepted and
+    rejected and the ``np.linalg.solve`` calls (``linear_solves``: one per
+    Newton system, the only linear solves the RRH side makes), and gives the
+    final worst relative cap excess (``violation``) and complementary-slackness
+    residual relative to the dual value's scale (``gap``).
     """
     layout = problem.layout
     starts, users_of = layout.starts, layout.users_of
@@ -623,27 +629,19 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
             alpha *= 0.5
         return 0
 
-    def newton_rounds(max_rounds: int) -> int:
-        count = 0
-        for _ in range(max_rounds):
-            powers, viol, gap = residuals()
-            if is_converged(viol, gap):
-                break
-            moved = newton_step(powers, viol)
-            info["newton_accepted" if moved else "newton_rejected"] += 1
-            if not moved:
-                break
-            count += moved
-        return count
-
-    updates = 0
+    updates, sweep = 0, mu0 is None
     while updates < MAX_DUAL_ITERS:
         powers, viol, gap = residuals()
         if is_converged(viol, gap):
             return finish(viol, gap)
-        cs_budget = GAP_TOL * max(1.0, abs(dual_value())) / (2 * num)
-        updates += coordinate_sweep(cs_budget)
-        updates += newton_rounds(8)
+        if sweep:
+            updates += coordinate_sweep(GAP_TOL * max(1.0, abs(dual_value())) / (2 * num))
+            sweep = False
+        else:
+            moved = newton_step(powers, viol)
+            info["newton_accepted" if moved else "newton_rejected"] += 1
+            updates += moved
+            sweep = not moved
         info["dual_iterations"] = updates
     powers, viol, gap = residuals()
     if viol <= feas_tol:
@@ -695,8 +693,9 @@ def solve_qcqp(
     holds the RRH-side solver's counters and final violation and gap, the MBS
     side's final relative cap excess (``mbs_violation``; 0.0 when there is no
     BUE, as the RRH side reports for no live block), the multipliers
-    (``rrh_dual`` by RRH id, 0 where no live block is; ``mbs_dual``), and the
-    dual and primal values.
+    (``rrh_dual`` by RRH id, 0 where no live block is; ``mbs_dual``), the
+    dual and primal values, and the primal value's RUE and BUE parts
+    (``primal_sides``).
     """
     layout = problem.layout
     w_rue, mu, rrh_value, info = _solve_rrh_side(problem, feas_tol, mu0)
@@ -709,28 +708,16 @@ def solve_qcqp(
     if len(w_bue):
         mbs_power = float(np.sum(np.abs(w_bue) ** 2))
         mbs_violation = (mbs_power - layout.mbs_budget) / max(layout.mbs_budget, 1e-300)
-    beams = (w_rue, w_bue)
+    sides = (_rue_objective(problem, w_rue), _objective(problem.mbs_quad, problem.mbs_lin, w_bue))
     info.update(
         rrh_dual=rrh_dual,
         mbs_dual=nu,
         mbs_violation=mbs_violation,
         dual_value=rrh_value + mbs_value,
-        primal_value=qcqp_objective(problem, beams),
+        primal_sides=sides,
+        primal_value=sides[0] + sides[1],
     )
-    return beams, info
-
-
-def _accept_side(objective, candidate: np.ndarray, old: np.ndarray):
-    """Keep the previous side beams if the solver's answer lost ground.
-
-    The solver works to tolerance; this guards the descent property of the
-    outer alternation. The comparison is per side, on that side's
-    ``objective`` of its beams, which is valid because the QCQP objective and
-    constraints separate across the two transmitter sides.
-    """
-    if objective(candidate) > objective(old):
-        return old
-    return candidate
+    return (w_rue, w_bue), info
 
 
 @dataclass
@@ -803,10 +790,14 @@ def rtd_solve(
         counters.update(
             violation=qinfo["violation"], gap=qinfo["gap"], mbs_violation=qinfo["mbs_violation"]
         )
-        rue_new = _accept_side(lambda w: _rue_objective(problem, w), rue_new, w_rue)
-        bue_new = _accept_side(
-            lambda w: _objective(problem.mbs_quad, problem.mbs_lin, w), bue_new, w_bue
-        )
+        # A side keeps its previous beams if the solver's answer lost ground:
+        # the solver works to tolerance, and this guards the alternation's
+        # descent. Valid per side, since the QCQP separates across the sides.
+        rue_value, bue_value = qinfo["primal_sides"]
+        if rue_value > _rue_objective(problem, w_rue):
+            rue_new = w_rue
+        if bue_value > _objective(problem.mbs_quad, problem.mbs_lin, w_bue):
+            bue_new = w_bue
         delta = float(np.sum(np.abs(rue_new - w_rue) ** 2) + np.sum(np.abs(bue_new - w_bue) ** 2))
         w_rue, w_bue = rue_new, bue_new
         # Equalizer and auxiliary steps, for every UE at once.

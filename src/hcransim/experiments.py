@@ -129,9 +129,9 @@ class _Scene:
     The topology, its conflict graph (which holds the Dsatur coloring) and
     the contamination levels are made on construction; the sum-MSE link
     arrays, the small-scale channel draw and each schedule (one per
-    scheduler and effective tau) on first use. Everything here is
-    shared by the schedulers and beamformers of one worker call and must not
-    be mutated; the shared arrays are read-only.
+    scheduler and effective tau, with its sum MSE once scored) on first use.
+    Everything here is shared by the schedulers and beamformers of one
+    worker call and must not be mutated; the shared arrays are read-only.
     """
 
     def __init__(self, cfg: ExperimentConfig, scenario: ScenarioConfig, r: int):
@@ -159,16 +159,17 @@ class _Scene:
     def schedule_and_mse(self, scheduler: str, training: TrainingConfig):
         """(assignment, sum MSE) of one scheduler at these training settings.
         The exhaustive search hands back the minimum it found, which is its
-        assignment's sum MSE bit for bit; the others' is computed."""
-        assignment, value = self._scheduled(scheduler, training)
-        if value is None:
+        assignment's sum MSE bit for bit; the others' is computed once and
+        kept with the schedule."""
+        entry = self._scheduled(scheduler, training)
+        if entry[1] is None:
             powers = (training.p_rue, training.p_bue, training.noise_power)
-            value = sum_mse(self.topology, assignment, *powers, links=self.mse_links)
-        return assignment, value
+            entry[1] = sum_mse(self.topology, entry[0], *powers, links=self.mse_links)
+        return tuple(entry)
 
     def _scheduled(self, scheduler: str, training: TrainingConfig):
-        """(assignment, the exhaustive search's minimum or None), made once
-        per scheduler and effective tau: a scheduler reads tau only through
+        """[assignment, sum MSE or None until scored], made once per
+        scheduler and effective tau: a scheduler reads tau only through
         ``effective_tau``, and PSA and Dsatur-random draw from a fresh
         generator per call, so equal effective taus give equal schedules."""
         topology, tau = self.topology, training.tau
@@ -186,8 +187,8 @@ class _Scene:
                 out = dsatur_random_schedule(topology, tau, rng, self.graph), None
             else:
                 raise ValueError(f"unknown scheduler {scheduler!r}")
-        self._schedules[key] = out
-        return out
+        self._schedules[key] = list(out)
+        return self._schedules[key]
 
     def solve(self, assignment, training: TrainingConfig, beamformer: str) -> dict:
         """Estimate, run one beamformer and rate it; returns a results dict."""

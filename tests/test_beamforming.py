@@ -564,6 +564,73 @@ def test_rrh_side_makes_no_stacked_linear_solve(monkeypatch):
     assert len(shapes) == info["newton_accepted"] + info["newton_rejected"]
 
 
+def _assert_solved_like(w_rue, info, want):
+    """The solve met both stopping tolerances, and its RUE beams are within
+    sqrt(GAP_TOL) of ``want`` relative: the gap test bounds how far the
+    objective is from its optimum, and on a strongly convex objective that
+    moves the minimizer by about the square root."""
+    assert info["violation"] <= 1e-6 and info["gap"] <= beamforming.GAP_TOL
+    bound = math.sqrt(beamforming.GAP_TOL) * np.linalg.norm(want)
+    assert np.linalg.norm(w_rue - want) <= bound
+
+
+def test_warm_start_near_the_optimum_makes_no_coordinate_pass():
+    """Re-solving the (32, 100) drop's first QCQP from its own multipliers
+    makes no update; from those multipliers moved by 10% either way,
+    projected Newton alone finishes the solve, with no coordinate pass."""
+    problem = _first_qcqp(32, 100)[1]
+    (want, _), cold = solve_qcqp(problem)
+    for scale in (1.0, 0.9, 1.1):
+        (w_rue, _), info = solve_qcqp(problem, mu0=scale * cold["rrh_dual"], nu0=cold["mbs_dual"])
+        assert info["coordinate_passes"] == 0
+        assert (info["newton_accepted"] > 0) == (scale != 1.0) == (info["dual_iterations"] > 0)
+        _assert_solved_like(w_rue, info, want)
+
+
+def test_sweeps_finish_the_solve_when_every_newton_step_is_rejected(monkeypatch):
+    """With no step halving allowed every projected Newton step is rejected,
+    so coordinate sweeps alone must finish the (8, 25) drop's first QCQP:
+    from a cold start, and from its multipliers moved by 10% (where Newton
+    goes first), within both tolerances of the default solve."""
+    problem = _first_qcqp(8, 25)[1]
+    (want, _), default = solve_qcqp(problem)
+    monkeypatch.setattr(beamforming, "NEWTON_BACKTRACKS", 0)
+    for mu0, nu0 in ((None, None), (1.1 * default["rrh_dual"], default["mbs_dual"])):
+        (w_rue, _), info = solve_qcqp(problem, mu0=mu0, nu0=nu0)
+        assert info["newton_accepted"] == 0 < info["newton_rejected"]
+        assert info["coordinate_passes"] > 0
+        _assert_solved_like(w_rue, info, want)
+
+
+def _recorded_solves(monkeypatch) -> list:
+    """The (beams, info) of every ``solve_qcqp`` call, in order."""
+    calls = []
+    real = beamforming.solve_qcqp
+
+    def recorded(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(beamforming, "solve_qcqp", recorded)
+    return calls
+
+
+def test_only_the_cold_start_sweeps_on_the_large_drop(monkeypatch):
+    """Perf guard: in the design of the (32, 100) drop at master seed 0 the
+    first QCQP starts cold (all multipliers 0) and opens with a sweep; every
+    later QCQP starts from the previous multipliers and projected Newton
+    alone finishes it, so the design's coordinate passes are the first
+    QCQP's."""
+    calls = _recorded_solves(monkeypatch)
+    topology, _, _, links, training = pipeline_instance(
+        scenario=ScenarioConfig(num_ue=32, num_rrh=100)
+    )
+    _, st = rtd_solve(topology, links, training, BUDGETS)
+    first = calls[0][1]["coordinate_passes"]
+    assert st.iterations == len(calls) > 1 and first > 0
+    assert st.counters["coordinate_passes"] == first
+
+
 def test_solver_multipliers_reproduce_its_beams():
     """At the returned multipliers, every live RRH's secular power equals its
     power in the returned beams, active caps are met, zero-budget RRHs carry
@@ -773,18 +840,10 @@ def test_rtd_objective_matches_log_mse_sum():
 
 
 def test_rtd_counters_sum_the_dual_solver_info(monkeypatch):
-    results, infos = [], []
-    real = beamforming.solve_qcqp
-
-    def recorded(*args, **kwargs):
-        beams, info = real(*args, **kwargs)
-        results.append(beams)
-        infos.append(info)
-        return beams, info
-
-    monkeypatch.setattr(beamforming, "solve_qcqp", recorded)
+    calls = _recorded_solves(monkeypatch)
     topology, _, state, links, training = pipeline_instance(r=0)
     _, st = rtd_solve(topology, links, training, BUDGETS)
+    results, infos = zip(*calls)
     assert len(infos) == st.iterations
     counters = st.counters
     assert counters["dual_updates"] == sum(info["dual_iterations"] for info in infos) > 0

@@ -191,9 +191,10 @@ def test_each_realization_runs_its_sweep_invariant_stages_once(monkeypatch):
         tiny_config(sweep_values=taus, schedulers=("psa", "dsatur_random", "es"))
     )
     # the exhaustive search hands back its minimum, so only PSA and
-    # Dsatur-random are scored
+    # Dsatur-random are scored, once per distinct effective tau (the three
+    # realizations have 3, 1 and 4)
     assert counts == dict.fromkeys(shared + ("dsatur_color",), 3) | {
-        "draw_small_scale": 0, "sum_mse": 3 * 4 * 2,
+        "draw_small_scale": 0, "sum_mse": (3 + 1 + 4) * 2,
     }
 
     counts.update(dict.fromkeys(counts, 0))
