@@ -9,9 +9,10 @@ u (weights exp(u - 1)), the beamformer step is a convex QCQP
 subject to per-RRH and MBS sum-power constraints. RRH constraints couple the
 RUE beams through shared blocks and are handled by dual decomposition
 (projected Newton steps on the multipliers, accepted by Armijo's rule on the
-concave dual; exact coordinate sweeps open a cold start and take over
-whenever a Newton step is rejected); the MBS
-constraint couples the BUE beams through a single scalar multiplier. Every
+concave dual, where only a multiplier whose own scaled gradient step reaches
+zero counts as at its bound; exact coordinate sweeps open a cold start and
+take over whenever a Newton step is rejected); the MBS constraint couples
+the BUE beams through a single scalar multiplier. Every
 block at an RRH costs that RRH's one matrix G, and a RUE's own rank-one term
 is the only coupling between its blocks, so the RRH side works in each RRH's
 eigenbasis and solves every user's system, Schur complement and the dual's
@@ -402,7 +403,8 @@ class _Eigenbasis:
         self._pairs = (starts[:, :, None] * (num + 1) + starts[:, None, :]).ravel()
 
     def coupling(self, mu: np.ndarray):
-        """(d, s, delta, R) of every user at multipliers mu (by active slot).
+        """(d, s, delta, R) of every user at multipliers mu (by active slot),
+        which ``solve``, ``schur`` and ``power_jacobian`` read.
 
         R is the one place where a user's blocks meet: R_p sums s / delta over
         the user's other blocks, the rank-one coupling of its own term."""
@@ -413,20 +415,21 @@ class _Eigenbasis:
         ratio = (s / delta)[:, None, :]
         return d, s, delta, (ratio * self.others).sum(axis=-1)
 
-    def solve(self, mu: np.ndarray) -> np.ndarray:
-        """The rotated beams z (U, P, n) at multipliers mu."""
-        d, _, delta, others = self.coupling(mu)
+    def solve(self, coupled) -> np.ndarray:
+        """The rotated beams z (U, P, n) at the multipliers of ``coupled``."""
+        d, _, delta, others = coupled
         kappa = 1.0 / (1.0 + self.w8 * delta * others)
         return (self.lin * kappa)[..., None] * (self.gamma / d)
 
-    def schur(self, mu: np.ndarray, users, pos):
+    def schur(self, coupled, users, pos):
         """Block ``pos[i]`` of user ``users[i]`` with the other blocks
-        eliminated, its own multiplier at 0: the block's beam at multiplier x
-        is (S + x I)^{-1} c with S = diag(lam) - rho gamma gamma^H,
-        rho = w8^2 R / (1 + w8 R) and c = lin gamma / (1 + w8 R). Returns
+        eliminated at the multipliers of ``coupled``, its own multiplier at 0:
+        the block's beam at multiplier x is (S + x I)^{-1} c with
+        S = diag(lam) - rho gamma gamma^H, rho = w8^2 R / (1 + w8 R) and
+        c = lin gamma / (1 + w8 R). Returns
         the eigenvalues of S and the coefficients of c in its eigenbasis,
         each (len(users), n)."""
-        others = self.coupling(mu)[3][users, pos][:, None]
+        others = coupled[3][users, pos][:, None]
         w8, lin = self.w8[users], self.lin[users]
         gamma = self.gamma[users, pos]
         rho = w8 * w8 * others / (1.0 + w8 * others)
@@ -437,18 +440,19 @@ class _Eigenbasis:
         target = lin / (1.0 + w8 * others) * gamma
         return lam, (vecs.conj().swapaxes(1, 2) @ target[..., None])[..., 0]
 
-    def power_jacobian(self, mu: np.ndarray) -> np.ndarray:
-        """d(powers)/d(mu) by active slot: the dual's Hessian, negative
-        semidefinite. User u adds -2 Re z_p^H [M_u^{-1}]_pq z_q at its
-        blocks' slots, where M_u^{-1} is blockdiag of the blocks'
-        Sherman-Morrison inverses less one rank-one term, so every entry is
+    def power_jacobian(self, coupled) -> np.ndarray:
+        """d(powers)/d(mu) by active slot at the multipliers of ``coupled``:
+        the dual's Hessian, negative semidefinite. User u adds
+        -2 Re z_p^H [M_u^{-1}]_pq z_q at its blocks' slots, where M_u^{-1} is
+        blockdiag of the blocks' Sherman-Morrison inverses less one rank-one
+        term, so every entry is
         a product of per-block scalars: with t = q^H q, v = q^H D^{-1} q and
         kappa, delta, R as in ``solve``, the diagonal term is
         -2 |lin|^2 kappa^2 (v + w8^2 kappa R t^2) and the term of blocks
         p != q is 2 w8 |lin|^2 kappa_p kappa_q t_p t_q phi_pq, with
         phi_pq = 1 / (delta_p delta_q (1 + w8 sum s / delta))
         = kappa_p kappa_q (1 + w8 sum s / delta)."""
-        d, s, delta, others = self.coupling(mu)
+        d, s, delta, others = coupled
         w8, size = self.w8, np.abs(self.lin) ** 2
         weighted = self.size2 / (d * d)
         t, v = weighted.sum(axis=-1), (weighted / d).sum(axis=-1)
@@ -461,7 +465,7 @@ class _Eigenbasis:
         width = terms.shape[1]
         own = -2.0 * size * kappa**2 * (v + w8 * w8 * kappa * others * t**2)
         terms[:, np.arange(width), np.arange(width)] = own
-        num = mu.size
+        num = self._mu.size - 1
         jac = np.bincount(self._pairs, weights=terms.ravel(), minlength=(num + 1) ** 2)
         return jac.reshape(num + 1, num + 1)[:num, :num]
 
@@ -495,11 +499,15 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
       multipliers strongly enough that coordinate ascent's linear tail can
       crawl. The dual's gradient is powers - cap and its Hessian, the
       power-balance Jacobian, is closed-form (``_Eigenbasis.power_jacobian``),
-      so projected Newton (Bertsekas 1982) moves them together: coordinates
-      in the eps-active set at mu = 0 take a scaled gradient step, the rest
-      a Newton step. A step is backtracked along the projection arc and
-      accepted when the dual value rises by Armijo's rule (ARMIJO_SIGMA) and
-      no cap is exceeded by more than before.
+      so projected Newton (Bertsekas 1982) moves them together: a
+      coordinate in the eps-active set at mu = 0 takes a scaled gradient
+      step, the rest a Newton step. eps is per coordinate, |g_k| / h_k for
+      gradient g and Hessian diagonal magnitude h, so a multiplier counts as
+      at its bound only when its own scaled gradient step reaches zero; a
+      settled multiplier stays in the Newton block, whose step accounts for
+      its coupling to the others. A step is backtracked along the projection
+      arc and accepted when the dual value rises by Armijo's rule
+      (ARMIJO_SIGMA) and no cap is exceeded by more than before.
 
     A warm start (mu0, (K,) by RRH id: RTD passes the previous QCQP's
     multipliers) is near the optimum, where Newton converges fast, so it
@@ -534,7 +542,8 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
 
     basis = _Eigenbasis(problem)
     mu = np.zeros(num) if mu0 is None else mu0[layout.active]
-    z = basis.solve(mu)
+    coupled = basis.coupling(mu)
+    z = basis.solve(coupled)
 
     def per_rrh(values: np.ndarray) -> np.ndarray:
         """Sum of the (U, P, n) ``values`` over each active RRH's blocks."""
@@ -546,22 +555,23 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
 
     if not num:
         return finish(0.0, 0.0)
+    # The iterate is (mu, coupled, z, powers): the multipliers, their coupling,
+    # the rotated beams and the per-RRH powers; each update moves all four.
+    powers = per_rrh(np.abs(z) ** 2)
 
     def worst_excess(powers: np.ndarray) -> float:
         return float(np.max((powers - cap) / np.maximum(cap, 1e-300)))
 
     def residuals():
-        powers = per_rrh(np.abs(z) ** 2)
-        gap = float(np.sum(mu * np.abs(cap - powers)))
-        return powers, worst_excess(powers), gap
+        return worst_excess(powers), float(np.sum(mu * np.abs(cap - powers)))
 
     def is_converged(viol: float, gap: float) -> bool:
         return viol <= feas_tol and gap <= GAP_TOL * max(1.0, abs(dual_value()))
 
     def coordinate_sweep(cs_budget: float) -> int:
+        nonlocal coupled, z, powers
         count = 0
         for run in layout.runs:
-            powers = per_rrh(np.abs(z) ** 2)
             todo = [a for a in run if not (mu[a] == 0.0 and powers[a] <= cap[a])]
             if not todo:
                 continue
@@ -569,36 +579,40 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
             info["coordinate_passes"] += 1
             users = np.concatenate([users_of[a][0] for a in todo])
             pos = np.concatenate([users_of[a][1] for a in todo])
-            lam, coef = basis.schur(mu, users, pos)
+            lam, coef = basis.schur(coupled, users, pos)
             end = 0
             for a in todo:
                 start, end = end, end + len(users_of[a][0])
                 mu[a] = _secular_root(
                     lam[start:end], coef[start:end], cap[a], cs_budget, feas_tol, mu[a]
                 )
-            z[:] = basis.solve(mu)
+            coupled = basis.coupling(mu)
+            z = basis.solve(coupled)
+            powers = per_rrh(np.abs(z) ** 2)
         return max(count, 1)
 
-    def newton_step(powers: np.ndarray, viol: float) -> int:
+    def newton_step(viol: float) -> int:
         """One projected Newton step on the dual; the number of multipliers moved.
 
-        Coordinates at mu = 0 whose cap holds stay put. Of the rest, those in
-        Bertsekas' eps-active set (mu within eps of zero and the gradient
-        pushing it there; eps is the length of the diagonally scaled
-        projected-gradient step) take a diagonally scaled gradient step, and
-        the others a Newton step on their block of the Hessian. The step is
+        Coordinates at mu = 0 whose cap holds stay put. Of the rest, a
+        multiplier whose own diagonally scaled gradient step would reach zero
+        (the gradient pushes it down, and mu_k + g_k / h_k <= 0 with h_k the
+        Hessian's diagonal magnitude: Bertsekas' eps-active test with a
+        per-coordinate eps_k = |g_k| / h_k) takes that gradient step, and the
+        others a Newton step on their block of the Hessian. The step is
         backtracked along the projection arc max(0, mu + alpha d) until the
         dual value rises by Armijo's rule and no cap is exceeded by more than
         before; 0 means no trial passed or the Newton block is not an ascent
-        direction (a singular or, by rounding, indefinite Hessian block).
+        direction (a singular or, by rounding, indefinite Hessian block). An
+        accepted trial's coupling, beams and powers become the iterate's.
         """
+        nonlocal mu, coupled, z, powers
         grad = powers - cap
         idx = np.flatnonzero((mu > 0.0) | (grad > 0.0))
-        hess = basis.power_jacobian(mu)[np.ix_(idx, idx)]
+        hess = basis.power_jacobian(coupled)[np.ix_(idx, idx)]
         g, m = grad[idx], mu[idx]
         scale = np.maximum(-np.diag(hess), 1e-300)
-        eps = float(np.linalg.norm(m - np.maximum(0.0, m + g / scale)))
-        at_bound = (m <= eps) & (g < 0.0)
+        at_bound = (g < 0.0) & (m + g / scale <= 0.0)
         free = ~at_bound
         step = g / scale
         info["linear_solves"] += 1
@@ -613,37 +627,36 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         for _ in range(NEWTON_BACKTRACKS):
             trial = mu.copy()
             trial[idx] = np.maximum(0.0, m + alpha * step)
-            trial_z = basis.solve(trial)
+            trial_coupled = basis.coupling(trial)
+            trial_z = basis.solve(trial_coupled)
             rise = alpha * slope + float(g[at_bound] @ (trial[idx][at_bound] - m[at_bound]))
             # The dual's change, g(trial) - g(mu) = sum_k dmu_k (Re<w'_k, w_k> - cap_k)
             # for beams w = M(mu)^-1 b, w' = M(trial)^-1 b: exact, and free of the
             # cancellation that differencing two dual values suffers near the optimum.
             change = float((trial - mu) @ (per_rrh(np.real(trial_z.conj() * z)) - cap))
-            if (
-                change >= ARMIJO_SIGMA * rise
-                and worst_excess(per_rrh(np.abs(trial_z) ** 2)) <= max(viol, feas_tol)
-            ):
-                mu[:] = trial
-                z[:] = trial_z
-                return idx.size
+            if change >= ARMIJO_SIGMA * rise:
+                trial_powers = per_rrh(np.abs(trial_z) ** 2)
+                if worst_excess(trial_powers) <= max(viol, feas_tol):
+                    mu, coupled, z, powers = trial, trial_coupled, trial_z, trial_powers
+                    return idx.size
             alpha *= 0.5
         return 0
 
     updates, sweep = 0, mu0 is None
     while updates < MAX_DUAL_ITERS:
-        powers, viol, gap = residuals()
+        viol, gap = residuals()
         if is_converged(viol, gap):
             return finish(viol, gap)
         if sweep:
             updates += coordinate_sweep(GAP_TOL * max(1.0, abs(dual_value())) / (2 * num))
             sweep = False
         else:
-            moved = newton_step(powers, viol)
+            moved = newton_step(viol)
             info["newton_accepted" if moved else "newton_rejected"] += 1
             updates += moved
             sweep = not moved
         info["dual_iterations"] = updates
-    powers, viol, gap = residuals()
+    viol, gap = residuals()
     if viol <= feas_tol:
         return finish(viol, gap)
     raise ConvergenceError(

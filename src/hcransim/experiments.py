@@ -83,7 +83,7 @@ class ExperimentConfig:
     num_realizations: int = 100
     schedulers: tuple = ("psa",)
     beamformers: tuple = ("rtd",)
-    mc_trials: int = 2000
+    mc_trials: int = 400
     output_path: str | None = None
     master_seed: int = 0
     jobs: int = 1

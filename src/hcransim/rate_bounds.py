@@ -114,7 +114,7 @@ def lower_bound_rates(links: AggregatedLinks, beams, noise_power: float, prelog:
 
 
 def monte_carlo_rates(
-    links: AggregatedLinks, beams, noise_power: float, prelog: float, trials: int = 2000
+    links: AggregatedLinks, beams, noise_power: float, prelog: float, trials: int = 400
 ):
     """Exact ergodic rates under the link model, by quadrature.
 

@@ -409,7 +409,7 @@ def _assert_secular_matches_dense(problem, mu, xs):
     padding = ~np.repeat(layout.live, layout.block_size, axis=1)
     basis = _Eigenbasis(problem)
     for a, (users, pos) in enumerate(layout.users_of):
-        lam, coef = basis.schur(mu, users, pos)
+        lam, coef = basis.schur(basis.coupling(mu), users, pos)
         for x in xs:
             trial = mu.copy()
             trial[a] = x
@@ -529,15 +529,15 @@ def test_closed_form_matches_the_dense_oracle(regime):
     for _ in range(2):
         mu = rng.uniform(0.05, 1.0, size=layout.active.size) * lam[:, -1]
         want = dense_rrh_beams(problem, mu)
-        got = basis.rotate_back(basis.solve(mu))
+        got = basis.rotate_back(basis.solve(basis.coupling(mu)))
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
         _assert_secular_matches_dense(problem, mu, xs=(mu.min(), mu.max()))
-        jac = basis.power_jacobian(mu)
+        jac = basis.power_jacobian(basis.coupling(mu))
         dense = dense_power_jacobian(problem, mu)
         assert np.linalg.norm(jac - dense) <= 1e-9 * np.linalg.norm(dense)
 
         def powers(at):
-            return dense_rrh_powers(problem, basis.rotate_back(basis.solve(at)))
+            return dense_rrh_powers(problem, basis.rotate_back(basis.solve(basis.coupling(at))))
 
         for b in range(layout.active.size):
             step = np.zeros_like(mu)
@@ -631,6 +631,24 @@ def test_only_the_cold_start_sweeps_on_the_large_drop(monkeypatch):
     assert st.counters["coordinate_passes"] == first
 
 
+def test_warm_solves_of_the_large_drop_take_few_newton_steps(monkeypatch):
+    """Perf guard: in the design of the (32, 100) drop at master seed 0 no
+    QCQP from the third RTD iteration on takes more than 8 accepted Newton
+    steps. A multiplier counts as at its bound only when its own scaled
+    gradient step reaches zero; with one eps for all of them (the length of
+    the whole scaled projected-gradient step) settled multipliers took
+    gradient steps the Newton block did not see, and the no-new-overshoot
+    guard then held warm solves to runs of half steps, up to 25 per QCQP."""
+    calls = _recorded_solves(monkeypatch)
+    topology, _, _, links, training = pipeline_instance(
+        scenario=ScenarioConfig(num_ue=32, num_rrh=100)
+    )
+    _, st = rtd_solve(topology, links, training, BUDGETS)
+    steps = [info["newton_accepted"] for _, info in calls]
+    assert st.iterations == len(steps) > 2
+    assert max(steps[2:]) <= 8
+
+
 def test_solver_multipliers_reproduce_its_beams():
     """At the returned multipliers, every live RRH's secular power equals its
     power in the returned beams, active caps are met, zero-budget RRHs carry
@@ -652,7 +670,7 @@ def test_solver_multipliers_reproduce_its_beams():
                 assert info["rrh_dual"][k] == 0.0 and beams.rrh_power(k) == 0.0
         for a, (users, pos) in enumerate(layout.users_of):
             k, cap = layout.active[a], layout.rrh_budget[layout.active[a]]
-            lam, coef = basis.schur(mu, users, pos)
+            lam, coef = basis.schur(basis.coupling(mu), users, pos)
             assert _secular_power(lam, coef, mu[a]) == pytest.approx(beams.rrh_power(k), rel=1e-7)
             if mu[a] > 0.0:
                 assert beams.rrh_power(k) == pytest.approx(cap, rel=1e-6)
@@ -860,7 +878,7 @@ def test_rtd_counters_sum_the_dual_solver_info(monkeypatch):
     assert counters["mbs_violation"] == pytest.approx(excess, rel=1e-12, abs=1e-15)
 
 
-def _drop_config(num_ue, num_rrh, beamformer, master_seed, realizations, mc_trials=2000):
+def _drop_config(num_ue, num_rrh, beamformer, master_seed, realizations, mc_trials=400):
     """The sweep call of a benchmark-style drop: PSA at tau 5, default
     training and budgets."""
     return ExperimentConfig(
