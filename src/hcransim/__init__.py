@@ -56,6 +56,7 @@ from .rate_bounds import (
     interference_plus_noise,
     lower_bound_rates,
     monte_carlo_rates,
+    useful_amplitude,
 )
 from .scenario import (
     ScenarioConfig,

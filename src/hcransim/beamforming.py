@@ -29,8 +29,8 @@ such RRHs in one batched pass. The f and u updates are closed-form.
 The alternation runs on arrays: one ``StackLayout`` per design, each QCQP
 kept in factored form on it (per-RRH matrices, per-RUE weights and linear
 scalars, the estimates in the stack), and (M,) arrays of equalizers,
-auxiliaries and MSEs. A design's beams are returned as a ``BeamformerSet``,
-the per-link arrays (w_rrh, w_mbs) that the rate code computes on.
+auxiliaries and MSEs. Each cycle's beams are a ``BeamformerSet`` (w_rrh,
+w_mbs), whose ``useful_amplitude`` the equalizer step reads as the bound does.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import TrainingConfig, prelog_factor
-from .rate_bounds import AggregatedLinks, interference_plus_noise
+from .rate_bounds import AggregatedLinks, interference_plus_noise, useful_amplitude
 from .scenario import Topology
 
 
@@ -111,8 +111,8 @@ class StackLayout:
     len(active) at padding. ``users_of[a]``
     holds slot a's (rows, block positions), ``runs`` the sweep's runs. The
     ``live`` (U, P) blocks are, in row-major order, the links ``link_rrh`` ->
-    ``link_ue``, with estimates ``est`` (U, W). ``est_rows`` holds every UE's
-    estimates in the row format of ``rows``.
+    ``link_ue``, with estimates ``est`` (U, W). BUE ``bue[j]`` is row j of
+    the MBS side's (J, B) beams.
     """
 
     block_size: int
@@ -128,26 +128,20 @@ class StackLayout:
     link_rrh: np.ndarray
     link_ue: np.ndarray
     est: np.ndarray
-    est_rows: np.ndarray
 
-    def rows(self, w_rue: np.ndarray, w_bue: np.ndarray) -> np.ndarray:
-        """Every UE's beams on every link: row m holds UE m's K per-RRH
-        blocks (zero off its live blocks), then its MBS beam."""
-        out = np.zeros(self.est_rows.shape, dtype=complex)
-        w_rrh, w_mbs = self.split(out)
-        w_rrh[self.link_ue, self.link_rrh] = w_rue.reshape(-1, self.block_size)[self.live.ravel()]
-        w_mbs[self.bue] = w_bue
-        return out
-
-    def split(self, rows: np.ndarray) -> BeamformerSet:
-        """Per-UE rows as a BeamformerSet of views into them."""
-        cut = self.rrh_budget.size * self.block_size
-        return BeamformerSet(rows[:, :cut].reshape(len(rows), -1, self.block_size), rows[:, cut:])
+    def beams(self, w_rue: np.ndarray, w_bue: np.ndarray) -> BeamformerSet:
+        """The RUE stack (U, W) and BUE beams (J, B) as per-link arrays."""
+        num_ue = self.rue.size + self.bue.size
+        rrh = np.zeros((num_ue, self.rrh_budget.size, self.block_size), dtype=complex)
+        rrh[self.link_ue, self.link_rrh] = w_rue.reshape(-1, self.block_size)[self.live.ravel()]
+        mbs = np.zeros((num_ue, w_bue.shape[1]), dtype=complex)
+        mbs[self.bue] = w_bue
+        return BeamformerSet(rrh, mbs)
 
 
 def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
     """The stack layout of every beamformer QCQP on these links and budgets."""
-    num_rrh, num_ue, n = links.est_rrh.shape
+    num_rrh, _, n = links.est_rrh.shape
     budget = budgets.rrh_array(num_rrh)
     topology = links.topology
     clusters = [[k for k in topology.serving_rrhs[i] if budget[k] > 0] for i in topology.rue_set]
@@ -178,9 +172,6 @@ def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
         link_rrh=link_rrh,
         link_ue=link_ue,
         est=est.reshape(len(rue), starts.shape[1] * n),
-        est_rows=np.concatenate(
-            [links.est_rrh.transpose(1, 0, 2).reshape(num_ue, num_rrh * n), links.est_mbs], axis=1
-        ),
     )
 
 
@@ -205,15 +196,12 @@ class QcqpProblem:
     mbs_lin: np.ndarray
 
 
-def mse_and_equalizer(g_eff: np.ndarray, w: np.ndarray, j_power):
-    """Optimal scalar equalizers and the resulting MSEs (mse, f).
-
-    g_eff (..., D) is the usable (estimated) channel, w its beam and j_power
-    (...) the expected interference-plus-noise power, one UE per entry.
-    """
+def mse_and_equalizer(a, j_power):
+    """Optimal scalar equalizers and their MSEs (mse, f) from the useful
+    amplitude a = est^H w (``useful_amplitude``) and the expected
+    interference-plus-noise power j_power, one UE per entry."""
     if np.any(np.asarray(j_power) <= 0):
         raise ValueError("interference-plus-noise power must be positive")
-    a = (g_eff.conj()[..., None, :] @ w[..., :, None])[..., 0, 0]
     f = a / (np.abs(a) ** 2 + j_power)
     mse = np.abs(np.conj(f) * a - 1.0) ** 2 + np.abs(f) ** 2 * j_power
     return mse, f
@@ -702,7 +690,7 @@ def solve_qcqp(
     ((K,) by RRH id) and nu0 warm-start the multipliers.
 
     Returns (beams, info): beams is (RUE stack, (J, B) BUE beams), which
-    ``layout.split(layout.rows(*beams))`` turns into a BeamformerSet. info
+    ``layout.beams(*beams)`` turns into a BeamformerSet. info
     holds the RRH-side solver's counters and final violation and gap, the MBS
     side's final relative cap excess (``mbs_violation``; 0.0 when there is no
     BUE, as the RRH side reports for no live block), the multipliers
@@ -775,7 +763,7 @@ def rtd_solve(
     distributed realization is the QCQP's split into the RRH-side and
     MBS-side subproblems, which ``solve_qcqp`` solves separately; they
     exchange only the equalizers, auxiliaries and beams. Returns
-    (BeamformerSet, RtdState).
+    (the last cycle's BeamformerSet, RtdState).
 
     The design reads the clusters from ``links.topology`` and never reads the
     ``topology`` argument, which should be that same object. It stays the
@@ -785,10 +773,10 @@ def rtd_solve(
     """
     prelog = prelog_factor(training.tau, training.coherence)
     layout = stack_layout(links, budgets)
-    num_ue = layout.est_rows.shape[0]
     w_rue = np.zeros_like(layout.est)
     w_bue = np.zeros((layout.bue.size, links.mbs_antennas), dtype=complex)
-    f, u = np.ones(num_ue, dtype=complex), np.ones(num_ue)
+    beams = layout.beams(w_rue, w_bue)
+    f, u = np.ones(len(beams.mbs), dtype=complex), np.ones(len(beams.mbs))
     summed = ("coordinate_passes", "newton_accepted", "newton_rejected", "linear_solves")
     counters = dict.fromkeys(("dual_updates",) + summed, 0)
     state = RtdState(mse=np.zeros(0), counters=counters)
@@ -814,9 +802,9 @@ def rtd_solve(
         delta = float(np.sum(np.abs(rue_new - w_rue) ** 2) + np.sum(np.abs(bue_new - w_bue) ** 2))
         w_rue, w_bue = rue_new, bue_new
         # Equalizer and auxiliary steps, for every UE at once.
-        rows = layout.rows(w_rue, w_bue)
-        j_power = interference_plus_noise(links, layout.split(rows), training.noise_power)
-        mse, f = mse_and_equalizer(layout.est_rows, rows, j_power)
+        beams = layout.beams(w_rue, w_bue)
+        j_power = interference_plus_noise(links, beams, training.noise_power)
+        mse, f = mse_and_equalizer(useful_amplitude(links, beams), j_power)
         u = update_u(mse)
         state.mse = mse
         state.objective_trace.append(float(np.sum(np.exp(u - 1.0) * mse - u)))
@@ -825,4 +813,4 @@ def rtd_solve(
         if delta <= RHO:
             state.converged = True
             break
-    return layout.split(layout.rows(w_rue, w_bue)), state
+    return beams, state

@@ -71,6 +71,10 @@ _SCENARIO_SWEEPS = {
 _TRAINING_SWEEPS = {"tau", "coherence"}
 
 
+class PilotOverflowError(ValueError):
+    """A schedule's pilots fill the coherence block; sweeps count a failure."""
+
+
 @dataclass
 class ExperimentConfig:
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
@@ -105,8 +109,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown beamformer {b!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.mc_trials < 2:
-            raise ValueError("mc_trials must be >= 2")
+        if self.mc_trials < 2 or self.mc_trials % 2:
+            raise ValueError(f"mc_trials must be >= 2 and even, got {self.mc_trials!r}")
         for value in self.sweep_values:  # a value the configs reject fails here, not mid-sweep
             scenario, training = _apply_sweep(self, value)
             if training.tau > scenario.num_ue:
@@ -191,15 +195,21 @@ class _Scene:
         return self._schedules[key]
 
     def solve(self, assignment, training: TrainingConfig, beamformer: str) -> dict:
-        """Estimate, run one beamformer and rate it; returns a results dict."""
+        """Estimate, run one beamformer and rate it; returns a results dict.
+        Rates use the pilots the assignment spends (``effective_tau``), and a
+        PilotOverflowError is raised when those fill the coherence block."""
         topology, cfg = self.topology, self.cfg
+        if assignment.tau >= training.coherence:
+            raise PilotOverflowError(
+                f"effective tau {assignment.tau} (tau {training.tau} lifted to the larger of the "
+                f"coloring number {self.graph.coloring[0]} and the MBS-served user count "
+                f"{len(topology.bue_set)}) reaches the coherence length {training.coherence}"
+            )
         if beamformer == "rtd_perfect_csi":
             state = perfect_channel_state(topology, self.channels)
         else:
             seed = child_seed(cfg.master_seed, self.r, 3)
             state = estimate_channels(topology, assignment, training, self.channels, seed)
-        # Rate prelog reflects the pilots actually spent (tau may have been
-        # clamped up to the conflict-coloring count or the BUE count).
         training_eff = dataclasses.replace(training, tau=assignment.tau)
         links = build_covariances(topology, state)
         beams, rtd_state = rtd_solve(topology, links, training_eff, cfg.budgets)
@@ -212,7 +222,6 @@ class _Scene:
             "topology": topology,
             "assignment": assignment,
             "links": links,
-            "state": state,
             "beams": beams,
             "rtd_state": rtd_state,
             "prelog": prelog,
@@ -263,7 +272,7 @@ def _se_metrics(scene: _Scene, training: TrainingConfig) -> dict:
             tag = f"{scheduler}_{beamformer}"
             try:
                 res = scene.solve(assignment, training, beamformer)
-            except ConvergenceError as exc:
+            except (ConvergenceError, PilotOverflowError) as exc:
                 out[f"failed_{tag}"] = str(exc)
                 continue
             out[f"sum_se_lb_{tag}"] = float(sum(res["lb"].values()))
@@ -280,7 +289,7 @@ def _tightness_metrics(scene: _Scene, training: TrainingConfig) -> dict:
     assignment = scene.schedule(cfg.schedulers[0], training)
     try:
         res = scene.solve(assignment, training, cfg.beamformers[0])
-    except ConvergenceError as exc:
+    except (ConvergenceError, PilotOverflowError) as exc:
         return {"failed": str(exc)}
     topology, lb, mc = res["topology"], res["lb"], res["mc"]
     lb_rue = float(sum(lb[i] for i in topology.rue_set))

@@ -6,17 +6,16 @@ conditional mean and a per-antenna variance: an estimated link is its MMSE
 estimate plus a zero-mean error with the estimation error variance, a link
 not estimated is zero-mean with variance alpha. ``estimate_channels`` writes these
 numbers as arrays and ``AggregatedLinks`` attaches the topology, which holds
-the serving clusters, to the same arrays. The lower bound replaces each
-interference term by its second moment under that model, taken per RRH
-(block-diagonally across the RRHs of a serving cluster): the moment of
-cluster(src)->dst is
+the serving clusters, to the same arrays. RTD's equalizer step and the lower
+bound read one signal, each UE's ``useful_amplitude`` est_m^H w_m. The lower
+bound replaces each interference term by its second moment under that model,
+taken per RRH (block-diagonally across the RRHs of a serving cluster): the
+moment of cluster(src)->dst is
 
     sum_{k in C(src)}  |est[k, dst]^H w_k|^2 + var[k, dst] * ||w_k||^2.
 
-Each RRH-served user i sees an aggregated channel from its serving cluster
-(the per-RRH vectors stacked in sorted RRH order). ``monte_carlo_rates``
-computes the rate the bound stands in for exactly, under the same model, as a
-one-dimensional integral over the Laplace transform of the interference.
+``monte_carlo_rates`` computes the rate the bound stands in for exactly under
+that model, as a one-dimensional Laplace-transform integral.
 """
 
 from __future__ import annotations
@@ -47,21 +46,8 @@ class AggregatedLinks:
     var_mbs: np.ndarray                 # (M,)
 
     @property
-    def block_size(self) -> int:
-        """Antennas per RRH block."""
-        return self.est_rrh.shape[2]
-
-    @property
     def mbs_antennas(self) -> int:
         return self.est_mbs.shape[1]
-
-    def estimate(self, ue_id: int) -> np.ndarray:
-        """The usable channel of a UE: the stacked cluster estimate of a RUE,
-        the MBS-link estimate of a BUE."""
-        cluster = self.topology.serving_rrhs[ue_id]
-        if cluster:
-            return self.est_rrh[cluster, ue_id].reshape(-1)
-        return self.est_mbs[ue_id]
 
 
 def build_covariances(topology: Topology, state: ChannelState) -> AggregatedLinks:
@@ -100,17 +86,22 @@ def interference_plus_noise(links: AggregatedLinks, beams, noise_power: float):
     return moments.sum(axis=0) + noise_power
 
 
-def lower_bound_rates(links: AggregatedLinks, beams, noise_power: float, prelog: float):
-    """Per-UE spectral-efficiency lower bounds (bits/s/Hz), RUEs first."""
-    j_power = interference_plus_noise(links, beams, noise_power)
+def useful_amplitude(links: AggregatedLinks, beams) -> np.ndarray:
+    """(M,) array by UE id of sum_k est_rrh[k, m]^H w_rrh[m, k] +
+    est_mbs[m]^H w_mbs[m]: the own-link estimate times the beam, since beams
+    are zero off a UE's cluster and serving side."""
     w_rrh, w_mbs = beams
-    topology = links.topology
-    own = {i: w_rrh[i, topology.serving_rrhs[i]].reshape(-1) for i in topology.rue_set}
-    own.update((j, w_mbs[j]) for j in topology.bue_set)
-    return {
-        m: prelog * math.log1p(abs(np.vdot(links.estimate(m), w)) ** 2 / j_power[m]) / math.log(2.0)
-        for m, w in own.items()
-    }
+    rrh = np.einsum("kmn,mkn->m", links.est_rrh.conj(), w_rrh)
+    return rrh + np.einsum("mb,mb->m", links.est_mbs.conj(), w_mbs)
+
+
+def lower_bound_rates(links: AggregatedLinks, beams, noise_power: float, prelog: float):
+    """Per-UE spectral-efficiency lower bounds (bits/s/Hz), RUEs first:
+    prelog * log2(1 + |useful_amplitude|^2 / interference_plus_noise)."""
+    j_power = interference_plus_noise(links, beams, noise_power)
+    sinr = np.abs(useful_amplitude(links, beams)) ** 2 / j_power
+    ids = links.topology.rue_set + links.topology.bue_set
+    return {m: prelog * math.log1p(sinr[m]) / math.log(2.0) for m in ids}
 
 
 def monte_carlo_rates(
@@ -132,11 +123,12 @@ def monte_carlo_rates(
     ln(40 / noise)]; outside it the integrand is negligible.
 
     Returns (rates, stderr) keyed by UE id, both scaled by the prelog; stderr
-    is the rule's error estimate, |Q - Q on every second node|. The name and
+    is the rule's error estimate, |Q - Q on every second node|, so ``trials``
+    is even (otherwise that rule stops one interval short). The name and
     ``trials`` are kept from the Monte Carlo sampler this replaced.
     """
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
+    if trials < 2 or trials % 2:
+        raise ValueError(f"trials must be >= 2 and even, got {trials!r}")
     w_rrh, w_mbs = beams
     # mean[dst, src]: the estimate part of the links, summed over src's cluster
     mean = np.einsum("skn,kdn->ds", w_rrh, links.est_rrh.conj()) + links.est_mbs.conj() @ w_mbs.T

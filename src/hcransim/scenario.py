@@ -216,6 +216,8 @@ def save_topology(topology: Topology, path) -> None:
 
 
 def load_topology(path) -> Topology:
+    """Read a ``save_topology`` dump; an entry that is missing, repeated or
+    out of range is a ValueError that names its tag and index."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][0] != TOPOLOGY_FORMAT:
@@ -224,11 +226,10 @@ def load_topology(path) -> Topology:
         raise ValueError(f"unsupported topology format version {rows[0][1]}")
 
     config_kwargs: dict = {}
-    rrh_rows: dict[int, tuple[float, float]] = {}
-    ue_rows: dict[int, tuple[float, float]] = {}
-    serving: dict[int, list[int]] = {}
-    alpha_rrh_rows: dict[tuple[int, int], float] = {}
-    alpha_mbs_rows: dict[int, float] = {}
+    # Per tag: the fields that index an entry, then the values it holds.
+    layout = {"rrh": (1, 2), "ue": (1, 2), "serving": (2, 0),
+              "alpha_rrh": (2, 1), "alpha_mbs": (1, 1)}
+    entries: dict[str, dict] = {tag: {} for tag in layout}
     config_types = {f.name: f.type for f in fields(ScenarioConfig)}
     for row in rows[1:]:
         tag = row[0]
@@ -236,39 +237,47 @@ def load_topology(path) -> Topology:
             name, value = row[1], row[2]
             caster = int if config_types[name] == "int" else float
             config_kwargs[name] = caster(value)
-        elif tag == "rrh":
-            rrh_rows[int(row[1])] = (float(row[2]), float(row[3]))
-        elif tag == "ue":
-            ue_rows[int(row[1])] = (float(row[2]), float(row[3]))
-        elif tag == "serving":
-            serving.setdefault(int(row[1]), []).append(int(row[2]))
-        elif tag == "alpha_rrh":
-            alpha_rrh_rows[(int(row[1]), int(row[2]))] = float(row[3])
-        elif tag == "alpha_mbs":
-            alpha_mbs_rows[int(row[1])] = float(row[2])
+        elif tag in layout:
+            width, values = layout[tag]
+            if len(row) != 1 + width + values:
+                raise ValueError(f"{tag} row {row} needs {width + values} fields after the tag")
+            index = tuple(int(x) for x in row[1:1 + width])
+            if index in entries[tag]:
+                raise ValueError(f"duplicate {tag} entry {_label(index)}")
+            entries[tag][index] = [float(x) for x in row[1 + width:]]
         else:
             raise ValueError(f"unknown row tag {tag!r}")
 
-    cfg = ScenarioConfig(**config_kwargs)
-    k_count, m_count = len(rrh_rows), len(ue_rows)
-    rrh_positions = np.array([rrh_rows[k] for k in range(k_count)])
-    ue_positions = np.array([ue_rows[i] for i in range(m_count)])
-    serving_rrhs = [sorted(serving.get(i, [])) for i in range(m_count)]
-    alpha_rrh = np.empty((k_count, m_count))
-    for (k, i), value in alpha_rrh_rows.items():
-        alpha_rrh[k, i] = value
-    alpha_mbs = np.array([alpha_mbs_rows[i] for i in range(m_count)])
+    k_count = 1 + max((k for k, in entries["rrh"]), default=-1)
+    m_count = 1 + max((i for i, in entries["ue"]), default=-1)
+    shapes = {"rrh": (k_count,), "ue": (m_count,), "serving": (m_count, k_count),
+              "alpha_rrh": (k_count, m_count), "alpha_mbs": (m_count,)}
+    for tag, shape in shapes.items():
+        for index in entries[tag]:
+            if not all(0 <= x < n for x, n in zip(index, shape)):
+                raise ValueError(f"{tag} entry {_label(index)} out of range {shape}")
+        missing = next((ix for ix in np.ndindex(*shape) if ix not in entries[tag]), None)
+        if missing is not None and tag != "serving":  # a UE without one is MBS-served
+            raise ValueError(f"missing {tag} entry {_label(missing)}")
+
+    def table(tag: str) -> np.ndarray:
+        values = [entries[tag][index] for index in np.ndindex(*shapes[tag])]
+        return np.array(values, dtype=float).reshape(shapes[tag] + (layout[tag][1],))
 
     topo = Topology(
-        config=cfg,
-        rrh_positions=rrh_positions,
-        ue_positions=ue_positions,
-        serving_rrhs=serving_rrhs,
-        alpha_rrh=alpha_rrh,
-        alpha_mbs=alpha_mbs,
+        config=ScenarioConfig(**config_kwargs),
+        rrh_positions=table("rrh"),
+        ue_positions=table("ue"),
+        serving_rrhs=[[k for j, k in sorted(entries["serving"]) if j == i] for i in range(m_count)],
+        alpha_rrh=table("alpha_rrh")[..., 0],
+        alpha_mbs=table("alpha_mbs")[:, 0],
     )
     topo.validate()
     return topo
+
+
+def _label(index: tuple) -> str:
+    return ",".join(map(str, index))
 
 
 def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:

@@ -245,7 +245,7 @@ def unpack_qcqp(problem):
 def solved(problem, **kwargs):
     """``solve_qcqp`` with its beams as a BeamformerSet: (beams, info)."""
     beams, info = solve_qcqp(problem, **kwargs)
-    return problem.layout.split(problem.layout.rows(*beams)), info
+    return problem.layout.beams(*beams), info
 
 
 def group_power(beams, name, members):

@@ -317,13 +317,13 @@ def assemble_qcqp_oracle(links, f, u):
     w8 = np.zeros(links.var_mbs.shape[0])
     for m in topology.rue_set + topology.bue_set:
         w8[m] = math.exp(u[m] - 1.0) * abs(f[m]) ** 2
-    n = links.block_size
+    n = links.est_rrh.shape[2]
     scaled = links.est_rrh * w8[None, :, None]
     per_rrh = np.sum(scaled[..., :, None] * links.est_rrh.conj()[..., None, :], axis=1)
     per_rrh[:, np.arange(n), np.arange(n)] += (links.var_rrh @ w8)[:, None]
     quad, lin = {}, {}
     for i in topology.rue_set:
-        g = links.estimate(i)
+        g = _stacked_estimate(links, topology.serving_rrhs[i], i)
         mat = w8[i] * np.outer(g, g.conj())
         for pos, k in enumerate(topology.serving_rrhs[i]):
             mat[pos * n:(pos + 1) * n, pos * n:(pos + 1) * n] = per_rrh[k]

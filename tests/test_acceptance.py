@@ -157,7 +157,7 @@ def test_c4_mse_sinr_and_rate_identities():
         g = crandn(rng, n)
         w = crandn(rng, n) * rng.uniform(0.1, 3.0)
         j_power = float(rng.uniform(1e-3, 10.0))
-        mse, _ = mse_and_equalizer(g, w, j_power)
+        mse, _ = mse_and_equalizer(np.vdot(g, w), j_power)
         sinr = abs(np.vdot(g, w)) ** 2 / j_power
         worst_prod = max(worst_prod, abs(mse * (1.0 + sinr) - 1.0))
         worst_rate = max(worst_rate, abs(-math.log2(mse) - math.log2(1.0 + sinr)))

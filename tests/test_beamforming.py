@@ -50,6 +50,7 @@ from oracles import (
     dense_rue_matrices,
     golden_min,
     has_shared_rrh_pair,
+    own_estimate_oracle,
     pgd_qcqp_oracle,
     pgd_qcqp_oracle_batched,
     qcqp_value,
@@ -88,11 +89,11 @@ def test_power_budget_and_beam_container_mechanics():
 
 
 def test_mse_and_equalizer_frozen_point():
-    mse, f = mse_and_equalizer(np.array([1.0 + 0j]), np.array([1.0 + 0j]), 1.0)
+    mse, f = mse_and_equalizer(1.0 + 0j, 1.0)
     assert f == pytest.approx(0.5)
     assert mse == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        mse_and_equalizer(np.array([1.0 + 0j]), np.array([1.0 + 0j]), 0.0)
+        mse_and_equalizer(1.0 + 0j, 0.0)
 
 
 def test_mse_and_u_updates_on_arrays_match_the_scalar_results():
@@ -101,14 +102,15 @@ def test_mse_and_u_updates_on_arrays_match_the_scalar_results():
     rng = child_rng(31, 10)
     g, w = crandn(rng, 6, 4), crandn(rng, 6, 4)
     j_power = rng.uniform(0.1, 2.0, size=6)
-    mse, f = mse_and_equalizer(g, w, j_power)
+    a = (g.conj()[:, None, :] @ w[:, :, None])[:, 0, 0]
+    mse, f = mse_and_equalizer(a, j_power)
     u = update_u(mse)
     assert mse.shape == f.shape == u.shape == (6,)
     for m in range(6):
-        mse_m, f_m = mse_and_equalizer(g[m], w[m], j_power[m])
+        mse_m, f_m = mse_and_equalizer(a[m], j_power[m])
         assert (mse[m], f[m], u[m]) == (mse_m, f_m, update_u(mse_m))
     with pytest.raises(ValueError):
-        mse_and_equalizer(g, w, np.where(np.arange(6) == 3, 0.0, j_power))
+        mse_and_equalizer(a, np.where(np.arange(6) == 3, 0.0, j_power))
     with pytest.raises(ValueError):
         update_u(np.where(np.arange(6) == 2, -1e-3, mse))
 
@@ -123,7 +125,7 @@ def test_equalizer_minimizes_the_mse():
     def mse_of(f):
         return abs(np.conj(f) * a - 1.0) ** 2 + abs(f) ** 2 * j_power
 
-    mse, f_opt = mse_and_equalizer(g, w, j_power)
+    mse, f_opt = mse_and_equalizer(a, j_power)
     assert mse == pytest.approx(mse_of(f_opt), rel=1e-12)
     for eps in (1e-3, 1e-2, 0.1):
         for phase in np.linspace(0.0, 2 * np.pi, 8, endpoint=False):
@@ -139,7 +141,7 @@ def test_mmse_sinr_identity():
         g = crandn(rng, dim)
         w = crandn(rng, dim)
         j_power = float(rng.uniform(1e-3, 10.0))
-        mse, _ = mse_and_equalizer(g, w, j_power)
+        mse, _ = mse_and_equalizer(np.vdot(g, w), j_power)
         sinr = abs(np.vdot(g, w)) ** 2 / j_power
         assert mse * (1.0 + sinr) == pytest.approx(1.0, abs=1e-12)
         assert -np.log2(mse) == pytest.approx(np.log2(1.0 + sinr), abs=1e-11)
@@ -214,7 +216,7 @@ def test_assembled_qcqp_equals_weighted_mse_up_to_constant():
     j_power = interference_plus_noise(links, beams, training.noise_power)
     weighted = 0.0
     for m, w in own.items():
-        a = complex(np.vdot(links.estimate(m), w))
+        a = complex(np.vdot(own_estimate_oracle(topology, links, m), w))
         weighted += math.exp(u[m] - 1.0) * (
             abs(np.conj(f[m]) * a - 1.0) ** 2 + abs(f[m]) ** 2 * j_power[m])
     constant = sum(
@@ -261,7 +263,7 @@ def test_stack_assembly_matches_the_per_ue_reference():
     problem = assemble_qcqp(links, f, u, layout)
     quad, lin = assemble_qcqp_oracle(links, f, u)
     base, rhs = dense_rue_matrices(problem)
-    n, width = links.block_size, layout.est.shape[1]
+    n, width = layout.block_size, layout.est.shape[1]
     pairs = []
     for row, i in enumerate(layout.rue.tolist()):
         live = np.repeat(budget[clusters[i]] > 0, n)
@@ -299,7 +301,7 @@ def test_returned_beams_are_zero_where_no_beam_is_designed():
     assert not np.any(beams.rrh[~designed]) and not np.any(beams.mbs[rues])
     assert np.all(np.any(beams.rrh[designed], axis=1))
     assert np.all(np.any(beams.mbs[bues], axis=1))
-    n = links.block_size
+    n = links.est_rrh.shape[2]
     per_rrh = np.zeros(topology.num_rrh)
     for i, cluster in clusters.items():
         for block, k in zip(stacked_beam(beams, topology, i).reshape(-1, n), cluster):
@@ -660,7 +662,7 @@ def test_solver_multipliers_reproduce_its_beams():
     for problem in problems + [_zero_budget_drop_qcqp()]:
         layout = problem.layout
         (w_rue, w_bue), info = solve_qcqp(problem)
-        beams = layout.split(layout.rows(w_rue, w_bue))
+        beams = layout.beams(w_rue, w_bue)
         mu = info["rrh_dual"][layout.active]
         want = dense_rrh_beams(problem, mu)
         assert np.linalg.norm(w_rue - want) <= 1e-9 * max(np.linalg.norm(want), 1e-300)
@@ -820,7 +822,7 @@ def test_singular_user_matrix_gets_the_minimum_norm_beam():
     problem = hand_qcqp(links, np.ones(2), np.ones(2), [0.25, 1.0, 1.0])
     layout = problem.layout
     (w_rue, w_bue), info = solve_qcqp(problem)
-    beams = layout.split(layout.rows(w_rue, w_bue))
+    beams = layout.beams(w_rue, w_bue)
     assert info["rrh_dual"][0] == pytest.approx(1.0, rel=1e-9)
     assert np.allclose(beams.rrh[0, [0, 1], 0], [0.5, 0.0], rtol=1e-9, atol=1e-12)
     assert np.allclose(beams.rrh[1, [1, 2], 0], [0.0, 1.0], rtol=1e-9, atol=1e-12)

@@ -96,6 +96,8 @@ def test_traced_sweep_captures_what_the_checks_read():
     assert tracer.counters["rtd_iterations"] == state.iterations > 0
     assert len(captured["lb"]) == len(captured["mc"]) == 1
     workloads.check_traced(captured)
+    over, users = workloads.bound_violations(captured)
+    assert users == topology.num_ue and 0 <= over <= users
 
 
 def test_linear_solve_counter_matches_the_tracer_count():

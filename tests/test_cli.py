@@ -96,6 +96,23 @@ def test_solve_one_artifacts(tiny_cfg, tmp_path, capsys):
     assert names >= {"topology.csv", "assignment.csv", "rates.csv", "trace.csv"}
 
 
+def test_solve_one_reports_a_pilot_overflow(tmp_path, capsys):
+    """At master seed 12, realization 0 has all 12 users MBS-served, so the
+    pilots fill the 11-symbol coherence block; solve-one says so."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "scenario": {"num_ue": 12, "num_rrh": 10, "coverage_radius": 60.0},
+        "training": {"tau": 2, "coherence": 11},
+        "sweep": {"name": "tau", "values": [2]},
+    }))
+    code = main(["solve-one", "--config", str(path), "--seed", "12", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: effective tau 12 (tau 2 lifted to the larger of the coloring number 0 and "
+        "the MBS-served user count 12) reaches the coherence length 11\n"
+    )
+
+
 def test_bad_config_reports_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scheduler": ["psa"]}))

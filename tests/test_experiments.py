@@ -79,15 +79,18 @@ def test_scenario_and_training_configs_are_frozen(config, name):
 
 
 def test_mc_trials_below_two_fails_at_construction(tmp_path):
-    """The rate quadrature needs two intervals; a config asking for fewer is
-    rejected before any realization runs, from Python and from a file."""
-    for trials in (1, 0):
+    """The rate quadrature needs an even number of at least two intervals
+    (its error estimate reruns it on every second node); a config asking
+    for anything else is rejected before any realization runs, from Python
+    and from a file."""
+    for trials in (1, 0, 3, 401):
         with pytest.raises(ValueError, match="mc_trials must be >= 2"):
             tiny_config(mc_trials=trials)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"mc_trials": 1}))
-    with pytest.raises(ValueError, match="mc_trials must be >= 2"):
-        load_config(path)
+    for trials in (1, 401):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mc_trials": trials}))
+        with pytest.raises(ValueError, match="mc_trials must be >= 2"):
+            load_config(path)
     assert tiny_config(mc_trials=2).mc_trials == 2
 
 
@@ -358,6 +361,32 @@ def test_se_sweep_failure_accounting(monkeypatch):
     rows = {row[1]: row for row in result.rows}
     assert rows["failures_psa_rtd"][2] == 1.0
     assert rows["sum_se_lb_psa_rtd"][4] == 2  # failed realization excluded
+
+
+def test_a_pilot_overflow_is_a_failure_row_not_an_aborted_sweep():
+    """Realization 2 of this config has all 12 users MBS-served, so its
+    effective tau of 12 reaches the coherence length of 11. The SE and
+    tightness sweeps report it as one failure row, naming what lifted tau,
+    and the other five realizations keep their metrics."""
+    cfg = ExperimentConfig(
+        scenario=ScenarioConfig(num_ue=12, num_rrh=10, coverage_radius=60.0),
+        training=TrainingConfig(tau=2, coherence=11),
+        sweep_values=(2,),
+        num_realizations=6,
+        mc_trials=8,
+    )
+    rows = {row[1]: row for row in run_se_sweep(cfg).rows}
+    assert rows["failures_psa_rtd"][2:] == (1.0, 0.0, 6)
+    assert rows["sum_se_lb_psa_rtd"][4] == rows["sum_se_mc_psa_rtd"][4] == 5
+    tight = dataclasses.replace(cfg, sweep_name="rrh_antennas", sweep_values=(4,))
+    rows = {row[1]: row for row in run_tightness(tight).rows}
+    assert rows["failures"][2:] == (1.0, 0.0, 6)
+    assert rows["sum_lb_rue"][4] == rows["sum_mc_bue"][4] == 5
+    scene = experiments._Scene(cfg, cfg.scenario, 2)
+    assert experiments._se_metrics(scene, cfg.training) == {
+        "failed_psa_rtd": "effective tau 12 (tau 2 lifted to the larger of the coloring "
+        "number 0 and the MBS-served user count 12) reaches the coherence length 11"
+    }
 
 
 def test_dual_iteration_cap_reaches_the_solver(monkeypatch):

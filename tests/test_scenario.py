@@ -129,6 +129,34 @@ def test_load_topology_rejects_foreign_files(tmp_path):
         load_topology(path)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: [r for r in rows if not r.startswith("alpha_rrh,3,5,")],
+         "missing alpha_rrh entry 3,5"),
+        (lambda rows: rows + ["alpha_rrh,99,0,0.5"], "alpha_rrh entry 99,0 out of range"),
+        (lambda rows: rows + ["alpha_rrh,3,5,0.5"], "duplicate alpha_rrh entry 3,5"),
+        (lambda rows: [r for r in rows if not r.startswith("rrh,4,")], "missing rrh entry 4"),
+        (lambda rows: rows + ["ue,-1,0.0,0.0"], "ue entry -1 out of range"),
+        (lambda rows: rows + ["ue,8,0.0,0.0"], "missing alpha_rrh entry 0,8"),
+        (lambda rows: [r for r in rows if not r.startswith("alpha_mbs,2,")],
+         "missing alpha_mbs entry 2"),
+        (lambda rows: rows + ["serving,3,99"], "serving entry 3,99 out of range"),
+        (lambda rows: rows + [next(r for r in rows if r.startswith("serving,"))],
+         "duplicate serving entry"),
+    ],
+)
+def test_load_topology_names_a_missing_duplicate_or_out_of_range_entry(tmp_path, edit, message):
+    """A dump with an entry dropped, repeated or out of range fails to load
+    with a ValueError naming it; a dropped gain used to load as whatever the
+    uninitialized array held."""
+    path = tmp_path / "topology.csv"
+    save_topology(generate_topology(ScenarioConfig(rng_seed=1)), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_topology(path)
+
+
 def test_validate_catches_corruption():
     topo = generate_topology(ScenarioConfig(num_rrh=8, num_ue=6, rng_seed=2))
     topo.alpha_mbs = -topo.alpha_mbs
