@@ -10,21 +10,19 @@ subject to per-RRH and MBS sum-power constraints. RRH constraints couple the
 RUE beams through shared blocks and are handled by dual decomposition
 (projected Newton steps on the multipliers, accepted by Armijo's rule on the
 concave dual, where only a multiplier whose own scaled gradient step reaches
-zero counts as at its bound; exact coordinate sweeps open a cold start and
-take over whenever a Newton step is rejected); the MBS constraint couples
-the BUE beams through a single scalar multiplier. Every
-block at an RRH costs that RRH's one matrix G, and a RUE's own rank-one term
-is the only coupling between its blocks, so the RRH side works in each RRH's
-eigenbasis and solves every user's system, Schur complement and the dual's
-Hessian in closed form (Sherman-Morrison), with no linear solve but the
-Newton step's. With the other multipliers fixed, the power under one
-constraint is a secular function sum |coef|^2 / (lam + x)^2 of its
-multiplier x, built from eigendecompositions (of each RUE's Schur complement
-on the RRH's block, a rank-one update of the RRH's eigenvalues; of the one
-matrix all BUEs share) and solved by the same safeguarded Newton iteration
-on both sides. With the other multipliers fixed, RRHs that serve no common
-RUE are decoupled, so the RRH-side sweep updates each run of consecutive
-such RRHs in one batched pass. The f and u updates are closed-form.
+zero counts as at its bound; an exact coordinate sweep takes over whenever a
+Newton step is rejected); the MBS constraint couples the BUE beams through a
+single scalar multiplier. Every block at an RRH costs that RRH's one matrix
+G, and a RUE's own rank-one term is the only coupling between its blocks, so
+the RRH side works in each RRH's eigenbasis and solves every user's system,
+Schur complement and the dual's Hessian in closed form (Sherman-Morrison),
+with no linear solve but the Newton step's. With the other multipliers
+fixed, the power under one constraint is a secular function
+sum |coef|^2 / (lam + x)^2 of its multiplier x, built from
+eigendecompositions (of each RUE's Schur complement on the RRH's block, a
+rank-one update of the RRH's eigenvalues; of the one matrix all BUEs share)
+and solved by the same safeguarded Newton iteration on both sides. The f and
+u updates are closed-form.
 
 The alternation runs on arrays: one ``StackLayout`` per design, each QCQP
 kept in factored form on it (per-RRH matrices, per-RUE weights and linear
@@ -58,6 +56,8 @@ MAX_RTD_ITERS = 100
 # and the step halvings tried along the projection arc.
 ARMIJO_SIGMA = 1e-4
 NEWTON_BACKTRACKS = 6
+# What the RRH-side dual solver counts, per solve and summed over a design.
+DUAL_COUNTERS = ("coordinate_passes", "newton_accepted", "newton_rejected", "linear_solves")
 
 
 class ConvergenceError(RuntimeError):
@@ -108,11 +108,10 @@ class StackLayout:
     Row u is RUE ``rue[u]``: its cluster's positive-budget blocks in order,
     padded with identity blocks to P blocks (W = P * block_size entries).
     ``starts[u, p]`` is block p's active slot (RRH ``active[slot]``), or
-    len(active) at padding. ``users_of[a]``
-    holds slot a's (rows, block positions), ``runs`` the sweep's runs. The
-    ``live`` (U, P) blocks are, in row-major order, the links ``link_rrh`` ->
-    ``link_ue``, with estimates ``est`` (U, W). BUE ``bue[j]`` is row j of
-    the MBS side's (J, B) beams.
+    len(active) at padding. ``users_of[a]`` holds slot a's (rows, block
+    positions). The ``live`` (U, P) blocks are, in row-major order, the links
+    ``link_rrh`` -> ``link_ue``, with estimates ``est`` (U, W). BUE ``bue[j]``
+    is row j of the MBS side's (J, B) beams.
     """
 
     block_size: int
@@ -123,7 +122,6 @@ class StackLayout:
     active: np.ndarray
     starts: np.ndarray
     users_of: list
-    runs: list[list[int]]
     live: np.ndarray
     link_rrh: np.ndarray
     link_ue: np.ndarray
@@ -167,7 +165,6 @@ def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
         active=active,
         starts=starts,
         users_of=users_of,
-        runs=_disjoint_runs(users_of),
         live=live,
         link_rrh=link_rrh,
         link_ue=link_ue,
@@ -325,23 +322,6 @@ def _secular_root(
     return hi
 
 
-def _disjoint_runs(users_of: list) -> list[list[int]]:
-    """Split the RRH-side sweep order 0..len(users_of)-1 into runs.
-
-    users_of[a] is active RRH a's (users, block positions). A run is a
-    maximal block of consecutive RRHs of which no two serve a common user.
-    """
-    runs, seen = [], set()
-    for a, (users, _) in enumerate(users_of):
-        mine = set(users.tolist())
-        if not runs or seen & mine:
-            runs.append([])
-            seen = set()
-        runs[-1].append(a)
-        seen |= mine
-    return runs
-
-
 class _Eigenbasis:
     """Every RUE's system on the RRH side, in closed form in each active RRH's
     eigenbasis.
@@ -470,58 +450,52 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
     in closed form from one eigendecomposition per active RRH. The concave
     dual is maximized by two kinds of update:
 
-    * cyclic exact coordinate ascent — with the other multipliers fixed, RRH
-      k's block of each user it serves is (S_ik + mu_k I)^{-1} c_ik, S_ik the
-      Schur complement of the user's matrix on block k, a rank-one update of
-      diag(lam_k) (``_Eigenbasis.schur``). One batched n x n eigendecomposition
-      over the users RRH k serves turns its power into a secular function
-      of mu_k, whose complementary-slackness root (mu_k = 0 when the cap
-      already holds) ``_secular_root`` finds. Scale-free per constraint,
-      globally convergent. A sweep visits the active RRHs in order, a run at
-      a time (``_disjoint_runs``: maximal blocks of consecutive RRHs of which
-      no two share a user). The members of a run read and write disjoint
-      users and none sees another's multiplier, so one eigendecomposition
-      over the run's users and one root per member give exactly the
-      iterates of updating them one after another.
     * projected Newton steps — overlapping serving clusters couple the
-      multipliers strongly enough that coordinate ascent's linear tail can
-      crawl. The dual's gradient is powers - cap and its Hessian, the
-      power-balance Jacobian, is closed-form (``_Eigenbasis.power_jacobian``),
-      so projected Newton (Bertsekas 1982) moves them together: a
-      coordinate in the eps-active set at mu = 0 takes a scaled gradient
+      multipliers strongly, so projected Newton (Bertsekas 1982) moves them
+      together. The dual's gradient is powers - cap and its Hessian, the
+      power-balance Jacobian, is closed-form (``_Eigenbasis.power_jacobian``).
+      A coordinate in the eps-active set at mu = 0 takes a scaled gradient
       step, the rest a Newton step. eps is per coordinate, |g_k| / h_k for
       gradient g and Hessian diagonal magnitude h, so a multiplier counts as
       at its bound only when its own scaled gradient step reaches zero; a
       settled multiplier stays in the Newton block, whose step accounts for
-      its coupling to the others. A step is backtracked along the projection
-      arc and accepted when the dual value rises by Armijo's rule
-      (ARMIJO_SIGMA) and no cap is exceeded by more than before.
+      its coupling to the others. A coordinate above its cap solves
+      p^{-1/2} = cap^{-1/2} rather than p = cap: a power behaves like
+      sum |c|^2 / (lam + mu)^2, so p - cap is far from linear in mu away from
+      the cap while p^{-1/2} is nearly linear, as ``_secular_root`` uses. A
+      step is backtracked along the projection arc and accepted when the dual
+      value rises by Armijo's rule (ARMIJO_SIGMA) and no cap is exceeded by
+      more than before.
+    * exact coordinate ascent, the globally convergent fallback after a
+      rejected Newton step — with the other multipliers fixed, RRH k's block
+      of each user it serves is (S_ik + mu_k I)^{-1} c_ik, S_ik the Schur
+      complement of the user's matrix on block k, a rank-one update of
+      diag(lam_k) (``_Eigenbasis.schur``). One batched n x n
+      eigendecomposition over the users RRH k serves turns its power into a
+      secular function of mu_k, whose complementary-slackness root (mu_k = 0
+      when the cap already holds) ``_secular_root`` finds. A sweep updates
+      the active RRHs one at a time, in order.
 
-    A warm start (mu0, (K,) by RRH id: RTD passes the previous QCQP's
-    multipliers) is near the optimum, where Newton converges fast, so it
-    opens with Newton steps; a cold start (mu = 0, where a Newton step cuts
-    the far too high powers only a little) opens with one sweep. Newton
-    steps then run until the solve converges, a sweep only after one is
-    rejected.
-
-    Padding entries point to an extra slot len(active) whose multiplier is
-    always 0 and which carries no estimate, so padded beam entries stay 0.
+    Every solve opens with Newton steps, from mu = 0 or from the warm start
+    mu0 ((K,) by RRH id; RTD passes the previous QCQP's multipliers). Padding
+    entries point to an extra slot len(active) whose multiplier is always 0
+    and which carries no estimate, so padded beam entries stay 0.
     MAX_DUAL_ITERS caps the total number of multiplier updates. Returns
     (beam stack, mu by active slot, dual value, info). info counts the
     multiplier updates (``dual_iterations``: one per coordinate update, and
-    every multiplier an accepted Newton step moves), the batched coordinate
-    passes (one per run with an update), the Newton steps accepted and
-    rejected and the ``np.linalg.solve`` calls (``linear_solves``: one per
-    Newton system, the only linear solves the RRH side makes), and gives the
-    final worst relative cap excess (``violation``) and complementary-slackness
-    residual relative to the dual value's scale (``gap``).
+    every multiplier an accepted Newton step moves) and the ``DUAL_COUNTERS``:
+    the coordinate passes (one per RRH a sweep updates), the Newton steps
+    accepted and rejected and the ``np.linalg.solve`` calls (``linear_solves``:
+    one per Newton system, the only linear solves the RRH side makes). It
+    also gives the final worst relative cap excess (``violation``) and
+    complementary-slackness residual relative to the dual value's scale
+    (``gap``).
     """
     layout = problem.layout
     starts, users_of = layout.starts, layout.users_of
     cap = layout.rrh_budget[layout.active]
     num = cap.size
-    counted = ("coordinate_passes", "newton_accepted", "newton_rejected", "linear_solves")
-    info = dict.fromkeys(("dual_iterations",) + counted, 0)
+    info = dict.fromkeys(("dual_iterations",) + DUAL_COUNTERS, 0)
 
     def finish(viol: float, gap: float):
         value = dual_value()
@@ -559,24 +533,16 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
     def coordinate_sweep(cs_budget: float) -> int:
         nonlocal coupled, z, powers
         count = 0
-        for run in layout.runs:
-            todo = [a for a in run if not (mu[a] == 0.0 and powers[a] <= cap[a])]
-            if not todo:
+        for a, (users, pos) in enumerate(users_of):
+            if mu[a] == 0.0 and powers[a] <= cap[a]:
                 continue
-            count += len(todo)
-            info["coordinate_passes"] += 1
-            users = np.concatenate([users_of[a][0] for a in todo])
-            pos = np.concatenate([users_of[a][1] for a in todo])
+            count += 1
             lam, coef = basis.schur(coupled, users, pos)
-            end = 0
-            for a in todo:
-                start, end = end, end + len(users_of[a][0])
-                mu[a] = _secular_root(
-                    lam[start:end], coef[start:end], cap[a], cs_budget, feas_tol, mu[a]
-                )
+            mu[a] = _secular_root(lam, coef, cap[a], cs_budget, feas_tol, mu[a])
             coupled = basis.coupling(mu)
             z = basis.solve(coupled)
             powers = per_rrh(np.abs(z) ** 2)
+        info["coordinate_passes"] += count
         return max(count, 1)
 
     def newton_step(viol: float) -> int:
@@ -587,12 +553,16 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         (the gradient pushes it down, and mu_k + g_k / h_k <= 0 with h_k the
         Hessian's diagonal magnitude: Bertsekas' eps-active test with a
         per-coordinate eps_k = |g_k| / h_k) takes that gradient step, and the
-        others a Newton step on their block of the Hessian. The step is
-        backtracked along the projection arc max(0, mu + alpha d) until the
-        dual value rises by Armijo's rule and no cap is exceeded by more than
-        before; 0 means no trial passed or the Newton block is not an ascent
-        direction (a singular or, by rounding, indefinite Hessian block). An
-        accepted trial's coupling, beams and powers become the iterate's.
+        others a Newton step on their block of the Hessian. A coordinate
+        above its cap takes the residual p^{-1/2} - cap^{-1/2} scaled back by
+        its derivative, 2 p (sqrt(p / cap) - 1), which is p - cap to first
+        order at the cap; the slope and the tests below read p - cap. The
+        step is backtracked along the projection arc max(0, mu + alpha d)
+        until the dual value rises by Armijo's rule and no cap is exceeded by
+        more than before; 0 means no trial passed or the Newton block is not
+        an ascent direction (a singular or, by rounding, indefinite Hessian
+        block). An accepted trial's coupling, beams and powers become the
+        iterate's.
         """
         nonlocal mu, coupled, z, powers
         grad = powers - cap
@@ -603,9 +573,11 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         at_bound = (g < 0.0) & (m + g / scale <= 0.0)
         free = ~at_bound
         step = g / scale
+        p = powers[idx]
+        rhs = np.where(g > 0.0, 2.0 * p * (np.sqrt(p / cap[idx]) - 1.0), g)
         info["linear_solves"] += 1
         try:
-            step[free] = np.linalg.solve(hess[np.ix_(free, free)], -g[free])
+            step[free] = np.linalg.solve(hess[np.ix_(free, free)], -rhs[free])
         except np.linalg.LinAlgError:
             return 0
         slope = float(g[free] @ step[free])
@@ -630,19 +602,16 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
             alpha *= 0.5
         return 0
 
-    updates, sweep = 0, mu0 is None
+    updates = 0
     while updates < MAX_DUAL_ITERS:
         viol, gap = residuals()
         if is_converged(viol, gap):
             return finish(viol, gap)
-        if sweep:
-            updates += coordinate_sweep(GAP_TOL * max(1.0, abs(dual_value())) / (2 * num))
-            sweep = False
-        else:
-            moved = newton_step(viol)
-            info["newton_accepted" if moved else "newton_rejected"] += 1
-            updates += moved
-            sweep = not moved
+        moved = newton_step(viol)
+        info["newton_accepted" if moved else "newton_rejected"] += 1
+        if not moved:
+            moved = coordinate_sweep(GAP_TOL * max(1.0, abs(dual_value())) / (2 * num))
+        updates += moved
         info["dual_iterations"] = updates
     viol, gap = residuals()
     if viol <= feas_tol:
@@ -727,12 +696,12 @@ class RtdState:
     array of MSEs by UE id.
 
     ``counters`` sums the RRH-side dual solver's work over the iterations
-    (``dual_updates``, ``coordinate_passes``, ``newton_accepted``,
-    ``newton_rejected``, and ``linear_solves``, the Newton systems solved,
-    which are the design's only ``np.linalg.solve`` calls) and keeps the
-    last solve's final relative cap ``violation``, complementary-slackness
-    ``gap`` and MBS-side relative cap excess (``mbs_violation``, 0.0 when
-    there is no BUE).
+    (``dual_updates`` and the ``DUAL_COUNTERS``: ``coordinate_passes``, one
+    per RRH a sweep updates, ``newton_accepted``, ``newton_rejected``, and
+    ``linear_solves``, the Newton systems solved, which are the design's
+    only ``np.linalg.solve`` calls) and keeps the last solve's final
+    relative cap ``violation``, complementary-slackness ``gap`` and MBS-side
+    relative cap excess (``mbs_violation``, 0.0 when there is no BUE).
     """
 
     mse: np.ndarray
@@ -777,8 +746,7 @@ def rtd_solve(
     w_bue = np.zeros((layout.bue.size, links.mbs_antennas), dtype=complex)
     beams = layout.beams(w_rue, w_bue)
     f, u = np.ones(len(beams.mbs), dtype=complex), np.ones(len(beams.mbs))
-    summed = ("coordinate_passes", "newton_accepted", "newton_rejected", "linear_solves")
-    counters = dict.fromkeys(("dual_updates",) + summed, 0)
+    counters = dict.fromkeys(("dual_updates",) + DUAL_COUNTERS, 0)
     state = RtdState(mse=np.zeros(0), counters=counters)
     mu0, nu0 = None, None
     for it in range(1, MAX_RTD_ITERS + 1):
@@ -786,7 +754,7 @@ def rtd_solve(
         (rue_new, bue_new), qinfo = solve_qcqp(problem, feas_tol, mu0=mu0, nu0=nu0)
         mu0, nu0 = qinfo["rrh_dual"], qinfo["mbs_dual"]
         counters["dual_updates"] += qinfo["dual_iterations"]
-        for key in summed:
+        for key in DUAL_COUNTERS:
             counters[key] += qinfo[key]
         counters.update(
             violation=qinfo["violation"], gap=qinfo["gap"], mbs_violation=qinfo["mbs_violation"]

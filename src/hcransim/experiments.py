@@ -56,7 +56,7 @@ from .pilot_scheduler import (
 )
 from .rate_bounds import build_covariances, lower_bound_rates, monte_carlo_rates
 from .scenario import ScenarioConfig, generate_topology, save_topology, with_seed
-from .util import child_seed, dbm_to_watt, seed_to_int
+from .util import child_seed, dbm_to_watt, seed_to_int, typed
 
 SCHEDULERS = ("psa", "dsatur_random", "es")
 BEAMFORMERS = ("rtd", "rtd_perfect_csi")
@@ -249,17 +249,26 @@ def _realization(args) -> list[dict]:
     return out
 
 
+def _unless_refused(scheduler: str, make, out: dict):
+    """make(), or None and a ``skip_es`` entry in out (which the sweep warns
+    of) when the exhaustive search's enumeration guard refuses the search."""
+    try:
+        return make()
+    except ValueError as exc:
+        if scheduler != "es":
+            raise
+        out[f"skip_{scheduler}"] = str(exc)
+        return None
+
+
 def _mse_metrics(scene: _Scene, training: TrainingConfig) -> dict:
     out = {}
     for scheduler in scene.cfg.schedulers:
-        try:
-            _, value = scene.schedule_and_mse(scheduler, training)
-        except ValueError as exc:
-            if scheduler == "es":
-                out[f"skip_{scheduler}"] = str(exc)
-                continue
-            raise
-        out[f"sum_mse_{scheduler}"] = value
+        scored = _unless_refused(
+            scheduler, lambda: scene.schedule_and_mse(scheduler, training), out
+        )
+        if scored is not None:
+            out[f"sum_mse_{scheduler}"] = scored[1]
     return out
 
 
@@ -267,7 +276,9 @@ def _se_metrics(scene: _Scene, training: TrainingConfig) -> dict:
     cfg = scene.cfg
     out = {}
     for scheduler in cfg.schedulers:
-        assignment = scene.schedule(scheduler, training)
+        assignment = _unless_refused(scheduler, lambda: scene.schedule(scheduler, training), out)
+        if assignment is None:
+            continue
         for beamformer in cfg.beamformers:
             tag = f"{scheduler}_{beamformer}"
             try:
@@ -286,7 +297,11 @@ def _se_metrics(scene: _Scene, training: TrainingConfig) -> dict:
 
 def _tightness_metrics(scene: _Scene, training: TrainingConfig) -> dict:
     cfg = scene.cfg
-    assignment = scene.schedule(cfg.schedulers[0], training)
+    out = {}
+    scheduler = cfg.schedulers[0]
+    assignment = _unless_refused(scheduler, lambda: scene.schedule(scheduler, training), out)
+    if assignment is None:
+        return out
     try:
         res = scene.solve(assignment, training, cfg.beamformers[0])
     except (ConvergenceError, PilotOverflowError) as exc:
@@ -296,7 +311,6 @@ def _tightness_metrics(scene: _Scene, training: TrainingConfig) -> dict:
     mc_rue = float(sum(mc[i] for i in topology.rue_set))
     lb_bue = float(sum(lb[j] for j in topology.bue_set))
     mc_bue = float(sum(mc[j] for j in topology.bue_set))
-    out = {}
     out["sum_lb_rue"] = lb_rue
     out["sum_mc_rue"] = mc_rue
     out["sum_lb_bue"] = lb_bue
@@ -514,23 +528,14 @@ def _section(raw: dict, name: str, known: set, label: str) -> dict:
     return dict(entry)
 
 
-def _typed(value, want: type, key: str):
-    """value if it may fill a config field of type want, else a ValueError
-    that names the key. Nothing is coerced: an int fills a float field, but a
-    bool is never a number and a float never fills an int field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
-        raise ValueError(f"config key {key!r} must be of type {want.__name__}, got {value!r}")
-    return value
-
-
 def _powers(entry: dict, **names: str) -> dict:
     """Watts of each power present in entry as `key` or `key_dbm`, by field name."""
     out = {}
     for key, name in names.items():
         if f"{key}_dbm" in entry:
-            out[name] = dbm_to_watt(float(_typed(entry[f"{key}_dbm"], float, f"{key}_dbm")))
+            out[name] = dbm_to_watt(float(typed(entry[f"{key}_dbm"], float, f"{key}_dbm")))
         elif key in entry:
-            out[name] = float(_typed(entry[key], float, key))
+            out[name] = float(typed(entry[key], float, key))
     return out
 
 
@@ -540,8 +545,8 @@ def load_config(path) -> ExperimentConfig:
     Power entries accept either watts (`p_rue`) or dBm (`p_rue_dbm`). A
     missing section or field takes the dataclass default. Unknown keys, a
     section that is not an object and a value of the wrong type (see
-    ``_typed``; output_path and the sweep name are strings, sweep values take the
-    swept field's type) raise a ValueError that names them.
+    ``util.typed``; output_path and the sweep name are strings, sweep values
+    take the swept field's type) raise a ValueError that names them.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -571,31 +576,31 @@ def load_config(path) -> ExperimentConfig:
     b = _section(raw, "budgets", {"rrh", "rrh_dbm", "mbs", "mbs_dbm"}, "budget")
     sweep = _section(raw, "sweep", {"name", "values"}, "sweep")
     for key, value in s.items():
-        _typed(value, type(getattr(ScenarioConfig, key)), key)
+        typed(value, type(getattr(ScenarioConfig, key)), key)
     for entry, key in ((raw, "schedulers"), (raw, "beamformers"), (sweep, "values")):
-        _typed(entry.get(key, []), list, key)
+        typed(entry.get(key, []), list, key)
 
     kwargs = {}
     for key in ("num_realizations", "mc_trials", "master_seed", "jobs"):
         if key in raw:
-            kwargs[key] = _typed(raw[key], int, key)
+            kwargs[key] = typed(raw[key], int, key)
     if "schedulers" in raw:
         kwargs["schedulers"] = tuple(raw["schedulers"])
     if "beamformers" in raw:
         kwargs["beamformers"] = tuple(raw["beamformers"])
     if "output_path" in raw:
-        kwargs["output_path"] = _typed(raw["output_path"], str, "output_path")
-    name = _typed(sweep.get("name", ExperimentConfig.sweep_name), str, "name")
+        kwargs["output_path"] = typed(raw["output_path"], str, "output_path")
+    name = typed(sweep.get("name", ExperimentConfig.sweep_name), str, "name")
     kwargs["sweep_name"] = name
     if name in _SCENARIO_SWEEPS | _TRAINING_SWEEPS:
         owner = TrainingConfig if name in _TRAINING_SWEEPS else ScenarioConfig
         for value in sweep.get("values", []):
-            _typed(value, type(getattr(owner, name)), "values")
+            typed(value, type(getattr(owner, name)), "values")
     if "values" in sweep:
         kwargs["sweep_values"] = tuple(sweep["values"])
     training = TrainingConfig(
         **_powers(t, p_rue="p_rue", p_bue="p_bue", noise="noise_power"),
-        **{key: _typed(t[key], int, key) for key in ("tau", "coherence") if key in t},
+        **{key: typed(t[key], int, key) for key in ("tau", "coherence") if key in t},
     )
     return ExperimentConfig(
         scenario=ScenarioConfig(**s),

@@ -11,12 +11,13 @@ handled by the MBS directly.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from .util import require_finite
+from .util import require_finite, typed
 
 TOPOLOGY_FORMAT = "hcransim-topology"
 TOPOLOGY_VERSION = 1
@@ -217,7 +218,10 @@ def save_topology(topology: Topology, path) -> None:
 
 def load_topology(path) -> Topology:
     """Read a ``save_topology`` dump; an entry that is missing, repeated or
-    out of range is a ValueError that names its tag and index."""
+    out of range is a ValueError that names its tag and index. A config entry
+    must name a ScenarioConfig field once, its value must have that field's
+    type (``util.typed``, as in config files), and num_rrh and num_ue must
+    count the rrh and ue entries."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][0] != TOPOLOGY_FORMAT:
@@ -230,13 +234,20 @@ def load_topology(path) -> Topology:
     layout = {"rrh": (1, 2), "ue": (1, 2), "serving": (2, 0),
               "alpha_rrh": (2, 1), "alpha_mbs": (1, 1)}
     entries: dict[str, dict] = {tag: {} for tag in layout}
-    config_types = {f.name: f.type for f in fields(ScenarioConfig)}
+    config_names = {f.name for f in fields(ScenarioConfig)}
     for row in rows[1:]:
         tag = row[0]
         if tag == "config":
-            name, value = row[1], row[2]
-            caster = int if config_types[name] == "int" else float
-            config_kwargs[name] = caster(value)
+            _, name, text = row  # a ValueError unless the row holds a name and a value
+            if name not in config_names:
+                raise ValueError(f"unknown config entry {name!r}")
+            if name in config_kwargs:
+                raise ValueError(f"duplicate config entry {name!r}")
+            try:  # the value as a config file would hold it
+                value = json.loads(text)
+            except ValueError:
+                raise ValueError(f"config entry {name!r} is not a number: {text!r}") from None
+            config_kwargs[name] = typed(value, type(getattr(ScenarioConfig, name)), name)
         elif tag in layout:
             width, values = layout[tag]
             if len(row) != 1 + width + values:
@@ -260,12 +271,17 @@ def load_topology(path) -> Topology:
         if missing is not None and tag != "serving":  # a UE without one is MBS-served
             raise ValueError(f"missing {tag} entry {_label(missing)}")
 
+    config = ScenarioConfig(**config_kwargs)
+    if (config.num_rrh, config.num_ue) != (k_count, m_count):
+        raise ValueError(f"config num_rrh {config.num_rrh} and num_ue {config.num_ue} do not "
+                         f"count the {k_count} rrh and {m_count} ue entries")
+
     def table(tag: str) -> np.ndarray:
         values = [entries[tag][index] for index in np.ndindex(*shapes[tag])]
         return np.array(values, dtype=float).reshape(shapes[tag] + (layout[tag][1],))
 
     topo = Topology(
-        config=ScenarioConfig(**config_kwargs),
+        config=config,
         rrh_positions=table("rrh"),
         ue_positions=table("ue"),
         serving_rrhs=[[k for j, k in sorted(entries["serving"]) if j == i] for i in range(m_count)],

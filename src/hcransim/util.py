@@ -51,3 +51,12 @@ def require_finite(config) -> None:
         value = getattr(config, f.name)
         if f.type == "float" and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
+def typed(value, want: type, key: str):
+    """value if it may fill a config field of type want, else a ValueError
+    that names the key. Nothing is coerced: an int fills a float field, but a
+    bool is never a number and a float never fills an int field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+        raise ValueError(f"config key {key!r} must be of type {want.__name__}, got {value!r}")
+    return value

@@ -272,8 +272,3 @@ def random_beams(links, seed, scale=2e-5):
     for j in topology.bue_set:
         mbs[j] = scale * crandn(rng, links.mbs_antennas)
     return BeamformerSet(rrh, mbs)
-
-
-def beams_equal(a, b) -> bool:
-    """Whether two beam sets hold the same per-link arrays."""
-    return all(np.array_equal(x, y) for x, y in zip(a, b))

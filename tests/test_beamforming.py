@@ -1,5 +1,6 @@
 """Equalizer/auxiliary updates, the beamformer QCQP, and the alternating design."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hcransim import (
     ExperimentConfig,
     PowerBudget,
     ScenarioConfig,
+    TrainingConfig,
     assemble_qcqp,
     build_covariances,
     interference_plus_noise,
@@ -30,7 +32,6 @@ from hcransim.beamforming import _Eigenbasis, _solve_mbs_side
 from hcransim.util import crandn, dbm_to_watt
 
 from helpers import (
-    beams_equal,
     child_rng,
     group_power,
     hand_links,
@@ -49,7 +50,6 @@ from oracles import (
     dense_rrh_powers,
     dense_rue_matrices,
     golden_min,
-    has_shared_rrh_pair,
     own_estimate_oracle,
     pgd_qcqp_oracle,
     pgd_qcqp_oracle_batched,
@@ -617,20 +617,24 @@ def _recorded_solves(monkeypatch) -> list:
     return calls
 
 
-def test_only_the_cold_start_sweeps_on_the_large_drop(monkeypatch):
+def test_the_cold_start_opens_with_newton_on_the_large_drop(monkeypatch):
     """Perf guard: in the design of the (32, 100) drop at master seed 0 the
-    first QCQP starts cold (all multipliers 0) and opens with a sweep; every
-    later QCQP starts from the previous multipliers and projected Newton
-    alone finishes it, so the design's coordinate passes are the first
-    QCQP's."""
+    first QCQP starts cold (all multipliers 0) and opens with projected
+    Newton on p^{-1/2} - cap^{-1/2} above the caps; it takes at most 12
+    accepted steps, where Newton on powers - cap took 26 after an opening
+    sweep. In every QCQP a sweep runs only after a rejected step, and each
+    sweep updates an active RRH at most once."""
     calls = _recorded_solves(monkeypatch)
     topology, _, _, links, training = pipeline_instance(
         scenario=ScenarioConfig(num_ue=32, num_rrh=100)
     )
     _, st = rtd_solve(topology, links, training, BUDGETS)
-    first = calls[0][1]["coordinate_passes"]
-    assert st.iterations == len(calls) > 1 and first > 0
-    assert st.counters["coordinate_passes"] == first
+    num_active = stack_layout(links, BUDGETS).active.size
+    infos = [info for _, info in calls]
+    assert st.iterations == len(infos) > 1
+    assert 0 < infos[0]["newton_accepted"] <= 12
+    for info in infos:
+        assert info["coordinate_passes"] <= num_active * info["newton_rejected"]
 
 
 def test_warm_solves_of_the_large_drop_take_few_newton_steps(monkeypatch):
@@ -683,102 +687,13 @@ def test_solver_multipliers_reproduce_its_beams():
             assert np.allclose(beams.mbs[j], want, rtol=1e-9, atol=1e-12)
 
 
-def _rrh_side(problem):
-    return beamforming._solve_rrh_side(problem, 1e-6)
-
-
-def _one_rrh_at_a_time(monkeypatch):
-    """Make every run a single RRH: the sweep before runs were batched."""
-    monkeypatch.setattr(
-        beamforming, "_disjoint_runs", lambda users_of: [[a] for a in range(len(users_of))]
-    )
-
-
-def test_batched_sweep_repeats_the_one_rrh_at_a_time_sweep_exactly(monkeypatch):
-    """Updating each run of RRHs that share no user in one batched pass gives
-    bit for bit the beams, multipliers, dual value and counters of updating
-    the RRHs one at a time, in fewer passes: on the (32, 100) drop with a
-    zero-budget RRH, on a (16, 50, 130 m) drop where two users share two
-    RRHs, and through a whole alternating design at (8, 25)."""
-    assert has_shared_rrh_pair(_first_qcqp(16, 50, coverage_radius=130.0)[0])
-
-    def problems():
-        # Posed anew each time: the runs are part of the stack layout.
-        return [_zero_budget_drop_qcqp(), _first_qcqp(16, 50, coverage_radius=130.0)[1]]
-
-    design = pipeline_instance(scenario=ScenarioConfig(num_ue=8, num_rrh=25))
-    topology, _, _, links, training = design
-
-    batched = [_rrh_side(p) for p in problems()]
-    beams, state = rtd_solve(topology, links, training, BUDGETS)
-    _one_rrh_at_a_time(monkeypatch)
-    single = [_rrh_side(p) for p in problems()]
-    beams_1, state_1 = rtd_solve(topology, links, training, BUDGETS)
-
-    for (w, mu, value, info), (w_1, mu_1, value_1, info_1) in zip(batched, single):
-        assert np.array_equal(w, w_1)
-        assert np.array_equal(mu, mu_1) and value == value_1
-        assert info.pop("coordinate_passes") < info_1.pop("coordinate_passes")
-        assert info == info_1
-    assert beams_equal(beams, beams_1)
-    assert state.objective_trace == state_1.objective_trace
-    assert state.counters.pop("coordinate_passes") < state_1.counters.pop("coordinate_passes")
-    assert state.counters == state_1.counters
-
-
-def _recorded_runs(monkeypatch, make_problem):
-    """(users_of, runs) of the one partition made while posing a QCQP with
-    make_problem() and solving it."""
-    calls = []
-    real = beamforming._disjoint_runs
-
-    def recorded(users_of):
-        calls.append((users_of, real(users_of)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(beamforming, "_disjoint_runs", recorded)
-    solve_qcqp(make_problem())
-    assert len(calls) == 1
-    return calls[0]
-
-
-def test_disjoint_runs_partition_the_sweep_order(monkeypatch):
-    """On the (32, 100) drop every active RRH lies in exactly one run, the
-    runs keep the sweep order, no two RRHs of a run share a user, and each run
-    ends where the next RRH shares a user with it."""
-    users_of, runs = _recorded_runs(monkeypatch, _zero_budget_drop_qcqp)
-    assert [a for run in runs for a in run] == list(range(len(users_of)))
-    assert 1 < len(runs) < len(users_of)
-    served = [set(users.tolist()) for users, _ in users_of]
-    for run, after in zip(runs, runs[1:] + [None]):
-        members = [served[a] for a in run]
-        assert sum(map(len, members)) == len(set().union(*members))
-        if after is not None:
-            assert set().union(*members) & served[after[0]]
-
-
-def test_disjoint_runs_on_a_hand_built_field(monkeypatch):
-    """RRHs 0 and 1 share user 0 and RRH 2 serves user 1 alone, so the runs
-    are [[0], [1, 2]]; RRH 3, which shares user 1 with RRH 2, has a zero
-    budget and appears in no run (with a budget it would form a third)."""
-    links = hand_links([[0, 1], [2, 3]], np.ones((4, 2, 1)), np.full((4, 2), 0.5))
-
-    def field(last_budget):
-        return lambda: hand_qcqp(links, np.ones(2), np.ones(2), [0.1, 0.1, 0.1, last_budget])
-
-    users_of, runs = _recorded_runs(monkeypatch, field(0.0))
-    assert runs == [[0], [1, 2]]
-    assert [users.tolist() for users, _ in users_of] == [[0], [0], [1]]
-    assert _recorded_runs(monkeypatch, field(0.1))[1] == [[0], [1, 2], [3]]
-
-
 def test_rtd_builds_the_stack_layout_once(monkeypatch):
-    """Clusters and budgets are fixed for a design, so its runs (part of the
-    stack layout) are computed once, not once per QCQP."""
+    """Clusters and budgets are fixed for a design, so its stack layout is
+    built once, not once per QCQP."""
     calls = []
-    real = beamforming._disjoint_runs
+    real = beamforming.stack_layout
     monkeypatch.setattr(
-        beamforming, "_disjoint_runs", lambda users_of: calls.append(users_of) or real(users_of)
+        beamforming, "stack_layout", lambda *args: calls.append(args) or real(*args)
     )
     topology, _, _, links, training = pipeline_instance(r=0)
     _, st = rtd_solve(topology, links, training, BUDGETS)
@@ -791,8 +706,9 @@ def test_single_coordinate_update_lands_on_the_cap(monkeypatch):
     eliminating it shrinks the target to c = lin g_0 / (1 + w8 R), R about
     1e4, and the Schur complement S = G_0 - rho |g_0|^2 to about 1% of
     G_0 = 1.01. The exact multiplier |c| / sqrt(cap) - S (about 0.09) lies
-    far from the 999 that the block without elimination gives; the secular
-    function finds it, and one coordinate update puts RRH 0 on its cap."""
+    far from the 999 that the block without elimination gives. RRH 0's power
+    is then one secular term in its multiplier, so p^{-1/2} is linear in it
+    and one projected Newton step puts RRH 0 on its cap."""
     links = hand_links([[0, 1]], np.ones((2, 1, 1)), [[1e-2], [1e-4]])
     problem = hand_qcqp(links, [1.0], [1.0], [1e-6, 1e9])
     r = 1.0 / 1e-4  # s_1 / delta_1 = 1 / (G_1 - |g_1|^2)
@@ -800,7 +716,7 @@ def test_single_coordinate_update_lands_on_the_cap(monkeypatch):
     schur = 1.01 - r / (1.0 + r)
     monkeypatch.setattr(beamforming, "MAX_DUAL_ITERS", 1)
     beams, info = solved(problem)
-    assert info["dual_iterations"] == 1
+    assert info["dual_iterations"] == info["newton_accepted"] == 1
     assert info["rrh_dual"][0] == pytest.approx(c / 1e-3 - schur, rel=1e-6)
     assert 0.05 < info["rrh_dual"][0] < 0.1
     assert info["rrh_dual"][1] == 0.0
@@ -860,14 +776,18 @@ def test_rtd_objective_matches_log_mse_sum():
 
 
 def test_rtd_counters_sum_the_dual_solver_info(monkeypatch):
+    """On drop_small's panel drop 1 (master seed 1), whose cold QCQP rejects
+    a Newton step and sweeps, the design's counters sum every QCQP's."""
     calls = _recorded_solves(monkeypatch)
-    topology, _, state, links, training = pipeline_instance(r=0)
+    topology, _, _, links, training = pipeline_instance(
+        master_seed=1, tau=5, scenario=ScenarioConfig(num_ue=8, num_rrh=25)
+    )
     _, st = rtd_solve(topology, links, training, BUDGETS)
     results, infos = zip(*calls)
     assert len(infos) == st.iterations
     counters = st.counters
     assert counters["dual_updates"] == sum(info["dual_iterations"] for info in infos) > 0
-    for key in ("coordinate_passes", "newton_accepted", "newton_rejected", "linear_solves"):
+    for key in beamforming.DUAL_COUNTERS:
         assert counters[key] == sum(info[key] for info in infos)
     assert 0 < counters["coordinate_passes"] < counters["dual_updates"]
     # the only linear solves are the Newton systems
@@ -921,3 +841,55 @@ def test_frozen_ensembles_raise_no_convergence_error(
     rows = {row[1]: row for row in run_se_sweep(cfg).rows}
     assert not [m for m in rows if m.startswith("failures_")]
     assert rows[f"converged_psa_{beamformer}"][4] == realizations
+
+
+# The QCQP on which the non-robust design (RTD on links whose variances are
+# zeroed) stalled at commit 20690ab: (8, 25) drop r = 6 at master seed 3,
+# tau = 3, violation 1.324e-6 after 5,005 multiplier updates. The equalizers
+# f and auxiliaries u it was posed at (by UE id), and the warm start the
+# design passed it (mu0 by RRH id, zero elsewhere; nu0), as captured there.
+STALL_F = np.array([
+    90181.73535316305 + 3.4471574181140826e-12j,
+    1403.6143519285336 + 0.0j,
+    100208.54411083226 + 5.188323886811622e-12j,
+    53041.21707539806 - 2.4842939477480436e-12j,
+    512656.0010371304 - 1.2376718376815237e-11j,
+    1901.2237885167663 + 1.4696305698245638e-13j,
+    5057.420277989008 - 1.7332032408535162e-13j,
+    1222.988733252725 - 4.05410748747563e-14j,
+])
+STALL_U = np.array([
+    8.113627550452755, 16.439994274426745, 2.713110099865105, 4.199891697482494,
+    1.8257154125501174, 15.83309973339519, 13.876380039579965, 16.715500212833625,
+])
+STALL_MU0 = {
+    0: 0.0003944427360566959,
+    6: 3.670930574170137e-05,
+    7: 0.001036133071492078,
+    9: 1.277595033091972e-05,
+    11: 0.0015934206362892965,
+    13: 0.0014205044300319852,
+    16: 2.2106651644822695e-05,
+}
+STALL_NU0 = 2.7360558884729202e-05
+
+
+def test_the_qcqp_that_once_stalled_converges_cold_and_warm():
+    """The non-robust design's stalled QCQP, rebuilt on this drop's links
+    (whose estimates are those it was posed on, bit for bit) with their
+    variances zeroed, converges within both tolerances from a cold start and
+    from the captured warm start, and both solves give the same beams."""
+    topology, _, _, links, _ = pipeline_instance(
+        r=6, master_seed=3, scenario=ScenarioConfig(), training=TrainingConfig(tau=3)
+    )
+    links = dataclasses.replace(
+        links, var_rrh=np.zeros_like(links.var_rrh), var_mbs=np.zeros_like(links.var_mbs)
+    )
+    problem = assemble_qcqp(links, STALL_F, STALL_U, stack_layout(links, BUDGETS))
+    mu0 = np.zeros(topology.num_rrh)
+    mu0[list(STALL_MU0)] = list(STALL_MU0.values())
+    (want, _), cold = solve_qcqp(problem)
+    (w_rue, _), warm = solve_qcqp(problem, mu0=mu0, nu0=STALL_NU0)
+    assert cold["violation"] <= 1e-6 and cold["gap"] <= beamforming.GAP_TOL
+    assert max(cold["mbs_violation"], warm["mbs_violation"]) <= 1e-6
+    _assert_solved_like(w_rue, warm, want)

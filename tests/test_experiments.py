@@ -128,6 +128,26 @@ def test_exhaustive_search_guard_becomes_a_warning():
     assert metrics == {"sum_mse_psa"}
 
 
+def test_se_and_tightness_sweeps_skip_a_refused_exhaustive_search():
+    """At 14 users the enumeration guard refuses the exhaustive search; the
+    SE and tightness sweeps skip it with the MSE sweep's warning instead of
+    aborting, and the PSA rows are still there."""
+    scenario = ScenarioConfig(num_ue=14, num_rrh=25)
+    cfg = ExperimentConfig(
+        scenario=scenario, sweep_values=(5,), num_realizations=1, schedulers=("psa", "es")
+    )
+    with pytest.warns(UserWarning, match="es skipped at tau=5: search space"):
+        rows = run_se_sweep(cfg).rows
+    metrics = {row[1] for row in rows}
+    assert {"sum_se_lb_psa_rtd", "sum_se_mc_psa_rtd"} <= metrics
+    assert not [m for m in metrics if "_es_" in m]
+    tight = dataclasses.replace(
+        cfg, sweep_name="num_rrh", sweep_values=(25,), schedulers=("es", "psa")
+    )
+    with pytest.warns(UserWarning, match="es skipped at num_rrh=25: search space"):
+        assert run_tightness(tight).rows == []
+
+
 def test_sweep_csv_reproducibility_and_jobs(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

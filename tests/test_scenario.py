@@ -144,12 +144,23 @@ def test_load_topology_rejects_foreign_files(tmp_path):
         (lambda rows: rows + ["serving,3,99"], "serving entry 3,99 out of range"),
         (lambda rows: rows + [next(r for r in rows if r.startswith("serving,"))],
          "duplicate serving entry"),
+        (lambda rows: [r.replace("config,num_rrh,", "config,num_rrhs,") for r in rows],
+         "unknown config entry 'num_rrhs'"),
+        (lambda rows: rows + ["config,num_ue,8"], "duplicate config entry 'num_ue'"),
+        (lambda rows: [r.replace("config,num_rrh,25", "config,num_rrh,30") for r in rows],
+         "num_rrh 30 and num_ue 8 do not count the 25 rrh and 8 ue entries"),
+        (lambda rows: [r.replace("config,num_ue,8", "config,num_ue,8.0") for r in rows],
+         "config key 'num_ue' must be of type int, got 8.0"),
+        (lambda rows: [r.replace("config,coverage_radius,", "config,coverage_radius,x") for r in rows],
+         "config entry 'coverage_radius' is not a number"),
     ],
 )
 def test_load_topology_names_a_missing_duplicate_or_out_of_range_entry(tmp_path, edit, message):
     """A dump with an entry dropped, repeated or out of range fails to load
     with a ValueError naming it; a dropped gain used to load as whatever the
-    uninitialized array held."""
+    uninitialized array held. A config entry with an unknown or repeated
+    name, a value of the wrong type, or a user or RRH count that the tables
+    do not hold fails the same way."""
     path = tmp_path / "topology.csv"
     save_topology(generate_topology(ScenarioConfig(rng_seed=1)), path)
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
