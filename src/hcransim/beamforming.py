@@ -48,6 +48,8 @@ from .scenario import Topology
 MAX_DUAL_ITERS = 5000
 # Complementary-slackness residual allowed per QCQP, relative to its scale.
 GAP_TOL = 1e-8
+# Default relative constraint violation allowed per QCQP.
+FEAS_TOL = 1e-6
 # RTD stops when the summed squared beam change of a cycle falls to RHO, or
 # after MAX_RTD_ITERS cycles.
 RHO = 1e-3
@@ -429,7 +431,6 @@ class _Eigenbasis:
         total = 1.0 + w8 * (s / delta).sum(axis=-1, keepdims=True)
         phi = kappa[:, :, None] * kappa[:, None, :] * total[..., None]
         terms = (2.0 * w8 * size)[..., None] * scaled[:, :, None] * scaled[:, None, :] * phi
-        terms *= self.others
         width = terms.shape[1]
         own = -2.0 * size * kappa**2 * (v + w8 * w8 * kappa * others * t**2)
         terms[:, np.arange(width), np.arange(width)] = own
@@ -645,7 +646,7 @@ def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, nu0=None):
 
 def solve_qcqp(
     problem: QcqpProblem,
-    feas_tol: float = 1e-6,
+    feas_tol: float = FEAS_TOL,
     mu0: np.ndarray | None = None,
     nu0: float | None = None,
 ):
@@ -717,7 +718,7 @@ def rtd_solve(
     links: AggregatedLinks,
     training: TrainingConfig,
     budgets: PowerBudget,
-    feas_tol: float = 1e-6,
+    feas_tol: float = FEAS_TOL,
 ):
     """Alternating robust transmit design.
 
@@ -737,8 +738,8 @@ def rtd_solve(
     The design reads the clusters from ``links.topology`` and never reads the
     ``topology`` argument, which should be that same object. It stays the
     first positional argument because ``bench/tracing.py`` captures
-    arguments 0 and 3, and ``bench/workloads.py`` reads the default of
-    feas_tol.
+    arguments 0 and 3. feas_tol stays a parameter, defaulting to FEAS_TOL,
+    because ``bench/workloads.py`` reads its default through the signature.
     """
     prelog = prelog_factor(training.tau, training.coherence)
     layout = stack_layout(links, budgets)

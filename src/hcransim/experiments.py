@@ -87,7 +87,6 @@ class ExperimentConfig:
     num_realizations: int = 100
     schedulers: tuple = ("psa",)
     beamformers: tuple = ("rtd",)
-    mc_trials: int = 400
     output_path: str | None = None
     master_seed: int = 0
     jobs: int = 1
@@ -109,8 +108,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown beamformer {b!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.mc_trials < 2 or self.mc_trials % 2:
-            raise ValueError(f"mc_trials must be >= 2 and even, got {self.mc_trials!r}")
         for value in self.sweep_values:  # a value the configs reject fails here, not mid-sweep
             scenario, training = _apply_sweep(self, value)
             if training.tau > scenario.num_ue:
@@ -215,9 +212,7 @@ class _Scene:
         beams, rtd_state = rtd_solve(topology, links, training_eff, cfg.budgets)
         prelog = prelog_factor(training_eff.tau, training_eff.coherence)
         lb = lower_bound_rates(links, beams, training.noise_power, prelog)
-        mc, mc_stderr = monte_carlo_rates(
-            links, beams, training.noise_power, prelog, trials=cfg.mc_trials
-        )
+        mc, mc_stderr = monte_carlo_rates(links, beams, training.noise_power, prelog)
         return {
             "topology": topology,
             "assignment": assignment,
@@ -558,7 +553,6 @@ def load_config(path) -> ExperimentConfig:
         "num_realizations",
         "schedulers",
         "beamformers",
-        "mc_trials",
         "output_path",
         "master_seed",
         "jobs",
@@ -581,7 +575,7 @@ def load_config(path) -> ExperimentConfig:
         typed(entry.get(key, []), list, key)
 
     kwargs = {}
-    for key in ("num_realizations", "mc_trials", "master_seed", "jobs"):
+    for key in ("num_realizations", "master_seed", "jobs"):
         if key in raw:
             kwargs[key] = typed(raw[key], int, key)
     if "schedulers" in raw:

@@ -38,6 +38,7 @@ import numpy as np
 from .scenario import Topology
 
 _BLOCK = 512  # candidates per exhaustive-search block; bounds every temporary
+ES_LIMIT = 10_000_000  # largest search space tau_eff**M that es_schedule enumerates
 
 
 @dataclass
@@ -414,10 +415,9 @@ def es_schedule(
     p_rue: float,
     p_bue: float,
     noise_power: float,
-    limit: int = 10_000_000,
     graph: ConflictGraph | None = None,
     links: MseLinks | None = None,
-) -> PilotAssignment:
+) -> tuple[PilotAssignment, float]:
     """Exhaustive minimizer of the sum MSE over feasible assignments:
     (assignment, minimum sum MSE).
 
@@ -427,16 +427,16 @@ def es_schedule(
     only if strictly smaller, so the assignment is the lexicographically
     smallest minimizer, and ``sum_mse`` of it equals the returned minimum bit
     for bit.
-    Guarded by tau_eff**M <= limit. ``graph`` and ``links``, when given, must
+    Guarded by tau_eff**M <= ES_LIMIT. ``graph`` and ``links``, when given, must
     be the topology's conflict graph and ``mse_links``.
     """
     if graph is None:
         graph = build_conflict_graph(topology)
     t, _ = graph.coloring
     tau_eff = effective_tau(topology, tau, t)
-    if tau_eff ** topology.num_ue > limit:
+    if tau_eff ** topology.num_ue > ES_LIMIT:
         raise ValueError(
-            f"search space {tau_eff}^{topology.num_ue} exceeds the enumeration guard {limit}"
+            f"search space {tau_eff}^{topology.num_ue} exceeds the enumeration guard {ES_LIMIT}"
         )
     if links is None:
         links = mse_links(topology)

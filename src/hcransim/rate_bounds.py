@@ -124,8 +124,10 @@ def monte_carlo_rates(
 
     Returns (rates, stderr) keyed by UE id, both scaled by the prelog; stderr
     is the rule's error estimate, |Q - Q on every second node|, so ``trials``
-    is even (otherwise that rule stops one interval short). The name and
-    ``trials`` are kept from the Monte Carlo sampler this replaced.
+    is even (otherwise that rule stops one interval short). The name is kept
+    from the Monte Carlo sampler this replaced. Sweeps always use the default
+    400 intervals; ``trials`` is kept because the benchmark's tracer reads it
+    through this signature to count quadrature work.
     """
     if trials < 2 or trials % 2:
         raise ValueError(f"trials must be >= 2 and even, got {trials!r}")

@@ -247,7 +247,6 @@ def test_c8_ensemble_trends():
         sweep_name="tau",
         sweep_values=(2, 3, 4, 5, 6, 7, 8),
         num_realizations=100,
-        mc_trials=2,
     )
     tau_means, _ = _se_means(tau_cfg)
     imax = int(np.argmax(tau_means))
@@ -260,7 +259,7 @@ def test_c8_ensemble_trends():
     assert all(b >= a for a, b in zip(tau_means[:imax], tau_means[1 : imax + 1]))
     assert all(b <= a for a, b in zip(tau_means[imax:], tau_means[imax + 1 :]))
 
-    base = dict(num_realizations=100, mc_trials=2)
+    base = dict(num_realizations=100)
     k_cfg = ExperimentConfig(
         scenario=ScenarioConfig(num_ue=8, coverage_radius=130.0),
         training=TrainingConfig(tau=4, coherence=30),
@@ -309,7 +308,6 @@ def test_c9_rerun_outputs_are_byte_identical(tmp_path):
         sweep_name="tau",
         sweep_values=(3, 4),
         num_realizations=3,
-        mc_trials=8,
         master_seed=5,
     )
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"

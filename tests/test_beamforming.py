@@ -800,7 +800,7 @@ def test_rtd_counters_sum_the_dual_solver_info(monkeypatch):
     assert counters["mbs_violation"] == pytest.approx(excess, rel=1e-12, abs=1e-15)
 
 
-def _drop_config(num_ue, num_rrh, beamformer, master_seed, realizations, mc_trials=400):
+def _drop_config(num_ue, num_rrh, beamformer, master_seed, realizations):
     """The sweep call of a benchmark-style drop: PSA at tau 5, default
     training and budgets."""
     return ExperimentConfig(
@@ -811,7 +811,6 @@ def _drop_config(num_ue, num_rrh, beamformer, master_seed, realizations, mc_tria
         schedulers=("psa",),
         beamformers=(beamformer,),
         master_seed=master_seed,
-        mc_trials=mc_trials,
     )
 
 
@@ -837,7 +836,7 @@ def test_perfect_csi_drop_whose_dual_ascent_stalled_converges():
 def test_frozen_ensembles_raise_no_convergence_error(
     num_ue, num_rrh, beamformer, master_seed, realizations
 ):
-    cfg = _drop_config(num_ue, num_rrh, beamformer, master_seed, realizations, mc_trials=100)
+    cfg = _drop_config(num_ue, num_rrh, beamformer, master_seed, realizations)
     rows = {row[1]: row for row in run_se_sweep(cfg).rows}
     assert not [m for m in rows if m.startswith("failures_")]
     assert rows[f"converged_psa_{beamformer}"][4] == realizations

@@ -84,7 +84,6 @@ def test_traced_sweep_captures_what_the_checks_read():
         training=TrainingConfig(tau=3, coherence=30),
         sweep_values=(3,),
         num_realizations=1,
-        mc_trials=8,
     )
     tracer = tracing.Tracer()
     tracer.start_drop(0)

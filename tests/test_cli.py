@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hcransim
+from hcransim import load_config
 from hcransim.cli import main
 
 
@@ -23,7 +24,6 @@ def tiny_cfg(tmp_path):
         "num_realizations": 2,
         "schedulers": ["psa"],
         "beamformers": ["rtd"],
-        "mc_trials": 8,
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
@@ -181,10 +181,25 @@ def test_integer_output_path_is_rejected_not_opened_as_a_descriptor(tmp_path, ca
         assert fh.read() == b""
 
 
-def test_se_sweep_rejects_mc_trials_below_two(tiny_cfg, tmp_path, capsys):
-    cfg = json.loads(tiny_cfg.read_text())
-    cfg["mc_trials"] = 1
-    tiny_cfg.write_text(json.dumps(cfg))
+def _set_quadrature_count(path):
+    cfg = json.loads(path.read_text())
+    cfg["mc_trials"] = 400
+    path.write_text(json.dumps(cfg))
+
+
+def test_a_config_that_sets_the_quadrature_count_is_rejected(tiny_cfg):
+    """The exact-rate quadrature count is no longer a setting: a config file
+    that still sets it, even to the default, fails the loader's unknown-key
+    check by name."""
+    _set_quadrature_count(tiny_cfg)
+    with pytest.raises(ValueError, match=r"unknown config keys: \['mc_trials'\]"):
+        load_config(tiny_cfg)
+
+
+def test_se_sweep_rejects_a_config_that_sets_the_quadrature_count(tiny_cfg, tmp_path, capsys):
+    """The CLI reports the removed key by name and exits 1 before any CSV is
+    written."""
+    _set_quadrature_count(tiny_cfg)
     out = tmp_path / "se.csv"
     assert main(["se-sweep", "--config", str(tiny_cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err

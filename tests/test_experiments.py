@@ -32,7 +32,6 @@ def tiny_config(**kw):
         sweep_name="tau",
         sweep_values=(3, 4),
         num_realizations=3,
-        mc_trials=8,
     )
     base.update(kw)
     return ExperimentConfig(**base)
@@ -76,22 +75,6 @@ def test_scenario_and_training_configs_are_frozen(config, name):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(config, name, 3)
     assert hash(config) == hash(dataclasses.replace(config))
-
-
-def test_mc_trials_below_two_fails_at_construction(tmp_path):
-    """The rate quadrature needs an even number of at least two intervals
-    (its error estimate reruns it on every second node); a config asking
-    for anything else is rejected before any realization runs, from Python
-    and from a file."""
-    for trials in (1, 0, 3, 401):
-        with pytest.raises(ValueError, match="mc_trials must be >= 2"):
-            tiny_config(mc_trials=trials)
-    for trials in (1, 401):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"mc_trials": trials}))
-        with pytest.raises(ValueError, match="mc_trials must be >= 2"):
-            load_config(path)
-    assert tiny_config(mc_trials=2).mc_trials == 2
 
 
 def test_mse_sweep_rows_and_scheduler_ordering():
@@ -172,7 +155,7 @@ def test_sweep_csv_reproducibility_and_jobs(tmp_path):
         (run_mse_sweep, dict(schedulers=("psa", "dsatur_random", "es"))),
         (
             run_se_sweep,
-            dict(schedulers=("psa", "es"), beamformers=("rtd", "rtd_perfect_csi"), mc_trials=8),
+            dict(schedulers=("psa", "es"), beamformers=("rtd", "rtd_perfect_csi")),
         ),
     ],
     ids=["mse", "se"],
@@ -316,7 +299,6 @@ def test_generated_small_configs_run_without_failure():
             sweep_values=(tau,),
             num_realizations=1,
             beamformers=("rtd", "rtd_perfect_csi"),
-            mc_trials=8,
             master_seed=seed,
         )
         rows = run_se_sweep(cfg).rows
@@ -393,7 +375,6 @@ def test_a_pilot_overflow_is_a_failure_row_not_an_aborted_sweep():
         training=TrainingConfig(tau=2, coherence=11),
         sweep_values=(2,),
         num_realizations=6,
-        mc_trials=8,
     )
     rows = {row[1]: row for row in run_se_sweep(cfg).rows}
     assert rows["failures_psa_rtd"][2:] == (1.0, 0.0, 6)
@@ -520,7 +501,6 @@ def test_load_config_full_and_dbm(tmp_path):
         "num_realizations": 7,
         "schedulers": ["psa", "es"],
         "beamformers": ["rtd"],
-        "mc_trials": 32,
         "master_seed": 11,
         "jobs": 2,
         "output_path": "result.csv",

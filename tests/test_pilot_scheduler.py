@@ -445,8 +445,20 @@ def test_es_memory_stays_bounded_beyond_one_block():
 
 def test_es_guard_rejects_huge_search_spaces():
     topo = seeded_topology(0, num_rrh=25, num_ue=12, coverage_radius=150.0)
-    with pytest.raises(ValueError):
-        es_schedule(topo, 8, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power, limit=10_000)
+    with pytest.raises(ValueError, match="enumeration guard"):
+        es_schedule(topo, 8, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+
+
+def test_es_guard_reads_the_module_limit(monkeypatch):
+    # the guard admits a search space of exactly ES_LIMIT and refuses one more
+    topo = seeded_topology(1, num_rrh=10, num_ue=5, coverage_radius=150.0)
+    t, _ = build_conflict_graph(topo).coloring
+    size = pilot_scheduler.effective_tau(topo, 3, t) ** topo.num_ue
+    monkeypatch.setattr(pilot_scheduler, "ES_LIMIT", size)
+    es_schedule(topo, 3, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+    monkeypatch.setattr(pilot_scheduler, "ES_LIMIT", size - 1)
+    with pytest.raises(ValueError, match=f"exceeds the enumeration guard {size - 1}"):
+        es_schedule(topo, 3, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
 
 
 def test_es_never_beats_itself_with_fewer_pilots():

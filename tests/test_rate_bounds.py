@@ -6,7 +6,6 @@ import pytest
 from hcransim import (
     AggregatedLinks,
     BeamformerSet,
-    ExperimentConfig,
     PowerBudget,
     ScenarioConfig,
     TrainingConfig,
@@ -342,7 +341,7 @@ def test_default_quadrature_matches_five_times_the_intervals(num_ue, num_rrh):
     budgets = PowerBudget(rrh=dbm_to_watt(27.0), mbs=dbm_to_watt(30.0))
     beams, _ = rtd_solve(topology, links, training, budgets)
     args = (links, beams, training.noise_power, prelog_factor(training.tau, training.coherence))
-    got, _ = monte_carlo_rates(*args, trials=ExperimentConfig().mc_trials)
+    got, _ = monte_carlo_rates(*args)
     want, _ = monte_carlo_rates(*args, trials=2000)
     assert list(got) == list(want)
     for m in want:
