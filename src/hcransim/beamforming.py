@@ -184,7 +184,7 @@ class QcqpProblem:
     that couples its blocks: M_u = blockdiag(G over its live blocks, identity
     on padding) + w8[u] (g g^H - blockdiag(g_p g_p^H)). BUE ``layout.bue[j]``
     minimizes w^H mbs_quad w - 2 Re(mbs_lin[j]^H w), with ``mbs_quad`` the
-    (B, B) matrix all BUEs share or a (J, B, B) stack.
+    (B, B) matrix all BUEs share.
     """
 
     layout: StackLayout
@@ -248,8 +248,8 @@ def assemble_qcqp(
 
 
 def _objective(quad: np.ndarray, lin: np.ndarray, w: np.ndarray) -> float:
-    """sum_u w_u^H quad_u w_u - 2 Re(lin_u^H w_u) over a stack; a 2-D quad is
-    shared by every row."""
+    """sum_u w_u^H quad w_u - 2 Re(lin_u^H w_u) over the rows of a stack, all
+    sharing the one matrix quad."""
     quadratic = np.vdot(w, (quad @ w[..., None])[..., 0])
     return float(np.real(quadratic)) - 2.0 * float(np.real(np.vdot(lin, w)))
 
@@ -625,17 +625,16 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
 def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, nu0=None):
     """Single-constraint subproblem on the MBS multiplier nu.
 
-    quad is the (B, B) matrix all BUEs share or a (J, B, B) stack, lin the
-    (J, B) linear terms; one code path broadcasts over both. With
-    quad = V diag(lam) V^H, BUE j's beam is V (coef_j / (lam + nu)) for
-    coef_j = V^H lin_j, so the MBS power is a secular function of nu and
-    ``_secular_root`` finds the multiplier. Returns (beams (J, B), nu, dual
+    quad is the (B, B) matrix all BUEs share and lin the (J, B) linear
+    terms. With quad = V diag(lam) V^H, BUE j's beam is V (coef_j / (lam +
+    nu)) for coef_j = V^H lin_j, so the MBS power is a secular function of nu
+    and ``_secular_root`` finds the multiplier. Returns (beams (J, B), nu, dual
     value).
     """
     beams, nu = np.zeros_like(lin), 0.0
     if budget > 0.0 and len(lin):
-        lam, vecs = np.linalg.eigh(0.5 * (quad + quad.conj().swapaxes(-1, -2)))
-        coef = (vecs.conj().swapaxes(-1, -2) @ lin[..., None])[..., 0]
+        lam, vecs = np.linalg.eigh(0.5 * (quad + quad.conj().T))
+        coef = (vecs.conj().T @ lin[..., None])[..., 0]
         lam = np.broadcast_to(lam, coef.shape)
         nu = _secular_root(lam, coef, budget, 0.5 * GAP_TOL, feas_tol, nu0 or 0.0)
         scaled = np.divide(coef, lam + nu, out=np.zeros_like(coef), where=coef != 0)

@@ -17,6 +17,8 @@ from .experiments import (
     solve_one,
 )
 
+_SWEEP_RUNNERS = {"mse-sweep": run_mse_sweep, "se-sweep": run_se_sweep, "tightness": run_tightness}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -55,7 +57,7 @@ def _configure(args) -> ExperimentConfig:
         overrides["output_path"] = args.out
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    if cfg.output_path is None and args.command in {"mse-sweep", "se-sweep", "tightness"}:
+    if cfg.output_path is None and args.command in _SWEEP_RUNNERS:
         cfg = dataclasses.replace(cfg, output_path=f"{args.command}.csv")
     return cfg
 
@@ -64,14 +66,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _configure(args)
-        if args.command == "mse-sweep":
-            result = run_mse_sweep(cfg)
-            print(f"{len(result.rows)} rows written to {result.path}")
-        elif args.command == "se-sweep":
-            result = run_se_sweep(cfg)
-            print(f"{len(result.rows)} rows written to {result.path}")
-        elif args.command == "tightness":
-            result = run_tightness(cfg)
+        if args.command in _SWEEP_RUNNERS:
+            result = _SWEEP_RUNNERS[args.command](cfg)
             print(f"{len(result.rows)} rows written to {result.path}")
         elif args.command == "schedule":
             results = schedule_one(cfg, args.out)

@@ -267,51 +267,47 @@ def _mse_metrics(scene: _Scene, training: TrainingConfig) -> dict:
     return out
 
 
-def _se_metrics(scene: _Scene, training: TrainingConfig) -> dict:
-    cfg = scene.cfg
-    out = {}
-    for scheduler in cfg.schedulers:
+def _designs(scene: _Scene, training: TrainingConfig, out: dict):
+    """(tag, results dict) of each configured scheduler x beamformer design
+    that ran, tagged ``<scheduler>_<beamformer>``. A refused exhaustive
+    search is recorded in out as ``skip_es`` and a design that raised
+    ConvergenceError or PilotOverflowError as ``failed_<tag>``."""
+    for scheduler in scene.cfg.schedulers:
         assignment = _unless_refused(scheduler, lambda: scene.schedule(scheduler, training), out)
         if assignment is None:
             continue
-        for beamformer in cfg.beamformers:
+        for beamformer in scene.cfg.beamformers:
             tag = f"{scheduler}_{beamformer}"
             try:
                 res = scene.solve(assignment, training, beamformer)
             except (ConvergenceError, PilotOverflowError) as exc:
                 out[f"failed_{tag}"] = str(exc)
                 continue
-            out[f"sum_se_lb_{tag}"] = float(sum(res["lb"].values()))
-            out[f"sum_se_mc_{tag}"] = float(sum(res["mc"].values()))
-            out[f"iterations_{tag}"] = float(res["rtd_state"].iterations)
-            out[f"converged_{tag}"] = float(res["rtd_state"].converged)
-            if cfg.sweep_name == "num_rrh":
-                out[f"trace_{tag}"] = list(res["rtd_state"].sum_se_trace)
+            yield tag, res
+
+
+def _se_metrics(scene: _Scene, training: TrainingConfig) -> dict:
+    out = {}
+    for tag, res in _designs(scene, training, out):
+        out[f"sum_se_lb_{tag}"] = float(sum(res["lb"].values()))
+        out[f"sum_se_mc_{tag}"] = float(sum(res["mc"].values()))
+        out[f"iterations_{tag}"] = float(res["rtd_state"].iterations)
+        out[f"converged_{tag}"] = float(res["rtd_state"].converged)
+        if scene.cfg.sweep_name == "num_rrh":
+            out[f"trace_{tag}"] = list(res["rtd_state"].sum_se_trace)
     return out
 
 
 def _tightness_metrics(scene: _Scene, training: TrainingConfig) -> dict:
-    cfg = scene.cfg
     out = {}
-    scheduler = cfg.schedulers[0]
-    assignment = _unless_refused(scheduler, lambda: scene.schedule(scheduler, training), out)
-    if assignment is None:
-        return out
-    try:
-        res = scene.solve(assignment, training, cfg.beamformers[0])
-    except (ConvergenceError, PilotOverflowError) as exc:
-        return {"failed": str(exc)}
-    topology, lb, mc = res["topology"], res["lb"], res["mc"]
-    lb_rue = float(sum(lb[i] for i in topology.rue_set))
-    mc_rue = float(sum(mc[i] for i in topology.rue_set))
-    lb_bue = float(sum(lb[j] for j in topology.bue_set))
-    mc_bue = float(sum(mc[j] for j in topology.bue_set))
-    out["sum_lb_rue"] = lb_rue
-    out["sum_mc_rue"] = mc_rue
-    out["sum_lb_bue"] = lb_bue
-    out["sum_mc_bue"] = mc_bue
-    out["rel_gap_rue"] = (mc_rue - lb_rue) / abs(mc_rue) if mc_rue else 0.0
-    out["rel_gap_bue"] = (mc_bue - lb_bue) / abs(mc_bue) if mc_bue else 0.0
+    for tag, res in _designs(scene, training, out):
+        gaps = {}
+        for kind, users in (("rue", res["topology"].rue_set), ("bue", res["topology"].bue_set)):
+            lb_sum = float(sum(res["lb"][m] for m in users))
+            mc_sum = float(sum(res["mc"][m] for m in users))
+            out[f"sum_lb_{kind}_{tag}"], out[f"sum_mc_{kind}_{tag}"] = lb_sum, mc_sum
+            gaps[f"rel_gap_{kind}_{tag}"] = (mc_sum - lb_sum) / abs(mc_sum) if mc_sum else 0.0
+        out.update(gaps)
     return out
 
 
@@ -360,27 +356,22 @@ def _reduce_metrics(results: list[dict], value) -> list:
     Scalar metrics reduce to (mean, stderr, n) over the realizations carrying
     them. List-valued metrics (convergence traces) are padded with their last
     entry to the ensemble's longest trace and reduced per iteration index.
-    `skip_*` markers drop the matching metric entirely; `failed_*` markers
-    reduce to a failure-count row.
+    `failed_*` markers reduce to a failure-count row; `skip_*` markers (the
+    sweep warns of them) make no row, so a refused search's metrics reduce
+    over the realizations whose search ran.
     """
     rows = []
-    skipped = set()
     fail_counts = {}
     order = []
     seen = set()
     for res in results:
         for key in res:
-            if key.startswith("skip_"):
-                skipped.add(key[len("skip_"):])
-            elif key.startswith("failed_") or key == "failed":
+            if key.startswith("failed_"):
                 fail_counts[key] = fail_counts.get(key, 0) + 1
-            elif key not in seen:
+            elif not key.startswith("skip_") and key not in seen:
                 seen.add(key)
                 order.append(key)
     for key in order:
-        suffix = key.split("sum_mse_")[-1] if key.startswith("sum_mse_") else None
-        if suffix in skipped:
-            continue
         samples = [res[key] for res in results if key in res]
         if samples and isinstance(samples[0], list):
             depth = max(len(s) for s in samples)
@@ -423,8 +414,6 @@ def _run_sweep(cfg: ExperimentConfig, metrics_at) -> SweepResult:
 
 def run_mse_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Ensemble mean sum channel-estimation MSE per scheduler per sweep value."""
-    if cfg.sweep_name not in {"tau", "num_ue"}:
-        raise ValueError("MSE sweeps cover tau or num_ue")
     return _run_sweep(cfg, _mse_metrics)
 
 
@@ -434,9 +423,7 @@ def run_se_sweep(cfg: ExperimentConfig) -> SweepResult:
 
 
 def run_tightness(cfg: ExperimentConfig) -> SweepResult:
-    """Bound-vs-achievable comparison split by UE class."""
-    if cfg.sweep_name not in {"rrh_antennas", "mbs_antennas", "num_rrh"}:
-        raise ValueError("tightness sweeps cover rrh_antennas, mbs_antennas, or num_rrh")
+    """Bound-vs-achievable comparison split by UE class, per design."""
     return _run_sweep(cfg, _tightness_metrics)
 
 
@@ -454,16 +441,17 @@ def _write_assignment(path, topology, assignment) -> None:
 
 
 def schedule_one(cfg: ExperimentConfig, out_path=None) -> list:
-    """Pilot-schedule realization 0 of the configured scenario with every
-    configured scheduler.
+    """Pilot-schedule realization 0 at the first sweep value (as
+    ``solve_one``) with every configured scheduler.
 
     Returns one (scheduler, assignment, sum MSE) triple per scheduler and,
     if out_path is given, writes the first scheduler's pilot table there.
     """
-    scene = _Scene(cfg, cfg.scenario, 0)
+    scenario, training = _apply_sweep(cfg, cfg.sweep_values[0])
+    scene = _Scene(cfg, scenario, 0)
     results = []
     for scheduler in cfg.schedulers:
-        results.append((scheduler, *scene.schedule_and_mse(scheduler, cfg.training)))
+        results.append((scheduler, *scene.schedule_and_mse(scheduler, training)))
     if out_path:
         _write_assignment(out_path, scene.topology, results[0][1])
     return results

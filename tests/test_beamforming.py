@@ -28,7 +28,7 @@ from hcransim import (
     update_u,
 )
 from hcransim import beamforming
-from hcransim.beamforming import _Eigenbasis, _solve_mbs_side
+from hcransim.beamforming import _Eigenbasis, _objective, _solve_mbs_side
 from hcransim.util import crandn, dbm_to_watt
 
 from helpers import (
@@ -312,20 +312,24 @@ def test_returned_beams_are_zero_where_no_beam_is_designed():
     assert beams.mbs_power() == pytest.approx(mbs, rel=1e-12, abs=0)
 
 
-def test_mbs_side_takes_the_shared_matrix_or_its_copies():
-    """The MBS solve gives the same beams and multiplier for the one (B, B)
-    matrix all BUEs share as for its explicit (J, B, B) copies, with the
-    budget slack and binding."""
+def test_mbs_side_on_the_shared_matrix_with_slack_and_binding_budget():
+    """On the one (B, B) matrix all BUEs share, the MBS solve returns the
+    unconstrained beams quad^-1 lin_j at nu = 0 when the budget is slack, and
+    meets a binding budget with nu > 0; either way its dual value is the
+    primal value of its beams."""
     _, problem = _first_qcqp(16, 50)
     quad, lin = problem.mbs_quad, problem.mbs_lin
     assert quad.ndim == 2 and len(lin) > 1
-    copies = np.repeat(quad[None], len(lin), axis=0)
-    power = float(np.sum(np.abs(np.linalg.solve(quad, lin.T)) ** 2))
+    free = np.linalg.solve(quad, lin.T).T
+    power = float(np.sum(np.abs(free) ** 2))
     for budget, binding in ((2.0 * power, False), (0.25 * power, True)):
         beams, nu, value = _solve_mbs_side(quad, lin, budget, 1e-6, 1e-8)
         assert (nu > 0.0) == binding
-        beams_1, nu_1, value_1 = _solve_mbs_side(copies, lin, budget, 1e-6, 1e-8)
-        assert np.array_equal(beams, beams_1) and (nu, value) == (nu_1, value_1)
+        if binding:
+            assert float(np.sum(np.abs(beams) ** 2)) == pytest.approx(budget, rel=1e-6)
+        else:
+            assert np.allclose(beams, free, rtol=1e-9, atol=0.0)
+        assert value == pytest.approx(_objective(quad, lin, beams), rel=1e-6)
 
 
 def test_solve_qcqp_respects_constraints_and_weak_duality():

@@ -68,11 +68,12 @@ def test_se_sweep_and_tightness(tiny_cfg, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_tightness_rejects_bad_sweep(tiny_cfg, capsys):
-    code = main(["tightness", "--config", str(tiny_cfg)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "tightness" in err
+@pytest.mark.parametrize("command", ["mse-sweep", "se-sweep", "tightness", "schedule", "solve-one"])
+def test_every_subcommand_runs_on_the_default_config(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--realizations", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.is_dir() if command == "solve-one" else out.read_text().count("\n") > 1
 
 
 def test_schedule_stdout_and_assignment_dump(tiny_cfg, tmp_path, capsys):

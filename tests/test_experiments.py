@@ -19,6 +19,7 @@ from hcransim import (
     run_mse_sweep,
     run_se_sweep,
     run_tightness,
+    schedule_one,
     solve_one,
 )
 from hcransim import beamforming, experiments, pilot_scheduler
@@ -35,6 +36,11 @@ def tiny_config(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+TIGHTNESS_METRICS = (
+    "sum_lb_rue", "sum_mc_rue", "sum_lb_bue", "sum_mc_bue", "rel_gap_rue", "rel_gap_bue",
+)
 
 
 def test_config_validation():
@@ -91,8 +97,10 @@ def test_mse_sweep_rows_and_scheduler_ordering():
     for value in (3, 4):
         by = {m: mean for v, m, mean, *_ in result.rows if v == value}
         assert by["sum_mse_es"] <= by["sum_mse_psa"] + 1e-12
-    with pytest.raises(ValueError):
-        run_mse_sweep(tiny_config(sweep_name="num_rrh", sweep_values=(8, 10)))
+    # an MSE sweep takes every parameter ExperimentConfig takes
+    result = run_mse_sweep(tiny_config(sweep_name="num_rrh", sweep_values=(8, 10)))
+    assert [row[:2] for row in result.rows] == [(8, "sum_mse_psa"), (10, "sum_mse_psa")]
+    assert all(math.isfinite(row[2]) and row[2] > 0 and row[4] == 3 for row in result.rows)
 
 
 def test_exhaustive_search_guard_becomes_a_warning():
@@ -114,7 +122,8 @@ def test_exhaustive_search_guard_becomes_a_warning():
 def test_se_and_tightness_sweeps_skip_a_refused_exhaustive_search():
     """At 14 users the enumeration guard refuses the exhaustive search; the
     SE and tightness sweeps skip it with the MSE sweep's warning instead of
-    aborting, and the PSA rows are still there."""
+    aborting, and the PSA rows are still there, in the tightness sweep too
+    when es is the first scheduler."""
     scenario = ScenarioConfig(num_ue=14, num_rrh=25)
     cfg = ExperimentConfig(
         scenario=scenario, sweep_values=(5,), num_realizations=1, schedulers=("psa", "es")
@@ -128,7 +137,39 @@ def test_se_and_tightness_sweeps_skip_a_refused_exhaustive_search():
         cfg, sweep_name="num_rrh", sweep_values=(25,), schedulers=("es", "psa")
     )
     with pytest.warns(UserWarning, match="es skipped at num_rrh=25: search space"):
-        assert run_tightness(tight).rows == []
+        metrics = [row[1] for row in run_tightness(tight).rows]
+    assert metrics == [f"{name}_psa_rtd" for name in TIGHTNESS_METRICS]
+
+
+def test_a_partly_refused_search_reduces_over_the_realizations_that_ran():
+    """At 9 users and tau 5 the guard refuses the search where the effective
+    tau is 6 or more (realizations 0 and 2 here) and lets it run where it
+    stays 5. The MSE sweep warns, as the SE sweep does, and reports the
+    search's mean over the two realizations that ran, with n = 2."""
+    cfg = ExperimentConfig(
+        scenario=ScenarioConfig(num_ue=9, num_rrh=10, coverage_radius=100.0),
+        training=TrainingConfig(tau=5),
+        sweep_values=(5,),
+        num_realizations=4,
+        schedulers=("psa", "es"),
+    )
+    with pytest.warns(UserWarning, match="es skipped at tau=5: search space"):
+        rows = {row[1]: row for row in run_mse_sweep(cfg).rows}
+    assert rows["sum_mse_psa"][4] == 4 and rows["sum_mse_es"][4] == 2
+    ran = [experiments._Scene(cfg, cfg.scenario, r).schedule_and_mse("es", cfg.training)[1]
+           for r in (1, 3)]
+    assert rows["sum_mse_es"][2] == pytest.approx(np.mean(ran), rel=1e-12)
+
+
+def test_schedule_one_uses_the_first_sweep_value_as_solve_one_does(tmp_path):
+    cfg = tiny_config(sweep_name="num_ue", sweep_values=(4, 5), schedulers=("psa", "es"))
+    results = schedule_one(cfg)
+    assert [len(assignment.pilots) for _, assignment, _ in results] == [4, 4]
+    res = solve_one(cfg, tmp_path)
+    assert np.array_equal(res["assignment"].pilots, results[0][1].pilots)
+    # a tau sweep's first value is the requested pilot length
+    results = schedule_one(tiny_config(sweep_values=(4, 3)))
+    assert results[0][1].tau == 4
 
 
 def test_sweep_csv_reproducibility_and_jobs(tmp_path):
@@ -307,6 +348,55 @@ def test_generated_small_configs_run_without_failure():
         assert {f"sum_se_lb_psa_{b}" for b in cfg.beamformers} <= {row[1] for row in rows}
 
 
+def _generated_config(rng, seed):
+    """One config drawn over the ranges of the generated-config probe: 1-12
+    users, 1-30 RRHs, 1/2/4 RRH and 1/2/6 MBS antennas, 5-400 m coverage,
+    each budget zero (one time in four) or 10-40 dBm, tau up to 8 and the
+    user count, and coherence tau + 1 to tau + 29."""
+    num_ue = int(rng.integers(1, 13))
+    tau = int(rng.integers(1, min(8, num_ue) + 1))
+    rrh, mbs = (0.0 if rng.random() < 0.25 else dbm_to_watt(rng.uniform(10.0, 40.0)) for _ in "rm")
+    return ExperimentConfig(
+        scenario=ScenarioConfig(
+            num_ue=num_ue,
+            num_rrh=int(rng.integers(1, 31)),
+            rrh_antennas=int(rng.choice([1, 2, 4])),
+            mbs_antennas=int(rng.choice([1, 2, 6])),
+            coverage_radius=float(rng.uniform(5.0, 400.0)),
+        ),
+        training=TrainingConfig(tau=tau, coherence=tau + int(rng.integers(1, 30))),
+        budgets=PowerBudget(rrh=rrh, mbs=mbs),
+        sweep_values=(tau,),
+        num_realizations=2,
+        schedulers=("psa", "dsatur_random"),
+        beamformers=("rtd", "rtd_perfect_csi"),
+        master_seed=seed,
+    )
+
+
+def test_generated_configs_raise_nothing_and_fail_only_on_pilot_overflow(monkeypatch):
+    """40 seeded configs over the probe's ranges run through the SE sweep:
+    nothing raises, every row is finite, and every failure a design records
+    is a pilot overflow, never a stalled solver."""
+    failures = []
+    real = experiments._se_metrics
+
+    def recorded(scene, training):
+        out = real(scene, training)
+        failures.extend(msg for key, msg in out.items() if key.startswith("failed_"))
+        return out
+
+    monkeypatch.setattr(experiments, "_se_metrics", recorded)
+    rng = np.random.default_rng(2023)
+    for seed in range(40):
+        cfg = _generated_config(rng, seed)
+        rows = run_se_sweep(cfg).rows
+        assert rows, cfg
+        assert all(math.isfinite(row[2]) and math.isfinite(row[3]) for row in rows), cfg
+    assert failures  # two of the configs overflow
+    assert all("reaches the coherence length" in msg for msg in failures), failures
+
+
 def test_se_sweep_metric_tags_and_traces():
     cfg = tiny_config(
         schedulers=("psa", "dsatur_random"),
@@ -381,8 +471,8 @@ def test_a_pilot_overflow_is_a_failure_row_not_an_aborted_sweep():
     assert rows["sum_se_lb_psa_rtd"][4] == rows["sum_se_mc_psa_rtd"][4] == 5
     tight = dataclasses.replace(cfg, sweep_name="rrh_antennas", sweep_values=(4,))
     rows = {row[1]: row for row in run_tightness(tight).rows}
-    assert rows["failures"][2:] == (1.0, 0.0, 6)
-    assert rows["sum_lb_rue"][4] == rows["sum_mc_bue"][4] == 5
+    assert rows["failures_psa_rtd"][2:] == (1.0, 0.0, 6)
+    assert rows["sum_lb_rue_psa_rtd"][4] == rows["sum_mc_bue_psa_rtd"][4] == 5
     scene = experiments._Scene(cfg, cfg.scenario, 2)
     assert experiments._se_metrics(scene, cfg.training) == {
         "failed_psa_rtd": "effective tau 12 (tau 2 lifted to the larger of the coloring "
@@ -426,20 +516,35 @@ def test_rtd_counters_leave_the_se_sweep_csv_unchanged(tmp_path, monkeypatch):
     assert sum(c["dual_updates"] for c in counters) > 0
 
 
-def test_tightness_rows_and_restrictions():
+def test_tightness_rows_per_design_at_any_sweep():
+    """Tightness rows come per scheduler x beamformer design, tagged as the
+    SE sweep tags them, in the same order within each design, and a tau
+    sweep runs like an antenna sweep."""
     cfg = tiny_config(sweep_name="rrh_antennas", sweep_values=(2, 4), num_realizations=2)
     result = run_tightness(cfg)
-    metrics = {row[1] for row in result.rows}
-    assert metrics == {
-        "sum_lb_rue", "sum_mc_rue", "sum_lb_bue", "sum_mc_bue",
-        "rel_gap_rue", "rel_gap_bue",
-    }
+    assert [row[1] for row in result.rows] == [f"{m}_psa_rtd" for m in TIGHTNESS_METRICS] * 2
     for _, metric, mean, stderr, n in result.rows:
         assert math.isfinite(mean) and math.isfinite(stderr) and n == 2
         if metric.startswith("sum_"):
             assert mean >= 0.0
-    with pytest.raises(ValueError):
-        run_tightness(tiny_config(sweep_name="tau"))
+    cfg = tiny_config(
+        schedulers=("psa", "dsatur_random"),
+        beamformers=("rtd", "rtd_perfect_csi"),
+        num_realizations=2,
+    )
+    result = run_tightness(cfg)
+    tags = [f"{s}_{b}" for s in cfg.schedulers for b in cfg.beamformers]
+    per_value = [f"{m}_{tag}" for tag in tags for m in TIGHTNESS_METRICS]
+    assert [row[:2] for row in result.rows] == [(v, m) for v in (3, 4) for m in per_value]
+    assert all(math.isfinite(row[2]) and row[4] == 2 for row in result.rows)
+    # each design's sums are the SE sweep's sums split by UE class
+    se = {(v, m): mean for v, m, mean, *_ in run_se_sweep(cfg).rows}
+    tight = {(v, m): mean for v, m, mean, *_ in result.rows}
+    for v in (3, 4):
+        for tag in tags:
+            for kind in ("lb", "mc"):
+                split = tight[v, f"sum_{kind}_rue_{tag}"] + tight[v, f"sum_{kind}_bue_{tag}"]
+                assert split == pytest.approx(se[v, f"sum_se_{kind}_{tag}"], rel=1e-12)
 
 
 def test_solve_one_artifacts(tmp_path):
