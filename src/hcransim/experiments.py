@@ -108,6 +108,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown beamformer {b!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         for value in self.sweep_values:  # a value the configs reject fails here, not mid-sweep
             scenario, training = _apply_sweep(self, value)
             if training.tau > scenario.num_ue:

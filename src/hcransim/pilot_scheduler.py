@@ -6,6 +6,7 @@ are provided:
 
 * ``psa_schedule`` — Dsatur initialization followed by greedy reassignment of
   the most-contaminated users, driven by a log-domain contamination metric;
+  each move reads one contamination matrix built from the pilot vector;
 * ``dsatur_random_schedule`` — Dsatur color classes mapped randomly onto the
   first t pilots (baseline; never uses more than t pilots);
 * ``es_schedule`` — exhaustive search over feasible assignments (oracle).
@@ -28,7 +29,6 @@ one each; RRH-served users may share any pilot, including a BUE's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -47,9 +47,6 @@ class ConflictGraph:
     edge when two users share an RRH."""
 
     adjacency: np.ndarray  # (R, R) 0/1, symmetric, zero diagonal
-
-    def neighbors(self, r: int) -> np.ndarray:
-        return np.nonzero(self.adjacency[r])[0]
 
     @cached_property
     def coloring(self) -> tuple[int, np.ndarray]:
@@ -116,59 +113,43 @@ def dsatur_color(graph: ConflictGraph) -> tuple[int, np.ndarray]:
 
     Next vertex: highest saturation (distinct neighbor colors), then highest
     degree, then lowest index; it receives the smallest feasible color.
+    ``seen[v, c]`` records that a neighbor of v holds color c.
     Returns (color count t, per-vertex colors 0..t-1).
     """
-    a = graph.adjacency
-    n = a.shape[0]
+    conflict = graph.adjacency.astype(bool)
+    n = len(conflict)
     colors = np.full(n, -1, dtype=int)
-    if n == 0:
-        return 0, colors
-    degree = a.sum(axis=1)
+    order = (-np.arange(n), conflict.sum(axis=1))  # lexsort keys: the last sorts first
+    seen = np.zeros((n, n), dtype=bool)
     for _ in range(n):
-        best_v, best_key = -1, None
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            neigh = np.nonzero(a[v])[0]
-            sat = len({colors[u] for u in neigh if colors[u] >= 0})
-            key = (sat, degree[v], -v)
-            if best_key is None or key > best_key:
-                best_v, best_key = v, key
-        used = {colors[u] for u in np.nonzero(a[best_v])[0] if colors[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[best_v] = c
-    return int(colors.max()) + 1, colors
+        v = np.lexsort(order + (np.where(colors < 0, seen.sum(axis=1), -1),))[-1]
+        colors[v] = c = int(np.argmin(seen[v]))
+        seen[conflict[v], c] = True
+    return int(colors.max(initial=-1)) + 1, colors
 
 
 def compute_beta(topology: Topology, graph: ConflictGraph | None = None) -> np.ndarray:
     """Log-domain contamination level beta[r, m] (R, M) between every RUE
     (row r, in ``rue_set`` order) and every other UE (column m, by UE id).
 
-    For an unconnected RUE pair the two mutual leakage ratios are summed inside
-    the log; connected pairs (orthogonal by constraint) and the self entry are
-    zero. For an RUE/BUE pair the MBS-side leakage ratio replaces the second
-    term.
+    The leakage L[r, m] is UE m's gain summed over RUE r's cluster, divided by
+    RUE r's own. For an unconnected RUE pair the two mutual leakage ratios are
+    summed inside the log; connected pairs (orthogonal by constraint) and the
+    self entry are zero. For an RUE/BUE pair the MBS-side leakage ratio
+    replaces the second term.
     """
     if graph is None:
         graph = build_conflict_graph(topology)
-    rue_ids = topology.rue_set
-    alpha_r, alpha_b = topology.alpha_rrh, topology.alpha_mbs
-    own = {i: alpha_r[topology.serving_rrhs[i], i].sum() for i in rue_ids}
+    rue_ids, bue_ids = topology.rue_set, topology.bue_set
+    alpha_b = topology.alpha_mbs
+    gain = [topology.alpha_rrh[topology.serving_rrhs[i]].sum(axis=0) for i in rue_ids]
+    gain = np.reshape(gain, (len(rue_ids), topology.num_ue))  # (R, M): over each RUE's cluster
+    leak = gain / gain[np.arange(len(rue_ids)), rue_ids][:, None]
+    rue_leak = leak[:, rue_ids]
+    orthogonal = graph.adjacency + np.eye(len(rue_ids), dtype=graph.adjacency.dtype)
     beta = np.zeros((len(rue_ids), topology.num_ue))
-    for r, i in enumerate(rue_ids):
-        cluster = topology.serving_rrhs[i]
-        for r2, i2 in enumerate(rue_ids):
-            if i2 == i or graph.adjacency[r, r2]:
-                continue
-            leak_to_i = alpha_r[cluster, i2].sum() / own[i]
-            leak_from_i = alpha_r[topology.serving_rrhs[i2], i].sum() / own[i2]
-            beta[r, i2] = math.log(1.0 + leak_to_i + leak_from_i)
-        for j in topology.bue_set:
-            leak_to_i = alpha_r[cluster, j].sum() / own[i]
-            leak_to_j = alpha_b[i] / alpha_b[j]
-            beta[r, j] = math.log(1.0 + leak_to_i + leak_to_j)
+    beta[:, rue_ids] = np.where(orthogonal, 0.0, np.log(1.0 + rue_leak + rue_leak.T))
+    beta[:, bue_ids] = np.log(1.0 + leak[:, bue_ids] + alpha_b[rue_ids, None] / alpha_b[bue_ids])
     return beta
 
 
@@ -292,10 +273,8 @@ def effective_tau(topology: Topology, tau: int, t: int) -> int:
 def _base_pilots(topology: Topology, colors: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """BUEs on pilots 1..|bue_set| in id order; RUE color classes on perm."""
     pilots = np.zeros(topology.num_ue, dtype=int)
-    for idx, j in enumerate(topology.bue_set):
-        pilots[j] = idx + 1
-    for r, i in enumerate(topology.rue_set):
-        pilots[i] = int(perm[colors[r]]) + 1
+    pilots[topology.bue_set] = np.arange(1, len(topology.bue_set) + 1)
+    pilots[topology.rue_set] = perm[colors] + 1
     return pilots
 
 
@@ -332,44 +311,24 @@ def psa_schedule(
     least contamination. Ties: lowest UE id / lowest pilot index. ``beta`` is
     ``compute_beta(topology, graph)``.
     """
-    rue_ids = topology.rue_set
+    rue_ids = np.array(topology.rue_set, dtype=int)
     t, colors = graph.coloring
     tau_eff = effective_tau(topology, tau, t)
     perm = rng.permutation(t) if (rng is not None and t) else np.arange(t)
     pilots = _base_pilots(topology, colors, perm)
-
-    bue_on_pilot = {idx + 1: j for idx, j in enumerate(topology.bue_set)}
-    on_pilot: dict[int, set[int]] = {p: set() for p in range(1, tau_eff + 1)}
-    for r, i in enumerate(rue_ids):
-        on_pilot[pilots[i]].add(r)
-
-    def contamination(r: int, pilot: int) -> float:
-        val = sum(beta[r, rue_ids[r2]] for r2 in on_pilot[pilot] if r2 != r)
-        if pilot in bue_on_pilot:
-            val += beta[r, bue_on_pilot[pilot]]
-        return val
-
-    pending = set(range(len(rue_ids)))
-    for _ in range(len(rue_ids)):
-        worst_r, worst_val = -1, -np.inf
-        for r in sorted(pending):
-            val = contamination(r, pilots[rue_ids[r]])
-            if val > worst_val:
-                worst_r, worst_val = r, val
-        taken = {pilots[rue_ids[r2]] for r2 in graph.neighbors(worst_r)}
-        best_p, best_val = 0, np.inf
-        for p in range(1, tau_eff + 1):
-            if p in taken:
-                continue
-            val = contamination(worst_r, p)
-            if val < best_val:
-                best_p, best_val = p, val
-        i = rue_ids[worst_r]
-        on_pilot[pilots[i]].discard(worst_r)
-        on_pilot[best_p].add(worst_r)
-        pilots[i] = best_p
-        pending.remove(worst_r)
-
+    conflict = graph.adjacency.astype(bool)
+    rows, pilot_ids = np.arange(len(rue_ids)), np.arange(1, tau_eff + 1)
+    revisited = np.zeros(len(rue_ids), dtype=bool)
+    for _ in rows:
+        level = beta @ (pilots[:, None] == pilot_ids)  # RUE r's level on pilot p at [r, p - 1]
+        rue_pilots = pilots[rue_ids]
+        own = level[rows, rue_pilots - 1]
+        own[revisited] = -np.inf
+        r = own.argmax()
+        options = level[r]
+        options[rue_pilots[conflict[r]] - 1] = np.inf
+        pilots[rue_ids[r]] = options.argmin() + 1
+        revisited[r] = True
     return make_assignment(tau_eff, pilots)
 
 
@@ -382,7 +341,7 @@ def _feasible_blocks(graph: ConflictGraph, tau: int):
     are split into slices expanded depth first, so the space is never held.
     """
     num = len(graph.adjacency)
-    earlier = [[r2 for r2 in graph.neighbors(pos) if r2 < pos] for pos in range(num)]
+    earlier = [np.flatnonzero(graph.adjacency[pos, :pos]) for pos in range(num)]
 
     def grow(prefixes: np.ndarray):
         pos = prefixes.shape[1]

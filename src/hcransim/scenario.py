@@ -218,16 +218,17 @@ def save_topology(topology: Topology, path) -> None:
 
 def load_topology(path) -> Topology:
     """Read a ``save_topology`` dump; an entry that is missing, repeated or
-    out of range is a ValueError that names its tag and index. A config entry
-    must name a ScenarioConfig field once, its value must have that field's
-    type (``util.typed``, as in config files), and num_rrh and num_ue must
-    count the rrh and ue entries."""
+    out of range is a ValueError that names its tag and index, and a blank
+    line or a header without this format version one that names the line.
+    A config entry must name a ScenarioConfig field once, its value must have
+    that field's type (``util.typed``, as in config files), and num_rrh and
+    num_ue must count the rrh and ue entries."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != TOPOLOGY_FORMAT:
+    if not rows or rows[0][:1] != [TOPOLOGY_FORMAT]:
         raise ValueError(f"not a {TOPOLOGY_FORMAT} file: {path}")
-    if int(rows[0][1]) != TOPOLOGY_VERSION:
-        raise ValueError(f"unsupported topology format version {rows[0][1]}")
+    if rows[0][1:] != [str(TOPOLOGY_VERSION)]:
+        raise ValueError(f"line 1: unsupported topology format version {rows[0][1:]}")
 
     config_kwargs: dict = {}
     # Per tag: the fields that index an entry, then the values it holds.
@@ -235,7 +236,9 @@ def load_topology(path) -> Topology:
               "alpha_rrh": (2, 1), "alpha_mbs": (1, 1)}
     entries: dict[str, dict] = {tag: {} for tag in layout}
     config_names = {f.name for f in fields(ScenarioConfig)}
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
+        if not row:
+            raise ValueError(f"line {line} is blank")
         tag = row[0]
         if tag == "config":
             _, name, text = row  # a ValueError unless the row holds a name and a value

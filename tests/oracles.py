@@ -82,6 +82,84 @@ def beta_oracle(topology, i, m):
 
 
 # ---------------------------------------------------------------------------
+# Dsatur and PSA as plain loops over vertices, users and pilots.
+
+
+def dsatur_oracle(adjacency):
+    """Dsatur coloring (color count, colors) of a 0/1 adjacency matrix: the
+    saturation of every uncolored vertex recounted from its neighbors at every
+    step; highest saturation, then degree, then lowest index goes next and
+    takes the smallest color no neighbor holds."""
+    n = len(adjacency)
+    colors = [-1] * n
+    neighbors = [[u for u in range(n) if adjacency[v][u]] for v in range(n)]
+    for _ in range(n):
+        best_v, best_key = -1, None
+        for v in range(n):
+            if colors[v] >= 0:
+                continue
+            sat = len({colors[u] for u in neighbors[v] if colors[u] >= 0})
+            key = (sat, len(neighbors[v]), -v)
+            if best_key is None or key > best_key:
+                best_v, best_key = v, key
+        used = {colors[u] for u in neighbors[best_v]}
+        c = 0
+        while c in used:
+            c += 1
+        colors[best_v] = c
+    return max(colors, default=-1) + 1, colors
+
+
+def psa_oracle(topology, beta, adjacency, tau, rng=None):
+    """PSA's pilot vector, with a pilot-to-users map kept beside it.
+
+    BUE j holds pilot j; Dsatur classes go onto pilots 1..t, permuted by
+    ``rng`` when given. Every RUE is then revisited once, worst-contaminated
+    first (lowest id on a tie), and moved to the least-contaminated pilot its
+    neighbors do not hold (lowest pilot on a tie).
+    """
+    rue_ids, bue_ids = topology.rue_set, topology.bue_set
+    t, colors = dsatur_oracle(adjacency)
+    tau_eff = max(tau, t, len(bue_ids))
+    perm = rng.permutation(t) if (rng is not None and t) else range(t)
+    pilots = [0] * topology.num_ue
+    for idx, j in enumerate(bue_ids):
+        pilots[j] = idx + 1
+    for r, i in enumerate(rue_ids):
+        pilots[i] = int(perm[colors[r]]) + 1
+    bue_on_pilot = {idx + 1: j for idx, j in enumerate(bue_ids)}
+    on_pilot = {p: set() for p in range(1, tau_eff + 1)}
+    for r, i in enumerate(rue_ids):
+        on_pilot[pilots[i]].add(r)
+
+    def contamination(r, pilot):
+        val = sum(beta[r, rue_ids[r2]] for r2 in on_pilot[pilot] if r2 != r)
+        if pilot in bue_on_pilot:
+            val += beta[r, bue_on_pilot[pilot]]
+        return val
+
+    pending = set(range(len(rue_ids)))
+    for _ in range(len(rue_ids)):
+        worst_r, worst_val = -1, -math.inf
+        for r in sorted(pending):
+            val = contamination(r, pilots[rue_ids[r]])
+            if val > worst_val:
+                worst_r, worst_val = r, val
+        taken = {pilots[rue_ids[r2]] for r2 in range(len(rue_ids)) if adjacency[worst_r][r2]}
+        best_p, best_val = 0, math.inf
+        for p in range(1, tau_eff + 1):
+            val = math.inf if p in taken else contamination(worst_r, p)
+            if val < best_val:
+                best_p, best_val = p, val
+        i = rue_ids[worst_r]
+        on_pilot[pilots[i]].discard(worst_r)
+        on_pilot[best_p].add(worst_r)
+        pilots[i] = best_p
+        pending.remove(worst_r)
+    return tau_eff, pilots
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive schedule enumeration (no pruning, no shared code).
 
 

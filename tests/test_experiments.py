@@ -62,6 +62,8 @@ def test_config_validation():
         tiny_config(schedulers=())
     with pytest.raises(ValueError):
         tiny_config(jobs=0)
+    with pytest.raises(ValueError, match="master_seed must be >= 0"):
+        tiny_config(master_seed=-1)
     # every sweep value's configs are built at construction (5 users,
     # coherence 30), so no sweep starts that would fail part way
     with pytest.raises(ValueError, match="need 0 < tau < coherence"):

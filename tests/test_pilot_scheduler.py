@@ -4,6 +4,7 @@ Hand-traced expectations are frozen from the documented tie-breaking rules;
 numeric quantities are pinned against the literal per-link oracles.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -30,7 +31,9 @@ from helpers import hand_topology
 from oracles import (
     best_schedules_oracle,
     beta_oracle,
+    dsatur_oracle,
     enumerate_feasible_pilots,
+    psa_oracle,
     sum_mse_oracle,
 )
 
@@ -62,7 +65,6 @@ def test_conflict_graph_edges_are_shared_rrhs():
     assert graph.adjacency[0, 1] == graph.adjacency[1, 0] == 1
     assert graph.adjacency[0, 2] == graph.adjacency[1, 2] == 0
     assert np.all(np.diag(graph.adjacency) == 0)
-    assert list(graph.neighbors(1)) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +108,16 @@ def test_dsatur_properness_random_graphs():
             for b in range(n):
                 if adjacency[a, b]:
                     assert colors[a] != colors[b]
+
+
+def test_dsatur_matches_the_loop_oracle():
+    rng = np.random.default_rng(11)
+    for n in range(40):
+        for density in (0.1, 0.3, 0.6):
+            adjacency = np.triu(rng.random((n, n)) < density, 1).astype(np.int8)
+            adjacency += adjacency.T
+            t, colors = dsatur_color(ConflictGraph(adjacency=adjacency))
+            assert (t, colors.tolist()) == dsatur_oracle(adjacency.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +318,22 @@ def test_psa_deterministic_given_rng_state():
     c = psa_schedule(topo, beta, graph, tau=3)  # rng-free call is canonical
     d = psa_schedule(topo, beta, graph, tau=3)
     assert np.array_equal(c.pilots, d.pilots)
+
+
+def test_psa_matches_the_loop_oracle():
+    # (num_ue, num_rrh, coverage_radius), three seeds each, every tau up to 8;
+    # integer levels sum exactly in any order and tie often, testing tie-breaks
+    sizes = ((6, 25, 100.0), (8, 25, 100.0), (16, 50, 130.0), (32, 100, 100.0))
+    for (num_ue, num_rrh, radius), seed in itertools.product(sizes, range(3)):
+        topo = seeded_topology(seed, num_rrh, num_ue, radius)
+        graph = build_conflict_graph(topo)
+        beta = compute_beta(topo, graph)
+        for tau in range(1, min(8, num_ue) + 1):
+            for levels, rng_seed in itertools.product((beta, np.round(4 * beta)), (None, seed)):
+                rngs = [None if rng_seed is None else np.random.default_rng(rng_seed) for _ in "ab"]
+                a = psa_schedule(topo, levels, graph, tau, rng=rngs[0])
+                want = psa_oracle(topo, levels, graph.adjacency, tau, rng=rngs[1])
+                assert (a.tau, a.pilots.tolist()) == want
 
 
 def test_dsatur_random_never_uses_more_than_t_pilots():

@@ -153,6 +153,9 @@ def test_load_topology_rejects_foreign_files(tmp_path):
          "config key 'num_ue' must be of type int, got 8.0"),
         (lambda rows: [r.replace("config,coverage_radius,", "config,coverage_radius,x") for r in rows],
          "config entry 'coverage_radius' is not a number"),
+        (lambda rows: [x for r in rows for x in ([""] if r.startswith("rrh,0,") else []) + [r]],
+         "line 16 is blank"),
+        (lambda rows: ["hcransim-topology"] + rows[1:], "line 1: unsupported topology format"),
     ],
 )
 def test_load_topology_names_a_missing_duplicate_or_out_of_range_entry(tmp_path, edit, message):
