@@ -54,6 +54,7 @@ from .rate_bounds import (
     AggregatedLinks,
     build_covariances,
     interference_plus_noise,
+    link_amplitudes,
     lower_bound_rates,
     monte_carlo_rates,
     useful_amplitude,

@@ -91,7 +91,9 @@ class BeamformerSet(NamedTuple):
     """Transmit beams on every link: ``rrh[m, k]`` is UE m's beam block at
     RRH k and ``mbs[m]`` its MBS beam. Entries are zero off each RUE's
     serving cluster, on zero-budget blocks, on BUE rows of ``rrh`` and on RUE
-    rows of ``mbs``. Unpacks as the (w_rrh, w_mbs) pair the rate code takes."""
+    rows of ``mbs``. Unpacks as the (w_rrh, w_mbs) pair the rate code takes;
+    the lower bound's moments and amplitudes read ``rrh`` only on the serving
+    links (``Topology.served_links``)."""
 
     rrh: np.ndarray    # (M, K, N) complex
     mbs: np.ndarray    # (M, B) complex
@@ -113,7 +115,11 @@ class StackLayout:
     len(active) at padding. ``users_of[a]`` holds slot a's (rows, block
     positions). The ``live`` (U, P) blocks are, in row-major order, the links
     ``link_rrh`` -> ``link_ue``, with estimates ``est`` (U, W). BUE ``bue[j]``
-    is row j of the MBS side's (J, B) beams.
+    is row j of the MBS side's (J, B) beams. ``gram_ue`` (A, Q) lists, per
+    active slot, the users whose estimate at that RRH is nonzero (the served
+    links under estimated CSI, every user under perfect CSI), ascending, then
+    users with a zero estimate as padding; ``gram_est`` (A, Q, n) holds those
+    estimates.
     """
 
     block_size: int
@@ -128,6 +134,8 @@ class StackLayout:
     link_rrh: np.ndarray
     link_ue: np.ndarray
     est: np.ndarray
+    gram_ue: np.ndarray
+    gram_est: np.ndarray
 
     def beams(self, w_rue: np.ndarray, w_bue: np.ndarray) -> BeamformerSet:
         """The RUE stack (U, W) and BUE beams (J, B) as per-link arrays."""
@@ -158,6 +166,10 @@ def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
     est = np.zeros(starts.shape + (n,), dtype=complex)
     est[live] = links.est_rrh[link_rrh, link_ue]
     users_of = [np.nonzero(starts == a) for a in range(active.size)]
+    # A link with a zero estimate adds nothing to its RRH's Gram block.
+    at_active = links.est_rrh[active]
+    known = np.any(at_active != 0, axis=2)
+    gram_ue = np.argsort(~known, axis=1, kind="stable")[:, :known.sum(axis=1).max(initial=0)]
     return StackLayout(
         block_size=n,
         rue=rue,
@@ -171,6 +183,8 @@ def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
         link_rrh=link_rrh,
         link_ue=link_ue,
         est=est.reshape(len(rue), starts.shape[1] * n),
+        gram_ue=gram_ue,
+        gram_est=np.take_along_axis(at_active, gram_ue[:, :, None], axis=1),
     )
 
 
@@ -220,8 +234,9 @@ def assemble_qcqp(
 
     f and u are (M,) arrays by UE id; the MSE weights are w8 = exp(u - 1) |f|^2.
     A beam block at RRH k costs G_k = sum_m w8_m (est est^H + var I) over the
-    links k -> m, so a RUE's matrix is blockdiag(G_k) over its live blocks
-    plus its own term w8_i g g^H, the only one that couples them; every BUE
+    links k -> m (the estimate part over ``layout.gram_est``, the links with
+    a nonzero estimate), so a RUE's matrix is blockdiag(G_k) over its live
+    blocks plus its own term w8_i g g^H, the only one that couples them; every BUE
     shares the one matrix of the MBS links. The problem keeps these factors
     (``QcqpProblem``) and never forms a RUE's matrix.
 
@@ -232,8 +247,9 @@ def assemble_qcqp(
     w8 = scale * np.abs(f) ** 2
     lin = scale * f
     n = layout.block_size
-    est = links.est_rrh[layout.active]
-    blocks = np.sum((est * w8[None, :, None])[..., :, None] * est.conj()[..., None, :], axis=1)
+    est = layout.gram_est
+    weighted = est * w8[layout.gram_ue][:, :, None]
+    blocks = np.sum(weighted[..., :, None] * est.conj()[..., None, :], axis=1)
     blocks[:, np.arange(n), np.arange(n)] += (links.var_rrh @ w8)[layout.active, None]
     shared = (links.est_mbs * w8[:, None]).T @ links.est_mbs.conj()
     shared += (links.var_mbs @ w8) * np.eye(links.mbs_antennas)

@@ -16,6 +16,11 @@ moment of cluster(src)->dst is
 
 ``monte_carlo_rates`` computes the rate the bound stands in for exactly under
 that model, as a one-dimensional Laplace-transform integral.
+
+Beams are zero off the serving links, so the moments, the useful amplitudes
+and the exact rate's mean amplitudes are summed per served link
+(``Topology.served_links``; ``link_amplitudes`` gives the estimate part):
+their cost scales with served links x users, not with K M^2.
 """
 
 from __future__ import annotations
@@ -62,37 +67,53 @@ def build_covariances(topology: Topology, state: ChannelState) -> AggregatedLink
     )
 
 
+def link_amplitudes(links: AggregatedLinks, w_rrh: np.ndarray) -> np.ndarray:
+    """(L, M) array: entry [l, d] is est_rrh[k, d]^H w_rrh[s, k] for served
+    link l = (s, k) of ``links.topology.served_links``, the amplitude of UE
+    s's beam at RRH k through the estimate of the link RRH k -> UE d. Beams
+    off the serving links are not read."""
+    ue, rrh = links.topology.served_links
+    # conj(est w*) = est* w, with the conjugation on the (L, M) result
+    return (links.est_rrh[rrh] @ w_rrh[ue, rrh].conj()[:, :, None])[:, :, 0].conj()
+
+
 def interference_plus_noise(links: AggregatedLinks, beams, noise_power: float):
     """Expected interference-plus-noise power per UE under the link model.
 
     beams is a BeamformerSet or the same (w_rrh (M, K, N), w_mbs (M, B))
-    pair of per-link arrays. Entry [src, dst] of the moment matrix is the
-    second moment of what src's beams deliver to dst; on the diagonal only
-    the error (variance) part counts, since the estimate part is the UE's
-    own signal.
+    pair of per-link arrays; RRH beams off the serving links are not read.
+    UE d receives from every served link l = (s, k) its second moment
+    |est[k, d]^H w_s,k|^2 + var[k, d] ||w_s,k||^2, and from every BUE's MBS
+    beam the same; of its own links only the error (variance) part counts,
+    since the estimate part is d's own signal.
 
     Returns an (M,) array indexed by UE id. Shared by the lower bound, the
     equalizer update, and the QCQP assembly identity.
     """
     w_rrh, w_mbs = beams
-    # amplitude[k, src, dst] = est[k, dst]^H w_src,k, one matrix product per RRH
-    amplitude = w_rrh.transpose(1, 0, 2) @ links.est_rrh.conj().transpose(0, 2, 1)
-    coherent = np.sum(np.abs(amplitude) ** 2, axis=0)
-    coherent += np.abs(w_mbs @ links.est_mbs.conj().T) ** 2
-    incoherent = np.sum(np.abs(w_rrh) ** 2, axis=2) @ links.var_rrh
-    incoherent += np.outer(np.sum(np.abs(w_mbs) ** 2, axis=1), links.var_mbs)
-    moments = coherent + incoherent
-    np.fill_diagonal(moments, np.diagonal(incoherent))
-    return moments.sum(axis=0) + noise_power
+    ue, rrh = links.topology.served_links
+    coherent = np.abs(link_amplitudes(links, w_rrh)) ** 2
+    coherent[np.arange(ue.size), ue] = 0.0
+    power = np.sum(np.abs(w_rrh[ue, rrh]) ** 2, axis=1)
+    rrh_part = np.sum(coherent + power[:, None] * links.var_rrh[rrh], axis=0)
+    mbs = np.abs(w_mbs @ links.est_mbs.conj().T) ** 2
+    np.fill_diagonal(mbs, 0.0)
+    mbs_part = np.sum(mbs, axis=0) + np.sum(np.abs(w_mbs) ** 2) * links.var_mbs
+    return rrh_part + mbs_part + noise_power
 
 
 def useful_amplitude(links: AggregatedLinks, beams) -> np.ndarray:
     """(M,) array by UE id of sum_k est_rrh[k, m]^H w_rrh[m, k] +
-    est_mbs[m]^H w_mbs[m]: the own-link estimate times the beam, since beams
-    are zero off a UE's cluster and serving side."""
+    est_mbs[m]^H w_mbs[m], k over m's serving cluster: the own-link estimate
+    times the beam, since beams are zero off a UE's cluster and serving
+    side. The own-link entries of ``link_amplitudes``, one dot product per
+    link."""
     w_rrh, w_mbs = beams
-    rrh = np.einsum("kmn,mkn->m", links.est_rrh.conj(), w_rrh)
-    return rrh + np.einsum("mb,mb->m", links.est_mbs.conj(), w_mbs)
+    ue, rrh = links.topology.served_links
+    own = np.einsum("ln,ln->l", links.est_rrh[rrh, ue].conj(), w_rrh[ue, rrh])
+    rrh_part = np.zeros(len(w_mbs), dtype=complex)
+    np.add.at(rrh_part, ue, own)  # in link order: ascending RRH per UE
+    return rrh_part + np.einsum("mb,mb->m", links.est_mbs.conj(), w_mbs)
 
 
 def lower_bound_rates(links: AggregatedLinks, beams, noise_power: float, prelog: float):
@@ -133,7 +154,10 @@ def monte_carlo_rates(
         raise ValueError(f"trials must be >= 2 and even, got {trials!r}")
     w_rrh, w_mbs = beams
     # mean[dst, src]: the estimate part of the links, summed over src's cluster
-    mean = np.einsum("skn,kdn->ds", w_rrh, links.est_rrh.conj()) + links.est_mbs.conj() @ w_mbs.T
+    ue, _ = links.topology.served_links
+    by_source = np.zeros((len(w_mbs), len(w_mbs)), dtype=complex)
+    np.add.at(by_source, ue, link_amplitudes(links, w_rrh))
+    mean = by_source.T + links.est_mbs.conj() @ w_mbs.T
     per_rrh = w_rrh.transpose(1, 0, 2)
     gram = per_rrh @ per_rrh.conj().transpose(0, 2, 1)
     cov = np.tensordot(links.var_rrh.T, gram, axes=1)

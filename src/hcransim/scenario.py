@@ -57,9 +57,9 @@ class ScenarioConfig:
 class Topology:
     """A fixed network realization: placements, cluster map, gains.
 
-    ``serving_rrhs`` is the one stored cluster map; ``rue_set``, ``bue_set``
-    and ``served_rues`` are derived from it on first read and cached, so the
-    map must not change after they are read.
+    ``serving_rrhs`` is the one stored cluster map; ``rue_set``, ``bue_set``,
+    ``served_rues`` and ``served_links`` are derived from it on first read
+    and cached, so the map must not change after they are read.
     """
 
     config: ScenarioConfig
@@ -95,6 +95,14 @@ class Topology:
             for k in cluster:
                 served[k].append(i)
         return served
+
+    @cached_property
+    def served_links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every serving link as (ue, rrh) index arrays, UE-major and
+        ascending: link l is RRH rrh[l] -> UE ue[l]."""
+        ue = [i for i, cluster in enumerate(self.serving_rrhs) for _ in cluster]
+        rrh = [k for cluster in self.serving_rrhs for k in cluster]
+        return np.array(ue, dtype=int), np.array(rrh, dtype=int)
 
     def validate(self) -> None:
         cfg = self.config
@@ -219,7 +227,9 @@ def save_topology(topology: Topology, path) -> None:
 def load_topology(path) -> Topology:
     """Read a ``save_topology`` dump; an entry that is missing, repeated or
     out of range is a ValueError that names its tag and index, and a blank
-    line or a header without this format version one that names the line.
+    line, a header without this format version, a config row without a name
+    and a value, or an index or value that does not parse as an integer or
+    a number one that names the line.
     A config entry must name a ScenarioConfig field once, its value must have
     that field's type (``util.typed``, as in config files), and num_rrh and
     num_ue must count the rrh and ue entries."""
@@ -241,7 +251,9 @@ def load_topology(path) -> Topology:
             raise ValueError(f"line {line} is blank")
         tag = row[0]
         if tag == "config":
-            _, name, text = row  # a ValueError unless the row holds a name and a value
+            if len(row) != 3:
+                raise ValueError(f"line {line}: config row {row} needs a name and a value")
+            _, name, text = row
             if name not in config_names:
                 raise ValueError(f"unknown config entry {name!r}")
             if name in config_kwargs:
@@ -255,10 +267,10 @@ def load_topology(path) -> Topology:
             width, values = layout[tag]
             if len(row) != 1 + width + values:
                 raise ValueError(f"{tag} row {row} needs {width + values} fields after the tag")
-            index = tuple(int(x) for x in row[1:1 + width])
+            index = tuple(_parse(int, x, line, tag, "index") for x in row[1:1 + width])
             if index in entries[tag]:
                 raise ValueError(f"duplicate {tag} entry {_label(index)}")
-            entries[tag][index] = [float(x) for x in row[1 + width:]]
+            entries[tag][index] = [_parse(float, x, line, tag, "value") for x in row[1 + width:]]
         else:
             raise ValueError(f"unknown row tag {tag!r}")
 
@@ -293,6 +305,15 @@ def load_topology(path) -> Topology:
     )
     topo.validate()
     return topo
+
+
+def _parse(kind, text: str, line: int, tag: str, what: str):
+    """text as an int or a float, or a ValueError naming the line and tag."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"line {line}: {tag} {what} {text!r} is not {noun}") from None
 
 
 def _label(index: tuple) -> str:

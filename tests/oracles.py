@@ -729,3 +729,53 @@ def qcqp_value(quads, lins, w):
         total += float(np.real(np.vdot(w[m], quads[m] @ w[m])))
         total -= 2.0 * float(np.real(np.vdot(lins[m], w[m])))
     return total
+
+
+# ---------------------------------------------------------------------------
+# The rate code's products over every RRH -> UE link, served or not.
+
+
+def dense_amplitudes(links, w_rrh):
+    """(K, M, M) array: entry [k, s, d] is est_rrh[k, d]^H w_rrh[s, k], one
+    matrix product per RRH."""
+    return w_rrh.transpose(1, 0, 2) @ links.est_rrh.conj().transpose(0, 2, 1)
+
+
+def dense_interference_plus_noise(links, beams, noise_power):
+    """Interference-plus-noise power per UE ((M,) by UE id) from the dense
+    amplitudes: the moment of src -> dst sums |amplitude|^2 over every RRH,
+    plus the error variances times every beam block's power."""
+    w_rrh, w_mbs = beams
+    coherent = np.sum(np.abs(dense_amplitudes(links, w_rrh)) ** 2, axis=0)
+    coherent += np.abs(w_mbs @ links.est_mbs.conj().T) ** 2
+    incoherent = np.sum(np.abs(w_rrh) ** 2, axis=2) @ links.var_rrh
+    incoherent += np.outer(np.sum(np.abs(w_mbs) ** 2, axis=1), links.var_mbs)
+    moments = coherent + incoherent
+    np.fill_diagonal(moments, np.diagonal(incoherent))
+    return moments.sum(axis=0) + noise_power
+
+
+def dense_useful_amplitude(links, beams):
+    """(M,) array by UE id of the own-link estimate times the beam, summed
+    over every RRH and the MBS."""
+    w_rrh, w_mbs = beams
+    rrh = np.einsum("kmn,mkn->m", links.est_rrh.conj(), w_rrh)
+    return rrh + np.einsum("mb,mb->m", links.est_mbs.conj(), w_mbs)
+
+
+def dense_mean_amplitudes(links, beams):
+    """(M, M) array: entry [dst, src] is the estimate part of what src's
+    beams deliver to dst, summed over every RRH, plus the MBS part."""
+    w_rrh, w_mbs = beams
+    rrh = np.einsum("skn,kdn->ds", w_rrh, links.est_rrh.conj())
+    return rrh + links.est_mbs.conj() @ w_mbs.T
+
+
+def dense_gram_blocks(links, w8, rrhs):
+    """(len(rrhs), N, N) array: sum_m w8[m] (est est^H + var I) over every
+    link RRH k -> UE m, for each k in rrhs, from the 4-D outer products."""
+    est = links.est_rrh[rrhs]
+    n = est.shape[2]
+    blocks = np.sum((est * w8[None, :, None])[..., :, None] * est.conj()[..., None, :], axis=1)
+    blocks[:, np.arange(n), np.arange(n)] += (links.var_rrh @ w8)[rrhs, None]
+    return blocks

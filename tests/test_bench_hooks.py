@@ -111,3 +111,22 @@ def test_linear_solve_counter_matches_the_tracer_count():
     with tracer.installed():
         _, state = rtd_solve(topology, links, training, budgets)
     assert state.counters["linear_solves"] == tracer.counters["linalg_solve_calls"] > 0
+
+
+def test_traced_design_records_one_rate_and_assembly_span_per_iteration():
+    """The per-layer ``.calls`` metrics count one ``interference_plus_noise``
+    and one ``assemble_qcqp`` call per RTD iteration: the loop looks both up
+    through ``hcransim.beamforming``, where the tracer patches them. Tracing
+    changes neither the iterations nor the linear solves."""
+    topology, _, _, links, training = pipeline_instance(r=0)
+    budgets = PowerBudget(rrh=dbm_to_watt(27.0), mbs=dbm_to_watt(30.0))
+    _, plain = rtd_solve(topology, links, training, budgets)
+    tracer = load_tracing().Tracer()
+    tracer.start_drop(0)
+    with tracer.installed():
+        _, state = rtd_solve(topology, links, training, budgets)
+    calls = {name: entry["calls"] for name, entry in tracer.layer_times().items()}
+    assert calls["rate_bounds.interference_plus_noise"] == state.iterations == plain.iterations > 1
+    assert calls["beamforming.assemble_qcqp"] == state.iterations
+    solves = state.counters["linear_solves"]
+    assert tracer.counters["linalg_solve_calls"] == solves == plain.counters["linear_solves"] > 0

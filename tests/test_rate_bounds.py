@@ -14,6 +14,7 @@ from hcransim import (
     draw_small_scale,
     estimate_channels,
     interference_plus_noise,
+    link_amplitudes,
     lower_bound_rates,
     make_assignment,
     monte_carlo_rates,
@@ -26,6 +27,7 @@ from hcransim import (
 from hcransim.util import child_seed, crandn, dbm_to_watt
 
 from helpers import (
+    hand_links,
     hand_topology,
     instance_channels,
     oracle_state,
@@ -34,6 +36,11 @@ from helpers import (
     unpack_qcqp,
 )
 from oracles import (
+    dense_amplitudes,
+    dense_gram_blocks,
+    dense_interference_plus_noise,
+    dense_mean_amplitudes,
+    dense_useful_amplitude,
     estimate_channels_oracle,
     full_stacked_cov_oracle,
     has_shared_rrh_pair,
@@ -454,3 +461,75 @@ def test_perfect_channel_state_links():
             manual += abs(np.vdot(channels.mbs[i], beams.mbs[j])) ** 2
         assert j_power[i] == pytest.approx(manual, rel=1e-12)
 
+
+def served_link_case(name):
+    """(links, beams, budgets, noise power) for one of the layouts the
+    served-link products must reproduce the dense formulas on."""
+    if name == "mbs_only":
+        rng = np.random.default_rng(4)
+        links = hand_links(
+            [[], [], []], np.zeros((2, 3, 2)), np.ones((2, 3)),
+            crandn(rng, 3, 3), rng.uniform(0.5, 1.5, size=3),
+        )
+        return links, random_beams(links, seed=4, scale=1.0), PowerBudget(rrh=1.0, mbs=1.0), 1.0
+    if name == "perfect_csi":
+        scenario = ScenarioConfig(num_rrh=100, num_ue=32)
+        topology, _, _, _, training = pipeline_instance(r=0, scenario=scenario)
+        links = build_covariances(
+            topology, perfect_channel_state(topology, instance_channels(topology, r=0)))
+        assert np.all(links.est_rrh != 0)
+        return links, random_beams(links, seed=0), PowerBudget(rrh=1.0, mbs=1.0), training.noise_power
+    if name == "shared_rrh":
+        scenario = ScenarioConfig(num_rrh=50, num_ue=16, coverage_radius=130.0)
+        topology, _, _, links, training = pipeline_instance(r=0, scenario=scenario)
+        assert has_shared_rrh_pair(topology)
+        return links, random_beams(links, seed=1), PowerBudget(rrh=1.0, mbs=1.0), training.noise_power
+    # zero_budget: every other RRH has no power; the designed beams are zero there
+    topology, _, _, links, training = pipeline_instance(r=1)
+    caps = np.where(np.arange(topology.num_rrh) % 2, 0.0, dbm_to_watt(27.0))
+    budgets = PowerBudget(rrh=caps, mbs=dbm_to_watt(30.0))
+    assert any(caps[k] == 0.0 for cluster in topology.serving_rrhs for k in cluster)
+    beams, _ = rtd_solve(topology, links, training, budgets)
+    return links, beams, budgets, training.noise_power
+
+
+def assert_relative(got, want, tol=1e-12):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name", ["perfect_csi", "shared_rrh", "zero_budget", "mbs_only"])
+def test_served_link_products_match_the_dense_formulas(name):
+    """The per-served-link amplitudes, moments, useful amplitudes, mean
+    amplitudes and QCQP Gram blocks equal the dense (K, M, M) and 4-D
+    formulas to 1e-12 relative: under perfect CSI (every estimate nonzero),
+    with users sharing RRHs, with zero-budget RRHs in clusters, and with no
+    served link at all."""
+    links, beams, budgets, noise = served_link_case(name)
+    topology = links.topology
+    ue, rrh = topology.served_links
+    dense = dense_amplitudes(links, beams.rrh)
+    amplitude = link_amplitudes(links, beams.rrh)
+    assert_relative(amplitude, dense[rrh, ue])
+    off_links = np.ones(dense.shape[:2], dtype=bool)
+    off_links[rrh, ue] = False
+    assert not np.any(dense[off_links])  # the served links carry every amplitude
+
+    got = interference_plus_noise(links, beams, noise)
+    want = dense_interference_plus_noise(links, beams, noise)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    assert_relative(useful_amplitude(links, beams), dense_useful_amplitude(links, beams))
+    by_source = np.zeros((topology.num_ue, topology.num_ue), dtype=complex)
+    np.add.at(by_source, ue, amplitude)
+    mean = by_source.T + links.est_mbs.conj() @ beams.mbs.T
+    assert_relative(mean, dense_mean_amplitudes(links, beams))
+
+    rng = np.random.default_rng(7)
+    f = crandn(rng, topology.num_ue)
+    u = rng.uniform(0.5, 2.0, size=topology.num_ue)
+    layout = stack_layout(links, budgets)
+    problem = assemble_qcqp(links, f, u, layout)
+    w8 = np.exp(u - 1.0) * np.abs(f) ** 2
+    assert_relative(problem.blocks, dense_gram_blocks(links, w8, layout.active))
+    if name == "zero_budget":
+        assert layout.active.size < len(set(rrh.tolist()))

@@ -122,6 +122,26 @@ def test_save_load_round_trip_is_exact(tmp_path):
         assert topo.rue_set and topo.bue_set
 
 
+def test_served_links_index_the_serving_map(tmp_path):
+    """served_links lists every (ue, rrh) serving link once, user-major and
+    ascending, is cached, survives a save/load round trip, and is empty when
+    every user is MBS-served."""
+    topo = generate_topology(ScenarioConfig(num_rrh=25, num_ue=10, rng_seed=9))
+    ue, rrh = topo.served_links
+    assert topo.served_links is topo.served_links
+    pairs = list(zip(ue.tolist(), rrh.tolist()))
+    assert pairs == [(i, k) for i, cluster in enumerate(topo.serving_rrhs) for k in cluster]
+    assert pairs == sorted(set(pairs)) and len(pairs) > topo.num_ue
+    path = tmp_path / "topology.csv"
+    save_topology(topo, path)
+    back_ue, back_rrh = load_topology(path).served_links
+    assert np.array_equal(back_ue, ue) and np.array_equal(back_rrh, rrh)
+
+    mbs_only = generate_topology(ScenarioConfig(coverage_radius=1e-3, rng_seed=1))
+    assert mbs_only.rue_set == []
+    assert [a.shape for a in mbs_only.served_links] == [(0,), (0,)]
+
+
 def test_load_topology_rejects_foreign_files(tmp_path):
     path = tmp_path / "not_topology.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -156,6 +176,13 @@ def test_load_topology_rejects_foreign_files(tmp_path):
         (lambda rows: [x for r in rows for x in ([""] if r.startswith("rrh,0,") else []) + [r]],
          "line 16 is blank"),
         (lambda rows: ["hcransim-topology"] + rows[1:], "line 1: unsupported topology format"),
+        (lambda rows: [r.replace("config,num_ue,8", "config,num_ue") for r in rows],
+         r"line 5: config row \['config', 'num_ue'\] needs a name and a value"),
+        (lambda rows: [r.replace("rrh,4,", "rrh,x,", 1) if r.startswith("rrh,4,") else r
+                       for r in rows],
+         "line 20: rrh index 'x' is not an integer"),
+        (lambda rows: ["alpha_mbs,2,abc" if r.startswith("alpha_mbs,2,") else r for r in rows],
+         r"line \d+: alpha_mbs value 'abc' is not a number"),
     ],
 )
 def test_load_topology_names_a_missing_duplicate_or_out_of_range_entry(tmp_path, edit, message):
@@ -163,7 +190,8 @@ def test_load_topology_names_a_missing_duplicate_or_out_of_range_entry(tmp_path,
     with a ValueError naming it; a dropped gain used to load as whatever the
     uninitialized array held. A config entry with an unknown or repeated
     name, a value of the wrong type, or a user or RRH count that the tables
-    do not hold fails the same way."""
+    do not hold fails the same way, and so does a config row without a
+    value or an index or value that does not parse, naming its line."""
     path = tmp_path / "topology.csv"
     save_topology(generate_topology(ScenarioConfig(rng_seed=1)), path)
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
