@@ -29,7 +29,6 @@ import dataclasses
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -395,6 +394,9 @@ def _run_sweep(cfg: ExperimentConfig, metrics_at) -> SweepResult:
     if cfg.jobs == 1:
         per_realization = [_realization(t) for t in tasks]
     else:
+        # imported here: the pool's modules cost ~20 ms of every `import hcransim`
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             chunksize = max(1, len(tasks) // cfg.jobs)
             per_realization = list(pool.map(_realization, tasks, chunksize=chunksize))

@@ -10,11 +10,13 @@ are provided:
 * ``dsatur_random_schedule`` — Dsatur color classes mapped randomly onto the
   first t pilots (baseline; never uses more than t pilots);
 * ``es_schedule`` — exhaustive search over feasible assignments (oracle).
-  It enumerates the RUE pilot vectors in lexicographic order, pruning
-  conflicts at each RUE, in blocks of at most ``_BLOCK``, and scores each
-  block with one array evaluation. The first strict minimum wins, so ties
-  go to the lexicographically smallest vector, and the minimum comes back
-  with the assignment.
+  Pilots that no BUE holds are interchangeable, so it enumerates one vector
+  per relabeling class of them: the canonical one, whose free pilots first
+  appear in increasing order. The canonical RUE pilot vectors come in
+  lexicographic order, pruning conflicts at each RUE, in blocks of at most
+  ``_BLOCK``, and each block is scored with one array evaluation. The first
+  strict minimum wins, so ties go to the lexicographically smallest vector,
+  and the minimum comes back with the assignment.
 
 ``_sum_mse_values`` is the one sum-MSE evaluator (``sum_mse`` scores a block
 of one); a candidate's value is bit for bit the same in any block. It reads
@@ -332,16 +334,25 @@ def psa_schedule(
     return make_assignment(tau_eff, pilots)
 
 
-def _feasible_blocks(graph: ConflictGraph, tau: int):
-    """Every feasible RUE pilot vector (RUEs in ``rue_set`` order), in
-    lexicographic order, in blocks of at most ``_BLOCK`` rows.
+def _feasible_blocks(graph: ConflictGraph, tau: int, num_bue: int):
+    """Every canonical feasible RUE pilot vector (RUEs in ``rue_set`` order),
+    in lexicographic order, in blocks of at most ``_BLOCK`` rows.
 
-    Prefixes grow one RUE at a time by the pilots its earlier conflict-graph
-    neighbors do not hold; prefixes whose children would pass ``_BLOCK`` rows
-    are split into slices expanded depth first, so the space is never held.
+    The ``num_bue`` BUEs hold pilots 1..num_bue; the free pilots above them
+    are interchangeable, so a vector is canonical when its free pilots first
+    appear in increasing order (a restricted-growth string): each RUE takes
+    a pilot at most one above the largest of num_bue and its prefix. Each
+    class of vectors that differ by a permutation of free pilots is thus
+    enumerated once, by its lexicographically first member.
+
+    Prefixes grow one RUE at a time by the canonical pilots its earlier
+    conflict-graph neighbors do not hold; prefixes whose children would pass
+    ``_BLOCK`` rows are split into slices expanded depth first, so the space
+    is never held.
     """
     num = len(graph.adjacency)
     earlier = [np.flatnonzero(graph.adjacency[pos, :pos]) for pos in range(num)]
+    pilot_index = np.arange(tau)  # pilot p at index p - 1
 
     def grow(prefixes: np.ndarray):
         pos = prefixes.shape[1]
@@ -349,7 +360,8 @@ def _feasible_blocks(graph: ConflictGraph, tau: int):
             if len(prefixes):
                 yield prefixes
             return
-        allowed = np.ones((len(prefixes), tau), dtype=bool)
+        top = prefixes.max(axis=1, initial=num_bue)  # largest pilot held so far
+        allowed = pilot_index <= top[:, None]
         rows = np.arange(len(prefixes))
         for r2 in earlier[pos]:
             allowed[rows, prefixes[:, r2] - 1] = False
@@ -380,12 +392,15 @@ def es_schedule(
     """Exhaustive minimizer of the sum MSE over feasible assignments:
     (assignment, minimum sum MSE).
 
-    BUE pilots are fixed to 1..|bue_set|. The feasible RUE pilot vectors are
-    scored in lexicographic blocks (``_feasible_blocks``), one
+    BUE pilots are fixed to 1..|bue_set|. The canonical feasible RUE pilot
+    vectors are scored in lexicographic blocks (``_feasible_blocks``), one
     ``_sum_mse_values`` call each. A block's first minimum replaces the best
     only if strictly smaller, so the assignment is the lexicographically
-    smallest minimizer, and ``sum_mse`` of it equals the returned minimum bit
-    for bit.
+    smallest canonical minimizer. That is the lexicographically smallest
+    minimizer of all: swapping two free pilot labels leaves the value the
+    same bit for bit, so a minimizer that is not canonical has an equal one
+    that sorts earlier. ``sum_mse`` of the assignment equals the returned
+    minimum bit for bit.
     Guarded by tau_eff**M <= ES_LIMIT. ``graph`` and ``links``, when given, must
     be the topology's conflict graph and ``mse_links``.
     """
@@ -401,7 +416,7 @@ def es_schedule(
         links = mse_links(topology)
     bue_pilots = np.arange(1, len(topology.bue_set) + 1)
     best_value, best_row = np.inf, None
-    for block in _feasible_blocks(graph, tau_eff):
+    for block in _feasible_blocks(graph, tau_eff, len(bue_pilots)):
         values = _sum_mse_values(links, block, bue_pilots, p_rue, p_bue, noise_power)
         a = int(np.argmin(values))
         if values[a] < best_value:

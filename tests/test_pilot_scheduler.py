@@ -351,7 +351,9 @@ def test_dsatur_random_never_uses_more_than_t_pilots():
 
 # (seed, num_rrh, num_ue, coverage_radius, tau): the optima include RUEs on a
 # BUE's pilot and RUE-only pilots whose relabelings tie, at tau 3 to 6 and with
-# up to 8 users; the brute-force oracle takes about 1.5 s over all of them.
+# up to 8 users. The last two add a drop with no BUE (every pilot free) and one
+# at tau 6 with 2 BUEs and a one-color conflict graph, so 3 free pilots are
+# left beyond the coloring. The brute-force oracle takes about 1.2 s over all.
 ES_CASES = [(seed, 10, 5, 150.0, 3) for seed in range(5)] + [
     (0, 15, 6, 120.0, 4),
     (0, 15, 6, 120.0, 5),
@@ -359,11 +361,13 @@ ES_CASES = [(seed, 10, 5, 150.0, 3) for seed in range(5)] + [
     (4, 15, 6, 120.0, 6),
     (1, 20, 7, 120.0, 5),
     (3, 25, 8, 100.0, 4),
+    (5, 20, 6, 150.0, 4),
+    (3, 20, 7, 120.0, 6),
 ]
 
 
 def test_es_matches_brute_force_and_is_lexicographically_smallest():
-    shares_bue_pilot = ties = 0
+    shares_bue_pilot = ties = no_bue = 0
     for seed, num_rrh, num_ue, radius, tau in ES_CASES:
         topo = seeded_topology(seed, num_rrh=num_rrh, num_ue=num_ue, coverage_radius=radius)
         a, minimum = es_schedule(topo, tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
@@ -379,19 +383,29 @@ def test_es_matches_brute_force_and_is_lexicographically_smallest():
         bue_pilots = set(a.pilots[topo.bue_set].tolist())
         shares_bue_pilot += bool(bue_pilots & set(a.pilots[topo.rue_set].tolist()))
         ties += len(argmins) > 1
-    assert shares_bue_pilot and ties
+        no_bue += not topo.bue_set
+    assert shares_bue_pilot and ties and no_bue
+
+
+def first_free_pilots_increase(rue_pilots, num_bue):
+    """Whether the pilots above num_bue first appear as num_bue + 1, + 2, ..."""
+    free = [p for p in dict.fromkeys(rue_pilots.tolist()) if p > num_bue]
+    return free == list(range(num_bue + 1, num_bue + 1 + len(free)))
 
 
 def test_es_blocks_enumerate_in_order_and_score_independently_of_blocking():
-    # 5 RUEs and 1 BUE at tau 6: 5,400 candidates, several blocks
-    topo = seeded_topology(4)
+    # 7 RUEs and 1 BUE at tau 6: 3,235 canonical candidates, several blocks
+    topo = generate_topology(ScenarioConfig(num_ue=8, num_rrh=25, rng_seed=2))
     graph = build_conflict_graph(topo)
-    blocks = list(pilot_scheduler._feasible_blocks(graph, 6))
+    num_bue = len(topo.bue_set)
+    blocks = list(pilot_scheduler._feasible_blocks(graph, 6, num_bue))
     assert len(blocks) > 1
     assert all(len(b) <= pilot_scheduler._BLOCK for b in blocks)
     candidates = np.concatenate(blocks)
-    # the oracle's unpruned product, filtered: every feasible vector, lexicographic
-    expected = [p[topo.rue_set] for p in enumerate_feasible_pilots(topo, 6)]
+    # the oracle's unpruned product, filtered: every feasible vector whose free
+    # pilots first appear in increasing order, lexicographic
+    feasible = (p[topo.rue_set] for p in enumerate_feasible_pilots(topo, 6))
+    expected = [p for p in feasible if first_free_pilots_increase(p, num_bue)]
     assert np.array_equal(candidates, expected)
 
     bue_pilots = np.arange(1, len(topo.bue_set) + 1)
@@ -458,7 +472,7 @@ def test_graph_colors_once_and_shares_a_read_only_coloring(monkeypatch):
 
 
 def test_es_memory_stays_bounded_beyond_one_block():
-    # 7 RUEs at tau 6: 233,280 feasible vectors, 1.6 MB even as bytes
+    # 7 RUEs at tau 6: 3,235 canonical vectors, more than one block
     topo = generate_topology(ScenarioConfig(num_ue=8, num_rrh=25, rng_seed=2))
     graph = build_conflict_graph(topo)
     assert len(topo.rue_set) == 7
