@@ -8,11 +8,12 @@ u (weights exp(u - 1)), the beamformer step is a convex QCQP
 
 subject to per-RRH and MBS sum-power constraints. RRH constraints couple the
 RUE beams through shared blocks and are handled by dual decomposition
-(projected Newton steps on the multipliers, accepted by Armijo's rule on the
-concave dual, where only a multiplier whose own scaled gradient step reaches
-zero counts as at its bound; an exact coordinate sweep takes over whenever a
-Newton step is rejected); the MBS constraint couples the BUE beams through a
-single scalar multiplier. Every block at an RRH costs that RRH's one matrix
+(projected Newton steps on the multipliers, in which every free row solves
+p^(-1/2) = cap^(-1/2), accepted by Armijo's rule on the concave dual; a
+multiplier counts as at its bound only when its own scaled step reaches
+zero, and an exact coordinate sweep takes over whenever a Newton step is
+rejected); the MBS constraint couples the BUE beams through a single scalar
+multiplier. Every block at an RRH costs that RRH's one matrix
 G, and a RUE's own rank-one term is the only coupling between its blocks, so
 the RRH side works in each RRH's eigenbasis and solves every user's system,
 Schur complement and the dual's Hessian in closed form (Sherman-Morrison),
@@ -471,18 +472,19 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
       multipliers strongly, so projected Newton (Bertsekas 1982) moves them
       together. The dual's gradient is powers - cap and its Hessian, the
       power-balance Jacobian, is closed-form (``_Eigenbasis.power_jacobian``).
-      A coordinate in the eps-active set at mu = 0 takes a scaled gradient
-      step, the rest a Newton step. eps is per coordinate, |g_k| / h_k for
-      gradient g and Hessian diagonal magnitude h, so a multiplier counts as
-      at its bound only when its own scaled gradient step reaches zero; a
-      settled multiplier stays in the Newton block, whose step accounts for
-      its coupling to the others. A coordinate above its cap solves
-      p^{-1/2} = cap^{-1/2} rather than p = cap: a power behaves like
-      sum |c|^2 / (lam + mu)^2, so p - cap is far from linear in mu away from
-      the cap while p^{-1/2} is nearly linear, as ``_secular_root`` uses. A
-      step is backtracked along the projection arc and accepted when the dual
-      value rises by Armijo's rule (ARMIJO_SIGMA) and no cap is exceeded by
-      more than before.
+      Every free row solves p^{-1/2} = cap^{-1/2}, above its cap or below
+      it: a power behaves like sum |c|^2 / (lam + mu)^2, so p - cap is far
+      from linear in mu away from the cap while p^{-1/2} is nearly linear,
+      as ``_secular_root`` uses. A coordinate in the eps-active set at
+      mu = 0 takes a scaled step on that residual, the rest a Newton step.
+      eps is per coordinate, |r_k| / h_k for residual r and Hessian diagonal
+      magnitude h, so a multiplier counts as at its bound only when its own
+      scaled step reaches zero; a settled multiplier stays in the Newton
+      block, whose step accounts for its coupling to the others. A step is
+      backtracked along the projection arc and accepted when the dual value
+      rises by Armijo's rule (ARMIJO_SIGMA) and no cap is exceeded by more
+      than before; both tests read the gradient. README gives the rule's
+      measured counters on the benchmark panels.
     * exact coordinate ascent, the globally convergent fallback after a
       rejected Newton step — with the other multipliers fixed, RRH k's block
       of each user it serves is (S_ik + mu_k I)^{-1} c_ik, S_ik the Schur
@@ -565,16 +567,17 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
     def newton_step(viol: float) -> int:
         """One projected Newton step on the dual; the number of multipliers moved.
 
-        Coordinates at mu = 0 whose cap holds stay put. Of the rest, a
-        multiplier whose own diagonally scaled gradient step would reach zero
-        (the gradient pushes it down, and mu_k + g_k / h_k <= 0 with h_k the
-        Hessian's diagonal magnitude: Bertsekas' eps-active test with a
-        per-coordinate eps_k = |g_k| / h_k) takes that gradient step, and the
-        others a Newton step on their block of the Hessian. A coordinate
-        above its cap takes the residual p^{-1/2} - cap^{-1/2} scaled back by
-        its derivative, 2 p (sqrt(p / cap) - 1), which is p - cap to first
-        order at the cap; the slope and the tests below read p - cap. The
-        step is backtracked along the projection arc max(0, mu + alpha d)
+        Coordinates at mu = 0 whose cap holds stay put. Every other row
+        solves p^{-1/2} = cap^{-1/2}: its residual scaled back by its
+        derivative is r = 2 p (sqrt(p / cap) - 1), p - cap to first order at
+        the cap (a row with p = 0 keeps p - cap). A multiplier whose own
+        diagonally scaled step on r would reach zero (r pushes it down, and
+        mu_k + r_k / h_k <= 0 with h_k the Hessian's diagonal magnitude:
+        Bertsekas' eps-active test with a per-coordinate eps_k = |r_k| / h_k)
+        takes that step, and the others the Newton step that solves their
+        block of the Hessian against -r. The Armijo slope, the at-bound rise
+        and the excess guard read the gradient p - cap. The step is
+        backtracked along the projection arc max(0, mu + alpha d)
         until the dual value rises by Armijo's rule and no cap is exceeded by
         more than before; 0 means no trial passed or the Newton block is not
         an ascent direction (a singular or, by rounding, indefinite Hessian
@@ -585,16 +588,15 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         grad = powers - cap
         idx = np.flatnonzero((mu > 0.0) | (grad > 0.0))
         hess = basis.power_jacobian(coupled)[np.ix_(idx, idx)]
-        g, m = grad[idx], mu[idx]
+        g, m, p = grad[idx], mu[idx], powers[idx]
+        r = np.where(p > 0.0, 2.0 * p * (np.sqrt(p / cap[idx]) - 1.0), g)
         scale = np.maximum(-np.diag(hess), 1e-300)
-        at_bound = (g < 0.0) & (m + g / scale <= 0.0)
+        at_bound = (g < 0.0) & (m + r / scale <= 0.0)
         free = ~at_bound
-        step = g / scale
-        p = powers[idx]
-        rhs = np.where(g > 0.0, 2.0 * p * (np.sqrt(p / cap[idx]) - 1.0), g)
+        step = r / scale
         info["linear_solves"] += 1
         try:
-            step[free] = np.linalg.solve(hess[np.ix_(free, free)], -rhs[free])
+            step[free] = np.linalg.solve(hess[np.ix_(free, free)], -r[free])
         except np.linalg.LinAlgError:
             return 0
         slope = float(g[free] @ step[free])

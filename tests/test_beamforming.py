@@ -624,10 +624,11 @@ def _recorded_solves(monkeypatch) -> list:
 def test_the_cold_start_opens_with_newton_on_the_large_drop(monkeypatch):
     """Perf guard: in the design of the (32, 100) drop at master seed 0 the
     first QCQP starts cold (all multipliers 0) and opens with projected
-    Newton on p^{-1/2} - cap^{-1/2} above the caps; it takes at most 12
-    accepted steps, where Newton on powers - cap took 26 after an opening
-    sweep. In every QCQP a sweep runs only after a rejected step, and each
-    sweep updates an active RRH at most once."""
+    Newton, every free row solving p^{-1/2} = cap^{-1/2}; it takes at most 4
+    accepted steps, where Newton on p - cap below the caps took 10 (halving
+    its way onto a cap a full step overshot) and, with an opening sweep, 26.
+    In every QCQP a sweep runs only after a rejected step, and each sweep
+    updates an active RRH at most once."""
     calls = _recorded_solves(monkeypatch)
     topology, _, _, links, training = pipeline_instance(
         scenario=ScenarioConfig(num_ue=32, num_rrh=100)
@@ -636,9 +637,24 @@ def test_the_cold_start_opens_with_newton_on_the_large_drop(monkeypatch):
     num_active = stack_layout(links, BUDGETS).active.size
     infos = [info for _, info in calls]
     assert st.iterations == len(infos) > 1
-    assert 0 < infos[0]["newton_accepted"] <= 12
+    assert 0 < infos[0]["newton_accepted"] <= 4
     for info in infos:
         assert info["coordinate_passes"] <= num_active * info["newton_rejected"]
+
+
+@pytest.mark.parametrize("num_ue, num_rrh", [(8, 25), (16, 50)])
+def test_the_smaller_drops_are_designed_by_newton_alone(num_ue, num_rrh):
+    """Perf guard: the designs of the (8, 25) and (16, 50) drops at master
+    seed 0 make no coordinate pass. Read on p - cap below the caps, the
+    at-bound test sent near-singular multipliers to 0 (their power then rose
+    about 1e8-fold), every backtrack failed and sweeps ran: 33 passes at
+    (16, 50)."""
+    topology, _, _, links, training = pipeline_instance(
+        scenario=ScenarioConfig(num_ue=num_ue, num_rrh=num_rrh)
+    )
+    _, st = rtd_solve(topology, links, training, BUDGETS)
+    assert st.counters["newton_accepted"] > 0
+    assert st.counters["coordinate_passes"] == st.counters["newton_rejected"] == 0
 
 
 def test_warm_solves_of_the_large_drop_take_few_newton_steps(monkeypatch):
@@ -704,27 +720,38 @@ def test_rtd_builds_the_stack_layout_once(monkeypatch):
     assert st.iterations > 1 and len(calls) == 1
 
 
-def test_single_coordinate_update_lands_on_the_cap(monkeypatch):
+@pytest.mark.parametrize("start", [None, 2.0, 10.0, 100.0])
+def test_single_coordinate_update_lands_on_the_cap(monkeypatch, start):
     """RRH 0 serves one user whose other block is nearly free (RRH 1: error
     variance 1e-4 against a unit estimate, and a huge budget), so
     eliminating it shrinks the target to c = lin g_0 / (1 + w8 R), R about
     1e4, and the Schur complement S = G_0 - rho |g_0|^2 to about 1% of
     G_0 = 1.01. The exact multiplier |c| / sqrt(cap) - S (about 0.09) lies
     far from the 999 that the block without elimination gives. RRH 0's power
-    is then one secular term in its multiplier, so p^{-1/2} is linear in it
-    and one projected Newton step puts RRH 0 on its cap."""
+    is then one secular term |c|^2 / (S + mu)^2 in its multiplier, so
+    p^{-1/2} is linear in it and one projected Newton step, with no
+    rejection and no coordinate pass, puts RRH 0 on its cap: from a cold
+    start (far above the cap) and from ``start`` times the exact multiplier
+    (below it, where the power falls like mu^-2 and p - cap is far from
+    linear). Read on p - cap below the cap, the step fell short at 2x
+    (three steps, stopping 4% off the multiplier), and at 10x and 100x the
+    at-bound test sent the multiplier to 0, every trial was rejected and a
+    sweep ran."""
     links = hand_links([[0, 1]], np.ones((2, 1, 1)), [[1e-2], [1e-4]])
     problem = hand_qcqp(links, [1.0], [1.0], [1e-6, 1e9])
     r = 1.0 / 1e-4  # s_1 / delta_1 = 1 / (G_1 - |g_1|^2)
     c = 1.0 / (1.0 + r)
     schur = 1.01 - r / (1.0 + r)
+    exact = c / 1e-3 - schur
+    mu0 = None if start is None else np.array([start * exact, 0.0])
     monkeypatch.setattr(beamforming, "MAX_DUAL_ITERS", 1)
-    beams, info = solved(problem)
+    beams, info = solved(problem, mu0=mu0)
     assert info["dual_iterations"] == info["newton_accepted"] == 1
-    assert info["rrh_dual"][0] == pytest.approx(c / 1e-3 - schur, rel=1e-6)
+    assert info["newton_rejected"] == info["coordinate_passes"] == 0
+    assert info["rrh_dual"][0] == pytest.approx(exact, rel=1e-9)
     assert 0.05 < info["rrh_dual"][0] < 0.1
     assert info["rrh_dual"][1] == 0.0
-    assert beams.rrh_power(0) == pytest.approx(1e-6, rel=1e-6)
+    assert beams.rrh_power(0) == pytest.approx(1e-6, rel=1e-9)
     assert beams.rrh_power(1) < 1e9
 
 
