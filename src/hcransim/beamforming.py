@@ -51,10 +51,13 @@ MAX_DUAL_ITERS = 5000
 GAP_TOL = 1e-8
 # Default relative constraint violation allowed per QCQP.
 FEAS_TOL = 1e-6
-# RTD stops when the summed squared beam change of a cycle falls to RHO, or
-# after MAX_RTD_ITERS cycles.
+# RTD starts from equalizers sqrt(NOISE_REF / N0) and stops when the summed
+# squared beam change of a cycle falls to RHO * N0 / NOISE_REF, or after
+# MAX_RTD_ITERS cycles: both scale with the unit of power, and at the default
+# noise power (NOISE_REF) they are 1 and RHO.
 RHO = 1e-3
 MAX_RTD_ITERS = 100
+NOISE_REF = TrainingConfig().noise_power
 # Projected Newton on the RRH-side dual: Armijo's sufficient-rise fraction
 # and the step halvings tried along the projection arc.
 ARMIJO_SIGMA = 1e-4
@@ -314,13 +317,15 @@ def _secular_root(
     weight = weight[weight > 0.0]
     if not lam.size:
         return 0.0
-    lo = max(0.0, -float(lam.min()))
+    pole = -float(lam.min())
+    lo = max(0.0, pole)
     hi = lo + math.sqrt(float(weight.sum()) / cap)
     x, first = lo, True
     # Bisection alone reaches the 1e-15 relative floor in about 50 steps.
     for _ in range(200):
         shifted = lam + x
-        p = float(np.sum(weight / shifted**2)) if shifted.min() > 0.0 else math.inf
+        # min(lam + x) > 0 exactly when x > -min(lam): rounding keeps the sign.
+        p = float((weight / shifted**2).sum()) if x > pole else math.inf
         if p > cap:
             lo = x
         else:
@@ -333,7 +338,7 @@ def _secular_root(
         if first and lo < x0 < hi:
             nxt = x0
         elif math.isfinite(p):
-            slope = float(np.sum(weight / shifted**3)) * p**-1.5
+            slope = float((weight / shifted**3).sum()) * p**-1.5
             newton = x + (cap**-0.5 - p**-0.5) / slope
             if lo < newton < hi:
                 nxt = newton
@@ -372,11 +377,12 @@ class _Eigenbasis:
         null = lam <= 1e-13 * np.maximum(lam[:, -1:], 0.0)
         null = np.append(null, np.zeros((1, n), dtype=bool), axis=0)
         lam = np.append(lam, np.ones((1, n)), axis=0)
-        self.vecs = np.append(vecs, np.eye(n, dtype=complex)[None], axis=0)
         starts = self.starts = layout.starts
+        # Each block's basis, gathered once for both rotations.
+        self.vecs = np.append(vecs, np.eye(n, dtype=complex)[None], axis=0)[starts]
         self.stack_shape = layout.est.shape
         g = layout.est.reshape(starts.shape + (n,))
-        gamma = (self.vecs[starts].conj().swapaxes(-1, -2) @ g[..., None])[..., 0]
+        gamma = (self.vecs.conj().swapaxes(-1, -2) @ g[..., None])[..., 0]
         gamma[null[starts]] = 0.0
         # Per user and block: eigenvalues, rotated estimate and its |.|^2.
         self.lam = np.where(null, 1.0, lam)[starts]
@@ -390,8 +396,8 @@ class _Eigenbasis:
         self._pairs = (starts[:, :, None] * (num + 1) + starts[:, None, :]).ravel()
 
     def coupling(self, mu: np.ndarray):
-        """(d, s, delta, R) of every user at multipliers mu (by active slot),
-        which ``solve``, ``schur`` and ``power_jacobian`` read.
+        """(d, s / delta, R, kappa) of every user at multipliers mu (by active
+        slot), which ``solve``, ``schur`` and ``power_jacobian`` read.
 
         R is the one place where a user's blocks meet: R_p sums s / delta over
         the user's other blocks, the rank-one coupling of its own term."""
@@ -399,13 +405,13 @@ class _Eigenbasis:
         d = self.lam + self._mu[self.starts][..., None]
         s = (self.size2 / d).sum(axis=-1)
         delta = np.maximum(1.0 - self.w8 * s, 1e-12)
-        ratio = (s / delta)[:, None, :]
-        return d, s, delta, (ratio * self.others).sum(axis=-1)
+        ratio = s / delta
+        others = (ratio[:, None, :] * self.others).sum(axis=-1)
+        return d, ratio, others, 1.0 / (1.0 + self.w8 * delta * others)
 
     def solve(self, coupled) -> np.ndarray:
         """The rotated beams z (U, P, n) at the multipliers of ``coupled``."""
-        d, _, delta, others = coupled
-        kappa = 1.0 / (1.0 + self.w8 * delta * others)
+        d, _, _, kappa = coupled
         return (self.lin * kappa)[..., None] * (self.gamma / d)
 
     def schur(self, coupled, users, pos):
@@ -416,7 +422,7 @@ class _Eigenbasis:
         c = lin gamma / (1 + w8 R). Returns
         the eigenvalues of S and the coefficients of c in its eigenbasis,
         each (len(users), n)."""
-        others = coupled[3][users, pos][:, None]
+        others = coupled[2][users, pos][:, None]
         w8, lin = self.w8[users], self.lin[users]
         gamma = self.gamma[users, pos]
         rho = w8 * w8 * others / (1.0 + w8 * others)
@@ -434,18 +440,17 @@ class _Eigenbasis:
         blockdiag of the blocks' Sherman-Morrison inverses less one rank-one
         term, so every entry is
         a product of per-block scalars: with t = q^H q, v = q^H D^{-1} q and
-        kappa, delta, R as in ``solve``, the diagonal term is
+        kappa, delta, R as in ``coupling``, the diagonal term is
         -2 |lin|^2 kappa^2 (v + w8^2 kappa R t^2) and the term of blocks
         p != q is 2 w8 |lin|^2 kappa_p kappa_q t_p t_q phi_pq, with
         phi_pq = 1 / (delta_p delta_q (1 + w8 sum s / delta))
         = kappa_p kappa_q (1 + w8 sum s / delta)."""
-        d, s, delta, others = coupled
+        d, ratio, others, kappa = coupled
         w8, size = self.w8, np.abs(self.lin) ** 2
         weighted = self.size2 / (d * d)
         t, v = weighted.sum(axis=-1), (weighted / d).sum(axis=-1)
-        kappa = 1.0 / (1.0 + w8 * delta * others)
         scaled = kappa * t
-        total = 1.0 + w8 * (s / delta).sum(axis=-1, keepdims=True)
+        total = 1.0 + w8 * ratio.sum(axis=-1, keepdims=True)
         phi = kappa[:, :, None] * kappa[:, None, :] * total[..., None]
         terms = (2.0 * w8 * size)[..., None] * scaled[:, :, None] * scaled[:, None, :] * phi
         width = terms.shape[1]
@@ -457,7 +462,7 @@ class _Eigenbasis:
 
     def rotate_back(self, z: np.ndarray) -> np.ndarray:
         """The (U, W) beam stack of rotated beams z."""
-        return (self.vecs[self.starts] @ z[..., None])[..., 0].reshape(self.stack_shape)
+        return (self.vecs @ z[..., None])[..., 0].reshape(self.stack_shape)
 
 
 def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
@@ -500,7 +505,10 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
     entries point to an extra slot len(active) whose multiplier is always 0
     and which carries no estimate, so padded beam entries stay 0.
     MAX_DUAL_ITERS caps the total number of multiplier updates. Returns
-    (beam stack, mu by active slot, dual value, info). info counts the
+    (beam stack, mu by active slot, dual value, primal value, info). The
+    beams minimize the Lagrangian at mu, where w^H M w = Re<b, w> - sum_k
+    mu_k p_k, so the primal value is read off the dual solution as
+    -Re<b, w> - sum_k mu_k p_k, with no product by M. info counts the
     multiplier updates (``dual_iterations``: one per coordinate update, and
     every multiplier an accepted Newton step moves) and the ``DUAL_COUNTERS``:
     the coordinate passes (one per RRH a sweep updates), the Newton steps
@@ -511,15 +519,17 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
     (``gap``).
     """
     layout = problem.layout
-    starts, users_of = layout.starts, layout.users_of
+    slots, users_of = layout.starts.ravel(), layout.users_of
     cap = layout.rrh_budget[layout.active]
+    safe_cap = np.maximum(cap, 1e-300)
     num = cap.size
     info = dict.fromkeys(("dual_iterations",) + DUAL_COUNTERS, 0)
 
     def finish(viol: float, gap: float):
         value = dual_value()
         info.update(violation=viol, gap=gap / max(1.0, abs(value)))
-        return basis.rotate_back(z), mu, value, info
+        # -Re<b, w> - sum mu p: the dual value less sum mu (p - cap).
+        return basis.rotate_back(z), mu, value, value + float(mu @ (cap - powers)), info
 
     basis = _Eigenbasis(problem)
     mu = np.zeros(num) if mu0 is None else mu0[layout.active]
@@ -528,23 +538,23 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
 
     def per_rrh(values: np.ndarray) -> np.ndarray:
         """Sum of the (U, P, n) ``values`` over each active RRH's blocks."""
-        per_block = np.sum(values, axis=-1)
-        return np.bincount(starts.ravel(), weights=per_block.ravel(), minlength=num + 1)[:num]
+        per_block = values.sum(axis=-1).ravel()
+        return np.bincount(slots, weights=per_block, minlength=num + 1)[:num]
 
     def dual_value() -> float:
         return -float(mu @ cap) - float(np.real(np.vdot(basis.rhs, z)))
 
-    if not num:
-        return finish(0.0, 0.0)
     # The iterate is (mu, coupled, z, powers): the multipliers, their coupling,
     # the rotated beams and the per-RRH powers; each update moves all four.
     powers = per_rrh(np.abs(z) ** 2)
+    if not num:
+        return finish(0.0, 0.0)
 
     def worst_excess(powers: np.ndarray) -> float:
-        return float(np.max((powers - cap) / np.maximum(cap, 1e-300)))
+        return float(((powers - cap) / safe_cap).max())
 
     def residuals():
-        return worst_excess(powers), float(np.sum(mu * np.abs(cap - powers)))
+        return worst_excess(powers), float((mu * np.abs(cap - powers)).sum())
 
     def is_converged(viol: float, gap: float) -> bool:
         return viol <= feas_tol and gap <= GAP_TOL * max(1.0, abs(dual_value()))
@@ -587,28 +597,31 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         nonlocal mu, coupled, z, powers
         grad = powers - cap
         idx = np.flatnonzero((mu > 0.0) | (grad > 0.0))
-        hess = basis.power_jacobian(coupled)[np.ix_(idx, idx)]
+        hess = basis.power_jacobian(coupled).take(idx, 0).take(idx, 1)
         g, m, p = grad[idx], mu[idx], powers[idx]
-        r = np.where(p > 0.0, 2.0 * p * (np.sqrt(p / cap[idx]) - 1.0), g)
-        scale = np.maximum(-np.diag(hess), 1e-300)
-        at_bound = (g < 0.0) & (m + r / scale <= 0.0)
-        free = ~at_bound
+        r = 2.0 * p * (np.sqrt(p / cap[idx]) - 1.0)
+        if not p.all():
+            r = np.where(p > 0.0, r, g)
+        scale = np.maximum(-hess.diagonal(), 1e-300)
         step = r / scale
+        at_bound = (g < 0.0) & (m + step <= 0.0)
+        free = np.flatnonzero(~at_bound)
         info["linear_solves"] += 1
         try:
-            step[free] = np.linalg.solve(hess[np.ix_(free, free)], -r[free])
+            step[free] = np.linalg.solve(hess.take(free, 0).take(free, 1), -r[free])
         except np.linalg.LinAlgError:
             return 0
         slope = float(g[free] @ step[free])
         if slope < 0.0:
             return 0
+        g_bound, m_bound = g[at_bound], m[at_bound]
         alpha = 1.0
         for _ in range(NEWTON_BACKTRACKS):
             trial = mu.copy()
-            trial[idx] = np.maximum(0.0, m + alpha * step)
+            trial[idx] = moved = np.maximum(0.0, m + alpha * step)
             trial_coupled = basis.coupling(trial)
             trial_z = basis.solve(trial_coupled)
-            rise = alpha * slope + float(g[at_bound] @ (trial[idx][at_bound] - m[at_bound]))
+            rise = alpha * slope + float(g_bound @ (moved[at_bound] - m_bound))
             # The dual's change, g(trial) - g(mu) = sum_k dmu_k (Re<w'_k, w_k> - cap_k)
             # for beams w = M(mu)^-1 b, w' = M(trial)^-1 b: exact, and free of the
             # cancellation that differencing two dual values suffers near the optimum.
@@ -647,7 +660,8 @@ def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, nu0=None):
     terms. With quad = V diag(lam) V^H, BUE j's beam is V (coef_j / (lam +
     nu)) for coef_j = V^H lin_j, so the MBS power is a secular function of nu
     and ``_secular_root`` finds the multiplier. Returns (beams (J, B), nu, dual
-    value).
+    value, primal value); as (quad + nu I) w_j = lin_j, the primal value is
+    -Re<lin, w> - nu |w|^2.
     """
     beams, nu = np.zeros_like(lin), 0.0
     if budget > 0.0 and len(lin):
@@ -657,8 +671,9 @@ def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, nu0=None):
         nu = _secular_root(lam, coef, budget, 0.5 * GAP_TOL, feas_tol, nu0 or 0.0)
         scaled = np.divide(coef, lam + nu, out=np.zeros_like(coef), where=coef != 0)
         beams = (vecs @ scaled[..., None])[..., 0]
-    value = -float(np.real(np.vdot(lin, beams))) - nu * budget
-    return beams, nu, value
+    signal = float(np.real(np.vdot(lin, beams)))
+    power = float(np.real(np.vdot(beams, beams)))
+    return beams, nu, -signal - nu * budget, -signal - nu * power
 
 
 def solve_qcqp(
@@ -683,11 +698,13 @@ def solve_qcqp(
     BUE, as the RRH side reports for no live block), the multipliers
     (``rrh_dual`` by RRH id, 0 where no live block is; ``mbs_dual``), the
     dual and primal values, and the primal value's RUE and BUE parts
-    (``primal_sides``).
+    (``primal_sides``), each read off its side's dual solution as
+    f(w) = -Re<b, w> - sum_k mu_k p_k at the Lagrangian's minimizer w, with
+    no product by the QCQP's matrices.
     """
     layout = problem.layout
-    w_rue, mu, rrh_value, info = _solve_rrh_side(problem, feas_tol, mu0)
-    w_bue, nu, mbs_value = _solve_mbs_side(
+    w_rue, mu, rrh_value, rue_value, info = _solve_rrh_side(problem, feas_tol, mu0)
+    w_bue, nu, mbs_value, bue_value = _solve_mbs_side(
         problem.mbs_quad, problem.mbs_lin, layout.mbs_budget, feas_tol, nu0=nu0
     )
     rrh_dual = np.zeros(layout.rrh_budget.size)
@@ -696,7 +713,7 @@ def solve_qcqp(
     if len(w_bue):
         mbs_power = float(np.sum(np.abs(w_bue) ** 2))
         mbs_violation = (mbs_power - layout.mbs_budget) / max(layout.mbs_budget, 1e-300)
-    sides = (_rue_objective(problem, w_rue), _objective(problem.mbs_quad, problem.mbs_lin, w_bue))
+    sides = (rue_value, bue_value)
     info.update(
         rrh_dual=rrh_dual,
         mbs_dual=nu,
@@ -739,9 +756,11 @@ def rtd_solve(
 ):
     """Alternating robust transmit design.
 
-    Starts from zero beams with unit equalizers and auxiliaries, then cycles
-    beamformer step / equalizer step / auxiliary step until the summed squared
-    beam change falls to RHO, for at most MAX_RTD_ITERS cycles. The objective
+    Starts from zero beams, equalizers sqrt(NOISE_REF / N0) and unit
+    auxiliaries, then cycles beamformer step / equalizer step / auxiliary
+    step until the summed squared beam change falls to RHO * N0 / NOISE_REF,
+    for at most MAX_RTD_ITERS cycles; neither rule depends on the unit of
+    power. The objective
     trace records the surrogate sum_m (exp(u_m - 1) * mse_m - u_m) after each
     full cycle, which equals sum_m log(mse_m) at the refreshed stats; the SE
     trace is the matching sum of per-UE rate lower bounds.
@@ -763,7 +782,8 @@ def rtd_solve(
     w_rue = np.zeros_like(layout.est)
     w_bue = np.zeros((layout.bue.size, links.mbs_antennas), dtype=complex)
     beams = layout.beams(w_rue, w_bue)
-    f, u = np.ones(len(beams.mbs), dtype=complex), np.ones(len(beams.mbs))
+    noise = training.noise_power
+    f, u = np.full(len(beams.mbs), math.sqrt(NOISE_REF / noise) + 0j), np.ones(len(beams.mbs))
     counters = dict.fromkeys(("dual_updates",) + DUAL_COUNTERS, 0)
     state = RtdState(mse=np.zeros(0), counters=counters)
     mu0, nu0 = None, None
@@ -789,14 +809,14 @@ def rtd_solve(
         w_rue, w_bue = rue_new, bue_new
         # Equalizer and auxiliary steps, for every UE at once.
         beams = layout.beams(w_rue, w_bue)
-        j_power = interference_plus_noise(links, beams, training.noise_power)
+        j_power = interference_plus_noise(links, beams, noise)
         mse, f = mse_and_equalizer(useful_amplitude(links, beams), j_power)
         u = update_u(mse)
         state.mse = mse
         state.objective_trace.append(float(np.sum(np.exp(u - 1.0) * mse - u)))
         state.sum_se_trace.append(-prelog * float(np.sum(np.log2(mse))))
         state.iterations = it
-        if delta <= RHO:
+        if delta <= RHO * noise / NOISE_REF:
             state.converged = True
             break
     return beams, state

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from hcransim import (
+    AggregatedLinks,
     BeamformerSet,
     ConvergenceError,
     ExperimentConfig,
     PowerBudget,
     ScenarioConfig,
+    Topology,
     TrainingConfig,
     assemble_qcqp,
     build_covariances,
@@ -28,7 +30,7 @@ from hcransim import (
     update_u,
 )
 from hcransim import beamforming
-from hcransim.beamforming import _Eigenbasis, _objective, _solve_mbs_side
+from hcransim.beamforming import _Eigenbasis, _objective, _rue_objective, _solve_mbs_side
 from hcransim.util import crandn, dbm_to_watt
 
 from helpers import (
@@ -316,20 +318,22 @@ def test_mbs_side_on_the_shared_matrix_with_slack_and_binding_budget():
     """On the one (B, B) matrix all BUEs share, the MBS solve returns the
     unconstrained beams quad^-1 lin_j at nu = 0 when the budget is slack, and
     meets a binding budget with nu > 0; either way its dual value is the
-    primal value of its beams."""
+    primal value of its beams, and the primal value it reads off the dual
+    solution is its beams' objective to 1e-12."""
     _, problem = _first_qcqp(16, 50)
     quad, lin = problem.mbs_quad, problem.mbs_lin
     assert quad.ndim == 2 and len(lin) > 1
     free = np.linalg.solve(quad, lin.T).T
     power = float(np.sum(np.abs(free) ** 2))
     for budget, binding in ((2.0 * power, False), (0.25 * power, True)):
-        beams, nu, value = _solve_mbs_side(quad, lin, budget, 1e-6, 1e-8)
+        beams, nu, value, primal = _solve_mbs_side(quad, lin, budget, 1e-6, 1e-8)
         assert (nu > 0.0) == binding
         if binding:
             assert float(np.sum(np.abs(beams) ** 2)) == pytest.approx(budget, rel=1e-6)
         else:
             assert np.allclose(beams, free, rtol=1e-9, atol=0.0)
         assert value == pytest.approx(_objective(quad, lin, beams), rel=1e-6)
+        assert primal == pytest.approx(_objective(quad, lin, beams), rel=1e-12)
 
 
 def test_solve_qcqp_respects_constraints_and_weak_duality():
@@ -359,6 +363,27 @@ def test_solve_qcqp_respects_constraints_and_weak_duality():
                     w[m][idx] *= scale
         assert qcqp_value(quads, lins, w) >= info["dual_value"] - 1e-9 * abs(info["dual_value"])
     assert without_bue  # trials 1 and 3
+
+
+def test_primal_sides_read_off_the_dual_are_the_objective_of_the_beams():
+    """On c6's generator (zero caps included), plus an instance whose caps
+    are all zero (no active RRH), each primal side ``solve_qcqp`` reads off
+    its dual solution equals the RUE and BUE objectives of the beams it
+    returns to 1e-12 max(1, |value|): RTD's descent guard compares it with
+    the objective of the previous beams, so both must be the same number."""
+    rng = np.random.default_rng(2024)
+    problems = [make_synthetic_qcqp(rng, zero_cap_chance=0.03)[0] for _ in range(200)]
+    problems.append(make_synthetic_qcqp(child_rng(31, 2), zero_cap_chance=1.0)[0])
+    assert not problems[-1].layout.active.size
+    assert any(not problem.layout.bue.size for problem in problems)
+    for problem in problems:
+        (w_rue, w_bue), info = solve_qcqp(problem)
+        want = (
+            _rue_objective(problem, w_rue),
+            _objective(problem.mbs_quad, problem.mbs_lin, w_bue),
+        )
+        for got, ref in zip(info["primal_sides"], want):
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_solve_qcqp_matches_projected_gradient_oracle():
@@ -923,3 +948,98 @@ def test_the_qcqp_that_once_stalled_converges_cold_and_warm():
     assert cold["violation"] <= 1e-6 and cold["gap"] <= beamforming.GAP_TOL
     assert max(cold["mbs_violation"], warm["mbs_violation"]) <= 1e-6
     _assert_solved_like(w_rue, warm, want)
+
+
+
+def _scaled_sweep(master_seed: int, scale: float):
+    """Rows of one (8, 25) drop at tau 3 and 5, both beamformers, with the
+    pilot powers, the noise power and both budgets scaled by ``scale``: the
+    same physical problem in another unit of power."""
+    training = TrainingConfig()
+    cfg = ExperimentConfig(
+        scenario=ScenarioConfig(num_ue=8, num_rrh=25),
+        training=TrainingConfig(
+            p_rue=scale * training.p_rue,
+            p_bue=scale * training.p_bue,
+            noise_power=scale * training.noise_power,
+        ),
+        budgets=PowerBudget(rrh=scale * BUDGETS.rrh, mbs=scale * BUDGETS.mbs),
+        sweep_values=(3, 5),
+        num_realizations=1,
+        beamformers=("rtd", "rtd_perfect_csi"),
+        master_seed=master_seed,
+    )
+    return {(row[0], row[1]): row[2] for row in run_se_sweep(cfg).rows}
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_the_design_does_not_depend_on_the_unit_of_power(scale):
+    """Scaling every power and budget by one factor leaves every SE row of
+    three (8, 25) drops within 1e-6 relative and every RTD cycle count
+    equal. With a unit equalizer start and an absolute stop on the squared
+    beam change, the cycle counts moved by up to 12x across such scales."""
+    for master_seed in range(3):
+        want, got = _scaled_sweep(master_seed, 1.0), _scaled_sweep(master_seed, scale)
+        assert set(got) == set(want)
+        assert not [key for key in want if key[1].startswith("failures_")]
+        for key, value in want.items():
+            if key[1].startswith(("iterations_", "converged_")):
+                assert got[key] == value, key
+            else:
+                assert got[key] == pytest.approx(value, rel=1e-6), key
+
+
+def _relabeled(topology, links, rrh_order, ue_order):
+    """The drop with new RRH j the old RRH ``rrh_order[j]`` and new UE j the
+    old UE ``ue_order[j]``: every placement, cluster, gain and link statistic
+    moved to match."""
+    new_rrh = np.argsort(rrh_order)
+    moved = Topology(
+        config=topology.config,
+        rrh_positions=topology.rrh_positions[rrh_order],
+        ue_positions=topology.ue_positions[ue_order],
+        serving_rrhs=[sorted(new_rrh[topology.serving_rrhs[i]].tolist()) for i in ue_order],
+        alpha_rrh=topology.alpha_rrh[np.ix_(rrh_order, ue_order)],
+        alpha_mbs=topology.alpha_mbs[ue_order],
+    )
+    moved.validate()
+    return moved, AggregatedLinks(
+        topology=moved,
+        est_rrh=links.est_rrh[np.ix_(rrh_order, ue_order)],
+        var_rrh=links.var_rrh[np.ix_(rrh_order, ue_order)],
+        est_mbs=links.est_mbs[ue_order],
+        var_mbs=links.var_mbs[ue_order],
+    )
+
+
+@pytest.mark.parametrize(
+    "num_ue, num_rrh, relabel, rel",
+    [(8, 25, "rrh", 1e-5), (16, 50, "rrh", 1e-5), (8, 25, "ue", 1e-10), (16, 50, "ue", 1e-10)],
+)
+def test_relabeling_permutes_the_design(num_ue, num_rrh, relabel, rel):
+    """Renumbering the RRHs or the UEs of a drop, with its links moved to
+    match, gives the same design: the per-user lower-bound rates come back
+    permuted, within 1e-5 relative for RRHs (the serving clusters' block
+    order changes) and 1e-10 for UEs, and the RTD cycle count is the same.
+    A user the design shuts off has a rate at rounding level (down to 1e-46
+    on these drops), which is compared to 1e-12 of the drop's sum rate."""
+    for r in range(2):
+        topology, _, _, links, training = pipeline_instance(
+            r=r, tau=5, scenario=ScenarioConfig(num_ue=num_ue, num_rrh=num_rrh)
+        )
+        rng = child_rng(31, 15, r)
+        rrh_order, ue_order = np.arange(num_rrh), np.arange(num_ue)
+        if relabel == "rrh":
+            rrh_order = rng.permutation(num_rrh)
+        else:
+            ue_order = rng.permutation(num_ue)
+        prelog = prelog_factor(training.tau, training.coherence)
+        rates, counts = [], []
+        for topo, lnk in ((topology, links), _relabeled(topology, links, rrh_order, ue_order)):
+            beams, st = rtd_solve(topo, lnk, training, BUDGETS)
+            rates.append(lower_bound_rates(lnk, beams, training.noise_power, prelog))
+            counts.append(st.iterations)
+        assert counts[0] == counts[1]
+        floor = 1e-12 * sum(rates[0].values())
+        for new, old in enumerate(ue_order.tolist()):
+            assert rates[1][new] == pytest.approx(rates[0][old], rel=rel, abs=floor)
