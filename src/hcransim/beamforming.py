@@ -7,23 +7,20 @@ u (weights exp(u - 1)), the beamformer step is a convex QCQP
     min over w   sum_m  w_m^H F_m w_m - 2 Re(b_m^H w_m)
 
 subject to per-RRH and MBS sum-power constraints. RRH constraints couple the
-RUE beams through shared blocks and are handled by dual decomposition
-(projected Newton steps on the multipliers, in which every free row solves
-p^(-1/2) = cap^(-1/2), accepted by Armijo's rule on the concave dual; a
-multiplier counts as at its bound only when its own scaled step reaches
-zero, and an exact coordinate sweep takes over whenever a Newton step is
-rejected); the MBS constraint couples the BUE beams through a single scalar
-multiplier. Every block at an RRH costs that RRH's one matrix
-G, and a RUE's own rank-one term is the only coupling between its blocks, so
-the RRH side works in each RRH's eigenbasis and solves every user's system,
-Schur complement and the dual's Hessian in closed form (Sherman-Morrison),
-with no linear solve but the Newton step's. With the other multipliers
-fixed, the power under one constraint is a secular function
-sum |coef|^2 / (lam + x)^2 of its multiplier x, built from
-eigendecompositions (of each RUE's Schur complement on the RRH's block, a
-rank-one update of the RRH's eigenvalues; of the one matrix all BUEs share)
-and solved by the same safeguarded Newton iteration on both sides. The f and
-u updates are closed-form.
+RUE beams through shared blocks and are handled by dual decomposition; the
+MBS constraint couples the BUE beams through a single scalar multiplier.
+A power behaves like sum |c|^2 / (lam + x)^2 in its multiplier x, so
+p^(-1/2) is nearly linear in x, and every multiplier update solves
+p^(-1/2) = cap^(-1/2) by Newton's method: on the RRH side for a block of
+multipliers at once (projected Newton on the concave dual, accepted by
+Armijo's rule; a multiplier counts as at its bound only when its own scaled
+step reaches zero), or, after a rejected block step, for one RRH at a time
+in a Gauss-Seidel sweep; on the MBS side by a safeguarded root search.
+Every block at an RRH costs that RRH's one matrix G, and a RUE's own
+rank-one term is the only coupling between its blocks, so the RRH side
+works in each RRH's eigenbasis and solves every user's system and the
+dual's Hessian in closed form (Sherman-Morrison), with no linear solve but
+the Newton step's. The f and u updates are closed-form.
 
 The alternation runs on arrays: one ``StackLayout`` per design, each QCQP
 kept in factored form on it (per-RRH matrices, per-RUE weights and linear
@@ -116,14 +113,13 @@ class StackLayout:
     Row u is RUE ``rue[u]``: its cluster's positive-budget blocks in order,
     padded with identity blocks to P blocks (W = P * block_size entries).
     ``starts[u, p]`` is block p's active slot (RRH ``active[slot]``), or
-    len(active) at padding. ``users_of[a]`` holds slot a's (rows, block
-    positions). The ``live`` (U, P) blocks are, in row-major order, the links
-    ``link_rrh`` -> ``link_ue``, with estimates ``est`` (U, W). BUE ``bue[j]``
-    is row j of the MBS side's (J, B) beams. ``gram_ue`` (A, Q) lists, per
-    active slot, the users whose estimate at that RRH is nonzero (the served
-    links under estimated CSI, every user under perfect CSI), ascending, then
-    users with a zero estimate as padding; ``gram_est`` (A, Q, n) holds those
-    estimates.
+    len(active) at padding. The ``live`` (U, P) blocks are, in row-major
+    order, the links ``link_rrh`` -> ``link_ue``, with estimates ``est``
+    (U, W). BUE ``bue[j]`` is row j of the MBS side's (J, B) beams.
+    ``gram_ue`` (A, Q) lists, per active slot, the users whose estimate at
+    that RRH is nonzero (the served links under estimated CSI, every user
+    under perfect CSI), ascending, then users with a zero estimate as
+    padding; ``gram_est`` (A, Q, n) holds those estimates.
     """
 
     block_size: int
@@ -133,7 +129,6 @@ class StackLayout:
     mbs_budget: float
     active: np.ndarray
     starts: np.ndarray
-    users_of: list
     live: np.ndarray
     link_rrh: np.ndarray
     link_ue: np.ndarray
@@ -169,7 +164,6 @@ def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
     link_ue = np.broadcast_to(rue[:, None], starts.shape)[live]
     est = np.zeros(starts.shape + (n,), dtype=complex)
     est[live] = links.est_rrh[link_rrh, link_ue]
-    users_of = [np.nonzero(starts == a) for a in range(active.size)]
     # A link with a zero estimate adds nothing to its RRH's Gram block.
     at_active = links.est_rrh[active]
     known = np.any(at_active != 0, axis=2)
@@ -182,7 +176,6 @@ def stack_layout(links: AggregatedLinks, budgets: PowerBudget) -> StackLayout:
         mbs_budget=float(budgets.mbs),
         active=active,
         starts=starts,
-        users_of=users_of,
         live=live,
         link_rrh=link_rrh,
         link_ue=link_ue,
@@ -296,24 +289,24 @@ def qcqp_objective(problem: QcqpProblem, beams) -> float:
 
 
 def _secular_root(
-    lam: np.ndarray, coef: np.ndarray, cap: float, cs_budget: float, feas_tol: float, x0: float
+    lam: np.ndarray, weight: np.ndarray, cap: float, cs_budget: float, feas_tol: float, x0: float
 ) -> float:
-    """Smallest x >= 0 at which the block power sum |coef|^2 / (lam + x)^2 meets cap.
+    """Smallest x >= 0 at which the power sum weight / (lam + x)^2 meets cap.
 
-    lam and coef are matching arrays of eigenvalues and coefficients, one term
-    per entry (the RRH side gives them per user an RRH serves, the MBS side
-    per BUE). It makes no linear solve. The power
-    p(x) decreases strictly on x > -min(lam), and 1/sqrt(p) is concave and
-    nearly linear there (exactly linear for one term), so Newton's method on
-    it approaches the root monotonically from below; a bisection step
-    replaces any Newton step that leaves the bracket [lo, hi]. The bracket's
-    upper end holds because lam + hi >= sqrt(sum |coef|^2 / cap) for every
-    term. Stops when |p - cap| <= min(feas_tol * cap / 2, cs_budget / x), the
-    complementary-slackness share of this multiplier; otherwise returns the
-    feasible end of the final bracket. x0 is a warm start.
+    The MBS side's root: lam and weight are matching (B,) arrays, the
+    eigenvalues of the matrix all BUEs share and, per eigendirection, the
+    summed squared coefficients of the BUEs' linear terms. It makes no linear
+    solve. The power p(x) decreases strictly on x > -min(lam), and 1/sqrt(p)
+    is concave and nearly linear there (exactly linear for one term), so
+    Newton's method on it approaches the root monotonically from below; a
+    bisection step replaces any Newton step that leaves the bracket [lo, hi].
+    The bracket's upper end holds because lam + hi >= sqrt(sum weight / cap)
+    for every term. Stops when |p - cap| <= min(feas_tol * cap / 2,
+    cs_budget / x), the complementary-slackness share of this multiplier;
+    otherwise returns the feasible end of the final bracket. x0 is a warm
+    start.
     """
-    weight = np.abs(coef).ravel() ** 2
-    lam = lam.ravel()[weight > 0.0]
+    lam = lam[weight > 0.0]
     weight = weight[weight > 0.0]
     if not lam.size:
         return 0.0
@@ -358,7 +351,9 @@ class _Eigenbasis:
     and R_p = sum over the user's other blocks of s / delta, the user's
     rotated beam is z_p = lin kappa_p q_p with kappa_p = 1 / (1 + w8 delta_p
     R_p). Block powers, the dual value and the dual's Hessian are the same in
-    either basis, so the solver works on z and rotates back once.
+    either basis, so the solver works on z and rotates back once. These
+    eigendecompositions are the RRH side's only ones: every multiplier
+    update, in a block or for one RRH, steps on ``power_jacobian``.
 
     Directions at rounding level (zero variance and fewer users than
     antennas) carry no user's estimate in exact arithmetic: their estimate
@@ -397,7 +392,7 @@ class _Eigenbasis:
 
     def coupling(self, mu: np.ndarray):
         """(d, s / delta, R, kappa) of every user at multipliers mu (by active
-        slot), which ``solve``, ``schur`` and ``power_jacobian`` read.
+        slot), which ``solve`` and ``power_jacobian`` read.
 
         R is the one place where a user's blocks meet: R_p sums s / delta over
         the user's other blocks, the rank-one coupling of its own term."""
@@ -413,25 +408,6 @@ class _Eigenbasis:
         """The rotated beams z (U, P, n) at the multipliers of ``coupled``."""
         d, _, _, kappa = coupled
         return (self.lin * kappa)[..., None] * (self.gamma / d)
-
-    def schur(self, coupled, users, pos):
-        """Block ``pos[i]`` of user ``users[i]`` with the other blocks
-        eliminated at the multipliers of ``coupled``, its own multiplier at 0:
-        the block's beam at multiplier x is (S + x I)^{-1} c with
-        S = diag(lam) - rho gamma gamma^H, rho = w8^2 R / (1 + w8 R) and
-        c = lin gamma / (1 + w8 R). Returns
-        the eigenvalues of S and the coefficients of c in its eigenbasis,
-        each (len(users), n)."""
-        others = coupled[2][users, pos][:, None]
-        w8, lin = self.w8[users], self.lin[users]
-        gamma = self.gamma[users, pos]
-        rho = w8 * w8 * others / (1.0 + w8 * others)
-        schur = -rho[..., None] * gamma[:, :, None] * gamma.conj()[:, None, :]
-        diag = np.arange(gamma.shape[1])
-        schur[:, diag, diag] += self.lam[users, pos]
-        lam, vecs = np.linalg.eigh(schur)
-        target = lin / (1.0 + w8 * others) * gamma
-        return lam, (vecs.conj().swapaxes(1, 2) @ target[..., None])[..., 0]
 
     def power_jacobian(self, coupled) -> np.ndarray:
         """d(powers)/d(mu) by active slot at the multipliers of ``coupled``:
@@ -470,18 +446,20 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
 
     For fixed multipliers mu the Lagrangian separates per RUE with minimizer
     (M_u + diag(mu over blocks))^{-1} lin_u g_u, which ``_Eigenbasis`` gives
-    in closed form from one eigendecomposition per active RRH. The concave
-    dual is maximized by two kinds of update:
+    in closed form from one eigendecomposition per active RRH. A power
+    behaves like sum |c|^2 / (lam + mu)^2, so p - cap is far from linear in
+    mu away from the cap while p^{-1/2} is nearly linear (exactly so for one
+    term), as ``_secular_root`` uses on the MBS side. So every multiplier
+    update solves p^{-1/2} = cap^{-1/2}, above the cap or below it, by
+    Newton's method on the residual r = 2 p (sqrt(p / cap) - 1) (p - cap to
+    first order at the cap, and where p = 0), in one of two ways:
 
     * projected Newton steps — overlapping serving clusters couple the
       multipliers strongly, so projected Newton (Bertsekas 1982) moves them
       together. The dual's gradient is powers - cap and its Hessian, the
       power-balance Jacobian, is closed-form (``_Eigenbasis.power_jacobian``).
-      Every free row solves p^{-1/2} = cap^{-1/2}, above its cap or below
-      it: a power behaves like sum |c|^2 / (lam + mu)^2, so p - cap is far
-      from linear in mu away from the cap while p^{-1/2} is nearly linear,
-      as ``_secular_root`` uses. A coordinate in the eps-active set at
-      mu = 0 takes a scaled step on that residual, the rest a Newton step.
+      A coordinate in the eps-active set at mu = 0 takes a scaled step on
+      r, the rest the Newton step on their block of the Hessian.
       eps is per coordinate, |r_k| / h_k for residual r and Hessian diagonal
       magnitude h, so a multiplier counts as at its bound only when its own
       scaled step reaches zero; a settled multiplier stays in the Newton
@@ -490,15 +468,12 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
       rises by Armijo's rule (ARMIJO_SIGMA) and no cap is exceeded by more
       than before; both tests read the gradient. README gives the rule's
       measured counters on the benchmark panels.
-    * exact coordinate ascent, the globally convergent fallback after a
-      rejected Newton step — with the other multipliers fixed, RRH k's block
-      of each user it serves is (S_ik + mu_k I)^{-1} c_ik, S_ik the Schur
-      complement of the user's matrix on block k, a rank-one update of
-      diag(lam_k) (``_Eigenbasis.schur``). One batched n x n
-      eigendecomposition over the users RRH k serves turns its power into a
-      secular function of mu_k, whose complementary-slackness root (mu_k = 0
-      when the cap already holds) ``_secular_root`` finds. A sweep updates
-      the active RRHs one at a time, in order.
+    * a coordinate sweep, the fallback after a rejected Newton step — the
+      active RRHs in order, Gauss-Seidel, each taking the same Newton step
+      on its own multiplier alone, mu_k = max(0, mu_k + r_k / h_kk) with
+      h_kk the Hessian's diagonal magnitude. The step is exact when RRH k's
+      power is one secular term and nearly exact otherwise; an RRH at
+      mu = 0 whose cap holds is skipped.
 
     Every solve opens with Newton steps, from mu = 0 or from the warm start
     mu0 ((K,) by RRH id; RTD passes the previous QCQP's multipliers). Padding
@@ -519,7 +494,7 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
     (``gap``).
     """
     layout = problem.layout
-    slots, users_of = layout.starts.ravel(), layout.users_of
+    slots = layout.starts.ravel()
     cap = layout.rrh_budget[layout.active]
     safe_cap = np.maximum(cap, 1e-300)
     num = cap.size
@@ -559,15 +534,21 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
     def is_converged(viol: float, gap: float) -> bool:
         return viol <= feas_tol and gap <= GAP_TOL * max(1.0, abs(dual_value()))
 
-    def coordinate_sweep(cs_budget: float) -> int:
+    def residual(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """p^{-1/2} - c^{-1/2} scaled back by its derivative, 2 p (sqrt(p / c)
+        - 1), which is p - c to first order at the cap; p - c where p = 0."""
+        r = 2.0 * p * (np.sqrt(p / c) - 1.0)
+        return r if p.all() else np.where(p > 0.0, r, p - c)
+
+    def coordinate_sweep() -> int:
         nonlocal coupled, z, powers
         count = 0
-        for a, (users, pos) in enumerate(users_of):
+        for a in range(num):
             if mu[a] == 0.0 and powers[a] <= cap[a]:
                 continue
             count += 1
-            lam, coef = basis.schur(coupled, users, pos)
-            mu[a] = _secular_root(lam, coef, cap[a], cs_budget, feas_tol, mu[a])
+            scale = max(-basis.power_jacobian(coupled)[a, a], 1e-300)
+            mu[a] = max(0.0, mu[a] + residual(powers[a], cap[a]) / scale)
             coupled = basis.coupling(mu)
             z = basis.solve(coupled)
             powers = per_rrh(np.abs(z) ** 2)
@@ -578,11 +559,9 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         """One projected Newton step on the dual; the number of multipliers moved.
 
         Coordinates at mu = 0 whose cap holds stay put. Every other row
-        solves p^{-1/2} = cap^{-1/2}: its residual scaled back by its
-        derivative is r = 2 p (sqrt(p / cap) - 1), p - cap to first order at
-        the cap (a row with p = 0 keeps p - cap). A multiplier whose own
-        diagonally scaled step on r would reach zero (r pushes it down, and
-        mu_k + r_k / h_k <= 0 with h_k the Hessian's diagonal magnitude:
+        solves p^{-1/2} = cap^{-1/2} on its ``residual`` r. A multiplier
+        whose own diagonally scaled step on r would reach zero (r pushes it
+        down, and mu_k + r_k / h_k <= 0 with h_k the Hessian's diagonal magnitude:
         Bertsekas' eps-active test with a per-coordinate eps_k = |r_k| / h_k)
         takes that step, and the others the Newton step that solves their
         block of the Hessian against -r. The Armijo slope, the at-bound rise
@@ -598,10 +577,8 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         grad = powers - cap
         idx = np.flatnonzero((mu > 0.0) | (grad > 0.0))
         hess = basis.power_jacobian(coupled).take(idx, 0).take(idx, 1)
-        g, m, p = grad[idx], mu[idx], powers[idx]
-        r = 2.0 * p * (np.sqrt(p / cap[idx]) - 1.0)
-        if not p.all():
-            r = np.where(p > 0.0, r, g)
+        g, m = grad[idx], mu[idx]
+        r = residual(powers[idx], cap[idx])
         scale = np.maximum(-hess.diagonal(), 1e-300)
         step = r / scale
         at_bound = (g < 0.0) & (m + step <= 0.0)
@@ -642,7 +619,7 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         moved = newton_step(viol)
         info["newton_accepted" if moved else "newton_rejected"] += 1
         if not moved:
-            moved = coordinate_sweep(GAP_TOL * max(1.0, abs(dual_value())) / (2 * num))
+            moved = coordinate_sweep()
         updates += moved
         info["dual_iterations"] = updates
     viol, gap = residuals()
@@ -667,8 +644,8 @@ def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, nu0=None):
     if budget > 0.0 and len(lin):
         lam, vecs = np.linalg.eigh(0.5 * (quad + quad.conj().T))
         coef = (vecs.conj().T @ lin[..., None])[..., 0]
-        lam = np.broadcast_to(lam, coef.shape)
-        nu = _secular_root(lam, coef, budget, 0.5 * GAP_TOL, feas_tol, nu0 or 0.0)
+        weight = (coef.real**2 + coef.imag**2).sum(axis=0)
+        nu = _secular_root(lam, weight, budget, 0.5 * GAP_TOL, feas_tol, nu0 or 0.0)
         scaled = np.divide(coef, lam + nu, out=np.zeros_like(coef), where=coef != 0)
         beams = (vecs @ scaled[..., None])[..., 0]
     signal = float(np.real(np.vdot(lin, beams)))

@@ -606,15 +606,15 @@ def dense_power_jacobian(problem, mu):
     -2 Re w_a^H [M^{-1}]_ab w_b, from each user's dense inverse."""
     layout = problem.layout
     n, num = layout.block_size, layout.active.size
+    (users, width), starts = layout.starts.shape, layout.starts
     mats, rhs = _dense_shifted(problem, mu)
+    inv = np.linalg.inv(mats)
+    w = (inv @ rhs[..., None])[..., 0].reshape(users, width, n)
+    blocks = inv.reshape(users, width, n, width, n)
+    # Entry (u, p, q) is w_p^H [M_u^{-1}]_pq w_q for user u's blocks p, q.
+    terms = np.einsum("upi,upiqj,uqj->upq", w.conj(), blocks, w)
     jac = np.zeros((num + 1, num + 1))
-    for u, (mat, b) in enumerate(zip(mats, rhs)):
-        inv = np.linalg.inv(mat)
-        w = inv @ b
-        for p, a in enumerate(layout.starts[u]):
-            for q, c in enumerate(layout.starts[u]):
-                rows, cols = slice(p * n, (p + 1) * n), slice(q * n, (q + 1) * n)
-                jac[a, c] -= 2.0 * float(np.real(np.vdot(w[rows], inv[rows, cols] @ w[cols])))
+    np.add.at(jac, (starts[:, :, None], starts[:, None, :]), -2.0 * terms.real)
     return jac[:num, :num]
 
 

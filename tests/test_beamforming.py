@@ -427,30 +427,41 @@ def test_solve_qcqp_exhausted_iterations_raises(monkeypatch):
         solve_qcqp(problem)
 
 
-def _secular_power(lam, coef, x):
-    return float(np.sum(np.abs(coef) ** 2 / (lam + x) ** 2))
+def _closed_form_powers(layout, z):
+    """Per-RRH powers of the rotated beams z (U, P, n), by active slot, as
+    the RRH side reads them: the rotation keeps each block's power."""
+    num = layout.active.size
+    per_block = np.sum(np.abs(z) ** 2, axis=-1).ravel()
+    return np.bincount(layout.starts.ravel(), weights=per_block, minlength=num + 1)[:num]
 
 
-def _assert_secular_matches_dense(problem, mu, xs):
-    """At multipliers mu (by active slot), every active RRH's secular
-    function, from ``_Eigenbasis.schur`` over the users it serves, equals its
-    block power in a dense solve with its own multiplier at x, for each x;
-    the beams at x are zero on padding."""
+def _assert_closed_form_matches_dense(problem, mu, xs):
+    """At multipliers mu (by active slot) with each active RRH's own
+    multiplier moved to x in turn, for each x: the closed-form beams, the
+    per-RRH powers the solver reads off them and the Hessian's diagonal
+    entry that RRH's coordinate step divides by equal the dense solve's
+    (``dense_rrh_beams``, ``dense_rrh_powers``, ``dense_power_jacobian``),
+    and the beams are zero on padding."""
     layout = problem.layout
     padding = ~np.repeat(layout.live, layout.block_size, axis=1)
     basis = _Eigenbasis(problem)
-    for a, (users, pos) in enumerate(layout.users_of):
-        lam, coef = basis.schur(basis.coupling(mu), users, pos)
+    for a in range(layout.active.size):
         for x in xs:
             trial = mu.copy()
             trial[a] = x
-            beams = dense_rrh_beams(problem, trial)
-            assert not np.any(beams[padding])
-            want = dense_rrh_powers(problem, beams)[a]
-            assert _secular_power(lam, coef, x) == pytest.approx(want, rel=1e-9)
+            coupled = basis.coupling(trial)
+            z = basis.solve(coupled)
+            want = dense_rrh_beams(problem, trial)
+            assert not np.any(want[padding])
+            got = basis.rotate_back(z)
+            assert np.linalg.norm(got - want) <= 1e-9 * max(np.linalg.norm(want), 1e-300)
+            powers = dense_rrh_powers(problem, want)
+            np.testing.assert_allclose(_closed_form_powers(layout, z), powers, rtol=1e-9)
+            dense = dense_power_jacobian(problem, trial)[a, a]
+            assert basis.power_jacobian(coupled)[a, a] == pytest.approx(dense, rel=1e-9)
 
 
-def _secular_field(clusters, n, budget, seed, zero_f=()):
+def _cluster_field(clusters, n, budget, seed, zero_f=()):
     """A QCQP on hand-built links with the given clusters (RUE id -> RRHs)
     and one MBS-served UE, random estimates and variances, and unit
     equalizers except zero ones at ``zero_f`` (no weight and no gain)."""
@@ -466,18 +477,18 @@ def _secular_field(clusters, n, budget, seed, zero_f=()):
     return problem, rng.uniform(0.1, 2.0, size=problem.layout.active.size)
 
 
-def test_secular_power_matches_direct_solve():
-    """The closed-form secular function of RRH k's multiplier equals the
-    block power of a dense direct solve at every x, on a field where one RRH
-    is shared by four users, users hold one to three blocks, one user has a
-    zero linear term and one RRH has a zero budget; and on a field where
-    every block is the user's whole beam, so nothing is eliminated."""
+def test_closed_form_of_one_multiplier_matches_direct_solve():
+    """With RRH k's multiplier at x and the others fixed, the closed-form
+    beams, per-RRH powers and Hessian diagonal equal a dense direct solve's
+    at every x, on a field where one RRH is shared by four users, users hold
+    one to three blocks, one user has a zero linear term and one RRH has a
+    zero budget; and on a field where every block is the user's whole beam."""
     clusters = {0: [1], 1: [0, 1], 2: [1, 2, 3], 3: [1, 3], 4: [0, 3]}
-    problem, mu = _secular_field(clusters, 2, np.array([1.0, 1.0, 0.0, 1.0]), 7, zero_f=(3,))
-    assert len(problem.layout.users_of[1][0]) == 4
-    _assert_secular_matches_dense(problem, mu, xs=(0.05, 0.3, 1.0, 7.0))
-    problem, mu = _secular_field({0: [0], 1: [0], 2: [0]}, 3, np.ones(1), 17, zero_f=(2,))
-    _assert_secular_matches_dense(problem, mu, xs=(0.0, 0.2, 3.0))
+    problem, mu = _cluster_field(clusters, 2, np.array([1.0, 1.0, 0.0, 1.0]), 7, zero_f=(3,))
+    assert np.count_nonzero(problem.layout.starts == 1) == 4
+    _assert_closed_form_matches_dense(problem, mu, xs=(0.05, 0.3, 1.0, 7.0))
+    problem, mu = _cluster_field({0: [0], 1: [0], 2: [0]}, 3, np.ones(1), 17, zero_f=(2,))
+    _assert_closed_form_matches_dense(problem, mu, xs=(0.0, 0.2, 3.0))
 
 
 @pytest.mark.parametrize(
@@ -491,11 +502,12 @@ def test_secular_power_matches_direct_solve():
     ],
     ids=["mixed_widths", "single_blocks"],
 )
-def test_block_secular_on_padded_stacks(clusters):
-    """Each RRH's secular function over its padded users matches the dense
-    block power, with users of one to three blocks padded to the widest."""
-    problem, mu = _secular_field(clusters, 3, np.ones(5), 8)
-    _assert_secular_matches_dense(problem, mu, xs=(0.0, 0.4, 5.0))
+def test_closed_form_on_padded_stacks(clusters):
+    """Each RRH's closed-form beams, powers and Hessian diagonal over its
+    padded users match the dense solve's, with users of one to three blocks
+    padded to the widest."""
+    problem, mu = _cluster_field(clusters, 3, np.ones(5), 8)
+    _assert_closed_form_matches_dense(problem, mu, xs=(0.0, 0.4, 5.0))
 
 
 def _first_qcqp(num_ue, num_rrh, zero_busiest=False, **scenario):
@@ -547,9 +559,10 @@ def _regime_qcqp(regime):
 )
 def test_closed_form_matches_the_dense_oracle(regime):
     """At random multipliers the closed-form solve equals the dense per-user
-    solve, every RRH's Schur target and secular power equal the dense block
-    power at its own multiplier, and the closed-form Hessian equals the
-    dense -2 Re w^H M^{-1} w and central differences of the powers."""
+    solve, also with each RRH's own multiplier moved to the smallest and the
+    largest of them (beams, powers and Hessian diagonal), and the
+    closed-form Hessian equals the dense -2 Re w^H M^{-1} w and central
+    differences of the powers."""
     problem = _regime_qcqp(regime)
     layout = problem.layout
     lam = np.linalg.eigvalsh(problem.blocks)
@@ -562,7 +575,7 @@ def test_closed_form_matches_the_dense_oracle(regime):
         want = dense_rrh_beams(problem, mu)
         got = basis.rotate_back(basis.solve(basis.coupling(mu)))
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
-        _assert_secular_matches_dense(problem, mu, xs=(mu.min(), mu.max()))
+        _assert_closed_form_matches_dense(problem, mu, xs=(mu.min(), mu.max()))
         jac = basis.power_jacobian(basis.coupling(mu))
         dense = dense_power_jacobian(problem, mu)
         assert np.linalg.norm(jac - dense) <= 1e-9 * np.linalg.norm(dense)
@@ -701,11 +714,12 @@ def test_warm_solves_of_the_large_drop_take_few_newton_steps(monkeypatch):
 
 
 def test_solver_multipliers_reproduce_its_beams():
-    """At the returned multipliers, every live RRH's secular power equals its
-    power in the returned beams, active caps are met, zero-budget RRHs carry
-    nothing, the RUE beams are the dense solve's at those multipliers and
-    each BUE beam is (Q + nu I)^{-1} b; on synthetic problems and on an
-    assembled drop whose users span very different widths."""
+    """At the returned multipliers the RUE beams are the dense solve's, every
+    live RRH's power in the returned beams equals the dense and the
+    closed-form power, active caps are met, zero-budget RRHs carry nothing,
+    the closed-form Hessian diagonal is the dense one and each BUE beam is
+    (Q + nu I)^{-1} b; on synthetic problems and on an assembled drop whose
+    users span very different widths."""
     rng = child_rng(31, 9)
     problems = [make_synthetic_qcqp(rng, zero_cap_chance=0.25)[0] for _ in range(8)]
     for problem in problems + [_zero_budget_drop_qcqp()]:
@@ -716,15 +730,22 @@ def test_solver_multipliers_reproduce_its_beams():
         want = dense_rrh_beams(problem, mu)
         assert np.linalg.norm(w_rue - want) <= 1e-9 * max(np.linalg.norm(want), 1e-300)
         basis = _Eigenbasis(problem)
+        coupled = basis.coupling(mu)
         for k, cap in enumerate(layout.rrh_budget):
             if cap == 0.0:
                 assert info["rrh_dual"][k] == 0.0 and beams.rrh_power(k) == 0.0
-        for a, (users, pos) in enumerate(layout.users_of):
-            k, cap = layout.active[a], layout.rrh_budget[layout.active[a]]
-            lam, coef = basis.schur(basis.coupling(mu), users, pos)
-            assert _secular_power(lam, coef, mu[a]) == pytest.approx(beams.rrh_power(k), rel=1e-7)
+        dense = dense_rrh_powers(problem, want)
+        closed = _closed_form_powers(layout, basis.solve(coupled))
+        for a, k in enumerate(layout.active):
+            assert dense[a] == pytest.approx(beams.rrh_power(k), rel=1e-7)
+            assert closed[a] == pytest.approx(beams.rrh_power(k), rel=1e-7)
             if mu[a] > 0.0:
-                assert beams.rrh_power(k) == pytest.approx(cap, rel=1e-6)
+                assert beams.rrh_power(k) == pytest.approx(layout.rrh_budget[k], rel=1e-6)
+        np.testing.assert_allclose(
+            basis.power_jacobian(coupled).diagonal(),
+            dense_power_jacobian(problem, mu).diagonal(),
+            rtol=1e-9,
+        )
         spec = unpack_qcqp(problem)
         nu = info["mbs_dual"]
         for j, quad in spec.quad_bue.items():
@@ -745,8 +766,9 @@ def test_rtd_builds_the_stack_layout_once(monkeypatch):
     assert st.iterations > 1 and len(calls) == 1
 
 
+@pytest.mark.parametrize("rule", ["newton", "sweep"])
 @pytest.mark.parametrize("start", [None, 2.0, 10.0, 100.0])
-def test_single_coordinate_update_lands_on_the_cap(monkeypatch, start):
+def test_single_coordinate_update_lands_on_the_cap(monkeypatch, start, rule):
     """RRH 0 serves one user whose other block is nearly free (RRH 1: error
     variance 1e-4 against a unit estimate, and a huge budget), so
     eliminating it shrinks the target to c = lin g_0 / (1 + w8 R), R about
@@ -754,14 +776,16 @@ def test_single_coordinate_update_lands_on_the_cap(monkeypatch, start):
     G_0 = 1.01. The exact multiplier |c| / sqrt(cap) - S (about 0.09) lies
     far from the 999 that the block without elimination gives. RRH 0's power
     is then one secular term |c|^2 / (S + mu)^2 in its multiplier, so
-    p^{-1/2} is linear in it and one projected Newton step, with no
-    rejection and no coordinate pass, puts RRH 0 on its cap: from a cold
-    start (far above the cap) and from ``start`` times the exact multiplier
-    (below it, where the power falls like mu^-2 and p - cap is far from
-    linear). Read on p - cap below the cap, the step fell short at 2x
-    (three steps, stopping 4% off the multiplier), and at 10x and 100x the
-    at-bound test sent the multiplier to 0, every trial was rejected and a
-    sweep ran."""
+    p^{-1/2} is linear in it and one Newton step on p^{-1/2} puts RRH 0 on
+    its cap: from a cold start (far above the cap) and from ``start`` times
+    the exact multiplier (below it, where the power falls like mu^-2 and
+    p - cap is far from linear). Under ``newton`` the projected Newton step
+    does it, with no rejection and no coordinate pass; read on p - cap below
+    the cap, that step fell short at 2x (three steps, stopping 4% off the
+    multiplier), and at 10x and 100x the at-bound test sent the multiplier
+    to 0, every trial was rejected and a sweep ran. Under ``sweep`` every
+    Newton system fails to solve, so the step is rejected and one
+    coordinate pass, the sweep's step on RRH 0 alone, does it."""
     links = hand_links([[0, 1]], np.ones((2, 1, 1)), [[1e-2], [1e-4]])
     problem = hand_qcqp(links, [1.0], [1.0], [1e-6, 1e9])
     r = 1.0 / 1e-4  # s_1 / delta_1 = 1 / (G_1 - |g_1|^2)
@@ -770,9 +794,20 @@ def test_single_coordinate_update_lands_on_the_cap(monkeypatch, start):
     exact = c / 1e-3 - schur
     mu0 = None if start is None else np.array([start * exact, 0.0])
     monkeypatch.setattr(beamforming, "MAX_DUAL_ITERS", 1)
+    if rule == "sweep":
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
     beams, info = solved(problem, mu0=mu0)
-    assert info["dual_iterations"] == info["newton_accepted"] == 1
-    assert info["newton_rejected"] == info["coordinate_passes"] == 0
+    assert info["dual_iterations"] == info["linear_solves"] == 1
+    if rule == "newton":
+        assert info["newton_accepted"] == 1
+        assert info["newton_rejected"] == info["coordinate_passes"] == 0
+    else:
+        assert info["newton_accepted"] == 0
+        assert info["newton_rejected"] == info["coordinate_passes"] == 1
     assert info["rrh_dual"][0] == pytest.approx(exact, rel=1e-9)
     assert 0.05 < info["rrh_dual"][0] < 0.1
     assert info["rrh_dual"][1] == 0.0
@@ -831,8 +866,42 @@ def test_rtd_objective_matches_log_mse_sum():
     )
 
 
+def test_the_rrh_side_makes_one_eigendecomposition_per_solve(monkeypatch):
+    """Perf guard: every RRH-side solve in the design of drop_small's panel
+    drop 1 (master seed 1), whose third QCQP rejects a Newton step and
+    sweeps, makes exactly one ``np.linalg.eigh`` call, the batched one of
+    its ``_Eigenbasis``: the sweep steps on the Hessian's diagonal. An exact
+    root per swept RRH took one more batched eigendecomposition for each
+    RRH a sweep updated."""
+    calls = _recorded_solves(monkeypatch)
+    per_solve, inside = [], []
+    real_eigh, real_side = np.linalg.eigh, beamforming._solve_rrh_side
+
+    def eigh(*args, **kwargs):
+        if inside:
+            per_solve[-1] += 1
+        return real_eigh(*args, **kwargs)
+
+    def side(*args, **kwargs):
+        per_solve.append(0)
+        inside.append(True)
+        try:
+            return real_side(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(beamforming, "_solve_rrh_side", side)
+    topology, _, _, links, training = pipeline_instance(
+        master_seed=1, tau=5, scenario=ScenarioConfig(num_ue=8, num_rrh=25)
+    )
+    _, st = rtd_solve(topology, links, training, BUDGETS)
+    assert any(info["coordinate_passes"] for _, info in calls)
+    assert per_solve == [1] * st.iterations
+
+
 def test_rtd_counters_sum_the_dual_solver_info(monkeypatch):
-    """On drop_small's panel drop 1 (master seed 1), whose cold QCQP rejects
+    """On drop_small's panel drop 1 (master seed 1), whose third QCQP rejects
     a Newton step and sweeps, the design's counters sum every QCQP's."""
     calls = _recorded_solves(monkeypatch)
     topology, _, _, links, training = pipeline_instance(
