@@ -62,6 +62,16 @@ def _configure(args) -> ExperimentConfig:
     return cfg
 
 
+def _counter_line(counters: dict) -> str:
+    """The RRH-side dual solver's work over a design and the last QCQP's
+    final residuals (``RtdState.counters``), as one line of key=value."""
+    counts = ("dual_updates", "linear_solves", "newton_accepted", "newton_rejected",
+              "coordinate_passes")
+    fields = [f"{key}={counters[key]}" for key in counts]
+    fields += [f"{key}={counters[key]:.3e}" for key in ("violation", "gap", "mbs_violation")]
+    return "solver counters: " + " ".join(fields)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -83,6 +93,7 @@ def main(argv=None) -> int:
                 f"solved in {state.iterations} iterations "
                 f"(converged={state.converged}); artifacts in {out_dir}"
             )
+            print(_counter_line(state.counters))
     except (ValueError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -427,19 +427,11 @@ def test_solve_qcqp_exhausted_iterations_raises(monkeypatch):
         solve_qcqp(problem)
 
 
-def _closed_form_powers(layout, z):
-    """Per-RRH powers of the rotated beams z (U, P, n), by active slot, as
-    the RRH side reads them: the rotation keeps each block's power."""
-    num = layout.active.size
-    per_block = np.sum(np.abs(z) ** 2, axis=-1).ravel()
-    return np.bincount(layout.starts.ravel(), weights=per_block, minlength=num + 1)[:num]
-
-
 def _assert_closed_form_matches_dense(problem, mu, xs):
     """At multipliers mu (by active slot) with each active RRH's own
     multiplier moved to x in turn, for each x: the closed-form beams, the
-    per-RRH powers the solver reads off them and the Hessian's diagonal
-    entry that RRH's coordinate step divides by equal the dense solve's
+    per-RRH powers the solver reads off its real iterate and the Hessian's
+    diagonal entry that RRH's coordinate step divides by equal the dense solve's
     (``dense_rrh_beams``, ``dense_rrh_powers``, ``dense_power_jacobian``),
     and the beams are zero on padding."""
     layout = problem.layout
@@ -456,9 +448,9 @@ def _assert_closed_form_matches_dense(problem, mu, xs):
             got = basis.rotate_back(z)
             assert np.linalg.norm(got - want) <= 1e-9 * max(np.linalg.norm(want), 1e-300)
             powers = dense_rrh_powers(problem, want)
-            np.testing.assert_allclose(_closed_form_powers(layout, z), powers, rtol=1e-9)
+            np.testing.assert_allclose(basis.per_rrh(coupled.powers), powers, rtol=1e-9)
             dense = dense_power_jacobian(problem, trial)[a, a]
-            assert basis.power_jacobian(coupled)[a, a] == pytest.approx(dense, rel=1e-9)
+            assert basis.jacobian_diagonal(coupled)[a] == pytest.approx(dense, rel=1e-9)
 
 
 def _cluster_field(clusters, n, budget, seed, zero_f=()):
@@ -590,6 +582,55 @@ def test_closed_form_matches_the_dense_oracle(regime):
             assert np.linalg.norm(column - jac[:, b]) <= 1e-6 * np.linalg.norm(jac[:, b])
 
 
+def _c6_problems_and_the_padded_drop():
+    """c6's generator instances (zero caps included) and the (32, 100)
+    drop's padded zero-budget QCQP."""
+    rng = np.random.default_rng(2024)
+    problems = [make_synthetic_qcqp(rng, zero_cap_chance=0.03)[0] for _ in range(200)]
+    return problems + [_zero_budget_drop_qcqp()]
+
+
+def _multipliers(problem, seed):
+    """Zero multipliers and two random ones up to each block's largest
+    eigenvalue, by active slot."""
+    top = np.linalg.eigvalsh(problem.blocks)[:, -1]
+    rng = child_rng(31, seed)
+    return [np.zeros_like(top)] + [rng.uniform(0.0, 1.0, size=top.size) * top for _ in range(2)]
+
+
+def test_the_jacobian_diagonal_is_the_full_jacobians_bit_for_bit():
+    """The sweep and the cold start read only the Hessian's diagonal, summed
+    from the blocks' own terms; it equals the diagonal of the full
+    ``power_jacobian`` bit for bit, at zero and random multipliers."""
+    for seed, problem in enumerate(_c6_problems_and_the_padded_drop()):
+        basis = _Eigenbasis(problem)
+        for mu in _multipliers(problem, seed):
+            coupled = basis.coupling(mu)
+            full = np.diagonal(basis.power_jacobian(coupled))
+            assert np.array_equal(basis.jacobian_diagonal(coupled), full)
+
+
+def test_the_real_iterate_matches_the_rotated_beams():
+    """The solver iterates on real per-block quantities alone: the block
+    powers, the dual's signal term Re<b, w> and the Armijo test's per-RRH
+    Re<w', w> between two multiplier sets equal those of the beams
+    ``rotate_back(solve(...))`` to 1e-12 relative."""
+    for seed, problem in enumerate(_c6_problems_and_the_padded_drop()):
+        layout = problem.layout
+        basis = _Eigenbasis(problem)
+        shape = layout.starts.shape + (layout.block_size,)
+        b = problem.lin[:, None] * layout.est
+        points = [basis.coupling(mu) for mu in _multipliers(problem, seed)]
+        beams = [basis.rotate_back(basis.solve(c)).reshape(shape) for c in points]
+        for c, w in zip(points, beams):
+            np.testing.assert_allclose(c.powers, np.sum(np.abs(w) ** 2, axis=-1), rtol=1e-12)
+            want = float(np.real(np.vdot(b, w)))
+            assert abs(basis.signal(c) - want) <= 1e-12 * abs(want)
+        for (c, w), (c2, w2) in zip(zip(points, beams), zip(points[1:], beams[1:])):
+            want = basis.per_rrh(np.sum(np.real(w2.conj() * w), axis=-1))
+            np.testing.assert_allclose(basis.overlap(c2, c), want, rtol=1e-12)
+
+
 def test_rrh_side_makes_no_stacked_linear_solve(monkeypatch):
     """On the (32, 100) drop the RRH side's only linear solves are its Newton
     systems: no ``np.linalg.solve`` call gets a stack of matrices, and
@@ -661,23 +702,24 @@ def _recorded_solves(monkeypatch) -> list:
 
 def test_the_cold_start_opens_with_newton_on_the_large_drop(monkeypatch):
     """Perf guard: in the design of the (32, 100) drop at master seed 0 the
-    first QCQP starts cold (all multipliers 0) and opens with projected
-    Newton, every free row solving p^{-1/2} = cap^{-1/2}; it takes at most 4
-    accepted steps, where Newton on p - cap below the caps took 10 (halving
-    its way onto a cap a full step overshot) and, with an opening sweep, 26.
-    In every QCQP a sweep runs only after a rejected step, and each sweep
-    updates an active RRH at most once."""
+    first QCQP starts cold (all multipliers 0), takes one per-RRH step on
+    p^{-1/2} and goes on with projected Newton, every free row solving
+    p^{-1/2} = cap^{-1/2}; it takes at most 4 accepted steps, where Newton
+    on p - cap below the caps took 10 (halving its way onto a cap a full
+    step overshot) and, with an opening sweep, 26. No QCQP of the design
+    rejects a step or sweeps: opening with Newton from mu = 0, where every
+    power was about 1e8 times its cap, the second step failed Armijo at
+    every halving and the sweep after it made 68 coordinate passes."""
     calls = _recorded_solves(monkeypatch)
     topology, _, _, links, training = pipeline_instance(
         scenario=ScenarioConfig(num_ue=32, num_rrh=100)
     )
     _, st = rtd_solve(topology, links, training, BUDGETS)
-    num_active = stack_layout(links, BUDGETS).active.size
     infos = [info for _, info in calls]
     assert st.iterations == len(infos) > 1
     assert 0 < infos[0]["newton_accepted"] <= 4
     for info in infos:
-        assert info["coordinate_passes"] <= num_active * info["newton_rejected"]
+        assert info["coordinate_passes"] == info["newton_rejected"] == 0
 
 
 @pytest.mark.parametrize("num_ue, num_rrh", [(8, 25), (16, 50)])
@@ -735,14 +777,14 @@ def test_solver_multipliers_reproduce_its_beams():
             if cap == 0.0:
                 assert info["rrh_dual"][k] == 0.0 and beams.rrh_power(k) == 0.0
         dense = dense_rrh_powers(problem, want)
-        closed = _closed_form_powers(layout, basis.solve(coupled))
+        closed = basis.per_rrh(coupled.powers)
         for a, k in enumerate(layout.active):
             assert dense[a] == pytest.approx(beams.rrh_power(k), rel=1e-7)
             assert closed[a] == pytest.approx(beams.rrh_power(k), rel=1e-7)
             if mu[a] > 0.0:
                 assert beams.rrh_power(k) == pytest.approx(layout.rrh_budget[k], rel=1e-6)
         np.testing.assert_allclose(
-            basis.power_jacobian(coupled).diagonal(),
+            basis.jacobian_diagonal(coupled),
             dense_power_jacobian(problem, mu).diagonal(),
             rtol=1e-9,
         )
@@ -777,15 +819,17 @@ def test_single_coordinate_update_lands_on_the_cap(monkeypatch, start, rule):
     far from the 999 that the block without elimination gives. RRH 0's power
     is then one secular term |c|^2 / (S + mu)^2 in its multiplier, so
     p^{-1/2} is linear in it and one Newton step on p^{-1/2} puts RRH 0 on
-    its cap: from a cold start (far above the cap) and from ``start`` times
-    the exact multiplier (below it, where the power falls like mu^-2 and
-    p - cap is far from linear). Under ``newton`` the projected Newton step
-    does it, with no rejection and no coordinate pass; read on p - cap below
-    the cap, that step fell short at 2x (three steps, stopping 4% off the
-    multiplier), and at 10x and 100x the at-bound test sent the multiplier
-    to 0, every trial was rejected and a sweep ran. Under ``sweep`` every
-    Newton system fails to solve, so the step is rejected and one
-    coordinate pass, the sweep's step on RRH 0 alone, does it."""
+    its cap. From a cold start (far above the cap) the solve's opening
+    per-RRH step does it, before any Newton system, under either rule.
+    From ``start`` times the exact multiplier (below it, where the power
+    falls like mu^-2 and p - cap is far from linear), under ``newton`` the
+    projected Newton step does it, with no rejection and no coordinate pass;
+    read on p - cap below the cap, that step fell short at 2x (three steps,
+    stopping 4% off the multiplier), and at 10x and 100x the at-bound test
+    sent the multiplier to 0, every trial was rejected and a sweep ran.
+    Under ``sweep`` every Newton system fails to solve, so the step is
+    rejected and one coordinate pass, the sweep's step on RRH 0 alone,
+    does it."""
     links = hand_links([[0, 1]], np.ones((2, 1, 1)), [[1e-2], [1e-4]])
     problem = hand_qcqp(links, [1.0], [1.0], [1e-6, 1e9])
     r = 1.0 / 1e-4  # s_1 / delta_1 = 1 / (G_1 - |g_1|^2)
@@ -801,11 +845,16 @@ def test_single_coordinate_update_lands_on_the_cap(monkeypatch, start, rule):
 
         monkeypatch.setattr(np.linalg, "solve", singular)
     beams, info = solved(problem, mu0=mu0)
-    assert info["dual_iterations"] == info["linear_solves"] == 1
-    if rule == "newton":
+    if start is None:
+        assert info["dual_iterations"] == 1
+        assert info["linear_solves"] == info["coordinate_passes"] == 0
+        assert info["newton_accepted"] == info["newton_rejected"] == 0
+    elif rule == "newton":
+        assert info["dual_iterations"] == info["linear_solves"] == 1
         assert info["newton_accepted"] == 1
         assert info["newton_rejected"] == info["coordinate_passes"] == 0
     else:
+        assert info["dual_iterations"] == info["linear_solves"] == 1
         assert info["newton_accepted"] == 0
         assert info["newton_rejected"] == info["coordinate_passes"] == 1
     assert info["rrh_dual"][0] == pytest.approx(exact, rel=1e-9)

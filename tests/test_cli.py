@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hcransim
-from hcransim import load_config
+from hcransim import load_config, solve_one
 from hcransim.cli import main
 
 
@@ -95,6 +95,27 @@ def test_solve_one_artifacts(tiny_cfg, tmp_path, capsys):
     assert "artifacts in" in capsys.readouterr().out
     names = {p.name for p in out_dir.iterdir()}
     assert names >= {"topology.csv", "assignment.csv", "rates.csv", "trace.csv"}
+
+
+def test_solve_one_prints_the_solver_counters(tiny_cfg, tmp_path, capsys):
+    """After its "solved in" line solve-one prints the design's solver
+    counters, the same numbers ``RtdState.counters`` holds: work as integers,
+    then the last QCQP's final residuals."""
+    assert main(["solve-one", "--config", str(tiny_cfg), "--out", str(tmp_path / "a")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("solved in ")
+    prefix, _, fields = lines[1].partition(": ")
+    assert prefix == "solver counters"
+    printed = dict(field.split("=") for field in fields.split())
+    counts = ["dual_updates", "linear_solves", "newton_accepted", "newton_rejected",
+              "coordinate_passes"]
+    assert list(printed) == counts + ["violation", "gap", "mbs_violation"]
+    counters = solve_one(load_config(tiny_cfg), tmp_path / "b")["rtd_state"].counters
+    for key in counts:
+        assert int(printed[key]) == counters[key]
+    assert int(printed["linear_solves"]) > 0
+    for key in ("violation", "gap", "mbs_violation"):
+        assert float(printed[key]) == pytest.approx(counters[key], rel=1e-3, abs=1e-300)
 
 
 def test_solve_one_reports_a_pilot_overflow(tmp_path, capsys):
