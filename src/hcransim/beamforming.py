@@ -21,8 +21,7 @@ search. Every block at an RRH costs that RRH's one matrix G, and a RUE's
 own rank-one term is the only coupling between its blocks, so the RRH side
 works in each RRH's eigenbasis and solves every user's system and the
 dual's Hessian in closed form (Sherman-Morrison), with no linear solve but
-the Newton step's; it iterates on real per-block scalars and forms the
-complex beams once per solve. The f and u updates are closed-form.
+the Newton step's. The f and u updates are closed-form.
 
 The alternation runs on arrays: one ``StackLayout`` per design, each QCQP
 kept in factored form on it (per-RRH matrices, per-RUE weights and linear
@@ -341,22 +340,6 @@ def _secular_root(
     return hi
 
 
-class _Coupling(NamedTuple):
-    """What ``_Eigenbasis`` reads at multipliers mu, all real: per user and
-    block, d = lam + mu (U, P, n), s = gamma^H D^{-1} gamma, s / delta, R
-    and kappa, the terms |gamma|^2 / d^2 (U, P, n) of t = q^H q, t itself
-    and the block power |lin|^2 kappa^2 t."""
-
-    d: np.ndarray
-    s: np.ndarray
-    ratio: np.ndarray
-    others: np.ndarray
-    kappa: np.ndarray
-    weighted: np.ndarray
-    t: np.ndarray
-    powers: np.ndarray
-
-
 class _Eigenbasis:
     """Every RUE's system on the RRH side, in closed form in each active RRH's
     eigenbasis.
@@ -368,12 +351,10 @@ class _Eigenbasis:
     delta_p = 1 - w8 s_p (Sherman-Morrison on the block without its own term)
     and R_p = sum over the user's other blocks of s / delta, the user's
     rotated beam is z_p = lin kappa_p q_p with kappa_p = 1 / (1 + w8 delta_p
-    R_p). Block powers |lin|^2 kappa^2 t (t = q^H q), the dual's signal
-    term Re<b, w> = sum |lin|^2 kappa s and its Hessian are the same in
-    either basis and real, so the solver iterates on the real ``_Coupling``
-    alone and forms the beams z once, rotating them back at the end. These
+    R_p). Block powers, the dual value and the dual's Hessian are the same in
+    either basis, so the solver works on z and rotates back once. These
     eigendecompositions are the RRH side's only ones: every multiplier
-    update steps on ``power_jacobian`` or its diagonal.
+    update, in a block or for one RRH, steps on ``power_jacobian``.
 
     Directions at rounding level (zero variance and fewer users than
     antennas) carry no user's estimate in exact arithmetic: their estimate
@@ -403,15 +384,16 @@ class _Eigenbasis:
         self.lam = np.where(null, 1.0, lam)[starts]
         self.gamma, self.size2 = gamma, gamma.real**2 + gamma.imag**2
         self.w8, self.lin = problem.w8[:, None], problem.lin[:, None]
-        self.gain = np.abs(self.lin) ** 2
+        # Each user's linear term lin * gamma: the dual value reads it.
+        self.rhs = self.lin[..., None] * gamma
         self.others = 1.0 - np.eye(starts.shape[1])
         num = layout.active.size
         self._mu = np.zeros(num + 1)  # multipliers, and 0 for the padding slot
-        self._slots = starts.ravel()
         self._pairs = (starts[:, :, None] * (num + 1) + starts[:, None, :]).ravel()
 
-    def coupling(self, mu: np.ndarray) -> _Coupling:
-        """Every user's ``_Coupling`` at multipliers mu (by active slot).
+    def coupling(self, mu: np.ndarray):
+        """(d, s / delta, R, kappa) of every user at multipliers mu (by active
+        slot), which ``solve`` and ``power_jacobian`` read.
 
         R is the one place where a user's blocks meet: R_p sums s / delta over
         the user's other blocks, the rank-one coupling of its own term."""
@@ -421,63 +403,39 @@ class _Eigenbasis:
         delta = np.maximum(1.0 - self.w8 * s, 1e-12)
         ratio = s / delta
         others = (ratio[:, None, :] * self.others).sum(axis=-1)
-        kappa = 1.0 / (1.0 + self.w8 * delta * others)
-        weighted = self.size2 / (d * d)
-        t = weighted.sum(axis=-1)
-        return _Coupling(d, s, ratio, others, kappa, weighted, t, self.gain * kappa**2 * t)
+        return d, ratio, others, 1.0 / (1.0 + self.w8 * delta * others)
 
-    def per_rrh(self, values: np.ndarray) -> np.ndarray:
-        """Sum of the (U, P) per-block ``values`` over each active RRH's blocks."""
-        num = self._mu.size - 1
-        return np.bincount(self._slots, weights=values.ravel(), minlength=num + 1)[:num]
+    def solve(self, coupled) -> np.ndarray:
+        """The rotated beams z (U, P, n) at the multipliers of ``coupled``."""
+        d, _, _, kappa = coupled
+        return (self.lin * kappa)[..., None] * (self.gamma / d)
 
-    def signal(self, c: _Coupling) -> float:
-        """Re<b, w> = sum |lin|^2 kappa s over every user's blocks, for the
-        linear terms b = lin g and the beams w at the multipliers of c."""
-        return float((self.gain * c.kappa * c.s).sum())
-
-    def overlap(self, one: _Coupling, other: _Coupling) -> np.ndarray:
-        """Per-RRH Re<w', w> of the beams at the multipliers of ``one`` and
-        ``other``: |lin|^2 kappa' kappa sum |gamma|^2 / (d' d) per block."""
-        cross = (self.size2 / (one.d * other.d)).sum(axis=-1)
-        return self.per_rrh(self.gain * one.kappa * other.kappa * cross)
-
-    def solve(self, c: _Coupling) -> np.ndarray:
-        """The rotated beams z (U, P, n) at the multipliers of c."""
-        return (self.lin * c.kappa)[..., None] * (self.gamma / c.d)
-
-    def _own(self, c: _Coupling) -> np.ndarray:
-        """Each block's own term of the power Jacobian, on its slot's
-        diagonal: -2 |lin|^2 kappa^2 (v + w8^2 kappa R t^2), v = q^H D^{-1} q."""
-        v = (c.weighted / c.d).sum(axis=-1)
-        w8 = self.w8
-        return -2.0 * self.gain * c.kappa**2 * (v + w8 * w8 * c.kappa * c.others * c.t**2)
-
-    def power_jacobian(self, c: _Coupling) -> np.ndarray:
-        """d(powers)/d(mu) by active slot at the multipliers of c: the dual's
-        Hessian, negative semidefinite. User u adds -2 Re z_p^H [M_u^{-1}]_pq
-        z_q at its blocks' slots, where M_u^{-1} is blockdiag of the blocks'
-        Sherman-Morrison inverses less one rank-one term, so every entry is
-        a product of per-block scalars: the diagonal term is ``_own`` and the
-        term of blocks p != q is 2 w8 |lin|^2 kappa_p kappa_q t_p t_q phi_pq,
-        with phi_pq = 1 / (delta_p delta_q (1 + w8 sum s / delta))
+    def power_jacobian(self, coupled) -> np.ndarray:
+        """d(powers)/d(mu) by active slot at the multipliers of ``coupled``:
+        the dual's Hessian, negative semidefinite. User u adds
+        -2 Re z_p^H [M_u^{-1}]_pq z_q at its blocks' slots, where M_u^{-1} is
+        blockdiag of the blocks' Sherman-Morrison inverses less one rank-one
+        term, so every entry is
+        a product of per-block scalars: with t = q^H q, v = q^H D^{-1} q and
+        kappa, delta, R as in ``coupling``, the diagonal term is
+        -2 |lin|^2 kappa^2 (v + w8^2 kappa R t^2) and the term of blocks
+        p != q is 2 w8 |lin|^2 kappa_p kappa_q t_p t_q phi_pq, with
+        phi_pq = 1 / (delta_p delta_q (1 + w8 sum s / delta))
         = kappa_p kappa_q (1 + w8 sum s / delta)."""
-        w8 = self.w8
-        scaled = c.kappa * c.t
-        total = 1.0 + w8 * c.ratio.sum(axis=-1, keepdims=True)
-        phi = c.kappa[:, :, None] * c.kappa[:, None, :] * total[..., None]
-        terms = (2.0 * w8 * self.gain)[..., None] * scaled[:, :, None] * scaled[:, None, :] * phi
+        d, ratio, others, kappa = coupled
+        w8, size = self.w8, np.abs(self.lin) ** 2
+        weighted = self.size2 / (d * d)
+        t, v = weighted.sum(axis=-1), (weighted / d).sum(axis=-1)
+        scaled = kappa * t
+        total = 1.0 + w8 * ratio.sum(axis=-1, keepdims=True)
+        phi = kappa[:, :, None] * kappa[:, None, :] * total[..., None]
+        terms = (2.0 * w8 * size)[..., None] * scaled[:, :, None] * scaled[:, None, :] * phi
         width = terms.shape[1]
-        terms[:, np.arange(width), np.arange(width)] = self._own(c)
+        own = -2.0 * size * kappa**2 * (v + w8 * w8 * kappa * others * t**2)
+        terms[:, np.arange(width), np.arange(width)] = own
         num = self._mu.size - 1
         jac = np.bincount(self._pairs, weights=terms.ravel(), minlength=(num + 1) ** 2)
         return jac.reshape(num + 1, num + 1)[:num, :num]
-
-    def jacobian_diagonal(self, c: _Coupling) -> np.ndarray:
-        """The diagonal of ``power_jacobian(c)``, bit for bit: a user's blocks
-        sit at distinct slots, so an active slot's diagonal entry sums only
-        the own terms, in the same order."""
-        return self.per_rrh(self._own(c))
 
     def rotate_back(self, z: np.ndarray) -> np.ndarray:
         """The (U, W) beam stack of rotated beams z."""
@@ -513,23 +471,21 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
       measured counters on the benchmark panels.
     * per-RRH steps — each RRH takes the Newton step on its own multiplier
       alone, mu_k = max(0, mu_k + r_k / h_kk) with h_kk the Hessian's
-      diagonal magnitude (``_Eigenbasis.jacobian_diagonal``), exact when
-      RRH k's power is one secular term and nearly exact otherwise. A cold
-      solve (no mu0) opens with this step for every RRH at once from
-      mu = 0, where powers can be 1e8 times their caps; an RRH whose cap
-      holds there stays at 0. After a rejected Newton step, a coordinate
-      sweep takes it for the active RRHs in order, Gauss-Seidel, each at
-      the iterate the previous one left, skipping an RRH at mu = 0 whose
-      cap holds.
+      diagonal magnitude, exact when RRH k's power is one secular term and
+      nearly exact otherwise. A cold solve (no mu0) opens with this step
+      for every RRH at once from mu = 0, where powers can be 1e8 times
+      their caps; an RRH whose cap holds there stays at 0. After a rejected
+      Newton step, a coordinate sweep takes it for the active RRHs in
+      order, Gauss-Seidel, each at the iterate the previous one left,
+      skipping an RRH at mu = 0 whose cap holds.
 
     After the cold start, or from the warm start mu0 ((K,) by RRH id; RTD
     passes the previous QCQP's multipliers), the solve goes on with
-    projected Newton steps. The iterate is real: the multipliers, their
-    ``_Coupling`` and the per-RRH powers; the beams are formed from it once,
-    on return. Padding entries point to an extra slot len(active) whose
-    multiplier is always 0 and which carries no estimate, so padded beam
-    entries stay 0. No Newton step or sweep starts once the multiplier
-    updates, the cold start's included, reach MAX_DUAL_ITERS. Returns
+    projected Newton steps. Padding entries point to an extra slot
+    len(active) whose multiplier is always 0 and which carries no
+    estimate, so padded beam entries stay 0. No Newton step or sweep
+    starts once the multiplier updates, the cold start's included, reach
+    MAX_DUAL_ITERS. Returns
     (beam stack, mu by active slot, dual value, primal value, info). The
     beams minimize the Lagrangian at mu, where w^H M w = Re<b, w> - sum_k
     mu_k p_k, so the primal value is read off the dual solution as
@@ -545,6 +501,7 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
     (``gap``).
     """
     layout = problem.layout
+    slots = layout.starts.ravel()
     cap = layout.rrh_budget[layout.active]
     safe_cap = np.maximum(cap, 1e-300)
     num = cap.size
@@ -554,18 +511,24 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         value = dual_value()
         info.update(violation=viol, gap=gap / max(1.0, abs(value)))
         # -Re<b, w> - sum mu p: the dual value less sum mu (p - cap).
-        beams = basis.rotate_back(basis.solve(coupled))
-        return beams, mu, value, value + float(mu @ (cap - powers)), info
+        return basis.rotate_back(z), mu, value, value + float(mu @ (cap - powers)), info
 
     basis = _Eigenbasis(problem)
     mu = np.zeros(num) if mu0 is None else mu0[layout.active]
-    # The iterate is (mu, coupled, powers); each update moves all three.
     coupled = basis.coupling(mu)
-    powers = basis.per_rrh(coupled.powers)
+    z = basis.solve(coupled)
+
+    def per_rrh(values: np.ndarray) -> np.ndarray:
+        """Sum of the (U, P, n) ``values`` over each active RRH's blocks."""
+        per_block = values.sum(axis=-1).ravel()
+        return np.bincount(slots, weights=per_block, minlength=num + 1)[:num]
 
     def dual_value() -> float:
-        return -float(mu @ cap) - basis.signal(coupled)
+        return -float(mu @ cap) - float(np.real(np.vdot(basis.rhs, z)))
 
+    # The iterate is (mu, coupled, z, powers): the multipliers, their coupling,
+    # the rotated beams and the per-RRH powers; each update moves all four.
+    powers = per_rrh(np.abs(z) ** 2)
     if not num:
         return finish(0.0, 0.0)
 
@@ -586,10 +549,11 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
 
     def own_steps() -> np.ndarray:
         """Every RRH's per-RRH step r_k / h_kk at the iterate."""
-        return residual(powers, cap) / np.maximum(-basis.jacobian_diagonal(coupled), 1e-300)
+        scale = np.maximum(-np.diagonal(basis.power_jacobian(coupled)), 1e-300)
+        return residual(powers, cap) / scale
 
     def coordinate_sweep() -> int:
-        nonlocal coupled, powers
+        nonlocal coupled, z, powers
         count = 0
         for a in range(num):
             if mu[a] == 0.0 and powers[a] <= cap[a]:
@@ -597,7 +561,8 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
             count += 1
             mu[a] = max(0.0, mu[a] + own_steps()[a])
             coupled = basis.coupling(mu)
-            powers = basis.per_rrh(coupled.powers)
+            z = basis.solve(coupled)
+            powers = per_rrh(np.abs(z) ** 2)
         info["coordinate_passes"] += count
         return max(count, 1)
 
@@ -616,9 +581,10 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         until the dual value rises by Armijo's rule and no cap is exceeded by
         more than before; 0 means no trial passed or the Newton block is not
         an ascent direction (a singular or, by rounding, indefinite Hessian
-        block). An accepted trial's coupling and powers become the iterate's.
+        block). An accepted trial's coupling, beams and powers become the
+        iterate's.
         """
-        nonlocal mu, coupled, powers
+        nonlocal mu, coupled, z, powers
         grad = powers - cap
         idx = np.flatnonzero((mu > 0.0) | (grad > 0.0))
         hess = basis.power_jacobian(coupled).take(idx, 0).take(idx, 1)
@@ -642,15 +608,16 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
             trial = mu.copy()
             trial[idx] = moved = np.maximum(0.0, m + alpha * step)
             trial_coupled = basis.coupling(trial)
+            trial_z = basis.solve(trial_coupled)
             rise = alpha * slope + float(g_bound @ (moved[at_bound] - m_bound))
             # The dual's change, g(trial) - g(mu) = sum_k dmu_k (Re<w'_k, w_k> - cap_k)
             # for beams w = M(mu)^-1 b, w' = M(trial)^-1 b: exact, and free of the
             # cancellation that differencing two dual values suffers near the optimum.
-            change = float((trial - mu) @ (basis.overlap(trial_coupled, coupled) - cap))
+            change = float((trial - mu) @ (per_rrh(np.real(trial_z.conj() * z)) - cap))
             if change >= ARMIJO_SIGMA * rise:
-                trial_powers = basis.per_rrh(trial_coupled.powers)
+                trial_powers = per_rrh(np.abs(trial_z) ** 2)
                 if worst_excess(trial_powers) <= max(viol, feas_tol):
-                    mu, coupled, powers = trial, trial_coupled, trial_powers
+                    mu, coupled, z, powers = trial, trial_coupled, trial_z, trial_powers
                     return idx.size
             alpha *= 0.5
         return 0
@@ -662,7 +629,8 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         updates = info["dual_iterations"] = int(np.count_nonzero(mu))
         if updates:
             coupled = basis.coupling(mu)
-            powers = basis.per_rrh(coupled.powers)
+            z = basis.solve(coupled)
+            powers = per_rrh(np.abs(z) ** 2)
     while updates < MAX_DUAL_ITERS:
         viol, gap = residuals()
         if is_converged(viol, gap):
