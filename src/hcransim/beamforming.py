@@ -16,12 +16,12 @@ multipliers at once (projected Newton on the concave dual, accepted by
 Armijo's rule; a multiplier counts as at its bound only when its own scaled
 step reaches zero), or for each RRH on its own multiplier (every RRH at
 once from a cold start at zero, one at a time in a Gauss-Seidel sweep
-after a rejected block step); on the MBS side by a safeguarded root
-search. Every block at an RRH costs that RRH's one matrix G, and a RUE's
-own rank-one term is the only coupling between its blocks, so the RRH side
-works in each RRH's eigenbasis and solves every user's system and the
-dual's Hessian in closed form (Sherman-Morrison), with no linear solve but
-the Newton step's. The f and u updates are closed-form.
+after a rejected block step); on the MBS side by that per-multiplier step
+on its one multiplier. Every block at an RRH costs that RRH's one matrix G,
+and a RUE's own rank-one term is the only coupling between its blocks, so
+the RRH side works in each RRH's eigenbasis and solves every user's system
+and the dual's Hessian in closed form (Sherman-Morrison), with no linear
+solve but the Newton step's. The f and u updates are closed-form.
 
 The alternation runs on arrays: one ``StackLayout`` per design, each QCQP
 kept in factored form on it (per-RRH matrices, per-RUE weights and linear
@@ -43,7 +43,7 @@ from .rate_bounds import AggregatedLinks, interference_plus_noise, useful_amplit
 from .scenario import Topology
 
 
-# Multiplier updates allowed per RRH-side dual solve.
+# Multiplier updates allowed per dual solve, either side.
 MAX_DUAL_ITERS = 5000
 # Complementary-slackness residual allowed per QCQP, relative to its scale.
 GAP_TOL = 1e-8
@@ -289,55 +289,12 @@ def qcqp_objective(problem: QcqpProblem, beams) -> float:
     return _rue_objective(problem, w_rue) + _objective(problem.mbs_quad, problem.mbs_lin, w_bue)
 
 
-def _secular_root(
-    lam: np.ndarray, weight: np.ndarray, cap: float, cs_budget: float, feas_tol: float, x0: float
-) -> float:
-    """Smallest x >= 0 at which the power sum weight / (lam + x)^2 meets cap.
-
-    The MBS side's root: lam and weight are matching (B,) arrays, the
-    eigenvalues of the matrix all BUEs share and, per eigendirection, the
-    summed squared coefficients of the BUEs' linear terms. It makes no linear
-    solve. The power p(x) decreases strictly on x > -min(lam), and 1/sqrt(p)
-    is concave and nearly linear there (exactly linear for one term), so
-    Newton's method on it approaches the root monotonically from below; a
-    bisection step replaces any Newton step that leaves the bracket [lo, hi].
-    The bracket's upper end holds because lam + hi >= sqrt(sum weight / cap)
-    for every term. Stops when |p - cap| <= min(feas_tol * cap / 2,
-    cs_budget / x), the complementary-slackness share of this multiplier;
-    otherwise returns the feasible end of the final bracket. x0 is a warm
-    start.
-    """
-    lam = lam[weight > 0.0]
-    weight = weight[weight > 0.0]
-    if not lam.size:
-        return 0.0
-    pole = -float(lam.min())
-    lo = max(0.0, pole)
-    hi = lo + math.sqrt(float(weight.sum()) / cap)
-    x, first = lo, True
-    # Bisection alone reaches the 1e-15 relative floor in about 50 steps.
-    for _ in range(200):
-        shifted = lam + x
-        # min(lam + x) > 0 exactly when x > -min(lam): rounding keeps the sign.
-        p = float((weight / shifted**2).sum()) if x > pole else math.inf
-        if p > cap:
-            lo = x
-        else:
-            hi = x
-        if abs(p - cap) <= min(0.5 * feas_tol * cap, cs_budget / max(x, 1e-300)):
-            return x
-        if hi - lo <= 1e-15 * hi:
-            return hi
-        nxt = 0.5 * (lo + hi)
-        if first and lo < x0 < hi:
-            nxt = x0
-        elif math.isfinite(p):
-            slope = float((weight / shifted**3).sum()) * p**-1.5
-            newton = x + (cap**-0.5 - p**-0.5) / slope
-            if lo < newton < hi:
-                nxt = newton
-        x, first = nxt, False
-    return hi
+def _residual(p: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """p^{-1/2} - cap^{-1/2} scaled back by its derivative, 2 p (sqrt(p / cap)
+    - 1), which is p - cap to first order at the cap; p - cap where p = 0.
+    Every multiplier update, on either side, steps by it over -dp/dmu."""
+    r = 2.0 * p * (np.sqrt(p / cap) - 1.0)
+    return r if p.all() else np.where(p > 0.0, r, p - cap)
 
 
 class _Eigenbasis:
@@ -450,10 +407,10 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
     in closed form from one eigendecomposition per active RRH. A power
     behaves like sum |c|^2 / (lam + mu)^2, so p - cap is far from linear in
     mu away from the cap while p^{-1/2} is nearly linear (exactly so for one
-    term), as ``_secular_root`` uses on the MBS side. So every multiplier
-    update solves p^{-1/2} = cap^{-1/2}, above the cap or below it, by
-    Newton's method on the residual r = 2 p (sqrt(p / cap) - 1) (p - cap to
-    first order at the cap, and where p = 0), in one of two ways:
+    term). So every multiplier update, here as on the MBS side, solves
+    p^{-1/2} = cap^{-1/2}, above the cap or below it, by Newton's method on
+    the ``_residual`` r = 2 p (sqrt(p / cap) - 1) (p - cap to first order at
+    the cap, and where p = 0), in one of two ways:
 
     * projected Newton steps — overlapping serving clusters couple the
       multipliers strongly, so projected Newton (Bertsekas 1982) moves them
@@ -541,16 +498,10 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
     def is_converged(viol: float, gap: float) -> bool:
         return viol <= feas_tol and gap <= GAP_TOL * max(1.0, abs(dual_value()))
 
-    def residual(p: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """p^{-1/2} - c^{-1/2} scaled back by its derivative, 2 p (sqrt(p / c)
-        - 1), which is p - c to first order at the cap; p - c where p = 0."""
-        r = 2.0 * p * (np.sqrt(p / c) - 1.0)
-        return r if p.all() else np.where(p > 0.0, r, p - c)
-
     def own_steps() -> np.ndarray:
         """Every RRH's per-RRH step r_k / h_kk at the iterate."""
         scale = np.maximum(-np.diagonal(basis.power_jacobian(coupled)), 1e-300)
-        return residual(powers, cap) / scale
+        return _residual(powers, cap) / scale
 
     def coordinate_sweep() -> int:
         nonlocal coupled, z, powers
@@ -570,7 +521,7 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         """One projected Newton step on the dual; the number of multipliers moved.
 
         Coordinates at mu = 0 whose cap holds stay put. Every other row
-        solves p^{-1/2} = cap^{-1/2} on its ``residual`` r. A multiplier
+        solves p^{-1/2} = cap^{-1/2} on its ``_residual`` r. A multiplier
         whose own diagonally scaled step on r would reach zero (r pushes it
         down, and mu_k + r_k / h_k <= 0 with h_k the Hessian's diagonal magnitude:
         Bertsekas' eps-active test with a per-coordinate eps_k = |r_k| / h_k)
@@ -589,7 +540,7 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         idx = np.flatnonzero((mu > 0.0) | (grad > 0.0))
         hess = basis.power_jacobian(coupled).take(idx, 0).take(idx, 1)
         g, m = grad[idx], mu[idx]
-        r = residual(powers[idx], cap[idx])
+        r = _residual(powers[idx], cap[idx])
         scale = np.maximum(-hess.diagonal(), 1e-300)
         step = r / scale
         at_bound = (g < 0.0) & (m + step <= 0.0)
@@ -654,19 +605,40 @@ def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, nu0=None):
 
     quad is the (B, B) matrix all BUEs share and lin the (J, B) linear
     terms. With quad = V diag(lam) V^H, BUE j's beam is V (coef_j / (lam +
-    nu)) for coef_j = V^H lin_j, so the MBS power is a secular function of nu
-    and ``_secular_root`` finds the multiplier. Returns (beams (J, B), nu, dual
-    value, primal value); as (quad + nu I) w_j = lin_j, the primal value is
-    -Re<lin, w> - nu |w|^2.
+    nu)) for coef_j = V^H lin_j, so the MBS power is p = sum weight / (lam +
+    nu)^2, weight the BUEs' summed |coef|^2. As p^{-1/2} is concave in nu
+    (More & Sorensen 1983), the Newton step nu = max(0, nu + r / h), with r
+    the ``_residual`` and h = 2 sum weight / (lam + nu)^3, rises from below
+    to the root without overshooting it, and from above lands at or below
+    it. It starts from nu0 (RTD passes the previous QCQP's nu) or 0, zeroes
+    rounding-level directions as ``_Eigenbasis`` does, stops on the RRH
+    side's test, and after MAX_DUAL_ITERS steps raises ConvergenceError
+    unless the cap holds. Returns (beams (J, B), nu, dual value, primal
+    value); as (quad + nu I) w_j = lin_j, the primal value is -Re<lin, w> -
+    nu |w|^2.
     """
     beams, nu = np.zeros_like(lin), 0.0
     if budget > 0.0 and len(lin):
-        lam, vecs = np.linalg.eigh(0.5 * (quad + quad.conj().T))
-        coef = (vecs.conj().T @ lin[..., None])[..., 0]
-        weight = (coef.real**2 + coef.imag**2).sum(axis=0)
-        nu = _secular_root(lam, weight, budget, 0.5 * GAP_TOL, feas_tol, nu0 or 0.0)
-        scaled = np.divide(coef, lam + nu, out=np.zeros_like(coef), where=coef != 0)
-        beams = (vecs @ scaled[..., None])[..., 0]
+        lam, vecs = np.linalg.eigh(quad)
+        null = lam <= 1e-13 * max(lam[-1], 0.0)
+        lam[null] = 1.0
+        coef = vecs.conj().T @ lin.T
+        coef[null] = 0.0
+        weight = (coef.real**2 + coef.imag**2).sum(axis=1)
+        nu = nu0 or 0.0
+        for updates in range(MAX_DUAL_ITERS + 1):
+            inv = 1.0 / (lam + nu)
+            power = weight @ inv**2
+            excess = power - budget
+            # weight @ inv + nu * budget is the dual value's magnitude.
+            gap_ok = nu * abs(excess) <= GAP_TOL * max(1.0, weight @ inv + nu * budget)
+            if excess <= feas_tol * budget and (gap_ok or updates == MAX_DUAL_ITERS):
+                break
+            slope = max(2.0 * float(weight @ inv**3), 1e-300)
+            nu = max(0.0, nu + float(_residual(power, budget)) / slope)
+        else:
+            raise ConvergenceError(f"MBS dual stalled: relative excess {excess / budget:.3e}")
+        beams = (vecs @ (coef * inv[:, None])).T
     signal = float(np.real(np.vdot(lin, beams)))
     power = float(np.real(np.vdot(beams, beams)))
     return beams, nu, -signal - nu * budget, -signal - nu * power
@@ -681,11 +653,11 @@ def solve_qcqp(
     """Global minimizer of the beamformer-step QCQP.
 
     Strong duality holds (convex problem, Slater point w = 0), so the RRH-side
-    multipliers from dual ascent and the MBS-side multiplier, the root of its
-    secular equation (``_secular_root``), certify the solution. feas_tol
-    bounds the relative constraint violation; GAP_TOL bounds the
-    complementary-slackness residual relative to the objective scale. mu0
-    ((K,) by RRH id) and nu0 warm-start the multipliers.
+    multipliers from dual ascent and the MBS-side multiplier, from Newton
+    steps on its p^{-1/2}, certify the solution. feas_tol bounds the
+    relative constraint violation; GAP_TOL bounds the complementary-slackness
+    residual relative to the objective scale. mu0 ((K,) by RRH id) and nu0
+    warm-start the multipliers.
 
     Returns (beams, info): beams is (RUE stack, (J, B) BUE beams), which
     ``layout.beams(*beams)`` turns into a BeamformerSet. info

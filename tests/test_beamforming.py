@@ -314,26 +314,67 @@ def test_returned_beams_are_zero_where_no_beam_is_designed():
     assert beams.mbs_power() == pytest.approx(mbs, rel=1e-12, abs=0)
 
 
-def test_mbs_side_on_the_shared_matrix_with_slack_and_binding_budget():
-    """On the one (B, B) matrix all BUEs share, the MBS solve returns the
-    unconstrained beams quad^-1 lin_j at nu = 0 when the budget is slack, and
-    meets a binding budget with nu > 0; either way its dual value is the
+def _perfect_csi_first_qcqp():
+    """The first QCQP of the (8, 25) drop at master seed 0 under perfect CSI:
+    5 BUEs on the MBS's 10 antennas, whose shared matrix has rank 8."""
+    topology, _, _, links, _ = pipeline_instance(scenario=ScenarioConfig(num_ue=8, num_rrh=25))
+    state = perfect_channel_state(topology, instance_channels(topology))
+    links = build_covariances(topology, state)
+    ones = np.ones(topology.num_ue)
+    return assemble_qcqp(links, ones + 0j, ones, stack_layout(links, BUDGETS))
+
+
+def test_mbs_side_on_the_shared_matrix_with_slack_and_binding_budget(monkeypatch):
+    """On the one (B, B) matrix all BUEs share, under estimated CSI at
+    (16, 50) and under perfect CSI at (8, 25), where the matrix has two
+    null directions, the MBS solve returns the minimum-norm unconstrained
+    beams pinv(quad) lin_j at nu = 0 when the budget is slack, and meets a
+    binding budget to 1e-6 with nu > 0; either way its dual value is the
     primal value of its beams, and the primal value it reads off the dual
-    solution is its beams' objective to 1e-12."""
-    _, problem = _first_qcqp(16, 50)
-    quad, lin = problem.mbs_quad, problem.mbs_lin
-    assert quad.ndim == 2 and len(lin) > 1
-    free = np.linalg.solve(quad, lin.T).T
-    power = float(np.sum(np.abs(free) ** 2))
-    for budget, binding in ((2.0 * power, False), (0.25 * power, True)):
-        beams, nu, value, primal = _solve_mbs_side(quad, lin, budget, 1e-6, 1e-8)
-        assert (nu > 0.0) == binding
-        if binding:
-            assert float(np.sum(np.abs(beams) ** 2)) == pytest.approx(budget, rel=1e-6)
-        else:
-            assert np.allclose(beams, free, rtol=1e-9, atol=0.0)
-        assert value == pytest.approx(_objective(quad, lin, beams), rel=1e-6)
-        assert primal == pytest.approx(_objective(quad, lin, beams), rel=1e-12)
+    solution is its beams' objective to 1e-12. Warm starts at 0.1 and 10
+    times the binding multiplier land on the cold answer within feas_tol
+    and GAP_TOL. Each solve makes one ``np.linalg.eigh`` call and no
+    ``np.linalg.solve`` call."""
+    calls = {"eigh": 0, "solve": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    problems = [_first_qcqp(16, 50)[1], _perfect_csi_first_qcqp()]
+    assert problems[1].layout.bue.size == 5
+    lam = np.linalg.eigvalsh(problems[1].mbs_quad)
+    assert np.sum(lam <= 1e-13 * lam[-1]) == 2
+    for problem in problems:
+        quad, lin = problem.mbs_quad, problem.mbs_lin
+        assert quad.ndim == 2 and len(lin) > 1
+        free = (np.linalg.pinv(quad) @ lin.T).T
+        power = float(np.sum(np.abs(free) ** 2))
+        calls.update(eigh=0, solve=0)
+        nu_bind = _solve_mbs_side(quad, lin, 0.25 * power, 1e-6)[1]
+        assert calls == {"eigh": 1, "solve": 0}
+        for budget, binding in ((2.0 * power, False), (0.25 * power, True)):
+            beams, nu, value, primal = _solve_mbs_side(quad, lin, budget, 1e-6)
+            assert (nu > 0.0) == binding
+            if binding:
+                assert float(np.sum(np.abs(beams) ** 2)) == pytest.approx(budget, rel=1e-6)
+            else:
+                assert np.allclose(beams, free, rtol=1e-9, atol=1e-12 * np.abs(free).max())
+            assert value == pytest.approx(_objective(quad, lin, beams), rel=1e-6)
+            assert primal == pytest.approx(_objective(quad, lin, beams), rel=1e-12)
+            for scale in (0.1, 10.0):
+                warm, nu_warm, value_warm, _ = _solve_mbs_side(
+                    quad, lin, budget, 1e-6, scale * nu_bind
+                )
+                warm_power = float(np.sum(np.abs(warm) ** 2))
+                assert warm_power <= budget * (1.0 + 1e-6)
+                gap = nu_warm * abs(budget - warm_power)
+                assert gap <= beamforming.GAP_TOL * max(1.0, abs(value_warm))
+                assert nu_warm == pytest.approx(nu, rel=1e-6, abs=0.0)
+                assert np.allclose(warm, beams, rtol=0.0, atol=1e-6 * np.abs(beams).max())
 
 
 def test_solve_qcqp_respects_constraints_and_weak_duality():
@@ -415,7 +456,8 @@ def test_batched_projected_gradient_oracle_matches_the_loop_oracle():
 
 def test_solve_qcqp_exhausted_iterations_raises(monkeypatch):
     """Every RRH cap is a quarter of the unconstrained power, so no dual
-    update at all leaves the caps exceeded."""
+    update at all leaves the caps exceeded. The same holds for an MBS
+    budget a quarter of the unconstrained MBS power."""
     rng = child_rng(31, 6)
     links = hand_links([[0, 1], [1]], crandn(rng, 2, 2, 2), np.ones((2, 2)))
     f, u = np.ones(2), np.ones(2)
@@ -425,6 +467,16 @@ def test_solve_qcqp_exhausted_iterations_raises(monkeypatch):
     monkeypatch.setattr(beamforming, "MAX_DUAL_ITERS", 0)
     with pytest.raises(ConvergenceError):
         solve_qcqp(problem)
+    # The MBS side reads the cap too: a slack budget still returns nu = 0 and
+    # the unconstrained beams, and a binding one raises.
+    mbs = _first_qcqp(16, 50)[1]
+    quad, lin = mbs.mbs_quad, mbs.mbs_lin
+    unconstrained = np.linalg.solve(quad, lin.T).T
+    power = float(np.sum(np.abs(unconstrained) ** 2))
+    beams, nu, _, _ = _solve_mbs_side(quad, lin, 2.0 * power, 1e-6)
+    assert nu == 0.0 and np.allclose(beams, unconstrained, rtol=1e-9, atol=0.0)
+    with pytest.raises(ConvergenceError):
+        _solve_mbs_side(quad, lin, 0.25 * power, 1e-6)
 
 
 def _closed_form_powers(layout, z):

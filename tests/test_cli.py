@@ -241,6 +241,19 @@ def test_se_sweep_rejects_non_finite_budgets(tiny_cfg, tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_package_runs_as_a_module():
+    """``python -m hcransim`` runs the CLI without the package installed."""
+    src = str(Path(hcransim.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcransim", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: hcransim")
+
+
 def test_console_script_entry_point(tiny_cfg):
     # The child imports the package under test, installed or not.
     path = [str(Path(hcransim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
