@@ -61,7 +61,7 @@ NOISE_REF = TrainingConfig().noise_power
 ARMIJO_SIGMA = 1e-4
 NEWTON_BACKTRACKS = 6
 # What the RRH-side dual solver counts, per solve and summed over a design.
-DUAL_COUNTERS = ("coordinate_passes", "newton_accepted", "newton_rejected", "linear_solves")
+DUAL_COUNTERS = ("linear_solves", "newton_accepted", "newton_rejected", "coordinate_passes")
 
 
 class ConvergenceError(RuntimeError):
@@ -297,6 +297,16 @@ def _residual(p: np.ndarray, cap: np.ndarray) -> np.ndarray:
     return r if p.all() else np.where(p > 0.0, r, p - cap)
 
 
+class _Iterate(NamedTuple):
+    """The RRH-side dual's iterate: multipliers by active slot, their
+    ``_Eigenbasis.coupling``, the rotated beams z and the per-RRH powers."""
+
+    mu: np.ndarray
+    coupled: tuple
+    z: np.ndarray
+    powers: np.ndarray
+
+
 class _Eigenbasis:
     """Every RUE's system on the RRH side, in closed form in each active RRH's
     eigenbasis.
@@ -344,9 +354,22 @@ class _Eigenbasis:
         # Each user's linear term lin * gamma: the dual value reads it.
         self.rhs = self.lin[..., None] * gamma
         self.others = 1.0 - np.eye(starts.shape[1])
-        num = layout.active.size
+        num = self.num = layout.active.size
         self._mu = np.zeros(num + 1)  # multipliers, and 0 for the padding slot
+        self._slots = starts.ravel()
         self._pairs = (starts[:, :, None] * (num + 1) + starts[:, None, :]).ravel()
+
+    def at(self, mu: np.ndarray, coupled=None, z=None) -> _Iterate:
+        """The iterate at multipliers mu (by active slot), given or making
+        mu's ``coupling`` and beams."""
+        if z is None:
+            z = self.solve(coupled := self.coupling(mu))
+        return _Iterate(mu, coupled, z, self.per_rrh(np.abs(z) ** 2))
+
+    def per_rrh(self, values: np.ndarray) -> np.ndarray:
+        """Sum of the (U, P, n) ``values`` over each active RRH's blocks."""
+        per_block = values.sum(axis=-1).ravel()
+        return np.bincount(self._slots, weights=per_block, minlength=self.num + 1)[:self.num]
 
     def coupling(self, mu: np.ndarray):
         """(d, s / delta, R, kappa) of every user at multipliers mu (by active
@@ -390,7 +413,7 @@ class _Eigenbasis:
         width = terms.shape[1]
         own = -2.0 * size * kappa**2 * (v + w8 * w8 * kappa * others * t**2)
         terms[:, np.arange(width), np.arange(width)] = own
-        num = self._mu.size - 1
+        num = self.num
         jac = np.bincount(self._pairs, weights=terms.ravel(), minlength=(num + 1) ** 2)
         return jac.reshape(num + 1, num + 1)[:num, :num]
 
@@ -436,109 +459,75 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
       order, Gauss-Seidel, each at the iterate the previous one left,
       skipping an RRH at mu = 0 whose cap holds.
 
+    The iterate is a value, an ``_Iterate`` (mu, coupling, rotated beams,
+    per-RRH powers) that ``_Eigenbasis.at`` builds; the start, the cold
+    start, each swept RRH and an accepted Newton trial each make a new one.
     After the cold start, or from the warm start mu0 ((K,) by RRH id; RTD
     passes the previous QCQP's multipliers), the solve goes on with
     projected Newton steps. Padding entries point to an extra slot
     len(active) whose multiplier is always 0 and which carries no
-    estimate, so padded beam entries stay 0. No Newton step or sweep
-    starts once the multiplier updates, the cold start's included, reach
-    MAX_DUAL_ITERS. Returns
+    estimate, so padded beam entries stay 0. Active caps are positive
+    (``stack_layout``). One test stops the solve: with every cap met to
+    feas_tol, it returns once the gap test holds or the multiplier updates,
+    the cold start's included, reach MAX_DUAL_ITERS; with a cap exceeded
+    there, it raises ConvergenceError. Returns
     (beam stack, mu by active slot, dual value, primal value, info). The
     beams minimize the Lagrangian at mu, where w^H M w = Re<b, w> - sum_k
     mu_k p_k, so the primal value is read off the dual solution as
     -Re<b, w> - sum_k mu_k p_k, with no product by M. info counts the
     multiplier updates (``dual_iterations``: one per coordinate update,
     every multiplier the cold start moves off 0 and every multiplier an
-    accepted Newton step moves) and the ``DUAL_COUNTERS``:
-    the coordinate passes (one per RRH a sweep updates), the Newton steps
-    accepted and rejected and the ``np.linalg.solve`` calls (``linear_solves``:
-    one per Newton system, the only linear solves the RRH side makes). It
+    accepted Newton step moves) and the ``DUAL_COUNTERS``: the
+    ``np.linalg.solve`` calls (``linear_solves``: one per Newton system, the
+    only linear solves the RRH side makes), the Newton steps accepted and
+    rejected and the coordinate passes (one per RRH a sweep updates). It
     also gives the final worst relative cap excess (``violation``) and
     complementary-slackness residual relative to the dual value's scale
     (``gap``).
     """
     layout = problem.layout
-    slots = layout.starts.ravel()
     cap = layout.rrh_budget[layout.active]
-    safe_cap = np.maximum(cap, 1e-300)
-    num = cap.size
     info = dict.fromkeys(("dual_iterations",) + DUAL_COUNTERS, 0)
-
-    def finish(viol: float, gap: float):
-        value = dual_value()
-        info.update(violation=viol, gap=gap / max(1.0, abs(value)))
-        # -Re<b, w> - sum mu p: the dual value less sum mu (p - cap).
-        return basis.rotate_back(z), mu, value, value + float(mu @ (cap - powers)), info
-
     basis = _Eigenbasis(problem)
-    mu = np.zeros(num) if mu0 is None else mu0[layout.active]
-    coupled = basis.coupling(mu)
-    z = basis.solve(coupled)
-
-    def per_rrh(values: np.ndarray) -> np.ndarray:
-        """Sum of the (U, P, n) ``values`` over each active RRH's blocks."""
-        per_block = values.sum(axis=-1).ravel()
-        return np.bincount(slots, weights=per_block, minlength=num + 1)[:num]
-
-    def dual_value() -> float:
-        return -float(mu @ cap) - float(np.real(np.vdot(basis.rhs, z)))
-
-    # The iterate is (mu, coupled, z, powers): the multipliers, their coupling,
-    # the rotated beams and the per-RRH powers; each update moves all four.
-    powers = per_rrh(np.abs(z) ** 2)
-    if not num:
-        return finish(0.0, 0.0)
 
     def worst_excess(powers: np.ndarray) -> float:
-        return float(((powers - cap) / safe_cap).max())
+        return float(((powers - cap) / cap).max()) if cap.size else 0.0
 
-    def residuals():
-        return worst_excess(powers), float((mu * np.abs(cap - powers)).sum())
-
-    def is_converged(viol: float, gap: float) -> bool:
-        return viol <= feas_tol and gap <= GAP_TOL * max(1.0, abs(dual_value()))
-
-    def own_steps() -> np.ndarray:
+    def own_steps(it: _Iterate) -> np.ndarray:
         """Every RRH's per-RRH step r_k / h_kk at the iterate."""
-        scale = np.maximum(-np.diagonal(basis.power_jacobian(coupled)), 1e-300)
-        return _residual(powers, cap) / scale
+        scale = np.maximum(-np.diagonal(basis.power_jacobian(it.coupled)), 1e-300)
+        return _residual(it.powers, cap) / scale
 
-    def coordinate_sweep() -> int:
-        nonlocal coupled, z, powers
+    def coordinate_sweep(it: _Iterate) -> _Iterate:
         count = 0
-        for a in range(num):
-            if mu[a] == 0.0 and powers[a] <= cap[a]:
+        for a in range(cap.size):
+            if it.mu[a] == 0.0 and it.powers[a] <= cap[a]:
                 continue
             count += 1
-            mu[a] = max(0.0, mu[a] + own_steps()[a])
-            coupled = basis.coupling(mu)
-            z = basis.solve(coupled)
-            powers = per_rrh(np.abs(z) ** 2)
+            mu = it.mu.copy()
+            mu[a] = max(0.0, mu[a] + own_steps(it)[a])
+            it = basis.at(mu)
         info["coordinate_passes"] += count
-        return max(count, 1)
+        info["dual_iterations"] += max(count, 1)
+        return it
 
-    def newton_step(viol: float) -> int:
-        """One projected Newton step on the dual; the number of multipliers moved.
+    def newton_step(it: _Iterate, viol: float) -> _Iterate | None:
+        """One projected Newton step on the dual from the iterate, as the
+        first bullet above describes: the accepted trial, or None.
 
-        Coordinates at mu = 0 whose cap holds stay put. Every other row
-        solves p^{-1/2} = cap^{-1/2} on its ``_residual`` r. A multiplier
-        whose own diagonally scaled step on r would reach zero (r pushes it
-        down, and mu_k + r_k / h_k <= 0 with h_k the Hessian's diagonal magnitude:
-        Bertsekas' eps-active test with a per-coordinate eps_k = |r_k| / h_k)
-        takes that step, and the others the Newton step that solves their
-        block of the Hessian against -r. The Armijo slope, the at-bound rise
-        and the excess guard read the gradient p - cap. The step is
-        backtracked along the projection arc max(0, mu + alpha d)
-        until the dual value rises by Armijo's rule and no cap is exceeded by
-        more than before; 0 means no trial passed or the Newton block is not
-        an ascent direction (a singular or, by rounding, indefinite Hessian
-        block). An accepted trial's coupling, beams and powers become the
-        iterate's.
+        Coordinates at mu = 0 whose cap holds stay put. Of the others, a
+        multiplier whose own step r_k / h_k reaches zero while r pushes it
+        down takes that step, and the rest the Newton step on their block of
+        the Hessian against -r. The step is backtracked along the projection
+        arc max(0, mu + alpha d); a trial's powers are summed only once its
+        dual change passes Armijo's rule. None means no trial passed or the
+        Newton block is not an ascent direction (a singular or, by
+        rounding, indefinite Hessian block).
         """
-        nonlocal mu, coupled, z, powers
+        mu, powers = it.mu, it.powers
         grad = powers - cap
         idx = np.flatnonzero((mu > 0.0) | (grad > 0.0))
-        hess = basis.power_jacobian(coupled).take(idx, 0).take(idx, 1)
+        hess = basis.power_jacobian(it.coupled).take(idx, 0).take(idx, 1)
         g, m = grad[idx], mu[idx]
         r = _residual(powers[idx], cap[idx])
         scale = np.maximum(-hess.diagonal(), 1e-300)
@@ -549,55 +538,53 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         try:
             step[free] = np.linalg.solve(hess.take(free, 0).take(free, 1), -r[free])
         except np.linalg.LinAlgError:
-            return 0
+            return None
         slope = float(g[free] @ step[free])
         if slope < 0.0:
-            return 0
+            return None
         g_bound, m_bound = g[at_bound], m[at_bound]
         alpha = 1.0
         for _ in range(NEWTON_BACKTRACKS):
             trial = mu.copy()
             trial[idx] = moved = np.maximum(0.0, m + alpha * step)
-            trial_coupled = basis.coupling(trial)
-            trial_z = basis.solve(trial_coupled)
+            z = basis.solve(coupled := basis.coupling(trial))
             rise = alpha * slope + float(g_bound @ (moved[at_bound] - m_bound))
             # The dual's change, g(trial) - g(mu) = sum_k dmu_k (Re<w'_k, w_k> - cap_k)
             # for beams w = M(mu)^-1 b, w' = M(trial)^-1 b: exact, and free of the
             # cancellation that differencing two dual values suffers near the optimum.
-            change = float((trial - mu) @ (per_rrh(np.real(trial_z.conj() * z)) - cap))
+            change = float((trial - mu) @ (basis.per_rrh(np.real(z.conj() * it.z)) - cap))
             if change >= ARMIJO_SIGMA * rise:
-                trial_powers = per_rrh(np.abs(trial_z) ** 2)
-                if worst_excess(trial_powers) <= max(viol, feas_tol):
-                    mu, coupled, z, powers = trial, trial_coupled, trial_z, trial_powers
-                    return idx.size
+                accepted = basis.at(trial, coupled, z)
+                if worst_excess(accepted.powers) <= max(viol, feas_tol):
+                    info["dual_iterations"] += idx.size
+                    return accepted
             alpha *= 0.5
-        return 0
+        return None
 
-    updates = 0
+    it = basis.at(np.zeros(cap.size) if mu0 is None else mu0[layout.active])
     if mu0 is None:
         # Cold start: every RRH's per-RRH step from mu = 0, all at once.
-        mu = np.maximum(0.0, own_steps())
-        updates = info["dual_iterations"] = int(np.count_nonzero(mu))
-        if updates:
-            coupled = basis.coupling(mu)
-            z = basis.solve(coupled)
-            powers = per_rrh(np.abs(z) ** 2)
-    while updates < MAX_DUAL_ITERS:
-        viol, gap = residuals()
-        if is_converged(viol, gap):
-            return finish(viol, gap)
-        moved = newton_step(viol)
-        info["newton_accepted" if moved else "newton_rejected"] += 1
-        if not moved:
-            moved = coordinate_sweep()
-        updates += moved
-        info["dual_iterations"] = updates
-    viol, gap = residuals()
-    if viol <= feas_tol:
-        return finish(viol, gap)
-    raise ConvergenceError(
-        f"RRH dual ascent stalled: violation {viol:.3e} after {updates} multiplier updates"
-    )
+        mu = np.maximum(0.0, own_steps(it))
+        info["dual_iterations"] = int(np.count_nonzero(mu))
+        if info["dual_iterations"]:
+            it = basis.at(mu)
+    while True:
+        viol = worst_excess(it.powers)
+        spent = info["dual_iterations"] >= MAX_DUAL_ITERS
+        if viol <= feas_tol:
+            value = -float(it.mu @ cap) - float(np.real(np.vdot(basis.rhs, it.z)))
+            gap = float((it.mu * np.abs(cap - it.powers)).sum())
+            if spent or gap <= GAP_TOL * max(1.0, abs(value)):
+                info.update(violation=viol, gap=gap / max(1.0, abs(value)))
+                # -Re<b, w> - sum mu p: the dual value less sum mu (p - cap).
+                primal = value + float(it.mu @ (cap - it.powers))
+                return basis.rotate_back(it.z), it.mu, value, primal, info
+        elif spent:
+            raise ConvergenceError(f"RRH dual ascent stalled: violation {viol:.3e} after "
+                                   f"{info['dual_iterations']} multiplier updates")
+        trial = newton_step(it, viol)
+        info["newton_rejected" if trial is None else "newton_accepted"] += 1
+        it = coordinate_sweep(it) if trial is None else trial
 
 
 def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, nu0=None):
@@ -699,12 +686,13 @@ class RtdState:
     array of MSEs by UE id.
 
     ``counters`` sums the RRH-side dual solver's work over the iterations
-    (``dual_updates`` and the ``DUAL_COUNTERS``: ``coordinate_passes``, one
-    per RRH a sweep updates, ``newton_accepted``, ``newton_rejected``, and
-    ``linear_solves``, the Newton systems solved, which are the design's
-    only ``np.linalg.solve`` calls) and keeps the last solve's final
-    relative cap ``violation``, complementary-slackness ``gap`` and MBS-side
-    relative cap excess (``mbs_violation``, 0.0 when there is no BUE).
+    (``dual_updates`` and the ``DUAL_COUNTERS``: ``linear_solves``, the
+    Newton systems solved, which are the design's only ``np.linalg.solve``
+    calls, ``newton_accepted``, ``newton_rejected`` and
+    ``coordinate_passes``, one per RRH a sweep updates) and keeps the last
+    solve's final relative cap ``violation``, complementary-slackness
+    ``gap`` and MBS-side relative cap excess (``mbs_violation``, 0.0 when
+    there is no BUE).
     """
 
     mse: np.ndarray

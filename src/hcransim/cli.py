@@ -6,7 +6,7 @@ import argparse
 import dataclasses
 import sys
 
-from .beamforming import ConvergenceError
+from .beamforming import DUAL_COUNTERS, ConvergenceError
 from .experiments import (
     ExperimentConfig,
     load_config,
@@ -65,9 +65,7 @@ def _configure(args) -> ExperimentConfig:
 def _counter_line(counters: dict) -> str:
     """The RRH-side dual solver's work over a design and the last QCQP's
     final residuals (``RtdState.counters``), as one line of key=value."""
-    counts = ("dual_updates", "linear_solves", "newton_accepted", "newton_rejected",
-              "coordinate_passes")
-    fields = [f"{key}={counters[key]}" for key in counts]
+    fields = [f"{key}={counters[key]}" for key in ("dual_updates",) + DUAL_COUNTERS]
     fields += [f"{key}={counters[key]:.3e}" for key in ("violation", "gap", "mbs_violation")]
     return "solver counters: " + " ".join(fields)
 

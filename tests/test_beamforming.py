@@ -479,14 +479,6 @@ def test_solve_qcqp_exhausted_iterations_raises(monkeypatch):
         _solve_mbs_side(quad, lin, 0.25 * power, 1e-6)
 
 
-def _closed_form_powers(layout, z):
-    """Per-RRH powers of the rotated beams z (U, P, n), by active slot, as
-    the RRH side reads them: the rotation keeps each block's power."""
-    num = layout.active.size
-    per_block = np.sum(np.abs(z) ** 2, axis=-1).ravel()
-    return np.bincount(layout.starts.ravel(), weights=per_block, minlength=num + 1)[:num]
-
-
 def _assert_closed_form_matches_dense(problem, mu, xs):
     """At multipliers mu (by active slot) with each active RRH's own
     multiplier moved to x in turn, for each x: the closed-form beams, the
@@ -501,16 +493,15 @@ def _assert_closed_form_matches_dense(problem, mu, xs):
         for x in xs:
             trial = mu.copy()
             trial[a] = x
-            coupled = basis.coupling(trial)
-            z = basis.solve(coupled)
+            it = basis.at(trial)
             want = dense_rrh_beams(problem, trial)
             assert not np.any(want[padding])
-            got = basis.rotate_back(z)
+            got = basis.rotate_back(it.z)
             assert np.linalg.norm(got - want) <= 1e-9 * max(np.linalg.norm(want), 1e-300)
             powers = dense_rrh_powers(problem, want)
-            np.testing.assert_allclose(_closed_form_powers(layout, z), powers, rtol=1e-9)
+            np.testing.assert_allclose(it.powers, powers, rtol=1e-9)
             dense = dense_power_jacobian(problem, trial)[a, a]
-            assert basis.power_jacobian(coupled)[a, a] == pytest.approx(dense, rel=1e-9)
+            assert basis.power_jacobian(it.coupled)[a, a] == pytest.approx(dense, rel=1e-9)
 
 
 def _cluster_field(clusters, n, budget, seed, zero_f=()):
@@ -620,15 +611,20 @@ def test_closed_form_matches_the_dense_oracle(regime):
     lam = np.linalg.eigvalsh(problem.blocks)
     if regime == "rank_deficient":
         assert np.all(lam[:, 0] <= 1e-12 * lam[:, -1])
+    if regime == "padded_zero_budget":
+        # The solver divides by the active caps with no floor.
+        assert np.all(layout.rrh_budget[layout.active] > 0)
     basis = _Eigenbasis(problem)
     rng = child_rng(31, 13)
     for _ in range(2):
         mu = rng.uniform(0.05, 1.0, size=layout.active.size) * lam[:, -1]
         want = dense_rrh_beams(problem, mu)
-        got = basis.rotate_back(basis.solve(basis.coupling(mu)))
+        it = basis.at(mu)
+        got = basis.rotate_back(it.z)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+        np.testing.assert_allclose(it.powers, dense_rrh_powers(problem, got), rtol=1e-9)
         _assert_closed_form_matches_dense(problem, mu, xs=(mu.min(), mu.max()))
-        jac = basis.power_jacobian(basis.coupling(mu))
+        jac = basis.power_jacobian(it.coupled)
         dense = dense_power_jacobian(problem, mu)
         assert np.linalg.norm(jac - dense) <= 1e-9 * np.linalg.norm(dense)
 
@@ -783,19 +779,18 @@ def test_solver_multipliers_reproduce_its_beams():
         want = dense_rrh_beams(problem, mu)
         assert np.linalg.norm(w_rue - want) <= 1e-9 * max(np.linalg.norm(want), 1e-300)
         basis = _Eigenbasis(problem)
-        coupled = basis.coupling(mu)
+        it = basis.at(mu)
         for k, cap in enumerate(layout.rrh_budget):
             if cap == 0.0:
                 assert info["rrh_dual"][k] == 0.0 and beams.rrh_power(k) == 0.0
         dense = dense_rrh_powers(problem, want)
-        closed = _closed_form_powers(layout, basis.solve(coupled))
         for a, k in enumerate(layout.active):
             assert dense[a] == pytest.approx(beams.rrh_power(k), rel=1e-7)
-            assert closed[a] == pytest.approx(beams.rrh_power(k), rel=1e-7)
+            assert it.powers[a] == pytest.approx(beams.rrh_power(k), rel=1e-7)
             if mu[a] > 0.0:
                 assert beams.rrh_power(k) == pytest.approx(layout.rrh_budget[k], rel=1e-6)
         np.testing.assert_allclose(
-            basis.power_jacobian(coupled).diagonal(),
+            basis.power_jacobian(it.coupled).diagonal(),
             dense_power_jacobian(problem, mu).diagonal(),
             rtol=1e-9,
         )

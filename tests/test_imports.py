@@ -47,3 +47,58 @@ def test_private_import_check_flags_every_form(tmp_path):
         "sample.py:4 _private",
         "sample.py:5 _hidden",
     ]
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + attrs[::-1]) if isinstance(node, ast.Name) else None
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads: a bound name (``import a.b``
+    binds ``a.b``) that no ``Name`` or ``Attribute`` chain starts with."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = set()
+    for node in ast.walk(tree):
+        parts = (_dotted(node) or "").split(".")
+        read.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name for alias in node.names]
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n not in read]
+    return found
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    assert len(paths) >= 8
+    offenders = [hit for path in paths for hit in unused_imports(path)]
+    assert offenders == []
+
+
+def test_unused_import_check_flags_every_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from __future__ import annotations\n"
+        "import math, os\n"
+        "import numpy as np\n"
+        "import concurrent.futures\n"
+        "import xml.dom\n"
+        "from .beamforming import rtd_solve, solve_qcqp as solve\n"
+        "def f():\n"
+        "    from json import dumps\n"
+        "    return math.pi, np.zeros, concurrent.futures.wait, xml.sax, solve\n"
+    )
+    assert unused_imports(sample) == [
+        "sample.py:2 os",
+        "sample.py:5 xml.dom",
+        "sample.py:6 rtd_solve",
+        "sample.py:8 dumps",
+    ]
