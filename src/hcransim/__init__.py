@@ -18,7 +18,7 @@ from .beamforming import (
     update_u,
 )
 from .channel import (
-    ChannelState,
+    AggregatedLinks,
     TrainingConfig,
     TrueChannels,
     draw_small_scale,
@@ -51,7 +51,6 @@ from .pilot_scheduler import (
     validate_assignment,
 )
 from .rate_bounds import (
-    AggregatedLinks,
     build_covariances,
     interference_plus_noise,
     link_amplitudes,

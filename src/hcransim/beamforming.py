@@ -38,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import TrainingConfig, prelog_factor
-from .rate_bounds import AggregatedLinks, interference_plus_noise, useful_amplitude
+from .channel import AggregatedLinks, TrainingConfig, prelog_factor
+from .rate_bounds import interference_plus_noise, useful_amplitude
 from .scenario import Topology
 
 

@@ -3,12 +3,13 @@
 Training is simulated through the pilot-projected sufficient statistic: with
 orthonormal pilots, projecting the received block onto pilot p leaves the
 superposition of the co-pilot users' channels plus one CN(0, noise*I) vector,
-so the full training matrix is never materialized. Training writes, for every
-RRH->UE and MBS->UE link, the conditional mean and per-antenna variance that
-the rate and beamforming code read: an estimated link has its MMSE estimate
-and error variance, the true channel being estimate + error with the error
-independent of the estimate; a link no receiver estimated has mean zero and
-variance alpha.
+so the full training matrix is never materialized. Training returns
+``AggregatedLinks``, the one type the rate and beamforming code read: for
+every RRH->UE and MBS->UE link the conditional mean and per-antenna variance,
+with the topology that holds the serving clusters. An estimated link has its
+MMSE estimate and error variance, the true channel being estimate + error
+with the error independent of the estimate; a link no receiver estimated has
+mean zero and variance alpha.
 """
 
 from __future__ import annotations
@@ -52,20 +53,25 @@ class TrueChannels:
 
 
 @dataclass
-class ChannelState:
-    """Every link's conditional mean and per-antenna variance given the
-    training output.
+class AggregatedLinks:
+    """Conditional mean and per-antenna variance of every link.
 
-    ``est_rrh[k, m]`` is the MMSE estimate of the RRH k -> UE m link and
-    ``var_rrh[k, m]`` its error variance; a link that was not estimated has
-    estimate zero and variance alpha. ``est_mbs``/``var_mbs`` hold the same
-    for the MBS -> UE links.
+    ``est_rrh[k, m]`` is the MMSE estimate of the RRH k -> UE m link (zero
+    where the link was not estimated) and ``var_rrh[k, m]`` its error
+    variance (alpha where it was not); ``est_mbs``/``var_mbs`` hold the same
+    for the MBS -> UE links. The serving clusters are
+    ``topology.serving_rrhs``.
     """
 
-    est_rrh: np.ndarray  # (K, M, N) complex
-    var_rrh: np.ndarray  # (K, M)
-    est_mbs: np.ndarray  # (M, B) complex
-    var_mbs: np.ndarray  # (M,)
+    topology: Topology
+    est_rrh: np.ndarray                 # (K, M, N) complex
+    var_rrh: np.ndarray                 # (K, M)
+    est_mbs: np.ndarray                 # (M, B) complex
+    var_mbs: np.ndarray                 # (M,)
+
+    @property
+    def mbs_antennas(self) -> int:
+        return self.est_mbs.shape[1]
 
 
 def draw_small_scale(topology: Topology, seed) -> TrueChannels:
@@ -86,7 +92,7 @@ def estimate_channels(
     training: TrainingConfig,
     channels: TrueChannels,
     seed,
-) -> ChannelState:
+) -> AggregatedLinks:
     """MMSE estimation from one simulated training phase.
 
     Draw order (reproducibility contract): RRH projected noise (K, tau, N),
@@ -131,16 +137,17 @@ def estimate_channels(
                 est_mbs[j] = np.sqrt(p_b) * alpha_b[j] / denom_b * observed_b
                 var_mbs[j] = alpha_b[j] * (denom_b - p_b * alpha_b[j]) / denom_b
 
-    return ChannelState(est_rrh=est_rrh, var_rrh=var_rrh, est_mbs=est_mbs, var_mbs=var_mbs)
+    return AggregatedLinks(topology, est_rrh, var_rrh, est_mbs, var_mbs)
 
 
-def perfect_channel_state(topology: Topology, channels: TrueChannels) -> ChannelState:
+def perfect_channel_state(topology: Topology, channels: TrueChannels) -> AggregatedLinks:
     """Reference variant: every link 'estimated' exactly (zero error variance).
 
     Feeding this into the rate/beamforming pipeline yields the perfect-CSI
     upper-reference curves.
     """
-    return ChannelState(
+    return AggregatedLinks(
+        topology=topology,
         est_rrh=channels.rrh.copy(),
         var_rrh=np.zeros((topology.num_rrh, topology.num_ue)),
         est_mbs=channels.mbs.copy(),

@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ValueError("jobs must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
+        if self.scenario.rng_seed:
+            raise ValueError("scenario.rng_seed is unused: topologies draw from master_seed")
         for value in self.sweep_values:  # a value the configs reject fails here, not mid-sweep
             scenario, training = _apply_sweep(self, value)
             if training.tau > scenario.num_ue:
@@ -204,12 +206,12 @@ class _Scene:
                 f"{len(topology.bue_set)}) reaches the coherence length {training.coherence}"
             )
         if beamformer == "rtd_perfect_csi":
-            state = perfect_channel_state(topology, self.channels)
+            links = perfect_channel_state(topology, self.channels)
         else:
             seed = child_seed(cfg.master_seed, self.r, 3)
-            state = estimate_channels(topology, assignment, training, self.channels, seed)
+            links = estimate_channels(topology, assignment, training, self.channels, seed)
         training_eff = dataclasses.replace(training, tau=assignment.tau)
-        links = build_covariances(topology, state)
+        links = build_covariances(topology, links)
         beams, rtd_state = rtd_solve(topology, links, training_eff, cfg.budgets)
         prelog = prelog_factor(training_eff.tau, training_eff.coherence)
         lb = lower_bound_rates(links, beams, training.noise_power, prelog)
@@ -307,7 +309,8 @@ def _tightness_metrics(scene: _Scene, training: TrainingConfig) -> dict:
             lb_sum = float(sum(res["lb"][m] for m in users))
             mc_sum = float(sum(res["mc"][m] for m in users))
             out[f"sum_lb_{kind}_{tag}"], out[f"sum_mc_{kind}_{tag}"] = lb_sum, mc_sum
-            gaps[f"rel_gap_{kind}_{tag}"] = (mc_sum - lb_sum) / abs(mc_sum) if mc_sum else 0.0
+            if mc_sum:  # no gap for a class with no user in this realization
+                gaps[f"rel_gap_{kind}_{tag}"] = (mc_sum - lb_sum) / abs(mc_sum)
         out.update(gaps)
     return out
 
@@ -552,7 +555,8 @@ def load_config(path) -> ExperimentConfig:
     extra = set(raw) - known
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
-    s = _section(raw, "scenario", {f.name for f in dataclasses.fields(ScenarioConfig)}, "scenario")
+    scenario_keys = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"rng_seed"}
+    s = _section(raw, "scenario", scenario_keys, "scenario")
     t = _section(
         raw,
         "training",

@@ -1,16 +1,15 @@
-"""Per-link statistics, spectral-efficiency lower bounds, and exact ergodic
-rates.
+"""Spectral-efficiency lower bounds and exact ergodic rates on the link
+statistics that training returns.
 
-Conditioned on the training output, every RRH->UE and MBS->UE link has a
-conditional mean and a per-antenna variance: an estimated link is its MMSE
-estimate plus a zero-mean error with the estimation error variance, a link
-not estimated is zero-mean with variance alpha. ``estimate_channels`` writes these
-numbers as arrays and ``AggregatedLinks`` attaches the topology, which holds
-the serving clusters, to the same arrays. RTD's equalizer step and the lower
-bound read one signal, each UE's ``useful_amplitude`` est_m^H w_m. The lower
-bound replaces each interference term by its second moment under that model,
-taken per RRH (block-diagonally across the RRHs of a serving cluster): the
-moment of cluster(src)->dst is
+``channel.AggregatedLinks`` holds, for every RRH->UE and MBS->UE link, the
+conditional mean given the training output and a per-antenna variance: an
+estimated link is its MMSE estimate plus a zero-mean error with the
+estimation error variance, a link not estimated is zero-mean with variance
+alpha. RTD's equalizer step and the lower bound read one signal, each UE's
+``useful_amplitude`` est_m^H w_m. The lower bound replaces each interference
+term by its second moment under that model, taken per RRH
+(block-diagonally across the RRHs of a serving cluster): the moment of
+cluster(src)->dst is
 
     sum_{k in C(src)}  |est[k, dst]^H w_k|^2 + var[k, dst] * ||w_k||^2.
 
@@ -26,45 +25,21 @@ their cost scales with served links x users, not with K M^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState
+from .channel import AggregatedLinks
 from .scenario import Topology
 
 
-@dataclass
-class AggregatedLinks:
-    """Conditional mean and per-antenna variance of every link.
-
-    ``est_rrh[k, m]`` is the estimate of the RRH k -> UE m link (zero where
-    the link was not estimated) and ``var_rrh[k, m]`` its error variance
-    (alpha where it was not); ``est_mbs``/``var_mbs`` hold the same for the
-    MBS -> UE links. The serving clusters are ``topology.serving_rrhs``.
-    """
-
-    topology: Topology
-    est_rrh: np.ndarray                 # (K, M, N) complex
-    var_rrh: np.ndarray                 # (K, M)
-    est_mbs: np.ndarray                 # (M, B) complex
-    var_mbs: np.ndarray                 # (M,)
-
-    @property
-    def mbs_antennas(self) -> int:
-        return self.est_mbs.shape[1]
-
-
-def build_covariances(topology: Topology, state: ChannelState) -> AggregatedLinks:
-    """The training output's link arrays (shared, not copied) with the
-    topology, which holds the serving clusters, attached."""
-    return AggregatedLinks(
-        topology=topology,
-        est_rrh=state.est_rrh,
-        var_rrh=state.var_rrh,
-        est_mbs=state.est_mbs,
-        var_mbs=state.var_mbs,
-    )
+def build_covariances(topology: Topology, links: AggregatedLinks) -> AggregatedLinks:
+    """``links`` itself, checked to carry ``topology``: training attaches it.
+    Kept only as the name the benchmark patches and times
+    (``bench/tracing.py:38``, ``bench/run.py:116``); ROADMAP item 1 unpins
+    it, and then it is deleted."""
+    if links.topology is not topology:
+        raise ValueError("links were trained on another topology")
+    return links
 
 
 def link_amplitudes(links: AggregatedLinks, w_rrh: np.ndarray) -> np.ndarray:

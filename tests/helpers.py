@@ -87,6 +87,8 @@ def pipeline_instance(r=0, master_seed=0, tau=4, scenario=None, training=None):
     """One scheduled + estimated instance: the common test setup.
 
     Returns (topology, assignment, state, links, effective training config).
+    ``state`` and ``links`` are one object, the ``AggregatedLinks`` that
+    training returns; the tuple keeps both places for its callers.
     """
     scenario = scenario or small_scenario(seed_to_int(child_seed(master_seed, r, 0)))
     if scenario.rng_seed == 0:

@@ -7,6 +7,7 @@ from hcransim import (
     ScenarioConfig,
     TrainingConfig,
     build_conflict_graph,
+    build_covariances,
     compute_beta,
     draw_small_scale,
     estimate_channels,
@@ -260,10 +261,11 @@ def assert_arrays_equal_dicts(topo, state, want):
 
 
 def test_link_arrays_equal_the_dict_estimator():
-    """The arrays estimate_channels writes, and the arrays build_covariances
-    hands on, equal the per-link dict estimator bit for bit: at (8, 25), at
-    (16, 50, 130 m) with shared RRH pairs and RUEs on a BUE's pilot, at
-    (32, 100) and under perfect CSI."""
+    """The arrays estimate_channels writes equal the per-link dict estimator
+    bit for bit: at (8, 25), at (16, 50, 130 m) with shared RRH pairs and
+    RUEs on a BUE's pilot, at (32, 100) and under perfect CSI. Both training
+    functions return the links with their topology attached, which
+    build_covariances passes through and checks."""
     wide = ScenarioConfig(num_rrh=50, num_ue=16, coverage_radius=130.0)
     cases = [
         (r, scenario)
@@ -272,11 +274,10 @@ def test_link_arrays_equal_the_dict_estimator():
     ] + [(r, wide) for r in (3, 4, 6)]
     bue_pilot_shared = 0
     for r, scenario in cases:
-        topo, assignment, state, links, training = pipeline_instance(r=r, scenario=scenario)
+        topo, assignment, state, _, training = pipeline_instance(r=r, scenario=scenario)
+        assert state.topology is topo  # estimate_channels attaches its topology
         want = oracle_state(topo, assignment, training, r=r)
         assert_arrays_equal_dicts(topo, state, want)
-        for name in ("est_rrh", "var_rrh", "est_mbs", "var_mbs"):
-            np.testing.assert_array_equal(getattr(links, name), getattr(state, name))
         if scenario is wide:
             assert has_shared_rrh_pair(topo)
             bue_pilots = set(assignment.pilots[topo.bue_set].tolist())
@@ -284,4 +285,9 @@ def test_link_arrays_equal_the_dict_estimator():
     assert bue_pilot_shared == 3  # drops 3, 4 and 6 of the wide family
     channels = instance_channels(topo, r)
     perfect = perfect_channel_state(topo, channels)
+    assert perfect.topology is topo
     assert_arrays_equal_dicts(topo, perfect, perfect_channel_state_oracle(topo, channels))
+    assert build_covariances(topo, state) is state
+    other = generate_topology(ScenarioConfig(rng_seed=1))
+    with pytest.raises(ValueError, match="another topology"):
+        build_covariances(other, state)

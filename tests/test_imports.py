@@ -102,3 +102,62 @@ def test_unused_import_check_flags_every_form(tmp_path):
         "sample.py:6 rtd_solve",
         "sample.py:8 dumps",
     ]
+
+
+def dead_definitions(package: Path) -> list[str]:
+    """Module-level functions and classes of a package that no module reads
+    and its ``__init__.py`` does not export. A name counts as read wherever
+    a ``Name`` loads it or an attribute chain ends in it, in any module, its
+    own included; matching is by name alone, so a dead definition that
+    shares its name with a live one passes."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(package.glob("*.py"))}
+    read = set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
+                read.update(alias.name for alias in node.names)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, defs) and node.name not in read
+    ]
+
+
+def test_no_module_level_definition_goes_unread_and_unexported():
+    assert len(list(SRC.glob("*.py"))) >= 8
+    assert dead_definitions(SRC) == []
+
+
+def test_dead_definition_check_flags_every_form(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "a.py").write_text(
+        "def exported(): pass\n"
+        "def called(): pass\n"
+        "def dead(): return dead_local\n"
+        "class Used: pass\n"
+        "class Dead(Used): pass\n"
+        "def _private(): pass\n"
+        "def by_attribute(): pass\n"
+        "def stored(): pass\n"
+        "x = Used()\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "from .a import called, stored\n"
+        "stored = 1\n"
+        "def main():\n"
+        "    return a.by_attribute(), called()\n"
+    )
+    assert dead_definitions(tmp_path) == [
+        "a.py:3 dead",
+        "a.py:5 Dead",
+        "a.py:6 _private",
+        "a.py:8 stored",
+        "b.py:4 main",
+    ]
