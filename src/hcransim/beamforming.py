@@ -321,7 +321,8 @@ class _Eigenbasis:
     R_p). Block powers, the dual value and the dual's Hessian are the same in
     either basis, so the solver works on z and rotates back once. These
     eigendecompositions are the RRH side's only ones: every multiplier
-    update, in a block or for one RRH, steps on ``power_jacobian``.
+    update steps on ``power_jacobian``, in a block, or on its diagonal
+    (``power_diagonal``), for one RRH.
 
     Directions at rounding level (zero variance and fewer users than
     antennas) carry no user's estimate in exact arithmetic: their estimate
@@ -402,20 +403,34 @@ class _Eigenbasis:
         p != q is 2 w8 |lin|^2 kappa_p kappa_q t_p t_q phi_pq, with
         phi_pq = 1 / (delta_p delta_q (1 + w8 sum s / delta))
         = kappa_p kappa_q (1 + w8 sum s / delta)."""
-        d, ratio, others, kappa = coupled
+        _, ratio, _, kappa = coupled
         w8, size = self.w8, np.abs(self.lin) ** 2
-        weighted = self.size2 / (d * d)
-        t, v = weighted.sum(axis=-1), (weighted / d).sum(axis=-1)
+        t, own = self._own_terms(coupled)
         scaled = kappa * t
         total = 1.0 + w8 * ratio.sum(axis=-1, keepdims=True)
         phi = kappa[:, :, None] * kappa[:, None, :] * total[..., None]
         terms = (2.0 * w8 * size)[..., None] * scaled[:, :, None] * scaled[:, None, :] * phi
         width = terms.shape[1]
-        own = -2.0 * size * kappa**2 * (v + w8 * w8 * kappa * others * t**2)
         terms[:, np.arange(width), np.arange(width)] = own
         num = self.num
         jac = np.bincount(self._pairs, weights=terms.ravel(), minlength=(num + 1) ** 2)
         return jac.reshape(num + 1, num + 1)[:num, :num]
+
+    def power_diagonal(self, coupled) -> np.ndarray:
+        """The diagonal of ``power_jacobian``, bit for bit, without its
+        off-diagonal terms: a user's blocks sit at distinct RRHs, so an
+        active slot's entry sums only the own terms of its blocks."""
+        own = self._own_terms(coupled)[1]
+        return np.bincount(self._slots, weights=own.ravel(), minlength=self.num + 1)[:self.num]
+
+    def _own_terms(self, coupled):
+        """Per user and block: t = q^H q and the Jacobian's diagonal term
+        -2 |lin|^2 kappa^2 (v + w8^2 kappa R t^2) (see ``power_jacobian``)."""
+        d, _, others, kappa = coupled
+        w8, size = self.w8, np.abs(self.lin) ** 2
+        weighted = self.size2 / (d * d)
+        t, v = weighted.sum(axis=-1), (weighted / d).sum(axis=-1)
+        return t, -2.0 * size * kappa**2 * (v + w8 * w8 * kappa * others * t**2)
 
     def rotate_back(self, z: np.ndarray) -> np.ndarray:
         """The (U, W) beam stack of rotated beams z."""
@@ -495,7 +510,7 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
 
     def own_steps(it: _Iterate) -> np.ndarray:
         """Every RRH's per-RRH step r_k / h_kk at the iterate."""
-        scale = np.maximum(-np.diagonal(basis.power_jacobian(it.coupled)), 1e-300)
+        scale = np.maximum(-basis.power_diagonal(it.coupled), 1e-300)
         return _residual(it.powers, cap) / scale
 
     def coordinate_sweep(it: _Iterate) -> _Iterate:

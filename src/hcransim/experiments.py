@@ -15,7 +15,10 @@ every sweep value and runs each stage once per distinct input (``_Scene``).
 The topology, conflict graph with its Dsatur coloring, contamination levels,
 sum-MSE link arrays and small-scale channel draw are made once per scenario:
 once per call in a `tau` or `coherence` sweep, once per value in a scenario
-sweep. Each assignment serves every beamformer. Nothing is kept between
+sweep. A scheduler's first use makes its schedules for every tau of the
+scenario's sweep values: the exhaustive search answers them all from one
+enumeration, and PSA's or Dsatur-random's are scored in one `sum_mse`
+block. Each assignment serves every beamformer. Nothing is kept between
 calls. With `jobs > 1` one process pool serves the sweep, split by
 realization.
 
@@ -132,14 +135,17 @@ class _Scene:
 
     The topology, its conflict graph (which holds the Dsatur coloring) and
     the contamination levels are made on construction; the sum-MSE link
-    arrays, the small-scale channel draw and each schedule (one per
-    scheduler and effective tau, with its sum MSE once scored) on first use.
-    Everything here is shared by the schedulers and beamformers of one
-    worker call and must not be mutated; the shared arrays are read-only.
+    arrays, the small-scale channel draw and the schedules on first use.
+    ``taus`` are the pilot counts the scene's sweep values ask for; a
+    scheduler's first use makes its schedules for all of them (one per
+    effective tau), and a heuristic's first scoring scores them in one
+    ``sum_mse`` call. Everything here is shared by the schedulers and
+    beamformers of one worker call and must not be mutated; the shared
+    arrays are read-only.
     """
 
-    def __init__(self, cfg: ExperimentConfig, scenario: ScenarioConfig, r: int):
-        self.cfg, self.r = cfg, r
+    def __init__(self, cfg: ExperimentConfig, scenario: ScenarioConfig, r: int, taus=()):
+        self.cfg, self.r, self.taus = cfg, r, tuple(taus)
         seed = seed_to_int(child_seed(cfg.master_seed, r, 0))
         self.topology = generate_topology(with_seed(scenario, seed))
         self.graph = build_conflict_graph(self.topology)
@@ -164,35 +170,65 @@ class _Scene:
         """(assignment, sum MSE) of one scheduler at these training settings.
         The exhaustive search hands back the minimum it found, which is its
         assignment's sum MSE bit for bit; the others' is computed once and
-        kept with the schedule."""
+        kept with the schedule, for every schedule not yet scored at these
+        powers in one ``sum_mse`` call."""
         entry = self._scheduled(scheduler, training)
         if entry[1] is None:
             powers = (training.p_rue, training.p_bue, training.noise_power)
-            entry[1] = sum_mse(self.topology, entry[0], *powers, links=self.mse_links)
+            unscored = [e for k, e in self._schedules.items() if k[2:] == powers and e[1] is None]
+            values = sum_mse(
+                self.topology, [e[0] for e in unscored], *powers, links=self.mse_links
+            )
+            for e, value in zip(unscored, values):
+                e[1] = value
         return tuple(entry)
 
     def _scheduled(self, scheduler: str, training: TrainingConfig):
         """[assignment, sum MSE or None until scored], made once per
         scheduler and effective tau: a scheduler reads tau only through
         ``effective_tau``, and PSA and Dsatur-random draw from a fresh
-        generator per call, so equal effective taus give equal schedules."""
-        topology, tau = self.topology, training.tau
+        generator per call, so equal effective taus give equal schedules.
+        A scheduler's first use makes them for ``taus`` too; the exhaustive
+        search answers all of them from one enumeration, unless its guard
+        refuses the largest: then it searches the asked tau alone, as a
+        one-value sweep does."""
+        topology, t = self.topology, self.graph.coloring[0]
         powers = (training.p_rue, training.p_bue, training.noise_power)
-        key = (scheduler, effective_tau(topology, tau, self.graph.coloring[0]), *powers)
-        if key in self._schedules:
-            return self._schedules[key]
-        if scheduler == "es":
-            out = es_schedule(topology, tau, *powers, graph=self.graph, links=self.mse_links)
-        else:
-            rng = np.random.default_rng(self.scheduler_seed)  # fresh per call
-            if scheduler == "psa":
-                out = psa_schedule(topology, self.beta, self.graph, tau, rng=rng), None
-            elif scheduler == "dsatur_random":
-                out = dsatur_random_schedule(topology, tau, rng, self.graph), None
+
+        def key(tau):
+            return (scheduler, effective_tau(topology, tau, t), *powers)
+
+        asked = key(training.tau)
+        if asked not in self._schedules:
+            pending = {}  # key -> the first tau asking for it
+            for tau in (training.tau, *self.taus):
+                if (k := key(tau)) not in self._schedules:
+                    pending.setdefault(k, tau)
+            taus = list(pending.values())
+            if scheduler == "es":
+                try:
+                    made = self._searched(taus, powers)
+                except ValueError:
+                    if len(taus) == 1:
+                        raise
+                    pending = {asked: training.tau}
+                    made = self._searched([training.tau], powers)
             else:
-                raise ValueError(f"unknown scheduler {scheduler!r}")
-        self._schedules[key] = list(out)
-        return self._schedules[key]
+                made = [(self._heuristic(scheduler, tau), None) for tau in taus]
+            for k, out in zip(pending, made):
+                self._schedules[k] = list(out)
+        return self._schedules[asked]
+
+    def _searched(self, taus: list, powers: tuple) -> list:
+        return es_schedule(self.topology, taus, *powers, graph=self.graph, links=self.mse_links)
+
+    def _heuristic(self, scheduler: str, tau: int):
+        rng = np.random.default_rng(self.scheduler_seed)  # fresh per call
+        if scheduler == "psa":
+            return psa_schedule(self.topology, self.beta, self.graph, tau, rng=rng)
+        if scheduler == "dsatur_random":
+            return dsatur_random_schedule(self.topology, tau, rng, self.graph)
+        raise ValueError(f"unknown scheduler {scheduler!r}")
 
     def solve(self, assignment, training: TrainingConfig, beamformer: str) -> dict:
         """Estimate, run one beamformer and rate it; returns a results dict.
@@ -237,14 +273,13 @@ def _realization(args) -> list[dict]:
     """One metrics dict per sweep value for realization r, each scenario's
     shared stages made once (``_Scene``) and dropped when the call returns."""
     cfg, metrics_at, r = args
+    points = [_apply_sweep(cfg, value) for value in cfg.sweep_values]
     scenes = {}
-    out = []
-    for value in cfg.sweep_values:
-        scenario, training = _apply_sweep(cfg, value)
+    for scenario, _ in points:
         if scenario not in scenes:
-            scenes[scenario] = _Scene(cfg, scenario, r)
-        out.append(metrics_at(scenes[scenario], training))
-    return out
+            taus = [training.tau for other, training in points if other == scenario]
+            scenes[scenario] = _Scene(cfg, scenario, r, taus)
+    return [metrics_at(scenes[scenario], training) for scenario, training in points]
 
 
 def _unless_refused(scheduler: str, make, out: dict):

@@ -16,14 +16,17 @@ are provided:
   lexicographic order, pruning conflicts at each RUE, in blocks of at most
   ``_BLOCK``, and each block is scored with one array evaluation. The first
   strict minimum wins, so ties go to the lexicographically smallest vector,
-  and the minimum comes back with the assignment.
+  and the minimum comes back with the assignment. Given several tau, one
+  enumeration at the largest answers them all: the canonical vectors at a
+  smaller tau are the rows whose pilots stay within it, in the same order.
 
-``_sum_mse_values`` is the one sum-MSE evaluator (``sum_mse`` scores a block
-of one); a candidate's value is bit for bit the same in any block. It reads
-the read-only link arrays of ``mse_links``, which a caller scoring several
-assignments of one topology builds once and passes to ``sum_mse`` and
-``es_schedule``. Likewise a ``ConflictGraph`` computes its Dsatur coloring
-once, on first use, for every scheduler it is passed to.
+``_sum_mse_values`` is the one sum-MSE evaluator; a candidate's value is bit
+for bit the same in any block. ``sum_mse`` scores one assignment, or a list
+of them in one block. It reads the read-only link arrays of ``mse_links``,
+which a caller scoring several assignments of one topology builds once and
+passes to ``sum_mse`` and ``es_schedule``. Likewise a ``ConflictGraph``
+computes its Dsatur coloring once, on first use, for every scheduler it is
+passed to.
 
 Pilot indices are 1-based. MBS-served users always hold pilots 1..|bue_set|,
 one each; RRH-served users may share any pilot, including a BUE's.
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -204,7 +207,8 @@ def mse_links(topology: Topology) -> MseLinks:
 
 def _sum_mse_values(links: MseLinks, rue_pilots, bue_pilots, p_rue, p_bue, noise_power):
     """Sum MSE (A,) of each row of the int array ``rue_pilots`` (A, R; RUEs in
-    ``rue_set`` order), with the BUEs on the int array ``bue_pilots``.
+    ``rue_set`` order), with the BUEs on the int array ``bue_pilots``: (B,)
+    for every row, or (A, B) row by row.
 
     Arrays are (link, candidate), and every candidate goes through the same
     operations in the same order in any block: masked co-pilot loads summed
@@ -217,7 +221,7 @@ def _sum_mse_values(links: MseLinks, rue_pilots, bue_pilots, p_rue, p_bue, noise
     own_gain = links.own_gain
     pilots = np.empty((num_users, len(rue_pilots)), dtype=rue_pilots.dtype)
     pilots[:num_rue] = rue_pilots.T
-    pilots[num_rue:] = bue_pilots[:, None]
+    pilots[num_rue:] = np.atleast_2d(bue_pilots).T
     own = pilots[links.owners]  # (links, A): the pilot each link is estimated on
     hits = np.equal(pilots[:, None], own)  # (users, links, A): co-pilot masks
     # Masked gains are gain * 1.0 or gain * 0.0, so the loads are exact sums.
@@ -244,22 +248,28 @@ def _sum_mse_values(links: MseLinks, rue_pilots, bue_pilots, p_rue, p_bue, noise
 
 def sum_mse(
     topology: Topology,
-    assignment: PilotAssignment,
+    assignment: PilotAssignment | Sequence[PilotAssignment],
     p_rue: float,
     p_bue: float,
     noise_power: float,
     links: MseLinks | None = None,
-) -> float:
+) -> float | list[float]:
     """Sum over all estimated links of the per-antenna error variance times
     the antenna count. Raises on an assignment violating the reuse constraints.
+    Given a sequence of assignments, validates each and returns their values
+    as a list, scored in one block: each equals its own call's bit for bit.
     ``links``, when given, must be ``mse_links(topology)``.
     """
-    validate_assignment(topology, assignment)
+    single = isinstance(assignment, PilotAssignment)
+    assignments = [assignment] if single else list(assignment)
+    for each in assignments:
+        validate_assignment(topology, each)
     if links is None:
         links = mse_links(topology)
-    pilots = assignment.pilots
-    rue_pilots, bue_pilots = pilots[None, topology.rue_set], pilots[topology.bue_set]
-    return float(_sum_mse_values(links, rue_pilots, bue_pilots, p_rue, p_bue, noise_power)[0])
+    pilots = np.reshape([each.pilots for each in assignments], (len(assignments), topology.num_ue))
+    rue_pilots, bue_pilots = pilots[:, topology.rue_set], pilots[:, topology.bue_set]
+    values = _sum_mse_values(links, rue_pilots, bue_pilots, p_rue, p_bue, noise_power)
+    return float(values[0]) if single else values.tolist()
 
 
 def effective_tau(topology: Topology, tau: int, t: int) -> int:
@@ -382,13 +392,13 @@ def _feasible_blocks(graph: ConflictGraph, tau: int, num_bue: int):
 
 def es_schedule(
     topology: Topology,
-    tau: int,
+    tau: int | Sequence[int],
     p_rue: float,
     p_bue: float,
     noise_power: float,
     graph: ConflictGraph | None = None,
     links: MseLinks | None = None,
-) -> tuple[PilotAssignment, float]:
+) -> tuple[PilotAssignment, float] | list[tuple[PilotAssignment, float]]:
     """Exhaustive minimizer of the sum MSE over feasible assignments:
     (assignment, minimum sum MSE).
 
@@ -401,28 +411,45 @@ def es_schedule(
     same bit for bit, so a minimizer that is not canonical has an equal one
     that sorts earlier. ``sum_mse`` of the assignment equals the returned
     minimum bit for bit.
-    Guarded by tau_eff**M <= ES_LIMIT. ``graph`` and ``links``, when given, must
-    be the topology's conflict graph and ``mse_links``.
+
+    Given a sequence of tau, returns one such pair per entry, in order, from
+    one enumeration at the largest effective tau. Its rows whose largest
+    pilot is at most a smaller tau_eff are that tau_eff's canonical vectors,
+    in the same order, so each tau_eff takes the first strict minimum over
+    those rows of each block, and every pair equals the one-tau call's bit
+    for bit.
+    Guarded by tau_eff**M <= ES_LIMIT at the largest tau_eff. ``graph`` and
+    ``links``, when given, must be the topology's conflict graph and
+    ``mse_links``.
     """
     if graph is None:
         graph = build_conflict_graph(topology)
     t, _ = graph.coloring
-    tau_eff = effective_tau(topology, tau, t)
-    if tau_eff ** topology.num_ue > ES_LIMIT:
+    single = isinstance(tau, (int, np.integer))
+    effs = [effective_tau(topology, x, t) for x in ([tau] if single else tau)]
+    largest = max(effs)
+    if largest ** topology.num_ue > ES_LIMIT:
         raise ValueError(
-            f"search space {tau_eff}^{topology.num_ue} exceeds the enumeration guard {ES_LIMIT}"
+            f"search space {largest}^{topology.num_ue} exceeds the enumeration guard {ES_LIMIT}"
         )
     if links is None:
         links = mse_links(topology)
     bue_pilots = np.arange(1, len(topology.bue_set) + 1)
-    best_value, best_row = np.inf, None
-    for block in _feasible_blocks(graph, tau_eff, len(bue_pilots)):
+    best = dict.fromkeys(effs, (np.inf, None))  # tau_eff -> (minimum, its row)
+    for block in _feasible_blocks(graph, largest, len(bue_pilots)):
         values = _sum_mse_values(links, block, bue_pilots, p_rue, p_bue, noise_power)
-        a = int(np.argmin(values))
-        if values[a] < best_value:
-            best_value, best_row = values[a], block[a].copy()
-    pilots = np.zeros(topology.num_ue, dtype=int)
-    pilots[topology.bue_set] = bue_pilots
-    if best_row is not None:
-        pilots[topology.rue_set] = best_row
-    return make_assignment(tau_eff, pilots), float(best_value)
+        top = block.max(axis=1, initial=0)
+        for cap in best:
+            within = np.where(top <= cap, values, np.inf)
+            a = int(np.argmin(within))
+            if within[a] < best[cap][0]:
+                best[cap] = within[a], block[a].copy()
+    out = []
+    for eff in effs:
+        value, row = best[eff]
+        pilots = np.zeros(topology.num_ue, dtype=int)
+        pilots[topology.bue_set] = bue_pilots
+        if row is not None:
+            pilots[topology.rue_set] = row
+        out.append((make_assignment(eff, pilots), float(value)))
+    return out[0] if single else out

@@ -485,7 +485,8 @@ def _assert_closed_form_matches_dense(problem, mu, xs):
     per-RRH powers the solver reads off them and the Hessian's diagonal
     entry that RRH's coordinate step divides by equal the dense solve's
     (``dense_rrh_beams``, ``dense_rrh_powers``, ``dense_power_jacobian``),
-    and the beams are zero on padding."""
+    the beams are zero on padding, and ``power_diagonal`` is the closed-form
+    Hessian's diagonal bit for bit."""
     layout = problem.layout
     padding = ~np.repeat(layout.live, layout.block_size, axis=1)
     basis = _Eigenbasis(problem)
@@ -502,6 +503,8 @@ def _assert_closed_form_matches_dense(problem, mu, xs):
             np.testing.assert_allclose(it.powers, powers, rtol=1e-9)
             dense = dense_power_jacobian(problem, trial)[a, a]
             assert basis.power_jacobian(it.coupled)[a, a] == pytest.approx(dense, rel=1e-9)
+            diagonal = np.diagonal(basis.power_jacobian(it.coupled))
+            assert np.array_equal(basis.power_diagonal(it.coupled), diagonal)  # bit for bit
 
 
 def _cluster_field(clusters, n, budget, seed, zero_f=()):

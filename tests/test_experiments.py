@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,10 +244,10 @@ def test_each_realization_runs_its_sweep_invariant_stages_once(monkeypatch):
         tiny_config(sweep_values=taus, schedulers=("psa", "dsatur_random", "es"))
     )
     # the exhaustive search hands back its minimum, so only PSA and
-    # Dsatur-random are scored, once per distinct effective tau (the three
-    # realizations have 3, 1 and 4)
+    # Dsatur-random are scored, each in one call per realization that scores
+    # its schedules at every distinct effective tau (3, 1 and 4 of them)
     assert counts == dict.fromkeys(shared + ("dsatur_color",), 3) | {
-        "draw_small_scale": 0, "sum_mse": (3 + 1 + 4) * 2,
+        "draw_small_scale": 0, "sum_mse": 3 * 2,
     }
 
     counts.update(dict.fromkeys(counts, 0))
@@ -270,9 +271,10 @@ def test_each_realization_runs_its_sweep_invariant_stages_once(monkeypatch):
 
 
 def test_equal_effective_tau_shares_one_schedule(monkeypatch):
-    """Each realization runs each scheduler once per effective tau (tau
-    lifted to the coloring number and the MBS-served user count): on a tau
-    sweep where the clamp repeats, the calls are fewer than the sweep's
+    """Each realization runs PSA and Dsatur-random once per effective tau
+    (tau lifted to the coloring number and the MBS-served user count) and
+    the exhaustive search once for all of them: on a tau sweep where the
+    clamp repeats, the heuristics' calls are fewer than the sweep's
     (realization, tau) pairs, and the rows equal those of one-value sweeps."""
     schedulers = ("psa_schedule", "dsatur_random_schedule", "es_schedule")
     counts = {}
@@ -290,12 +292,37 @@ def test_equal_effective_tau_shares_one_schedule(monkeypatch):
         t = scene.graph.coloring[0]
         distinct += len({pilot_scheduler.effective_tau(scene.topology, tau, t) for tau in taus})
     assert distinct < cfg.num_realizations * len(taus)
-    assert counts == dict.fromkeys(schedulers, distinct)
+    assert counts == dict.fromkeys(schedulers[:2], distinct) | {
+        "es_schedule": cfg.num_realizations
+    }
     single = [
         row for tau in taus
         for row in run_mse_sweep(dataclasses.replace(cfg, sweep_values=(tau,))).rows
     ]
     assert rows == single
+
+
+def test_a_sweep_whose_largest_tau_the_guard_refuses_equals_one_value_sweeps(monkeypatch):
+    """With the enumeration guard between the search spaces of the sweep's
+    effective taus, the one search for the whole sweep is refused, and each
+    tau is searched on its own: the rows and the ``skip_es`` warnings equal
+    those of one-value sweeps, where the smaller taus' searches run."""
+    cfg = tiny_config(sweep_values=(2, 3, 4), schedulers=("psa", "es"))
+    monkeypatch.setattr(pilot_scheduler, "ES_LIMIT", 3 ** cfg.scenario.num_ue)
+    with pytest.warns(UserWarning) as multi_warnings:
+        rows = run_mse_sweep(cfg).rows
+    single, single_warnings = [], []
+    for tau in cfg.sweep_values:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            single += run_mse_sweep(dataclasses.replace(cfg, sweep_values=(tau,))).rows
+        single_warnings += [str(w.message) for w in caught]
+    assert rows == single
+    assert [str(w.message) for w in multi_warnings] == single_warnings
+    # realization 1 holds 5 MBS-served users, so every tau is refused there;
+    # realizations 0 and 2 search tau 2 and 3 and are refused at tau 4
+    assert len(single_warnings) == len(cfg.sweep_values)
+    assert {row[0]: row[4] for row in rows if row[1] == "sum_mse_es"} == {2: 2, 3: 2}
 
 
 # Small generated configs, pinned: (num_ue, num_rrh, rrh_antennas,

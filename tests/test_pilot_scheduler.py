@@ -202,6 +202,38 @@ def test_sum_mse_rejects_conflicting_assignment():
         sum_mse(topo, bad, 1.0, 1.0, 1.0)
 
 
+def test_sum_mse_of_a_list_equals_each_assignments_own_call():
+    """A list is scored in one block, each value bit for bit its own call's,
+    with the BUEs on their own pilots row by row; an invalid member raises
+    the error its own call raises."""
+    powers = (TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+    rng = np.random.default_rng(4)
+    for seed in range(4):
+        topo = seeded_topology(seed)
+        graph = build_conflict_graph(topo)
+        beta = compute_beta(topo, graph)
+        assignments = [
+            psa_schedule(topo, beta, graph, 3),
+            dsatur_random_schedule(topo, 4, rng, graph),
+            es_schedule(topo, 3, *powers, graph=graph)[0],
+        ]
+        relabeled = assignments[0].pilots.copy()
+        relabeled[topo.bue_set] = relabeled[topo.bue_set[::-1]]  # BUEs swap pilots
+        assignments.append(make_assignment(assignments[0].tau, relabeled))
+        assert len(topo.bue_set) >= 2
+        values = sum_mse(topo, assignments, *powers)
+        assert values == [sum_mse(topo, a, *powers) for a in assignments]
+        assert all(type(v) is float for v in values)
+        assert sum_mse(topo, [], *powers) == []
+    bad = relabeled.copy()
+    bad[topo.bue_set[1]] = bad[topo.bue_set[0]]
+    bad = make_assignment(assignments[0].tau, bad)
+    with pytest.raises(ValueError, match="shared by several MBS-served users") as alone:
+        sum_mse(topo, bad, *powers)
+    with pytest.raises(ValueError) as listed:
+        sum_mse(topo, assignments + [bad], *powers)
+    assert str(listed.value) == str(alone.value)
+
 def test_validate_assignment_errors():
     topo = hand_topology(
         serving_rrhs=[[0], [], []],
@@ -433,6 +465,34 @@ def test_es_blocks_enumerate_in_order_and_score_independently_of_blocking():
     assert pair[0] == pair[1] == whole.min()
 
 
+def test_es_given_a_sequence_of_tau_equals_one_call_per_tau():
+    """One enumeration at the largest effective tau answers every tau of a
+    sequence, repeated and unsorted ones included, with the pilots, tau and
+    minimum of one call per tau, bit for bit. Tau 1 is raised to the
+    coloring number on some drops and to the MBS-served user count on
+    others."""
+    powers = (TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+    raised = set()
+    for case, taus in (
+        (ES_CASES[5], (3, 1, 4, 3, 2, 6)),
+        (ES_CASES[8], (6, 1, 2, 6)),
+        (ES_CASES[9], (5, 1, 3, 2, 5)),
+        (ES_CASES[11], (4, 1, 2, 4)),
+    ):
+        seed, num_rrh, num_ue, radius, _ = case
+        topo = seeded_topology(seed, num_rrh=num_rrh, num_ue=num_ue, coverage_radius=radius)
+        graph = build_conflict_graph(topo)
+        t, num_bue = graph.coloring[0], len(topo.bue_set)
+        raised.add("coloring" if t > max(1, num_bue) else "bue" if num_bue > max(1, t) else None)
+        answers = es_schedule(topo, taus, *powers, graph=graph)
+        assert len(answers) == len(taus)
+        for tau, (got, got_minimum) in zip(taus, answers):
+            want, want_minimum = es_schedule(topo, tau, *powers)
+            assert got.tau == want.tau and got_minimum == want_minimum
+            assert np.array_equal(got.pilots, want.pilots)
+        assert answers[0][0].pilots is not answers[3][0].pilots
+    assert {"coloring", "bue"} <= raised
+
 def test_es_given_the_callers_graph_and_links_returns_the_same_assignment():
     for seed, num_rrh, num_ue, radius, tau in ES_CASES[4:8]:
         topo = seeded_topology(seed, num_rrh=num_rrh, num_ue=num_ue, coverage_radius=radius)
@@ -502,6 +562,15 @@ def test_es_guard_reads_the_module_limit(monkeypatch):
     with pytest.raises(ValueError, match=f"exceeds the enumeration guard {size - 1}"):
         es_schedule(topo, 3, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
 
+
+def test_es_guard_refuses_a_sequence_whose_largest_tau_it_refuses(monkeypatch):
+    topo = seeded_topology(1, num_rrh=10, num_ue=5, coverage_radius=150.0)
+    t, _ = build_conflict_graph(topo).coloring
+    size = pilot_scheduler.effective_tau(topo, 3, t) ** topo.num_ue
+    monkeypatch.setattr(pilot_scheduler, "ES_LIMIT", size)
+    es_schedule(topo, [3, 2], TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+    with pytest.raises(ValueError, match=f"search space 4\\^5 exceeds the enumeration guard {size}"):
+        es_schedule(topo, [3, 4, 2], TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
 
 def test_es_never_beats_itself_with_fewer_pilots():
     # enlarging the pilot pool can only improve the exhaustive optimum
