@@ -15,12 +15,12 @@ every sweep value and runs each stage once per distinct input (``_Scene``).
 The topology, conflict graph with its Dsatur coloring, contamination levels,
 sum-MSE link arrays and small-scale channel draw are made once per scenario:
 once per call in a `tau` or `coherence` sweep, once per value in a scenario
-sweep. A scheduler's first use makes its schedules for every tau of the
-scenario's sweep values: the exhaustive search answers them all from one
-enumeration, and PSA's or Dsatur-random's are scored in one `sum_mse`
-block. Each assignment serves every beamformer. Nothing is kept between
-calls. With `jobs > 1` one process pool serves the sweep, split by
-realization.
+sweep. Schedules sit in one table per scene, keyed by scheduler and
+effective tau: a scheduler's first use fills its entries for every tau of
+the scenario's sweep values (the exhaustive search from one enumeration),
+and the heuristics' are scored in one `sum_mse` block. Each assignment
+serves every beamformer. Nothing is kept between calls. With `jobs > 1`
+one process pool serves the sweep, split by realization.
 
 CSV schema: one row per (sweep_value, metric, mean, stderr, n).
 """
@@ -116,6 +116,7 @@ class ExperimentConfig:
             raise ValueError("scenario.rng_seed is unused: topologies draw from master_seed")
         for value in self.sweep_values:  # a value the configs reject fails here, not mid-sweep
             scenario, training = _apply_sweep(self, value)
+            self.budgets.rrh_array(scenario.num_rrh)
             if training.tau > scenario.num_ue:
                 raise ValueError(f"tau cannot exceed the UE count at {self.sweep_name}={value!r}")
 
@@ -136,12 +137,12 @@ class _Scene:
     The topology, its conflict graph (which holds the Dsatur coloring) and
     the contamination levels are made on construction; the sum-MSE link
     arrays, the small-scale channel draw and the schedules on first use.
-    ``taus`` are the pilot counts the scene's sweep values ask for; a
-    scheduler's first use makes its schedules for all of them (one per
-    effective tau), and a heuristic's first scoring scores them in one
-    ``sum_mse`` call. Everything here is shared by the schedulers and
-    beamformers of one worker call and must not be mutated; the shared
-    arrays are read-only.
+    Schedules sit in one table, ``(scheduler, effective tau) -> [assignment,
+    sum MSE or None until scored]``, made at the training powers of
+    ``cfg.training``, read once: no sweep changes them (a test pins this for
+    every sweep name). ``taus`` are the pilot counts the scene's sweep values
+    ask for. Everything here is shared by the schedulers and beamformers of
+    one worker call and must not be mutated; the shared arrays are read-only.
     """
 
     def __init__(self, cfg: ExperimentConfig, scenario: ScenarioConfig, r: int, taus=()):
@@ -151,6 +152,7 @@ class _Scene:
         self.graph = build_conflict_graph(self.topology)
         self.beta = compute_beta(self.topology, self.graph)
         self.scheduler_seed = child_seed(cfg.master_seed, r, 1)
+        self.powers = (cfg.training.p_rue, cfg.training.p_bue, cfg.training.noise_power)
         self._schedules = {}
 
     @cached_property
@@ -164,71 +166,58 @@ class _Scene:
         return channels
 
     def schedule(self, scheduler: str, training: TrainingConfig):
-        return self._scheduled(scheduler, training)[0]
+        return self._entry(scheduler, training.tau)[0]
 
     def schedule_and_mse(self, scheduler: str, training: TrainingConfig):
-        """(assignment, sum MSE) of one scheduler at these training settings.
-        The exhaustive search hands back the minimum it found, which is its
+        """(assignment, sum MSE) of one scheduler at training's tau. The
+        exhaustive search hands back the minimum it found, which is its
         assignment's sum MSE bit for bit; the others' is computed once and
-        kept with the schedule, for every schedule not yet scored at these
-        powers in one ``sum_mse`` call."""
-        entry = self._scheduled(scheduler, training)
+        kept with the schedule, for every unscored entry in one ``sum_mse``
+        call."""
+        entry = self._entry(scheduler, training.tau)
         if entry[1] is None:
-            powers = (training.p_rue, training.p_bue, training.noise_power)
-            unscored = [e for k, e in self._schedules.items() if k[2:] == powers and e[1] is None]
+            unscored = [e for e in self._schedules.values() if e[1] is None]
             values = sum_mse(
-                self.topology, [e[0] for e in unscored], *powers, links=self.mse_links
+                self.topology, [e[0] for e in unscored], *self.powers, links=self.mse_links
             )
             for e, value in zip(unscored, values):
                 e[1] = value
         return tuple(entry)
 
-    def _scheduled(self, scheduler: str, training: TrainingConfig):
-        """[assignment, sum MSE or None until scored], made once per
-        scheduler and effective tau: a scheduler reads tau only through
-        ``effective_tau``, and PSA and Dsatur-random draw from a fresh
-        generator per call, so equal effective taus give equal schedules.
-        A scheduler's first use makes them for ``taus`` too; the exhaustive
-        search answers all of them from one enumeration, unless its guard
-        refuses the largest: then it searches the asked tau alone, as a
-        one-value sweep does."""
-        topology, t = self.topology, self.graph.coloring[0]
-        powers = (training.p_rue, training.p_bue, training.noise_power)
-
-        def key(tau):
-            return (scheduler, effective_tau(topology, tau, t), *powers)
-
-        asked = key(training.tau)
-        if asked not in self._schedules:
-            pending = {}  # key -> the first tau asking for it
-            for tau in (training.tau, *self.taus):
-                if (k := key(tau)) not in self._schedules:
-                    pending.setdefault(k, tau)
-            taus = list(pending.values())
-            if scheduler == "es":
-                try:
-                    made = self._searched(taus, powers)
-                except ValueError:
-                    if len(taus) == 1:
-                        raise
-                    pending = {asked: training.tau}
-                    made = self._searched([training.tau], powers)
-            else:
-                made = [(self._heuristic(scheduler, tau), None) for tau in taus]
-            for k, out in zip(pending, made):
-                self._schedules[k] = list(out)
-        return self._schedules[asked]
-
-    def _searched(self, taus: list, powers: tuple) -> list:
-        return es_schedule(self.topology, taus, *powers, graph=self.graph, links=self.mse_links)
-
-    def _heuristic(self, scheduler: str, tau: int):
-        rng = np.random.default_rng(self.scheduler_seed)  # fresh per call
-        if scheduler == "psa":
-            return psa_schedule(self.topology, self.beta, self.graph, tau, rng=rng)
-        if scheduler == "dsatur_random":
-            return dsatur_random_schedule(self.topology, tau, rng, self.graph)
-        raise ValueError(f"unknown scheduler {scheduler!r}")
+    def _entry(self, scheduler: str, tau: int) -> list:
+        """The table entry of scheduler at tau's effective tau. A scheduler
+        reads tau only through ``effective_tau``, which leaves an effective
+        tau as it is, and PSA and Dsatur-random draw from a fresh generator
+        per call, so the schedule made at the effective tau is tau's. An
+        entry's first ask also makes the scheduler's missing entries for
+        ``taus``; the exhaustive search answers them all from one
+        enumeration, unless its guard refuses the largest: then it searches
+        the asked tau alone, as a one-value sweep does, and raises if that is
+        refused too."""
+        topology, graph, t = self.topology, self.graph, self.graph.coloring[0]
+        asked = effective_tau(topology, tau, t)
+        if (scheduler, asked) in self._schedules:
+            return self._schedules[scheduler, asked]
+        effs = dict.fromkeys(effective_tau(topology, x, t) for x in (tau, *self.taus))
+        missing = [eff for eff in effs if (scheduler, eff) not in self._schedules]
+        if scheduler == "es":
+            links = self.mse_links
+            try:
+                found = es_schedule(topology, missing, *self.powers, graph=graph, links=links)
+            except ValueError:
+                missing = [asked]
+                found = es_schedule(topology, missing, *self.powers, graph=graph, links=links)
+            for eff, (assignment, value) in zip(missing, found):
+                self._schedules[scheduler, eff] = [assignment, value]
+        else:
+            for eff in missing:
+                rng = np.random.default_rng(self.scheduler_seed)  # fresh per call
+                if scheduler == "psa":
+                    assignment = psa_schedule(topology, self.beta, graph, eff, rng=rng)
+                else:
+                    assignment = dsatur_random_schedule(topology, eff, rng, graph)
+                self._schedules[scheduler, eff] = [assignment, None]
+        return self._schedules[scheduler, asked]
 
     def solve(self, assignment, training: TrainingConfig, beamformer: str) -> dict:
         """Estimate, run one beamformer and rate it; returns a results dict.

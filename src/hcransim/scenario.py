@@ -190,7 +190,7 @@ def generate_topology(cfg: ScenarioConfig) -> Topology:
     dist_rrh = np.maximum(dist_rrh, cfg.min_link_distance)
     dist_mbs = np.maximum(dist_mbs, cfg.min_link_distance)
 
-    topo = Topology(
+    return Topology(
         config=cfg,
         rrh_positions=rrh_positions,
         ue_positions=ue_positions,
@@ -198,8 +198,6 @@ def generate_topology(cfg: ScenarioConfig) -> Topology:
         alpha_rrh=pathloss_gain(dist_rrh, cfg, shadow_rrh),
         alpha_mbs=pathloss_gain(dist_mbs, cfg, shadow_mbs),
     )
-    topo.validate()
-    return topo
 
 
 def save_topology(topology: Topology, path) -> None:

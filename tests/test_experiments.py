@@ -15,6 +15,7 @@ from hcransim import (
     ScenarioConfig,
     SweepResult,
     TrainingConfig,
+    generate_topology,
     load_config,
     load_topology,
     run_mse_sweep,
@@ -24,6 +25,7 @@ from hcransim import (
     solve_one,
 )
 from hcransim import beamforming, experiments, pilot_scheduler
+from hcransim.scenario import with_seed
 from hcransim.util import dbm_to_watt
 
 
@@ -78,6 +80,15 @@ def test_config_validation():
         tiny_config(sweep_name="num_ue", sweep_values=(5, 2))
     with pytest.raises(ValueError, match="num_rrh must be >= 1"):
         tiny_config(sweep_name="num_rrh", sweep_values=(10, 0))
+    # per-RRH budgets must fit every value of an RRH-count sweep
+    with pytest.raises(ValueError, match=r"need 12 RRH budgets, got shape \(10,\)"):
+        ExperimentConfig(
+            scenario=ScenarioConfig(num_rrh=10, num_ue=6),
+            training=TrainingConfig(tau=3),
+            budgets=PowerBudget(rrh=np.full(10, 0.5), mbs=1.0),
+            sweep_name="num_rrh",
+            sweep_values=(10, 12),
+        )
 
 
 @pytest.mark.parametrize(
@@ -270,6 +281,25 @@ def test_each_realization_runs_its_sweep_invariant_stages_once(monkeypatch):
     assert counts["generate_topology"] == counts["compute_beta"] == 2 * 3
 
 
+@pytest.mark.parametrize(
+    "name", sorted(experiments._SCENARIO_SWEEPS | experiments._TRAINING_SWEEPS)
+)
+def test_no_sweep_changes_the_training_powers(name):
+    """A scene makes its schedules once, at ``cfg.training``'s powers, for
+    every sweep value it serves; that holds only while no sweep moves a
+    power, so a sweep that did would reuse schedules made at other powers.
+    Each sweep name moves its own field here and leaves the powers alone."""
+    cfg = tiny_config()
+    in_training = name in experiments._TRAINING_SWEEPS
+    base = getattr(cfg.training if in_training else cfg.scenario, name)
+    value = base + 1 if isinstance(base, int) else 2.0 * base
+    swept = dataclasses.replace(cfg, sweep_name=name, sweep_values=(value,))
+    scenario, training = experiments._apply_sweep(swept, value)
+    assert getattr(training if in_training else scenario, name) == value
+    powers = ("p_rue", "p_bue", "noise_power")
+    assert [getattr(training, p) for p in powers] == [getattr(cfg.training, p) for p in powers]
+
+
 def test_equal_effective_tau_shares_one_schedule(monkeypatch):
     """Each realization runs PSA and Dsatur-random once per effective tau
     (tau lifted to the coloring number and the MBS-served user count) and
@@ -378,6 +408,26 @@ def test_generated_small_configs_run_without_failure():
         assert not [row for row in rows if row[1].startswith("failures_")], cfg
         assert all(math.isfinite(row[2]) for row in rows), cfg
         assert {f"sum_se_lb_psa_{b}" for b in cfg.beamformers} <= {row[1] for row in rows}
+
+
+def test_generated_topologies_pass_validate():
+    """``generate_topology`` returns what ``cluster_ues`` and ``pathloss_gain``
+    built without re-checking it; ``Topology.validate`` passes on 50 seeds at
+    each benchmark size and on every pinned generated config's scenario."""
+    scenarios = [
+        with_seed(ScenarioConfig(num_ue=num_ue, num_rrh=num_rrh), seed)
+        for num_ue, num_rrh in ((8, 25), (16, 50), (32, 100))
+        for seed in range(50)
+    ]
+    scenarios += [
+        ScenarioConfig(
+            num_ue=num_ue, num_rrh=num_rrh, rrh_antennas=n, mbs_antennas=b,
+            coverage_radius=radius, rng_seed=seed,
+        )
+        for num_ue, num_rrh, n, b, radius, _, _, _, seed in GENERATED_CONFIGS
+    ]
+    for scenario in scenarios:
+        generate_topology(scenario).validate()
 
 
 def _generated_config(rng, seed):

@@ -161,3 +161,71 @@ def test_dead_definition_check_flags_every_form(tmp_path):
         "a.py:8 stored",
         "b.py:4 main",
     ]
+
+
+def dead_methods(package: Path, *readers: Path) -> list[str]:
+    """Methods of a package's classes, properties and cached properties
+    included, that no attribute load ``.name`` reads in the package or in
+    the reader directories. Dunders are exempt; matching is by name alone,
+    as in ``dead_definitions``."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(package.glob("*.py"))}
+    reader_trees = [
+        ast.parse(p.read_text(), filename=str(p))
+        for folder in readers for p in sorted(folder.glob("*.py"))
+    ]
+    read = {
+        node.attr
+        for tree in [*trees.values(), *reader_trees]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+        for path, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    ]
+
+
+def test_no_method_or_property_goes_unread():
+    root = SRC.parents[1]
+    assert len(list(SRC.glob("*.py"))) >= 8
+    assert dead_methods(SRC, root / "tests", root / "bench") == []
+
+
+def test_dead_method_check_flags_every_form(tmp_path):
+    package, readers = tmp_path / "pkg", tmp_path / "tests"
+    package.mkdir()
+    readers.mkdir()
+    (package / "a.py").write_text(
+        "from functools import cached_property\n"
+        "class Scene:\n"
+        "    def __init__(self): self.table = {}\n"
+        "    def schedule(self): return self._entry()\n"
+        "    def _entry(self): return self.table\n"
+        "    def _searched(self): pass\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "    @cached_property\n"
+        "    def links(self): return 2\n"
+        "    @staticmethod\n"
+        "    def helper(): pass\n"
+        "    def stored(self): pass\n"
+        "class Outer:\n"
+        "    class Inner:\n"
+        "        def deep(self): pass\n"
+        "def use(scene):\n"
+        "    scene.stored = None\n"
+        "    return Scene.helper, 'links'\n"
+    )
+    (readers / "test_a.py").write_text("def test(scene): assert scene.schedule() and scene.size\n")
+    assert dead_methods(package, readers) == [
+        "a.py:6 Scene._searched",
+        "a.py:10 Scene.links",
+        "a.py:13 Scene.stored",
+        "a.py:16 Inner.deep",
+    ]
