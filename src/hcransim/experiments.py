@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -58,7 +57,7 @@ from .pilot_scheduler import (
 )
 from .rate_bounds import build_covariances, lower_bound_rates, monte_carlo_rates
 from .scenario import ScenarioConfig, generate_topology, save_topology, with_seed
-from .util import child_seed, dbm_to_watt, seed_to_int, typed
+from .util import child_seed, dbm_to_watt, read_json_object, section, seed_to_int, typed
 
 SCHEDULERS = ("psa", "dsatur_random", "es")
 BEAMFORMERS = ("rtd", "rtd_perfect_csi")
@@ -102,12 +101,13 @@ class ExperimentConfig:
             raise ValueError("sweep_values must be non-empty")
         if not self.schedulers or not self.beamformers:
             raise ValueError("schedulers and beamformers must be non-empty")
-        for s in self.schedulers:
-            if s not in SCHEDULERS:
-                raise ValueError(f"unknown scheduler {s!r}")
-        for b in self.beamformers:
-            if b not in BEAMFORMERS:
-                raise ValueError(f"unknown beamformer {b!r}")
+        for kind, names, known in (("scheduler", self.schedulers, SCHEDULERS),
+                                   ("beamformer", self.beamformers, BEAMFORMERS)):
+            for name in names:
+                if name not in known:
+                    raise ValueError(f"unknown {kind} {name!r}")
+            if len(set(names)) < len(names):  # each design would run twice
+                raise ValueError(f"repeated {kind} in {names!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.master_seed < 0:
@@ -138,7 +138,8 @@ class _Scene:
     the contamination levels are made on construction; the sum-MSE link
     arrays, the small-scale channel draw and the schedules on first use.
     Schedules sit in one table, ``(scheduler, effective tau) -> [assignment,
-    sum MSE or None until scored]``, made at the training powers of
+    sum MSE or None until scored]``, or the guard's message where it refused
+    the exhaustive search, made at the training powers of
     ``cfg.training``, read once: no sweep changes them (a test pins this for
     every sweep name). ``taus`` are the pilot counts the scene's sweep values
     ask for. Everything here is shared by the schedulers and beamformers of
@@ -176,7 +177,7 @@ class _Scene:
         call."""
         entry = self._entry(scheduler, training.tau)
         if entry[1] is None:
-            unscored = [e for e in self._schedules.values() if e[1] is None]
+            unscored = [e for (s, _), e in self._schedules.items() if s != "es" and e[1] is None]
             values = sum_mse(
                 self.topology, [e[0] for e in unscored], *self.powers, links=self.mse_links
             )
@@ -191,33 +192,38 @@ class _Scene:
         per call, so the schedule made at the effective tau is tau's. An
         entry's first ask also makes the scheduler's missing entries for
         ``taus``; the exhaustive search answers them all from one
-        enumeration, unless its guard refuses the largest: then it searches
-        the asked tau alone, as a one-value sweep does, and raises if that is
-        refused too."""
+        enumeration. Its guard measures the largest effective tau alone, so
+        a refusal is that tau's entry (the guard's message, raised again on
+        each ask) and the search goes on without it: no call repeats."""
         topology, graph, t = self.topology, self.graph, self.graph.coloring[0]
         asked = effective_tau(topology, tau, t)
-        if (scheduler, asked) in self._schedules:
-            return self._schedules[scheduler, asked]
-        effs = dict.fromkeys(effective_tau(topology, x, t) for x in (tau, *self.taus))
-        missing = [eff for eff in effs if (scheduler, eff) not in self._schedules]
-        if scheduler == "es":
-            links = self.mse_links
-            try:
-                found = es_schedule(topology, missing, *self.powers, graph=graph, links=links)
-            except ValueError:
-                missing = [asked]
-                found = es_schedule(topology, missing, *self.powers, graph=graph, links=links)
-            for eff, (assignment, value) in zip(missing, found):
-                self._schedules[scheduler, eff] = [assignment, value]
-        else:
-            for eff in missing:
-                rng = np.random.default_rng(self.scheduler_seed)  # fresh per call
-                if scheduler == "psa":
-                    assignment = psa_schedule(topology, self.beta, graph, eff, rng=rng)
-                else:
-                    assignment = dsatur_random_schedule(topology, eff, rng, graph)
-                self._schedules[scheduler, eff] = [assignment, None]
-        return self._schedules[scheduler, asked]
+        if (scheduler, asked) not in self._schedules:
+            effs = dict.fromkeys(effective_tau(topology, x, t) for x in (tau, *self.taus))
+            missing = [eff for eff in effs if (scheduler, eff) not in self._schedules]
+            if scheduler == "es":
+                missing.sort()
+                while missing:
+                    try:
+                        found = es_schedule(topology, missing, *self.powers, graph=graph,
+                                            links=self.mse_links)
+                    except ValueError as exc:
+                        self._schedules[scheduler, missing.pop()] = str(exc)
+                        continue
+                    for eff, (assignment, value) in zip(missing, found):
+                        self._schedules[scheduler, eff] = [assignment, value]
+                    break
+            else:
+                for eff in missing:
+                    rng = np.random.default_rng(self.scheduler_seed)  # fresh per call
+                    if scheduler == "psa":
+                        assignment = psa_schedule(topology, self.beta, graph, eff, rng=rng)
+                    else:
+                        assignment = dsatur_random_schedule(topology, eff, rng, graph)
+                    self._schedules[scheduler, eff] = [assignment, None]
+        entry = self._schedules[scheduler, asked]
+        if isinstance(entry, str):  # the exhaustive search's guard refused it
+            raise ValueError(entry)
+        return entry
 
     def solve(self, assignment, training: TrainingConfig, beamformer: str) -> dict:
         """Estimate, run one beamformer and rate it; returns a results dict.
@@ -491,10 +497,10 @@ def schedule_one(cfg: ExperimentConfig, out_path=None) -> list:
 def solve_one(cfg: ExperimentConfig, out_dir) -> dict:
     """Run one full realization (r = 0, first sweep value) and dump artifacts.
 
-    Writes topology.csv, assignment.csv, rates.csv, and trace.csv into
-    out_dir. In rates.csv, mc_rate is the exact ergodic rate and mc_stderr
-    the quadrature's error estimate (see ``monte_carlo_rates``). Returns the
-    in-memory results dict.
+    Writes topology.json (``save_topology``), assignment.csv, rates.csv
+    and trace.csv into out_dir. In rates.csv, mc_rate is the exact ergodic
+    rate and mc_stderr the quadrature's error estimate (see
+    ``monte_carlo_rates``). Returns the in-memory results dict.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -503,7 +509,7 @@ def solve_one(cfg: ExperimentConfig, out_dir) -> dict:
     assignment = scene.schedule(cfg.schedulers[0], training)
     res = scene.solve(assignment, training, cfg.beamformers[0])
 
-    save_topology(res["topology"], out / "topology.csv")
+    save_topology(res["topology"], out / "topology.json")
 
     _write_assignment(out / "assignment.csv", res["topology"], res["assignment"])
 
@@ -533,15 +539,6 @@ def solve_one(cfg: ExperimentConfig, out_dir) -> dict:
 # Config file loading.
 
 
-def _section(raw: dict, name: str, known: set, label: str) -> dict:
-    entry = raw.get(name, {})
-    if not isinstance(entry, dict):
-        raise ValueError(f"config section {name!r} must be an object, got {entry!r}")
-    if set(entry) - known:
-        raise ValueError(f"unknown {label} keys: {sorted(set(entry) - known)}")
-    return dict(entry)
-
-
 def _powers(entry: dict, **names: str) -> dict:
     """Watts of each power present in entry as `key` or `key_dbm`, by field name."""
     out = {}
@@ -557,13 +554,13 @@ def load_config(path) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file.
 
     Power entries accept either watts (`p_rue`) or dBm (`p_rue_dbm`). A
-    missing section or field takes the dataclass default. Unknown keys, a
-    section that is not an object and a value of the wrong type (see
-    ``util.typed``; output_path and the sweep name are strings, sweep values
-    take the swept field's type) raise a ValueError that names them.
+    missing section or field takes the dataclass default. Unknown or
+    repeated keys (``util.read_json_object``), a section that is not an
+    object and a value of the wrong type (see ``util.typed``; output_path
+    and the sweep name are strings, sweep values take the swept field's
+    type) raise a ValueError that names them.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = read_json_object(path)
     known = {
         "scenario",
         "training",
@@ -580,15 +577,15 @@ def load_config(path) -> ExperimentConfig:
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
     scenario_keys = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"rng_seed"}
-    s = _section(raw, "scenario", scenario_keys, "scenario")
-    t = _section(
+    s = section(raw, "scenario", scenario_keys, "scenario")
+    t = section(
         raw,
         "training",
         {"p_rue", "p_rue_dbm", "p_bue", "p_bue_dbm", "noise", "noise_dbm", "tau", "coherence"},
         "training",
     )
-    b = _section(raw, "budgets", {"rrh", "rrh_dbm", "mbs", "mbs_dbm"}, "budget")
-    sweep = _section(raw, "sweep", {"name", "values"}, "sweep")
+    b = section(raw, "budgets", {"rrh", "rrh_dbm", "mbs", "mbs_dbm"}, "budget")
+    sweep = section(raw, "sweep", {"name", "values"}, "sweep")
     for key, value in s.items():
         typed(value, type(getattr(ScenarioConfig, key)), key)
     for entry, key in ((raw, "schedulers"), (raw, "beamformers"), (sweep, "values")):

@@ -6,21 +6,26 @@ users uniformly in the whole disk. Every RRH within ``coverage_radius`` of a
 user is a candidate server for it; each RRH keeps at most ``max_ue_per_rrh``
 of its candidates (closest first). Users that end up with no serving RRH are
 handled by the MBS directly.
+
+``save_topology`` writes a drop as one JSON document (``hcransim-topology``
+version 2; version 1 was a tagged CSV) that ``load_topology`` reads back bit
+for bit and checks as outside input.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from .util import require_finite, typed
+from .util import read_json_object, require_finite, section, typed
 
 TOPOLOGY_FORMAT = "hcransim-topology"
-TOPOLOGY_VERSION = 1
+TOPOLOGY_VERSION = 2
+TOPOLOGY_TABLES = ("rrh_positions", "ue_positions", "alpha_rrh", "alpha_mbs")
 
 
 @dataclass(frozen=True)
@@ -201,121 +206,59 @@ def generate_topology(cfg: ScenarioConfig) -> Topology:
 
 
 def save_topology(topology: Topology, path) -> None:
-    """Versioned plain-text dump; floats use repr so the round trip is exact."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([TOPOLOGY_FORMAT, TOPOLOGY_VERSION])
-        for f in fields(ScenarioConfig):
-            caster = int if f.type == "int" else float
-            writer.writerow(["config", f.name, repr(caster(getattr(topology.config, f.name)))])
-        for k in range(topology.num_rrh):
-            writer.writerow(["rrh", k, repr(float(topology.rrh_positions[k, 0])), repr(float(topology.rrh_positions[k, 1]))])
-        for i in range(topology.num_ue):
-            writer.writerow(["ue", i, repr(float(topology.ue_positions[i, 0])), repr(float(topology.ue_positions[i, 1]))])
-        for i, rrhs in enumerate(topology.serving_rrhs):
-            for k in rrhs:
-                writer.writerow(["serving", i, k])
-        for k in range(topology.num_rrh):
-            for i in range(topology.num_ue):
-                writer.writerow(["alpha_rrh", k, i, repr(float(topology.alpha_rrh[k, i]))])
-        for i in range(topology.num_ue):
-            writer.writerow(["alpha_mbs", i, repr(float(topology.alpha_mbs[i]))])
+    """The topology as one JSON document: format, version, config, the
+    serving map and the four tables as plain lists. JSON writes floats by
+    repr, so ``load_topology`` reads them back bit for bit."""
+    doc = {"format": TOPOLOGY_FORMAT, "version": TOPOLOGY_VERSION,
+           "config": asdict(topology.config), "serving_rrhs": topology.serving_rrhs,
+           **{name: getattr(topology, name) for name in TOPOLOGY_TABLES}}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, default=lambda x: x.tolist())  # numpy arrays and scalars
 
 
 def load_topology(path) -> Topology:
-    """Read a ``save_topology`` dump; an entry that is missing, repeated or
-    out of range is a ValueError that names its tag and index, and a blank
-    line, a header without this format version, a config row without a name
-    and a value, or an index or value that does not parse as an integer or
-    a number one that names the line.
-    A config entry must name a ScenarioConfig field once, its value must have
-    that field's type (``util.typed``, as in config files), and num_rrh and
-    num_ue must count the rrh and ue entries."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:1] != [TOPOLOGY_FORMAT]:
+    """Read a ``save_topology`` file. Anything that does not describe a
+    valid topology raises a ValueError that names it: another format or
+    version, an entry missing, unknown or repeated, a config name that is
+    no ScenarioConfig field or a value not of its type (``util.typed``, as
+    in config files), a table that is not finite numbers of the shape
+    ``num_rrh`` and ``num_ue`` give, a serving list that is not ascending,
+    distinct RRH ids in range, and what ``Topology.validate`` rejects."""
+    doc = read_json_object(path)
+    if doc.get("format") != TOPOLOGY_FORMAT:
         raise ValueError(f"not a {TOPOLOGY_FORMAT} file: {path}")
-    if rows[0][1:] != [str(TOPOLOGY_VERSION)]:
-        raise ValueError(f"line 1: unsupported topology format version {rows[0][1:]}")
-
-    config_kwargs: dict = {}
-    # Per tag: the fields that index an entry, then the values it holds.
-    layout = {"rrh": (1, 2), "ue": (1, 2), "serving": (2, 0),
-              "alpha_rrh": (2, 1), "alpha_mbs": (1, 1)}
-    entries: dict[str, dict] = {tag: {} for tag in layout}
-    config_names = {f.name for f in fields(ScenarioConfig)}
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            raise ValueError(f"line {line} is blank")
-        tag = row[0]
-        if tag == "config":
-            if len(row) != 3:
-                raise ValueError(f"line {line}: config row {row} needs a name and a value")
-            _, name, text = row
-            if name not in config_names:
-                raise ValueError(f"unknown config entry {name!r}")
-            if name in config_kwargs:
-                raise ValueError(f"duplicate config entry {name!r}")
-            try:  # the value as a config file would hold it
-                value = json.loads(text)
-            except ValueError:
-                raise ValueError(f"config entry {name!r} is not a number: {text!r}") from None
-            config_kwargs[name] = typed(value, type(getattr(ScenarioConfig, name)), name)
-        elif tag in layout:
-            width, values = layout[tag]
-            if len(row) != 1 + width + values:
-                raise ValueError(f"{tag} row {row} needs {width + values} fields after the tag")
-            index = tuple(_parse(int, x, line, tag, "index") for x in row[1:1 + width])
-            if index in entries[tag]:
-                raise ValueError(f"duplicate {tag} entry {_label(index)}")
-            entries[tag][index] = [_parse(float, x, line, tag, "value") for x in row[1 + width:]]
-        else:
-            raise ValueError(f"unknown row tag {tag!r}")
-
-    k_count = 1 + max((k for k, in entries["rrh"]), default=-1)
-    m_count = 1 + max((i for i, in entries["ue"]), default=-1)
-    shapes = {"rrh": (k_count,), "ue": (m_count,), "serving": (m_count, k_count),
+    if doc.get("version") != TOPOLOGY_VERSION:
+        raise ValueError(f"unsupported topology format version {doc.get('version')!r} in {path}")
+    entries = {"format", "version", "config", "serving_rrhs", *TOPOLOGY_TABLES}
+    if doc.keys() != entries:
+        raise ValueError(f"missing topology entries {sorted(entries - doc.keys())}, "
+                         f"unknown {sorted(doc.keys() - entries)}")
+    config = section(doc, "config", {f.name for f in fields(ScenarioConfig)}, "config")
+    config = ScenarioConfig(**{name: typed(value, type(getattr(ScenarioConfig, name)), name)
+                               for name, value in config.items()})
+    k_count, m_count = config.num_rrh, config.num_ue
+    shapes = {"rrh_positions": (k_count, 2), "ue_positions": (m_count, 2),
               "alpha_rrh": (k_count, m_count), "alpha_mbs": (m_count,)}
-    for tag, shape in shapes.items():
-        for index in entries[tag]:
-            if not all(0 <= x < n for x, n in zip(index, shape)):
-                raise ValueError(f"{tag} entry {_label(index)} out of range {shape}")
-        missing = next((ix for ix in np.ndindex(*shape) if ix not in entries[tag]), None)
-        if missing is not None and tag != "serving":  # a UE without one is MBS-served
-            raise ValueError(f"missing {tag} entry {_label(missing)}")
-
-    config = ScenarioConfig(**config_kwargs)
-    if (config.num_rrh, config.num_ue) != (k_count, m_count):
-        raise ValueError(f"config num_rrh {config.num_rrh} and num_ue {config.num_ue} do not "
-                         f"count the {k_count} rrh and {m_count} ue entries")
-
-    def table(tag: str) -> np.ndarray:
-        values = [entries[tag][index] for index in np.ndindex(*shapes[tag])]
-        return np.array(values, dtype=float).reshape(shapes[tag] + (layout[tag][1],))
-
-    topo = Topology(
-        config=config,
-        rrh_positions=table("rrh"),
-        ue_positions=table("ue"),
-        serving_rrhs=[[k for j, k in sorted(entries["serving"]) if j == i] for i in range(m_count)],
-        alpha_rrh=table("alpha_rrh")[..., 0],
-        alpha_mbs=table("alpha_mbs")[:, 0],
-    )
+    tables = {}
+    for name, shape in shapes.items():
+        table = np.array(doc[name], dtype=object)  # a ragged list keeps its lists as entries
+        if table.shape != shape or not all(type(x) in (int, float) for x in table.flat):
+            raise ValueError(f"{name} must be a {shape} table of numbers")
+        if not all(abs(x) <= sys.float_info.max for x in table.flat):  # NaN compares False
+            raise ValueError(f"{name} holds a non-finite entry")
+        tables[name] = table.astype(float)
+    serving = doc["serving_rrhs"]
+    if not (isinstance(serving, list) and len(serving) == m_count):
+        raise ValueError(f"serving_rrhs must hold one list per user, {m_count} in all")
+    rrhs = range(k_count)
+    for i, cluster in enumerate(serving):
+        ids = isinstance(cluster, list) and all(type(k) is int and k in rrhs for k in cluster)
+        if not (ids and cluster == sorted(set(cluster))):
+            raise ValueError(f"user {i} has serving RRHs {cluster!r}, not ascending, "
+                             f"distinct ids in 0..{k_count - 1}")
+    topo = Topology(config=config, serving_rrhs=serving, **tables)
     topo.validate()
     return topo
-
-
-def _parse(kind, text: str, line: int, tag: str, what: str):
-    """text as an int or a float, or a ValueError naming the line and tag."""
-    try:
-        return kind(text)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"line {line}: {tag} {what} {text!r} is not {noun}") from None
-
-
-def _label(index: tuple) -> str:
-    return ",".join(map(str, index))
 
 
 def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:

@@ -1,7 +1,9 @@
-"""Small shared helpers: unit conversions, seed splitting, complex Gaussians, config checks."""
+"""Small shared helpers: unit conversions, seed splitting, complex Gaussians,
+the JSON file reader and config checks."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import fields
 
@@ -60,3 +62,36 @@ def typed(value, want: type, key: str):
     if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
         raise ValueError(f"config key {key!r} must be of type {want.__name__}, got {value!r}")
     return value
+
+
+def section(raw: dict, name: str, known: set, label: str) -> dict:
+    """raw[name] (empty if absent) if it is an object of known keys, else a
+    ValueError that names the section or the unknown keys."""
+    entry = raw.get(name, {})
+    if not isinstance(entry, dict):
+        raise ValueError(f"config section {name!r} must be an object, got {entry!r}")
+    if set(entry) - known:
+        raise ValueError(f"unknown {label} keys: {sorted(set(entry) - known)}")
+    return dict(entry)
+
+
+def read_json_object(path) -> dict:
+    """The JSON object a file holds, or a ValueError that names the file:
+    for text that is not JSON, a document that is not an object, and a key
+    repeated in any object (``json`` alone would keep the last one)."""
+
+    def unique(pairs: list) -> dict:
+        keys = [key for key, _ in pairs]
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        if repeated:
+            raise ValueError(f"repeated keys {repeated} in {path}")
+        return dict(pairs)
+
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh, object_pairs_hook=unique)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path} is not a JSON file: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(raw).__name__}")
+    return raw

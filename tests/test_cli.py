@@ -94,7 +94,7 @@ def test_solve_one_artifacts(tiny_cfg, tmp_path, capsys):
     assert code == 0
     assert "artifacts in" in capsys.readouterr().out
     names = {p.name for p in out_dir.iterdir()}
-    assert names >= {"topology.csv", "assignment.csv", "rates.csv", "trace.csv"}
+    assert names >= {"topology.json", "assignment.csv", "rates.csv", "trace.csv"}
 
 
 def test_solve_one_prints_the_solver_counters(tiny_cfg, tmp_path, capsys):

@@ -63,6 +63,11 @@ def test_config_validation():
         tiny_config(beamformers=())
     with pytest.raises(ValueError, match="non-empty"):
         tiny_config(schedulers=())
+    # a repeated design would run twice and its rows reduce over both runs
+    with pytest.raises(ValueError, match=r"repeated scheduler in \('psa', 'psa'\)"):
+        tiny_config(schedulers=("psa", "psa"))
+    with pytest.raises(ValueError, match="repeated beamformer"):
+        tiny_config(beamformers=("rtd", "rtd_perfect_csi", "rtd"))
     with pytest.raises(ValueError):
         tiny_config(jobs=0)
     with pytest.raises(ValueError, match="master_seed must be >= 0"):
@@ -355,6 +360,32 @@ def test_a_sweep_whose_largest_tau_the_guard_refuses_equals_one_value_sweeps(mon
     assert {row[0]: row[4] for row in rows if row[1] == "sum_mse_es"} == {2: 2, 3: 2}
 
 
+def test_a_refused_search_is_kept_and_no_search_repeats(monkeypatch):
+    """The guard's refusal is the refused tau's table entry, so the sweep of
+    the test above makes no ``es_schedule`` call twice in one realization:
+    realization 0 (effective taus 3 and 4) is refused at [3, 4] and searches
+    [3]; realization 1 (5 MBS-served users, every tau lifted to 5) is
+    refused once at [5]; realization 2 is refused at [2, 3, 4] and searches
+    [2, 3]. Before, the same sweep made 16 calls, 13 of them refused, six of
+    them [5]."""
+    calls = []
+    real = experiments.es_schedule
+
+    def recorded(topology, taus, *args, **kwargs):
+        calls.append((topology, list(taus)))
+        return real(topology, taus, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "es_schedule", recorded)
+    cfg = tiny_config(sweep_values=(2, 3, 4), schedulers=("psa", "es"))
+    monkeypatch.setattr(pilot_scheduler, "ES_LIMIT", 3 ** cfg.scenario.num_ue)
+    with pytest.warns(UserWarning, match="es skipped"):
+        run_mse_sweep(cfg)
+    # calls holds every topology, so no two realizations share an id
+    realizations = dict.fromkeys(id(topo) for topo, _ in calls)
+    per_realization = [[taus for topo, taus in calls if id(topo) == r] for r in realizations]
+    assert per_realization == [[[3, 4], [3]], [[5]], [[2, 3, 4], [2, 3]]]
+
+
 # Small generated configs, pinned: (num_ue, num_rrh, rrh_antennas,
 # mbs_antennas, coverage_radius, tau, RRH budget dBm, MBS budget dBm (None is
 # a zero budget), master seed). They span a single user, fewer users than
@@ -638,10 +669,10 @@ def test_tightness_rows_per_design_at_any_sweep():
 def test_solve_one_artifacts(tmp_path):
     cfg = tiny_config(sweep_values=(3,))
     res = solve_one(cfg, tmp_path)
-    expected = {"topology.csv", "assignment.csv", "rates.csv", "trace.csv"}
+    expected = {"topology.json", "assignment.csv", "rates.csv", "trace.csv"}
     assert {p.name for p in tmp_path.iterdir()} >= expected
 
-    reloaded = load_topology(tmp_path / "topology.csv")
+    reloaded = load_topology(tmp_path / "topology.json")
     assert np.array_equal(reloaded.alpha_rrh, res["topology"].alpha_rrh)
 
     lines = (tmp_path / "assignment.csv").read_text().splitlines()
@@ -750,6 +781,23 @@ def test_load_config_rejects_unknown_keys(tmp_path, payload, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=message):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "text, repeated",
+    [
+        ('{"num_realizations": 2, "num_realizations": 7}', "num_realizations"),
+        ('{"scenario": {"num_ue": 8, "num_rrh": 25, "num_ue": 6}}', "num_ue"),
+    ],
+)
+def test_load_config_rejects_a_repeated_key(tmp_path, text, repeated):
+    """JSON keeps the last of a repeated key, so the first one used to be
+    dropped without a word: a repeated key, top level or in a section, is a
+    ValueError that names it and the file."""
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"repeated keys \['{repeated}'\] in .*repeated\.json"):
         load_config(path)
 
 

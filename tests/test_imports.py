@@ -229,3 +229,59 @@ def test_dead_method_check_flags_every_form(tmp_path):
         "a.py:13 Scene.stored",
         "a.py:16 Inner.deep",
     ]
+
+
+
+def json_reads(path: Path) -> list[str]:
+    """Every call of ``json.load`` or ``json.loads`` in a module, by
+    attribute or by a name imported from ``json``, as "<file> <enclosing
+    function> <call>" (the function is "-" at module level)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for alias in node.names
+        if alias.name in ("load", "loads")
+    }
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = _dotted(child.func) if isinstance(child, ast.Call) else None
+            if name in imported | {"json.load", "json.loads"}:
+                found.append(f"{path.name} {where} {name}")
+            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if defines else where)
+
+    visit(tree, "-")
+    return found
+
+
+def test_outside_input_is_parsed_by_one_json_reader():
+    """Config and topology files are read by ``util.read_json_object``,
+    which rejects repeated keys; no other code in the package parses JSON."""
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 8
+    assert [hit for path in paths for hit in json_reads(path)] == [
+        "util.py read_json_object json.load"
+    ]
+
+
+def test_json_read_check_flags_every_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import json\n"
+        "from json import loads as parse, dumps\n"
+        "CONFIG = json.loads('{}')\n"
+        "def read(path, text):\n"
+        "    json.dump({}, open(path, 'w'))\n"
+        "    def inner():\n"
+        "        return parse(text)\n"
+        "    return json.load(open(path)), inner(), dumps({})\n"
+    )
+    assert json_reads(sample) == [
+        "sample.py - json.loads",
+        "sample.py inner parse",
+        "sample.py read json.load",
+    ]

@@ -1,5 +1,6 @@
 """Geometry, clustering, large-scale gains, and topology persistence."""
 
+import json
 import math
 
 import numpy as np
@@ -106,7 +107,7 @@ def test_save_load_round_trip_is_exact(tmp_path):
     for cfg in (ScenarioConfig(num_rrh=8, num_ue=6, rng_seed=2),
                 ScenarioConfig(num_rrh=25, num_ue=10, rng_seed=9)):
         topo = generate_topology(cfg)
-        path = tmp_path / "topology.csv"
+        path = tmp_path / "topology.json"
         save_topology(topo, path)
         back = load_topology(path)
         assert back.config == topo.config
@@ -132,7 +133,7 @@ def test_served_links_index_the_serving_map(tmp_path):
     pairs = list(zip(ue.tolist(), rrh.tolist()))
     assert pairs == [(i, k) for i, cluster in enumerate(topo.serving_rrhs) for k in cluster]
     assert pairs == sorted(set(pairs)) and len(pairs) > topo.num_ue
-    path = tmp_path / "topology.csv"
+    path = tmp_path / "topology.json"
     save_topology(topo, path)
     back_ue, back_rrh = load_topology(path).served_links
     assert np.array_equal(back_ue, ue) and np.array_equal(back_rrh, rrh)
@@ -149,54 +150,107 @@ def test_load_topology_rejects_foreign_files(tmp_path):
         load_topology(path)
 
 
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+# Edits of the saved topology of ScenarioConfig(rng_seed=1): 25 RRHs, 8 users,
+# users 0, 3, 5 and 7 MBS-served, user 2 served by RRHs [2, 18].
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda rows: [r for r in rows if not r.startswith("alpha_rrh,3,5,")],
-         "missing alpha_rrh entry 3,5"),
-        (lambda rows: rows + ["alpha_rrh,99,0,0.5"], "alpha_rrh entry 99,0 out of range"),
-        (lambda rows: rows + ["alpha_rrh,3,5,0.5"], "duplicate alpha_rrh entry 3,5"),
-        (lambda rows: [r for r in rows if not r.startswith("rrh,4,")], "missing rrh entry 4"),
-        (lambda rows: rows + ["ue,-1,0.0,0.0"], "ue entry -1 out of range"),
-        (lambda rows: rows + ["ue,8,0.0,0.0"], "missing alpha_rrh entry 0,8"),
-        (lambda rows: [r for r in rows if not r.startswith("alpha_mbs,2,")],
-         "missing alpha_mbs entry 2"),
-        (lambda rows: rows + ["serving,3,99"], "serving entry 3,99 out of range"),
-        (lambda rows: rows + [next(r for r in rows if r.startswith("serving,"))],
-         "duplicate serving entry"),
-        (lambda rows: [r.replace("config,num_rrh,", "config,num_rrhs,") for r in rows],
-         "unknown config entry 'num_rrhs'"),
-        (lambda rows: rows + ["config,num_ue,8"], "duplicate config entry 'num_ue'"),
-        (lambda rows: [r.replace("config,num_rrh,25", "config,num_rrh,30") for r in rows],
-         "num_rrh 30 and num_ue 8 do not count the 25 rrh and 8 ue entries"),
-        (lambda rows: [r.replace("config,num_ue,8", "config,num_ue,8.0") for r in rows],
+        (lambda doc: doc.pop("alpha_mbs"), r"missing topology entries \['alpha_mbs'\]"),
+        (lambda doc: _set(doc, ["layout"], {}), r"unknown \['layout'\]"),
+        (lambda doc: _set(doc, ["alpha_rrh"], doc["alpha_rrh"][:-1]),
+         r"alpha_rrh must be a \(25, 8\) table of numbers"),
+        (lambda doc: doc["alpha_rrh"].append(doc["alpha_rrh"][0]),
+         r"alpha_rrh must be a \(25, 8\)"),
+        (lambda doc: _set(doc, ["ue_positions", 3], [0.0]), r"ue_positions must be a \(8, 2\)"),
+        (lambda doc: _set(doc, ["alpha_mbs", 2], "abc"),
+         r"alpha_mbs must be a \(8,\) table of numbers"),
+        (lambda doc: _set(doc, ["alpha_mbs", 2], True),
+         r"alpha_mbs must be a \(8,\) table of numbers"),
+        (lambda doc: _set(doc, ["rrh_positions"], 7), r"rrh_positions must be a \(25, 2\)"),
+        # a NaN position of an MBS-served user passed every other check
+        (lambda doc: _set(doc, ["ue_positions", 0, 1], math.nan),
+         "ue_positions holds a non-finite"),
+        (lambda doc: _set(doc, ["alpha_rrh", 4, 1], math.inf), "alpha_rrh holds a non-finite"),
+        (lambda doc: _set(doc, ["alpha_mbs", 1], 10**400), "alpha_mbs holds a non-finite"),
+        (lambda doc: doc["serving_rrhs"][2].append(99),
+         r"user 2 has serving RRHs \[2, 18, 99\], not ascending, distinct ids in 0..24"),
+        (lambda doc: _set(doc, ["serving_rrhs", 2], [18, 2]),
+         r"user 2 has serving RRHs \[18, 2\]"),
+        (lambda doc: _set(doc, ["serving_rrhs", 2], [2, 2, 18]),
+         r"user 2 has serving RRHs \[2, 2, 18\]"),
+        (lambda doc: _set(doc, ["serving_rrhs", 1], ["13"]),
+         r"user 1 has serving RRHs \['13'\]"),
+        (lambda doc: doc["serving_rrhs"].pop(),
+         "serving_rrhs must hold one list per user, 8 in all"),
+        (lambda doc: _set(doc, ["config", "num_rrhs"], doc["config"].pop("num_rrh")),
+         r"unknown config keys: \['num_rrhs'\]"),
+        (lambda doc: _set(doc, ["config"], [25, 8]),
+         "config section 'config' must be an object"),
+        (lambda doc: _set(doc, ["config", "num_ue"], 8.0),
          "config key 'num_ue' must be of type int, got 8.0"),
-        (lambda rows: [r.replace("config,coverage_radius,", "config,coverage_radius,x") for r in rows],
-         "config entry 'coverage_radius' is not a number"),
-        (lambda rows: [x for r in rows for x in ([""] if r.startswith("rrh,0,") else []) + [r]],
-         "line 16 is blank"),
-        (lambda rows: ["hcransim-topology"] + rows[1:], "line 1: unsupported topology format"),
-        (lambda rows: [r.replace("config,num_ue,8", "config,num_ue") for r in rows],
-         r"line 5: config row \['config', 'num_ue'\] needs a name and a value"),
-        (lambda rows: [r.replace("rrh,4,", "rrh,x,", 1) if r.startswith("rrh,4,") else r
-                       for r in rows],
-         "line 20: rrh index 'x' is not an integer"),
-        (lambda rows: ["alpha_mbs,2,abc" if r.startswith("alpha_mbs,2,") else r for r in rows],
-         r"line \d+: alpha_mbs value 'abc' is not a number"),
+        (lambda doc: _set(doc, ["config", "num_ue"], None),
+         "config key 'num_ue' must be of type int"),
+        (lambda doc: _set(doc, ["config", "coverage_radius"], "x"),
+         "config key 'coverage_radius' must be of type float"),
+        (lambda doc: _set(doc, ["config", "num_ue"], 9), r"ue_positions must be a \(9, 2\)"),
+        (lambda doc: _set(doc, ["config", "num_rrh"], 30),
+         r"rrh_positions must be a \(30, 2\)"),
+        (lambda doc: _set(doc, ["alpha_mbs", 6], -1.0), "gains must be strictly positive"),
+        (lambda doc: _set(doc, ["version"], 1), "unsupported topology format version 1 in"),
+        (lambda doc: _set(doc, ["format"], "other"), "not a hcransim-topology file"),
     ],
 )
-def test_load_topology_names_a_missing_duplicate_or_out_of_range_entry(tmp_path, edit, message):
-    """A dump with an entry dropped, repeated or out of range fails to load
-    with a ValueError naming it; a dropped gain used to load as whatever the
-    uninitialized array held. A config entry with an unknown or repeated
-    name, a value of the wrong type, or a user or RRH count that the tables
-    do not hold fails the same way, and so does a config row without a
-    value or an index or value that does not parse, naming its line."""
-    path = tmp_path / "topology.csv"
+def test_load_topology_names_what_is_missing_malformed_or_out_of_range(tmp_path, edit, message):
+    """A saved topology with an entry dropped, added, of the wrong shape or
+    type, non-finite, or with a serving list that is not ascending,
+    distinct RRH ids in range, fails to load with a ValueError naming it; so
+    does a config entry with an unknown name, a value of the wrong type or a
+    user or RRH count the tables do not hold, and a file of another format
+    or version. A gain the validity check rejects fails too."""
+    path = tmp_path / "topology.json"
     save_topology(generate_topology(ScenarioConfig(rng_seed=1)), path)
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    doc = json.loads(path.read_text())
+    load_topology(path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=message):
         load_topology(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a topology.csv of format version 1
+        ("hcransim-topology,1\nconfig,cell_radius,500.0\nrrh,0,1.0,2.0\n", "is not a JSON file"),
+        ('{"format": "hcransim-topology", "version": 2, "version": 2}',
+         r"repeated keys \['version'\]"),
+        ('{"format": "hcransim-topology", "config": {"num_ue": 8, "num_ue": 9}}',
+         r"repeated keys \['num_ue'\]"),
+        ("[1, 2]", "must hold a JSON object, got list"),
+    ],
+)
+def test_load_topology_names_the_file_it_cannot_read(tmp_path, text, message):
+    """Text that is not one JSON object, or repeats a key in any object, is
+    a ValueError that names the file before any entry is read."""
+    path = tmp_path / "topology.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as raised:
+        load_topology(path)
+    assert str(path) in str(raised.value)
+
+
+def test_save_topology_writes_numpy_integers_as_json_numbers(tmp_path):
+    topo = generate_topology(ScenarioConfig(rng_seed=1))
+    topo.serving_rrhs = [list(np.array(cluster, dtype=np.int64)) for cluster in topo.serving_rrhs]
+    path = tmp_path / "topology.json"
+    save_topology(topo, path)
+    assert load_topology(path).serving_rrhs == [[int(k) for k in c] for c in topo.serving_rrhs]
 
 
 def test_validate_catches_corruption():
