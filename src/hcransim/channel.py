@@ -3,7 +3,10 @@
 Training is simulated through the pilot-projected sufficient statistic: with
 orthonormal pilots, projecting the received block onto pilot p leaves the
 superposition of the co-pilot users' channels plus one CN(0, noise*I) vector,
-so the full training matrix is never materialized. Training returns
+so the full training matrix is never materialized. ``estimate_channels``
+makes one array pass per pilot over the serving links of that pilot's RUEs,
+with the draws and the floating-point operations of the per-link
+estimator, so its output is bit for bit that estimator's. Training returns
 ``AggregatedLinks``, the one type the rate and beamforming code read: for
 every RRH->UE and MBS->UE link the conditional mean and per-antenna variance,
 with the topology that holds the serving clusters. An estimated link has its
@@ -15,6 +18,8 @@ mean zero and variance alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +57,16 @@ class TrueChannels:
     mbs: np.ndarray  # (M, B) complex, MBS -> UE m
 
 
+class ServedStats(NamedTuple):
+    """The link statistics the rate code reads at every serving link l =
+    (ue[l], rrh[l]) of ``Topology.served_links``."""
+
+    est: np.ndarray           # (L, M, N) est_rrh[rrh]: RRH rrh[l] -> every UE
+    var: np.ndarray           # (L, M) var_rrh[rrh]
+    own_est_conj: np.ndarray  # (L, N) conj(est_rrh[rrh, ue]): the link itself
+    est_mbs_conj: np.ndarray  # (M, B) conj(est_mbs)
+
+
 @dataclass
 class AggregatedLinks:
     """Conditional mean and per-antenna variance of every link.
@@ -60,7 +75,9 @@ class AggregatedLinks:
     where the link was not estimated) and ``var_rrh[k, m]`` its error
     variance (alpha where it was not); ``est_mbs``/``var_mbs`` hold the same
     for the MBS -> UE links. The serving clusters are
-    ``topology.serving_rrhs``.
+    ``topology.serving_rrhs``. ``served`` gathers the arrays at the serving
+    links on first read and caches them, so the arrays must not change after
+    it is read.
     """
 
     topology: Topology
@@ -72,6 +89,12 @@ class AggregatedLinks:
     @property
     def mbs_antennas(self) -> int:
         return self.est_mbs.shape[1]
+
+    @cached_property
+    def served(self) -> ServedStats:
+        ue, rrh = self.topology.served_links
+        return ServedStats(self.est_rrh[rrh], self.var_rrh[rrh],
+                           self.est_rrh[rrh, ue].conj(), self.est_mbs.conj())
 
 
 def draw_small_scale(topology: Topology, seed) -> TrueChannels:
@@ -115,17 +138,24 @@ def estimate_channels(
     est_mbs = np.zeros((topology.num_ue, b_ant), dtype=complex)
     var_mbs = np.array(alpha_b, dtype=float)
 
+    ue, rrh = topology.served_links
+    link_pilot = assignment.pilots[ue]
     for p, (rues, bues) in group_by_pilot(topology, assignment.pilots).items():
-        for i in rues:
-            for k in topology.serving_rrhs[i]:
-                observed = (
-                    np.sqrt(p_r) * channels.rrh[k, rues].sum(axis=0)
-                    + (np.sqrt(p_b) * channels.rrh[k, bues].sum(axis=0) if bues else 0.0)
-                    + noise_rrh[k, p - 1]
-                )
-                denom = p_r * alpha_r[k, rues].sum() + p_b * alpha_r[k, bues].sum() + n0
-                est_rrh[k, i] = np.sqrt(p_r) * alpha_r[k, i] / denom * observed
-                var_rrh[k, i] = alpha_r[k, i] * (denom - p_r * alpha_r[k, i]) / denom
+        pick = np.flatnonzero(link_pilot == p)  # the served links of this pilot's RUEs
+        if pick.size:
+            ks, owners = rrh[pick], ue[pick]
+            # The (links, members) gathers are C-contiguous, so each row sums
+            # in the order channels.rrh[k, rues].sum(axis=0) and
+            # alpha_r[k, rues].sum() do (a strided member axis would not).
+            col = ks[:, None]
+            observed = np.sqrt(p_r) * channels.rrh[col, rues].sum(axis=1)
+            if bues:
+                observed = observed + np.sqrt(p_b) * channels.rrh[col, bues].sum(axis=1)
+            observed += noise_rrh[ks, p - 1]
+            denom = p_r * alpha_r[col, rues].sum(axis=1) + p_b * alpha_r[col, bues].sum(axis=1) + n0
+            alpha = alpha_r[ks, owners]
+            est_rrh[ks, owners] = (np.sqrt(p_r) * alpha / denom)[:, None] * observed
+            var_rrh[ks, owners] = alpha * (denom - p_r * alpha) / denom
         if bues:
             observed_b = (
                 (np.sqrt(p_r) * channels.mbs[rues].sum(axis=0) if rues else 0.0)

@@ -99,6 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown sweep parameter {self.sweep_name!r}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be non-empty")
+        if len(set(self.sweep_values)) < len(self.sweep_values):  # it would run and report twice
+            raise ValueError(f"repeated sweep value in {self.sweep_values!r}")
         if not self.schedulers or not self.beamformers:
             raise ValueError("schedulers and beamformers must be non-empty")
         for kind, names, known in (("scheduler", self.schedulers, SCHEDULERS),
@@ -378,10 +380,10 @@ class SweepResult:
 
 
 def _mean_stderr(values: list[float]):
+    if len(values) == 1:
+        return float(values[0]), 0.0
     arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return mean, stderr
+    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
 def _reduce_metrics(results: list[dict], value) -> list:

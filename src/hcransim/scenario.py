@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,13 +59,32 @@ class ScenarioConfig:
             raise ValueError("distances must be positive")
 
 
+class SharingBlocks(NamedTuple):
+    """The RUE sharing blocks of one size n, laid out on their serving links.
+
+    Block g is ``members[g]``. Row r stands for RRH ``rrh[r]``, which serves
+    users of block ``block[r]`` only; rows run block by block, RRHs
+    ascending within a block. Served link ``links[j]`` (an index into
+    ``Topology.served_links``) sits at slot ``slots[j] = r * n + p`` of a
+    (rows, n) table: r the row of its RRH, p the position of its user in
+    the block.
+    """
+
+    members: np.ndarray  # (G, n) UE ids, ascending within a block
+    rrh: np.ndarray      # (R,)
+    block: np.ndarray    # (R,)
+    links: np.ndarray    # (J,)
+    slots: np.ndarray    # (J,)
+
+
 @dataclass
 class Topology:
     """A fixed network realization: placements, cluster map, gains.
 
     ``serving_rrhs`` is the one stored cluster map; ``rue_set``, ``bue_set``,
-    ``served_rues`` and ``served_links`` are derived from it on first read
-    and cached, so the map must not change after they are read.
+    ``served_rues``, ``served_links`` and ``sharing_blocks`` are derived from
+    it on first read and cached, so the map must not change after they are
+    read.
     """
 
     config: ScenarioConfig
@@ -108,6 +128,51 @@ class Topology:
         ue = [i for i, cluster in enumerate(self.serving_rrhs) for _ in cluster]
         rrh = [k for cluster in self.serving_rrhs for k in cluster]
         return np.array(ue, dtype=int), np.array(rrh, dtype=int)
+
+    @cached_property
+    def sharing_blocks(self) -> dict[int, SharingBlocks]:
+        """The RUEs whose beams can meet at one receiver, by block size n.
+
+        Beams are zero off the serving links, so two RUEs' beams reach a
+        receiver together only through an RRH that serves both: a block is
+        a set of RUEs joined by chains of shared serving RRHs, and the
+        blocks of one size, ordered by smallest member, form one
+        ``SharingBlocks``. The BUEs, whose beams meet only at the MBS, are
+        one more block, ``bue_set``.
+        """
+        root = list(range(self.num_ue))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = root[root[i]]
+                i = root[i]
+            return i
+
+        for users in self.served_rues:
+            for i in users[1:]:
+                root[find(i)] = find(users[0])
+        blocks: dict[int, list[int]] = {}
+        for i in self.rue_set:
+            blocks.setdefault(find(i), []).append(i)
+        by_size: dict[int, list[list[int]]] = {}
+        for users in blocks.values():
+            by_size.setdefault(len(users), []).append(users)
+        first_link = np.cumsum([0] + [len(c) for c in self.serving_rrhs]).tolist()
+        groups = {}
+        for n, members in sorted(by_size.items()):
+            rrh, block, links, slots = [], [], [], []
+            for g, users in enumerate(members):
+                rows = sorted({k for i in users for k in self.serving_rrhs[i]})
+                row = {k: len(rrh) + r for r, k in enumerate(rows)}
+                rrh += rows
+                block += [g] * len(rows)
+                for p, i in enumerate(users):
+                    for j, k in enumerate(self.serving_rrhs[i]):
+                        links.append(first_link[i] + j)
+                        slots.append(row[k] * n + p)
+            groups[n] = SharingBlocks(*(np.array(a, dtype=int)
+                                        for a in (members, rrh, block, links, slots)))
+        return groups
 
     def validate(self) -> None:
         cfg = self.config
@@ -153,14 +218,13 @@ def cluster_ues(rrh_positions, ue_positions, coverage_radius, max_ue_per_rrh):
     """
     rrh_positions = np.asarray(rrh_positions, dtype=float)
     ue_positions = np.asarray(ue_positions, dtype=float)
-    k_count = rrh_positions.shape[0]
     m_count = ue_positions.shape[0]
     dist = np.linalg.norm(rrh_positions[:, None, :] - ue_positions[None, :, :], axis=2)
 
     serving_rrhs: list[list[int]] = [[] for _ in range(m_count)]
-    for k in range(k_count):
-        candidates = [i for i in range(m_count) if dist[k, i] <= coverage_radius]
-        candidates.sort(key=lambda i: (dist[k, i], i))
+    for k, row in enumerate(dist.tolist()):
+        candidates = [i for i in range(m_count) if row[i] <= coverage_radius]
+        candidates.sort(key=lambda i: (row[i], i))
         for i in candidates[:max_ue_per_rrh]:
             serving_rrhs[i].append(k)
     return serving_rrhs

@@ -779,3 +779,43 @@ def dense_gram_blocks(links, w8, rrhs):
     blocks = np.sum((est * w8[None, :, None])[..., :, None] * est.conj()[..., None, :], axis=1)
     blocks[:, np.arange(n), np.arange(n)] += (links.var_rrh @ w8)[rrhs, None]
     return blocks
+
+
+def dense_rate_covariances(links, beams):
+    """(M, M, M) array: entry [d] is the covariance C_d over every source of
+    the amplitudes UE d receives, sum_k var_rrh[k, d] W_k W_k^H +
+    var_mbs[d] W_mbs W_mbs^H, from the full beam arrays (row s of W_k is UE
+    s's beam block at RRH k)."""
+    w_rrh, w_mbs = beams
+    per_rrh = w_rrh.transpose(1, 0, 2)
+    gram = per_rrh @ per_rrh.conj().transpose(0, 2, 1)
+    cov = np.tensordot(links.var_rrh.T, gram, axes=1)
+    cov += links.var_mbs[:, None, None] * (w_mbs @ w_mbs.conj().T)
+    return cov
+
+
+def dense_exact_rates(links, beams, noise_power, prelog, trials=400):
+    """``monte_carlo_rates`` with one dense M x M covariance and one ``eigh``
+    per user: the same nodes, quadrature and error estimate, with the mean
+    term over every eigenvalue."""
+    mean = dense_mean_amplitudes(links, beams)
+    lam, vecs = np.linalg.eigh(dense_rate_covariances(links, beams))
+    lam = np.maximum(lam, 0.0)
+    signal = np.abs(np.diagonal(mean)) ** 2
+    np.fill_diagonal(mean, 0.0)
+    nu2 = np.abs(np.einsum("dsi,ds->di", vecs.conj(), mean)) ** 2
+    scale = prelog / math.log(2.0)
+    rates, stderr = {}, {}
+    for m in links.topology.rue_set + links.topology.bue_set:
+        total = noise_power + signal[m] + lam[m].sum() + nu2[m].sum()
+        u = np.linspace(math.log(1e-16 / total), math.log(40.0 / noise_power), trials + 1)
+        t = np.exp(u)
+        tlam = np.outer(t, lam[m])
+        log_phi = -np.sum(np.log1p(tlam) + np.outer(t, nu2[m]) / (1.0 + tlam), axis=1)
+        f = np.exp(log_phi - t * noise_power) * -np.expm1(-t * signal[m])
+        step = u[1] - u[0]
+        fine = step * float(f.sum() - 0.5 * (f[0] + f[-1]))
+        coarse = 2.0 * step * float(f[::2].sum() - 0.5 * (f[0] + f[-1]))
+        rates[m] = scale * fine
+        stderr[m] = scale * abs(fine - coarse)
+    return rates, stderr

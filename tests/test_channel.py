@@ -291,3 +291,17 @@ def test_link_arrays_equal_the_dict_estimator():
     other = generate_topology(ScenarioConfig(rng_seed=1))
     with pytest.raises(ValueError, match="another topology"):
         build_covariances(other, state)
+
+
+@pytest.mark.parametrize("antennas", [4, 1])
+def test_link_arrays_equal_the_dict_estimator_with_many_copilot_rues(antennas):
+    """Bit for bit also when a pilot carries 8 or more RUEs, where NumPy
+    sums a contiguous axis pairwise, so a sum over a strided member axis
+    rounds otherwise than the per-link sums, and with one antenna per RRH,
+    where the per-link sum of the channels is itself pairwise."""
+    scenario = ScenarioConfig(num_rrh=100, num_ue=32, rrh_antennas=antennas)
+    for r in (0, 1):
+        topo, assignment, state, _, training = pipeline_instance(r=r, tau=2, scenario=scenario)
+        per_pilot = np.bincount(assignment.pilots[topo.rue_set])
+        assert per_pilot.max() >= 8
+        assert_arrays_equal_dicts(topo, state, oracle_state(topo, assignment, training, r=r))

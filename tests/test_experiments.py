@@ -68,6 +68,9 @@ def test_config_validation():
         tiny_config(schedulers=("psa", "psa"))
     with pytest.raises(ValueError, match="repeated beamformer"):
         tiny_config(beamformers=("rtd", "rtd_perfect_csi", "rtd"))
+    # and a repeated sweep value would give two rows for one (value, metric)
+    with pytest.raises(ValueError, match=r"repeated sweep value in \(3, 3\)"):
+        tiny_config(sweep_values=(3, 3))
     with pytest.raises(ValueError):
         tiny_config(jobs=0)
     with pytest.raises(ValueError, match="master_seed must be >= 0"):
@@ -280,9 +283,9 @@ def test_each_realization_runs_its_sweep_invariant_stages_once(monkeypatch):
          "draw_small_scale"), 2
     ) | {"mse_links": 0, "sum_mse": 0}
 
-    # a scenario sweep draws once per distinct scenario
+    # a scenario sweep draws once per value (a repeated value is rejected)
     counts.update(dict.fromkeys(counts, 0))
-    run_mse_sweep(tiny_config(sweep_name="num_ue", sweep_values=(4, 5, 4)))
+    run_mse_sweep(tiny_config(sweep_name="num_ue", sweep_values=(4, 5)))
     assert counts["generate_topology"] == counts["compute_beta"] == 2 * 3
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcransim import (
     AggregatedLinks,
@@ -13,6 +15,7 @@ from hcransim import (
     build_covariances,
     draw_small_scale,
     estimate_channels,
+    generate_topology,
     interference_plus_noise,
     link_amplitudes,
     lower_bound_rates,
@@ -37,9 +40,11 @@ from helpers import (
 )
 from oracles import (
     dense_amplitudes,
+    dense_exact_rates,
     dense_gram_blocks,
     dense_interference_plus_noise,
     dense_mean_amplitudes,
+    dense_rate_covariances,
     dense_useful_amplitude,
     estimate_channels_oracle,
     full_stacked_cov_oracle,
@@ -533,3 +538,99 @@ def test_served_link_products_match_the_dense_formulas(name):
     assert_relative(problem.blocks, dense_gram_blocks(links, w8, layout.active))
     if name == "zero_budget":
         assert layout.active.size < len(set(rrh.tolist()))
+
+
+def exact_rate_case(name):
+    """(links, beams, noise power) for one of the cases the block-wise exact
+    rate must reproduce the dense one on."""
+    budgets = PowerBudget(rrh=dbm_to_watt(27.0), mbs=dbm_to_watt(30.0))
+    if name == "zero_budget":
+        links, beams, _, noise = served_link_case("zero_budget")
+        return links, beams, noise
+    if name == "perfect_csi":
+        scenario = ScenarioConfig(num_rrh=50, num_ue=16, coverage_radius=130.0)
+        topology, _, _, _, training = pipeline_instance(r=3, scenario=scenario)
+        links = perfect_channel_state(topology, instance_channels(topology, r=3))
+        return links, random_beams(links, seed=3), training.noise_power
+    r, scenario = {
+        "small": (3, ScenarioConfig()),
+        "shared_rrh_bue": (8, ScenarioConfig(num_rrh=50, num_ue=16, coverage_radius=130.0)),
+        "large": (0, ScenarioConfig(num_rrh=100, num_ue=32)),
+        "one_block": (0, ScenarioConfig(coverage_radius=400.0, max_ue_per_rrh=8)),
+    }[name]
+    topology, _, _, links, training = pipeline_instance(r=r, scenario=scenario)
+    if name == "shared_rrh_bue":
+        assert has_shared_rrh_pair(topology) and topology.bue_set
+        return links, random_beams(links, seed=r), training.noise_power
+    if name == "one_block":
+        assert list(topology.sharing_blocks) == [len(topology.rue_set)] == [topology.num_ue]
+        return links, random_beams(links, seed=r), training.noise_power
+    beams, _ = rtd_solve(topology, links, training, budgets)
+    return links, beams, training.noise_power
+
+
+@pytest.mark.parametrize(
+    "name", ["small", "shared_rrh_bue", "large", "perfect_csi", "one_block", "zero_budget"])
+def test_exact_rate_by_blocks_matches_the_dense_covariances(name):
+    """The rates and error estimates computed block by block equal the dense
+    computation (one M x M covariance and eigh per user) to 1e-12 of each
+    user's rate: RTD designs at (8, 25) and (32, 100), users sharing RRHs
+    with BUEs at (16, 50, 130 m), perfect CSI, all users in one block, and
+    zero-budget RRHs in clusters. The error estimate is itself near
+    rounding level, so it is compared on the rate's scale."""
+    links, beams, noise = exact_rate_case(name)
+    got, got_se = monte_carlo_rates(links, beams, noise, 0.9)
+    want, want_se = dense_exact_rates(links, beams, noise, 0.9)
+    assert list(got) == list(want) == links.topology.rue_set + links.topology.bue_set
+    assert sum(want.values()) > 0.0
+    for m in want:
+        assert abs(got[m] - want[m]) <= 1e-12 * want[m]
+        assert abs(got_se[m] - want_se[m]) <= 1e-12 * want[m]
+
+
+def test_exact_rate_cases_cover_every_block_path():
+    """The cases above reach a BUE block that shares its size with RUE
+    blocks, a one-BUE block and a perfect-CSI drop, whose eigenvalues are
+    all zero."""
+    sizes = {}
+    for name in ("small", "shared_rrh_bue", "perfect_csi"):
+        topology = exact_rate_case(name)[0].topology
+        sizes[name] = (len(topology.bue_set), set(topology.sharing_blocks))
+    assert sizes["small"][0] in sizes["small"][1]
+    assert sizes["shared_rrh_bue"][0] in sizes["shared_rrh_bue"][1]
+    assert sizes["perfect_csi"][0] >= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_ue=st.integers(1, 12),
+    num_rrh=st.integers(1, 20),
+    coverage=st.floats(20.0, 600.0),
+    cap=st.integers(1, 4),
+)
+def test_rate_covariances_vanish_outside_the_sharing_blocks(seed, num_ue, num_rrh, coverage, cap):
+    """On random topologies, link statistics and beams on the serving
+    links, the blocks partition the users, every RRH serves users of one
+    block only, and the dense covariance C_d of every user d has no nonzero
+    entry between two blocks."""
+    topology = generate_topology(ScenarioConfig(
+        num_ue=num_ue, num_rrh=num_rrh, coverage_radius=coverage, max_ue_per_rrh=cap,
+        rng_seed=seed))
+    rng = np.random.default_rng(seed)
+    n, b = topology.config.rrh_antennas, topology.config.mbs_antennas
+    links = AggregatedLinks(
+        topology, crandn(rng, num_rrh, num_ue, n), rng.uniform(0.1, 1.0, (num_rrh, num_ue)),
+        crandn(rng, num_ue, b), rng.uniform(0.1, 1.0, num_ue))
+    blocks = [users for group in topology.sharing_blocks.values() for users in group.members.tolist()]
+    blocks.append(topology.bue_set)
+    label = np.full(num_ue, -1)
+    for g, users in enumerate(blocks):
+        assert np.all(label[users] == -1)
+        label[users] = g
+    assert np.all(label >= 0)
+    for users in topology.served_rues:
+        assert len(set(label[users].tolist())) <= 1
+    cov = dense_rate_covariances(links, random_beams(links, seed=seed, scale=1.0))
+    across = label[:, None] != label[None, :]
+    assert not np.any(cov[:, across])
