@@ -11,7 +11,6 @@ from .beamforming import (
     StackLayout,
     assemble_qcqp,
     mse_and_equalizer,
-    qcqp_objective,
     rtd_solve,
     solve_qcqp,
     stack_layout,

@@ -282,13 +282,6 @@ def _rue_objective(problem: QcqpProblem, w: np.ndarray) -> float:
     return float(np.real(quadratic) + problem.w8 @ own) - 2.0 * float(np.real(signal))
 
 
-def qcqp_objective(problem: QcqpProblem, beams) -> float:
-    """Objective at beams = (RUE stack (U, W), BUE beams (J, B)), as
-    ``solve_qcqp`` returns them."""
-    w_rue, w_bue = beams
-    return _rue_objective(problem, w_rue) + _objective(problem.mbs_quad, problem.mbs_lin, w_bue)
-
-
 def _residual(p: np.ndarray, cap: np.ndarray) -> np.ndarray:
     """p^{-1/2} - cap^{-1/2} scaled back by its derivative, 2 p (sqrt(p / cap)
     - 1), which is p - cap to first order at the cap; p - cap where p = 0.

@@ -163,9 +163,9 @@ def estimate_channels(
                 + noise_mbs[p - 1]
             )
             denom_b = p_r * alpha_b[rues].sum() + p_b * alpha_b[bues].sum() + n0
-            for j in bues:
-                est_mbs[j] = np.sqrt(p_b) * alpha_b[j] / denom_b * observed_b
-                var_mbs[j] = alpha_b[j] * (denom_b - p_b * alpha_b[j]) / denom_b
+            alpha = alpha_b[bues]
+            est_mbs[bues] = (np.sqrt(p_b) * alpha / denom_b)[:, None] * observed_b
+            var_mbs[bues] = alpha * (denom_b - p_b * alpha) / denom_b
 
     return AggregatedLinks(topology, est_rrh, var_rrh, est_mbs, var_mbs)
 

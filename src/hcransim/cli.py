@@ -85,8 +85,7 @@ def main(argv=None) -> int:
                 print(f"assignment written to {args.out}")
         elif args.command == "solve-one":
             out_dir = args.out or "solve-one-out"
-            res = solve_one(cfg, out_dir)
-            state = res["rtd_state"]
+            state = solve_one(cfg, out_dir).state
             print(
                 f"solved in {state.iterations} iterations "
                 f"(converged={state.converged}); artifacts in {out_dir}"

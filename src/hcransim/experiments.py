@@ -18,9 +18,11 @@ once per call in a `tau` or `coherence` sweep, once per value in a scenario
 sweep. Schedules sit in one table per scene, keyed by scheduler and
 effective tau: a scheduler's first use fills its entries for every tau of
 the scenario's sweep values (the exhaustive search from one enumeration),
-and the heuristics' are scored in one `sum_mse` block. Each assignment
-serves every beamformer. Nothing is kept between calls. With `jobs > 1`
-one process pool serves the sweep, split by realization.
+and the heuristics' are scored in one `sum_mse` block. A refused exhaustive
+search stays in the table as the guard's message: sweeps skip it and warn,
+single-instance runs raise it. Each assignment serves every beamformer, and
+each design is one ``Design``. Nothing is kept between calls. With
+`jobs > 1` one process pool serves the sweep, split by realization.
 
 CSV schema: one row per (sweep_value, metric, mean, stderr, n).
 """
@@ -34,10 +36,11 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .beamforming import ConvergenceError, PowerBudget, rtd_solve
+from .beamforming import ConvergenceError, PowerBudget, RtdState, rtd_solve
 from .channel import (
     TrainingConfig,
     draw_small_scale,
@@ -46,6 +49,7 @@ from .channel import (
     prelog_factor,
 )
 from .pilot_scheduler import (
+    PilotAssignment,
     build_conflict_graph,
     compute_beta,
     dsatur_random_schedule,
@@ -74,6 +78,20 @@ _TRAINING_SWEEPS = {"tau", "coherence"}
 
 class PilotOverflowError(ValueError):
     """A schedule's pilots fill the coherence block; sweeps count a failure."""
+
+
+class Design(NamedTuple):
+    """One scheduler x beamformer design of a scene: its pilot assignment,
+    the alternating design's state and the per-UE rates keyed by UE id,
+    RUEs first: the Jensen lower ``bound`` (``lower_bound_rates``), the
+    ``exact`` ergodic rate and its quadrature error estimate ``stderr``
+    (``monte_carlo_rates``)."""
+
+    assignment: PilotAssignment
+    state: RtdState
+    bound: dict
+    exact: dict
+    stderr: dict
 
 
 @dataclass
@@ -144,8 +162,9 @@ class _Scene:
     the exhaustive search, made at the training powers of
     ``cfg.training``, read once: no sweep changes them (a test pins this for
     every sweep name). ``taus`` are the pilot counts the scene's sweep values
-    ask for. Everything here is shared by the schedulers and beamformers of
-    one worker call and must not be mutated; the shared arrays are read-only.
+    ask for. ``solve`` makes one ``Design`` from an assignment. Everything
+    here is shared by the schedulers and beamformers of one worker call and
+    must not be mutated; the shared arrays are read-only.
     """
 
     def __init__(self, cfg: ExperimentConfig, scenario: ScenarioConfig, r: int, taus=()):
@@ -168,15 +187,12 @@ class _Scene:
         channels.rrh.flags.writeable = channels.mbs.flags.writeable = False
         return channels
 
-    def schedule(self, scheduler: str, training: TrainingConfig):
-        return self._entry(scheduler, training.tau)[0]
-
     def schedule_and_mse(self, scheduler: str, training: TrainingConfig):
-        """(assignment, sum MSE) of one scheduler at training's tau. The
-        exhaustive search hands back the minimum it found, which is its
-        assignment's sum MSE bit for bit; the others' is computed once and
-        kept with the schedule, for every unscored entry in one ``sum_mse``
-        call."""
+        """(assignment, sum MSE) of one scheduler at training's tau, where
+        the guard let the search run. The exhaustive search hands back the
+        minimum it found, which is its assignment's sum MSE bit for bit; the
+        others' is computed once and kept with the schedule, for every
+        unscored entry in one ``sum_mse`` call."""
         entry = self._entry(scheduler, training.tau)
         if entry[1] is None:
             unscored = [e for (s, _), e in self._schedules.items() if s != "es" and e[1] is None]
@@ -187,7 +203,7 @@ class _Scene:
                 e[1] = value
         return tuple(entry)
 
-    def _entry(self, scheduler: str, tau: int) -> list:
+    def _entry(self, scheduler: str, tau: int) -> list | str:
         """The table entry of scheduler at tau's effective tau. A scheduler
         reads tau only through ``effective_tau``, which leaves an effective
         tau as it is, and PSA and Dsatur-random draw from a fresh generator
@@ -195,8 +211,8 @@ class _Scene:
         entry's first ask also makes the scheduler's missing entries for
         ``taus``; the exhaustive search answers them all from one
         enumeration. Its guard measures the largest effective tau alone, so
-        a refusal is that tau's entry (the guard's message, raised again on
-        each ask) and the search goes on without it: no call repeats."""
+        a refusal is that tau's entry (the guard's message) and the search
+        goes on without it: no call repeats."""
         topology, graph, t = self.topology, self.graph, self.graph.coloring[0]
         asked = effective_tau(topology, tau, t)
         if (scheduler, asked) not in self._schedules:
@@ -222,15 +238,12 @@ class _Scene:
                     else:
                         assignment = dsatur_random_schedule(topology, eff, rng, graph)
                     self._schedules[scheduler, eff] = [assignment, None]
-        entry = self._schedules[scheduler, asked]
-        if isinstance(entry, str):  # the exhaustive search's guard refused it
-            raise ValueError(entry)
-        return entry
+        return self._schedules[scheduler, asked]
 
-    def solve(self, assignment, training: TrainingConfig, beamformer: str) -> dict:
-        """Estimate, run one beamformer and rate it; returns a results dict.
-        Rates use the pilots the assignment spends (``effective_tau``), and a
-        PilotOverflowError is raised when those fill the coherence block."""
+    def solve(self, assignment, training: TrainingConfig, beamformer: str) -> Design:
+        """Estimate, run one beamformer and rate it. Rates use the pilots the
+        assignment spends (``effective_tau``), and a PilotOverflowError is
+        raised when those fill the coherence block."""
         topology, cfg = self.topology, self.cfg
         if assignment.tau >= training.coherence:
             raise PilotOverflowError(
@@ -247,19 +260,9 @@ class _Scene:
         links = build_covariances(topology, links)
         beams, rtd_state = rtd_solve(topology, links, training_eff, cfg.budgets)
         prelog = prelog_factor(training_eff.tau, training_eff.coherence)
-        lb = lower_bound_rates(links, beams, training.noise_power, prelog)
-        mc, mc_stderr = monte_carlo_rates(links, beams, training.noise_power, prelog)
-        return {
-            "topology": topology,
-            "assignment": assignment,
-            "links": links,
-            "beams": beams,
-            "rtd_state": rtd_state,
-            "prelog": prelog,
-            "lb": lb,
-            "mc": mc,
-            "mc_stderr": mc_stderr,
-        }
+        bound = lower_bound_rates(links, beams, training.noise_power, prelog)
+        return Design(assignment, rtd_state, bound,
+                      *monte_carlo_rates(links, beams, training.noise_power, prelog))
 
 
 # ---------------------------------------------------------------------------
@@ -279,67 +282,63 @@ def _realization(args) -> list[dict]:
     return [metrics_at(scenes[scenario], training) for scenario, training in points]
 
 
-def _unless_refused(scheduler: str, make, out: dict):
-    """make(), or None and a ``skip_es`` entry in out (which the sweep warns
-    of) when the exhaustive search's enumeration guard refuses the search."""
-    try:
-        return make()
-    except ValueError as exc:
-        if scheduler != "es":
-            raise
-        out[f"skip_{scheduler}"] = str(exc)
-        return None
+def _schedules(scene: _Scene, training: TrainingConfig, out: dict | None):
+    """(scheduler, table entry) of each configured scheduler at training's
+    tau. An exhaustive search the enumeration guard refused yields nothing:
+    a sweep records it in out as ``skip_es`` (and warns of it), and a
+    single-instance run (out None) raises the guard's message."""
+    for scheduler in scene.cfg.schedulers:
+        entry = scene._entry(scheduler, training.tau)
+        if isinstance(entry, list):
+            yield scheduler, entry
+        elif out is None:
+            raise ValueError(entry)
+        else:
+            out[f"skip_{scheduler}"] = entry
 
 
 def _mse_metrics(scene: _Scene, training: TrainingConfig) -> dict:
     out = {}
-    for scheduler in scene.cfg.schedulers:
-        scored = _unless_refused(
-            scheduler, lambda: scene.schedule_and_mse(scheduler, training), out
-        )
-        if scored is not None:
-            out[f"sum_mse_{scheduler}"] = scored[1]
+    for scheduler, _ in _schedules(scene, training, out):
+        out[f"sum_mse_{scheduler}"] = scene.schedule_and_mse(scheduler, training)[1]
     return out
 
 
 def _designs(scene: _Scene, training: TrainingConfig, out: dict):
-    """(tag, results dict) of each configured scheduler x beamformer design
-    that ran, tagged ``<scheduler>_<beamformer>``. A refused exhaustive
-    search is recorded in out as ``skip_es`` and a design that raised
-    ConvergenceError or PilotOverflowError as ``failed_<tag>``."""
-    for scheduler in scene.cfg.schedulers:
-        assignment = _unless_refused(scheduler, lambda: scene.schedule(scheduler, training), out)
-        if assignment is None:
-            continue
+    """(tag, Design) of each configured scheduler x beamformer design that
+    ran, tagged ``<scheduler>_<beamformer>``. A refused exhaustive search is
+    recorded in out as ``skip_es`` and a design that raised ConvergenceError
+    or PilotOverflowError as ``failed_<tag>``."""
+    for scheduler, (assignment, _) in _schedules(scene, training, out):
         for beamformer in scene.cfg.beamformers:
             tag = f"{scheduler}_{beamformer}"
             try:
-                res = scene.solve(assignment, training, beamformer)
+                design = scene.solve(assignment, training, beamformer)
             except (ConvergenceError, PilotOverflowError) as exc:
                 out[f"failed_{tag}"] = str(exc)
                 continue
-            yield tag, res
+            yield tag, design
 
 
 def _se_metrics(scene: _Scene, training: TrainingConfig) -> dict:
     out = {}
-    for tag, res in _designs(scene, training, out):
-        out[f"sum_se_lb_{tag}"] = float(sum(res["lb"].values()))
-        out[f"sum_se_mc_{tag}"] = float(sum(res["mc"].values()))
-        out[f"iterations_{tag}"] = float(res["rtd_state"].iterations)
-        out[f"converged_{tag}"] = float(res["rtd_state"].converged)
+    for tag, design in _designs(scene, training, out):
+        out[f"sum_se_lb_{tag}"] = float(sum(design.bound.values()))
+        out[f"sum_se_mc_{tag}"] = float(sum(design.exact.values()))
+        out[f"iterations_{tag}"] = float(design.state.iterations)
+        out[f"converged_{tag}"] = float(design.state.converged)
         if scene.cfg.sweep_name == "num_rrh":
-            out[f"trace_{tag}"] = list(res["rtd_state"].sum_se_trace)
+            out[f"trace_{tag}"] = list(design.state.sum_se_trace)
     return out
 
 
 def _tightness_metrics(scene: _Scene, training: TrainingConfig) -> dict:
     out = {}
-    for tag, res in _designs(scene, training, out):
+    for tag, design in _designs(scene, training, out):
         gaps = {}
-        for kind, users in (("rue", res["topology"].rue_set), ("bue", res["topology"].bue_set)):
-            lb_sum = float(sum(res["lb"][m] for m in users))
-            mc_sum = float(sum(res["mc"][m] for m in users))
+        for kind, users in (("rue", scene.topology.rue_set), ("bue", scene.topology.bue_set)):
+            lb_sum = float(sum(design.bound[m] for m in users))
+            mc_sum = float(sum(design.exact[m] for m in users))
             out[f"sum_lb_{kind}_{tag}"], out[f"sum_mc_{kind}_{tag}"] = lb_sum, mc_sum
             if mc_sum:  # no gap for a class with no user in this realization
                 gaps[f"rel_gap_{kind}_{tag}"] = (mc_sum - lb_sum) / abs(mc_sum)
@@ -484,57 +483,58 @@ def schedule_one(cfg: ExperimentConfig, out_path=None) -> list:
     ``solve_one``) with every configured scheduler.
 
     Returns one (scheduler, assignment, sum MSE) triple per scheduler and,
-    if out_path is given, writes the first scheduler's pilot table there.
+    if out_path is given, writes the first scheduler's pilot table there. A
+    refused exhaustive search raises the guard's message.
     """
     scenario, training = _apply_sweep(cfg, cfg.sweep_values[0])
     scene = _Scene(cfg, scenario, 0)
-    results = []
-    for scheduler in cfg.schedulers:
-        results.append((scheduler, *scene.schedule_and_mse(scheduler, training)))
+    refusing = _schedules(scene, training, None)
+    results = [(s, *scene.schedule_and_mse(s, training)) for s, _ in refusing]
     if out_path:
         _write_assignment(out_path, scene.topology, results[0][1])
     return results
 
 
-def solve_one(cfg: ExperimentConfig, out_dir) -> dict:
-    """Run one full realization (r = 0, first sweep value) and dump artifacts.
+def solve_one(cfg: ExperimentConfig, out_dir) -> Design:
+    """Run one full realization (r = 0, first sweep value) with the first
+    scheduler and beamformer, and dump artifacts.
 
     Writes topology.json (``save_topology``), assignment.csv, rates.csv
     and trace.csv into out_dir. In rates.csv, mc_rate is the exact ergodic
     rate and mc_stderr the quadrature's error estimate (see
-    ``monte_carlo_rates``). Returns the in-memory results dict.
+    ``monte_carlo_rates``). Returns the ``Design``, which is realization 0
+    of the SE sweep at the first sweep value. A refused exhaustive search
+    raises the guard's message.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     scenario, training = _apply_sweep(cfg, cfg.sweep_values[0])
     scene = _Scene(cfg, scenario, 0)
-    assignment = scene.schedule(cfg.schedulers[0], training)
-    res = scene.solve(assignment, training, cfg.beamformers[0])
+    _, (assignment, _) = next(_schedules(scene, training, None))
+    design = scene.solve(assignment, training, cfg.beamformers[0])
+    topology = scene.topology
 
-    save_topology(res["topology"], out / "topology.json")
+    save_topology(topology, out / "topology.json")
 
-    _write_assignment(out / "assignment.csv", res["topology"], res["assignment"])
+    _write_assignment(out / "assignment.csv", topology, design.assignment)
 
     with open(out / "rates.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ue_id", "type", "lower_bound", "mc_rate", "mc_stderr"])
-        topology = res["topology"]
         for m in range(topology.num_ue):
             kind = "rue" if m in topology.rue_set else "bue"
             writer.writerow(
-                [m, kind, repr(res["lb"][m]), repr(res["mc"][m]), repr(res["mc_stderr"][m])]
+                [m, kind, repr(design.bound[m]), repr(design.exact[m]), repr(design.stderr[m])]
             )
 
     with open(out / "trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "objective", "sum_se_lb"])
-        rtd_state = res["rtd_state"]
-        for d, (obj, se) in enumerate(
-            zip(rtd_state.objective_trace, rtd_state.sum_se_trace), start=1
-        ):
+        state = design.state
+        for d, (obj, se) in enumerate(zip(state.objective_trace, state.sum_se_trace), start=1):
             writer.writerow([d, repr(obj), repr(se)])
 
-    return res
+    return design
 
 
 # ---------------------------------------------------------------------------

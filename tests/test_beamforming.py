@@ -22,7 +22,6 @@ from hcransim import (
     mse_and_equalizer,
     perfect_channel_state,
     prelog_factor,
-    qcqp_objective,
     rtd_solve,
     run_se_sweep,
     solve_qcqp,
@@ -224,7 +223,8 @@ def test_assembled_qcqp_equals_weighted_mse_up_to_constant():
     constant = sum(
         math.exp(u[m] - 1.0) * (1.0 + abs(f[m]) ** 2 * training.noise_power) for m in ids
     )
-    objective = qcqp_objective(problem, (w_rue, w_bue))
+    objective = (_rue_objective(problem, w_rue)
+                 + _objective(problem.mbs_quad, problem.mbs_lin, w_bue))
     assert objective + constant == pytest.approx(weighted, rel=1e-9)
 
 

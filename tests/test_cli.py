@@ -110,7 +110,7 @@ def test_solve_one_prints_the_solver_counters(tiny_cfg, tmp_path, capsys):
     counts = ["dual_updates", "linear_solves", "newton_accepted", "newton_rejected",
               "coordinate_passes"]
     assert list(printed) == counts + ["violation", "gap", "mbs_violation"]
-    counters = solve_one(load_config(tiny_cfg), tmp_path / "b")["rtd_state"].counters
+    counters = solve_one(load_config(tiny_cfg), tmp_path / "b").state.counters
     for key in counts:
         assert int(printed[key]) == counters[key]
     assert int(printed["linear_solves"]) > 0
@@ -133,6 +133,21 @@ def test_solve_one_reports_a_pilot_overflow(tmp_path, capsys):
         "error: effective tau 12 (tau 2 lifted to the larger of the coloring number 0 and "
         "the MBS-served user count 12) reaches the coherence length 11\n"
     )
+
+
+@pytest.mark.parametrize("command", ["schedule", "solve-one"])
+def test_a_refused_exhaustive_search_exits_1(tiny_cfg, tmp_path, monkeypatch, capsys, command):
+    """Below the search space, the enumeration guard refuses the exhaustive
+    search of a single instance: the command prints the guard's message and
+    exits 1, where a sweep would skip the search and warn."""
+    cfg = json.loads(tiny_cfg.read_text())
+    cfg["schedulers"] = ["es", "psa"]
+    tiny_cfg.write_text(json.dumps(cfg))
+    monkeypatch.setattr(hcransim.pilot_scheduler, "ES_LIMIT", 2)
+    code = main([command, "--config", str(tiny_cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: search space ") and "exceeds the enumeration guard 2\n" in err
 
 
 def test_bad_config_reports_error(tmp_path, capsys):

@@ -190,11 +190,27 @@ def test_schedule_one_uses_the_first_sweep_value_as_solve_one_does(tmp_path):
     cfg = tiny_config(sweep_name="num_ue", sweep_values=(4, 5), schedulers=("psa", "es"))
     results = schedule_one(cfg)
     assert [len(assignment.pilots) for _, assignment, _ in results] == [4, 4]
-    res = solve_one(cfg, tmp_path)
-    assert np.array_equal(res["assignment"].pilots, results[0][1].pilots)
+    design = solve_one(cfg, tmp_path)
+    assert np.array_equal(design.assignment.pilots, results[0][1].pilots)
     # a tau sweep's first value is the requested pilot length
     results = schedule_one(tiny_config(sweep_values=(4, 3)))
     assert results[0][1].tau == 4
+
+
+@pytest.mark.parametrize("scheduler", ["psa", "es"])
+def test_solve_one_design_is_realization_0_of_the_se_sweep(tmp_path, scheduler):
+    """solve_one's Design is the SE sweep's realization 0 at the first sweep
+    value with the first scheduler and beamformer: its summed rates and
+    cycle count are that realization's rows bit for bit."""
+    cfg = tiny_config(sweep_name="num_ue", sweep_values=(5, 4), num_realizations=1,
+                      schedulers=(scheduler, "dsatur_random"),
+                      beamformers=("rtd_perfect_csi", "rtd"))
+    design = solve_one(cfg, tmp_path)
+    rows = {metric: mean for value, metric, mean, *_ in run_se_sweep(cfg).rows if value == 5}
+    tag = f"{scheduler}_rtd_perfect_csi"
+    assert sum(design.bound.values()) == rows[f"sum_se_lb_{tag}"]
+    assert sum(design.exact.values()) == rows[f"sum_se_mc_{tag}"]
+    assert design.state.iterations == rows[f"iterations_{tag}"]
 
 
 def test_sweep_csv_reproducibility_and_jobs(tmp_path):
@@ -671,31 +687,32 @@ def test_tightness_rows_per_design_at_any_sweep():
 
 def test_solve_one_artifacts(tmp_path):
     cfg = tiny_config(sweep_values=(3,))
-    res = solve_one(cfg, tmp_path)
+    design = solve_one(cfg, tmp_path)
+    topology = experiments._Scene(cfg, cfg.scenario, 0).topology
     expected = {"topology.json", "assignment.csv", "rates.csv", "trace.csv"}
     assert {p.name for p in tmp_path.iterdir()} >= expected
 
     reloaded = load_topology(tmp_path / "topology.json")
-    assert np.array_equal(reloaded.alpha_rrh, res["topology"].alpha_rrh)
+    assert np.array_equal(reloaded.alpha_rrh, topology.alpha_rrh)
 
     lines = (tmp_path / "assignment.csv").read_text().splitlines()
     assert lines[0] == "ue_id,type,pilot"
-    assert len(lines) == 1 + res["topology"].num_ue
+    assert len(lines) == 1 + topology.num_ue
     for line in lines[1:]:
         ue, kind, pilot = line.split(",")
         assert kind in ("rue", "bue")
-        assert 1 <= int(pilot) <= res["assignment"].tau
+        assert 1 <= int(pilot) <= design.assignment.tau
 
     lines = (tmp_path / "rates.csv").read_text().splitlines()
     assert lines[0] == "ue_id,type,lower_bound,mc_rate,mc_stderr"
     parsed = [line.split(",") for line in lines[1:]]
-    assert [int(p[0]) for p in parsed] == list(range(res["topology"].num_ue))
+    assert [int(p[0]) for p in parsed] == list(range(topology.num_ue))
     for p in parsed:
         assert float(p[2]) >= 0.0
 
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "iteration,objective,sum_se_lb"
-    assert len(lines) == 1 + res["rtd_state"].iterations
+    assert len(lines) == 1 + design.state.iterations
     objs = [float(line.split(",")[1]) for line in lines[1:]]
     assert objs == sorted(objs, reverse=True) or all(
         b <= a + 1e-9 for a, b in zip(objs, objs[1:])

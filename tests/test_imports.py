@@ -163,11 +163,21 @@ def test_dead_definition_check_flags_every_form(tmp_path):
     ]
 
 
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A class whose annotated body names are fields: a dataclass (however
+    the decorator is spelled) or a NamedTuple."""
+    decorators = [_dotted(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list]
+    bases = [_dotted(b) for b in cls.bases]
+    return (any(d and d.split(".")[-1] == "dataclass" for d in decorators)
+            or any(b and b.split(".")[-1] == "NamedTuple" for b in bases))
+
+
 def dead_methods(package: Path, *readers: Path) -> list[str]:
     """Methods of a package's classes, properties and cached properties
-    included, that no attribute load ``.name`` reads in the package or in
-    the reader directories. Dunders are exempt; matching is by name alone,
-    as in ``dead_definitions``."""
+    included, and fields of its dataclasses and NamedTuples, that no
+    attribute load ``.name`` reads in the package or in the reader
+    directories. Dunders are exempt; matching is by name alone, as in
+    ``dead_definitions``."""
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(package.glob("*.py"))}
     reader_trees = [
         ast.parse(p.read_text(), filename=str(p))
@@ -179,16 +189,22 @@ def dead_methods(package: Path, *readers: Path) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    return [
-        f"{path.name}:{node.lineno} {cls.name}.{node.name}"
-        for path, tree in trees.items()
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef)
-        for node in cls.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in read
-    ]
+    found = []
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                      and _is_record(cls)):
+                    name = node.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")) and name not in read:
+                    found.append(f"{path.name}:{node.lineno} {cls.name}.{name}")
+    return found
 
 
 def test_no_method_or_property_goes_unread():
@@ -230,6 +246,48 @@ def test_dead_method_check_flags_every_form(tmp_path):
         "a.py:16 Inner.deep",
     ]
 
+
+def test_dead_method_check_flags_unread_fields(tmp_path):
+    package, readers = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    readers.mkdir()
+    (package / "a.py").write_text(
+        "import dataclasses\n"
+        "import typing\n"
+        "from dataclasses import dataclass, field\n"
+        "from typing import NamedTuple\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    size: int = 1\n"
+        "    spare: int = 2\n"
+        "    HEADER = ('size',)\n"
+        "@dataclass(frozen=True)\n"
+        "class Frozen:\n"
+        "    kept: list = field(default_factory=list)\n"
+        "    dropped: float = 0.0\n"
+        "@dataclasses.dataclass\n"
+        "class Spelled:\n"
+        "    lost: int\n"
+        "class Design(NamedTuple):\n"
+        "    bound: dict\n"
+        "    unread: dict\n"
+        "class Typed(typing.NamedTuple):\n"
+        "    unpacked: int\n"
+        "class Plain:\n"
+        "    note: str = ''\n"
+        "def use(config, frozen, design):\n"
+        "    config.spare = 3\n"
+        "    bound, unread = design\n"
+        "    return config.size, frozen.kept, Config.HEADER, 'dropped', bound\n"
+    )
+    (readers / "b.py").write_text("def read(design): return design.bound\n")
+    assert dead_methods(package, readers) == [
+        "a.py:8 Config.spare",
+        "a.py:13 Frozen.dropped",
+        "a.py:16 Spelled.lost",
+        "a.py:19 Design.unread",
+        "a.py:21 Typed.unpacked",
+    ]
 
 
 def json_reads(path: Path) -> list[str]:
