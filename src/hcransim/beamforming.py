@@ -239,7 +239,9 @@ def assemble_qcqp(
     (``QcqpProblem``) and never forms a RUE's matrix.
 
     The dropped additive constant is sum_m exp(u_m - 1) * (1 + |f_m|^2 * N0);
-    adding it back to the optimum recovers the weighted-MSE objective.
+    adding it back to the objective at any beams recovers their weighted MSE,
+    so at the beams f and u come from, the objective is sum_m exp(u_m - 1)
+    (mse_m - 1 - |f_m|^2 N0): ``rtd_solve``'s descent guard reads it there.
     """
     scale = np.exp(u - 1.0)
     w8 = scale * np.abs(f) ** 2
@@ -247,7 +249,7 @@ def assemble_qcqp(
     n = layout.block_size
     est = layout.gram_est
     weighted = est * w8[layout.gram_ue][:, :, None]
-    blocks = np.sum(weighted[..., :, None] * est.conj()[..., None, :], axis=1)
+    blocks = weighted.swapaxes(1, 2) @ est.conj()
     blocks[:, np.arange(n), np.arange(n)] += (links.var_rrh @ w8)[layout.active, None]
     shared = (links.est_mbs * w8[:, None]).T @ links.est_mbs.conj()
     shared += (links.var_mbs @ w8) * np.eye(links.mbs_antennas)
@@ -266,20 +268,6 @@ def _objective(quad: np.ndarray, lin: np.ndarray, w: np.ndarray) -> float:
     sharing the one matrix quad."""
     quadratic = np.vdot(w, (quad @ w[..., None])[..., 0])
     return float(np.real(quadratic)) - 2.0 * float(np.real(np.vdot(lin, w)))
-
-
-def _rue_objective(problem: QcqpProblem, w: np.ndarray) -> float:
-    """The RUE side's objective at the (U, W) beam stack w, from the factors."""
-    layout = problem.layout
-    n = layout.block_size
-    z = w.reshape(layout.starts.shape + (n,))
-    g = layout.est.reshape(z.shape)
-    blocks = np.concatenate([problem.blocks, np.eye(n, dtype=complex)[None]])
-    quadratic = np.vdot(z, (blocks[layout.starts] @ z[..., None])[..., 0])
-    y = np.sum(g.conj() * z, axis=-1)
-    own = np.abs(np.sum(y, axis=1)) ** 2 - np.sum(np.abs(y) ** 2, axis=1)
-    signal = np.vdot(problem.lin, np.sum(y, axis=1))
-    return float(np.real(quadratic) + problem.w8 @ own) - 2.0 * float(np.real(signal))
 
 
 def _residual(p: np.ndarray, cap: np.ndarray) -> np.ndarray:
@@ -727,7 +715,9 @@ def rtd_solve(
     power. The objective
     trace records the surrogate sum_m (exp(u_m - 1) * mse_m - u_m) after each
     full cycle, which equals sum_m log(mse_m) at the refreshed stats; the SE
-    trace is the matching sum of per-UE rate lower bounds.
+    trace is the matching sum of per-UE rate lower bounds. A side keeps its
+    previous beams if the solver's value for it exceeds their objective in
+    the new QCQP, read off the equalizer step's MSEs (``assemble_qcqp``).
 
     The loop runs on arrays, one stack layout per run. The paper's
     distributed realization is the QCQP's split into the RRH-side and
@@ -750,7 +740,7 @@ def rtd_solve(
     f, u = np.full(len(beams.mbs), math.sqrt(NOISE_REF / noise) + 0j), np.ones(len(beams.mbs))
     counters = dict.fromkeys(("dual_updates",) + DUAL_COUNTERS, 0)
     state = RtdState(mse=np.zeros(0), counters=counters)
-    mu0, nu0 = None, None
+    mu0, nu0, kept = None, None, 0.0
     for it in range(1, MAX_RTD_ITERS + 1):
         problem = assemble_qcqp(links, f, u, layout)
         (rue_new, bue_new), qinfo = solve_qcqp(problem, feas_tol, mu0=mu0, nu0=nu0)
@@ -765,9 +755,10 @@ def rtd_solve(
         # the solver works to tolerance, and this guards the alternation's
         # descent. Valid per side, since the QCQP separates across the sides.
         rue_value, bue_value = qinfo["primal_sides"]
-        if rue_value > _rue_objective(problem, w_rue):
+        bue_kept = _objective(problem.mbs_quad, problem.mbs_lin, w_bue)
+        if rue_value > kept - bue_kept:
             rue_new = w_rue
-        if bue_value > _objective(problem.mbs_quad, problem.mbs_lin, w_bue):
+        if bue_value > bue_kept:
             bue_new = w_bue
         delta = float(np.sum(np.abs(rue_new - w_rue) ** 2) + np.sum(np.abs(bue_new - w_bue) ** 2))
         w_rue, w_bue = rue_new, bue_new
@@ -776,8 +767,11 @@ def rtd_solve(
         j_power = interference_plus_noise(links, beams, noise)
         mse, f = mse_and_equalizer(useful_amplitude(links, beams), j_power)
         u = update_u(mse)
+        # The next QCQP's objective at these beams (``assemble_qcqp``).
+        scale = np.exp(u - 1.0)
+        kept = float(np.sum(scale * (mse - 1.0 - np.abs(f) ** 2 * noise)))
         state.mse = mse
-        state.objective_trace.append(float(np.sum(np.exp(u - 1.0) * mse - u)))
+        state.objective_trace.append(float(np.sum(scale * mse - u)))
         state.sum_se_trace.append(-prelog * float(np.sum(np.log2(mse))))
         state.iterations = it
         if delta <= RHO * noise / NOISE_REF:

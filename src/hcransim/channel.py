@@ -140,6 +140,8 @@ def estimate_channels(
 
     ue, rrh = topology.served_links
     link_pilot = assignment.pilots[ue]
+    # Per pilot, the MBS's observation and MMSE denominator.
+    observed_b, denom_b = np.zeros((tau, b_ant), dtype=complex), np.zeros(tau)
     for p, (rues, bues) in group_by_pilot(topology, assignment.pilots).items():
         pick = np.flatnonzero(link_pilot == p)  # the served links of this pilot's RUEs
         if pick.size:
@@ -157,15 +159,16 @@ def estimate_channels(
             est_rrh[ks, owners] = (np.sqrt(p_r) * alpha / denom)[:, None] * observed
             var_rrh[ks, owners] = alpha * (denom - p_r * alpha) / denom
         if bues:
-            observed_b = (
+            observed_b[p - 1] = (
                 (np.sqrt(p_r) * channels.mbs[rues].sum(axis=0) if rues else 0.0)
                 + np.sqrt(p_b) * channels.mbs[bues].sum(axis=0)
                 + noise_mbs[p - 1]
             )
-            denom_b = p_r * alpha_b[rues].sum() + p_b * alpha_b[bues].sum() + n0
-            alpha = alpha_b[bues]
-            est_mbs[bues] = (np.sqrt(p_b) * alpha / denom_b)[:, None] * observed_b
-            var_mbs[bues] = alpha * (denom_b - p_b * alpha) / denom_b
+            denom_b[p - 1] = p_r * alpha_b[rues].sum() + p_b * alpha_b[bues].sum() + n0
+    bue = topology.bue_set
+    at, alpha = assignment.pilots[bue] - 1, alpha_b[bue]
+    est_mbs[bue] = (np.sqrt(p_b) * alpha / denom_b[at])[:, None] * observed_b[at]
+    var_mbs[bue] = alpha * (denom_b[at] - p_b * alpha) / denom_b[at]
 
     return AggregatedLinks(topology, est_rrh, var_rrh, est_mbs, var_mbs)
 

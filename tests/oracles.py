@@ -573,6 +573,22 @@ def dense_rue_matrices(problem):
     return base, problem.lin[:, None] * g
 
 
+def factored_rue_objective(problem, w):
+    """The RUE side's objective at the (U, W) beam stack w, from the factors:
+    each block's G product, the own rank-one term as |sum_p y_p|^2 less
+    sum_p |y_p|^2 for y_p = g_p^H w_p, and the linear term."""
+    layout = problem.layout
+    n = layout.block_size
+    z = w.reshape(layout.starts.shape + (n,))
+    g = layout.est.reshape(z.shape)
+    blocks = np.concatenate([problem.blocks, np.eye(n, dtype=complex)[None]])
+    quadratic = np.vdot(z, (blocks[layout.starts] @ z[..., None])[..., 0])
+    y = np.sum(g.conj() * z, axis=-1)
+    own = np.abs(np.sum(y, axis=1)) ** 2 - np.sum(np.abs(y) ** 2, axis=1)
+    signal = np.vdot(problem.lin, np.sum(y, axis=1))
+    return float(np.real(quadratic) + problem.w8 @ own) - 2.0 * float(np.real(signal))
+
+
 def _dense_shifted(problem, mu):
     """Every RUE's matrix plus its blocks' multipliers (mu by active slot)."""
     base, rhs = dense_rue_matrices(problem)

@@ -29,7 +29,7 @@ from hcransim import (
     update_u,
 )
 from hcransim import beamforming
-from hcransim.beamforming import _Eigenbasis, _objective, _rue_objective, _solve_mbs_side
+from hcransim.beamforming import _Eigenbasis, _objective, _solve_mbs_side
 from hcransim.util import crandn, dbm_to_watt
 
 from helpers import (
@@ -50,6 +50,7 @@ from oracles import (
     dense_rrh_beams,
     dense_rrh_powers,
     dense_rue_matrices,
+    factored_rue_objective,
     golden_min,
     own_estimate_oracle,
     pgd_qcqp_oracle,
@@ -223,7 +224,7 @@ def test_assembled_qcqp_equals_weighted_mse_up_to_constant():
     constant = sum(
         math.exp(u[m] - 1.0) * (1.0 + abs(f[m]) ** 2 * training.noise_power) for m in ids
     )
-    objective = (_rue_objective(problem, w_rue)
+    objective = (factored_rue_objective(problem, w_rue)
                  + _objective(problem.mbs_quad, problem.mbs_lin, w_bue))
     assert objective + constant == pytest.approx(weighted, rel=1e-9)
 
@@ -411,7 +412,8 @@ def test_primal_sides_read_off_the_dual_are_the_objective_of_the_beams():
     are all zero (no active RRH), each primal side ``solve_qcqp`` reads off
     its dual solution equals the RUE and BUE objectives of the beams it
     returns to 1e-12 max(1, |value|): RTD's descent guard compares it with
-    the objective of the previous beams, so both must be the same number."""
+    the objective of the previous beams, read off their weighted MSE, so both
+    must be the same number."""
     rng = np.random.default_rng(2024)
     problems = [make_synthetic_qcqp(rng, zero_cap_chance=0.03)[0] for _ in range(200)]
     problems.append(make_synthetic_qcqp(child_rng(31, 2), zero_cap_chance=1.0)[0])
@@ -420,7 +422,7 @@ def test_primal_sides_read_off_the_dual_are_the_objective_of_the_beams():
     for problem in problems:
         (w_rue, w_bue), info = solve_qcqp(problem)
         want = (
-            _rue_objective(problem, w_rue),
+            factored_rue_objective(problem, w_rue),
             _objective(problem.mbs_quad, problem.mbs_lin, w_bue),
         )
         for got, ref in zip(info["primal_sides"], want):
@@ -915,6 +917,108 @@ def test_rtd_monotone_and_stationary():
     for k in range(topology.num_rrh):
         assert beams.rrh_power(k) <= BUDGETS.rrh * (1.0 + 1e-5)
     assert beams.mbs_power() <= BUDGETS.mbs * (1.0 + 1e-5)
+
+
+class _Spied(float):
+    """A primal value that records every threshold it is compared with by
+    ``value > threshold``, as RTD's descent guard compares it."""
+
+    def __new__(cls, value, seen):
+        spied = super().__new__(cls, value)
+        spied.seen = seen
+        return spied
+
+    def __gt__(self, other):
+        self.seen.append(other)
+        return float(self) > other
+
+
+def _cycle_beams(monkeypatch) -> list:
+    """The beams every cycle of a design keeps, in order: the ones its
+    equalizer step passes to ``interference_plus_noise``."""
+    kept = []
+    real = beamforming.interference_plus_noise
+
+    def recorded(links, beams, noise):
+        kept.append(beams)
+        return real(links, beams, noise)
+
+    monkeypatch.setattr(beamforming, "interference_plus_noise", recorded)
+    return kept
+
+
+def _rue_stack(layout, beams):
+    """The (U, W) RUE beam stack of a BeamformerSet: ``layout.beams`` undone."""
+    stack = np.zeros(layout.starts.shape + (layout.block_size,), dtype=complex)
+    stack[layout.live] = beams.rrh[layout.link_ue, layout.link_rrh]
+    return stack.reshape(layout.est.shape)
+
+
+@pytest.mark.parametrize("drop", ["zero_budget_rrh", "no_bue"])
+def test_the_descent_guard_reads_the_previous_beams_objective(monkeypatch, drop):
+    """Each cycle's RUE-side threshold, the value read off the last
+    equalizer step less the BUE side's objective, is the new QCQP's RUE
+    objective at the beams the previous cycle kept, evaluated from the
+    factors to 1e-10 relative, and exactly 0.0 at cycle 1 (zero beams). On
+    the (16, 50, 130 m) drop with a zero budget where two users share two
+    RRHs, and on a drop of that family with no BUE."""
+    if drop == "zero_budget_rrh":
+        topology, links, training, budget, _ = _overlap_drop()
+        budgets = PowerBudget(rrh=budget, mbs=BUDGETS.mbs)
+    else:
+        topology, _, _, links, training = pipeline_instance(
+            r=0, scenario=ScenarioConfig(num_ue=16, num_rrh=50, coverage_radius=130.0)
+        )
+        assert not topology.bue_set
+        budgets = BUDGETS
+    problems, thresholds = [], []
+    real = beamforming.solve_qcqp
+
+    def spied(problem, *args, **kwargs):
+        problems.append(problem)
+        beams, info = real(problem, *args, **kwargs)
+        rue_value, bue_value = info["primal_sides"]
+        info["primal_sides"] = (_Spied(rue_value, thresholds), bue_value)
+        return beams, info
+
+    monkeypatch.setattr(beamforming, "solve_qcqp", spied)
+    kept = _cycle_beams(monkeypatch)
+    _, st = rtd_solve(topology, links, training, budgets)
+    assert st.iterations > 2 and len(thresholds) == len(problems) == st.iterations
+    assert thresholds[0] == 0.0
+    for problem, beams, got in zip(problems[1:], kept, thresholds[1:]):
+        want = factored_rue_objective(problem, _rue_stack(problem.layout, beams))
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("worse", ["rue", "bue"])
+def test_a_side_that_loses_ground_keeps_its_beams(monkeypatch, worse):
+    """When the solver reports one side's primal value above its guard's
+    threshold (here +inf, at cycle 2), that side keeps the previous cycle's
+    beams and the other side takes the solver's new ones."""
+    topology, _, _, links, training = pipeline_instance(r=3)
+    answers = []
+    real = beamforming.solve_qcqp
+
+    def lost_ground(problem, *args, **kwargs):
+        beams, info = real(problem, *args, **kwargs)
+        answers.append(problem.layout.beams(*beams))
+        if len(answers) == 2:
+            sides = list(info["primal_sides"])
+            sides[worse == "bue"] = math.inf
+            info["primal_sides"] = tuple(sides)
+        return beams, info
+
+    monkeypatch.setattr(beamforming, "solve_qcqp", lost_ground)
+    kept = _cycle_beams(monkeypatch)
+    _, st = rtd_solve(topology, links, training, BUDGETS)
+    assert st.iterations >= 2
+    stays, moves = ("rrh", "mbs") if worse == "rue" else ("mbs", "rrh")
+    first, second = kept[0], kept[1]
+    assert np.array_equal(getattr(second, stays), getattr(first, stays))
+    assert not np.array_equal(getattr(answers[1], stays), getattr(first, stays))
+    assert np.array_equal(getattr(second, moves), getattr(answers[1], moves))
+    assert not np.array_equal(getattr(second, moves), getattr(first, moves))
 
 
 def test_rtd_objective_matches_log_mse_sum():

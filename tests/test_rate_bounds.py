@@ -449,7 +449,9 @@ def test_perfect_channel_state_links():
             for pos, k in enumerate(topology.serving_rrhs[src]):
                 h = channels.rrh[k, dst]
                 blk = cov[pos * n:(pos + 1) * n, pos * n:(pos + 1) * n]
-                assert np.allclose(blk, np.outer(h, h.conj()), rtol=0, atol=0)
+                # In the Gram's matmul form: np.outer rounds some entries
+                # otherwise, by up to 1e-16 of the block's largest.
+                assert np.allclose(blk, h[:, None] @ h.conj()[None, :], rtol=0, atol=0)
     # interference keeps the per-RRH block structure: each serving block of an
     # interferer contributes |h^H w_block|^2 at the true channels
     beams = random_beams(plinks, seed=1)
