@@ -65,7 +65,6 @@ from .scenario import (
     load_topology,
     pathloss_gain,
     save_topology,
-    with_seed,
 )
 from .util import dbm_to_watt, watt_to_dbm
 

@@ -60,7 +60,7 @@ from .pilot_scheduler import (
     sum_mse,
 )
 from .rate_bounds import build_covariances, lower_bound_rates, monte_carlo_rates
-from .scenario import ScenarioConfig, generate_topology, save_topology, with_seed
+from .scenario import ScenarioConfig, generate_topology, save_topology
 from .util import child_seed, dbm_to_watt, read_json_object, section, seed_to_int, typed
 
 SCHEDULERS = ("psa", "dsatur_random", "es")
@@ -132,8 +132,6 @@ class ExperimentConfig:
             raise ValueError("jobs must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        if self.scenario.rng_seed:
-            raise ValueError("scenario.rng_seed is unused: topologies draw from master_seed")
         for value in self.sweep_values:  # a value the configs reject fails here, not mid-sweep
             scenario, training = _apply_sweep(self, value)
             self.budgets.rrh_array(scenario.num_rrh)
@@ -169,8 +167,7 @@ class _Scene:
 
     def __init__(self, cfg: ExperimentConfig, scenario: ScenarioConfig, r: int, taus=()):
         self.cfg, self.r, self.taus = cfg, r, tuple(taus)
-        seed = seed_to_int(child_seed(cfg.master_seed, r, 0))
-        self.topology = generate_topology(with_seed(scenario, seed))
+        self.topology = generate_topology(scenario, seed_to_int(child_seed(cfg.master_seed, r, 0)))
         self.graph = build_conflict_graph(self.topology)
         self.beta = compute_beta(self.topology, self.graph)
         self.scheduler_seed = child_seed(cfg.master_seed, r, 1)
@@ -350,6 +347,13 @@ def _tightness_metrics(scene: _Scene, training: TrainingConfig) -> dict:
 # Ensemble reduction.
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 @dataclass
 class SweepResult:
     """Reduced sweep output: rows of (sweep_value, metric, mean, stderr, n)."""
@@ -360,11 +364,8 @@ class SweepResult:
     HEADER = ("sweep_value", "metric", "mean", "stderr", "n")
 
     def write(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.HEADER)
-            for value, metric, mean, stderr, n in self.rows:
-                writer.writerow([repr(value), metric, repr(mean), repr(stderr), n])
+        _write_csv(path, self.HEADER, ([repr(value), metric, repr(mean), repr(stderr), n]
+                                       for value, metric, mean, stderr, n in self.rows))
         self.path = str(path)
 
     def series(self, metric: str):
@@ -469,13 +470,14 @@ def run_tightness(cfg: ExperimentConfig) -> SweepResult:
 # Single-instance runs and artifact dumps.
 
 
+def _ue_kinds(topology) -> list[str]:
+    """Per UE id, "rue" if an RRH serves it, else "bue"."""
+    return ["rue" if cluster else "bue" for cluster in topology.serving_rrhs]
+
+
 def _write_assignment(path, topology, assignment) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ue_id", "type", "pilot"])
-        for m in range(topology.num_ue):
-            kind = "rue" if m in topology.rue_set else "bue"
-            writer.writerow([m, kind, assignment.pilots[m]])
+    _write_csv(path, ["ue_id", "type", "pilot"],
+               ([m, kind, assignment.pilots[m]] for m, kind in enumerate(_ue_kinds(topology))))
 
 
 def schedule_one(cfg: ExperimentConfig, out_path=None) -> list:
@@ -517,22 +519,13 @@ def solve_one(cfg: ExperimentConfig, out_dir) -> Design:
     save_topology(topology, out / "topology.json")
 
     _write_assignment(out / "assignment.csv", topology, design.assignment)
-
-    with open(out / "rates.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ue_id", "type", "lower_bound", "mc_rate", "mc_stderr"])
-        for m in range(topology.num_ue):
-            kind = "rue" if m in topology.rue_set else "bue"
-            writer.writerow(
-                [m, kind, repr(design.bound[m]), repr(design.exact[m]), repr(design.stderr[m])]
-            )
-
-    with open(out / "trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "objective", "sum_se_lb"])
-        state = design.state
-        for d, (obj, se) in enumerate(zip(state.objective_trace, state.sum_se_trace), start=1):
-            writer.writerow([d, repr(obj), repr(se)])
+    _write_csv(out / "rates.csv", ["ue_id", "type", "lower_bound", "mc_rate", "mc_stderr"],
+               ([m, kind, repr(design.bound[m]), repr(design.exact[m]), repr(design.stderr[m])]
+                for m, kind in enumerate(_ue_kinds(topology))))
+    state = design.state
+    _write_csv(out / "trace.csv", ["iteration", "objective", "sum_se_lb"],
+               ([d, repr(obj), repr(se)] for d, (obj, se)
+                in enumerate(zip(state.objective_trace, state.sum_se_trace), start=1)))
 
     return design
 
@@ -578,8 +571,7 @@ def load_config(path) -> ExperimentConfig:
     extra = set(raw) - known
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
-    scenario_keys = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"rng_seed"}
-    s = section(raw, "scenario", scenario_keys, "scenario")
+    s = section(raw, "scenario", {f.name for f in dataclasses.fields(ScenarioConfig)}, "scenario")
     t = section(
         raw,
         "training",

@@ -186,10 +186,9 @@ def mse_links(topology: Topology) -> MseLinks:
     """The sum-MSE link arrays of a topology; they do not depend on the pilots."""
     rues, bues = topology.rue_set, topology.bue_set
     num_rue = len(rues)
-    link_rrh = [k for i in rues for k in topology.serving_rrhs[i]]
-    link_rue = [r for r, i in enumerate(rues) for _ in topology.serving_rrhs[i]]
-    rx = np.array(link_rrh + [topology.num_rrh] * len(bues))  # num_rrh is the MBS
-    owners = np.array(link_rue + list(range(num_rue, num_rue + len(bues))))
+    link_ue, link_rrh = topology.served_links  # BUEs have no RRH link
+    rx = np.concatenate((link_rrh, np.full(len(bues), topology.num_rrh)))  # num_rrh is the MBS
+    owners = np.concatenate((np.searchsorted(rues, link_ue), np.arange(len(bues)) + num_rue))
     receivers = np.concatenate((topology.alpha_rrh, topology.alpha_mbs[None]))[:, rues + bues]
     cfg = topology.config
     links = MseLinks(

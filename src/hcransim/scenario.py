@@ -1,22 +1,28 @@
 """Network geometry, user-centric clustering, and large-scale gains.
 
-A macro base station (MBS) sits at the origin of a circular cell. K remote
-radio heads (RRHs) are dropped uniformly in an outer ring and M single-antenna
-users uniformly in the whole disk. Every RRH within ``coverage_radius`` of a
-user is a candidate server for it; each RRH keeps at most ``max_ue_per_rrh``
-of its candidates (closest first). Users that end up with no serving RRH are
-handled by the MBS directly.
+A macro base station (MBS) sits at the origin of a circular cell of radius
+``CELL_RADIUS``. K remote radio heads (RRHs) are dropped uniformly in the ring
+from ``INNER_RING_RADIUS`` out and M single-antenna users uniformly in the
+whole disk. Every RRH within ``coverage_radius`` of a user is a candidate
+server for it; each RRH keeps at most ``max_ue_per_rrh`` of its candidates
+(closest first). Users that end up with no serving RRH are handled by the MBS
+directly. Path loss is ``PATHLOSS_INTERCEPT_DB`` + 10 * ``PATHLOSS_EXPONENT``
+* log10(d / ``REFERENCE_DISTANCE``) dB with log-normal shadowing of
+``SHADOWING_STD`` dB, and distances are floored at ``MIN_LINK_DISTANCE``.
+These are the paper's setup, fixed for every run; ``ScenarioConfig`` holds
+the six values a run sets.
 
 ``save_topology`` writes a drop as one JSON document (``hcransim-topology``
-version 2; version 1 was a tagged CSV) that ``load_topology`` reads back bit
-for bit and checks as outside input.
+version 3; version 2 also held the constants and a seed as config entries,
+version 1 was a tagged CSV) that ``load_topology`` reads back bit for bit and
+checks as outside input.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -25,38 +31,34 @@ import numpy as np
 from .util import read_json_object, require_finite, section, typed
 
 TOPOLOGY_FORMAT = "hcransim-topology"
-TOPOLOGY_VERSION = 2
+TOPOLOGY_VERSION = 3
 TOPOLOGY_TABLES = ("rrh_positions", "ue_positions", "alpha_rrh", "alpha_mbs")
+
+CELL_RADIUS = 500.0             # m
+INNER_RING_RADIUS = 200.0       # m, RRHs live in [inner, cell]
+PATHLOSS_EXPONENT = 3.7
+SHADOWING_STD = 8.0             # dB
+PATHLOSS_INTERCEPT_DB = 128.1   # dB at the reference distance
+REFERENCE_DISTANCE = 1000.0     # m
+MIN_LINK_DISTANCE = 1.0         # m, floor before path loss
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    cell_radius: float = 500.0        # m
-    inner_ring_radius: float = 200.0  # m, RRHs live in [inner, cell]
     num_rrh: int = 25
     num_ue: int = 8
     mbs_antennas: int = 10
     rrh_antennas: int = 4
     coverage_radius: float = 100.0    # m, RRH-UE association range
     max_ue_per_rrh: int = 3
-    pathloss_exponent: float = 3.7
-    shadowing_std: float = 8.0        # dB
-    pathloss_intercept_db: float = 128.1  # dB at the reference distance
-    reference_distance: float = 1000.0    # m
-    min_link_distance: float = 1.0        # m, floor before path loss
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if not self.cell_radius > self.inner_ring_radius > 0:
-            raise ValueError("need cell_radius > inner_ring_radius > 0")
         for name in ("num_rrh", "num_ue", "mbs_antennas", "rrh_antennas", "max_ue_per_rrh"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.coverage_radius <= 0:
             raise ValueError("coverage_radius must be positive")
-        if self.reference_distance <= 0 or self.min_link_distance <= 0:
-            raise ValueError("distances must be positive")
 
 
 class SharingBlocks(NamedTuple):
@@ -193,7 +195,7 @@ class Topology:
             raise ValueError("all large-scale gains must be strictly positive")
 
 
-def pathloss_gain(distance, cfg: ScenarioConfig, shadowing_db=0.0):
+def pathloss_gain(distance, shadowing_db=0.0):
     """Linear power gain at a distance, optionally with a shadowing term (dB).
 
     PL(dB) = intercept + 10*exponent*log10(d/d_ref) + shadowing; gain = 10^(-PL/10).
@@ -202,25 +204,22 @@ def pathloss_gain(distance, cfg: ScenarioConfig, shadowing_db=0.0):
     if np.any(distance <= 0):
         raise ValueError("distance must be positive")
     pl_db = (
-        cfg.pathloss_intercept_db
-        + 10.0 * cfg.pathloss_exponent * np.log10(distance / cfg.reference_distance)
+        PATHLOSS_INTERCEPT_DB
+        + 10.0 * PATHLOSS_EXPONENT * np.log10(distance / REFERENCE_DISTANCE)
         + shadowing_db
     )
     return 10.0 ** (-pl_db / 10.0)
 
 
-def cluster_ues(rrh_positions, ue_positions, coverage_radius, max_ue_per_rrh):
-    """User-centric clustering: candidates by range, per-RRH cap by distance.
+def cluster_ues(dist, coverage_radius, max_ue_per_rrh):
+    """User-centric clustering on the (K, M) array of RRH-UE distances:
+    candidates by range, per-RRH cap by distance.
 
     Returns serving_rrhs: per UE, its sorted serving RRHs. An RRH over its cap
     keeps the closest candidates (ties by lower UE id); dropping a UE at one
     RRH does not affect its candidacy elsewhere.
     """
-    rrh_positions = np.asarray(rrh_positions, dtype=float)
-    ue_positions = np.asarray(ue_positions, dtype=float)
-    m_count = ue_positions.shape[0]
-    dist = np.linalg.norm(rrh_positions[:, None, :] - ue_positions[None, :, :], axis=2)
-
+    m_count = dist.shape[1]
     serving_rrhs: list[list[int]] = [[] for _ in range(m_count)]
     for k, row in enumerate(dist.tolist()):
         candidates = [i for i in range(m_count) if row[i] <= coverage_radius]
@@ -230,42 +229,36 @@ def cluster_ues(rrh_positions, ue_positions, coverage_radius, max_ue_per_rrh):
     return serving_rrhs
 
 
-def generate_topology(cfg: ScenarioConfig) -> Topology:
-    """Draw one network realization from the config's seed.
+def generate_topology(cfg: ScenarioConfig, seed: int) -> Topology:
+    """Draw one network realization from a seed.
 
     Draw order (part of the reproducibility contract): RRH polar coordinates,
     UE polar coordinates, RRH-link shadowing (K, M), MBS-link shadowing (M,).
     """
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
 
     # RRHs uniform in the ring, UEs uniform in the disk (area-uniform radii)
-    r_rrh = np.sqrt(rng.uniform(cfg.inner_ring_radius**2, cfg.cell_radius**2, cfg.num_rrh))
+    r_rrh = np.sqrt(rng.uniform(INNER_RING_RADIUS**2, CELL_RADIUS**2, cfg.num_rrh))
     phi_rrh = rng.uniform(0.0, 2.0 * np.pi, cfg.num_rrh)
     rrh_positions = np.column_stack([r_rrh * np.cos(phi_rrh), r_rrh * np.sin(phi_rrh)])
 
-    r_ue = cfg.cell_radius * np.sqrt(rng.uniform(0.0, 1.0, cfg.num_ue))
+    r_ue = CELL_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, cfg.num_ue))
     phi_ue = rng.uniform(0.0, 2.0 * np.pi, cfg.num_ue)
     ue_positions = np.column_stack([r_ue * np.cos(phi_ue), r_ue * np.sin(phi_ue)])
 
-    shadow_rrh = rng.normal(0.0, cfg.shadowing_std, (cfg.num_rrh, cfg.num_ue))
-    shadow_mbs = rng.normal(0.0, cfg.shadowing_std, cfg.num_ue)
-
-    serving_rrhs = cluster_ues(
-        rrh_positions, ue_positions, cfg.coverage_radius, cfg.max_ue_per_rrh
-    )
+    shadow_rrh = rng.normal(0.0, SHADOWING_STD, (cfg.num_rrh, cfg.num_ue))
+    shadow_mbs = rng.normal(0.0, SHADOWING_STD, cfg.num_ue)
 
     dist_rrh = np.linalg.norm(rrh_positions[:, None, :] - ue_positions[None, :, :], axis=2)
     dist_mbs = np.linalg.norm(ue_positions, axis=1)
-    dist_rrh = np.maximum(dist_rrh, cfg.min_link_distance)
-    dist_mbs = np.maximum(dist_mbs, cfg.min_link_distance)
 
     return Topology(
         config=cfg,
         rrh_positions=rrh_positions,
         ue_positions=ue_positions,
-        serving_rrhs=serving_rrhs,
-        alpha_rrh=pathloss_gain(dist_rrh, cfg, shadow_rrh),
-        alpha_mbs=pathloss_gain(dist_mbs, cfg, shadow_mbs),
+        serving_rrhs=cluster_ues(dist_rrh, cfg.coverage_radius, cfg.max_ue_per_rrh),
+        alpha_rrh=pathloss_gain(np.maximum(dist_rrh, MIN_LINK_DISTANCE), shadow_rrh),
+        alpha_mbs=pathloss_gain(np.maximum(dist_mbs, MIN_LINK_DISTANCE), shadow_mbs),
     )
 
 
@@ -323,7 +316,3 @@ def load_topology(path) -> Topology:
     topo = Topology(config=config, serving_rrhs=serving, **tables)
     topo.validate()
     return topo
-
-
-def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return replace(cfg, rng_seed=seed)

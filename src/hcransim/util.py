@@ -32,7 +32,7 @@ def child_seed(master_seed: int, *key: int) -> np.random.SeedSequence:
 
 
 def seed_to_int(seq: np.random.SeedSequence) -> int:
-    """Collapse a SeedSequence to a plain nonnegative int (for config fields)."""
+    """Collapse a SeedSequence to a plain nonnegative int."""
     return int(seq.generate_state(1, np.uint64)[0] >> 1)
 
 

@@ -73,16 +73,6 @@ def hand_topology(serving_rrhs, num_rrh, alpha_rrh, alpha_mbs, n_ant=2, b_ant=3)
     return topo
 
 
-def small_scenario(seed, num_rrh=20, num_ue=8, coverage_radius=120.0, **kwargs):
-    return ScenarioConfig(
-        num_rrh=num_rrh,
-        num_ue=num_ue,
-        coverage_radius=coverage_radius,
-        rng_seed=seed,
-        **kwargs,
-    )
-
-
 def pipeline_instance(r=0, master_seed=0, tau=4, scenario=None, training=None):
     """One scheduled + estimated instance: the common test setup.
 
@@ -90,13 +80,9 @@ def pipeline_instance(r=0, master_seed=0, tau=4, scenario=None, training=None):
     ``state`` and ``links`` are one object, the ``AggregatedLinks`` that
     training returns; the tuple keeps both places for its callers.
     """
-    scenario = scenario or small_scenario(seed_to_int(child_seed(master_seed, r, 0)))
-    if scenario.rng_seed == 0:
-        scenario = dataclasses.replace(
-            scenario, rng_seed=seed_to_int(child_seed(master_seed, r, 0))
-        )
+    scenario = scenario or ScenarioConfig(num_rrh=20, num_ue=8, coverage_radius=120.0)
     training = training or TrainingConfig(tau=tau)
-    topology = generate_topology(scenario)
+    topology = generate_topology(scenario, seed_to_int(child_seed(master_seed, r, 0)))
     graph = build_conflict_graph(topology)
     assignment = psa_schedule(
         topology, compute_beta(topology, graph), graph, training.tau, rng=child_rng(master_seed, r, 1)

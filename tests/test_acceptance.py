@@ -51,7 +51,7 @@ def test_c1_scheduler_ordering_es_psa_random():
     psa_vals, ds_vals = [], []
     for r in range(100):
         topology = generate_topology(
-            ScenarioConfig(num_rrh=15, num_ue=6, rng_seed=seed_to_int(child_seed(42, r, 0)))
+            ScenarioConfig(num_rrh=15, num_ue=6), seed_to_int(child_seed(42, r, 0))
         )
         graph = build_conflict_graph(topology)
         beta = compute_beta(topology, graph)
@@ -79,9 +79,7 @@ def test_c2_orthogonal_pilot_limit_matches_closed_form():
     scheduler's sum MSE equals the contamination-free closed form."""
     worst = 0.0
     for r in range(20):
-        topology = generate_topology(
-            ScenarioConfig(rng_seed=seed_to_int(child_seed(2, r, 0)))
-        )
+        topology = generate_topology(ScenarioConfig(), seed_to_int(child_seed(2, r, 0)))
         training = TrainingConfig(tau=topology.num_ue)
         graph = build_conflict_graph(topology)
         assignment = psa_schedule(

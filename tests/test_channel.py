@@ -25,7 +25,7 @@ from oracles import delta_oracle, has_shared_rrh_pair, perfect_channel_state_ora
 
 def make_instance(seed=0, tau=3, num_ue=6, num_rrh=15):
     topo = generate_topology(
-        ScenarioConfig(num_rrh=num_rrh, num_ue=num_ue, coverage_radius=130.0, rng_seed=seed)
+        ScenarioConfig(num_rrh=num_rrh, num_ue=num_ue, coverage_radius=130.0), seed
     )
     graph = build_conflict_graph(topo)
     training = TrainingConfig(tau=tau)
@@ -56,7 +56,7 @@ def test_prelog_factor():
 
 
 def test_draw_small_scale_statistics():
-    topo = generate_topology(ScenarioConfig(num_rrh=4, num_ue=3, rng_seed=1))
+    topo = generate_topology(ScenarioConfig(num_rrh=4, num_ue=3), 1)
     # per-link empirical variance over many redraws matches the link gain
     acc_r = np.zeros((topo.num_rrh, topo.num_ue))
     acc_b = np.zeros(topo.num_ue)
@@ -71,7 +71,7 @@ def test_draw_small_scale_statistics():
 
 
 def test_draw_small_scale_deterministic():
-    topo = generate_topology(ScenarioConfig(num_rrh=4, num_ue=3, rng_seed=1))
+    topo = generate_topology(ScenarioConfig(num_rrh=4, num_ue=3), 1)
     a = draw_small_scale(topo, child_seed(0, 0, 2))
     b = draw_small_scale(topo, child_seed(0, 0, 2))
     assert np.array_equal(a.rrh, b.rrh)
@@ -225,7 +225,7 @@ def test_estimation_seed_contract():
 
 
 def test_perfect_channel_state():
-    topo = generate_topology(ScenarioConfig(num_rrh=6, num_ue=4, rng_seed=3))
+    topo = generate_topology(ScenarioConfig(num_rrh=6, num_ue=4), 3)
     channels = draw_small_scale(topo, child_seed(0, 0, 2))
     state = perfect_channel_state(topo, channels)
     assert state.est_mbs.shape == (topo.num_ue, topo.config.mbs_antennas)
@@ -288,7 +288,7 @@ def test_link_arrays_equal_the_dict_estimator():
     assert perfect.topology is topo
     assert_arrays_equal_dicts(topo, perfect, perfect_channel_state_oracle(topo, channels))
     assert build_covariances(topo, state) is state
-    other = generate_topology(ScenarioConfig(rng_seed=1))
+    other = generate_topology(ScenarioConfig(), 1)
     with pytest.raises(ValueError, match="another topology"):
         build_covariances(other, state)
 

@@ -25,7 +25,6 @@ from hcransim import (
     solve_one,
 )
 from hcransim import beamforming, experiments, pilot_scheduler
-from hcransim.scenario import with_seed
 from hcransim.util import dbm_to_watt
 
 
@@ -75,9 +74,6 @@ def test_config_validation():
         tiny_config(jobs=0)
     with pytest.raises(ValueError, match="master_seed must be >= 0"):
         tiny_config(master_seed=-1)
-    # realization r draws its topology from master_seed, never from the scenario
-    with pytest.raises(ValueError, match="master_seed"):
-        tiny_config(scenario=ScenarioConfig(num_rrh=10, num_ue=5, rng_seed=123))
     # every sweep value's configs are built at construction (5 users,
     # coherence 30), so no sweep starts that would fail part way
     with pytest.raises(ValueError, match="need 0 < tau < coherence"):
@@ -465,19 +461,17 @@ def test_generated_topologies_pass_validate():
     built without re-checking it; ``Topology.validate`` passes on 50 seeds at
     each benchmark size and on every pinned generated config's scenario."""
     scenarios = [
-        with_seed(ScenarioConfig(num_ue=num_ue, num_rrh=num_rrh), seed)
+        (ScenarioConfig(num_ue=num_ue, num_rrh=num_rrh), seed)
         for num_ue, num_rrh in ((8, 25), (16, 50), (32, 100))
         for seed in range(50)
     ]
     scenarios += [
-        ScenarioConfig(
-            num_ue=num_ue, num_rrh=num_rrh, rrh_antennas=n, mbs_antennas=b,
-            coverage_radius=radius, rng_seed=seed,
-        )
+        (ScenarioConfig(num_ue=num_ue, num_rrh=num_rrh, rrh_antennas=n, mbs_antennas=b,
+                        coverage_radius=radius), seed)
         for num_ue, num_rrh, n, b, radius, _, _, _, seed in GENERATED_CONFIGS
     ]
-    for scenario in scenarios:
-        generate_topology(scenario).validate()
+    for scenario, seed in scenarios:
+        generate_topology(scenario, seed).validate()
 
 
 def _generated_config(rng, seed):
@@ -792,6 +786,7 @@ def test_load_config_takes_missing_fields_from_the_dataclass_defaults(tmp_path):
         ({"scenari": {}}, "unknown config keys"),
         ({"scenario": {"num_rhh": 3}}, "unknown scenario keys"),
         ({"scenario": {"rng_seed": 123}}, "unknown scenario keys"),
+        ({"scenario": {"cell_radius": 500.0}}, "unknown scenario keys"),
         ({"training": {"p_rue_db": 17}}, "unknown training keys"),
         ({"budgets": {"rrhs": 1.0}}, "unknown budget keys"),
         ({"sweep": {"name": "tau", "values": [3], "step": 1}}, "unknown sweep keys"),

@@ -42,9 +42,7 @@ TRAIN = TrainingConfig()
 
 def seeded_topology(seed, num_rrh=15, num_ue=6, coverage_radius=120.0):
     return generate_topology(
-        ScenarioConfig(
-            num_rrh=num_rrh, num_ue=num_ue, coverage_radius=coverage_radius, rng_seed=seed
-        )
+        ScenarioConfig(num_rrh=num_rrh, num_ue=num_ue, coverage_radius=coverage_radius), seed
     )
 
 
@@ -427,7 +425,7 @@ def first_free_pilots_increase(rue_pilots, num_bue):
 
 def test_es_blocks_enumerate_in_order_and_score_independently_of_blocking():
     # 7 RUEs and 1 BUE at tau 6: 3,235 canonical candidates, several blocks
-    topo = generate_topology(ScenarioConfig(num_ue=8, num_rrh=25, rng_seed=2))
+    topo = generate_topology(ScenarioConfig(num_ue=8, num_rrh=25), 2)
     graph = build_conflict_graph(topo)
     num_bue = len(topo.bue_set)
     blocks = list(pilot_scheduler._feasible_blocks(graph, 6, num_bue))
@@ -533,7 +531,7 @@ def test_graph_colors_once_and_shares_a_read_only_coloring(monkeypatch):
 
 def test_es_memory_stays_bounded_beyond_one_block():
     # 7 RUEs at tau 6: 3,235 canonical vectors, more than one block
-    topo = generate_topology(ScenarioConfig(num_ue=8, num_rrh=25, rng_seed=2))
+    topo = generate_topology(ScenarioConfig(num_ue=8, num_rrh=25), 2)
     graph = build_conflict_graph(topo)
     assert len(topo.rue_set) == 7
     tracemalloc.start()

@@ -617,8 +617,7 @@ def test_rate_covariances_vanish_outside_the_sharing_blocks(seed, num_ue, num_rr
     block only, and the dense covariance C_d of every user d has no nonzero
     entry between two blocks."""
     topology = generate_topology(ScenarioConfig(
-        num_ue=num_ue, num_rrh=num_rrh, coverage_radius=coverage, max_ue_per_rrh=cap,
-        rng_seed=seed))
+        num_ue=num_ue, num_rrh=num_rrh, coverage_radius=coverage, max_ue_per_rrh=cap), seed)
     rng = np.random.default_rng(seed)
     n, b = topology.config.rrh_antennas, topology.config.mbs_antennas
     links = AggregatedLinks(

@@ -7,40 +7,44 @@ import numpy as np
 import pytest
 
 from hcransim import ScenarioConfig, generate_topology, load_topology, save_topology
-from hcransim.scenario import cluster_ues, pathloss_gain, with_seed
+from hcransim.scenario import (
+    CELL_RADIUS,
+    INNER_RING_RADIUS,
+    PATHLOSS_EXPONENT,
+    PATHLOSS_INTERCEPT_DB,
+    REFERENCE_DISTANCE,
+    cluster_ues,
+    pathloss_gain,
+)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ScenarioConfig(cell_radius=100.0, inner_ring_radius=200.0)
-    with pytest.raises(ValueError):
         ScenarioConfig(num_rrh=0)
     with pytest.raises(ValueError):
         ScenarioConfig(coverage_radius=0.0)
-    for name, value in (("coverage_radius", math.nan), ("cell_radius", math.inf)):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            ScenarioConfig(**{name: value})
+    with pytest.raises(ValueError, match="coverage_radius must be finite"):
+        ScenarioConfig(coverage_radius=math.nan)
 
 
 def test_pathloss_gain_reference_point():
-    cfg = ScenarioConfig()
     # at the reference distance the loss is exactly the intercept
-    expected = 10.0 ** (-cfg.pathloss_intercept_db / 10.0)
-    assert pathloss_gain(cfg.reference_distance, cfg) == pytest.approx(expected, rel=1e-12)
+    expected = 10.0 ** (-PATHLOSS_INTERCEPT_DB / 10.0)
+    assert pathloss_gain(REFERENCE_DISTANCE) == pytest.approx(expected, rel=1e-12)
     # 10x the distance adds 10*exponent dB
-    ratio = pathloss_gain(cfg.reference_distance * 10.0, cfg) / expected
-    assert 10.0 * np.log10(ratio) == pytest.approx(-10.0 * cfg.pathloss_exponent, abs=1e-9)
+    ratio = pathloss_gain(REFERENCE_DISTANCE * 10.0) / expected
+    assert 10.0 * np.log10(ratio) == pytest.approx(-10.0 * PATHLOSS_EXPONENT, abs=1e-9)
     # shadowing enters in dB
-    shadowed = pathloss_gain(cfg.reference_distance, cfg, shadowing_db=8.0)
+    shadowed = pathloss_gain(REFERENCE_DISTANCE, shadowing_db=8.0)
     assert 10.0 * np.log10(shadowed / expected) == pytest.approx(-8.0, abs=1e-9)
     with pytest.raises(ValueError):
-        pathloss_gain(0.0, cfg)
+        pathloss_gain(0.0)
 
 
 def test_cluster_ues_range_and_cap():
-    rrh = np.array([[0.0, 0.0], [6.0, 0.0]])
-    ue = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [100.0, 0.0]])
-    serving = cluster_ues(rrh, ue, coverage_radius=5.0, max_ue_per_rrh=2)
+    # RRHs at x = 0 and x = 6, users at x = 1, 2, 3 and 100 on one line
+    dist = np.array([[1.0, 2.0, 3.0, 100.0], [5.0, 4.0, 3.0, 94.0]])
+    serving = cluster_ues(dist, coverage_radius=5.0, max_ue_per_rrh=2)
     # RRH 0 keeps its two closest candidates, UEs 0 and 1; UE 2 is dropped
     # there, but RRH 1 keeps it (candidacy is per RRH), with UE 1 before UE 0
     # (distance 4 before 5); UE 3 is out of range of both
@@ -48,36 +52,34 @@ def test_cluster_ues_range_and_cap():
 
 
 def test_cluster_ties_break_by_lower_ue_id():
-    rrh = np.array([[0.0, 0.0]])
-    ue = np.array([[2.0, 0.0], [0.0, 2.0], [0.0, -2.0]])  # all at distance 2
-    assert cluster_ues(rrh, ue, coverage_radius=5.0, max_ue_per_rrh=2) == [[0], [0], []]
+    dist = np.array([[2.0, 2.0, 2.0]])
+    assert cluster_ues(dist, coverage_radius=5.0, max_ue_per_rrh=2) == [[0], [0], []]
 
 
 def test_generate_topology_geometry_invariants():
-    cfg = ScenarioConfig(num_rrh=30, num_ue=12, rng_seed=5)
-    topo = generate_topology(cfg)
+    topo = generate_topology(ScenarioConfig(num_rrh=30, num_ue=12), 5)
     r_rrh = np.linalg.norm(topo.rrh_positions, axis=1)
     r_ue = np.linalg.norm(topo.ue_positions, axis=1)
-    assert np.all(r_rrh >= cfg.inner_ring_radius - 1e-9)
-    assert np.all(r_rrh <= cfg.cell_radius + 1e-9)
-    assert np.all(r_ue <= cfg.cell_radius + 1e-9)
+    assert np.all(r_rrh >= INNER_RING_RADIUS - 1e-9)
+    assert np.all(r_rrh <= CELL_RADIUS + 1e-9)
+    assert np.all(r_ue <= CELL_RADIUS + 1e-9)
     assert np.all(topo.alpha_rrh > 0)
     assert np.all(topo.alpha_mbs > 0)
     topo.validate()
 
 
 def test_generate_topology_is_seed_deterministic():
-    cfg = ScenarioConfig(num_rrh=10, num_ue=5, rng_seed=3)
-    a, b = generate_topology(cfg), generate_topology(cfg)
+    cfg = ScenarioConfig(num_rrh=10, num_ue=5)
+    a, b = generate_topology(cfg, 3), generate_topology(cfg, 3)
     assert np.array_equal(a.rrh_positions, b.rrh_positions)
     assert np.array_equal(a.alpha_rrh, b.alpha_rrh)
-    c = generate_topology(with_seed(cfg, 4))
+    c = generate_topology(cfg, 4)
     assert not np.array_equal(a.rrh_positions, c.rrh_positions)
 
 
 def test_serving_sets_respect_coverage_and_cap():
-    cfg = ScenarioConfig(num_rrh=25, num_ue=10, rng_seed=11)
-    topo = generate_topology(cfg)
+    cfg = ScenarioConfig(num_rrh=25, num_ue=10)
+    topo = generate_topology(cfg, 11)
     dist = np.linalg.norm(
         topo.rrh_positions[:, None, :] - topo.ue_positions[None, :, :], axis=2
     )
@@ -104,9 +106,9 @@ def assert_derived_maps(topo):
 
 def test_save_load_round_trip_is_exact(tmp_path):
     # the second drop has clusters of up to 4 RRHs and an RRH at its cap of 3
-    for cfg in (ScenarioConfig(num_rrh=8, num_ue=6, rng_seed=2),
-                ScenarioConfig(num_rrh=25, num_ue=10, rng_seed=9)):
-        topo = generate_topology(cfg)
+    for cfg, seed in ((ScenarioConfig(num_rrh=8, num_ue=6), 2),
+                      (ScenarioConfig(num_rrh=25, num_ue=10), 9)):
+        topo = generate_topology(cfg, seed)
         path = tmp_path / "topology.json"
         save_topology(topo, path)
         back = load_topology(path)
@@ -127,7 +129,7 @@ def test_served_links_index_the_serving_map(tmp_path):
     """served_links lists every (ue, rrh) serving link once, user-major and
     ascending, is cached, survives a save/load round trip, and is empty when
     every user is MBS-served."""
-    topo = generate_topology(ScenarioConfig(num_rrh=25, num_ue=10, rng_seed=9))
+    topo = generate_topology(ScenarioConfig(num_rrh=25, num_ue=10), 9)
     ue, rrh = topo.served_links
     assert topo.served_links is topo.served_links
     pairs = list(zip(ue.tolist(), rrh.tolist()))
@@ -138,7 +140,7 @@ def test_served_links_index_the_serving_map(tmp_path):
     back_ue, back_rrh = load_topology(path).served_links
     assert np.array_equal(back_ue, ue) and np.array_equal(back_rrh, rrh)
 
-    mbs_only = generate_topology(ScenarioConfig(coverage_radius=1e-3, rng_seed=1))
+    mbs_only = generate_topology(ScenarioConfig(coverage_radius=1e-3), 1)
     assert mbs_only.rue_set == []
     assert [a.shape for a in mbs_only.served_links] == [(0,), (0,)]
 
@@ -156,7 +158,15 @@ def _set(doc, keys, value):
     doc[keys[-1]] = value
 
 
-# Edits of the saved topology of ScenarioConfig(rng_seed=1): 25 RRHs, 8 users,
+# The config entries a version-2 file held beyond the six of version 3.
+VERSION_2_CONFIG = {
+    "cell_radius": 500.0, "inner_ring_radius": 200.0, "pathloss_exponent": 3.7,
+    "shadowing_std": 8.0, "pathloss_intercept_db": 128.1, "reference_distance": 1000.0,
+    "min_link_distance": 1.0, "rng_seed": 1,
+}
+
+
+# Edits of the saved topology of ScenarioConfig() at seed 1: 25 RRHs, 8 users,
 # users 0, 3, 5 and 7 MBS-served, user 2 served by RRHs [2, 18].
 @pytest.mark.parametrize(
     "edit, message",
@@ -203,6 +213,8 @@ def _set(doc, keys, value):
          r"rrh_positions must be a \(30, 2\)"),
         (lambda doc: _set(doc, ["alpha_mbs", 6], -1.0), "gains must be strictly positive"),
         (lambda doc: _set(doc, ["version"], 1), "unsupported topology format version 1 in"),
+        (lambda doc: doc.update(version=2, config={**doc["config"], **VERSION_2_CONFIG}),
+         "unsupported topology format version 2 in"),
         (lambda doc: _set(doc, ["format"], "other"), "not a hcransim-topology file"),
     ],
 )
@@ -214,7 +226,7 @@ def test_load_topology_names_what_is_missing_malformed_or_out_of_range(tmp_path,
     user or RRH count the tables do not hold, and a file of another format
     or version. A gain the validity check rejects fails too."""
     path = tmp_path / "topology.json"
-    save_topology(generate_topology(ScenarioConfig(rng_seed=1)), path)
+    save_topology(generate_topology(ScenarioConfig(), 1), path)
     doc = json.loads(path.read_text())
     load_topology(path)
     edit(doc)
@@ -246,7 +258,7 @@ def test_load_topology_names_the_file_it_cannot_read(tmp_path, text, message):
 
 
 def test_save_topology_writes_numpy_integers_as_json_numbers(tmp_path):
-    topo = generate_topology(ScenarioConfig(rng_seed=1))
+    topo = generate_topology(ScenarioConfig(), 1)
     topo.serving_rrhs = [list(np.array(cluster, dtype=np.int64)) for cluster in topo.serving_rrhs]
     path = tmp_path / "topology.json"
     save_topology(topo, path)
@@ -254,12 +266,12 @@ def test_save_topology_writes_numpy_integers_as_json_numbers(tmp_path):
 
 
 def test_validate_catches_corruption():
-    topo = generate_topology(ScenarioConfig(num_rrh=8, num_ue=6, rng_seed=2))
+    topo = generate_topology(ScenarioConfig(num_rrh=8, num_ue=6), 2)
     topo.alpha_mbs = -topo.alpha_mbs
     with pytest.raises(ValueError):
         topo.validate()
 
-    topo = generate_topology(ScenarioConfig(num_rrh=8, num_ue=6, rng_seed=2))
+    topo = generate_topology(ScenarioConfig(num_rrh=8, num_ue=6), 2)
     k_bad = next(k for k in range(topo.num_rrh) if k not in topo.serving_rrhs[0])
     topo.serving_rrhs[0] = sorted(topo.serving_rrhs[0] + [k_bad])
     with pytest.raises(ValueError):
