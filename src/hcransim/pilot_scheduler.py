@@ -133,7 +133,7 @@ def dsatur_color(graph: ConflictGraph) -> tuple[int, np.ndarray]:
     return int(colors.max(initial=-1)) + 1, colors
 
 
-def compute_beta(topology: Topology, graph: ConflictGraph | None = None) -> np.ndarray:
+def compute_beta(topology: Topology, graph: ConflictGraph) -> np.ndarray:
     """Log-domain contamination level beta[r, m] (R, M) between every RUE
     (row r, in ``rue_set`` order) and every other UE (column m, by UE id).
 
@@ -141,10 +141,8 @@ def compute_beta(topology: Topology, graph: ConflictGraph | None = None) -> np.n
     RUE r's own. For an unconnected RUE pair the two mutual leakage ratios are
     summed inside the log; connected pairs (orthogonal by constraint) and the
     self entry are zero. For an RUE/BUE pair the MBS-side leakage ratio
-    replaces the second term.
+    replaces the second term. ``graph`` is the topology's conflict graph.
     """
-    if graph is None:
-        graph = build_conflict_graph(topology)
     rue_ids, bue_ids = topology.rue_set, topology.bue_set
     alpha_b = topology.alpha_mbs
     gain = [topology.alpha_rrh[topology.serving_rrhs[i]].sum(axis=0) for i in rue_ids]
@@ -290,15 +288,13 @@ def _base_pilots(topology: Topology, colors: np.ndarray, perm: np.ndarray) -> np
 
 
 def dsatur_random_schedule(
-    topology: Topology, tau: int, rng: np.random.Generator, graph: ConflictGraph | None = None
+    topology: Topology, tau: int, rng: np.random.Generator, graph: ConflictGraph
 ) -> PilotAssignment:
     """Baseline: color classes get a random permutation of pilots 1..t.
 
     The color count t never grows with tau, which is why this baseline's
     sum-MSE stays flat when more pilots are available.
     """
-    if graph is None:
-        graph = build_conflict_graph(topology)
     t, colors = graph.coloring
     tau_eff = effective_tau(topology, tau, t)
     perm = rng.permutation(t) if t else np.zeros(0, dtype=int)

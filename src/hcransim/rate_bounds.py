@@ -24,10 +24,10 @@ cost scales with served links x users, not with K M^2. For the same reason
 the covariance of the amplitudes a user receives is block-diagonal over
 ``Topology.sharing_blocks``: two RUEs' beams meet only at an RRH that serves
 both, and BUEs' beams only at the MBS. The exact rate diagonalizes the
-blocks, not one M x M matrix per user. The largest RUE block holds up to 3
-of the users at (8, 25) and 5-14 at (32, 100) (20 drops each), but 26-62 at
-(64, 200) and 111-124 at (128, 400), where the user density joins most RUEs
-into one block and the saving fades.
+blocks one at a time, not one M x M matrix per user. The largest RUE block
+holds up to 3 of the users at (8, 25) and 5-14 at (32, 100) (20 drops
+each), but 26-62 at (64, 200) and 111-124 at (128, 400), where the user
+density joins most RUEs into one block and the saving fades.
 """
 
 from __future__ import annotations
@@ -183,44 +183,33 @@ def _block_spectra(links: AggregatedLinks, beams, mean: np.ndarray):
 
     W_k has rows only for the users RRH k serves and W_mbs only for BUEs, so
     C_d is block-diagonal over ``Topology.sharing_blocks`` and the BUE block.
-    Each block's covariances are built from its serving links, blocks of one
-    size are diagonalized in one batched ``eigh``, and a one-user block is
-    its own eigenvalue. RRH beams off the serving links and MBS beams of
-    RUEs are not read.
+    A block's covariance, for every d at once, weights the Grams of its
+    beams at its serving RRHs by var_rrh[k, d]. Those beams are read at
+    every pair of a block user and a block RRH, where they are zero off the
+    serving links. Each block takes one ``eigh``, and a one-user block is
+    its own eigenvalue. MBS beams of RUEs are not read.
     """
     w_rrh, w_mbs = beams
     topology = links.topology
-    num_ue = len(w_mbs)
-    ue, rrh = topology.served_links
-    # per block size n: (members (G, n), covariances (num_ue, G, n, n)) parts
-    parts: dict[int, list] = {}
-    w_links = w_rrh[ue, rrh]
-    for n, blocks in topology.sharing_blocks.items():
-        num_rows = blocks.rrh.size
-        rows = np.zeros((num_rows * n, w_rrh.shape[2]), dtype=complex)
-        rows[blocks.slots] = w_links[blocks.links]
-        rows = rows.reshape(num_rows, n, -1)
-        gram = rows @ rows.conj().transpose(0, 2, 1)  # (R, n, n), one per RRH
-        own = blocks.block == np.arange(len(blocks.members))[:, None]  # (G, R)
-        weight = links.var_rrh[blocks.rrh].T[:, None, :] * own
-        cov = weight.reshape(-1, num_rows) @ gram.reshape(num_rows, n * n)
-        parts[n] = [(blocks.members, cov.reshape(num_ue, -1, n, n))]
-    bue = np.array(topology.bue_set, dtype=int)
-    if bue.size:
-        w_bue = w_mbs[bue]
-        cov = links.var_mbs[:, None, None] * (w_bue @ w_bue.conj().T)
-        parts.setdefault(bue.size, []).append((bue[None], cov[:, None]))
+    # per block: its users (n,), receiver variances (R, M), beams there (R, n, N)
+    blocks = []
+    for users in topology.sharing_blocks:
+        rrhs = sorted({k for i in users for k in topology.serving_rrhs[i]})
+        blocks.append((users, links.var_rrh[rrhs], w_rrh[np.ix_(users, rrhs)].transpose(1, 0, 2)))
+    bue = topology.bue_set
+    if bue:
+        blocks.append((bue, links.var_mbs[None], w_mbs[None, bue]))
     lam, nu2 = [], []
-    for n, group in parts.items():
-        members = np.concatenate([m for m, _ in group])
-        cov = np.concatenate([c for _, c in group], axis=1)
-        mu = mean[:, members]  # (num_ue, G, n)
+    for users, var, at in blocks:
+        n = len(users)
+        gram = at @ at.conj().transpose(0, 2, 1)  # (R, n, n), one per receiver
+        cov = (var.T @ gram.reshape(len(var), n * n)).reshape(-1, n, n)
+        mu = mean[:, users]  # (M, n)
         if n == 1:
-            lam.append(cov[:, :, 0, 0].real)
-            nu2.append(np.abs(mu[:, :, 0]) ** 2)
+            lam.append(cov[:, 0].real)
+            nu2.append(np.abs(mu) ** 2)
         else:
             val, vecs = np.linalg.eigh(cov)
-            lam.append(val.reshape(num_ue, -1))
-            nu = np.einsum("dgsi,dgs->dgi", vecs.conj(), mu)
-            nu2.append(np.abs(nu.reshape(num_ue, -1)) ** 2)
+            lam.append(val)
+            nu2.append(np.abs(np.einsum("dsi,ds->di", vecs.conj(), mu)) ** 2)
     return np.maximum(np.concatenate(lam, axis=1), 0.0), np.concatenate(nu2, axis=1)

@@ -24,7 +24,6 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,24 +58,6 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.coverage_radius <= 0:
             raise ValueError("coverage_radius must be positive")
-
-
-class SharingBlocks(NamedTuple):
-    """The RUE sharing blocks of one size n, laid out on their serving links.
-
-    Block g is ``members[g]``. Row r stands for RRH ``rrh[r]``, which serves
-    users of block ``block[r]`` only; rows run block by block, RRHs
-    ascending within a block. Served link ``links[j]`` (an index into
-    ``Topology.served_links``) sits at slot ``slots[j] = r * n + p`` of a
-    (rows, n) table: r the row of its RRH, p the position of its user in
-    the block.
-    """
-
-    members: np.ndarray  # (G, n) UE ids, ascending within a block
-    rrh: np.ndarray      # (R,)
-    block: np.ndarray    # (R,)
-    links: np.ndarray    # (J,)
-    slots: np.ndarray    # (J,)
 
 
 @dataclass
@@ -132,15 +113,14 @@ class Topology:
         return np.array(ue, dtype=int), np.array(rrh, dtype=int)
 
     @cached_property
-    def sharing_blocks(self) -> dict[int, SharingBlocks]:
-        """The RUEs whose beams can meet at one receiver, by block size n.
+    def sharing_blocks(self) -> list[list[int]]:
+        """The RUEs whose beams can meet at one receiver, as blocks of UE
+        ids, ascending within a block, blocks ordered by smallest member.
 
         Beams are zero off the serving links, so two RUEs' beams reach a
         receiver together only through an RRH that serves both: a block is
-        a set of RUEs joined by chains of shared serving RRHs, and the
-        blocks of one size, ordered by smallest member, form one
-        ``SharingBlocks``. The BUEs, whose beams meet only at the MBS, are
-        one more block, ``bue_set``.
+        a set of RUEs joined by chains of shared serving RRHs. The BUEs,
+        whose beams meet only at the MBS, are one more block, ``bue_set``.
         """
         root = list(range(self.num_ue))
 
@@ -156,25 +136,7 @@ class Topology:
         blocks: dict[int, list[int]] = {}
         for i in self.rue_set:
             blocks.setdefault(find(i), []).append(i)
-        by_size: dict[int, list[list[int]]] = {}
-        for users in blocks.values():
-            by_size.setdefault(len(users), []).append(users)
-        first_link = np.cumsum([0] + [len(c) for c in self.serving_rrhs]).tolist()
-        groups = {}
-        for n, members in sorted(by_size.items()):
-            rrh, block, links, slots = [], [], [], []
-            for g, users in enumerate(members):
-                rows = sorted({k for i in users for k in self.serving_rrhs[i]})
-                row = {k: len(rrh) + r for r, k in enumerate(rows)}
-                rrh += rows
-                block += [g] * len(rows)
-                for p, i in enumerate(users):
-                    for j, k in enumerate(self.serving_rrhs[i]):
-                        links.append(first_link[i] + j)
-                        slots.append(row[k] * n + p)
-            groups[n] = SharingBlocks(*(np.array(a, dtype=int)
-                                        for a in (members, rrh, block, links, slots)))
-        return groups
+        return list(blocks.values())
 
     def validate(self) -> None:
         cfg = self.config

@@ -130,7 +130,7 @@ def test_beta_toy_values_frozen():
         alpha_rrh=np.array([[1.0, 1.0, 0.5], [3.0, 2.0, 0.1]]),
         alpha_mbs=np.array([1.0, 0.3, 4.0]),
     )
-    beta = compute_beta(topo)
+    beta = compute_beta(topo, build_conflict_graph(topo))
     # leak of UE1 into cluster{0}: 1/1; leak of UE0 into cluster{1}: 3/2
     assert beta[0, 1] == pytest.approx(math.log(3.5), rel=1e-12)
     # MBS user: leak into cluster{0}: 0.5/1; pilot leak at the MBS: 1/4

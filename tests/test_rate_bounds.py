@@ -27,6 +27,7 @@ from hcransim import (
     stack_layout,
     useful_amplitude,
 )
+from hcransim.rate_bounds import _block_spectra
 from hcransim.util import child_seed, crandn, dbm_to_watt
 
 from helpers import (
@@ -556,16 +557,16 @@ def exact_rate_case(name):
         return links, random_beams(links, seed=3), training.noise_power
     r, scenario = {
         "small": (3, ScenarioConfig()),
-        "shared_rrh_bue": (8, ScenarioConfig(num_rrh=50, num_ue=16, coverage_radius=130.0)),
+        "shared_rrh_bue": (10, ScenarioConfig(num_rrh=50, num_ue=16, coverage_radius=130.0)),
         "large": (0, ScenarioConfig(num_rrh=100, num_ue=32)),
         "one_block": (0, ScenarioConfig(coverage_radius=400.0, max_ue_per_rrh=8)),
     }[name]
     topology, _, _, links, training = pipeline_instance(r=r, scenario=scenario)
     if name == "shared_rrh_bue":
-        assert has_shared_rrh_pair(topology) and topology.bue_set
+        assert has_shared_rrh_pair(topology) and len(topology.bue_set) == 1
         return links, random_beams(links, seed=r), training.noise_power
     if name == "one_block":
-        assert list(topology.sharing_blocks) == [len(topology.rue_set)] == [topology.num_ue]
+        assert topology.sharing_blocks == [topology.rue_set] == [list(range(topology.num_ue))]
         return links, random_beams(links, seed=r), training.noise_power
     beams, _ = rtd_solve(topology, links, training, budgets)
     return links, beams, training.noise_power
@@ -577,33 +578,39 @@ def test_exact_rate_by_blocks_matches_the_dense_covariances(name):
     """The rates and error estimates computed block by block equal the dense
     computation (one M x M covariance and eigh per user) to 1e-12 of each
     user's rate: RTD designs at (8, 25) and (32, 100), users sharing RRHs
-    with BUEs at (16, 50, 130 m), perfect CSI, all users in one block, and
+    with one BUE at (16, 50, 130 m), perfect CSI, all users in one block, and
     zero-budget RRHs in clusters. The error estimate is itself near
     rounding level, so it is compared on the rate's scale."""
-    links, beams, noise = exact_rate_case(name)
+    assert sum(assert_exact_rates_match_dense(*exact_rate_case(name)).values()) > 0.0
+
+
+def assert_exact_rates_match_dense(links, beams, noise):
+    """Asserts the rates and error estimates of ``monte_carlo_rates`` equal
+    ``dense_exact_rates`` to 1e-12 of each user's rate; returns the rates."""
     got, got_se = monte_carlo_rates(links, beams, noise, 0.9)
     want, want_se = dense_exact_rates(links, beams, noise, 0.9)
     assert list(got) == list(want) == links.topology.rue_set + links.topology.bue_set
-    assert sum(want.values()) > 0.0
     for m in want:
         assert abs(got[m] - want[m]) <= 1e-12 * want[m]
         assert abs(got_se[m] - want_se[m]) <= 1e-12 * want[m]
+    return want
 
 
 def test_exact_rate_cases_cover_every_block_path():
-    """The cases above reach a BUE block that shares its size with RUE
-    blocks, a one-BUE block and a perfect-CSI drop, whose eigenvalues are
-    all zero."""
-    sizes = {}
-    for name in ("small", "shared_rrh_bue", "perfect_csi"):
-        topology = exact_rate_case(name)[0].topology
-        sizes[name] = (len(topology.bue_set), set(topology.sharing_blocks))
-    assert sizes["small"][0] in sizes["small"][1]
-    assert sizes["shared_rrh_bue"][0] in sizes["shared_rrh_bue"][1]
-    assert sizes["perfect_csi"][0] >= 1
+    """The cases above reach one-user and multi-user RUE blocks, one-BUE and
+    multi-BUE blocks, and a perfect-CSI drop, whose spectra are all zero."""
+    cases = {name: exact_rate_case(name) for name in ("small", "shared_rrh_bue", "perfect_csi")}
+    topologies = [links.topology for links, _, _ in cases.values()]
+    rue_sizes = {len(users) for topology in topologies for users in topology.sharing_blocks}
+    bue_sizes = {len(topology.bue_set) for topology in topologies}
+    assert 1 in rue_sizes and max(rue_sizes) > 1
+    assert 1 in bue_sizes and max(bue_sizes) > 1
+    links, beams, _ = cases["perfect_csi"]
+    lam, _ = _block_spectra(links, beams, np.zeros((links.topology.num_ue,) * 2))
+    assert not lam.any()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     num_ue=st.integers(1, 12),
@@ -614,8 +621,10 @@ def test_exact_rate_cases_cover_every_block_path():
 def test_rate_covariances_vanish_outside_the_sharing_blocks(seed, num_ue, num_rrh, coverage, cap):
     """On random topologies, link statistics and beams on the serving
     links, the blocks partition the users, every RRH serves users of one
-    block only, and the dense covariance C_d of every user d has no nonzero
-    entry between two blocks."""
+    block only, the dense covariance C_d of every user d has no nonzero
+    entry between two blocks, and the exact rates and error estimates
+    computed block by block equal the dense computation to 1e-12 of each
+    user's rate."""
     topology = generate_topology(ScenarioConfig(
         num_ue=num_ue, num_rrh=num_rrh, coverage_radius=coverage, max_ue_per_rrh=cap), seed)
     rng = np.random.default_rng(seed)
@@ -623,8 +632,7 @@ def test_rate_covariances_vanish_outside_the_sharing_blocks(seed, num_ue, num_rr
     links = AggregatedLinks(
         topology, crandn(rng, num_rrh, num_ue, n), rng.uniform(0.1, 1.0, (num_rrh, num_ue)),
         crandn(rng, num_ue, b), rng.uniform(0.1, 1.0, num_ue))
-    blocks = [users for group in topology.sharing_blocks.values() for users in group.members.tolist()]
-    blocks.append(topology.bue_set)
+    blocks = topology.sharing_blocks + [topology.bue_set]
     label = np.full(num_ue, -1)
     for g, users in enumerate(blocks):
         assert np.all(label[users] == -1)
@@ -632,6 +640,8 @@ def test_rate_covariances_vanish_outside_the_sharing_blocks(seed, num_ue, num_rr
     assert np.all(label >= 0)
     for users in topology.served_rues:
         assert len(set(label[users].tolist())) <= 1
-    cov = dense_rate_covariances(links, random_beams(links, seed=seed, scale=1.0))
+    beams = random_beams(links, seed=seed, scale=1.0)
+    cov = dense_rate_covariances(links, beams)
     across = label[:, None] != label[None, :]
     assert not np.any(cov[:, across])
+    assert_exact_rates_match_dense(links, beams, 1.0)
