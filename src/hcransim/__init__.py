@@ -44,7 +44,7 @@ from .pilot_scheduler import (
     dsatur_random_schedule,
     es_schedule,
     group_by_pilot,
-    make_assignment,
+    mse_links,
     psa_schedule,
     sum_mse,
     validate_assignment,

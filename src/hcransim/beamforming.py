@@ -43,8 +43,11 @@ from .rate_bounds import interference_plus_noise, useful_amplitude
 from .scenario import Topology
 
 
-# Multiplier updates allowed per dual solve, either side.
-MAX_DUAL_ITERS = 5000
+# Steps allowed per dual solve, either side: on the RRH side the cold start,
+# each projected Newton step and each coordinate sweep, on the MBS side each
+# Newton step. No solve on the benchmark panels, on 12 drops at (64, 200) or
+# on 6 at (128, 400) took more than 27, so this is over 18 times that.
+MAX_DUAL_STEPS = 500
 # Complementary-slackness residual allowed per QCQP, relative to its scale.
 GAP_TOL = 1e-8
 # Default relative constraint violation allowed per QCQP.
@@ -464,9 +467,10 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
     len(active) whose multiplier is always 0 and which carries no
     estimate, so padded beam entries stay 0. Active caps are positive
     (``stack_layout``). One test stops the solve: with every cap met to
-    feas_tol, it returns once the gap test holds or the multiplier updates,
-    the cold start's included, reach MAX_DUAL_ITERS; with a cap exceeded
-    there, it raises ConvergenceError. Returns
+    feas_tol, it returns once the gap test holds or the steps reach
+    MAX_DUAL_STEPS; with a cap exceeded there, it raises ConvergenceError.
+    The cold start, each Newton step, accepted or rejected, and each sweep
+    is one step, so the cap does not grow with the RRH count. Returns
     (beam stack, mu by active slot, dual value, primal value, info). The
     beams minimize the Lagrangian at mu, where w^H M w = Re<b, w> - sum_k
     mu_k p_k, so the primal value is read off the dual solution as
@@ -558,6 +562,7 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
         return None
 
     it = basis.at(np.zeros(cap.size) if mu0 is None else mu0[layout.active])
+    steps = int(mu0 is None)
     if mu0 is None:
         # Cold start: every RRH's per-RRH step from mu = 0, all at once.
         mu = np.maximum(0.0, own_steps(it))
@@ -566,7 +571,7 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
             it = basis.at(mu)
     while True:
         viol = worst_excess(it.powers)
-        spent = info["dual_iterations"] >= MAX_DUAL_ITERS
+        spent = steps >= MAX_DUAL_STEPS
         if viol <= feas_tol:
             value = -float(it.mu @ cap) - float(np.real(np.vdot(basis.rhs, it.z)))
             gap = float((it.mu * np.abs(cap - it.powers)).sum())
@@ -577,10 +582,11 @@ def _solve_rrh_side(problem: QcqpProblem, feas_tol: float, mu0=None):
                 return basis.rotate_back(it.z), it.mu, value, primal, info
         elif spent:
             raise ConvergenceError(f"RRH dual ascent stalled: violation {viol:.3e} after "
-                                   f"{info['dual_iterations']} multiplier updates")
+                                   f"{steps} steps")
         trial = newton_step(it, viol)
         info["newton_rejected" if trial is None else "newton_accepted"] += 1
         it = coordinate_sweep(it) if trial is None else trial
+        steps += 2 if trial is None else 1
 
 
 def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, nu0=None):
@@ -595,7 +601,7 @@ def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, nu0=None):
     to the root without overshooting it, and from above lands at or below
     it. It starts from nu0 (RTD passes the previous QCQP's nu) or 0, zeroes
     rounding-level directions as ``_Eigenbasis`` does, stops on the RRH
-    side's test, and after MAX_DUAL_ITERS steps raises ConvergenceError
+    side's test, and after MAX_DUAL_STEPS steps raises ConvergenceError
     unless the cap holds. Returns (beams (J, B), nu, dual value, primal
     value); as (quad + nu I) w_j = lin_j, the primal value is -Re<lin, w> -
     nu |w|^2.
@@ -609,13 +615,13 @@ def _solve_mbs_side(quad, lin, budget: float, feas_tol: float, nu0=None):
         coef[null] = 0.0
         weight = (coef.real**2 + coef.imag**2).sum(axis=1)
         nu = nu0 or 0.0
-        for updates in range(MAX_DUAL_ITERS + 1):
+        for steps in range(MAX_DUAL_STEPS + 1):
             inv = 1.0 / (lam + nu)
             power = weight @ inv**2
             excess = power - budget
             # weight @ inv + nu * budget is the dual value's magnitude.
             gap_ok = nu * abs(excess) <= GAP_TOL * max(1.0, weight @ inv + nu * budget)
-            if excess <= feas_tol * budget and (gap_ok or updates == MAX_DUAL_ITERS):
+            if excess <= feas_tol * budget and (gap_ok or steps == MAX_DUAL_STEPS):
                 break
             slope = max(2.0 * float(weight @ inv**3), 1e-300)
             nu = max(0.0, nu + float(_residual(power, budget)) / slope)

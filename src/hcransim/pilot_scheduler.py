@@ -21,12 +21,11 @@ are provided:
   smaller tau are the rows whose pilots stay within it, in the same order.
 
 ``_sum_mse_values`` is the one sum-MSE evaluator; a candidate's value is bit
-for bit the same in any block. ``sum_mse`` scores one assignment, or a list
-of them in one block. It reads the read-only link arrays of ``mse_links``,
-which a caller scoring several assignments of one topology builds once and
-passes to ``sum_mse`` and ``es_schedule``. Likewise a ``ConflictGraph``
-computes its Dsatur coloring once, on first use, for every scheduler it is
-passed to.
+for bit the same in any block. ``sum_mse`` scores a list of assignments in
+one block. ``sum_mse`` and ``es_schedule`` read the read-only link arrays of
+``mse_links``, which the caller builds once per topology and passes in.
+Likewise a ``ConflictGraph`` computes its Dsatur coloring once, on first
+use, for every scheduler it is passed to.
 
 Pilot indices are 1-based. MBS-served users always hold pilots 1..|bue_set|,
 one each; RRH-served users may share any pilot, including a BUE's.
@@ -67,9 +66,9 @@ class PilotAssignment:
     tau: int
     pilots: np.ndarray  # (M,) pilot index per UE, 1..tau
 
-
-def make_assignment(tau: int, pilots) -> PilotAssignment:
-    return PilotAssignment(tau=int(tau), pilots=np.asarray(pilots, dtype=int))
+    def __post_init__(self):
+        self.tau = int(self.tau)
+        self.pilots = np.asarray(self.pilots, dtype=int)
 
 
 def _shared_pilot(users, pilots: list[int]):
@@ -245,28 +244,22 @@ def _sum_mse_values(links: MseLinks, rue_pilots, bue_pilots, p_rue, p_bue, noise
 
 def sum_mse(
     topology: Topology,
-    assignment: PilotAssignment | Sequence[PilotAssignment],
+    assignments: Sequence[PilotAssignment],
     p_rue: float,
     p_bue: float,
     noise_power: float,
-    links: MseLinks | None = None,
-) -> float | list[float]:
+    links: MseLinks,
+) -> list[float]:
     """Sum over all estimated links of the per-antenna error variance times
-    the antenna count. Raises on an assignment violating the reuse constraints.
-    Given a sequence of assignments, validates each and returns their values
-    as a list, scored in one block: each equals its own call's bit for bit.
-    ``links``, when given, must be ``mse_links(topology)``.
+    the antenna count, for each of ``assignments``, scored in one block: a
+    value is the same bit for bit in any list. Raises on an assignment
+    violating the reuse constraints. ``links`` is ``mse_links(topology)``.
     """
-    single = isinstance(assignment, PilotAssignment)
-    assignments = [assignment] if single else list(assignment)
     for each in assignments:
         validate_assignment(topology, each)
-    if links is None:
-        links = mse_links(topology)
     pilots = np.reshape([each.pilots for each in assignments], (len(assignments), topology.num_ue))
     rue_pilots, bue_pilots = pilots[:, topology.rue_set], pilots[:, topology.bue_set]
-    values = _sum_mse_values(links, rue_pilots, bue_pilots, p_rue, p_bue, noise_power)
-    return float(values[0]) if single else values.tolist()
+    return _sum_mse_values(links, rue_pilots, bue_pilots, p_rue, p_bue, noise_power).tolist()
 
 
 def effective_tau(topology: Topology, tau: int, t: int) -> int:
@@ -297,9 +290,8 @@ def dsatur_random_schedule(
     """
     t, colors = graph.coloring
     tau_eff = effective_tau(topology, tau, t)
-    perm = rng.permutation(t) if t else np.zeros(0, dtype=int)
-    pilots = _base_pilots(topology, colors, perm)
-    return make_assignment(tau_eff, pilots)
+    pilots = _base_pilots(topology, colors, rng.permutation(t))
+    return PilotAssignment(tau_eff, pilots)
 
 
 def psa_schedule(
@@ -321,7 +313,7 @@ def psa_schedule(
     rue_ids = np.array(topology.rue_set, dtype=int)
     t, colors = graph.coloring
     tau_eff = effective_tau(topology, tau, t)
-    perm = rng.permutation(t) if (rng is not None and t) else np.arange(t)
+    perm = np.arange(t) if rng is None else rng.permutation(t)
     pilots = _base_pilots(topology, colors, perm)
     conflict = graph.adjacency.astype(bool)
     rows, pilot_ids = np.arange(len(rue_ids)), np.arange(1, tau_eff + 1)
@@ -336,7 +328,7 @@ def psa_schedule(
         options[rue_pilots[conflict[r]] - 1] = np.inf
         pilots[rue_ids[r]] = options.argmin() + 1
         revisited[r] = True
-    return make_assignment(tau_eff, pilots)
+    return PilotAssignment(tau_eff, pilots)
 
 
 def _feasible_blocks(graph: ConflictGraph, tau: int, num_bue: int):
@@ -387,15 +379,15 @@ def _feasible_blocks(graph: ConflictGraph, tau: int, num_bue: int):
 
 def es_schedule(
     topology: Topology,
-    tau: int | Sequence[int],
+    taus: Sequence[int],
     p_rue: float,
     p_bue: float,
     noise_power: float,
-    graph: ConflictGraph | None = None,
-    links: MseLinks | None = None,
-) -> tuple[PilotAssignment, float] | list[tuple[PilotAssignment, float]]:
-    """Exhaustive minimizer of the sum MSE over feasible assignments:
-    (assignment, minimum sum MSE).
+    graph: ConflictGraph,
+    links: MseLinks,
+) -> list[tuple[PilotAssignment, float]]:
+    """Exhaustive minimizer of the sum MSE over feasible assignments, for
+    each of ``taus`` in order: (assignment, minimum sum MSE).
 
     BUE pilots are fixed to 1..|bue_set|. The canonical feasible RUE pilot
     vectors are scored in lexicographic blocks (``_feasible_blocks``), one
@@ -407,28 +399,21 @@ def es_schedule(
     that sorts earlier. ``sum_mse`` of the assignment equals the returned
     minimum bit for bit.
 
-    Given a sequence of tau, returns one such pair per entry, in order, from
-    one enumeration at the largest effective tau. Its rows whose largest
-    pilot is at most a smaller tau_eff are that tau_eff's canonical vectors,
-    in the same order, so each tau_eff takes the first strict minimum over
-    those rows of each block, and every pair equals the one-tau call's bit
-    for bit.
+    One enumeration at the largest effective tau answers every entry. Its
+    rows whose largest pilot is at most a smaller tau_eff are that
+    tau_eff's canonical vectors, in the same order, so each tau_eff takes
+    the first strict minimum over those rows of each block, and every pair
+    equals the one-element call's bit for bit.
     Guarded by tau_eff**M <= ES_LIMIT at the largest tau_eff. ``graph`` and
-    ``links``, when given, must be the topology's conflict graph and
-    ``mse_links``.
+    ``links`` are the topology's conflict graph and ``mse_links``.
     """
-    if graph is None:
-        graph = build_conflict_graph(topology)
     t, _ = graph.coloring
-    single = isinstance(tau, (int, np.integer))
-    effs = [effective_tau(topology, x, t) for x in ([tau] if single else tau)]
+    effs = [effective_tau(topology, tau, t) for tau in taus]
     largest = max(effs)
     if largest ** topology.num_ue > ES_LIMIT:
         raise ValueError(
             f"search space {largest}^{topology.num_ue} exceeds the enumeration guard {ES_LIMIT}"
         )
-    if links is None:
-        links = mse_links(topology)
     bue_pilots = np.arange(1, len(topology.bue_set) + 1)
     best = dict.fromkeys(effs, (np.inf, None))  # tau_eff -> (minimum, its row)
     for block in _feasible_blocks(graph, largest, len(bue_pilots)):
@@ -446,5 +431,5 @@ def es_schedule(
         pilots[topology.bue_set] = bue_pilots
         if row is not None:
             pilots[topology.rue_set] = row
-        out.append((make_assignment(eff, pilots), float(value)))
-    return out[0] if single else out
+        out.append((PilotAssignment(eff, pilots), float(value)))
+    return out

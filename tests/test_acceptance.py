@@ -25,6 +25,7 @@ from hcransim import (
     lower_bound_rates,
     monte_carlo_rates,
     mse_and_equalizer,
+    mse_links,
     psa_schedule,
     rtd_solve,
     run_mse_sweep,
@@ -53,13 +54,14 @@ def test_c1_scheduler_ordering_es_psa_random():
         topology = generate_topology(
             ScenarioConfig(num_rrh=15, num_ue=6), seed_to_int(child_seed(42, r, 0))
         )
-        graph = build_conflict_graph(topology)
+        graph, links = build_conflict_graph(topology), mse_links(topology)
         beta = compute_beta(topology, graph)
-        v_psa = sum_mse(topology, psa_schedule(topology, beta, graph, 3), *args)
-        v_ds = sum_mse(
-            topology, dsatur_random_schedule(topology, 3, child_rng(42, r, 1), graph), *args
-        )
-        v_es = sum_mse(topology, es_schedule(topology, 3, *args)[0], *args)
+        schedules = [
+            psa_schedule(topology, beta, graph, 3),
+            dsatur_random_schedule(topology, 3, child_rng(42, r, 1), graph),
+            es_schedule(topology, [3], *args, graph, links)[0][0],
+        ]
+        v_psa, v_ds, v_es = sum_mse(topology, schedules, *args, links)
         es_le_psa += v_es <= v_psa * (1.0 + 1e-12)
         psa_vals.append(v_psa)
         ds_vals.append(v_ds)
@@ -86,9 +88,8 @@ def test_c2_orthogonal_pilot_limit_matches_closed_form():
             topology, compute_beta(topology, graph), graph, training.tau
         )
         assert len(set(assignment.pilots.tolist())) == topology.num_ue
-        got = sum_mse(
-            topology, assignment, training.p_rue, training.p_bue, training.noise_power
-        )
+        powers = (training.p_rue, training.p_bue, training.noise_power)
+        (got,) = sum_mse(topology, [assignment], *powers, mse_links(topology))
         n0 = training.noise_power
         want = 0.0
         for i in topology.rue_set:

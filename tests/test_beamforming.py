@@ -457,17 +457,17 @@ def test_batched_projected_gradient_oracle_matches_the_loop_oracle():
 
 
 def test_solve_qcqp_exhausted_iterations_raises(monkeypatch):
-    """Every RRH cap is a quarter of the unconstrained power, so no dual
-    update at all leaves the caps exceeded. The same holds for an MBS
-    budget a quarter of the unconstrained MBS power."""
+    """Every RRH cap is a quarter of the unconstrained power, so with no
+    dual step allowed the cold start alone leaves a cap exceeded. The same
+    holds for an MBS budget a quarter of the unconstrained MBS power."""
     rng = child_rng(31, 6)
     links = hand_links([[0, 1], [1]], crandn(rng, 2, 2, 2), np.ones((2, 2)))
     f, u = np.ones(2), np.ones(2)
     loose = hand_qcqp(links, f, u, [1e9, 1e9])
     free = dense_rrh_powers(loose, dense_rrh_beams(loose, np.zeros(2)))
     problem = hand_qcqp(links, f, u, 0.25 * free)
-    monkeypatch.setattr(beamforming, "MAX_DUAL_ITERS", 0)
-    with pytest.raises(ConvergenceError):
+    monkeypatch.setattr(beamforming, "MAX_DUAL_STEPS", 0)
+    with pytest.raises(ConvergenceError, match="RRH dual ascent stalled"):
         solve_qcqp(problem)
     # The MBS side reads the cap too: a slack budget still returns nu = 0 and
     # the unconstrained beams, and a binding one raises.
@@ -842,7 +842,9 @@ def test_single_coordinate_update_lands_on_the_cap(monkeypatch, start, rule):
     sent the multiplier to 0, every trial was rejected and a sweep ran.
     Under ``sweep`` every Newton system fails to solve, so the step is
     rejected and one coordinate pass, the sweep's step on RRH 0 alone,
-    does it."""
+    does it. With one dual step allowed (``MAX_DUAL_STEPS``), each solve
+    stops at the cap: after the cold start, the accepted Newton step, or
+    the rejected step and its sweep, so the counters show that one step."""
     links = hand_links([[0, 1]], np.ones((2, 1, 1)), [[1e-2], [1e-4]])
     problem = hand_qcqp(links, [1.0], [1.0], [1e-6, 1e9])
     r = 1.0 / 1e-4  # s_1 / delta_1 = 1 / (G_1 - |g_1|^2)
@@ -850,7 +852,7 @@ def test_single_coordinate_update_lands_on_the_cap(monkeypatch, start, rule):
     schur = 1.01 - r / (1.0 + r)
     exact = c / 1e-3 - schur
     mu0 = None if start is None else np.array([start * exact, 0.0])
-    monkeypatch.setattr(beamforming, "MAX_DUAL_ITERS", 1)
+    monkeypatch.setattr(beamforming, "MAX_DUAL_STEPS", 1)
     if rule == "sweep":
 
         def singular(a, b):

@@ -12,6 +12,7 @@ from hcransim import (
     draw_small_scale,
     estimate_channels,
     generate_topology,
+    mse_links,
     perfect_channel_state,
     prelog_factor,
     psa_schedule,
@@ -149,7 +150,8 @@ def test_error_variances_sum_to_the_schedulers_objective():
         state = estimate_channels(topo, assignment, training, channels, child_seed(0, 0, 3))
         total = topo.config.rrh_antennas * sum(state.var_rrh[k, i] for k, i in trained_links(topo))
         total += topo.config.mbs_antennas * sum(state.var_mbs[j] for j in topo.bue_set)
-        expected = sum_mse(topo, assignment, training.p_rue, training.p_bue, training.noise_power)
+        powers = (training.p_rue, training.p_bue, training.noise_power)
+        (expected,) = sum_mse(topo, [assignment], *powers, mse_links(topo))
         assert total == pytest.approx(expected, rel=1e-12)
 
 

@@ -607,14 +607,42 @@ def test_a_pilot_overflow_is_a_failure_row_not_an_aborted_sweep():
 
 
 def test_dual_iteration_cap_reaches_the_solver(monkeypatch):
-    """The solver reads ``MAX_DUAL_ITERS`` when it runs: with no multiplier
-    updates allowed the first QCQP's unconstrained beams break their caps,
-    the design stalls and the sweep counts the realization as failed."""
-    monkeypatch.setattr(beamforming, "MAX_DUAL_ITERS", 0)
+    """The solver reads ``MAX_DUAL_STEPS`` when it runs: with no step allowed
+    after the cold start the first QCQP's beams break their caps, the design
+    stalls and the sweep counts the realization as failed."""
+    monkeypatch.setattr(beamforming, "MAX_DUAL_STEPS", 0)
     result = run_se_sweep(tiny_config(sweep_values=(3,), num_realizations=1))
     rows = {row[1]: row for row in result.rows}
     assert rows["failures_psa_rtd"][2] == 1.0
     assert "sum_se_lb_psa_rtd" not in rows
+
+
+def test_dual_cap_counts_steps_so_a_large_drop_converges(monkeypatch):
+    """At (128, 400), tau 5, master seed 3, realization 2, the psa_rtd
+    design's second QCQP, its first warm one, moves more than 5,000
+    multipliers over about 20 Newton steps. A cap on multiplier updates,
+    which grow with the RRH count, stalled the design there; the cap on
+    steps lets it converge, every solve far below the cap."""
+    cfg = ExperimentConfig(
+        scenario=ScenarioConfig(num_ue=128, num_rrh=400),
+        training=TrainingConfig(tau=5),
+        master_seed=3,
+    )
+    infos, real = [], beamforming.solve_qcqp
+
+    def recorded(problem, feas_tol, mu0=None, nu0=None):
+        beams, info = real(problem, feas_tol, mu0=mu0, nu0=nu0)
+        steps = (mu0 is None) + info["newton_accepted"] + 2 * info["newton_rejected"]
+        infos.append((steps, info["dual_iterations"]))
+        return beams, info
+
+    monkeypatch.setattr(beamforming, "solve_qcqp", recorded)
+    scene = experiments._Scene(cfg, cfg.scenario, 2, (5,))
+    assignment, _ = scene.schedule_and_mse("psa", cfg.training)
+    design = scene.solve(assignment, cfg.training, "rtd")
+    assert design.state.converged and design.state.iterations == len(infos)
+    assert infos[1][1] > 5000
+    assert max(steps for steps, _ in infos) < beamforming.MAX_DUAL_STEPS // 10
 
 
 def test_rtd_counters_leave_the_se_sweep_csv_unchanged(tmp_path, monkeypatch):

@@ -1,7 +1,11 @@
 """Module boundaries of the package source."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
+
+import hcransim
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hcransim"
 
@@ -343,3 +347,46 @@ def test_json_read_check_flags_every_form(tmp_path):
         "sample.py inner parse",
         "sample.py read json.load",
     ]
+
+
+# Every defaulted parameter of an exported function, and every field of the
+# three configs. A new option changes this table, so it is added on purpose.
+DEFAULTED_PARAMETERS = {
+    "monte_carlo_rates": ["trials"],
+    "pathloss_gain": ["shadowing_db"],
+    "psa_schedule": ["rng"],
+    "rtd_solve": ["feas_tol"],
+    "schedule_one": ["out_path"],
+    "solve_qcqp": ["feas_tol", "mu0", "nu0"],
+}
+CONFIG_FIELDS = {
+    "ScenarioConfig": [
+        "num_rrh", "num_ue", "mbs_antennas", "rrh_antennas", "coverage_radius", "max_ue_per_rrh",
+    ],
+    "TrainingConfig": ["p_rue", "p_bue", "noise_power", "tau", "coherence"],
+    "ExperimentConfig": [
+        "scenario", "training", "budgets", "sweep_name", "sweep_values", "num_realizations",
+        "schedulers", "beamformers", "output_path", "master_seed", "jobs",
+    ],
+}
+
+
+def test_exported_options_are_the_pinned_ones():
+    """No exported function gains a defaulted parameter and no config gains
+    a field unless this table gains it too."""
+    exported = {
+        name: value for name, value in vars(hcransim).items()
+        if inspect.isfunction(value) and not name.startswith("_")
+    }
+    assert {"sum_mse", "es_schedule", "rtd_solve"} <= exported.keys()
+    defaulted = {}
+    for name, function in exported.items():
+        params = inspect.signature(function).parameters.values()
+        found = [p.name for p in params if p.default is not inspect.Parameter.empty]
+        if found:
+            defaulted[name] = found
+    assert defaulted == DEFAULTED_PARAMETERS
+    fields = {
+        name: [f.name for f in dataclasses.fields(getattr(hcransim, name))] for name in CONFIG_FIELDS
+    }
+    assert fields == CONFIG_FIELDS

@@ -10,8 +10,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcransim import (
+    PilotAssignment,
     ScenarioConfig,
     TrainingConfig,
     build_conflict_graph,
@@ -19,15 +22,16 @@ from hcransim import (
     dsatur_random_schedule,
     es_schedule,
     generate_topology,
-    make_assignment,
+    mse_links,
     psa_schedule,
     sum_mse,
     validate_assignment,
 )
 from hcransim import pilot_scheduler
 from hcransim.pilot_scheduler import ConflictGraph, dsatur_color
+from hcransim.util import child_seed, seed_to_int
 
-from helpers import hand_topology
+from helpers import child_rng, hand_topology
 from oracles import (
     best_schedules_oracle,
     beta_oracle,
@@ -38,12 +42,23 @@ from oracles import (
 )
 
 TRAIN = TrainingConfig()
+POWERS = (TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
 
 
 def seeded_topology(seed, num_rrh=15, num_ue=6, coverage_radius=120.0):
     return generate_topology(
         ScenarioConfig(num_rrh=num_rrh, num_ue=num_ue, coverage_radius=coverage_radius), seed
     )
+
+
+def es_at(topo, tau):
+    """The exhaustive search's (assignment, minimum) at one tau."""
+    return es_schedule(topo, [tau], *POWERS, build_conflict_graph(topo), mse_links(topo))[0]
+
+
+def mse_of(topo, assignment, powers=POWERS):
+    """``sum_mse`` of one assignment."""
+    return sum_mse(topo, [assignment], *powers, mse_links(topo))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +183,8 @@ def test_sum_mse_hand_case_frozen():
         n_ant=2,
         b_ant=3,
     )
-    assignment = make_assignment(tau=2, pilots=[1, 1])
-    value = sum_mse(topo, assignment, p_rue=2.0, p_bue=3.0, noise_power=1.0)
+    assignment = PilotAssignment(tau=2, pilots=[1, 1])
+    value = mse_of(topo, assignment, powers=(2.0, 3.0, 1.0))
     # RRH link: denom = 2*1 + 3*0.5 + 1 = 4.5, delta = (4.5-2)/4.5 -> 2 * 5/9
     # MBS link: denom = 2*0.25 + 3*2 + 1 = 7.5, delta = 2*1.5/7.5 -> 3 * 2/5
     assert value == pytest.approx(10.0 / 9.0 + 6.0 / 5.0, rel=1e-14)
@@ -181,7 +196,7 @@ def test_sum_mse_matches_per_link_oracle():
         topo = seeded_topology(seed)
         graph = build_conflict_graph(topo)
         assignment = dsatur_random_schedule(topo, tau=3, rng=rng, graph=graph)
-        value = sum_mse(topo, assignment, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+        value = mse_of(topo, assignment)
         expected = sum_mse_oracle(
             topo, assignment.pilots, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power
         )
@@ -195,42 +210,49 @@ def test_sum_mse_rejects_conflicting_assignment():
         alpha_rrh=np.array([[1.0, 1.0]]),
         alpha_mbs=np.array([1.0, 1.0]),
     )
-    bad = make_assignment(tau=2, pilots=[1, 1])  # both on RRH 0
+    bad = PilotAssignment(tau=2, pilots=[1, 1])  # both on RRH 0
     with pytest.raises(ValueError):
-        sum_mse(topo, bad, 1.0, 1.0, 1.0)
+        mse_of(topo, bad, powers=(1.0, 1.0, 1.0))
 
 
 def test_sum_mse_of_a_list_equals_each_assignments_own_call():
-    """A list is scored in one block, each value bit for bit its own call's,
-    with the BUEs on their own pilots row by row; an invalid member raises
-    the error its own call raises."""
-    powers = (TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+    """A list is scored in one block, each value bit for bit its
+    one-element call's, with the BUEs on their own pilots row by row; an
+    invalid member raises the error its own call raises."""
     rng = np.random.default_rng(4)
     for seed in range(4):
         topo = seeded_topology(seed)
-        graph = build_conflict_graph(topo)
+        graph, links = build_conflict_graph(topo), mse_links(topo)
         beta = compute_beta(topo, graph)
         assignments = [
             psa_schedule(topo, beta, graph, 3),
             dsatur_random_schedule(topo, 4, rng, graph),
-            es_schedule(topo, 3, *powers, graph=graph)[0],
+            es_schedule(topo, [3], *POWERS, graph, links)[0][0],
         ]
         relabeled = assignments[0].pilots.copy()
         relabeled[topo.bue_set] = relabeled[topo.bue_set[::-1]]  # BUEs swap pilots
-        assignments.append(make_assignment(assignments[0].tau, relabeled))
+        assignments.append(PilotAssignment(assignments[0].tau, relabeled))
         assert len(topo.bue_set) >= 2
-        values = sum_mse(topo, assignments, *powers)
-        assert values == [sum_mse(topo, a, *powers) for a in assignments]
+        values = sum_mse(topo, assignments, *POWERS, links)
+        assert values == [sum_mse(topo, [a], *POWERS, links)[0] for a in assignments]
         assert all(type(v) is float for v in values)
-        assert sum_mse(topo, [], *powers) == []
+        assert sum_mse(topo, [], *POWERS, links) == []
     bad = relabeled.copy()
     bad[topo.bue_set[1]] = bad[topo.bue_set[0]]
-    bad = make_assignment(assignments[0].tau, bad)
+    bad = PilotAssignment(assignments[0].tau, bad)
     with pytest.raises(ValueError, match="shared by several MBS-served users") as alone:
-        sum_mse(topo, bad, *powers)
+        mse_of(topo, bad)
     with pytest.raises(ValueError) as listed:
-        sum_mse(topo, assignments + [bad], *powers)
+        sum_mse(topo, assignments + [bad], *POWERS, links)
     assert str(listed.value) == str(alone.value)
+
+
+def test_assignment_holds_an_int_tau_and_an_int_pilot_array():
+    a = PilotAssignment(np.int64(3), [2, 3, 1])
+    assert type(a.tau) is int and a.tau == 3
+    assert isinstance(a.pilots, np.ndarray) and a.pilots.dtype == int
+    assert a.pilots.tolist() == [2, 3, 1]
+
 
 def test_validate_assignment_errors():
     topo = hand_topology(
@@ -240,11 +262,11 @@ def test_validate_assignment_errors():
         alpha_mbs=np.ones(3),
     )
     with pytest.raises(ValueError):  # two MBS users on one pilot
-        validate_assignment(topo, make_assignment(tau=2, pilots=[2, 1, 1]))
+        validate_assignment(topo, PilotAssignment(tau=2, pilots=[2, 1, 1]))
     with pytest.raises(ValueError):  # pilot outside 1..tau
-        validate_assignment(topo, make_assignment(tau=2, pilots=[3, 1, 2]))
+        validate_assignment(topo, PilotAssignment(tau=2, pilots=[3, 1, 2]))
     with pytest.raises(ValueError):  # tau beyond the UE count
-        validate_assignment(topo, make_assignment(tau=4, pilots=[3, 1, 2]))
+        validate_assignment(topo, PilotAssignment(tau=4, pilots=[3, 1, 2]))
     # users 0 and 1 share only RRH 2, the second RRH of each cluster
     overlap = hand_topology(
         serving_rrhs=[[0, 2], [1, 2], [3], []],
@@ -253,9 +275,9 @@ def test_validate_assignment_errors():
         alpha_mbs=np.ones(4),
     )
     with pytest.raises(ValueError, match="share RRH 2"):
-        validate_assignment(overlap, make_assignment(tau=2, pilots=[1, 1, 2, 2]))
+        validate_assignment(overlap, PilotAssignment(tau=2, pilots=[1, 1, 2, 2]))
     # users on disjoint RRHs may reuse a pilot, a BUE's included
-    validate_assignment(overlap, make_assignment(tau=2, pilots=[1, 2, 1, 2]))
+    validate_assignment(overlap, PilotAssignment(tau=2, pilots=[1, 2, 1, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +422,13 @@ def test_es_matches_brute_force_and_is_lexicographically_smallest():
     shares_bue_pilot = ties = no_bue = 0
     for seed, num_rrh, num_ue, radius, tau in ES_CASES:
         topo = seeded_topology(seed, num_rrh=num_rrh, num_ue=num_ue, coverage_radius=radius)
-        a, minimum = es_schedule(topo, tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+        a, minimum = es_at(topo, tau)
         validate_assignment(topo, a)
         assert a.tau == tau
         best_value, argmins = best_schedules_oracle(
             topo, a.tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power
         )
-        value = sum_mse(topo, a, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+        value = mse_of(topo, a)
         assert value == minimum == pytest.approx(best_value, rel=1e-12)
         lexmin = min(tuple(p) for p in argmins)
         assert tuple(a.pilots) == lexmin
@@ -440,7 +462,7 @@ def test_es_blocks_enumerate_in_order_and_score_independently_of_blocking():
 
     bue_pilots = np.arange(1, len(topo.bue_set) + 1)
     args = (bue_pilots, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
-    links = pilot_scheduler.mse_links(topo)
+    links = mse_links(topo)
     whole = pilot_scheduler._sum_mse_values(links, candidates, *args)
     for size in (1, 7):
         parts = [
@@ -449,9 +471,9 @@ def test_es_blocks_enumerate_in_order_and_score_independently_of_blocking():
         ]
         assert np.array_equal(np.concatenate(parts), whole)  # bit for bit
 
-    es, minimum = es_schedule(topo, 6, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+    es, minimum = es_at(topo, 6)
     # the search hands back the minimum that sum_mse gives its assignment
-    assert sum_mse(topo, es, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power) == whole.min() == minimum
+    assert mse_of(topo, es) == whole.min() == minimum
     assert np.array_equal(es.pilots[topo.rue_set], candidates[np.argmin(whole)])
     # swapping two RUE-only pilot labels gives the same value, bit for bit
     rue_pilots = es.pilots[topo.rue_set]
@@ -466,10 +488,9 @@ def test_es_blocks_enumerate_in_order_and_score_independently_of_blocking():
 def test_es_given_a_sequence_of_tau_equals_one_call_per_tau():
     """One enumeration at the largest effective tau answers every tau of a
     sequence, repeated and unsorted ones included, with the pilots, tau and
-    minimum of one call per tau, bit for bit. Tau 1 is raised to the
-    coloring number on some drops and to the MBS-served user count on
+    minimum of a one-element call per tau, bit for bit. Tau 1 is raised to
+    the coloring number on some drops and to the MBS-served user count on
     others."""
-    powers = (TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
     raised = set()
     for case, taus in (
         (ES_CASES[5], (3, 1, 4, 3, 2, 6)),
@@ -482,26 +503,14 @@ def test_es_given_a_sequence_of_tau_equals_one_call_per_tau():
         graph = build_conflict_graph(topo)
         t, num_bue = graph.coloring[0], len(topo.bue_set)
         raised.add("coloring" if t > max(1, num_bue) else "bue" if num_bue > max(1, t) else None)
-        answers = es_schedule(topo, taus, *powers, graph=graph)
+        answers = es_schedule(topo, taus, *POWERS, graph, mse_links(topo))
         assert len(answers) == len(taus)
         for tau, (got, got_minimum) in zip(taus, answers):
-            want, want_minimum = es_schedule(topo, tau, *powers)
+            want, want_minimum = es_at(topo, tau)
             assert got.tau == want.tau and got_minimum == want_minimum
             assert np.array_equal(got.pilots, want.pilots)
         assert answers[0][0].pilots is not answers[3][0].pilots
     assert {"coloring", "bue"} <= raised
-
-def test_es_given_the_callers_graph_and_links_returns_the_same_assignment():
-    for seed, num_rrh, num_ue, radius, tau in ES_CASES[4:8]:
-        topo = seeded_topology(seed, num_rrh=num_rrh, num_ue=num_ue, coverage_radius=radius)
-        powers = (TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
-        alone, minimum = es_schedule(topo, tau, *powers)
-        graph, links = build_conflict_graph(topo), pilot_scheduler.mse_links(topo)
-        for kwargs in ({"graph": graph}, {"links": links}, {"graph": graph, "links": links}):
-            given, given_minimum = es_schedule(topo, tau, *powers, **kwargs)
-            assert given.tau == alone.tau and given_minimum == minimum
-            assert np.array_equal(given.pilots, alone.pilots)
-        assert sum_mse(topo, alone, *powers, links=links) == sum_mse(topo, alone, *powers)
 
 
 def test_graph_colors_once_and_shares_a_read_only_coloring(monkeypatch):
@@ -517,14 +526,14 @@ def test_graph_colors_once_and_shares_a_read_only_coloring(monkeypatch):
     beta = compute_beta(topo, graph)
     psa_schedule(topo, beta, graph, tau=3)
     dsatur_random_schedule(topo, 3, np.random.default_rng(0), graph)
-    es_schedule(topo, 3, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power, graph=graph)
+    links = mse_links(topo)
+    es_schedule(topo, [3], *POWERS, graph, links)
     assert calls == [graph]
     want_t, want_colors = dsatur_color(graph)
     t, colors = graph.coloring
     assert t == want_t and np.array_equal(colors, want_colors)
     with pytest.raises(ValueError, match="read-only"):
         colors[0] = 0
-    links = pilot_scheduler.mse_links(topo)
     for array in (links.owners, links.gains, links.own_gain, links.antennas):
         assert not array.flags.writeable
 
@@ -532,11 +541,11 @@ def test_graph_colors_once_and_shares_a_read_only_coloring(monkeypatch):
 def test_es_memory_stays_bounded_beyond_one_block():
     # 7 RUEs at tau 6: 3,235 canonical vectors, more than one block
     topo = generate_topology(ScenarioConfig(num_ue=8, num_rrh=25), 2)
-    graph = build_conflict_graph(topo)
+    graph, links = build_conflict_graph(topo), mse_links(topo)
     assert len(topo.rue_set) == 7
     tracemalloc.start()
     try:
-        es_schedule(topo, 6, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+        es_schedule(topo, [6], *POWERS, graph, links)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -546,7 +555,7 @@ def test_es_memory_stays_bounded_beyond_one_block():
 def test_es_guard_rejects_huge_search_spaces():
     topo = seeded_topology(0, num_rrh=25, num_ue=12, coverage_radius=150.0)
     with pytest.raises(ValueError, match="enumeration guard"):
-        es_schedule(topo, 8, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+        es_at(topo, 8)
 
 
 def test_es_guard_reads_the_module_limit(monkeypatch):
@@ -555,28 +564,29 @@ def test_es_guard_reads_the_module_limit(monkeypatch):
     t, _ = build_conflict_graph(topo).coloring
     size = pilot_scheduler.effective_tau(topo, 3, t) ** topo.num_ue
     monkeypatch.setattr(pilot_scheduler, "ES_LIMIT", size)
-    es_schedule(topo, 3, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+    es_at(topo, 3)
     monkeypatch.setattr(pilot_scheduler, "ES_LIMIT", size - 1)
     with pytest.raises(ValueError, match=f"exceeds the enumeration guard {size - 1}"):
-        es_schedule(topo, 3, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+        es_at(topo, 3)
 
 
 def test_es_guard_refuses_a_sequence_whose_largest_tau_it_refuses(monkeypatch):
     topo = seeded_topology(1, num_rrh=10, num_ue=5, coverage_radius=150.0)
-    t, _ = build_conflict_graph(topo).coloring
-    size = pilot_scheduler.effective_tau(topo, 3, t) ** topo.num_ue
+    graph, links = build_conflict_graph(topo), mse_links(topo)
+    size = pilot_scheduler.effective_tau(topo, 3, graph.coloring[0]) ** topo.num_ue
     monkeypatch.setattr(pilot_scheduler, "ES_LIMIT", size)
-    es_schedule(topo, [3, 2], TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+    es_schedule(topo, [3, 2], *POWERS, graph, links)
     with pytest.raises(ValueError, match=f"search space 4\\^5 exceeds the enumeration guard {size}"):
-        es_schedule(topo, [3, 4, 2], TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+        es_schedule(topo, [3, 4, 2], *POWERS, graph, links)
+
 
 def test_es_never_beats_itself_with_fewer_pilots():
     # enlarging the pilot pool can only improve the exhaustive optimum
     topo = seeded_topology(1, num_rrh=10, num_ue=5, coverage_radius=150.0)
     values = []
     for tau in (2, 3, 4, 5):
-        a, _ = es_schedule(topo, tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
-        values.append(sum_mse(topo, a, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power))
+        a, _ = es_at(topo, tau)
+        values.append(mse_of(topo, a))
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo <= hi + 1e-18
 
@@ -587,9 +597,50 @@ def test_schedulers_coincide_with_orthogonal_optimum_at_full_tau():
     beta = compute_beta(topo, graph)
     tau = topo.num_ue
     psa = psa_schedule(topo, beta, graph, tau)
-    es, _ = es_schedule(topo, tau, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
-    v_psa = sum_mse(topo, psa, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
-    v_es = sum_mse(topo, es, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+    es, _ = es_at(topo, tau)
+    v_psa, v_es = sum_mse(topo, [psa, es], *POWERS, mse_links(topo))
     assert v_psa == pytest.approx(v_es, rel=1e-12)
     # every user alone on its pilot
     assert len(set(psa.pilots.tolist())) == topo.num_ue
+
+
+@st.composite
+def small_drops(draw):
+    """A random drop of 3 to 7 users and a random sequence of tau up to the
+    user count, repeats and unsorted orders included."""
+    num_ue = draw(st.integers(3, 7))
+    scenario = ScenarioConfig(
+        num_ue=num_ue,
+        num_rrh=draw(st.integers(1, 20)),
+        coverage_radius=draw(st.floats(50.0, 300.0)),
+    )
+    taus = draw(st.lists(st.integers(1, num_ue), min_size=1, max_size=4))
+    return scenario, draw(st.integers(0, 2**32 - 1)), taus
+
+
+@settings(max_examples=100)
+@given(drop=small_drops())
+def test_es_bounds_the_heuristics_and_never_rises_with_tau_on_random_drops(drop):
+    """On random drops (seeded as a sweep seeds realization 0), one list
+    call of the exhaustive search equals its one-element calls bit for bit;
+    its minimum is at or below the sum MSE of PSA and of Dsatur-random at
+    every tau; and the minimum never rises as the effective tau grows. All
+    three hold exactly: relabeled free pilots tie bit for bit, and the
+    candidates at a smaller effective tau are a subset of those at a larger."""
+    scenario, master_seed, taus = drop
+    topo = generate_topology(scenario, seed_to_int(child_seed(master_seed, 0, 0)))
+    graph, links = build_conflict_graph(topo), mse_links(topo)
+    beta = compute_beta(topo, graph)
+    answers = es_schedule(topo, taus, *POWERS, graph, links)
+    for tau, (got, minimum) in zip(taus, answers, strict=True):
+        (want, want_minimum), = es_schedule(topo, [tau], *POWERS, graph, links)
+        assert got.tau == want.tau and minimum == want_minimum
+        assert np.array_equal(got.pilots, want.pilots)
+        psa = psa_schedule(topo, beta, graph, tau, rng=child_rng(master_seed, 0, 1))
+        ds = dsatur_random_schedule(topo, tau, child_rng(master_seed, 0, 1), graph)
+        assert psa.tau == ds.tau == got.tau
+        es_value, psa_value, ds_value = sum_mse(topo, [got, psa, ds], *POWERS, links)
+        assert es_value == minimum <= min(psa_value, ds_value)
+    by_tau = sorted((a.tau, minimum) for a, minimum in answers)
+    for (_, fewer), (_, more) in zip(by_tau, by_tau[1:]):
+        assert more <= fewer

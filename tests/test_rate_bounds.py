@@ -18,8 +18,8 @@ from hcransim import (
     generate_topology,
     interference_plus_noise,
     link_amplitudes,
+    PilotAssignment,
     lower_bound_rates,
-    make_assignment,
     monte_carlo_rates,
     perfect_channel_state,
     prelog_factor,
@@ -160,7 +160,7 @@ def test_shared_rrh_pairs_drop_exactly_the_cross_estimate_blocks():
         n_ant=2,
         b_ant=3,
     )
-    assignment = make_assignment(3, [2, 3, 1])
+    assignment = PilotAssignment(3, [2, 3, 1])
     training = TrainingConfig(tau=3, coherence=50)
     channels = draw_small_scale(topology, child_seed(5, 0))
     state = estimate_channels(topology, assignment, training, channels, child_seed(5, 1))
@@ -610,7 +610,7 @@ def test_exact_rate_cases_cover_every_block_path():
     assert not lam.any()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
     num_ue=st.integers(1, 12),
