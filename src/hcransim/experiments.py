@@ -17,12 +17,15 @@ sum-MSE link arrays and small-scale channel draw are made once per scenario:
 once per call in a `tau` or `coherence` sweep, once per value in a scenario
 sweep. Schedules sit in one table per scene, keyed by scheduler and
 effective tau: a scheduler's first use fills its entries for every tau of
-the scenario's sweep values (the exhaustive search from one enumeration),
-and the heuristics' are scored in one `sum_mse` block. A refused exhaustive
-search stays in the table as the guard's message: sweeps skip it and warn,
-single-instance runs raise it. Each assignment serves every beamformer, and
-each design is one ``Design``. Nothing is kept between calls. With
-`jobs > 1` one process pool serves the sweep, split by realization.
+the scenario's sweep values in one call (the exhaustive search from one
+enumeration, PSA and Dsatur-random from one color permutation). The first
+sum MSE asked of a heuristic makes every configured heuristic's entries and
+scores their distinct pilot vectors in one `sum_mse` call. A refused
+exhaustive search stays in the table as the guard's message: sweeps skip it
+and warn, single-instance runs raise it. Each assignment serves every
+beamformer, and each design is one ``Design``. Nothing is kept between
+calls. With `jobs > 1` one process pool serves the sweep, split by
+realization.
 
 CSV schema: one row per (sweep_value, metric, mean, stderr, n).
 """
@@ -170,9 +173,11 @@ class _Scene:
         self.topology = generate_topology(scenario, seed_to_int(child_seed(cfg.master_seed, r, 0)))
         self.graph = build_conflict_graph(self.topology)
         self.beta = compute_beta(self.topology, self.graph)
+        self.beta.flags.writeable = False
         self.scheduler_seed = child_seed(cfg.master_seed, r, 1)
         self.powers = (cfg.training.p_rue, cfg.training.p_bue, cfg.training.noise_power)
         self._schedules = {}
+        self._effs = {}  # tau -> effective tau
 
     @cached_property
     def mse_links(self):
@@ -188,32 +193,48 @@ class _Scene:
         """(assignment, sum MSE) of one scheduler at training's tau, where
         the guard let the search run. The exhaustive search hands back the
         minimum it found, which is its assignment's sum MSE bit for bit; the
-        others' is computed once and kept with the schedule, for every
-        unscored entry in one ``sum_mse`` call."""
+        others' is computed once and kept with the schedule. The first ask
+        of an unscored entry makes every configured heuristic's entries,
+        then scores each distinct unscored pilot vector once, all in one
+        ``sum_mse`` call: a vector's value is the same bit for bit in any
+        list, and does not depend on the assignment's tau."""
         entry = self._entry(scheduler, training.tau)
         if entry[1] is None:
-            unscored = [e for (s, _), e in self._schedules.items() if s != "es" and e[1] is None]
-            values = sum_mse(
-                self.topology, [e[0] for e in unscored], *self.powers, links=self.mse_links
-            )
-            for e, value in zip(unscored, values):
-                e[1] = value
+            for other in self.cfg.schedulers:
+                if other != "es":
+                    self._entry(other, training.tau)
+            unscored = {}  # pilot vector -> its unscored entries
+            for (s, _), e in self._schedules.items():
+                if s != "es" and e[1] is None:
+                    unscored.setdefault(e[0].pilots.tobytes(), []).append(e)
+            values = sum_mse(self.topology, [same[0][0] for same in unscored.values()],
+                             *self.powers, links=self.mse_links)
+            for same, value in zip(unscored.values(), values):
+                for e in same:
+                    e[1] = value
         return tuple(entry)
+
+    def _effective_tau(self, tau: int) -> int:
+        if tau not in self._effs:
+            self._effs[tau] = effective_tau(self.topology, tau, self.graph.coloring[0])
+        return self._effs[tau]
 
     def _entry(self, scheduler: str, tau: int) -> list | str:
         """The table entry of scheduler at tau's effective tau. A scheduler
         reads tau only through ``effective_tau``, which leaves an effective
-        tau as it is, and PSA and Dsatur-random draw from a fresh generator
-        per call, so the schedule made at the effective tau is tau's. An
-        entry's first ask also makes the scheduler's missing entries for
-        ``taus``; the exhaustive search answers them all from one
-        enumeration. Its guard measures the largest effective tau alone, so
-        a refusal is that tau's entry (the guard's message) and the search
-        goes on without it: no call repeats."""
-        topology, graph, t = self.topology, self.graph, self.graph.coloring[0]
-        asked = effective_tau(topology, tau, t)
+        tau as it is, so the schedule made at the effective tau is tau's.
+        An entry's first ask makes the scheduler's missing entries for
+        ``taus`` in one call. PSA and Dsatur-random draw one permutation per
+        call, from a fresh generator on the scheduler seed, so every entry
+        holds the permutation a one-tau call draws. The exhaustive search
+        answers them all from one enumeration. Its guard measures the
+        largest effective tau alone, so a refusal is that tau's entry (the
+        guard's message) and the search goes on without it: no call
+        repeats."""
+        topology, graph = self.topology, self.graph
+        asked = self._effective_tau(tau)
         if (scheduler, asked) not in self._schedules:
-            effs = dict.fromkeys(effective_tau(topology, x, t) for x in (tau, *self.taus))
+            effs = dict.fromkeys(map(self._effective_tau, (tau, *self.taus)))
             missing = [eff for eff in effs if (scheduler, eff) not in self._schedules]
             if scheduler == "es":
                 missing.sort()
@@ -228,12 +249,12 @@ class _Scene:
                         self._schedules[scheduler, eff] = [assignment, value]
                     break
             else:
-                for eff in missing:
-                    rng = np.random.default_rng(self.scheduler_seed)  # fresh per call
-                    if scheduler == "psa":
-                        assignment = psa_schedule(topology, self.beta, graph, eff, rng=rng)
-                    else:
-                        assignment = dsatur_random_schedule(topology, eff, rng, graph)
+                rng = np.random.default_rng(self.scheduler_seed)
+                if scheduler == "psa":
+                    made = psa_schedule(topology, self.beta, graph, missing, rng=rng)
+                else:
+                    made = dsatur_random_schedule(topology, missing, rng, graph)
+                for eff, assignment in zip(missing, made):
                     self._schedules[scheduler, eff] = [assignment, None]
         return self._schedules[scheduler, asked]
 

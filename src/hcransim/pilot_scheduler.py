@@ -20,6 +20,13 @@ are provided:
   enumeration at the largest answers them all: the canonical vectors at a
   smaller tau are the rows whose pilots stay within it, in the same order.
 
+Each scheduler takes a sequence of tau and returns one assignment per tau,
+in order, each equal bit for bit to its one-element call's. PSA and
+Dsatur-random draw one color permutation per call, whatever the number of
+tau: at each effective tau PSA refines the one initialization, and
+Dsatur-random's assignments share one pilot vector. Every scheduler's pilot
+vectors are read-only.
+
 ``_sum_mse_values`` is the one sum-MSE evaluator; a candidate's value is bit
 for bit the same in any block. ``sum_mse`` scores a list of assignments in
 one block. ``sum_mse`` and ``es_schedule`` read the read-only link arrays of
@@ -281,54 +288,65 @@ def _base_pilots(topology: Topology, colors: np.ndarray, perm: np.ndarray) -> np
 
 
 def dsatur_random_schedule(
-    topology: Topology, tau: int, rng: np.random.Generator, graph: ConflictGraph
-) -> PilotAssignment:
-    """Baseline: color classes get a random permutation of pilots 1..t.
+    topology: Topology, taus: Sequence[int], rng: np.random.Generator, graph: ConflictGraph
+) -> list[PilotAssignment]:
+    """Baseline: color classes get a random permutation of pilots 1..t, one
+    assignment per tau of ``taus`` in order.
 
     The color count t never grows with tau, which is why this baseline's
-    sum-MSE stays flat when more pilots are available.
+    sum-MSE stays flat when more pilots are available: one permutation is
+    drawn for the call, and its read-only pilot vector backs every
+    assignment, which differ only in their effective tau.
     """
     t, colors = graph.coloring
-    tau_eff = effective_tau(topology, tau, t)
+    effs = [effective_tau(topology, tau, t) for tau in taus]
     pilots = _base_pilots(topology, colors, rng.permutation(t))
-    return PilotAssignment(tau_eff, pilots)
+    pilots.flags.writeable = False
+    return [PilotAssignment(eff, pilots) for eff in effs]
 
 
 def psa_schedule(
     topology: Topology,
     beta: np.ndarray,
     graph: ConflictGraph,
-    tau: int,
+    taus: Sequence[int],
     rng: np.random.Generator | None = None,
-) -> PilotAssignment:
-    """Greedy contamination-driven refinement of a Dsatur initialization.
+) -> list[PilotAssignment]:
+    """Greedy contamination-driven refinement of a Dsatur initialization, one
+    assignment per tau of ``taus`` in order.
 
     Initialization: BUE j holds pilot j; Dsatur classes are mapped onto pilots
-    1..t (randomly permuted when ``rng`` is given, identity otherwise). Then
-    every RUE is revisited exactly once, worst-contaminated first, and moved to
-    the pilot (excluding those held by its conflict-graph neighbors) with the
-    least contamination. Ties: lowest UE id / lowest pilot index. ``beta`` is
-    ``compute_beta(topology, graph)``.
+    1..t (randomly permuted when ``rng`` is given, identity otherwise). One
+    initialization serves every tau: the permutation is drawn once per call.
+    Then, at each effective tau, every RUE is revisited exactly once,
+    worst-contaminated first, and moved to the pilot (excluding those held
+    by its conflict-graph neighbors) with the least contamination. Ties:
+    lowest UE id / lowest pilot index. ``beta`` is ``compute_beta(topology,
+    graph)``. The pilot vectors are read-only.
     """
     rue_ids = np.array(topology.rue_set, dtype=int)
     t, colors = graph.coloring
-    tau_eff = effective_tau(topology, tau, t)
-    perm = np.arange(t) if rng is None else rng.permutation(t)
-    pilots = _base_pilots(topology, colors, perm)
+    effs = [effective_tau(topology, tau, t) for tau in taus]
+    base = _base_pilots(topology, colors, np.arange(t) if rng is None else rng.permutation(t))
     conflict = graph.adjacency.astype(bool)
-    rows, pilot_ids = np.arange(len(rue_ids)), np.arange(1, tau_eff + 1)
-    revisited = np.zeros(len(rue_ids), dtype=bool)
-    for _ in rows:
-        level = beta @ (pilots[:, None] == pilot_ids)  # RUE r's level on pilot p at [r, p - 1]
-        rue_pilots = pilots[rue_ids]
-        own = level[rows, rue_pilots - 1]
-        own[revisited] = -np.inf
-        r = own.argmax()
-        options = level[r]
-        options[rue_pilots[conflict[r]] - 1] = np.inf
-        pilots[rue_ids[r]] = options.argmin() + 1
-        revisited[r] = True
-    return PilotAssignment(tau_eff, pilots)
+    rows = np.arange(len(rue_ids))
+    out = []
+    for tau_eff in effs:
+        pilots, pilot_ids = base.copy(), np.arange(1, tau_eff + 1)
+        revisited = np.zeros(len(rue_ids), dtype=bool)
+        for _ in rows:
+            level = beta @ (pilots[:, None] == pilot_ids)  # RUE r's level on pilot p at [r, p - 1]
+            rue_pilots = pilots[rue_ids]
+            own = level[rows, rue_pilots - 1]
+            own[revisited] = -np.inf
+            r = own.argmax()
+            options = level[r]
+            options[rue_pilots[conflict[r]] - 1] = np.inf
+            pilots[rue_ids[r]] = options.argmin() + 1
+            revisited[r] = True
+        pilots.flags.writeable = False
+        out.append(PilotAssignment(tau_eff, pilots))
+    return out
 
 
 def _feasible_blocks(graph: ConflictGraph, tau: int, num_bue: int):
@@ -405,7 +423,8 @@ def es_schedule(
     the first strict minimum over those rows of each block, and every pair
     equals the one-element call's bit for bit.
     Guarded by tau_eff**M <= ES_LIMIT at the largest tau_eff. ``graph`` and
-    ``links`` are the topology's conflict graph and ``mse_links``.
+    ``links`` are the topology's conflict graph and ``mse_links``. The pilot
+    vectors are read-only.
     """
     t, _ = graph.coloring
     effs = [effective_tau(topology, tau, t) for tau in taus]
@@ -431,5 +450,6 @@ def es_schedule(
         pilots[topology.bue_set] = bue_pilots
         if row is not None:
             pilots[topology.rue_set] = row
+        pilots.flags.writeable = False
         out.append((PilotAssignment(eff, pilots), float(value)))
     return out

@@ -85,8 +85,9 @@ def pipeline_instance(r=0, master_seed=0, tau=4, scenario=None, training=None):
     topology = generate_topology(scenario, seed_to_int(child_seed(master_seed, r, 0)))
     graph = build_conflict_graph(topology)
     assignment = psa_schedule(
-        topology, compute_beta(topology, graph), graph, training.tau, rng=child_rng(master_seed, r, 1)
-    )
+        topology, compute_beta(topology, graph), graph, [training.tau],
+        rng=child_rng(master_seed, r, 1),
+    )[0]
     channels = instance_channels(topology, r, master_seed)
     state = estimate_channels(
         topology, assignment, training, channels, child_seed(master_seed, r, 3)

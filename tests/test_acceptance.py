@@ -57,8 +57,8 @@ def test_c1_scheduler_ordering_es_psa_random():
         graph, links = build_conflict_graph(topology), mse_links(topology)
         beta = compute_beta(topology, graph)
         schedules = [
-            psa_schedule(topology, beta, graph, 3),
-            dsatur_random_schedule(topology, 3, child_rng(42, r, 1), graph),
+            psa_schedule(topology, beta, graph, [3])[0],
+            dsatur_random_schedule(topology, [3], child_rng(42, r, 1), graph)[0],
             es_schedule(topology, [3], *args, graph, links)[0][0],
         ]
         v_psa, v_ds, v_es = sum_mse(topology, schedules, *args, links)
@@ -84,8 +84,8 @@ def test_c2_orthogonal_pilot_limit_matches_closed_form():
         topology = generate_topology(ScenarioConfig(), seed_to_int(child_seed(2, r, 0)))
         training = TrainingConfig(tau=topology.num_ue)
         graph = build_conflict_graph(topology)
-        assignment = psa_schedule(
-            topology, compute_beta(topology, graph), graph, training.tau
+        (assignment,) = psa_schedule(
+            topology, compute_beta(topology, graph), graph, [training.tau]
         )
         assert len(set(assignment.pilots.tolist())) == topology.num_ue
         powers = (training.p_rue, training.p_bue, training.noise_power)

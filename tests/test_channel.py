@@ -30,7 +30,7 @@ def make_instance(seed=0, tau=3, num_ue=6, num_rrh=15):
     )
     graph = build_conflict_graph(topo)
     training = TrainingConfig(tau=tau)
-    assignment = psa_schedule(topo, compute_beta(topo, graph), graph, tau)
+    (assignment,) = psa_schedule(topo, compute_beta(topo, graph), graph, [tau])
     return topo, training, assignment
 
 

@@ -275,10 +275,10 @@ def test_each_realization_runs_its_sweep_invariant_stages_once(monkeypatch):
         tiny_config(sweep_values=taus, schedulers=("psa", "dsatur_random", "es"))
     )
     # the exhaustive search hands back its minimum, so only PSA and
-    # Dsatur-random are scored, each in one call per realization that scores
-    # its schedules at every distinct effective tau (3, 1 and 4 of them)
-    assert counts == dict.fromkeys(shared + ("dsatur_color",), 3) | {
-        "draw_small_scale": 0, "sum_mse": 3 * 2,
+    # Dsatur-random are scored, both in one call per realization that scores
+    # their schedules at every distinct effective tau (3, 1 and 4 of them)
+    assert counts == dict.fromkeys(shared + ("dsatur_color", "sum_mse"), 3) | {
+        "draw_small_scale": 0,
     }
 
     counts.update(dict.fromkeys(counts, 0))
@@ -321,14 +321,23 @@ def test_no_sweep_changes_the_training_powers(name):
 
 
 def test_equal_effective_tau_shares_one_schedule(monkeypatch):
-    """Each realization runs PSA and Dsatur-random once per effective tau
-    (tau lifted to the coloring number and the MBS-served user count) and
-    the exhaustive search once for all of them: on a tau sweep where the
-    clamp repeats, the heuristics' calls are fewer than the sweep's
+    """Each realization calls each scheduler once, for every distinct
+    effective tau (tau lifted to the coloring number and the MBS-served user
+    count) of the sweep, and scores the heuristics' schedules in one
+    ``sum_mse`` call that holds each distinct pilot vector once: on a tau
+    sweep where the clamp repeats, the schedules are fewer than the sweep's
     (realization, tau) pairs, and the rows equal those of one-value sweeps."""
     schedulers = ("psa_schedule", "dsatur_random_schedule", "es_schedule")
     counts = {}
     _count_calls(monkeypatch, counts, experiments, schedulers)
+    scored = []
+    real = experiments.sum_mse
+
+    def recorded(topology, assignments, *args, **kwargs):
+        scored.append(sorted(tuple(a.pilots.tolist()) for a in assignments))
+        return real(topology, assignments, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sum_mse", recorded)
     taus = (1, 2, 3, 4)
     cfg = tiny_config(
         training=TrainingConfig(tau=1, coherence=30),
@@ -336,20 +345,37 @@ def test_equal_effective_tau_shares_one_schedule(monkeypatch):
         schedulers=("psa", "dsatur_random", "es"),
     )
     rows = run_mse_sweep(cfg).rows
-    distinct = 0
+    assert counts == dict.fromkeys(schedulers, cfg.num_realizations)
+    distinct, vectors = 0, []
     for r in range(cfg.num_realizations):
-        scene = experiments._Scene(cfg, cfg.scenario, r)
+        scene = experiments._Scene(cfg, cfg.scenario, r, taus)
         t = scene.graph.coloring[0]
         distinct += len({pilot_scheduler.effective_tau(scene.topology, tau, t) for tau in taus})
+        made = {tuple(scene._entry(s, tau)[0].pilots.tolist())
+                for s in ("psa", "dsatur_random") for tau in taus}
+        vectors.append(sorted(made))
     assert distinct < cfg.num_realizations * len(taus)
-    assert counts == dict.fromkeys(schedulers[:2], distinct) | {
-        "es_schedule": cfg.num_realizations
-    }
+    assert scored == vectors
     single = [
         row for tau in taus
         for row in run_mse_sweep(dataclasses.replace(cfg, sweep_values=(tau,))).rows
     ]
     assert rows == single
+
+
+def test_a_scenes_shared_arrays_are_read_only():
+    """The contamination levels and every schedule's pilot vector are
+    shared by the scene's schedulers and designs, and Dsatur-random's
+    entries share one vector across tau, so a write to any of them raises."""
+    taus = (2, 3, 4)
+    cfg = tiny_config(sweep_values=taus, schedulers=("psa", "dsatur_random", "es"))
+    scene = experiments._Scene(cfg, cfg.scenario, 2, taus)
+    entries = {s: [scene._entry(s, tau)[0] for tau in taus] for s in cfg.schedulers}
+    random_pilots = {id(a.pilots) for a in entries["dsatur_random"]}
+    assert len(random_pilots) == 1 and len({a.tau for a in entries["dsatur_random"]}) == 3
+    for array in [scene.beta] + [a.pilots for each in entries.values() for a in each]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
 
 
 def test_a_sweep_whose_largest_tau_the_guard_refuses_equals_one_value_sweeps(monkeypatch):

@@ -195,7 +195,7 @@ def test_sum_mse_matches_per_link_oracle():
     for seed in range(6):
         topo = seeded_topology(seed)
         graph = build_conflict_graph(topo)
-        assignment = dsatur_random_schedule(topo, tau=3, rng=rng, graph=graph)
+        (assignment,) = dsatur_random_schedule(topo, [3], rng, graph)
         value = mse_of(topo, assignment)
         expected = sum_mse_oracle(
             topo, assignment.pilots, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power
@@ -225,8 +225,8 @@ def test_sum_mse_of_a_list_equals_each_assignments_own_call():
         graph, links = build_conflict_graph(topo), mse_links(topo)
         beta = compute_beta(topo, graph)
         assignments = [
-            psa_schedule(topo, beta, graph, 3),
-            dsatur_random_schedule(topo, 4, rng, graph),
+            psa_schedule(topo, beta, graph, [3])[0],
+            dsatur_random_schedule(topo, [4], rng, graph)[0],
             es_schedule(topo, [3], *POWERS, graph, links)[0][0],
         ]
         relabeled = assignments[0].pilots.copy()
@@ -294,7 +294,7 @@ def test_tau_clamps_to_coloring_and_bue_count():
     )
     graph = build_conflict_graph(topo)
     beta = compute_beta(topo, graph)
-    a = psa_schedule(topo, beta, graph, tau=1)
+    (a,) = psa_schedule(topo, beta, graph, [1])
     assert a.tau == max(2, len(topo.bue_set))  # chain 0-1-2 colors with 2
     validate_assignment(topo, a)
 
@@ -306,15 +306,15 @@ def test_tau_clamps_to_coloring_and_bue_count():
         alpha_mbs=np.ones(4),
     )
     graph2 = build_conflict_graph(topo2)
-    a2 = psa_schedule(topo2, compute_beta(topo2, graph2), graph2, tau=1)
+    (a2,) = psa_schedule(topo2, compute_beta(topo2, graph2), graph2, [1])
     assert a2.tau == 3
     # the three MBS users hold pilots 1..3 in id order
     assert list(a2.pilots[[1, 2, 3]]) == [1, 2, 3]
 
     with pytest.raises(ValueError):
-        psa_schedule(topo2, compute_beta(topo2, graph2), graph2, tau=5)
+        psa_schedule(topo2, compute_beta(topo2, graph2), graph2, [5])
     with pytest.raises(ValueError):
-        psa_schedule(topo2, compute_beta(topo2, graph2), graph2, tau=0)
+        psa_schedule(topo2, compute_beta(topo2, graph2), graph2, [0])
 
 
 def test_psa_spreads_isolated_users_frozen_trace():
@@ -335,7 +335,7 @@ def test_psa_spreads_isolated_users_frozen_trace():
             [1.0, 2.0, 0.0],
         ]
     )
-    a = psa_schedule(topo, beta, graph, tau=3)
+    (a,) = psa_schedule(topo, beta, graph, [3])
     assert list(a.pilots) == [3, 2, 1]
 
 
@@ -355,7 +355,7 @@ def test_psa_respects_conflict_exclusion_frozen_trace():
             [3.0, 1.0, 0.0],
         ]
     )
-    a = psa_schedule(topo, beta, graph, tau=2)
+    (a,) = psa_schedule(topo, beta, graph, [2])
     assert list(a.pilots) == [1, 2, 2]
     validate_assignment(topo, a)
 
@@ -364,11 +364,11 @@ def test_psa_deterministic_given_rng_state():
     topo = seeded_topology(3)
     graph = build_conflict_graph(topo)
     beta = compute_beta(topo, graph)
-    a = psa_schedule(topo, beta, graph, tau=3, rng=np.random.default_rng(7))
-    b = psa_schedule(topo, beta, graph, tau=3, rng=np.random.default_rng(7))
+    (a,) = psa_schedule(topo, beta, graph, [3], rng=np.random.default_rng(7))
+    (b,) = psa_schedule(topo, beta, graph, [3], rng=np.random.default_rng(7))
     assert np.array_equal(a.pilots, b.pilots)
-    c = psa_schedule(topo, beta, graph, tau=3)  # rng-free call is canonical
-    d = psa_schedule(topo, beta, graph, tau=3)
+    (c,) = psa_schedule(topo, beta, graph, [3])  # rng-free call is canonical
+    (d,) = psa_schedule(topo, beta, graph, [3])
     assert np.array_equal(c.pilots, d.pilots)
 
 
@@ -383,7 +383,7 @@ def test_psa_matches_the_loop_oracle():
         for tau in range(1, min(8, num_ue) + 1):
             for levels, rng_seed in itertools.product((beta, np.round(4 * beta)), (None, seed)):
                 rngs = [None if rng_seed is None else np.random.default_rng(rng_seed) for _ in "ab"]
-                a = psa_schedule(topo, levels, graph, tau, rng=rngs[0])
+                (a,) = psa_schedule(topo, levels, graph, [tau], rng=rngs[0])
                 want = psa_oracle(topo, levels, graph.adjacency, tau, rng=rngs[1])
                 assert (a.tau, a.pilots.tolist()) == want
 
@@ -395,7 +395,7 @@ def test_dsatur_random_never_uses_more_than_t_pilots():
         graph = build_conflict_graph(topo)
         t, _ = dsatur_color(graph)
         for tau in range(1, topo.num_ue + 1):
-            a = dsatur_random_schedule(topo, tau, rng, graph)
+            (a,) = dsatur_random_schedule(topo, [tau], rng, graph)
             validate_assignment(topo, a)
             rue_pilots = {int(a.pilots[i]) for i in topo.rue_set}
             assert len(rue_pilots) <= t
@@ -524,8 +524,8 @@ def test_graph_colors_once_and_shares_a_read_only_coloring(monkeypatch):
 
     monkeypatch.setattr(pilot_scheduler, "dsatur_color", counted)
     beta = compute_beta(topo, graph)
-    psa_schedule(topo, beta, graph, tau=3)
-    dsatur_random_schedule(topo, 3, np.random.default_rng(0), graph)
+    psa_schedule(topo, beta, graph, [3])
+    dsatur_random_schedule(topo, [3], np.random.default_rng(0), graph)
     links = mse_links(topo)
     es_schedule(topo, [3], *POWERS, graph, links)
     assert calls == [graph]
@@ -596,7 +596,7 @@ def test_schedulers_coincide_with_orthogonal_optimum_at_full_tau():
     graph = build_conflict_graph(topo)
     beta = compute_beta(topo, graph)
     tau = topo.num_ue
-    psa = psa_schedule(topo, beta, graph, tau)
+    (psa,) = psa_schedule(topo, beta, graph, [tau])
     es, _ = es_at(topo, tau)
     v_psa, v_es = sum_mse(topo, [psa, es], *POWERS, mse_links(topo))
     assert v_psa == pytest.approx(v_es, rel=1e-12)
@@ -622,22 +622,29 @@ def small_drops(draw):
 @given(drop=small_drops())
 def test_es_bounds_the_heuristics_and_never_rises_with_tau_on_random_drops(drop):
     """On random drops (seeded as a sweep seeds realization 0), one list
-    call of the exhaustive search equals its one-element calls bit for bit;
-    its minimum is at or below the sum MSE of PSA and of Dsatur-random at
-    every tau; and the minimum never rises as the effective tau grows. All
-    three hold exactly: relabeled free pilots tie bit for bit, and the
-    candidates at a smaller effective tau are a subset of those at a larger."""
+    call of each scheduler equals its one-element calls bit for bit, pilots
+    and tau: PSA and Dsatur-random on a fresh generator on the scheduler
+    seed per call, as a sweep draws them. The exhaustive minimum is at or
+    below the sum MSE of PSA and of Dsatur-random at every tau, and never
+    rises as the effective tau grows. All of it holds exactly: relabeled
+    free pilots tie bit for bit, and the candidates at a smaller effective
+    tau are a subset of those at a larger."""
     scenario, master_seed, taus = drop
     topo = generate_topology(scenario, seed_to_int(child_seed(master_seed, 0, 0)))
     graph, links = build_conflict_graph(topo), mse_links(topo)
     beta = compute_beta(topo, graph)
+
+    def heuristics(taus):
+        return (psa_schedule(topo, beta, graph, taus, rng=child_rng(master_seed, 0, 1)),
+                dsatur_random_schedule(topo, taus, child_rng(master_seed, 0, 1), graph))
+
     answers = es_schedule(topo, taus, *POWERS, graph, links)
-    for tau, (got, minimum) in zip(taus, answers, strict=True):
+    for tau, (got, minimum), psa, ds in zip(taus, answers, *heuristics(taus), strict=True):
         (want, want_minimum), = es_schedule(topo, [tau], *POWERS, graph, links)
         assert got.tau == want.tau and minimum == want_minimum
         assert np.array_equal(got.pilots, want.pilots)
-        psa = psa_schedule(topo, beta, graph, tau, rng=child_rng(master_seed, 0, 1))
-        ds = dsatur_random_schedule(topo, tau, child_rng(master_seed, 0, 1), graph)
+        for listed, (alone,) in zip((psa, ds), heuristics([tau])):
+            assert listed.tau == alone.tau and np.array_equal(listed.pilots, alone.pilots)
         assert psa.tau == ds.tau == got.tau
         es_value, psa_value, ds_value = sum_mse(topo, [got, psa, ds], *POWERS, links)
         assert es_value == minimum <= min(psa_value, ds_value)
