@@ -15,17 +15,18 @@ every sweep value and runs each stage once per distinct input (``_Scene``).
 The topology, conflict graph with its Dsatur coloring, contamination levels,
 sum-MSE link arrays and small-scale channel draw are made once per scenario:
 once per call in a `tau` or `coherence` sweep, once per value in a scenario
-sweep. Schedules sit in one table per scene, keyed by scheduler and
-effective tau: a scheduler's first use fills its entries for every tau of
-the scenario's sweep values in one call (the exhaustive search from one
-enumeration, PSA and Dsatur-random from one color permutation). The first
-sum MSE asked of a heuristic makes every configured heuristic's entries and
-scores their distinct pilot vectors in one `sum_mse` call. A refused
-exhaustive search stays in the table as the guard's message: sweeps skip it
-and warn, single-instance runs raise it. Each assignment serves every
-beamformer, and each design is one ``Design``. Nothing is kept between
-calls. With `jobs > 1` one process pool serves the sweep, split by
-realization.
+sweep. Each scene keeps two tables. The schedule table holds, per
+scheduler, ``{effective tau: assignment}``: a scheduler's first use fills
+it for every tau of the scenario's sweep values in one call (the exhaustive
+search from one enumeration, PSA and Dsatur-random from one color
+permutation). A refused exhaustive search stays in the table as the guard's
+message: sweeps skip it and warn, single-instance runs raise it. The
+sum-MSE table maps a pilot vector to its sum MSE. The search enters its
+minima; the first ask of any other vector makes every configured
+scheduler's table and scores the vectors still without a value in one
+`sum_mse` call. Each assignment serves every beamformer, and each design is
+one ``Design``. Nothing is kept between calls. With `jobs > 1` one process
+pool serves the sweep, split by realization.
 
 CSV schema: one row per (sweep_value, metric, mean, stderr, n).
 """
@@ -155,29 +156,29 @@ def _apply_sweep(cfg: ExperimentConfig, value):
 class _Scene:
     """Realization r of one scenario: the stages no sweep value changes.
 
-    The topology, its conflict graph (which holds the Dsatur coloring) and
-    the contamination levels are made on construction; the sum-MSE link
-    arrays, the small-scale channel draw and the schedules on first use.
-    Schedules sit in one table, ``(scheduler, effective tau) -> [assignment,
-    sum MSE or None until scored]``, or the guard's message where it refused
-    the exhaustive search, made at the training powers of
-    ``cfg.training``, read once: no sweep changes them (a test pins this for
-    every sweep name). ``taus`` are the pilot counts the scene's sweep values
-    ask for. ``solve`` makes one ``Design`` from an assignment. Everything
-    here is shared by the schedulers and beamformers of one worker call and
-    must not be mutated; the shared arrays are read-only.
+    The topology, its conflict graph (which holds the Dsatur coloring), the
+    contamination levels and ``effs`` (``{tau: effective tau}`` for each of
+    ``taus``, the pilot counts of the scene's sweep values) are made on
+    construction; the sum-MSE link arrays, the small-scale channel draw and
+    the schedule and sum-MSE tables on first use, the tables at the training
+    powers of ``cfg.training``, read once: no sweep changes them (a test
+    pins this for every sweep name). ``solve`` makes one ``Design`` from an
+    assignment. Everything here is shared by the schedulers and beamformers
+    of one worker call and must not be mutated; the shared arrays are
+    read-only.
     """
 
-    def __init__(self, cfg: ExperimentConfig, scenario: ScenarioConfig, r: int, taus=()):
-        self.cfg, self.r, self.taus = cfg, r, tuple(taus)
+    def __init__(self, cfg: ExperimentConfig, scenario: ScenarioConfig, r: int, taus):
+        self.cfg, self.r = cfg, r
         self.topology = generate_topology(scenario, seed_to_int(child_seed(cfg.master_seed, r, 0)))
         self.graph = build_conflict_graph(self.topology)
         self.beta = compute_beta(self.topology, self.graph)
         self.beta.flags.writeable = False
+        self.effs = {tau: effective_tau(self.topology, tau, self.graph.coloring[0]) for tau in taus}
         self.scheduler_seed = child_seed(cfg.master_seed, r, 1)
         self.powers = (cfg.training.p_rue, cfg.training.p_bue, cfg.training.noise_power)
-        self._schedules = {}
-        self._effs = {}  # tau -> effective tau
+        self._schedules = {}  # scheduler -> {effective tau: assignment or the guard's message}
+        self._mse = {}  # pilot vector bytes -> sum MSE
 
     @cached_property
     def mse_links(self):
@@ -189,74 +190,63 @@ class _Scene:
         channels.rrh.flags.writeable = channels.mbs.flags.writeable = False
         return channels
 
-    def schedule_and_mse(self, scheduler: str, training: TrainingConfig):
-        """(assignment, sum MSE) of one scheduler at training's tau, where
-        the guard let the search run. The exhaustive search hands back the
-        minimum it found, which is its assignment's sum MSE bit for bit; the
-        others' is computed once and kept with the schedule. The first ask
-        of an unscored entry makes every configured heuristic's entries,
-        then scores each distinct unscored pilot vector once, all in one
-        ``sum_mse`` call: a vector's value is the same bit for bit in any
-        list, and does not depend on the assignment's tau."""
-        entry = self._entry(scheduler, training.tau)
-        if entry[1] is None:
-            for other in self.cfg.schedulers:
-                if other != "es":
-                    self._entry(other, training.tau)
-            unscored = {}  # pilot vector -> its unscored entries
-            for (s, _), e in self._schedules.items():
-                if s != "es" and e[1] is None:
-                    unscored.setdefault(e[0].pilots.tobytes(), []).append(e)
-            values = sum_mse(self.topology, [same[0][0] for same in unscored.values()],
-                             *self.powers, links=self.mse_links)
-            for same, value in zip(unscored.values(), values):
-                for e in same:
-                    e[1] = value
-        return tuple(entry)
-
-    def _effective_tau(self, tau: int) -> int:
-        if tau not in self._effs:
-            self._effs[tau] = effective_tau(self.topology, tau, self.graph.coloring[0])
-        return self._effs[tau]
-
-    def _entry(self, scheduler: str, tau: int) -> list | str:
-        """The table entry of scheduler at tau's effective tau. A scheduler
+    def schedule(self, scheduler: str, tau: int) -> PilotAssignment | str:
+        """Scheduler's assignment at tau, or the guard's message. A scheduler
         reads tau only through ``effective_tau``, which leaves an effective
-        tau as it is, so the schedule made at the effective tau is tau's.
-        An entry's first ask makes the scheduler's missing entries for
-        ``taus`` in one call. PSA and Dsatur-random draw one permutation per
-        call, from a fresh generator on the scheduler seed, so every entry
-        holds the permutation a one-tau call draws. The exhaustive search
-        answers them all from one enumeration. Its guard measures the
-        largest effective tau alone, so a refusal is that tau's entry (the
-        guard's message) and the search goes on without it: no call
-        repeats."""
-        topology, graph = self.topology, self.graph
-        asked = self._effective_tau(tau)
-        if (scheduler, asked) not in self._schedules:
-            effs = dict.fromkeys(map(self._effective_tau, (tau, *self.taus)))
-            missing = [eff for eff in effs if (scheduler, eff) not in self._schedules]
+        tau as it is, so the schedule made at the effective tau is tau's."""
+        return self._table(scheduler)[self.effs[tau]]
+
+    def _table(self, scheduler: str) -> dict:
+        """Scheduler's table, made on first ask in one call over the sorted
+        distinct effective taus. PSA and Dsatur-random draw one permutation
+        per call, from a fresh generator on the scheduler seed, so every
+        entry holds the permutation a one-tau call draws. The exhaustive
+        search answers them all from one enumeration and enters each minimum
+        in the sum-MSE table. Its guard measures the largest effective tau
+        alone, so a refusal is that tau's entry (the guard's message) and
+        the search goes on without it: no call repeats."""
+        if scheduler not in self._schedules:
+            topology, graph = self.topology, self.graph
+            effs = sorted(set(self.effs.values()))
+            table = self._schedules[scheduler] = {}
             if scheduler == "es":
-                missing.sort()
-                while missing:
+                while effs:
                     try:
-                        found = es_schedule(topology, missing, *self.powers, graph=graph,
+                        found = es_schedule(topology, effs, *self.powers, graph=graph,
                                             links=self.mse_links)
                     except ValueError as exc:
-                        self._schedules[scheduler, missing.pop()] = str(exc)
+                        table[effs.pop()] = str(exc)
                         continue
-                    for eff, (assignment, value) in zip(missing, found):
-                        self._schedules[scheduler, eff] = [assignment, value]
+                    table.update(zip(effs, (a for a, _ in found)))
+                    self._mse.update((a.pilots.tobytes(), value) for a, value in found)
                     break
             else:
                 rng = np.random.default_rng(self.scheduler_seed)
                 if scheduler == "psa":
-                    made = psa_schedule(topology, self.beta, graph, missing, rng=rng)
+                    made = psa_schedule(topology, self.beta, graph, effs, rng=rng)
                 else:
-                    made = dsatur_random_schedule(topology, missing, rng, graph)
-                for eff, assignment in zip(missing, made):
-                    self._schedules[scheduler, eff] = [assignment, None]
-        return self._schedules[scheduler, asked]
+                    made = dsatur_random_schedule(topology, effs, rng, graph)
+                table.update(zip(effs, made))
+        return self._schedules[scheduler]
+
+    def sum_mse(self, assignment: PilotAssignment) -> float:
+        """Sum MSE of an assignment of the schedule table. Every configured
+        scheduler's table is made first. The exhaustive search's minimum is
+        its assignment's sum MSE bit for bit, so no vector it found is
+        scored. The first ask of any other vector scores each distinct
+        vector of the tables still without a value in one ``sum_mse`` call:
+        a vector's value is the same bit for bit in any list, and does not
+        depend on the assignment's tau."""
+        tables = [self._table(scheduler) for scheduler in self.cfg.schedulers]
+        key = assignment.pilots.tobytes()
+        if key not in self._mse:
+            vectors = {each.pilots.tobytes(): each for table in tables
+                       for each in table.values() if not isinstance(each, str)}
+            unscored = [vector for vector in vectors if vector not in self._mse]
+            values = sum_mse(self.topology, [vectors[vector] for vector in unscored],
+                             *self.powers, links=self.mse_links)
+            self._mse.update(zip(unscored, values))
+        return self._mse[key]
 
     def solve(self, assignment, training: TrainingConfig, beamformer: str) -> Design:
         """Estimate, run one beamformer and rate it. Rates use the pilots the
@@ -301,24 +291,24 @@ def _realization(args) -> list[dict]:
 
 
 def _schedules(scene: _Scene, training: TrainingConfig, out: dict | None):
-    """(scheduler, table entry) of each configured scheduler at training's
+    """(scheduler, assignment) of each configured scheduler at training's
     tau. An exhaustive search the enumeration guard refused yields nothing:
     a sweep records it in out as ``skip_es`` (and warns of it), and a
     single-instance run (out None) raises the guard's message."""
     for scheduler in scene.cfg.schedulers:
-        entry = scene._entry(scheduler, training.tau)
-        if isinstance(entry, list):
-            yield scheduler, entry
+        assignment = scene.schedule(scheduler, training.tau)
+        if not isinstance(assignment, str):
+            yield scheduler, assignment
         elif out is None:
-            raise ValueError(entry)
+            raise ValueError(assignment)
         else:
-            out[f"skip_{scheduler}"] = entry
+            out[f"skip_{scheduler}"] = assignment
 
 
 def _mse_metrics(scene: _Scene, training: TrainingConfig) -> dict:
     out = {}
-    for scheduler, _ in _schedules(scene, training, out):
-        out[f"sum_mse_{scheduler}"] = scene.schedule_and_mse(scheduler, training)[1]
+    for scheduler, assignment in _schedules(scene, training, out):
+        out[f"sum_mse_{scheduler}"] = scene.sum_mse(assignment)
     return out
 
 
@@ -327,7 +317,7 @@ def _designs(scene: _Scene, training: TrainingConfig, out: dict):
     ran, tagged ``<scheduler>_<beamformer>``. A refused exhaustive search is
     recorded in out as ``skip_es`` and a design that raised ConvergenceError
     or PilotOverflowError as ``failed_<tag>``."""
-    for scheduler, (assignment, _) in _schedules(scene, training, out):
+    for scheduler, assignment in _schedules(scene, training, out):
         for beamformer in scene.cfg.beamformers:
             tag = f"{scheduler}_{beamformer}"
             try:
@@ -510,9 +500,8 @@ def schedule_one(cfg: ExperimentConfig, out_path=None) -> list:
     refused exhaustive search raises the guard's message.
     """
     scenario, training = _apply_sweep(cfg, cfg.sweep_values[0])
-    scene = _Scene(cfg, scenario, 0)
-    refusing = _schedules(scene, training, None)
-    results = [(s, *scene.schedule_and_mse(s, training)) for s, _ in refusing]
+    scene = _Scene(cfg, scenario, 0, (training.tau,))
+    results = [(s, a, scene.sum_mse(a)) for s, a in _schedules(scene, training, None)]
     if out_path:
         _write_assignment(out_path, scene.topology, results[0][1])
     return results
@@ -532,8 +521,8 @@ def solve_one(cfg: ExperimentConfig, out_dir) -> Design:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     scenario, training = _apply_sweep(cfg, cfg.sweep_values[0])
-    scene = _Scene(cfg, scenario, 0)
-    _, (assignment, _) = next(_schedules(scene, training, None))
+    scene = _Scene(cfg, scenario, 0, (training.tau,))
+    _, assignment = next(_schedules(scene, training, None))
     design = scene.solve(assignment, training, cfg.beamformers[0])
     topology = scene.topology
 

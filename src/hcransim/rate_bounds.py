@@ -43,7 +43,7 @@ from .scenario import Topology
 def build_covariances(topology: Topology, links: AggregatedLinks) -> AggregatedLinks:
     """``links`` itself, checked to carry ``topology``: training attaches it.
     Kept only as the name the benchmark patches and times
-    (``bench/tracing.py:38``, ``bench/run.py:116``); ROADMAP item 1 unpins
+    (``bench/tracing.py:38``, ``bench/run.py:116``); ROADMAP item 24 unpins
     it, and then it is deleted."""
     if links.topology is not topology:
         raise ValueError("links were trained on another topology")

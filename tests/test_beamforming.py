@@ -1152,6 +1152,7 @@ def test_perfect_csi_drop_whose_dual_ascent_stalled_converges():
         (16, 50, "rtd", 1, 8),
         (16, 50, "rtd_perfect_csi", 1, 8),
         (32, 100, "rtd", 0, 1),
+        (64, 200, "rtd", 3, 2),
     ],
 )
 def test_frozen_ensembles_raise_no_convergence_error(

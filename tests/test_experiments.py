@@ -177,8 +177,8 @@ def test_a_partly_refused_search_reduces_over_the_realizations_that_ran():
     with pytest.warns(UserWarning, match="es skipped at tau=5: search space"):
         rows = {row[1]: row for row in run_mse_sweep(cfg).rows}
     assert rows["sum_mse_psa"][4] == 4 and rows["sum_mse_es"][4] == 2
-    ran = [experiments._Scene(cfg, cfg.scenario, r).schedule_and_mse("es", cfg.training)[1]
-           for r in (1, 3)]
+    scenes = [experiments._Scene(cfg, cfg.scenario, r, (5,)) for r in (1, 3)]
+    ran = [scene.sum_mse(scene.schedule("es", 5)) for scene in scenes]
     assert rows["sum_mse_es"][2] == pytest.approx(np.mean(ran), rel=1e-12)
 
 
@@ -191,6 +191,24 @@ def test_schedule_one_uses_the_first_sweep_value_as_solve_one_does(tmp_path):
     # a tau sweep's first value is the requested pilot length
     results = schedule_one(tiny_config(sweep_values=(4, 3)))
     assert results[0][1].tau == 4
+
+
+@pytest.mark.parametrize(
+    "schedulers, scored",
+    [(("psa", "dsatur_random", "es"), 1), (("es", "dsatur_random", "psa"), 1), (("es",), 0)],
+)
+def test_schedule_one_calls_each_scheduler_once_and_scores_once(monkeypatch, schedulers, scored):
+    """The single-instance path calls each configured scheduler once and
+    scores the vectors the exhaustive search did not find in at most one
+    ``sum_mse`` call, in any scheduler order; the search alone makes none."""
+    counts = {}
+    names = [f"{s}_schedule" for s in experiments.SCHEDULERS]
+    _count_calls(monkeypatch, counts, experiments, names + ["sum_mse"])
+    results = schedule_one(tiny_config(schedulers=schedulers))
+    assert [s for s, *_ in results] == list(schedulers)
+    assert counts == {f"{s}_schedule": int(s in schedulers) for s in experiments.SCHEDULERS} | {
+        "sum_mse": scored
+    }
 
 
 @pytest.mark.parametrize("scheduler", ["psa", "es"])
@@ -274,11 +292,12 @@ def test_each_realization_runs_its_sweep_invariant_stages_once(monkeypatch):
     run_mse_sweep(
         tiny_config(sweep_values=taus, schedulers=("psa", "dsatur_random", "es"))
     )
-    # the exhaustive search hands back its minimum, so only PSA and
-    # Dsatur-random are scored, both in one call per realization that scores
-    # their schedules at every distinct effective tau (3, 1 and 4 of them)
-    assert counts == dict.fromkeys(shared + ("dsatur_color", "sum_mse"), 3) | {
-        "draw_small_scale": 0,
+    # the exhaustive search hands back its minimum, so only the heuristics'
+    # other vectors are scored, in at most one call per realization: four in
+    # realizations 0 and 2, none in realization 1, where every tau is lifted
+    # to 5 and both heuristics find the search's vector
+    assert counts == dict.fromkeys(shared + ("dsatur_color",), 3) | {
+        "draw_small_scale": 0, "sum_mse": 2,
     }
 
     counts.update(dict.fromkeys(counts, 0))
@@ -324,9 +343,14 @@ def test_equal_effective_tau_shares_one_schedule(monkeypatch):
     """Each realization calls each scheduler once, for every distinct
     effective tau (tau lifted to the coloring number and the MBS-served user
     count) of the sweep, and scores the heuristics' schedules in one
-    ``sum_mse`` call that holds each distinct pilot vector once: on a tau
-    sweep where the clamp repeats, the schedules are fewer than the sweep's
-    (realization, tau) pairs, and the rows equal those of one-value sweeps."""
+    ``sum_mse`` call that holds each distinct pilot vector once, except the
+    vectors the exhaustive search found: its minimum is their value, so a
+    heuristic that finds the search's vector reports the search's sum MSE
+    bit for bit. PSA and Dsatur-random find it at every tau of realization
+    1 (every tau lifted to 5), which makes no call, and PSA at tau 1 and 2
+    of realization 2. On a tau sweep where the clamp repeats, the schedules
+    are fewer than the sweep's (realization, tau) pairs, and the rows equal
+    those of one-value sweeps."""
     schedulers = ("psa_schedule", "dsatur_random_schedule", "es_schedule")
     counts = {}
     _count_calls(monkeypatch, counts, experiments, schedulers)
@@ -339,23 +363,33 @@ def test_equal_effective_tau_shares_one_schedule(monkeypatch):
 
     monkeypatch.setattr(experiments, "sum_mse", recorded)
     taus = (1, 2, 3, 4)
+    heuristics = ("psa", "dsatur_random")
     cfg = tiny_config(
         training=TrainingConfig(tau=1, coherence=30),
         sweep_values=taus,
-        schedulers=("psa", "dsatur_random", "es"),
+        schedulers=heuristics + ("es",),
     )
     rows = run_mse_sweep(cfg).rows
     assert counts == dict.fromkeys(schedulers, cfg.num_realizations)
-    distinct, vectors = 0, []
+    swept, scored[:] = scored[:], []
+    distinct, vectors, found = 0, [], set()
     for r in range(cfg.num_realizations):
         scene = experiments._Scene(cfg, cfg.scenario, r, taus)
         t = scene.graph.coloring[0]
         distinct += len({pilot_scheduler.effective_tau(scene.topology, tau, t) for tau in taus})
-        made = {tuple(scene._entry(s, tau)[0].pilots.tolist())
-                for s in ("psa", "dsatur_random") for tau in taus}
-        vectors.append(sorted(made))
+        searched = {tuple(scene.schedule("es", tau).pilots.tolist()) for tau in taus}
+        made = {tuple(scene.schedule(s, tau).pilots.tolist()) for s in heuristics for tau in taus}
+        if made - searched:
+            vectors.append(sorted(made - searched))
+        for tau in taus:
+            out = experiments._mse_metrics(scene, dataclasses.replace(cfg.training, tau=tau))
+            for s in heuristics:
+                if np.array_equal(scene.schedule(s, tau).pilots, scene.schedule("es", tau).pilots):
+                    found.add((r, s, tau))
+                    assert out[f"sum_mse_{s}"] == out["sum_mse_es"]
     assert distinct < cfg.num_realizations * len(taus)
-    assert scored == vectors
+    assert swept == scored == vectors and len(vectors) == 2
+    assert found == {(1, s, tau) for s in heuristics for tau in taus} | {(2, "psa", 1), (2, "psa", 2)}
     single = [
         row for tau in taus
         for row in run_mse_sweep(dataclasses.replace(cfg, sweep_values=(tau,))).rows
@@ -370,7 +404,7 @@ def test_a_scenes_shared_arrays_are_read_only():
     taus = (2, 3, 4)
     cfg = tiny_config(sweep_values=taus, schedulers=("psa", "dsatur_random", "es"))
     scene = experiments._Scene(cfg, cfg.scenario, 2, taus)
-    entries = {s: [scene._entry(s, tau)[0] for tau in taus] for s in cfg.schedulers}
+    entries = {s: [scene.schedule(s, tau) for tau in taus] for s in cfg.schedulers}
     random_pilots = {id(a.pilots) for a in entries["dsatur_random"]}
     assert len(random_pilots) == 1 and len({a.tau for a in entries["dsatur_random"]}) == 3
     for array in [scene.beta] + [a.pilots for each in entries.values() for a in each]:
@@ -625,7 +659,7 @@ def test_a_pilot_overflow_is_a_failure_row_not_an_aborted_sweep():
     rows = {row[1]: row for row in run_tightness(tight).rows}
     assert rows["failures_psa_rtd"][2:] == (1.0, 0.0, 6)
     assert rows["sum_lb_rue_psa_rtd"][4] == rows["sum_mc_bue_psa_rtd"][4] == 5
-    scene = experiments._Scene(cfg, cfg.scenario, 2)
+    scene = experiments._Scene(cfg, cfg.scenario, 2, (2,))
     assert experiments._se_metrics(scene, cfg.training) == {
         "failed_psa_rtd": "effective tau 12 (tau 2 lifted to the larger of the coloring "
         "number 0 and the MBS-served user count 12) reaches the coherence length 11"
@@ -664,7 +698,7 @@ def test_dual_cap_counts_steps_so_a_large_drop_converges(monkeypatch):
 
     monkeypatch.setattr(beamforming, "solve_qcqp", recorded)
     scene = experiments._Scene(cfg, cfg.scenario, 2, (5,))
-    assignment, _ = scene.schedule_and_mse("psa", cfg.training)
+    assignment = scene.schedule("psa", 5)
     design = scene.solve(assignment, cfg.training, "rtd")
     assert design.state.converged and design.state.iterations == len(infos)
     assert infos[1][1] > 5000
@@ -736,7 +770,7 @@ def test_tightness_rows_per_design_at_any_sweep():
 def test_solve_one_artifacts(tmp_path):
     cfg = tiny_config(sweep_values=(3,))
     design = solve_one(cfg, tmp_path)
-    topology = experiments._Scene(cfg, cfg.scenario, 0).topology
+    topology = experiments._Scene(cfg, cfg.scenario, 0, (3,)).topology
     expected = {"topology.json", "assignment.csv", "rates.csv", "trace.csv"}
     assert {p.name for p in tmp_path.iterdir()} >= expected
 
