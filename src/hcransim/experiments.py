@@ -18,15 +18,15 @@ once per call in a `tau` or `coherence` sweep, once per value in a scenario
 sweep. Each scene keeps two tables. The schedule table holds, per
 scheduler, ``{effective tau: assignment}``: a scheduler's first use fills
 it for every tau of the scenario's sweep values in one call (the exhaustive
-search from one enumeration, PSA and Dsatur-random from one color
-permutation). A refused exhaustive search stays in the table as the guard's
-message: sweeps skip it and warn, single-instance runs raise it. The
-sum-MSE table maps a pilot vector to its sum MSE. The search enters its
-minima; the first ask of any other vector makes every configured
-scheduler's table and scores the vectors still without a value in one
-`sum_mse` call. Each assignment serves every beamformer, and each design is
-one ``Design``. Nothing is kept between calls. With `jobs > 1` one process
-pool serves the sweep, split by realization.
+search from one enumeration, Dsatur-random from one color permutation, PSA
+by refining Dsatur-random's entries). A refused exhaustive search stays in
+the table as the guard's message: sweeps skip it and warn, single-instance
+runs raise it. The sum-MSE table maps a pilot vector to its sum MSE. The
+search enters its minima; the first ask of any other vector makes every
+configured scheduler's table and scores the vectors still without a value
+in one `sum_mse` call. Each assignment serves every beamformer, and each
+design is one ``Design``. Nothing is kept between calls. With `jobs > 1`
+one process pool serves the sweep, split by realization.
 
 CSV schema: one row per (sweep_value, metric, mean, stderr, n).
 """
@@ -175,7 +175,6 @@ class _Scene:
         self.beta = compute_beta(self.topology, self.graph)
         self.beta.flags.writeable = False
         self.effs = {tau: effective_tau(self.topology, tau, self.graph.coloring[0]) for tau in taus}
-        self.scheduler_seed = child_seed(cfg.master_seed, r, 1)
         self.powers = (cfg.training.p_rue, cfg.training.p_bue, cfg.training.noise_power)
         self._schedules = {}  # scheduler -> {effective tau: assignment or the guard's message}
         self._mse = {}  # pilot vector bytes -> sum MSE
@@ -198,13 +197,16 @@ class _Scene:
 
     def _table(self, scheduler: str) -> dict:
         """Scheduler's table, made on first ask in one call over the sorted
-        distinct effective taus. PSA and Dsatur-random draw one permutation
-        per call, from a fresh generator on the scheduler seed, so every
-        entry holds the permutation a one-tau call draws. The exhaustive
-        search answers them all from one enumeration and enters each minimum
-        in the sum-MSE table. Its guard measures the largest effective tau
-        alone, so a refusal is that tau's entry (the guard's message) and
-        the search goes on without it: no call repeats."""
+        distinct effective taus. Dsatur-random draws one permutation per
+        call, from a fresh generator on the scheduler seed, so every entry
+        holds the permutation a one-tau call draws. PSA refines
+        Dsatur-random's entries, each at its effective tau, and makes
+        Dsatur-random's table first if no ask has: a scene opens one
+        generator on the scheduler seed. The exhaustive search answers them
+        all from one enumeration and enters each minimum in the sum-MSE
+        table. Its guard measures the largest effective tau alone, so a
+        refusal is that tau's entry (the guard's message) and the search
+        goes on without it: no call repeats."""
         if scheduler not in self._schedules:
             topology, graph = self.topology, self.graph
             effs = sorted(set(self.effs.values()))
@@ -220,13 +222,13 @@ class _Scene:
                     table.update(zip(effs, (a for a, _ in found)))
                     self._mse.update((a.pilots.tobytes(), value) for a, value in found)
                     break
-            else:
-                rng = np.random.default_rng(self.scheduler_seed)
-                if scheduler == "psa":
-                    made = psa_schedule(topology, self.beta, graph, effs, rng=rng)
-                else:
-                    made = dsatur_random_schedule(topology, effs, rng, graph)
+            elif scheduler == "psa":
+                starts = self._table("dsatur_random")
+                made = psa_schedule(topology, self.beta, graph, [starts[eff] for eff in effs])
                 table.update(zip(effs, made))
+            else:
+                rng = np.random.default_rng(child_seed(self.cfg.master_seed, self.r, 1))
+                table.update(zip(effs, dsatur_random_schedule(topology, effs, rng, graph)))
         return self._schedules[scheduler]
 
     def sum_mse(self, assignment: PilotAssignment) -> float:

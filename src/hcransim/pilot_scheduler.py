@@ -4,9 +4,10 @@ Users served by a common RRH must hold orthogonal pilots; the remaining reuse
 freedom is spent minimizing the sum channel-estimation MSE. Three schedulers
 are provided:
 
-* ``psa_schedule`` — Dsatur initialization followed by greedy reassignment of
-  the most-contaminated users, driven by a log-domain contamination metric;
-  each move reads one contamination matrix built from the pilot vector;
+* ``psa_schedule`` — greedy reassignment of the most-contaminated users of a
+  Dsatur schedule (Dsatur-random's, in the sweeps), driven by a log-domain
+  contamination metric; each move reads one contamination matrix built from
+  the pilot vector;
 * ``dsatur_random_schedule`` — Dsatur color classes mapped randomly onto the
   first t pilots (baseline; never uses more than t pilots);
 * ``es_schedule`` — exhaustive search over feasible assignments (oracle).
@@ -20,12 +21,12 @@ are provided:
   enumeration at the largest answers them all: the canonical vectors at a
   smaller tau are the rows whose pilots stay within it, in the same order.
 
-Each scheduler takes a sequence of tau and returns one assignment per tau,
-in order, each equal bit for bit to its one-element call's. PSA and
-Dsatur-random draw one color permutation per call, whatever the number of
-tau: at each effective tau PSA refines the one initialization, and
-Dsatur-random's assignments share one pilot vector. Every scheduler's pilot
-vectors are read-only.
+Dsatur-random and the exhaustive search take a sequence of tau and return
+one assignment per tau, in order, each equal bit for bit to its one-element
+call's. Dsatur-random draws one color permutation per call, whatever the
+number of tau, so its assignments share one pilot vector. PSA takes a
+sequence of starts and refines each at its own tau, so it adds no draw.
+Every scheduler's pilot vectors are read-only.
 
 ``_sum_mse_values`` is the one sum-MSE evaluator; a candidate's value is bit
 for bit the same in any block. ``sum_mse`` scores a list of assignments in
@@ -102,7 +103,7 @@ def validate_assignment(topology: Topology, assignment: PilotAssignment) -> None
     if pair is not None:
         raise ValueError(f"pilot {pilots[pair[1]]} is shared by several MBS-served users")
     for k, rues in enumerate(topology.served_rues):
-        pair = _shared_pilot(rues, values)
+        pair = _shared_pilot(rues, values) if len(rues) > 1 else None
         if pair is not None:
             i, i2 = pair
             raise ValueError(f"users {i} and {i2} share RRH {k} but also pilot {pilots[i2]}")
@@ -227,12 +228,11 @@ def _sum_mse_values(links: MseLinks, rue_pilots, bue_pilots, p_rue, p_bue, noise
     pilots[num_rue:] = np.atleast_2d(bue_pilots).T
     own = pilots[links.owners]  # (links, A): the pilot each link is estimated on
     hits = np.equal(pilots[:, None], own)  # (users, links, A): co-pilot masks
-    # Masked gains are gain * 1.0 or gain * 0.0, so the loads are exact sums.
-    rue_load, bue_load = np.zeros((2,) + own.shape)
+    # Masked gains are gain * 1.0 or gain * 0.0, so the loads are exact sums,
+    # taken user by user in user order (the outer axis of a C-ordered array).
+    masked = hits * links.gains
+    rue_load, bue_load = masked[:num_rue].sum(axis=0), masked[num_rue:].sum(axis=0)
     part = np.empty(own.shape)
-    for u in range(num_users):
-        load = rue_load if u < num_rue else bue_load
-        load += np.multiply(hits[u], links.gains[u], out=part)
     # The scalar formulas, in their operation order, with
     # denom = p_rue * rue_load + p_bue * bue_load + noise:
     #   RRH link: n * a * (denom - p_rue * a) / denom
@@ -279,19 +279,12 @@ def effective_tau(topology: Topology, tau: int, t: int) -> int:
     return max(tau, t, len(topology.bue_set))
 
 
-def _base_pilots(topology: Topology, colors: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """BUEs on pilots 1..|bue_set| in id order; RUE color classes on perm."""
-    pilots = np.zeros(topology.num_ue, dtype=int)
-    pilots[topology.bue_set] = np.arange(1, len(topology.bue_set) + 1)
-    pilots[topology.rue_set] = perm[colors] + 1
-    return pilots
-
-
 def dsatur_random_schedule(
     topology: Topology, taus: Sequence[int], rng: np.random.Generator, graph: ConflictGraph
 ) -> list[PilotAssignment]:
-    """Baseline: color classes get a random permutation of pilots 1..t, one
-    assignment per tau of ``taus`` in order.
+    """Baseline: BUEs hold pilots 1..|bue_set| in id order, and the color
+    classes get a random permutation of pilots 1..t; one assignment per tau
+    of ``taus`` in order.
 
     The color count t never grows with tau, which is why this baseline's
     sum-MSE stays flat when more pilots are available: one permutation is
@@ -300,39 +293,33 @@ def dsatur_random_schedule(
     """
     t, colors = graph.coloring
     effs = [effective_tau(topology, tau, t) for tau in taus]
-    pilots = _base_pilots(topology, colors, rng.permutation(t))
+    pilots = np.zeros(topology.num_ue, dtype=int)
+    pilots[topology.bue_set] = np.arange(1, len(topology.bue_set) + 1)
+    pilots[topology.rue_set] = rng.permutation(t)[colors] + 1
     pilots.flags.writeable = False
     return [PilotAssignment(eff, pilots) for eff in effs]
 
 
 def psa_schedule(
-    topology: Topology,
-    beta: np.ndarray,
-    graph: ConflictGraph,
-    taus: Sequence[int],
-    rng: np.random.Generator | None = None,
+    topology: Topology, beta: np.ndarray, graph: ConflictGraph, starts: Sequence[PilotAssignment]
 ) -> list[PilotAssignment]:
-    """Greedy contamination-driven refinement of a Dsatur initialization, one
-    assignment per tau of ``taus`` in order.
+    """Greedy contamination-driven refinement of each of ``starts`` (Dsatur
+    schedules, as ``dsatur_random_schedule`` makes), one assignment per
+    start in order, at the start's tau.
 
-    Initialization: BUE j holds pilot j; Dsatur classes are mapped onto pilots
-    1..t (randomly permuted when ``rng`` is given, identity otherwise). One
-    initialization serves every tau: the permutation is drawn once per call.
-    Then, at each effective tau, every RUE is revisited exactly once,
-    worst-contaminated first, and moved to the pilot (excluding those held
-    by its conflict-graph neighbors) with the least contamination. Ties:
-    lowest UE id / lowest pilot index. ``beta`` is ``compute_beta(topology,
-    graph)``. The pilot vectors are read-only.
+    Each start is validated; then every RUE is revisited exactly once,
+    worst-contaminated first, and moved to the pilot of 1..tau (excluding
+    those held by its conflict-graph neighbors) with the least
+    contamination. Ties: lowest UE id / lowest pilot index. ``beta`` is
+    ``compute_beta(topology, graph)``. The pilot vectors are read-only.
     """
     rue_ids = np.array(topology.rue_set, dtype=int)
-    t, colors = graph.coloring
-    effs = [effective_tau(topology, tau, t) for tau in taus]
-    base = _base_pilots(topology, colors, np.arange(t) if rng is None else rng.permutation(t))
     conflict = graph.adjacency.astype(bool)
     rows = np.arange(len(rue_ids))
     out = []
-    for tau_eff in effs:
-        pilots, pilot_ids = base.copy(), np.arange(1, tau_eff + 1)
+    for start in starts:
+        validate_assignment(topology, start)
+        pilots, pilot_ids = start.pilots.copy(), np.arange(1, start.tau + 1)
         revisited = np.zeros(len(rue_ids), dtype=bool)
         for _ in rows:
             level = beta @ (pilots[:, None] == pilot_ids)  # RUE r's level on pilot p at [r, p - 1]
@@ -345,7 +332,7 @@ def psa_schedule(
             pilots[rue_ids[r]] = options.argmin() + 1
             revisited[r] = True
         pilots.flags.writeable = False
-        out.append(PilotAssignment(tau_eff, pilots))
+        out.append(PilotAssignment(start.tau, pilots))
     return out
 
 

@@ -157,8 +157,8 @@ class Topology:
             raise ValueError("all large-scale gains must be strictly positive")
 
 
-def pathloss_gain(distance, shadowing_db=0.0):
-    """Linear power gain at a distance, optionally with a shadowing term (dB).
+def pathloss_gain(distance, shadowing_db):
+    """Linear power gain at a distance with a shadowing term (dB).
 
     PL(dB) = intercept + 10*exponent*log10(d/d_ref) + shadowing; gain = 10^(-PL/10).
     """

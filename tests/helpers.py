@@ -10,6 +10,7 @@ import numpy as np
 from hcransim import (
     AggregatedLinks,
     BeamformerSet,
+    PilotAssignment,
     PowerBudget,
     ScenarioConfig,
     Topology,
@@ -19,12 +20,14 @@ from hcransim import (
     build_covariances,
     compute_beta,
     draw_small_scale,
+    dsatur_random_schedule,
     estimate_channels,
     generate_topology,
     psa_schedule,
     solve_qcqp,
     stack_layout,
 )
+from hcransim.pilot_scheduler import effective_tau
 from hcransim.util import child_seed, crandn, seed_to_int
 
 from oracles import assemble_qcqp_oracle, dense_rue_matrices, estimate_channels_oracle
@@ -33,6 +36,16 @@ from oracles import assemble_qcqp_oracle, dense_rue_matrices, estimate_channels_
 def child_rng(master_seed: int, *key: int) -> np.random.Generator:
     """A generator on ``child_seed(master_seed, *key)``."""
     return np.random.default_rng(child_seed(master_seed, *key))
+
+
+def dsatur_start(topology, graph, tau):
+    """PSA's canonical start at tau's effective tau: Dsatur colors in order
+    on pilots 1..t, the BUEs on pilots 1..|bue_set| in id order."""
+    t, colors = graph.coloring
+    pilots = np.zeros(topology.num_ue, dtype=int)
+    pilots[topology.bue_set] = np.arange(1, len(topology.bue_set) + 1)
+    pilots[topology.rue_set] = colors + 1
+    return PilotAssignment(effective_tau(topology, tau, t), pilots)
 
 
 def hand_topology(serving_rrhs, num_rrh, alpha_rrh, alpha_mbs, n_ant=2, b_ant=3):
@@ -84,10 +97,8 @@ def pipeline_instance(r=0, master_seed=0, tau=4, scenario=None, training=None):
     training = training or TrainingConfig(tau=tau)
     topology = generate_topology(scenario, seed_to_int(child_seed(master_seed, r, 0)))
     graph = build_conflict_graph(topology)
-    assignment = psa_schedule(
-        topology, compute_beta(topology, graph), graph, [training.tau],
-        rng=child_rng(master_seed, r, 1),
-    )[0]
+    start = dsatur_random_schedule(topology, [training.tau], child_rng(master_seed, r, 1), graph)
+    (assignment,) = psa_schedule(topology, compute_beta(topology, graph), graph, start)
     channels = instance_channels(topology, r, master_seed)
     state = estimate_channels(
         topology, assignment, training, channels, child_seed(master_seed, r, 3)

@@ -35,7 +35,9 @@ from hcransim import (
 from hcransim.channel import prelog_factor
 from hcransim.util import child_seed, crandn, seed_to_int
 
-from helpers import child_rng, group_power, make_synthetic_qcqp, pipeline_instance, solved
+from helpers import (
+    child_rng, dsatur_start, group_power, make_synthetic_qcqp, pipeline_instance, solved,
+)
 from oracles import has_shared_rrh_pair, pgd_qcqp_oracle_batched, qcqp_value
 
 BUDGETS = PowerBudget(rrh=dbm_to_watt(27.0), mbs=dbm_to_watt(30.0))
@@ -57,7 +59,7 @@ def test_c1_scheduler_ordering_es_psa_random():
         graph, links = build_conflict_graph(topology), mse_links(topology)
         beta = compute_beta(topology, graph)
         schedules = [
-            psa_schedule(topology, beta, graph, [3])[0],
+            psa_schedule(topology, beta, graph, [dsatur_start(topology, graph, 3)])[0],
             dsatur_random_schedule(topology, [3], child_rng(42, r, 1), graph)[0],
             es_schedule(topology, [3], *args, graph, links)[0][0],
         ]
@@ -85,7 +87,8 @@ def test_c2_orthogonal_pilot_limit_matches_closed_form():
         training = TrainingConfig(tau=topology.num_ue)
         graph = build_conflict_graph(topology)
         (assignment,) = psa_schedule(
-            topology, compute_beta(topology, graph), graph, [training.tau]
+            topology, compute_beta(topology, graph), graph,
+            [dsatur_start(topology, graph, training.tau)],
         )
         assert len(set(assignment.pilots.tolist())) == topology.num_ue
         powers = (training.p_rue, training.p_bue, training.noise_power)

@@ -20,7 +20,7 @@ from hcransim import (
 )
 from hcransim.util import child_seed
 
-from helpers import instance_channels, oracle_state, pipeline_instance
+from helpers import dsatur_start, instance_channels, oracle_state, pipeline_instance
 from oracles import delta_oracle, has_shared_rrh_pair, perfect_channel_state_oracle
 
 
@@ -30,7 +30,9 @@ def make_instance(seed=0, tau=3, num_ue=6, num_rrh=15):
     )
     graph = build_conflict_graph(topo)
     training = TrainingConfig(tau=tau)
-    (assignment,) = psa_schedule(topo, compute_beta(topo, graph), graph, [tau])
+    (assignment,) = psa_schedule(
+        topo, compute_beta(topo, graph), graph, [dsatur_start(topo, graph, tau)]
+    )
     return topo, training, assignment
 
 

@@ -1,6 +1,7 @@
 """Sweep drivers: seeding, reduction, CSV output, config files."""
 
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -410,6 +411,40 @@ def test_a_scenes_shared_arrays_are_read_only():
     for array in [scene.beta] + [a.pilots for each in entries.values() for a in each]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
+
+
+@pytest.mark.parametrize(
+    "schedulers", [("psa",), ("psa", "dsatur_random"), ("dsatur_random", "psa")]
+)
+def test_psa_refines_the_scenes_dsatur_random_entries(monkeypatch, schedulers):
+    """Each scene makes one Dsatur-random call, whichever scheduler asks
+    first and whether or not Dsatur-random is configured, and PSA's starts
+    are Dsatur-random's entries at the same effective tau, the same objects."""
+    counts, starts = {}, []
+    _count_calls(monkeypatch, counts, experiments, ("dsatur_random_schedule",))
+    real = experiments.psa_schedule
+
+    def recorded(topology, beta, graph, given):
+        starts.append(list(given))
+        return real(topology, beta, graph, given)
+
+    monkeypatch.setattr(experiments, "psa_schedule", recorded)
+    taus = (1, 2, 3, 4)
+    cfg = tiny_config(
+        training=TrainingConfig(tau=1, coherence=30), sweep_values=taus, schedulers=schedulers
+    )
+    run_mse_sweep(cfg)
+    assert counts == {"dsatur_random_schedule": cfg.num_realizations}
+    assert len(starts) == cfg.num_realizations
+    starts.clear()
+    for r in range(cfg.num_realizations):
+        scene = experiments._Scene(cfg, cfg.scenario, r, taus)
+        for scheduler, tau in itertools.product(schedulers, taus):
+            scene.schedule(scheduler, tau)
+        entries = {scene.effs[tau]: scene.schedule("dsatur_random", tau) for tau in taus}
+        assert counts["dsatur_random_schedule"] == cfg.num_realizations + r + 1
+        (given,) = starts[r:]
+        assert [id(a) for a in given] == [id(entries[eff]) for eff in sorted(entries)]
 
 
 def test_a_sweep_whose_largest_tau_the_guard_refuses_equals_one_value_sweeps(monkeypatch):

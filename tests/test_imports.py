@@ -353,8 +353,6 @@ def test_json_read_check_flags_every_form(tmp_path):
 # three configs. A new option changes this table, so it is added on purpose.
 DEFAULTED_PARAMETERS = {
     "monte_carlo_rates": ["trials"],
-    "pathloss_gain": ["shadowing_db"],
-    "psa_schedule": ["rng"],
     "rtd_solve": ["feas_tol"],
     "schedule_one": ["out_path"],
     "solve_qcqp": ["feas_tol", "mu0", "nu0"],

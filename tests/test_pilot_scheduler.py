@@ -31,7 +31,7 @@ from hcransim import pilot_scheduler
 from hcransim.pilot_scheduler import ConflictGraph, dsatur_color
 from hcransim.util import child_seed, seed_to_int
 
-from helpers import child_rng, hand_topology
+from helpers import child_rng, dsatur_start, hand_topology
 from oracles import (
     best_schedules_oracle,
     beta_oracle,
@@ -225,7 +225,7 @@ def test_sum_mse_of_a_list_equals_each_assignments_own_call():
         graph, links = build_conflict_graph(topo), mse_links(topo)
         beta = compute_beta(topo, graph)
         assignments = [
-            psa_schedule(topo, beta, graph, [3])[0],
+            psa_schedule(topo, beta, graph, [dsatur_start(topo, graph, 3)])[0],
             dsatur_random_schedule(topo, [4], rng, graph)[0],
             es_schedule(topo, [3], *POWERS, graph, links)[0][0],
         ]
@@ -294,7 +294,7 @@ def test_tau_clamps_to_coloring_and_bue_count():
     )
     graph = build_conflict_graph(topo)
     beta = compute_beta(topo, graph)
-    (a,) = psa_schedule(topo, beta, graph, [1])
+    (a,) = psa_schedule(topo, beta, graph, [dsatur_start(topo, graph, 1)])
     assert a.tau == max(2, len(topo.bue_set))  # chain 0-1-2 colors with 2
     validate_assignment(topo, a)
 
@@ -306,15 +306,20 @@ def test_tau_clamps_to_coloring_and_bue_count():
         alpha_mbs=np.ones(4),
     )
     graph2 = build_conflict_graph(topo2)
-    (a2,) = psa_schedule(topo2, compute_beta(topo2, graph2), graph2, [1])
-    assert a2.tau == 3
+    beta2 = compute_beta(topo2, graph2)
+    (start,) = dsatur_random_schedule(topo2, [1], np.random.default_rng(0), graph2)
+    (a2,) = psa_schedule(topo2, beta2, graph2, [start])
+    assert start.tau == a2.tau == 3
     # the three MBS users hold pilots 1..3 in id order
     assert list(a2.pilots[[1, 2, 3]]) == [1, 2, 3]
 
     with pytest.raises(ValueError):
-        psa_schedule(topo2, compute_beta(topo2, graph2), graph2, [5])
+        dsatur_random_schedule(topo2, [5], np.random.default_rng(0), graph2)
     with pytest.raises(ValueError):
-        psa_schedule(topo2, compute_beta(topo2, graph2), graph2, [0])
+        dsatur_random_schedule(topo2, [0], np.random.default_rng(0), graph2)
+    # PSA refines at its start's tau and validates the start
+    with pytest.raises(ValueError, match="tau cannot exceed the UE count"):
+        psa_schedule(topo2, beta2, graph2, [PilotAssignment(5, start.pilots)])
 
 
 def test_psa_spreads_isolated_users_frozen_trace():
@@ -335,7 +340,7 @@ def test_psa_spreads_isolated_users_frozen_trace():
             [1.0, 2.0, 0.0],
         ]
     )
-    (a,) = psa_schedule(topo, beta, graph, [3])
+    (a,) = psa_schedule(topo, beta, graph, [dsatur_start(topo, graph, 3)])
     assert list(a.pilots) == [3, 2, 1]
 
 
@@ -355,7 +360,7 @@ def test_psa_respects_conflict_exclusion_frozen_trace():
             [3.0, 1.0, 0.0],
         ]
     )
-    (a,) = psa_schedule(topo, beta, graph, [2])
+    (a,) = psa_schedule(topo, beta, graph, [dsatur_start(topo, graph, 2)])
     assert list(a.pilots) == [1, 2, 2]
     validate_assignment(topo, a)
 
@@ -364,11 +369,11 @@ def test_psa_deterministic_given_rng_state():
     topo = seeded_topology(3)
     graph = build_conflict_graph(topo)
     beta = compute_beta(topo, graph)
-    (a,) = psa_schedule(topo, beta, graph, [3], rng=np.random.default_rng(7))
-    (b,) = psa_schedule(topo, beta, graph, [3], rng=np.random.default_rng(7))
+    starts = [dsatur_random_schedule(topo, [3], np.random.default_rng(7), graph)[0] for _ in "ab"]
+    a, b = psa_schedule(topo, beta, graph, starts)
     assert np.array_equal(a.pilots, b.pilots)
-    (c,) = psa_schedule(topo, beta, graph, [3])  # rng-free call is canonical
-    (d,) = psa_schedule(topo, beta, graph, [3])
+    (c,) = psa_schedule(topo, beta, graph, [dsatur_start(topo, graph, 3)])  # canonical start
+    (d,) = psa_schedule(topo, beta, graph, [dsatur_start(topo, graph, 3)])
     assert np.array_equal(c.pilots, d.pilots)
 
 
@@ -383,7 +388,11 @@ def test_psa_matches_the_loop_oracle():
         for tau in range(1, min(8, num_ue) + 1):
             for levels, rng_seed in itertools.product((beta, np.round(4 * beta)), (None, seed)):
                 rngs = [None if rng_seed is None else np.random.default_rng(rng_seed) for _ in "ab"]
-                (a,) = psa_schedule(topo, levels, graph, [tau], rng=rngs[0])
+                if rng_seed is None:
+                    start = dsatur_start(topo, graph, tau)
+                else:
+                    (start,) = dsatur_random_schedule(topo, [tau], rngs[0], graph)
+                (a,) = psa_schedule(topo, levels, graph, [start])
                 want = psa_oracle(topo, levels, graph.adjacency, tau, rng=rngs[1])
                 assert (a.tau, a.pilots.tolist()) == want
 
@@ -524,8 +533,8 @@ def test_graph_colors_once_and_shares_a_read_only_coloring(monkeypatch):
 
     monkeypatch.setattr(pilot_scheduler, "dsatur_color", counted)
     beta = compute_beta(topo, graph)
-    psa_schedule(topo, beta, graph, [3])
-    dsatur_random_schedule(topo, [3], np.random.default_rng(0), graph)
+    starts = dsatur_random_schedule(topo, [3], np.random.default_rng(0), graph)
+    psa_schedule(topo, beta, graph, starts)
     links = mse_links(topo)
     es_schedule(topo, [3], *POWERS, graph, links)
     assert calls == [graph]
@@ -596,7 +605,7 @@ def test_schedulers_coincide_with_orthogonal_optimum_at_full_tau():
     graph = build_conflict_graph(topo)
     beta = compute_beta(topo, graph)
     tau = topo.num_ue
-    (psa,) = psa_schedule(topo, beta, graph, [tau])
+    (psa,) = psa_schedule(topo, beta, graph, [dsatur_start(topo, graph, tau)])
     es, _ = es_at(topo, tau)
     v_psa, v_es = sum_mse(topo, [psa, es], *POWERS, mse_links(topo))
     assert v_psa == pytest.approx(v_es, rel=1e-12)
@@ -623,20 +632,22 @@ def small_drops(draw):
 def test_es_bounds_the_heuristics_and_never_rises_with_tau_on_random_drops(drop):
     """On random drops (seeded as a sweep seeds realization 0), one list
     call of each scheduler equals its one-element calls bit for bit, pilots
-    and tau: PSA and Dsatur-random on a fresh generator on the scheduler
-    seed per call, as a sweep draws them. The exhaustive minimum is at or
-    below the sum MSE of PSA and of Dsatur-random at every tau, and never
-    rises as the effective tau grows. All of it holds exactly: relabeled
-    free pilots tie bit for bit, and the candidates at a smaller effective
-    tau are a subset of those at a larger."""
+    and tau: Dsatur-random on a fresh generator on the scheduler seed per
+    call, as a sweep draws it, and PSA on Dsatur-random's list. PSA on that
+    list equals PSA on each start and the loop oracle on a fresh generator
+    on the same seed. The exhaustive minimum is at or below the sum MSE of
+    PSA and of Dsatur-random at every tau, and never rises as the effective
+    tau grows. All of it holds exactly: relabeled free pilots tie bit for
+    bit, and the candidates at a smaller effective tau are a subset of
+    those at a larger."""
     scenario, master_seed, taus = drop
     topo = generate_topology(scenario, seed_to_int(child_seed(master_seed, 0, 0)))
     graph, links = build_conflict_graph(topo), mse_links(topo)
     beta = compute_beta(topo, graph)
 
     def heuristics(taus):
-        return (psa_schedule(topo, beta, graph, taus, rng=child_rng(master_seed, 0, 1)),
-                dsatur_random_schedule(topo, taus, child_rng(master_seed, 0, 1), graph))
+        starts = dsatur_random_schedule(topo, taus, child_rng(master_seed, 0, 1), graph)
+        return psa_schedule(topo, beta, graph, starts), starts
 
     answers = es_schedule(topo, taus, *POWERS, graph, links)
     for tau, (got, minimum), psa, ds in zip(taus, answers, *heuristics(taus), strict=True):
@@ -645,6 +656,10 @@ def test_es_bounds_the_heuristics_and_never_rises_with_tau_on_random_drops(drop)
         assert np.array_equal(got.pilots, want.pilots)
         for listed, (alone,) in zip((psa, ds), heuristics([tau])):
             assert listed.tau == alone.tau and np.array_equal(listed.pilots, alone.pilots)
+        (refined,) = psa_schedule(topo, beta, graph, [ds])
+        assert refined.tau == psa.tau and np.array_equal(refined.pilots, psa.pilots)
+        oracle = psa_oracle(topo, beta, graph.adjacency, tau, rng=child_rng(master_seed, 0, 1))
+        assert (psa.tau, psa.pilots.tolist()) == oracle
         assert psa.tau == ds.tau == got.tau
         es_value, psa_value, ds_value = sum_mse(topo, [got, psa, ds], *POWERS, links)
         assert es_value == minimum <= min(psa_value, ds_value)

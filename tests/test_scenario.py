@@ -30,15 +30,15 @@ def test_config_validation():
 def test_pathloss_gain_reference_point():
     # at the reference distance the loss is exactly the intercept
     expected = 10.0 ** (-PATHLOSS_INTERCEPT_DB / 10.0)
-    assert pathloss_gain(REFERENCE_DISTANCE) == pytest.approx(expected, rel=1e-12)
+    assert pathloss_gain(REFERENCE_DISTANCE, 0.0) == pytest.approx(expected, rel=1e-12)
     # 10x the distance adds 10*exponent dB
-    ratio = pathloss_gain(REFERENCE_DISTANCE * 10.0) / expected
+    ratio = pathloss_gain(REFERENCE_DISTANCE * 10.0, 0.0) / expected
     assert 10.0 * np.log10(ratio) == pytest.approx(-10.0 * PATHLOSS_EXPONENT, abs=1e-9)
     # shadowing enters in dB
     shadowed = pathloss_gain(REFERENCE_DISTANCE, shadowing_db=8.0)
     assert 10.0 * np.log10(shadowed / expected) == pytest.approx(-8.0, abs=1e-9)
     with pytest.raises(ValueError):
-        pathloss_gain(0.0)
+        pathloss_gain(0.0, 0.0)
 
 
 def test_cluster_ues_range_and_cap():
