@@ -43,7 +43,6 @@ from .pilot_scheduler import (
     dsatur_color,
     dsatur_random_schedule,
     es_schedule,
-    group_by_pilot,
     mse_links,
     psa_schedule,
     sum_mse,

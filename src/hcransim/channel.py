@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pilot_scheduler import PilotAssignment, group_by_pilot, validate_assignment
+from .pilot_scheduler import PilotAssignment, validate_assignment
 from .scenario import Topology
 from .util import crandn, dbm_to_watt, require_finite
 
@@ -142,7 +142,10 @@ def estimate_channels(
     link_pilot = assignment.pilots[ue]
     # Per pilot, the MBS's observation and MMSE denominator.
     observed_b, denom_b = np.zeros((tau, b_ant), dtype=complex), np.zeros(tau)
-    for p, (rues, bues) in group_by_pilot(topology, assignment.pilots).items():
+    groups: dict[int, tuple[list[int], list[int]]] = {}  # pilot -> (RUE ids, BUE ids) holding it
+    for m, p in enumerate(assignment.pilots.tolist()):
+        groups.setdefault(p, ([], []))[not topology.serving_rrhs[m]].append(m)
+    for p, (rues, bues) in groups.items():
         pick = np.flatnonzero(link_pilot == p)  # the served links of this pilot's RUEs
         if pick.size:
             ks, owners = rrh[pick], ue[pick]

@@ -13,7 +13,7 @@ reused; slots 0-3 and their streams are as in version 1.
 Sweeps run realization-major: one worker call takes one realization through
 every sweep value and runs each stage once per distinct input (``_Scene``).
 The topology, conflict graph with its Dsatur coloring, contamination levels,
-sum-MSE link arrays and small-scale channel draw are made once per scenario:
+sum-MSE problem and small-scale channel draw are made once per scenario:
 once per call in a `tau` or `coherence` sweep, once per value in a scenario
 sweep. Each scene keeps two tables. The schedule table holds, per
 scheduler, ``{effective tau: assignment}``: a scheduler's first use fills
@@ -159,13 +159,12 @@ class _Scene:
     The topology, its conflict graph (which holds the Dsatur coloring), the
     contamination levels and ``effs`` (``{tau: effective tau}`` for each of
     ``taus``, the pilot counts of the scene's sweep values) are made on
-    construction; the sum-MSE link arrays, the small-scale channel draw and
-    the schedule and sum-MSE tables on first use, the tables at the training
-    powers of ``cfg.training``, read once: no sweep changes them (a test
-    pins this for every sweep name). ``solve`` makes one ``Design`` from an
-    assignment. Everything here is shared by the schedulers and beamformers
-    of one worker call and must not be mutated; the shared arrays are
-    read-only.
+    construction; the sum-MSE problem (``mse_links`` at the training powers
+    of ``cfg.training``, which no sweep changes: a test pins this for every
+    sweep name), the small-scale channel draw and the schedule and sum-MSE
+    tables on first use. ``solve`` makes one ``Design`` from an assignment.
+    Everything here is shared by the schedulers and beamformers of one
+    worker call and must not be mutated; the shared arrays are read-only.
     """
 
     def __init__(self, cfg: ExperimentConfig, scenario: ScenarioConfig, r: int, taus):
@@ -175,13 +174,13 @@ class _Scene:
         self.beta = compute_beta(self.topology, self.graph)
         self.beta.flags.writeable = False
         self.effs = {tau: effective_tau(self.topology, tau, self.graph.coloring[0]) for tau in taus}
-        self.powers = (cfg.training.p_rue, cfg.training.p_bue, cfg.training.noise_power)
         self._schedules = {}  # scheduler -> {effective tau: assignment or the guard's message}
         self._mse = {}  # pilot vector bytes -> sum MSE
 
     @cached_property
     def mse_links(self):
-        return mse_links(self.topology)
+        training = self.cfg.training
+        return mse_links(self.topology, training.p_rue, training.p_bue, training.noise_power)
 
     @cached_property
     def channels(self):
@@ -214,8 +213,7 @@ class _Scene:
             if scheduler == "es":
                 while effs:
                     try:
-                        found = es_schedule(topology, effs, *self.powers, graph=graph,
-                                            links=self.mse_links)
+                        found = es_schedule(topology, effs, graph, self.mse_links)
                     except ValueError as exc:
                         table[effs.pop()] = str(exc)
                         continue
@@ -245,8 +243,7 @@ class _Scene:
             vectors = {each.pilots.tobytes(): each for table in tables
                        for each in table.values() if not isinstance(each, str)}
             unscored = [vector for vector in vectors if vector not in self._mse]
-            values = sum_mse(self.topology, [vectors[vector] for vector in unscored],
-                             *self.powers, links=self.mse_links)
+            values = sum_mse(self.topology, [vectors[v] for v in unscored], self.mse_links)
             self._mse.update(zip(unscored, values))
         return self._mse[key]
 

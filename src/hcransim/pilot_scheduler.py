@@ -30,8 +30,9 @@ Every scheduler's pilot vectors are read-only.
 
 ``_sum_mse_values`` is the one sum-MSE evaluator; a candidate's value is bit
 for bit the same in any block. ``sum_mse`` scores a list of assignments in
-one block. ``sum_mse`` and ``es_schedule`` read the read-only link arrays of
-``mse_links``, which the caller builds once per topology and passes in.
+one block. ``sum_mse`` and ``es_schedule`` take the sum-MSE problem as one
+``MseLinks``: the read-only link arrays of a topology and the training
+powers they are scored at, which the caller builds once per topology.
 Likewise a ``ConflictGraph`` computes its Dsatur coloring once, on first
 use, for every scheduler it is passed to.
 
@@ -163,17 +164,9 @@ def compute_beta(topology: Topology, graph: ConflictGraph) -> np.ndarray:
     return beta
 
 
-def group_by_pilot(topology: Topology, pilots: np.ndarray):
-    """Pilot -> (RUE ids, BUE ids) holding it, each ascending; pilots in use only."""
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for m in range(topology.num_ue):
-        rues, bues = groups.setdefault(int(pilots[m]), ([], []))
-        (rues if topology.serving_rrhs[m] else bues).append(m)
-    return groups
-
-
 class MseLinks(NamedTuple):
-    """The estimated links of one topology, as ``_sum_mse_values`` reads them.
+    """The sum-MSE problem of one topology, as ``_sum_mse_values`` reads it:
+    its estimated links and the training powers they are scored at.
 
     Users are the RUEs in ``rue_set`` order, then the BUEs. Links are the RRH
     links in RUE order, then one MBS link per BUE. The arrays are read-only.
@@ -185,10 +178,12 @@ class MseLinks(NamedTuple):
     gains: np.ndarray  # (users, links, 1) user u's gain at link l's receiver
     own_gain: np.ndarray  # (links,) the owner's gain at its link
     antennas: np.ndarray  # (links,) receive antennas
+    powers: tuple  # (p_rue, p_bue, noise_power) of the training phase
 
 
-def mse_links(topology: Topology) -> MseLinks:
-    """The sum-MSE link arrays of a topology; they do not depend on the pilots."""
+def mse_links(topology: Topology, p_rue: float, p_bue: float, noise_power: float) -> MseLinks:
+    """The sum-MSE problem of a topology at the given training powers; it
+    does not depend on the pilots."""
     rues, bues = topology.rue_set, topology.bue_set
     num_rue = len(rues)
     link_ue, link_rrh = topology.served_links  # BUEs have no RRH link
@@ -203,16 +198,17 @@ def mse_links(topology: Topology) -> MseLinks:
         gains=receivers[rx].T[:, :, None],
         own_gain=receivers[rx, owners],
         antennas=np.array([cfg.rrh_antennas] * len(link_rrh) + [cfg.mbs_antennas] * len(bues)),
+        powers=(p_rue, p_bue, noise_power),
     )
     for array in (links.owners, links.gains, links.own_gain, links.antennas):
         array.flags.writeable = False
     return links
 
 
-def _sum_mse_values(links: MseLinks, rue_pilots, bue_pilots, p_rue, p_bue, noise_power):
-    """Sum MSE (A,) of each row of the int array ``rue_pilots`` (A, R; RUEs in
-    ``rue_set`` order), with the BUEs on the int array ``bue_pilots``: (B,)
-    for every row, or (A, B) row by row.
+def _sum_mse_values(links: MseLinks, rue_pilots, bue_pilots):
+    """Sum MSE (A,) at ``links.powers`` of each row of the int array
+    ``rue_pilots`` (A, R; RUEs in ``rue_set`` order), with the BUEs on the
+    int array ``bue_pilots``: (B,) for every row, or (A, B) row by row.
 
     Arrays are (link, candidate), and every candidate goes through the same
     operations in the same order in any block: masked co-pilot loads summed
@@ -221,6 +217,7 @@ def _sum_mse_values(links: MseLinks, rue_pilots, bue_pilots, p_rue, p_bue, noise
     depends on the shape). Relabeled pilots therefore tie bit for bit.
     """
     num_rue, num_users = links.num_rue, len(links.gains)
+    p_rue, p_bue, noise_power = links.powers
     rrh, mbs = slice(None, links.num_rrh_links), slice(links.num_rrh_links, None)
     own_gain = links.own_gain
     pilots = np.empty((num_users, len(rue_pilots)), dtype=rue_pilots.dtype)
@@ -250,23 +247,19 @@ def _sum_mse_values(links: MseLinks, rue_pilots, bue_pilots, p_rue, p_bue, noise
 
 
 def sum_mse(
-    topology: Topology,
-    assignments: Sequence[PilotAssignment],
-    p_rue: float,
-    p_bue: float,
-    noise_power: float,
-    links: MseLinks,
+    topology: Topology, assignments: Sequence[PilotAssignment], links: MseLinks
 ) -> list[float]:
     """Sum over all estimated links of the per-antenna error variance times
     the antenna count, for each of ``assignments``, scored in one block: a
     value is the same bit for bit in any list. Raises on an assignment
-    violating the reuse constraints. ``links`` is ``mse_links(topology)``.
+    violating the reuse constraints. ``links`` is ``mse_links`` of the
+    topology at the training powers.
     """
     for each in assignments:
         validate_assignment(topology, each)
     pilots = np.reshape([each.pilots for each in assignments], (len(assignments), topology.num_ue))
     rue_pilots, bue_pilots = pilots[:, topology.rue_set], pilots[:, topology.bue_set]
-    return _sum_mse_values(links, rue_pilots, bue_pilots, p_rue, p_bue, noise_power).tolist()
+    return _sum_mse_values(links, rue_pilots, bue_pilots).tolist()
 
 
 def effective_tau(topology: Topology, tau: int, t: int) -> int:
@@ -383,13 +376,7 @@ def _feasible_blocks(graph: ConflictGraph, tau: int, num_bue: int):
 
 
 def es_schedule(
-    topology: Topology,
-    taus: Sequence[int],
-    p_rue: float,
-    p_bue: float,
-    noise_power: float,
-    graph: ConflictGraph,
-    links: MseLinks,
+    topology: Topology, taus: Sequence[int], graph: ConflictGraph, links: MseLinks
 ) -> list[tuple[PilotAssignment, float]]:
     """Exhaustive minimizer of the sum MSE over feasible assignments, for
     each of ``taus`` in order: (assignment, minimum sum MSE).
@@ -409,9 +396,9 @@ def es_schedule(
     tau_eff's canonical vectors, in the same order, so each tau_eff takes
     the first strict minimum over those rows of each block, and every pair
     equals the one-element call's bit for bit.
-    Guarded by tau_eff**M <= ES_LIMIT at the largest tau_eff. ``graph`` and
-    ``links`` are the topology's conflict graph and ``mse_links``. The pilot
-    vectors are read-only.
+    Guarded by tau_eff**M <= ES_LIMIT at the largest tau_eff. ``graph`` is
+    the topology's conflict graph and ``links`` its ``mse_links`` at the
+    training powers. The pilot vectors are read-only.
     """
     t, _ = graph.coloring
     effs = [effective_tau(topology, tau, t) for tau in taus]
@@ -423,7 +410,7 @@ def es_schedule(
     bue_pilots = np.arange(1, len(topology.bue_set) + 1)
     best = dict.fromkeys(effs, (np.inf, None))  # tau_eff -> (minimum, its row)
     for block in _feasible_blocks(graph, largest, len(bue_pilots)):
-        values = _sum_mse_values(links, block, bue_pilots, p_rue, p_bue, noise_power)
+        values = _sum_mse_values(links, block, bue_pilots)
         top = block.max(axis=1, initial=0)
         for cap in best:
             within = np.where(top <= cap, values, np.inf)

@@ -10,7 +10,10 @@ runs through its public sweep, and each of its rows ``(sweep_value, metric,
 mean, stderr, n)`` is stored on one line, after the workload and the drop
 index. JSON writes floats by ``repr``, so the file reads back bit for bit.
 ``tests/test_panel_rows.py`` reruns the panels and compares; rewriting the
-file is an output change.
+file is an output change. Beside the rows, ``panel_rows_env.json`` records
+the environment they were computed in (``environment``): another numpy or
+BLAS may sum in another order and move rows by rounding, so a failed
+comparison names both environments.
 """
 
 from __future__ import annotations
@@ -20,7 +23,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy
+
 ROWS = Path(__file__).resolve().parent / "panel_rows.json"
+ENV = ROWS.with_name("panel_rows_env.json")
 BENCH = Path(__file__).resolve().parents[2] / "bench"
 
 
@@ -42,6 +48,14 @@ def panel_rows() -> list[list]:
         for i in range(w.panel_size)
         for row in w.sweep(w.config(i)).rows
     ]
+
+
+def environment() -> dict:
+    """The numpy version and the name, version and build configuration of
+    ``numpy.show_config()``'s BLAS entry."""
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    keys = ("name", "version", "openblas configuration")
+    return {"numpy": numpy.__version__, "blas": {key: blas[key] for key in keys if key in blas}}
 
 
 def changes(recorded: list, current: list) -> list[str]:
@@ -71,6 +85,7 @@ def changes(recorded: list, current: list) -> list[str]:
 def main() -> int:
     rows = panel_rows()
     ROWS.write_text("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n")
+    ENV.write_text(json.dumps(environment(), indent=1) + "\n")
     print(f"{len(rows)} rows of {len({tuple(row[:2]) for row in rows})} drops written to {ROWS}")
     return 0
 

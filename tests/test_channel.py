@@ -153,7 +153,7 @@ def test_error_variances_sum_to_the_schedulers_objective():
         total = topo.config.rrh_antennas * sum(state.var_rrh[k, i] for k, i in trained_links(topo))
         total += topo.config.mbs_antennas * sum(state.var_mbs[j] for j in topo.bue_set)
         powers = (training.p_rue, training.p_bue, training.noise_power)
-        (expected,) = sum_mse(topo, [assignment], *powers, mse_links(topo))
+        (expected,) = sum_mse(topo, [assignment], mse_links(topo, *powers))
         assert total == pytest.approx(expected, rel=1e-12)
 
 

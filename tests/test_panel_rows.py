@@ -1,13 +1,15 @@
 """Every sweep row of the benchmark's panel drops, pinned bit for bit.
 
 ``tests/data/panel_rows.json`` holds the rows of all panel drops of
-``bench/workloads.py``; ``tests/data/record_panel_rows.py`` rewrites it. A
-change that moves a row on purpose rewrites the file and logs the table this
-test prints.
+``bench/workloads.py``, and ``panel_rows_env.json`` beside it the numpy and
+BLAS they were computed with; ``tests/data/record_panel_rows.py`` rewrites
+both. A change that moves a row on purpose rewrites the files and logs the
+table this test prints.
 """
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -29,14 +31,28 @@ def test_panel_rows_are_unchanged():
     """Compared exactly: the refactors these rows guard keep every float bit
     for bit. A rounding-level tie in the RTD descent guard can move beams by
     about 1e-12, so a change to the design's arithmetic may move rows; the
-    printed table says which drops and by how much."""
+    printed table says which drops and by how much, and the message names
+    the environment the rows were recorded in and the one they ran in, so
+    that drift across numpy or BLAS builds shows as such."""
     recorder = load_recorder()
     recorded = json.loads(recorder.ROWS.read_text())
+    recorded_env = json.loads(recorder.ENV.read_text())
     current = recorder.panel_rows()
     assert len({tuple(row[:2]) for row in current}) == 129
     if current != recorded:
         table = recorder.changes(recorded, current) or ["same rows, in another order"]
-        pytest.fail("panel rows moved:\n" + "\n".join(table))
+        pytest.fail("\n".join([
+            "panel rows moved:", *table,
+            f"recorded with: {json.dumps(recorded_env)}",
+            f"run with: {json.dumps(recorder.environment())}",
+        ]))
+
+
+def test_the_workflow_pins_the_numpy_the_rows_were_recorded_with():
+    workflow = (DATA.parents[1] / ".github" / "workflows" / "tier1.yml").read_text()
+    recorded_env = json.loads(load_recorder().ENV.read_text())
+    assert re.findall(r"numpy==([\w.]+)", workflow) == [recorded_env["numpy"]]
+    assert re.search(r"OPENBLAS_NUM_THREADS: \"1\"", workflow)
 
 
 def test_changes_names_each_moved_metric_and_its_largest_relative_change():

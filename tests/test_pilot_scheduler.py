@@ -43,6 +43,8 @@ from oracles import (
 
 TRAIN = TrainingConfig()
 POWERS = (TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
+# a second training point: RUE pilots 4x stronger, noise 10x higher
+OTHER_POWERS = (4 * TRAIN.p_rue, TRAIN.p_bue, 10 * TRAIN.noise_power)
 
 
 def seeded_topology(seed, num_rrh=15, num_ue=6, coverage_radius=120.0):
@@ -51,14 +53,14 @@ def seeded_topology(seed, num_rrh=15, num_ue=6, coverage_radius=120.0):
     )
 
 
-def es_at(topo, tau):
+def es_at(topo, tau, powers=POWERS):
     """The exhaustive search's (assignment, minimum) at one tau."""
-    return es_schedule(topo, [tau], *POWERS, build_conflict_graph(topo), mse_links(topo))[0]
+    return es_schedule(topo, [tau], build_conflict_graph(topo), mse_links(topo, *powers))[0]
 
 
 def mse_of(topo, assignment, powers=POWERS):
     """``sum_mse`` of one assignment."""
-    return sum_mse(topo, [assignment], *powers, mse_links(topo))[0]
+    return sum_mse(topo, [assignment], mse_links(topo, *powers))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +193,20 @@ def test_sum_mse_hand_case_frozen():
 
 
 def test_sum_mse_matches_per_link_oracle():
+    """At each of two power triples, so a value that ignored the powers of
+    its ``mse_links`` would fail at one of them."""
     rng = np.random.default_rng(1)
     for seed in range(6):
         topo = seeded_topology(seed)
         graph = build_conflict_graph(topo)
         (assignment,) = dsatur_random_schedule(topo, [3], rng, graph)
-        value = mse_of(topo, assignment)
-        expected = sum_mse_oracle(
-            topo, assignment.pilots, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power
-        )
-        assert value == pytest.approx(expected, rel=1e-12)
+        values = []
+        for powers in (POWERS, OTHER_POWERS):
+            value = mse_of(topo, assignment, powers)
+            expected = sum_mse_oracle(topo, assignment.pilots, *powers)
+            assert value == pytest.approx(expected, rel=1e-12)
+            values.append(value)
+        assert values[0] != pytest.approx(values[1], rel=1e-3)
 
 
 def test_sum_mse_rejects_conflicting_assignment():
@@ -222,28 +228,28 @@ def test_sum_mse_of_a_list_equals_each_assignments_own_call():
     rng = np.random.default_rng(4)
     for seed in range(4):
         topo = seeded_topology(seed)
-        graph, links = build_conflict_graph(topo), mse_links(topo)
+        graph, links = build_conflict_graph(topo), mse_links(topo, *POWERS)
         beta = compute_beta(topo, graph)
         assignments = [
             psa_schedule(topo, beta, graph, [dsatur_start(topo, graph, 3)])[0],
             dsatur_random_schedule(topo, [4], rng, graph)[0],
-            es_schedule(topo, [3], *POWERS, graph, links)[0][0],
+            es_schedule(topo, [3], graph, links)[0][0],
         ]
         relabeled = assignments[0].pilots.copy()
         relabeled[topo.bue_set] = relabeled[topo.bue_set[::-1]]  # BUEs swap pilots
         assignments.append(PilotAssignment(assignments[0].tau, relabeled))
         assert len(topo.bue_set) >= 2
-        values = sum_mse(topo, assignments, *POWERS, links)
-        assert values == [sum_mse(topo, [a], *POWERS, links)[0] for a in assignments]
+        values = sum_mse(topo, assignments, links)
+        assert values == [sum_mse(topo, [a], links)[0] for a in assignments]
         assert all(type(v) is float for v in values)
-        assert sum_mse(topo, [], *POWERS, links) == []
+        assert sum_mse(topo, [], links) == []
     bad = relabeled.copy()
     bad[topo.bue_set[1]] = bad[topo.bue_set[0]]
     bad = PilotAssignment(assignments[0].tau, bad)
     with pytest.raises(ValueError, match="shared by several MBS-served users") as alone:
         mse_of(topo, bad)
     with pytest.raises(ValueError) as listed:
-        sum_mse(topo, assignments + [bad], *POWERS, links)
+        sum_mse(topo, assignments + [bad], links)
     assert str(listed.value) == str(alone.value)
 
 
@@ -448,6 +454,19 @@ def test_es_matches_brute_force_and_is_lexicographically_smallest():
     assert shares_bue_pilot and ties and no_bue
 
 
+def test_es_minimum_is_taken_at_the_powers_of_its_links():
+    """At the second power triple the exhaustive minimum is the brute-force
+    minimum and its assignment's oracle value there, and differs from the
+    minimum at the default powers."""
+    for seed, num_rrh, num_ue, radius, tau in ES_CASES[:5]:
+        topo = seeded_topology(seed, num_rrh=num_rrh, num_ue=num_ue, coverage_radius=radius)
+        a, minimum = es_at(topo, tau, OTHER_POWERS)
+        best_value, _ = best_schedules_oracle(topo, a.tau, *OTHER_POWERS)
+        assert minimum == pytest.approx(best_value, rel=1e-12)
+        assert minimum == pytest.approx(sum_mse_oracle(topo, a.pilots, *OTHER_POWERS), rel=1e-12)
+        assert minimum != pytest.approx(es_at(topo, tau)[1], rel=1e-3)
+
+
 def first_free_pilots_increase(rue_pilots, num_bue):
     """Whether the pilots above num_bue first appear as num_bue + 1, + 2, ..."""
     free = [p for p in dict.fromkeys(rue_pilots.tolist()) if p > num_bue]
@@ -470,12 +489,11 @@ def test_es_blocks_enumerate_in_order_and_score_independently_of_blocking():
     assert np.array_equal(candidates, expected)
 
     bue_pilots = np.arange(1, len(topo.bue_set) + 1)
-    args = (bue_pilots, TRAIN.p_rue, TRAIN.p_bue, TRAIN.noise_power)
-    links = mse_links(topo)
-    whole = pilot_scheduler._sum_mse_values(links, candidates, *args)
+    links = mse_links(topo, *POWERS)
+    whole = pilot_scheduler._sum_mse_values(links, candidates, bue_pilots)
     for size in (1, 7):
         parts = [
-            pilot_scheduler._sum_mse_values(links, candidates[s : s + size], *args)
+            pilot_scheduler._sum_mse_values(links, candidates[s : s + size], bue_pilots)
             for s in range(0, len(candidates), size)
         ]
         assert np.array_equal(np.concatenate(parts), whole)  # bit for bit
@@ -490,7 +508,7 @@ def test_es_blocks_enumerate_in_order_and_score_independently_of_blocking():
     assert len(used) >= 2
     swapped = rue_pilots.copy()
     swapped[rue_pilots == used[0]], swapped[rue_pilots == used[1]] = used[1], used[0]
-    pair = pilot_scheduler._sum_mse_values(links, np.stack((rue_pilots, swapped)), *args)
+    pair = pilot_scheduler._sum_mse_values(links, np.stack((rue_pilots, swapped)), bue_pilots)
     assert pair[0] == pair[1] == whole.min()
 
 
@@ -512,7 +530,7 @@ def test_es_given_a_sequence_of_tau_equals_one_call_per_tau():
         graph = build_conflict_graph(topo)
         t, num_bue = graph.coloring[0], len(topo.bue_set)
         raised.add("coloring" if t > max(1, num_bue) else "bue" if num_bue > max(1, t) else None)
-        answers = es_schedule(topo, taus, *POWERS, graph, mse_links(topo))
+        answers = es_schedule(topo, taus, graph, mse_links(topo, *POWERS))
         assert len(answers) == len(taus)
         for tau, (got, got_minimum) in zip(taus, answers):
             want, want_minimum = es_at(topo, tau)
@@ -535,8 +553,8 @@ def test_graph_colors_once_and_shares_a_read_only_coloring(monkeypatch):
     beta = compute_beta(topo, graph)
     starts = dsatur_random_schedule(topo, [3], np.random.default_rng(0), graph)
     psa_schedule(topo, beta, graph, starts)
-    links = mse_links(topo)
-    es_schedule(topo, [3], *POWERS, graph, links)
+    links = mse_links(topo, *POWERS)
+    es_schedule(topo, [3], graph, links)
     assert calls == [graph]
     want_t, want_colors = dsatur_color(graph)
     t, colors = graph.coloring
@@ -550,11 +568,11 @@ def test_graph_colors_once_and_shares_a_read_only_coloring(monkeypatch):
 def test_es_memory_stays_bounded_beyond_one_block():
     # 7 RUEs at tau 6: 3,235 canonical vectors, more than one block
     topo = generate_topology(ScenarioConfig(num_ue=8, num_rrh=25), 2)
-    graph, links = build_conflict_graph(topo), mse_links(topo)
+    graph, links = build_conflict_graph(topo), mse_links(topo, *POWERS)
     assert len(topo.rue_set) == 7
     tracemalloc.start()
     try:
-        es_schedule(topo, [6], *POWERS, graph, links)
+        es_schedule(topo, [6], graph, links)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -581,12 +599,12 @@ def test_es_guard_reads_the_module_limit(monkeypatch):
 
 def test_es_guard_refuses_a_sequence_whose_largest_tau_it_refuses(monkeypatch):
     topo = seeded_topology(1, num_rrh=10, num_ue=5, coverage_radius=150.0)
-    graph, links = build_conflict_graph(topo), mse_links(topo)
+    graph, links = build_conflict_graph(topo), mse_links(topo, *POWERS)
     size = pilot_scheduler.effective_tau(topo, 3, graph.coloring[0]) ** topo.num_ue
     monkeypatch.setattr(pilot_scheduler, "ES_LIMIT", size)
-    es_schedule(topo, [3, 2], *POWERS, graph, links)
+    es_schedule(topo, [3, 2], graph, links)
     with pytest.raises(ValueError, match=f"search space 4\\^5 exceeds the enumeration guard {size}"):
-        es_schedule(topo, [3, 4, 2], *POWERS, graph, links)
+        es_schedule(topo, [3, 4, 2], graph, links)
 
 
 def test_es_never_beats_itself_with_fewer_pilots():
@@ -607,7 +625,7 @@ def test_schedulers_coincide_with_orthogonal_optimum_at_full_tau():
     tau = topo.num_ue
     (psa,) = psa_schedule(topo, beta, graph, [dsatur_start(topo, graph, tau)])
     es, _ = es_at(topo, tau)
-    v_psa, v_es = sum_mse(topo, [psa, es], *POWERS, mse_links(topo))
+    v_psa, v_es = sum_mse(topo, [psa, es], mse_links(topo, *POWERS))
     assert v_psa == pytest.approx(v_es, rel=1e-12)
     # every user alone on its pilot
     assert len(set(psa.pilots.tolist())) == topo.num_ue
@@ -642,16 +660,16 @@ def test_es_bounds_the_heuristics_and_never_rises_with_tau_on_random_drops(drop)
     those at a larger."""
     scenario, master_seed, taus = drop
     topo = generate_topology(scenario, seed_to_int(child_seed(master_seed, 0, 0)))
-    graph, links = build_conflict_graph(topo), mse_links(topo)
+    graph, links = build_conflict_graph(topo), mse_links(topo, *POWERS)
     beta = compute_beta(topo, graph)
 
     def heuristics(taus):
         starts = dsatur_random_schedule(topo, taus, child_rng(master_seed, 0, 1), graph)
         return psa_schedule(topo, beta, graph, starts), starts
 
-    answers = es_schedule(topo, taus, *POWERS, graph, links)
+    answers = es_schedule(topo, taus, graph, links)
     for tau, (got, minimum), psa, ds in zip(taus, answers, *heuristics(taus), strict=True):
-        (want, want_minimum), = es_schedule(topo, [tau], *POWERS, graph, links)
+        (want, want_minimum), = es_schedule(topo, [tau], graph, links)
         assert got.tau == want.tau and minimum == want_minimum
         assert np.array_equal(got.pilots, want.pilots)
         for listed, (alone,) in zip((psa, ds), heuristics([tau])):
@@ -661,7 +679,7 @@ def test_es_bounds_the_heuristics_and_never_rises_with_tau_on_random_drops(drop)
         oracle = psa_oracle(topo, beta, graph.adjacency, tau, rng=child_rng(master_seed, 0, 1))
         assert (psa.tau, psa.pilots.tolist()) == oracle
         assert psa.tau == ds.tau == got.tau
-        es_value, psa_value, ds_value = sum_mse(topo, [got, psa, ds], *POWERS, links)
+        es_value, psa_value, ds_value = sum_mse(topo, [got, psa, ds], links)
         assert es_value == minimum <= min(psa_value, ds_value)
     by_tau = sorted((a.tau, minimum) for a, minimum in answers)
     for (_, fewer), (_, more) in zip(by_tau, by_tau[1:]):
